@@ -177,15 +177,15 @@ pub fn parallel_skyline_pipeline(
     )
 }
 
-/// The columnar pipeline end-to-end: batch presort of narrow key/row-id
-/// entries by the oriented key sum, parallel batch filter over the
-/// narrow representation, and one late-materialization pass against the
-/// base heap — the batch-path mirror of [`parallel_skyline_pipeline`].
+/// The narrow-entry pipeline end-to-end: batch presort of key/row-id
+/// entries by the oriented key sum, the partitioned filter on the narrow
+/// format, and one late-materialization pass against the base heap —
+/// [`parallel_skyline_pipeline`] with the other entry format.
 ///
 /// # Errors
-/// Configuration (DIFF specs are rejected — the batch path does not
-/// carry DIFF keys), storage, buffer, worker, and cancellation errors
-/// propagate.
+/// Configuration (DIFF specs are rejected — [`crate::external::batch_presort`]
+/// extracts criteria only), storage, buffer, worker, and cancellation
+/// errors propagate.
 #[allow(clippy::too_many_arguments)]
 pub fn batch_skyline_pipeline(
     heap: Arc<HeapFile>,
@@ -301,71 +301,6 @@ pub fn bnl_over(
 ) -> Result<Bnl, ExecError> {
     let scan = Box::new(HeapScan::new(heap));
     Bnl::new(scan, layout, spec, window_pages, disk, metrics)
-}
-
-/// A fully budgeted SFS plan: sort-phase and filter-phase buffer pages
-/// are reserved from a shared [`BufferPool`] before any work starts, the
-/// way an engine's admission control would. The leases live as long as
-/// the plan.
-pub struct BudgetedSkyline {
-    /// The filter operator, ready to open.
-    pub sfs: crate::external::Sfs,
-    /// Shared metrics handle.
-    pub metrics: Arc<SkylineMetrics>,
-    _window_lease: skyline_storage::BufferLease,
-}
-
-/// Build a sort+filter skyline plan under a buffer-pool budget: reserves
-/// `sort_pages` for the (materialized) sort phase, releases them, then
-/// reserves `cfg.window_pages` for the filter phase, which stay reserved
-/// until the returned plan is dropped.
-///
-/// # Errors
-/// [`ExecError::Buffer`] when the pool cannot satisfy a reservation;
-/// otherwise the same errors as [`presort`]/[`sfs_filter`].
-#[allow(clippy::too_many_arguments)]
-pub fn budgeted_skyline_plan(
-    heap: Arc<HeapFile>,
-    layout: RecordLayout,
-    spec: SkylineSpec,
-    order: SortOrder,
-    entropy: Option<EntropyScore>,
-    cfg: crate::external::SfsConfig,
-    sort_pages: usize,
-    pool: &skyline_storage::BufferPool,
-    disk: Arc<dyn Disk>,
-) -> Result<BudgetedSkyline, ExecError> {
-    let sorted = {
-        let _sort_lease = pool.reserve(sort_pages)?;
-        let mut sorted = presort(
-            heap,
-            layout,
-            spec.clone(),
-            order,
-            entropy,
-            sort_pages,
-            Arc::clone(&disk),
-        )?;
-        sorted.mark_temp();
-        sorted
-        // sort lease released here: the paper treats sort and filter as
-        // separately scheduled operations with separate allocations
-    };
-    let window_lease = pool.reserve(cfg.window_pages)?;
-    let metrics = SkylineMetrics::shared();
-    let sfs = sfs_filter(
-        Arc::new(sorted),
-        layout,
-        spec,
-        cfg,
-        disk,
-        Arc::clone(&metrics),
-    )?;
-    Ok(BudgetedSkyline {
-        sfs,
-        metrics,
-        _window_lease: window_lease,
-    })
 }
 
 /// Load records into a fresh heap file (workload setup). Built as temp
@@ -500,65 +435,6 @@ mod tests {
         bnl_out.sort();
         sfs_out.sort();
         assert_eq!(bnl_out, sfs_out);
-    }
-
-    #[test]
-    fn budgeted_plan_reserves_and_releases_window_pages() {
-        use skyline_exec::Operator;
-        use skyline_storage::BufferPool;
-        let w = WorkloadSpec::paper(1_000, 3);
-        let records = w.generate();
-        let layout = w.layout;
-        let spec = SkylineSpec::max_all(3);
-        let disk = MemDisk::shared();
-        let heap = Arc::new(
-            load_heap(
-                Arc::clone(&disk) as _,
-                layout.record_size(),
-                records.iter().map(Vec::as_slice),
-            )
-            .unwrap(),
-        );
-        let pool = BufferPool::new(64);
-        {
-            let mut plan = budgeted_skyline_plan(
-                Arc::clone(&heap),
-                layout,
-                spec.clone(),
-                SortOrder::Nested,
-                None,
-                crate::external::SfsConfig::new(8).with_projection(),
-                32,
-                &pool,
-                Arc::clone(&disk) as _,
-            )
-            .unwrap();
-            assert_eq!(pool.used(), 8, "window pages held while the plan lives");
-            plan.sfs.open().unwrap();
-            let mut n = 0;
-            while plan.sfs.next().unwrap().is_some() {
-                n += 1;
-            }
-            plan.sfs.close();
-            assert!(n > 0);
-            assert_eq!(plan.metrics.snapshot().emitted, n);
-        }
-        assert_eq!(pool.used(), 0, "window lease released with the plan");
-        // sort phase peaked at 32 pages, filter at 8
-        assert_eq!(pool.peak(), 32);
-        // over-budget requests fail up front
-        let err = budgeted_skyline_plan(
-            heap,
-            layout,
-            spec,
-            SortOrder::Nested,
-            None,
-            crate::external::SfsConfig::new(100),
-            32,
-            &pool,
-            Arc::clone(&disk) as _,
-        );
-        assert!(matches!(err, Err(ExecError::Buffer(_))));
     }
 
     #[test]

@@ -354,22 +354,32 @@ impl BatchSource for BatchHeapScan {
 }
 
 /// Fixed-width serialization of one batch row: `d` little-endian f64
-/// key lanes followed by a little-endian u64 row id — `8(d+1)` bytes.
-/// This is what flows through the external sort and spill files on the
-/// batch path instead of full records.
+/// key lanes, then `g` DIFF group lanes (none unless
+/// [`NarrowLayout::with_diff`]), then a little-endian u64 row id —
+/// `8(d+g+1)` bytes. This is what flows through the external sort and
+/// spill files on the batch path instead of full records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NarrowLayout {
     d: usize,
+    diff: usize,
 }
 
 impl NarrowLayout {
-    /// Layout for `d` key dimensions.
+    /// Layout for `d` key dimensions and no DIFF lanes.
     ///
     /// # Panics
     /// Panics when `d == 0`.
     pub fn new(d: usize) -> Self {
         assert!(d > 0, "a narrow entry needs at least one dimension");
-        NarrowLayout { d }
+        NarrowLayout { d, diff: 0 }
+    }
+
+    /// Carry `g` DIFF group lanes between the key lanes and the row id
+    /// (the paper's §4.3 "Diff": entries compare only within a group).
+    #[must_use]
+    pub fn with_diff(mut self, g: usize) -> Self {
+        self.diff = g;
+        self
     }
 
     /// Number of key dimensions.
@@ -377,19 +387,25 @@ impl NarrowLayout {
         self.d
     }
 
-    /// Entry size in bytes: `8(d+1)`.
-    pub fn entry_size(&self) -> usize {
-        8 * (self.d + 1)
+    /// Number of DIFF group lanes.
+    pub fn diff_dims(&self) -> usize {
+        self.diff
     }
 
-    /// Serialize `key` + `row_id` into `out` (cleared first).
+    /// Entry size in bytes: `8(d+g+1)`.
+    pub fn entry_size(&self) -> usize {
+        8 * (self.d + self.diff + 1)
+    }
+
+    /// Serialize `lanes` (the key, then any group lanes) + `row_id` into
+    /// `out` (cleared first).
     ///
     /// # Panics
-    /// Panics when `key.len() != dims()`.
-    pub fn encode_into(&self, key: &[f64], row_id: u64, out: &mut Vec<u8>) {
-        assert_eq!(key.len(), self.d, "key width mismatch");
+    /// Panics when `lanes.len() != dims() + diff_dims()`.
+    pub fn encode_into(&self, lanes: &[f64], row_id: u64, out: &mut Vec<u8>) {
+        assert_eq!(lanes.len(), self.d + self.diff, "key width mismatch");
         out.clear();
-        for v in key {
+        for v in lanes {
             out.extend_from_slice(&v.to_le_bytes());
         }
         out.extend_from_slice(&row_id.to_le_bytes());
@@ -411,11 +427,19 @@ impl NarrowLayout {
         }
     }
 
+    /// The raw bytes of an entry's DIFF group lanes (empty without
+    /// DIFF): equal bytes ⇔ same group.
+    pub fn group_of<'a>(&self, entry: &'a [u8]) -> &'a [u8] {
+        debug_assert_eq!(entry.len(), self.entry_size(), "entry size mismatch");
+        &entry[8 * self.d..8 * (self.d + self.diff)]
+    }
+
     /// Row id of a serialized entry.
     pub fn row_id(&self, entry: &[u8]) -> u64 {
         debug_assert_eq!(entry.len(), self.entry_size(), "entry size mismatch");
+        let at = 8 * (self.d + self.diff);
         let mut lane = [0u8; 8];
-        lane.copy_from_slice(&entry[8 * self.d..8 * (self.d + 1)]);
+        lane.copy_from_slice(&entry[at..at + 8]);
         u64::from_le_bytes(lane)
     }
 }
@@ -592,6 +616,22 @@ mod tests {
         let mut key = Vec::new();
         n.key_into(&buf, &mut key);
         assert_eq!(key, vec![1.5, -0.25, f64::MAX]);
+        assert!(n.group_of(&buf).is_empty());
+    }
+
+    #[test]
+    fn narrow_layout_diff_lanes_sit_between_key_and_row_id() {
+        let n = NarrowLayout::new(2).with_diff(1);
+        assert_eq!((n.dims(), n.diff_dims(), n.entry_size()), (2, 1, 32));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        n.encode_into(&[1.0, 2.0, 7.0], 11, &mut a);
+        n.encode_into(&[3.0, 4.0, 7.0], 12, &mut b);
+        assert_eq!(n.group_of(&a), n.group_of(&b));
+        assert_eq!(n.group_of(&a), 7.0f64.to_le_bytes().as_slice());
+        let mut key = Vec::new();
+        n.key_into(&b, &mut key);
+        assert_eq!(key, vec![3.0, 4.0]);
+        assert_eq!(n.row_id(&b), 12);
     }
 
     /// Records are two LE f64s; the key is both, second negated — enough

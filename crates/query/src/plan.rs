@@ -348,15 +348,11 @@ fn apply_skyline(
             data.push(if is_min { -v } else { v });
         }
     }
-    // Large relations push down to the external paged engine (a no-op
-    // fall-through when values aren't representable there or the chosen
-    // algorithm has no external form for this query shape).
-    if rows.len() >= opts.external_threshold {
-        if let Some(keep) =
-            crate::pushdown::external_skyline_with(schema, &rows, &crit, &diff, opts)?
-        {
-            return Ok(keep.into_iter().map(|i| rows[i].clone()).collect());
-        }
+    // Large integer-valued relations push down to the paged engine,
+    // which takes the matrix as its input stream.
+    if crate::pushdown::routes_to_paged_engine(&rows, &data, &crit, &diff, opts) {
+        let keep = crate::pushdown::external_skyline_with(data, d, &rows, &diff, opts)?;
+        return Ok(keep.into_iter().map(|i| rows[i].clone()).collect());
     }
 
     // The in-memory working set — the oriented matrix — charges the

@@ -2,55 +2,84 @@
 //!
 //! The in-memory executor in [`crate::plan`] is right for small and
 //! medium tables; past a threshold the planner hands the skyline to the
-//! external SFS operator instead: rows are encoded into fixed-width
-//! records (criteria + diff attributes as i32, the originating row index
-//! in the payload), loaded into a heap file, entropy-presorted with the
-//! external sort, and filtered through a window sized by the §6
-//! cardinality estimator. This is the integration the paper argues for —
-//! the skyline as *an operator inside the engine*, not an application
-//! post-pass.
+//! external operators instead. The oriented key matrix the planner has
+//! already built is streamed as *narrow entries* — `d` f64 keys, the
+//! DIFF lanes, and the originating row index — straight into the
+//! external sort (entropy-presorted, the paper's "w/ E", DIFF groups
+//! outermost), filtered through a window sized by the §6 cardinality
+//! estimator, and the surviving row ids are read back. This is the
+//! integration the paper argues for — the skyline as *an operator inside
+//! the engine*, not an application post-pass.
 //!
-//! [`external_skyline_with`] is the contract-aware entry: it honours the
-//! [`ExecOptions`] algorithm choice (SFS, BNL, the parallel pipeline,
-//! strata), charges each pass's arena against the optional quota pool
-//! (sort arena while sorting, filter window while filtering — the same
-//! lease discipline as `planner::budgeted_skyline_plan`), threads the
-//! cancel token through encoding and the operators, and spills to the
-//! caller's disk when one is given. Every heap file it creates is
-//! temp-marked, so pages are reclaimed on *every* path — success, typed
-//! quota error, cancellation, or storage fault.
-//!
-//! Falls back to the in-memory path when a criterion value does not fit
-//! an `i32` (the record codec's attribute width), or when the chosen
-//! algorithm has no external form for the query shape (divide-and-
-//! conquer always; BNL/parallel/strata under a `DIFF` clause).
+//! [`external_skyline_with`] honours the [`ExecOptions`] contract: the
+//! algorithm hint picks the narrow instantiation (SFS for `Auto`, `Sfs`
+//! and `Strata` — stratum s₀ *is* the SFS skyline; BNL over the unsorted
+//! stream; the strided-parallel filter), each pass's arena is charged
+//! against the optional quota pool (sort arena while sorting, filter
+//! window while filtering), the cancel token is polled while entries
+//! stream and inside the operators, and spills go to the caller's disk
+//! when one is given. Every heap file it creates is temp-marked, so
+//! pages are reclaimed on *every* path — success, typed quota error,
+//! cancellation, or storage fault. A `DIFF` clause always runs as
+//! presort + SFS (BNL cannot group; the parallel filter falls back to
+//! one stratum).
 
 use crate::error::QueryError;
 use crate::options::{ExecOptions, SkylineAlgo};
 use skyline_core::cardinality::recommend_window_pages;
-use skyline_core::planner::{
-    entropy_stats_of_records, load_heap, parallel_skyline_pipeline, presort, sfs_filter,
+use skyline_core::external::{
+    parallel_filter, sort_narrow, BatchBnl, BatchConfig, BatchSfs, NarrowFormat,
 };
-use skyline_core::strata::strata_external;
-use skyline_core::{
-    Criterion, Direction, EntropyScore, SfsConfig, SkylineMetrics, SkylineSpec, SortOrder,
-};
+use skyline_core::{EntropyScore, SfsConfig, SkylineMetrics};
 use skyline_exec::cancel::poll;
-use skyline_exec::{CancelToken, ExecError, Operator};
-use skyline_relation::{RecordLayout, Schema, Tuple};
-use skyline_storage::{BufferLease, Disk, HeapFile, MemDisk, StorageError};
+use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
+use skyline_relation::Tuple;
+use skyline_storage::{BufferLease, Disk, MemDisk};
 use std::sync::Arc;
 
 /// Row-count threshold above which [`crate::execute`] routes the skyline
 /// through the external engine.
 pub const EXTERNAL_THRESHOLD: usize = 50_000;
 
-fn storage_err(e: StorageError) -> QueryError {
-    QueryError::from_exec(ExecError::Storage(e))
-}
-
-fn check_cancel(cancel: Option<&CancelToken>, count: u64) -> Result<(), QueryError> {
-    poll(cancel, count).map_err(QueryError::from_exec)
+/// Does this skyline run on the paged engine? Yes when the relation is
+/// at least `opts.external_threshold` rows, the algorithm is not
+/// divide-and-conquer (in-memory only), every criterion value is
+/// integral and within `i32`, and every DIFF key is an integer within
+/// `i32`.
+///
+/// The integrality clause is deliberate, not a codec limit — narrow
+/// entries carry any f64. Paging fractional criteria was measured on the
+/// end-to-end benchmark's `float_d5` workload (100k rows, 5 fractional
+/// criteria, 2 cores): the external sort over 48-byte entries moved
+/// `query_p50_ms` 50.0 → 69.3 (entropy presort; 62.6 with the key-sum
+/// presort) and `setup_s` 0.26 → 0.39, both beyond that benchmark's 0.25
+/// regression bound. Until the sort is cheaper, such tables stay on the
+/// in-memory executor.
+pub fn routes_to_paged_engine(
+    rows: &[Tuple],
+    keys: &[f64],
+    crit: &[(usize, bool)],
+    diff: &[usize],
+    opts: &ExecOptions,
+) -> bool {
+    let fits_i32 =
+        |v: f64| v.fract() == 0.0 && v >= f64::from(i32::MIN) && v <= f64::from(i32::MAX);
+    rows.len() >= opts.external_threshold
+        && opts.algo != SkylineAlgo::DivideAndConquer
+        && keys.chunks_exact(crit.len()).all(|key| {
+            // keys are oriented (MIN columns negated); the test is on
+            // the stored value
+            key.iter()
+                .zip(crit)
+                .all(|(&k, &(_, is_min))| fits_i32(if is_min { -k } else { k }))
+        })
+        && rows.iter().all(|row| {
+            diff.iter().all(|&idx| {
+                row.get(idx)
+                    .as_i64()
+                    .is_some_and(|v| i32::try_from(v).is_ok())
+            })
+        })
 }
 
 /// Charge `pages` against the quota pool, if one is set. The lease is
@@ -65,29 +94,52 @@ fn reserve(opts: &ExecOptions, pages: usize) -> Result<Option<BufferLease>, Quer
     }
 }
 
-/// Attempt the external skyline with the historical defaults (SFS, no
-/// quota, no deadline, private in-memory spill disk). Returns `Ok(None)`
-/// when the rows cannot be pushed down (criterion values outside i32),
-/// in which case the caller should run the in-memory path.
-///
-/// `crit` is `(column index, is_min)` per MIN/MAX criterion; `diff` is
-/// the DIFF column indices. Returned row indices are ascending.
-///
-/// # Errors
-/// Everything [`external_skyline_with`] reports.
-pub fn external_skyline_indices(
-    schema: &Schema,
-    rows: &[Tuple],
-    crit: &[(usize, bool)],
-    diff: &[usize],
-) -> Result<Option<Vec<usize>>, QueryError> {
-    external_skyline_with(schema, rows, crit, diff, &ExecOptions::default())
+/// The planner's key matrix (plus DIFF lanes) lent to the external
+/// operators as narrow entries, row index as the row id.
+struct MatrixEntries {
+    keys: Vec<f64>,
+    groups: Vec<f64>,
+    narrow: NarrowLayout,
+    row: usize,
+    lanes: Vec<f64>,
+    entry: Vec<u8>,
+    cancel: Option<CancelToken>,
 }
 
-/// [`external_skyline_indices`] under an execution contract: algorithm
-/// choice, page quota, cancellation, and spill-disk placement all come
-/// from `opts`. Returns `Ok(None)` when the query cannot (or should
-/// not) run externally; the caller then uses the in-memory executor.
+impl Operator for MatrixEntries {
+    fn open(&mut self) -> Result<(), ExecError> {
+        self.row = 0;
+        Ok(())
+    }
+
+    fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
+        poll(self.cancel.as_ref(), self.row as u64)?;
+        let (d, g) = (self.narrow.dims(), self.narrow.diff_dims());
+        let Some(key) = self.keys.get(self.row * d..(self.row + 1) * d) else {
+            return Ok(None);
+        };
+        self.lanes.clear();
+        self.lanes.extend_from_slice(key);
+        self.lanes
+            .extend_from_slice(&self.groups[self.row * g..(self.row + 1) * g]);
+        self.narrow
+            .encode_into(&self.lanes, self.row as u64, &mut self.entry);
+        self.row += 1;
+        Ok(Some(&self.entry))
+    }
+
+    fn close(&mut self) {}
+
+    fn record_size(&self) -> usize {
+        self.narrow.entry_size()
+    }
+}
+
+/// Run the skyline of `keys` (oriented, row-major, `d` wide — one row
+/// per tuple of `rows`) on the paged engine under the execution contract
+/// `opts`, grouping by the `diff` columns of `rows`. The caller has
+/// checked [`routes_to_paged_engine`]. Returned row indices are
+/// ascending.
 ///
 /// # Errors
 /// [`QueryError::QuotaExceeded`] when a pass's arena does not fit the
@@ -95,313 +147,160 @@ pub fn external_skyline_indices(
 /// [`QueryError::Exec`] for storage or worker failures. No heap pages
 /// remain allocated on any error path.
 pub fn external_skyline_with(
-    schema: &Schema,
+    keys: Vec<f64>,
+    d: usize,
     rows: &[Tuple],
-    crit: &[(usize, bool)],
     diff: &[usize],
     opts: &ExecOptions,
-) -> Result<Option<Vec<usize>>, QueryError> {
-    match opts.algo {
-        // No external divide-and-conquer; BNL, the parallel pipeline and
-        // the strata machinery reject DIFF grouping.
-        SkylineAlgo::DivideAndConquer => return Ok(None),
-        SkylineAlgo::Bnl | SkylineAlgo::Parallel | SkylineAlgo::Strata if !diff.is_empty() => {
-            return Ok(None)
-        }
-        _ => {}
-    }
-    let k = crit.len();
-    let m = diff.len();
-    let layout = RecordLayout::new(k + m, 8); // payload: row index as u64
-
-    // encode: oriented values must fit i32 exactly
-    let cancel = opts.cancel.as_ref();
-    let mut records = Vec::with_capacity(rows.len());
-    let mut attrs = vec![0i32; k + m];
-    for (rowno, row) in rows.iter().enumerate() {
-        check_cancel(cancel, rowno as u64)?;
-        for (slot, &(idx, _)) in crit.iter().enumerate() {
-            let v = row.get(idx).as_f64().ok_or_else(|| {
-                QueryError::Semantic(format!(
-                    "row {rowno}: skyline column {} is not numeric",
-                    schema.column(idx).name
-                ))
-            })?;
-            if v.fract() != 0.0 || v < f64::from(i32::MIN) || v > f64::from(i32::MAX) {
-                return Ok(None); // not representable: fall back
-            }
-            attrs[slot] = v as i32;
-        }
-        for (slot, &idx) in diff.iter().enumerate() {
-            let Some(v) = row.get(idx).as_i64() else {
-                return Ok(None); // non-integer diff key: fall back
-            };
-            let Ok(v) = i32::try_from(v) else {
-                return Ok(None);
-            };
-            attrs[k + slot] = v;
-        }
-        records.push(layout.encode(&attrs, &(rowno as u64).to_le_bytes()));
-    }
-
-    let spec = SkylineSpec::new(
-        crit.iter()
-            .enumerate()
-            .map(|(slot, &(_, is_min))| Criterion {
-                attr: slot,
-                direction: if is_min {
-                    Direction::Min
-                } else {
-                    Direction::Max
-                },
-            })
-            .collect(),
-    )
-    .with_diff((k..k + m).collect());
-
+) -> Result<Vec<usize>, QueryError> {
+    let narrow = NarrowLayout::new(d).with_diff(diff.len());
     let disk: Arc<dyn Disk> = match &opts.disk {
         Some(d) => Arc::clone(d),
         None => MemDisk::shared(),
     };
-    let mut heap = load_heap(
-        Arc::clone(&disk),
-        layout.record_size(),
-        records.iter().map(Vec::as_slice),
-    )
-    .map_err(storage_err)?;
-    // Temp-marked: the input's pages are reclaimed when the last handle
-    // drops, whichever path (success or unwind) gets there.
-    heap.mark_temp();
-    let heap = Arc::new(heap);
-    let stats = entropy_stats_of_records(&layout, &spec, records.iter().map(Vec::as_slice));
-    drop(records);
+    // Capacity in entries is what the estimator sizes; a narrow window
+    // entry is the key alone, 8·d bytes.
+    let cfg = BatchConfig::new(recommend_window_pages(rows.len(), d, 8 * d));
+    let metrics = SkylineMetrics::shared();
+    // BNL takes the stream as it comes; everything else — a DIFF clause
+    // included, since BNL cannot group — presorts by entropy (one pass
+    // over the matrix for the column statistics).
+    let presort = (opts.algo != SkylineAlgo::Bnl || !diff.is_empty())
+        .then(|| Arc::new(EntropyScore::from_keys(&keys, d)));
+    let groups = rows
+        .iter()
+        .flat_map(|row| diff.iter().map(|&idx| row.get(idx).as_f64().unwrap_or(0.0)))
+        .collect();
+    let entries: BoxedOperator = Box::new(MatrixEntries {
+        keys,
+        groups,
+        narrow,
+        row: 0,
+        lanes: Vec::new(),
+        entry: Vec::new(),
+        cancel: opts.cancel.clone(),
+    });
 
-    let window_pages = recommend_window_pages(rows.len(), k.max(1), 4 * k.max(1));
-    let mut keep = match opts.algo {
-        SkylineAlgo::Bnl => bnl_path(heap, layout, spec, window_pages, disk, opts)?,
-        SkylineAlgo::Parallel => {
-            parallel_path(heap, layout, spec, stats, window_pages, disk, opts)?
+    // Each arm yields the operator to drain and the window lease that
+    // stays charged while it drains.
+    let (mut filter, _window_lease): (BoxedOperator, _) = match presort {
+        None => {
+            let mut bnl = BatchBnl::new(
+                entries,
+                narrow,
+                cfg.window_pages,
+                cfg.batch_rows,
+                disk,
+                metrics,
+            )
+            .map_err(QueryError::from_exec)?;
+            if let Some(token) = &opts.cancel {
+                bnl = bnl.with_cancel(token.clone());
+            }
+            (Box::new(bnl), reserve(opts, cfg.window_pages)?)
         }
-        SkylineAlgo::Strata => strata_path(heap, layout, spec, stats, window_pages, disk, opts)?,
-        // Auto and Sfs share the paper's presort+filter; DivideAndConquer
-        // returned above.
-        _ => sfs_path(heap, layout, spec, stats, window_pages, disk, opts)?,
+        Some(score) => {
+            // The sort arena is charged only while sorting.
+            let parallel = opts.algo == SkylineAlgo::Parallel;
+            let sort_lease = reserve(opts, opts.sort_pages)?;
+            let mut sorted = sort_narrow(
+                entries,
+                narrow,
+                score,
+                opts.sort_pages,
+                if parallel { opts.threads } else { 1 },
+                Arc::clone(&disk),
+            )
+            .map_err(QueryError::from_exec)?;
+            // Temp-marked: the pages are reclaimed when the last handle
+            // drops, whichever path (success or unwind) gets there.
+            sorted.mark_temp();
+            drop(sort_lease);
+            let sorted = Arc::new(sorted);
+            if parallel {
+                // The partitioned filter charges (and releases) its
+                // windows and merge arena itself.
+                let fmt =
+                    NarrowFormat::new(narrow, cfg.batch_rows).map_err(QueryError::from_exec)?;
+                let mut skyline = parallel_filter(
+                    sorted,
+                    fmt,
+                    SfsConfig::new(cfg.window_pages).with_projection(),
+                    opts.threads,
+                    disk,
+                    metrics,
+                    opts.pool.as_ref(),
+                    opts.cancel.clone(),
+                )
+                .map_err(QueryError::from_exec)?
+                .skyline;
+                skyline.mark_temp();
+                (Box::new(HeapScan::new(Arc::new(skyline))), None)
+            } else {
+                let scan = Box::new(HeapScan::new(sorted));
+                let mut sfs = BatchSfs::new(scan, narrow, cfg, disk, metrics)
+                    .map_err(QueryError::from_exec)?;
+                if let Some(token) = &opts.cancel {
+                    sfs = sfs.with_cancel(token.clone());
+                }
+                (Box::new(sfs), reserve(opts, cfg.window_pages)?)
+            }
+        }
     };
+
+    let mut keep = Vec::new();
+    filter.open().map_err(QueryError::from_exec)?;
+    while let Some(entry) = filter.next().map_err(QueryError::from_exec)? {
+        poll(opts.cancel.as_ref(), keep.len() as u64).map_err(QueryError::from_exec)?;
+        keep.push(narrow.row_id(entry) as usize);
+    }
+    filter.close();
     keep.sort_unstable();
-    Ok(Some(keep))
-}
-
-/// Entropy presort (sort arena charged while sorting) then the SFS
-/// filter (window charged while filtering) — the lease discipline of
-/// `planner::budgeted_skyline_plan`.
-fn sfs_path(
-    heap: Arc<HeapFile>,
-    layout: RecordLayout,
-    spec: SkylineSpec,
-    stats: EntropyScore,
-    window_pages: usize,
-    disk: Arc<dyn Disk>,
-    opts: &ExecOptions,
-) -> Result<Vec<usize>, QueryError> {
-    let sort_lease = reserve(opts, opts.sort_pages)?;
-    check_cancel(opts.cancel.as_ref(), 0)?;
-    let mut sorted = presort(
-        heap,
-        layout,
-        spec.clone(),
-        SortOrder::Entropy,
-        Some(stats),
-        opts.sort_pages,
-        Arc::clone(&disk),
-    )
-    .map_err(QueryError::from_exec)?;
-    drop(sort_lease);
-    sorted.mark_temp();
-
-    let _window_lease = reserve(opts, window_pages)?;
-    let mut sfs = sfs_filter(
-        Arc::new(sorted),
-        layout,
-        spec,
-        SfsConfig::new(window_pages).with_projection(),
-        disk,
-        SkylineMetrics::shared(),
-    )
-    .map_err(QueryError::from_exec)?;
-    if let Some(token) = &opts.cancel {
-        sfs = sfs.with_cancel(token.clone());
-    }
-    drain_tags(&mut sfs, &layout)
-}
-
-/// Block-nested-loops straight over the unsorted heap; only the window
-/// is charged.
-fn bnl_path(
-    heap: Arc<HeapFile>,
-    layout: RecordLayout,
-    spec: SkylineSpec,
-    window_pages: usize,
-    disk: Arc<dyn Disk>,
-    opts: &ExecOptions,
-) -> Result<Vec<usize>, QueryError> {
-    let _window_lease = reserve(opts, window_pages)?;
-    let mut bnl = skyline_core::planner::bnl_over(
-        heap,
-        layout,
-        spec,
-        window_pages,
-        disk,
-        SkylineMetrics::shared(),
-    )
-    .map_err(QueryError::from_exec)?;
-    if let Some(token) = &opts.cancel {
-        bnl = bnl.with_cancel(token.clone());
-    }
-    drain_tags(&mut bnl, &layout)
-}
-
-/// The threaded presort + partitioned filter; the pipeline charges the
-/// pool itself, so only the pass-through wiring lives here. The
-/// materialized skyline heap is temp-marked before scanning so its pages
-/// are reclaimed even when a read faults mid-scan.
-fn parallel_path(
-    heap: Arc<HeapFile>,
-    layout: RecordLayout,
-    spec: SkylineSpec,
-    stats: EntropyScore,
-    window_pages: usize,
-    disk: Arc<dyn Disk>,
-    opts: &ExecOptions,
-) -> Result<Vec<usize>, QueryError> {
-    let outcome = parallel_skyline_pipeline(
-        heap,
-        layout,
-        spec,
-        SortOrder::Entropy,
-        Some(stats),
-        SfsConfig::new(window_pages).with_projection(),
-        opts.sort_pages,
-        opts.threads,
-        disk,
-        SkylineMetrics::shared(),
-        opts.pool.as_ref(),
-        opts.cancel.clone(),
-    )
-    .map_err(QueryError::from_exec)?;
-    let mut sky = outcome.skyline;
-    sky.mark_temp();
-    scan_tags(&sky, &layout, opts.cancel.as_ref())
-}
-
-/// `strata_external` with `k = 1`: stratum s₀ is the skyline. The
-/// machinery has no quota/cancel plumbing of its own, so the whole
-/// footprint (sort arena + window) is charged up front and the token is
-/// checked at the pass boundaries.
-fn strata_path(
-    heap: Arc<HeapFile>,
-    layout: RecordLayout,
-    spec: SkylineSpec,
-    stats: EntropyScore,
-    window_pages: usize,
-    disk: Arc<dyn Disk>,
-    opts: &ExecOptions,
-) -> Result<Vec<usize>, QueryError> {
-    let _lease = reserve(opts, opts.sort_pages + window_pages)?;
-    check_cancel(opts.cancel.as_ref(), 0)?;
-    let result = strata_external(
-        heap,
-        layout,
-        &spec,
-        1,
-        window_pages,
-        opts.sort_pages,
-        SortOrder::Entropy,
-        Some(stats),
-        disk,
-    )
-    .map_err(QueryError::from_exec)?;
-    // Caller owns the persisted strata; temp-mark them all so every exit
-    // from here reclaims their pages.
-    let mut strata = result.strata;
-    for s in &mut strata {
-        s.mark_temp();
-    }
-    check_cancel(
-        opts.cancel.as_ref(),
-        strata.first().map_or(0, HeapFile::len),
-    )?;
-    match strata.first() {
-        Some(s0) => scan_tags(s0, &layout, opts.cancel.as_ref()),
-        None => Ok(Vec::new()),
-    }
-}
-
-/// Drain an operator's output, decoding the row tag from each payload.
-fn drain_tags(op: &mut dyn Operator, layout: &RecordLayout) -> Result<Vec<usize>, QueryError> {
-    let mut keep = Vec::new();
-    op.open().map_err(QueryError::from_exec)?;
-    while let Some(r) = op.next().map_err(QueryError::from_exec)? {
-        keep.push(tag_of(layout, r)?);
-    }
-    op.close();
     Ok(keep)
-}
-
-/// Read the row tags out of a materialized heap file.
-fn scan_tags(
-    heap: &HeapFile,
-    layout: &RecordLayout,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<usize>, QueryError> {
-    let mut keep = Vec::new();
-    let mut scan = heap.scan();
-    while let Some(r) = scan.next_record().map_err(storage_err)? {
-        let tag = tag_of(layout, r)?;
-        check_cancel(cancel, keep.len() as u64)?;
-        keep.push(tag);
-    }
-    Ok(keep)
-}
-
-/// The 8-byte row tag this module planted in the record payload.
-fn tag_of(layout: &RecordLayout, record: &[u8]) -> Result<usize, QueryError> {
-    let payload = layout.payload_of(record);
-    let bytes: [u8; 8] = payload
-        .get(..8)
-        .and_then(|b| <[u8; 8]>::try_from(b).ok())
-        .ok_or_else(|| QueryError::Exec("record payload lost its 8-byte row tag".into()))?;
-    Ok(u64::from_le_bytes(bytes) as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline_relation::{tuple, ColumnType, Value};
+    use skyline_relation::{tuple, Value};
     use skyline_storage::BufferPool;
 
-    fn random_table(n: usize) -> (Schema, Vec<Tuple>) {
-        let schema = Schema::of(&[
-            ("x", ColumnType::Int),
-            ("y", ColumnType::Int),
-            ("g", ColumnType::Int),
-        ]);
-        let rows = (0..n as i64)
+    fn random_table(n: usize) -> Vec<Tuple> {
+        (0..n as i64)
             .map(|i| tuple![(i * 37) % 101, (i * 53) % 97, i % 3])
-            .collect();
-        (schema, rows)
+            .collect()
     }
 
-    fn in_memory(rows: &[Tuple], crit: &[(usize, bool)], diff: &[usize]) -> Vec<usize> {
-        use skyline_core::KeyMatrix;
-        let d = crit.len();
-        let mut data = Vec::with_capacity(rows.len() * d);
+    fn oriented(rows: &[Tuple], crit: &[(usize, bool)]) -> Vec<f64> {
+        let mut data = Vec::with_capacity(rows.len() * crit.len());
         for r in rows {
             for &(idx, is_min) in crit {
                 let v = r.get(idx).as_f64().unwrap();
                 data.push(if is_min { -v } else { v });
             }
         }
-        let km = KeyMatrix::new(d, data);
+        data
+    }
+
+    /// What `plan::apply_skyline` does with a relation of any size:
+    /// `None` when the routing predicate keeps it in memory.
+    fn paged(
+        rows: &[Tuple],
+        crit: &[(usize, bool)],
+        diff: &[usize],
+        opts: &ExecOptions,
+    ) -> Result<Option<Vec<usize>>, QueryError> {
+        let opts = opts.clone().with_external_threshold(0);
+        let keys = oriented(rows, crit);
+        if !routes_to_paged_engine(rows, &keys, crit, diff, &opts) {
+            return Ok(None);
+        }
+        external_skyline_with(keys, crit.len(), rows, diff, &opts).map(Some)
+    }
+
+    fn in_memory(rows: &[Tuple], crit: &[(usize, bool)], diff: &[usize]) -> Vec<usize> {
+        use skyline_core::KeyMatrix;
+        let km = KeyMatrix::new(crit.len(), oriented(rows, crit));
         if diff.is_empty() {
             let mut out = skyline_core::algo::naive(&km).indices;
             out.sort_unstable();
@@ -428,15 +327,23 @@ mod tests {
         }
     }
 
+    const ALGOS: [SkylineAlgo; 5] = [
+        SkylineAlgo::Auto,
+        SkylineAlgo::Sfs,
+        SkylineAlgo::Bnl,
+        SkylineAlgo::Parallel,
+        SkylineAlgo::Strata,
+    ];
+
     #[test]
     fn external_matches_in_memory() {
-        let (schema, rows) = random_table(3_000);
+        let rows = random_table(3_000);
         for (crit, diff) in [
             (vec![(0usize, false), (1usize, false)], vec![]),
             (vec![(0, true), (1, false)], vec![]),
             (vec![(0, false), (1, true)], vec![2usize]),
         ] {
-            let ext = external_skyline_indices(&schema, &rows, &crit, &diff)
+            let ext = paged(&rows, &crit, &diff, &ExecOptions::default())
                 .unwrap()
                 .expect("pushdown applies");
             assert_eq!(ext, in_memory(&rows, &crit, &diff), "{crit:?} {diff:?}");
@@ -444,47 +351,45 @@ mod tests {
     }
 
     #[test]
-    fn every_external_algorithm_matches_the_oracle() {
-        let (schema, rows) = random_table(3_000);
+    fn every_external_algorithm_matches_the_oracle_with_and_without_diff() {
+        let rows = random_table(3_000);
         let crit = vec![(0usize, false), (1usize, true)];
-        let oracle = in_memory(&rows, &crit, &[]);
-        for algo in [
-            SkylineAlgo::Auto,
-            SkylineAlgo::Sfs,
-            SkylineAlgo::Bnl,
-            SkylineAlgo::Parallel,
-            SkylineAlgo::Strata,
-        ] {
-            let opts = ExecOptions::default().with_algo(algo).with_threads(2);
-            let ext = external_skyline_with(&schema, &rows, &crit, &[], &opts)
-                .unwrap()
-                .expect("pushdown applies");
-            assert_eq!(ext, oracle, "{algo:?}");
+        for diff in [vec![], vec![2usize]] {
+            let oracle = in_memory(&rows, &crit, &diff);
+            for algo in ALGOS {
+                let opts = ExecOptions::default().with_algo(algo).with_threads(2);
+                let ext = paged(&rows, &crit, &diff, &opts)
+                    .unwrap()
+                    .expect("pushdown applies");
+                assert_eq!(ext, oracle, "{algo:?} diff={diff:?}");
+            }
         }
     }
 
     #[test]
-    fn dnc_and_diff_restricted_algorithms_fall_back() {
-        let (schema, rows) = random_table(100);
+    fn divide_and_conquer_stays_in_memory() {
+        let rows = random_table(100);
         let crit = vec![(0usize, false), (1usize, true)];
         let opts = ExecOptions::default().with_algo(SkylineAlgo::DivideAndConquer);
-        assert!(external_skyline_with(&schema, &rows, &crit, &[], &opts)
-            .unwrap()
-            .is_none());
-        for algo in [SkylineAlgo::Bnl, SkylineAlgo::Parallel, SkylineAlgo::Strata] {
-            let opts = ExecOptions::default().with_algo(algo);
-            assert!(
-                external_skyline_with(&schema, &rows, &crit, &[2], &opts)
-                    .unwrap()
-                    .is_none(),
-                "{algo:?} has no external DIFF form"
-            );
-        }
+        assert!(paged(&rows, &crit, &[], &opts).unwrap().is_none());
+    }
+
+    #[test]
+    fn threshold_is_part_of_the_routing_predicate() {
+        let rows = random_table(100);
+        let crit = vec![(0usize, false), (1usize, true)];
+        let keys = oriented(&rows, &crit);
+        let at = |threshold| {
+            let opts = ExecOptions::default().with_external_threshold(threshold);
+            routes_to_paged_engine(&rows, &keys, &crit, &[], &opts)
+        };
+        assert!(at(100));
+        assert!(!at(101));
     }
 
     #[test]
     fn external_quota_and_cancel_surface_typed_and_leak_free() {
-        let (schema, rows) = random_table(2_000);
+        let rows = random_table(2_000);
         let crit = vec![(0usize, false), (1usize, true)];
         let disk = MemDisk::shared();
 
@@ -494,44 +399,78 @@ mod tests {
             .with_algo(SkylineAlgo::Sfs)
             .with_pool(pool.clone())
             .with_disk(disk.clone());
-        let err = external_skyline_with(&schema, &rows, &crit, &[], &opts).unwrap_err();
+        let err = paged(&rows, &crit, &[], &opts).unwrap_err();
         assert!(matches!(err, QueryError::QuotaExceeded { .. }), "{err}");
         assert_eq!(pool.used(), 0, "quota refusal must release every lease");
         assert_eq!(disk.allocated_pages(), 0, "no heap pages may leak");
 
         // a pre-tripped token: typed cancellation, no pages left
-        let token = skyline_exec::CancelToken::new();
-        token.cancel();
-        let opts = ExecOptions::default()
-            .with_algo(SkylineAlgo::Sfs)
-            .with_cancel(token)
-            .with_disk(disk.clone());
-        let err = external_skyline_with(&schema, &rows, &crit, &[], &opts).unwrap_err();
-        assert!(matches!(err, QueryError::Cancelled { .. }), "{err}");
-        assert_eq!(disk.allocated_pages(), 0, "no heap pages may leak");
+        for algo in ALGOS {
+            let token = skyline_exec::CancelToken::new();
+            token.cancel();
+            let opts = ExecOptions::default()
+                .with_algo(algo)
+                .with_cancel(token)
+                .with_disk(disk.clone());
+            let err = paged(&rows, &crit, &[], &opts).unwrap_err();
+            assert!(
+                matches!(err, QueryError::Cancelled { .. }),
+                "{algo:?}: {err}"
+            );
+            assert_eq!(
+                disk.allocated_pages(),
+                0,
+                "{algo:?}: no heap pages may leak"
+            );
+        }
     }
 
     #[test]
-    fn falls_back_on_non_integer_values() {
-        let schema = Schema::of(&[("x", ColumnType::Float)]);
+    fn sort_arena_then_window_are_the_only_charges() {
+        // The lease discipline: the sort arena while sorting, released
+        // before the window is charged — so the peak is the larger of
+        // the two, never their sum.
+        let rows = random_table(2_000);
+        let crit = vec![(0usize, false), (1usize, true)];
+        let pool = BufferPool::new(1 << 16);
+        let opts = ExecOptions::default()
+            .with_algo(SkylineAlgo::Sfs)
+            .with_pool(pool.clone())
+            .with_sort_pages(24);
+        paged(&rows, &crit, &[], &opts).unwrap().unwrap();
+        let window = recommend_window_pages(rows.len(), 2, 16);
+        assert_eq!(pool.peak(), window.max(24));
+        assert_eq!(pool.used(), 0);
+    }
+
+    #[test]
+    fn non_integer_values_stay_in_memory() {
         let rows = vec![tuple![1.5], tuple![2.5]];
-        let out = external_skyline_indices(&schema, &rows, &[(0, false)], &[]).unwrap();
-        assert!(out.is_none(), "fractional values cannot push down");
-        let schema = Schema::of(&[("x", ColumnType::Int)]);
+        let out = paged(&rows, &[(0, false)], &[], &ExecOptions::default()).unwrap();
+        assert!(out.is_none(), "fractional values do not push down");
         let rows = vec![
             Tuple::new(vec![Value::Int(i64::from(i32::MAX) + 1)]),
             Tuple::new(vec![Value::Int(0)]),
         ];
-        let out = external_skyline_indices(&schema, &rows, &[(0, false)], &[]).unwrap();
-        assert!(out.is_none(), "out-of-range values cannot push down");
+        let out = paged(&rows, &[(0, false)], &[], &ExecOptions::default()).unwrap();
+        assert!(out.is_none(), "out-of-range values do not push down");
+        // the bound is on the stored value, not the oriented key:
+        // i32::MIN under MIN orients to 2^31, and still pages
+        let rows = vec![Tuple::new(vec![Value::Int(i64::from(i32::MIN))])];
+        let out = paged(&rows, &[(0, true)], &[], &ExecOptions::default()).unwrap();
+        assert_eq!(out, Some(vec![0]));
+        // a DIFF key outside i32 keeps the query in memory too
+        let rows = vec![tuple![1, i64::from(i32::MAX) + 1]];
+        let out = paged(&rows, &[(0, false)], &[1], &ExecOptions::default()).unwrap();
+        assert!(out.is_none());
     }
 
     #[test]
     fn empty_rows_ok() {
-        let (schema, _) = random_table(0);
-        let out = external_skyline_indices(&schema, &[], &[(0, false)], &[])
-            .unwrap()
-            .unwrap();
-        assert!(out.is_empty());
+        for algo in ALGOS {
+            let opts = ExecOptions::default().with_algo(algo);
+            let out = paged(&[], &[(0, false)], &[], &opts).unwrap().unwrap();
+            assert!(out.is_empty(), "{algo:?}");
+        }
     }
 }

@@ -239,9 +239,10 @@ impl SharedScanner {
     /// Position the scan so the next record returned is `record`
     /// (0-based). Seeking at or past the end makes the scan report
     /// end-of-file. Range scans over a partition of the heap start here.
+    /// The buffered page stays valid (the file is immutable behind its
+    /// `Arc`), so seeking within it costs no read.
     pub fn seek(&mut self, record: u64) {
         self.next_record = record.min(self.heap.n_records);
-        self.page_no = u64::MAX;
     }
 
     /// The record index [`SharedScanner::next_record`] will return next.
@@ -387,6 +388,22 @@ mod tests {
         assert_eq!(h.len(), 95);
         assert_eq!(h.num_pages(), 3);
         assert_eq!(h.read_all().unwrap(), recs);
+    }
+
+    #[test]
+    fn seeking_within_the_buffered_page_costs_no_read() {
+        let disk = MemDisk::shared();
+        let mut h = HeapFile::create(Arc::clone(&disk) as Arc<dyn Disk>, 100).unwrap();
+        let recs = mk_records(100, 100); // 40/page
+        h.append_all(recs.iter().map(Vec::as_slice)).unwrap();
+        let before = disk.stats().snapshot();
+        let mut scan = SharedScanner::new(Arc::new(h));
+        for at in [3u64, 30, 7, 45, 41, 5] {
+            scan.seek(at);
+            assert_eq!(scan.next_record().unwrap().unwrap(), recs[at as usize]);
+        }
+        // pages touched: 0, 0, 0, 1, 1, 0 — three loads, not six
+        assert_eq!(disk.stats().snapshot().since(&before).reads, 3);
     }
 
     #[test]

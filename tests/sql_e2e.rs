@@ -3,10 +3,12 @@
 
 use skyline::query::catalog::Catalog;
 use skyline::query::rewrite::eval_except_semantics;
-use skyline::query::{execute, parse};
+use skyline::query::{execute, execute_with, parse, ExecOptions, SkylineAlgo};
 use skyline::relation::csv::{read_csv, write_csv};
 use skyline::relation::samples::{good_eats, GOOD_EATS_SKYLINE};
 use skyline::relation::{tuple, ColumnType, Schema, Table};
+use skyline::storage::{BufferPool, Disk, MemDisk};
+use std::sync::Arc;
 
 fn random_table(rows: &[(i64, i64, i64)]) -> Table {
     let schema = Schema::of(&[
@@ -177,6 +179,128 @@ fn large_tables_take_the_external_path_with_identical_results() {
         .collect();
     let want: Vec<(i64, i64)> = expect.iter().map(|&i| xs[i]).collect();
     assert_eq!(got, want);
+}
+
+/// Rows of a paged-route test table: `(x, y, g)` with `x + y` nearly
+/// constant, so almost every row is skyline.
+fn anti_correlated_rows(n: i64) -> Vec<(i64, i64, i64)> {
+    (0..n).map(|i| (i, n - i + (i * 7) % 5, i % 3)).collect()
+}
+
+const PAGED_ALGOS: [SkylineAlgo; 5] = [
+    SkylineAlgo::Auto,
+    SkylineAlgo::Sfs,
+    SkylineAlgo::Bnl,
+    SkylineAlgo::Parallel,
+    SkylineAlgo::Strata,
+];
+
+/// Product path (a): an anti-correlated table whose skyline overflows
+/// the estimator-sized window several times over, under a quota pool of
+/// exactly the larger of the two arenas — the multipass spill runs
+/// through SQL, answers like the oracle, and gives every page back.
+#[test]
+fn paged_multipass_under_a_tight_quota_matches_the_oracle_and_leaks_nothing() {
+    use skyline::core::cardinality::recommend_window_pages;
+    let n = 2_000;
+    let mut cat = Catalog::new();
+    cat.register("t", random_table(&anti_correlated_rows(n)));
+    let sql = "SELECT * FROM t SKYLINE OF x MAX, y MAX";
+    let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
+
+    let sort_pages = 8;
+    let window_pages = recommend_window_pages(n as usize, 2, 16);
+    let capacity = window_pages * (skyline::storage::PAGE_SIZE / 16);
+    assert!(
+        want.len() > 2 * capacity,
+        "fixture must need at least three filter passes: skyline {} vs window {capacity}",
+        want.len()
+    );
+    for algo in PAGED_ALGOS {
+        let disk = MemDisk::shared();
+        let pool = BufferPool::new(sort_pages.max(window_pages));
+        let opts = ExecOptions::default()
+            .with_algo(algo)
+            .with_threads(1)
+            .with_external_threshold(1_000)
+            .with_sort_pages(sort_pages)
+            .with_pool(pool.clone())
+            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+        assert_eq!(got.rows(), want.rows(), "{algo:?}");
+        assert!(disk.stats().writes() > 0, "{algo:?}: nothing spilled");
+        assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
+        assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
+    }
+}
+
+/// Product path (b): a `DIFF` query over the threshold runs paged under
+/// every algorithm hint — the disk sees the presort's page writes and the
+/// quota peak stays below what the in-memory key matrix would charge —
+/// and equals the oracle.
+#[test]
+fn diff_over_the_threshold_runs_paged_for_every_hint() {
+    let n = 2_000;
+    let mut cat = Catalog::new();
+    cat.register("t", random_table(&anti_correlated_rows(n)));
+    let sql = "SELECT * FROM t SKYLINE OF x MAX, y MIN, g DIFF";
+    let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
+    // what plan::apply_skyline charges for the in-memory matrix
+    let matrix_pages = (n as usize * 2 * 8).div_ceil(skyline::storage::PAGE_SIZE);
+    for algo in PAGED_ALGOS {
+        let disk = MemDisk::shared();
+        let pool = BufferPool::new(1 << 16);
+        let opts = ExecOptions::default()
+            .with_algo(algo)
+            .with_threads(2)
+            .with_external_threshold(1_000)
+            .with_sort_pages(4)
+            .with_pool(pool.clone())
+            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+        assert_eq!(got.rows(), want.rows(), "{algo:?}");
+        assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
+        assert!(
+            pool.peak() < matrix_pages,
+            "{algo:?}: peak {} is not below the in-memory charge {matrix_pages}",
+            pool.peak()
+        );
+        assert_eq!(pool.used(), 0, "{algo:?}");
+        assert_eq!(disk.allocated_pages(), 0, "{algo:?}");
+    }
+}
+
+/// Product path (c): routing is pinned — a table with fractional
+/// criteria stays on the in-memory executor however large it is (see
+/// `pushdown::routes_to_paged_engine` for why), so it answers correctly
+/// without a single page write.
+#[test]
+fn fractional_tables_stay_in_memory_and_answer_correctly() {
+    let schema = Schema::of(&[
+        ("id", ColumnType::Int),
+        ("x", ColumnType::Float),
+        ("y", ColumnType::Float),
+    ]);
+    let mut t = Table::empty(schema);
+    for i in 0..2_000i64 {
+        let (x, y) = ((i * 7_919) % 1_009, (i * 104_729) % 1_013);
+        t.push(tuple![i, x as f64 + 0.5, y as f64 / 4.0]).unwrap();
+    }
+    let mut cat = Catalog::new();
+    cat.register("t", t);
+    let sql = "SELECT * FROM t SKYLINE OF x MAX, y MIN";
+    let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
+    for algo in PAGED_ALGOS {
+        let disk = MemDisk::shared();
+        let opts = ExecOptions::default()
+            .with_algo(algo)
+            .with_external_threshold(1_000)
+            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+        let got = execute_with(sql, &cat, &opts).unwrap();
+        assert_eq!(got.rows(), want.rows(), "{algo:?}");
+        assert_eq!(disk.stats().writes(), 0, "{algo:?}: fractional table paged");
+        assert_eq!(disk.allocated_pages(), 0, "{algo:?}");
+    }
 }
 
 #[test]
