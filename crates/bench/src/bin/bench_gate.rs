@@ -1,192 +1,61 @@
-//! The parallel-SFS perf gate: run the seed-2003 thread grid and write
-//! the JSON report the regression gate (`cargo xtask bench --gate`)
-//! diffs against the committed `BENCH_pr9.json`.
+//! The counter gate: run the sections, check the laws on the fresh
+//! numbers, then rewrite or check the golden file.
 //!
 //! ```text
-//! bench_gate [--smoke] [--out PATH]
+//! bench_gate [--smoke] [--check]
 //! ```
 //!
-//! Default runs the `full` (n=100k, d=7, threads 1/2/4) and `smoke`
-//! (n=20k, threads 1/2) row sections plus their columnar twins
-//! (`full-batch`, `smoke-batch`) and enforces the 1.5× speedup gate on
-//! `full`; `--smoke` runs only the small pair (CI), where only the
-//! structural checks (identical skylines, exact metric aggregation,
-//! scalar-vs-block kernel agreement) apply. Each row/batch pair must
-//! produce a bit-identical skyline, and the batch side must strictly
-//! reduce `rows_materialized` and `bytes_moved` — the columnar
-//! pipeline's reason to exist. `--out` defaults to `BENCH_pr9.json`
-//! in the current directory.
-//!
-//! Both modes also run the session-server gate (closed-loop p50/p99
-//! plus exact admission counters) and emit it as the report's
-//! top-level `"server"` object.
+//! Default runs every section — `full` and `smoke` (thread grid, record
+//! and narrow formats), `shard-full` and `shard-smoke` (strategy × shard
+//! matrix), `server` (the 60-query mix); `--smoke` leaves out `full` and
+//! `shard-full` (CI). Without `--check` the committed `BENCH_gate.txt`
+//! is rewritten for the sections that ran; with it the file is only
+//! read, and any key that differs fails the gate by name. Timings go to
+//! `target/bench_gate_report.txt` and stdout. Run from the workspace
+//! root (`cargo xtask bench` does).
 
-use skyline_bench::gate::{
-    report_json, run_section, GateSection, FULL, FULL_BATCH, SMOKE, SMOKE_BATCH,
-};
-use skyline_bench::server_gate::{run_server_gate, ServerGateReport};
-use skyline_bench::{ms, save_text, ReportTable};
+use skyline_bench::gate::{self, FULL, GOLDEN_FILE, REPORT_FILE, SMOKE};
+use skyline_bench::server_gate::run_server_gate;
+use skyline_bench::shard_gate::{run_shard_section, FULL_SHARD, SMOKE_SHARD};
+use std::path::Path;
 use std::process::ExitCode;
 
-fn print_section(s: &GateSection) {
-    let mut t = ReportTable::new(
-        format!(
-            "gate `{}`: n={} d={} window={}p (cores={})",
-            s.spec.label, s.spec.n, s.spec.d, s.spec.window_pages, s.cores
-        ),
-        &[
-            "threads",
-            "sort",
-            "filter",
-            "comparisons",
-            "critical-path",
-            "extra pages",
-            "blocks skipped",
-            "rows mat",
-            "bytes moved",
-            "skyline",
-            "speedup wall",
-            "speedup model",
-        ],
-    );
-    for r in &s.runs {
-        t.row(vec![
-            r.threads.to_string(),
-            ms(r.sort_ms),
-            ms(r.filter_ms),
-            r.comparisons.to_string(),
-            r.critical_path.to_string(),
-            r.extra_pages.to_string(),
-            r.blocks_skipped.to_string(),
-            r.rows_materialized.to_string(),
-            r.bytes_moved.to_string(),
-            r.skyline.to_string(),
-            format!("{:.2}x", s.speedup_wall(r.threads).unwrap_or(0.0)),
-            format!("{:.2}x", s.speedup_model(r.threads).unwrap_or(0.0)),
-        ]);
-    }
-    t.print();
-}
-
-fn print_server(sv: &ServerGateReport) {
-    let mut t = ReportTable::new(
-        format!("gate `server`: session layer ({} workers)", sv.workers),
-        &[
-            "queries",
-            "admitted",
-            "rejected",
-            "cancelled",
-            "completed",
-            "p50",
-            "p99",
-        ],
-    );
-    t.row(vec![
-        sv.queries.to_string(),
-        sv.admitted.to_string(),
-        sv.rejected.to_string(),
-        sv.cancelled.to_string(),
-        sv.completed.to_string(),
-        ms(sv.p50_ms),
-        ms(sv.p99_ms),
-    ]);
-    t.print();
-}
-
-/// Each row section and its `-batch` twin must agree bit-for-bit on the
-/// skyline while the batch side strictly reduces data movement.
-fn check_pairs(sections: &[GateSection]) -> Result<(), String> {
-    let find = |label: &str| sections.iter().find(|s| s.spec.label == label);
-    for (row_label, batch_label) in [("full", "full-batch"), ("smoke", "smoke-batch")] {
-        let (Some(row), Some(batch)) = (find(row_label), find(batch_label)) else {
-            continue;
-        };
-        for rr in &row.runs {
-            let Some(br) = batch.runs.iter().find(|b| b.threads == rr.threads) else {
-                return Err(format!(
-                    "`{batch_label}` has no threads={} run to pair with `{row_label}`",
-                    rr.threads
-                ));
-            };
-            if (br.skyline, br.checksum) != (rr.skyline, rr.checksum) {
-                return Err(format!(
-                    "`{batch_label}` threads={}: skyline ({}, {:#018x}) differs from \
-                     `{row_label}` ({}, {:#018x})",
-                    rr.threads, br.skyline, br.checksum, rr.skyline, rr.checksum
-                ));
-            }
-            if br.rows_materialized >= rr.rows_materialized {
-                return Err(format!(
-                    "`{batch_label}` threads={}: rows_materialized {} does not beat \
-                     `{row_label}`'s {}",
-                    rr.threads, br.rows_materialized, rr.rows_materialized
-                ));
-            }
-            if br.bytes_moved >= rr.bytes_moved {
-                return Err(format!(
-                    "`{batch_label}` threads={}: bytes_moved {} does not beat \
-                     `{row_label}`'s {}",
-                    rr.threads, br.bytes_moved, rr.bytes_moved
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
-    let mut smoke_only = false;
-    let mut out = String::from("BENCH_pr9.json");
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke_only = true;
-                i += 1;
-            }
-            "--out" => {
-                out = args
-                    .get(i + 1)
-                    .cloned()
-                    .unwrap_or_else(|| panic!("--out PATH"));
-                i += 2;
-            }
+    let (mut smoke, mut check) = (false, false);
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--check" => check = true,
             other => {
-                eprintln!("unknown argument {other} (use --smoke --out PATH)");
+                eprintln!("unknown argument {other} (use --smoke --check)");
                 return ExitCode::FAILURE;
             }
         }
     }
 
-    let specs = if smoke_only {
-        vec![SMOKE, SMOKE_BATCH]
-    } else {
-        vec![FULL, SMOKE, FULL_BATCH, SMOKE_BATCH]
-    };
-    let mut sections = Vec::new();
-    for spec in &specs {
-        let s = run_section(spec);
-        print_section(&s);
-        // the 1.5× acceptance gate applies to the full grid only; smoke
-        // still gets the structural checks
-        if let Err(e) = s.validate(spec.label == "full", 1.5) {
+    let mut runs = Vec::new();
+    if !smoke {
+        runs.extend(gate::run_section(&FULL));
+        runs.extend(run_shard_section(&FULL_SHARD));
+    }
+    runs.extend(gate::run_section(&SMOKE));
+    runs.extend(run_shard_section(&SMOKE_SHARD));
+    runs.extend(run_server_gate());
+
+    let cores = gate::cores();
+    let report = gate::report(&runs, cores);
+    print!("{report}");
+    if let Err(e) = skyline_bench::save_text(REPORT_FILE, &report) {
+        eprintln!("bench gate: cannot write {REPORT_FILE}: {e}");
+        return ExitCode::FAILURE;
+    }
+    match gate::gate(&runs, cores, Path::new(GOLDEN_FILE), check) {
+        Ok(n) if check => println!("bench gate: ok — {n} counters equal {GOLDEN_FILE}"),
+        Ok(n) => println!("bench gate: {n} counters written to {GOLDEN_FILE} — review the diff"),
+        Err(e) => {
             eprintln!("bench gate FAILED: {e}");
             return ExitCode::FAILURE;
         }
-        sections.push(s);
     }
-    if let Err(e) = check_pairs(&sections) {
-        eprintln!("bench gate FAILED: {e}");
-        return ExitCode::FAILURE;
-    }
-    let server = run_server_gate();
-    print_server(&server);
-    let json = report_json(&sections, Some(&server));
-    if let Err(e) = save_text(&out, &json) {
-        eprintln!("bench gate: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("bench gate: report written to {out}");
     ExitCode::SUCCESS
 }

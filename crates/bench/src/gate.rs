@@ -1,46 +1,36 @@
-//! The PR perf gate for the parallel external SFS pipeline.
+//! The counter gate: one run shape, one golden file, one rule.
 //!
-//! Runs the seed-2003 paper workload through
-//! [`skyline_core::planner::presort_threaded`] +
-//! [`skyline_core::parallel_sfs_filter`] across a grid of thread counts
-//! and reports, per thread count: sort and filter wall time, dominance
-//! comparisons (aggregate and critical-path), filter-phase extra pages,
-//! skyline size, and an order-independent checksum of the skyline keys.
+//! A gate [`Run`] is `{section, config, counters, timings}`. Three
+//! workload drivers produce runs — the thread grid in this module
+//! ([`run_section`]: the seed-2003 paper workload through the record and
+//! the narrow entry format), the strategy × shard matrix
+//! ([`crate::shard_gate`]) and the server mix ([`crate::server_gate`]) —
+//! and nothing else here knows which workload a run came from.
 //!
-//! Two speedup numbers are reported, deliberately:
+//! **The rule.** Every integer a run reports is gated by exact equality
+//! against the committed [`GOLDEN_FILE`]; every float is written to
+//! [`REPORT_FILE`] and never compared. The golden file is sorted lines
+//! `<section>/<config>/<counter> <u64>` (checksums are `u64` too), so a
+//! counter change is a one-line diff in review. [`compare`] is the only
+//! comparator: every fresh key must equal its committed value, and every
+//! committed key of a section that ran must be present — sections that
+//! did not run (`--smoke` skips `full` and `shard-full`) are ignored.
+//! Wall-clock regressions are `BENCHMARK.json`'s job: its bounds are
+//! measured from run-to-run spreads, which no constant here could be.
 //!
-//! * **wall** — measured filter wall-clock at `t=1` over `t=k`. Only
-//!   meaningful when the machine actually has `k` cores; on a one-core
-//!   container the threads time-slice and wall speedup is ≈1 by physics.
-//! * **model** — sequential comparisons over the parallel *critical
-//!   path* (the maximum per-worker comparison count plus the merge's).
-//!   Dominance comparisons are the paper's own machine-independent cost
-//!   measure and the workload is seeded, so this number is deterministic
-//!   and reproducible on any machine.
+//! **The laws.** Relations *between* runs are checked once, on the fresh
+//! numbers, from the one table [`LAWS`] — before the golden file is read,
+//! so a run set that breaks a law fails even when it equals the file.
 //!
-//! [`GateSection::validate`] therefore always enforces the model
-//! speedup and enforces the wall speedup only when
-//! `available_parallelism` covers the largest thread count. The
-//! regression gate (`cargo xtask bench --gate`) compares a fresh run
-//! against the committed `BENCH_pr5.json` the same way: deterministic
-//! fields must match exactly, wall times within a tolerance. It also
-//! replays each section's workload through the **scalar** reference
-//! window ([`SfsConfig::with_scalar_window`]) and asserts the skyline is
-//! bit-identical to the block kernel's, and reports the new block-kernel
-//! counters (`blocks_skipped`, `lanes_compared`) per run.
-//!
-//! # Batch sections
-//!
-//! Sections with [`GateSpec::batch`] set run the same workload through
-//! the columnar pipeline instead: [`skyline_core::batch_presort`] over
-//! narrow key entries, then [`skyline_core::parallel_batch_filter`]
-//! (strided batch SFS workers, prefix merge, late materialization of
-//! the wide rows at emission). Batch runs report the pipeline-wide
-//! movement counters `batches`, `rows_materialized`, and `bytes_moved`
-//! measured by [`SkylineMetrics`]; row runs report analytically derived
-//! equivalents (the row operators move whole records at every stage),
-//! so `cargo xtask bench --gate` can assert the columnar pipeline
-//! strictly reduces data movement at an identical skyline.
+//! The thread-grid runs report every [`MetricsSnapshot`] counter (via
+//! [`MetricsSnapshot::counters`], so a counter added to core cannot be
+//! left out) plus `critical_path` (`max(worker) + max(merge verifier)`
+//! comparisons — the model speedup's denominator), `extra_pages` (filter
+//! temp traffic beyond the one input scan), and the skyline's size and
+//! order-independent `checksum`. Narrow runs measure `batches`,
+//! `rows_materialized` and `bytes_moved` across presort + filter; record
+//! runs report the analytic equivalents (the record operators move whole
+//! records at every stage).
 
 use crate::harness::Dataset;
 use skyline_core::planner::presort_threaded;
@@ -50,8 +40,10 @@ use skyline_core::{
     MetricsSnapshot, SfsConfig, SkylineMetrics, SkylineSpec,
 };
 use skyline_exec::NarrowLayout;
-use skyline_storage::Disk;
+use skyline_storage::{read_text, write_text, Disk, HeapFile};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -61,10 +53,415 @@ pub const GATE_SEED: u64 = 2003;
 /// Pages the presort phase may use (the paper's sort allocation).
 pub const SORT_PAGES: usize = 1000;
 
-/// One benchmark section: a workload size and a thread grid.
+/// The committed counter baseline, relative to the workspace root.
+pub const GOLDEN_FILE: &str = "BENCH_gate.txt";
+
+/// Where the timings of the last gate run land (untracked).
+pub const REPORT_FILE: &str = "target/bench_gate_report.txt";
+
+/// One gate run: the unit every driver returns and every check reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// Workload section (`full`, `smoke`, `shard-full`, `shard-smoke`,
+    /// `server`).
+    pub section: &'static str,
+    /// Configuration within the section, `<variant> <point>` for grid
+    /// runs (`record t=2`, `grid shards=8`).
+    pub config: String,
+    /// Deterministic integers — gated exactly.
+    pub counters: Vec<(String, u64)>,
+    /// Wall-clock floats — reported, never compared.
+    pub timings: Vec<(&'static str, f64)>,
+}
+
+impl Run {
+    /// The value of counter `name`, if this run reports it.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find_map(|(k, v)| (k == name).then_some(*v))
+    }
+
+    fn timing(&self, name: &str) -> Option<f64> {
+        self.timings
+            .iter()
+            .find_map(|(k, v)| (*k == name).then_some(*v))
+    }
+
+    /// The `<point>` of a `<variant> <point>` config, when `variant` is
+    /// this run's.
+    fn point_of(&self, variant: &str) -> Option<&str> {
+        self.config.strip_prefix(variant)?.strip_prefix(' ')
+    }
+
+    /// `(variant, threads)` of a thread-grid config `<variant> t=<k>`.
+    fn grid_point(&self) -> Option<(&str, usize)> {
+        let (variant, t) = self.config.split_once(" t=")?;
+        Some((variant, t.parse().ok()?))
+    }
+}
+
+/// Owned counter list from statically named pairs.
+pub(crate) fn named(pairs: impl IntoIterator<Item = (&'static str, u64)>) -> Vec<(String, u64)> {
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// `available_parallelism`, 1 when unknown.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+// ------------------------------------------------------------- the laws
+
+/// A relation between the fresh runs of one section.
+#[derive(Debug, Clone, Copy)]
+pub enum Law {
+    /// Every run that reports `skyline` and `checksum` reports the same
+    /// pair — formats, thread counts, strategies and shard counts may
+    /// change costs, never the answer.
+    SameAnswer,
+    /// Wherever `lo <point>` ran, `hi <point>` ran too and `lo` is
+    /// strictly below it on every listed counter.
+    Below {
+        /// The variant that must win.
+        lo: &'static str,
+        /// The variant it must beat.
+        hi: &'static str,
+        /// The counters it must beat it on.
+        counters: &'static [&'static str],
+    },
+    /// Every `<variant> …` run reports `counter > 0`.
+    Positive {
+        /// Config variant.
+        variant: &'static str,
+        /// The counter that must move.
+        counter: &'static str,
+    },
+    /// At the top thread count of `section`, each format's deterministic
+    /// model speedup (`t=1` comparisons over the critical path) reaches
+    /// `min` — and so does the wall speedup, but only on a machine with
+    /// that many cores.
+    Speedup {
+        /// The only section held to the bar.
+        section: &'static str,
+        /// Minimum speedup.
+        min: f64,
+    },
+}
+
+/// The one law table. Laws whose variants a section does not run hold
+/// vacuously there.
+pub const LAWS: &[Law] = &[
+    Law::SameAnswer,
+    Law::Below {
+        lo: "narrow",
+        hi: "record",
+        counters: &["rows_materialized", "bytes_moved"],
+    },
+    Law::Below {
+        lo: "grid",
+        hi: "naive",
+        counters: &["bytes_exchanged", "coordinator_comparisons"],
+    },
+    Law::Below {
+        lo: "representative",
+        hi: "naive",
+        counters: &["bytes_exchanged", "coordinator_comparisons"],
+    },
+    Law::Positive {
+        variant: "representative",
+        counter: "pruned_by_representatives",
+    },
+    Law::Speedup {
+        section: "full",
+        min: 1.5,
+    },
+];
+
+/// Thread count, model speedup and wall speedup of a thread-grid `run`
+/// over its section's and format's `t=1` run; `None` for non-grid runs.
+fn speedups<'a>(runs: impl IntoIterator<Item = &'a Run>, run: &Run) -> Option<(usize, f64, f64)> {
+    let (variant, t) = run.grid_point()?;
+    let base = runs
+        .into_iter()
+        .find(|r| r.section == run.section && r.grid_point() == Some((variant, 1)))?;
+    let model = base.get("comparisons")? as f64 / run.get("critical_path")? as f64;
+    let wall = base.timing("filter_ms")? / run.timing("filter_ms")?;
+    Some((t, model, wall))
+}
+
+impl Law {
+    fn check(&self, section: &str, runs: &[&Run], cores: usize, bad: &mut Vec<String>) {
+        let answer = |r: &Run| Some((r.get("skyline")?, r.get("checksum")?));
+        let show = |v: Option<u64>| v.map_or("(not reported)".to_string(), |v| v.to_string());
+        match *self {
+            Law::SameAnswer => {
+                let mut answers = runs.iter().filter_map(|r| Some((r, answer(r)?)));
+                let Some((first, want)) = answers.next() else {
+                    return;
+                };
+                for (r, got) in answers {
+                    if got != want {
+                        bad.push(format!(
+                            "{section}/{}: (skyline, checksum) {got:?} differs from {}'s {want:?}",
+                            r.config, first.config
+                        ));
+                    }
+                }
+            }
+            Law::Below { lo, hi, counters } => {
+                for r in runs {
+                    let Some(point) = r.point_of(lo) else {
+                        continue;
+                    };
+                    let twin = format!("{hi} {point}");
+                    let Some(other) = runs.iter().find(|o| o.config == twin) else {
+                        bad.push(format!("{section}/{}: no `{twin}` run to beat", r.config));
+                        continue;
+                    };
+                    for c in counters {
+                        match (r.get(c), other.get(c)) {
+                            (Some(a), Some(b)) if a < b => {}
+                            (a, b) => bad.push(format!(
+                                "{section}/{}/{c}: {} is not strictly below `{twin}`'s {}",
+                                r.config,
+                                show(a),
+                                show(b)
+                            )),
+                        }
+                    }
+                }
+            }
+            Law::Positive { variant, counter } => {
+                for r in runs.iter().filter(|r| r.point_of(variant).is_some()) {
+                    if r.get(counter).unwrap_or(0) == 0 {
+                        bad.push(format!("{section}/{}/{counter}: must be > 0", r.config));
+                    }
+                }
+            }
+            Law::Speedup { section: only, min } => {
+                if section != only {
+                    return;
+                }
+                let top = runs.iter().filter_map(|r| Some(r.grid_point()?.1)).max();
+                for r in runs {
+                    let Some((t, model, wall)) = speedups(runs.iter().copied(), r) else {
+                        continue;
+                    };
+                    if Some(t) != top {
+                        continue;
+                    }
+                    if model < min {
+                        bad.push(format!(
+                            "{section}/{}: model speedup {model:.2}× is below {min:.1}×",
+                            r.config
+                        ));
+                    }
+                    if cores >= t && wall < min {
+                        bad.push(format!(
+                            "{section}/{}: wall speedup {wall:.2}× is below {min:.1}× \
+                             ({cores} cores available)",
+                            r.config
+                        ));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Check every law of [`LAWS`] on the fresh `runs`, section by section.
+/// Returns one line per violation; empty means the laws hold.
+pub fn check_laws(runs: &[Run], cores: usize) -> Vec<String> {
+    let sections: BTreeSet<&str> = runs.iter().map(|r| r.section).collect();
+    let mut bad = Vec::new();
+    for section in sections {
+        let of: Vec<&Run> = runs.iter().filter(|r| r.section == section).collect();
+        for law in LAWS {
+            law.check(section, &of, cores, &mut bad);
+        }
+    }
+    bad
+}
+
+// ------------------------------------------------------ the golden file
+
+/// Golden-file contents: `<section>/<config>/<counter>` → value.
+pub type Golden = BTreeMap<String, u64>;
+
+/// The golden keys of `runs`.
+///
+/// # Panics
+/// Panics when two runs report the same key — a driver bug that would
+/// otherwise silently gate only the last value.
+pub fn golden_of(runs: &[Run]) -> Golden {
+    let mut out = Golden::new();
+    for r in runs {
+        for (name, value) in &r.counters {
+            let key = format!("{}/{}/{name}", r.section, r.config);
+            assert!(
+                out.insert(key.clone(), *value).is_none(),
+                "duplicate gate key {key}"
+            );
+        }
+    }
+    out
+}
+
+/// Parse golden-file text: one `<key> <u64>` per line, the value after
+/// the last space (configs contain spaces).
+///
+/// # Errors
+/// The number and text of the first line that is not `<key> <u64>`.
+pub fn parse_golden(text: &str) -> Result<Golden, String> {
+    let mut out = Golden::new();
+    for (i, line) in text.lines().enumerate() {
+        let parsed = line
+            .rsplit_once(' ')
+            .and_then(|(key, value)| Some((key, value.parse().ok()?)));
+        let Some((key, value)) = parsed else {
+            return Err(format!("line {}: expected `<key> <u64>`: {line}", i + 1));
+        };
+        out.insert(key.to_string(), value);
+    }
+    Ok(out)
+}
+
+/// Render golden-file text, sorted by key.
+pub fn render_golden(golden: &Golden) -> String {
+    let mut out = String::new();
+    for (key, value) in golden {
+        let _ = writeln!(out, "{key} {value}");
+    }
+    out
+}
+
+fn section_of(key: &str) -> &str {
+    key.split_once('/').map_or(key, |(section, _)| section)
+}
+
+/// The one comparator: exact equality, both directions. Every fresh key
+/// must be committed with the same value; every committed key of a
+/// section the fresh run covered must be in the fresh run. Returns one
+/// line per mismatch, naming the key and both values.
+pub fn compare(committed: &Golden, fresh: &Golden) -> Vec<String> {
+    let ran: BTreeSet<&str> = fresh.keys().map(|k| section_of(k)).collect();
+    let mut bad = Vec::new();
+    for (key, new) in fresh {
+        match committed.get(key) {
+            Some(old) if old == new => {}
+            Some(old) => bad.push(format!("{key}: committed {old}, fresh {new}")),
+            None => bad.push(format!("{key}: not committed, fresh {new}")),
+        }
+    }
+    for (key, old) in committed {
+        if ran.contains(section_of(key)) && !fresh.contains_key(key) {
+            bad.push(format!(
+                "{key}: committed {old}, missing from the fresh run"
+            ));
+        }
+    }
+    bad
+}
+
+/// The whole gate over one set of fresh `runs`: the laws first, then
+/// either (`check`) [`compare`] against the golden file at `golden`, or
+/// rewrite it — replacing the keys of the sections that ran and keeping
+/// the rest, so a `--smoke` regeneration does not drop `full`.
+///
+/// Returns the number of counters checked or written.
+///
+/// # Errors
+/// Every violated law, or every mismatched key, one per line; or the
+/// I/O / parse failure on the golden file.
+pub fn gate(runs: &[Run], cores: usize, golden: &Path, check: bool) -> Result<usize, String> {
+    let bad = check_laws(runs, cores);
+    if !bad.is_empty() {
+        return Err(format!(
+            "{} law(s) violated:\n{}",
+            bad.len(),
+            bad.join("\n")
+        ));
+    }
+    let fresh = golden_of(runs);
+    let text = match read_text(golden) {
+        Ok(text) => text,
+        Err(e) if !check && e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(format!("read {}: {e}", golden.display())),
+    };
+    let mut committed = parse_golden(&text).map_err(|e| format!("{}: {e}", golden.display()))?;
+    let counters = fresh.len();
+    if check {
+        let bad = compare(&committed, &fresh);
+        if bad.is_empty() {
+            return Ok(counters);
+        }
+        return Err(format!(
+            "{} counter(s) differ from {}:\n{}\ncounters are deterministic: if the change is \
+             deliberate, regenerate with `cargo xtask bench` and review the diff",
+            bad.len(),
+            golden.display(),
+            bad.join("\n")
+        ));
+    }
+    committed.retain(|key, _| runs.iter().all(|r| r.section != section_of(key)));
+    committed.extend(fresh);
+    write_text(golden, &render_golden(&committed))
+        .map_err(|e| format!("write {}: {e}", golden.display()))?;
+    Ok(counters)
+}
+
+// ----------------------------------------------------------- the report
+
+/// First line of `rustc -V`, `unknown` when it cannot run.
+fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Everything measured and not gated: machine, toolchain, and per run
+/// its timings and (thread grid) speedups. A wall speedup at more
+/// threads than cores is time-slicing, so it prints as `not measured`.
+pub fn report(runs: &[Run], cores: usize) -> String {
+    let cpu = read_text(Path::new("/proc/cpuinfo"))
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let mut out = format!("cores: {cores}\ncpu: {cpu}\nrustc: {}\n", rustc_version());
+    for r in runs {
+        let _ = write!(out, "{}/{}:", r.section, r.config);
+        for (name, value) in &r.timings {
+            let _ = write!(out, " {name}={value:.3}");
+        }
+        if let Some((t, model, wall)) = speedups(runs, r) {
+            let _ = write!(out, " speedup_model={model:.3}x speedup_wall=");
+            if cores >= t {
+                let _ = write!(out, "{wall:.3}x");
+            } else {
+                let _ = write!(out, "not measured (cores={cores})");
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
+// ------------------------------------------------- the thread-grid driver
+
+/// One thread-grid section: a workload size and a thread sweep, run
+/// through both entry formats.
 #[derive(Debug, Clone, Copy)]
 pub struct GateSpec {
-    /// Section name in the JSON report ("full" or "smoke").
+    /// Section name.
     pub label: &'static str,
     /// Tuple count.
     pub n: usize,
@@ -74,8 +471,6 @@ pub struct GateSpec {
     pub window_pages: usize,
     /// Thread counts to sweep, ascending, starting at 1.
     pub threads: &'static [usize],
-    /// Run the columnar batch pipeline instead of the row pipeline.
-    pub batch: bool,
 }
 
 /// The acceptance-criteria grid: d=7, n=100k, entropy presort.
@@ -85,7 +480,6 @@ pub const FULL: GateSpec = GateSpec {
     d: 7,
     window_pages: 64,
     threads: &[1, 2, 4],
-    batch: false,
 };
 
 /// A CI-sized section that finishes in seconds.
@@ -95,173 +489,16 @@ pub const SMOKE: GateSpec = GateSpec {
     d: 7,
     window_pages: 16,
     threads: &[1, 2],
-    batch: false,
 };
 
-/// The full grid through the columnar batch pipeline — same workload,
-/// seed, and thread sweep as [`FULL`], paired with it by the gate.
-pub const FULL_BATCH: GateSpec = GateSpec {
-    label: "full-batch",
-    n: 100_000,
-    d: 7,
-    window_pages: 64,
-    threads: &[1, 2, 4],
-    batch: true,
-};
-
-/// The CI-sized grid through the columnar batch pipeline, paired with
-/// [`SMOKE`].
-pub const SMOKE_BATCH: GateSpec = GateSpec {
-    label: "smoke-batch",
-    n: 20_000,
-    d: 7,
-    window_pages: 16,
-    threads: &[1, 2],
-    batch: true,
-};
-
-/// Measurements for one thread count.
+/// The entry format a grid run sorts and filters.
 #[derive(Debug, Clone, Copy)]
-pub struct ThreadRun {
-    /// Worker threads requested (and, here, used — the gate workloads
-    /// never trigger the DIFF/collect-rest single-partition fallback).
-    pub threads: usize,
-    /// Presort wall time, milliseconds.
-    pub sort_ms: f64,
-    /// Filter (partitioned SFS + winnow merge) wall time, milliseconds.
-    pub filter_ms: f64,
-    /// Aggregate dominance comparisons (workers + merge). Deterministic.
-    pub comparisons: u64,
-    /// Critical-path comparisons: `max(worker) + max(merge verifier)`
-    /// (whole merge when the sequential fallback ran). Deterministic.
-    pub critical_path: u64,
-    /// Filter-phase temp traffic: pages written plus re-read beyond the
-    /// one input scan.
-    pub extra_pages: u64,
-    /// External-pass count across workers and merge. Deterministic.
-    pub passes: u64,
-    /// Records spilled to temp files during the filter. Deterministic.
-    pub temp_records: u64,
-    /// Window insertions across workers and merge. Deterministic.
-    pub window_inserts: u64,
-    /// Records discarded as dominated. Deterministic.
-    pub discarded: u64,
-    /// Records emitted into the skyline (and winnow intermediates).
-    pub emitted: u64,
-    /// Records pulled from the filter inputs. Deterministic.
-    pub input_records: u64,
-    /// Whole blocks the columnar window kernel pruned via per-block
-    /// summaries or the Theorem 4 score cutoff. Deterministic.
-    pub blocks_skipped: u64,
-    /// Physical f64 lanes the batched kernel examined. Deterministic.
-    pub lanes_compared: u64,
-    /// Column-major key batches formed across the whole pipeline
-    /// (presort scan plus filter reloads); zero on row sections.
-    /// Deterministic.
-    pub batches: u64,
-    /// Full-width rows materialized. Batch sections measure the late
-    /// materialization at emission (exactly the skyline cardinality);
-    /// row sections report the analytic equivalent `n + temp_records +
-    /// emitted` — every record the row operators handled at full width.
-    /// Deterministic.
-    pub rows_materialized: u64,
-    /// Modeled bytes crossing stage boundaries. Batch sections measure
-    /// it ([`SkylineMetrics`]); row sections report the analytic
-    /// equivalent `record_size × (3n + 2·temp_records + emitted)` —
-    /// scan, sort write + read, spill write + re-read, and emission,
-    /// all at full record width. Deterministic.
-    pub bytes_moved: u64,
-    /// Bytes serialized through the shard exchange. Always zero here:
-    /// the row and batch sections are single-node; the sharded gate
-    /// (`crate::shard_gate`) is where this counter moves. Carried so
-    /// every [`SkylineMetrics`] counter lands in the report schema.
-    pub bytes_exchanged: u64,
-    /// Frames crossing the shard exchange; zero on single-node sections.
-    pub exchange_frames: u64,
-    /// Local-skyline entries dropped by broadcast representatives before
-    /// serialization; zero on single-node sections.
-    pub pruned_by_representatives: u64,
-    /// Skyline cardinality.
-    pub skyline: u64,
-    /// FNV-1a over the sorted skyline key rows — order-independent.
-    pub checksum: u64,
-}
-
-/// A completed section: config echo, machine info, per-thread runs.
-#[derive(Debug, Clone)]
-pub struct GateSection {
-    /// The spec this section ran.
-    pub spec: GateSpec,
-    /// `available_parallelism` at run time (1 on this container ⇒ wall
-    /// speedup is not enforceable).
-    pub cores: usize,
-    /// One entry per thread count, in `spec.threads` order.
-    pub runs: Vec<ThreadRun>,
-}
-
-impl GateSection {
-    fn run_at(&self, threads: usize) -> Option<&ThreadRun> {
-        self.runs.iter().find(|r| r.threads == threads)
-    }
-
-    /// Measured wall-clock filter speedup of `threads` vs 1.
-    pub fn speedup_wall(&self, threads: usize) -> Option<f64> {
-        let base = self.run_at(1)?.filter_ms;
-        let at = self.run_at(threads)?.filter_ms;
-        (at > 0.0).then(|| base / at)
-    }
-
-    /// Deterministic model speedup: sequential comparisons over the
-    /// parallel critical path at `threads`.
-    pub fn speedup_model(&self, threads: usize) -> Option<f64> {
-        let base = self.run_at(1)?.comparisons;
-        let at = self.run_at(threads)?.critical_path;
-        (at > 0).then(|| base as f64 / at as f64)
-    }
-
-    /// Structural checks (always) plus the speedup gate (when
-    /// `enforce_speedup`): every thread count must produce the same
-    /// skyline (count and checksum), and at the largest thread count the
-    /// model speedup must reach `min_speedup`; the wall speedup must too,
-    /// but only when the machine has that many cores.
-    ///
-    /// # Errors
-    /// A human-readable description of the first violated check.
-    pub fn validate(&self, enforce_speedup: bool, min_speedup: f64) -> Result<(), String> {
-        let base = self
-            .run_at(1)
-            .ok_or_else(|| format!("{}: no threads=1 run", self.spec.label))?;
-        for r in &self.runs {
-            if (r.skyline, r.checksum) != (base.skyline, base.checksum) {
-                return Err(format!(
-                    "{}: threads={} skyline ({}, {:#018x}) differs from threads=1 ({}, {:#018x})",
-                    self.spec.label, r.threads, r.skyline, r.checksum, base.skyline, base.checksum
-                ));
-            }
-        }
-        if !enforce_speedup {
-            return Ok(());
-        }
-        let top = *self.spec.threads.iter().max().unwrap_or(&1);
-        let model = self.speedup_model(top).unwrap_or(0.0);
-        if model < min_speedup {
-            return Err(format!(
-                "{}: model speedup {model:.2}× at threads={top} below the {min_speedup:.1}× gate",
-                self.spec.label
-            ));
-        }
-        if self.cores >= top {
-            let wall = self.speedup_wall(top).unwrap_or(0.0);
-            if wall < min_speedup {
-                return Err(format!(
-                    "{}: wall speedup {wall:.2}× at threads={top} below the {min_speedup:.1}× \
-                     gate ({} cores available)",
-                    self.spec.label, self.cores
-                ));
-            }
-        }
-        Ok(())
-    }
+enum Format {
+    /// Whole records: [`presort_threaded`] + [`parallel_sfs_filter`].
+    Record,
+    /// Narrow key entries, rows materialized late: [`batch_presort`] +
+    /// [`parallel_batch_filter`].
+    Narrow,
 }
 
 /// FNV-1a 64 over the sorted key rows — identical skylines hash alike
@@ -286,164 +523,52 @@ pub(crate) fn sum(snaps: &[MetricsSnapshot]) -> MetricsSnapshot {
         .fold(MetricsSnapshot::default(), |acc, s| acc.plus(s))
 }
 
-/// Read the first `d` attributes of every record in a skyline heap.
-pub(crate) fn collect_rows(
-    skyline: &skyline_storage::HeapFile,
-    ds: &Dataset,
-    d: usize,
-) -> Vec<Vec<i32>> {
+/// Cardinality and checksum of a skyline heap over its first `d`
+/// attributes.
+pub(crate) fn answer_of(skyline: &HeapFile, ds: &Dataset, d: usize) -> (u64, u64) {
     let mut rows = Vec::with_capacity(skyline.len() as usize);
     let mut scan = skyline.scan();
     while let Some(r) = scan.next_record().expect("scan skyline") {
         rows.push((0..d).map(|i| ds.layout.attr(r, i)).collect());
     }
-    rows
+    (skyline.len(), skyline_checksum(rows))
 }
 
-/// One row-pipeline measurement: threaded entropy presort plus the
-/// partitioned row SFS filter, with the exact-aggregation identity
-/// (`caller metrics == Σ workers + merge`) asserted to the counter.
-fn row_run(
-    ds: &Dataset,
-    spec: &GateSpec,
-    sky_spec: &SkylineSpec,
-    t: usize,
-    base_pages: u64,
-) -> ThreadRun {
+/// One presort + partitioned-filter measurement at `t` threads, with the
+/// exact-aggregation identity (`caller metrics == Σ workers + merge +
+/// materialize`) and the zero-leak check asserted. `scalar` swaps in the
+/// scalar reference window.
+fn grid_run(ds: &Dataset, spec: &GateSpec, format: Format, t: usize, scalar: bool) -> Run {
+    let sky_spec = SkylineSpec::max_all(spec.d);
     let disk = Arc::clone(&ds.disk) as Arc<dyn Disk>;
-    let t0 = Instant::now();
-    let mut sorted = presort_threaded(
-        Arc::clone(&ds.heap),
-        ds.layout,
-        sky_spec.clone(),
-        SortOrder::Entropy,
-        Some(ds.entropy(spec.d)),
-        SORT_PAGES,
-        t,
-        Arc::clone(&disk),
-    )
-    .expect("presort");
-    let sort_ms = t0.elapsed().as_secs_f64() * 1e3;
-    sorted.mark_temp();
-    let sorted = Arc::new(sorted);
-    let input_pages = sorted.num_pages();
-
-    let metrics = SkylineMetrics::shared();
-    let io_before = ds.disk.stats().snapshot();
-    let t1 = Instant::now();
-    let outcome = parallel_sfs_filter(
-        Arc::clone(&sorted),
-        ds.layout,
-        sky_spec.clone(),
-        SfsConfig::new(spec.window_pages),
-        t,
-        Arc::clone(&disk),
-        Arc::clone(&metrics),
-        None,
-        None,
-    )
-    .expect("parallel filter");
-    let filter_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let io = ds.disk.stats().snapshot().since(&io_before);
-    let extra_pages = io.writes + io.reads.saturating_sub(input_pages);
-
-    // exact aggregation: the caller's metrics must equal the sum of
-    // every worker snapshot plus the merge snapshot, to the counter.
-    let agg = metrics.snapshot();
-    let parts = sum(&outcome.worker_metrics).plus(&outcome.merge_metrics);
-    assert_eq!(
-        agg, parts,
-        "aggregate metrics must equal Σ workers + merge (threads={t})"
-    );
-    // merge leg: slowest verifier of the parallel in-memory merge,
-    // or the whole sequential winnow when the fallback ran
-    let merge_leg = outcome
-        .merge_worker_metrics
-        .iter()
-        .map(|m| m.comparisons)
-        .max()
-        .unwrap_or(outcome.merge_metrics.comparisons);
-    let critical_path = outcome
-        .worker_metrics
-        .iter()
-        .map(|m| m.comparisons)
-        .max()
-        .unwrap_or(0)
-        + merge_leg;
-
-    let rows = collect_rows(&outcome.skyline, ds, spec.d);
-    let skyline = outcome.skyline.len();
-    let checksum = skyline_checksum(rows);
-
-    outcome.skyline.delete();
-    drop(sorted); // temp: self-deletes
-    assert_eq!(
-        ds.disk.allocated_pages(),
-        base_pages,
-        "gate run must not leak pages (threads={t})"
-    );
-
-    // Analytic equivalents of the batch pipeline's movement counters:
-    // the row operators touch whole records at every stage — one input
-    // scan plus sort write and read (3n), spill write plus re-read, and
-    // emission. `batches` is zero by definition on the row path.
-    let n = spec.n as u64;
-    let record = ds.layout.record_size() as u64;
-
-    ThreadRun {
-        threads: t,
-        sort_ms,
-        filter_ms,
-        comparisons: agg.comparisons,
-        critical_path,
-        extra_pages,
-        passes: agg.passes,
-        temp_records: agg.temp_records,
-        window_inserts: agg.window_inserts,
-        discarded: agg.discarded,
-        emitted: agg.emitted,
-        input_records: agg.input_records,
-        blocks_skipped: agg.blocks_skipped,
-        lanes_compared: agg.lanes_compared,
-        batches: 0,
-        rows_materialized: n + agg.temp_records + agg.emitted,
-        bytes_moved: record * (3 * n + 2 * agg.temp_records + agg.emitted),
-        bytes_exchanged: agg.bytes_exchanged,
-        exchange_frames: agg.exchange_frames,
-        pruned_by_representatives: agg.pruned_by_representatives,
-        skyline,
-        checksum,
-    }
-}
-
-/// One batch-pipeline measurement: narrow [`batch_presort`] plus
-/// [`parallel_batch_filter`] (strided batch SFS workers, prefix merge,
-/// late materialization), with the exact-aggregation identity extended
-/// to the materialize stage. The movement counters are measured by
-/// [`SkylineMetrics`] across the whole pipeline (presort + filter).
-fn batch_run(
-    ds: &Dataset,
-    spec: &GateSpec,
-    sky_spec: &SkylineSpec,
-    t: usize,
-    base_pages: u64,
-) -> ThreadRun {
-    let disk = Arc::clone(&ds.disk) as Arc<dyn Disk>;
+    let base_pages = ds.disk.allocated_pages();
     let presort_metrics = SkylineMetrics::shared();
     let t0 = Instant::now();
-    let mut sorted = batch_presort(
-        Arc::clone(&ds.heap),
-        &ds.layout,
-        sky_spec,
-        Arc::new(KeySumScore),
-        skyline_exec::batch::BATCH_ROWS,
-        SORT_PAGES,
-        t,
-        Arc::clone(&disk),
-        Arc::clone(&presort_metrics),
-        None,
-    )
-    .expect("batch presort");
+    let sorted = match format {
+        Format::Record => presort_threaded(
+            Arc::clone(&ds.heap),
+            ds.layout,
+            sky_spec.clone(),
+            SortOrder::Entropy,
+            Some(ds.entropy(spec.d)),
+            SORT_PAGES,
+            t,
+            Arc::clone(&disk),
+        ),
+        Format::Narrow => batch_presort(
+            Arc::clone(&ds.heap),
+            &ds.layout,
+            &sky_spec,
+            Arc::new(KeySumScore),
+            skyline_exec::batch::BATCH_ROWS,
+            SORT_PAGES,
+            t,
+            Arc::clone(&disk),
+            Arc::clone(&presort_metrics),
+            None,
+        ),
+    };
+    let mut sorted = sorted.expect("presort");
     let sort_ms = t0.elapsed().as_secs_f64() * 1e3;
     sorted.mark_temp();
     let sorted = Arc::new(sorted);
@@ -452,337 +577,234 @@ fn batch_run(
     let metrics = SkylineMetrics::shared();
     let io_before = ds.disk.stats().snapshot();
     let t1 = Instant::now();
-    let outcome = parallel_batch_filter(
-        Arc::clone(&sorted),
-        Arc::clone(&ds.heap),
-        NarrowLayout::new(spec.d),
-        BatchConfig::new(spec.window_pages),
-        t,
-        Arc::clone(&disk),
-        Arc::clone(&metrics),
-        None,
-        None,
-    )
-    .expect("parallel batch filter");
+    // (skyline, per worker, merge, per merge verifier, late materialization)
+    let (skyline, workers, merge, verifiers, materialize) = match format {
+        Format::Record => {
+            let cfg = SfsConfig::new(spec.window_pages);
+            let o = parallel_sfs_filter(
+                Arc::clone(&sorted),
+                ds.layout,
+                sky_spec,
+                if scalar {
+                    cfg.with_scalar_window()
+                } else {
+                    cfg
+                },
+                t,
+                disk,
+                Arc::clone(&metrics),
+                None,
+                None,
+            )
+            .expect("parallel record filter");
+            let none = MetricsSnapshot::default();
+            (
+                o.skyline,
+                o.worker_metrics,
+                o.merge_metrics,
+                o.merge_worker_metrics,
+                none,
+            )
+        }
+        Format::Narrow => {
+            let cfg = BatchConfig::new(spec.window_pages);
+            let o = parallel_batch_filter(
+                Arc::clone(&sorted),
+                Arc::clone(&ds.heap),
+                NarrowLayout::new(spec.d),
+                if scalar {
+                    cfg.with_scalar_window()
+                } else {
+                    cfg
+                },
+                t,
+                disk,
+                Arc::clone(&metrics),
+                None,
+                None,
+            )
+            .expect("parallel narrow filter");
+            (
+                o.skyline,
+                o.worker_metrics,
+                o.merge_metrics,
+                o.merge_worker_metrics,
+                o.materialize_metrics,
+            )
+        }
+    };
     let filter_ms = t1.elapsed().as_secs_f64() * 1e3;
     let io = ds.disk.stats().snapshot().since(&io_before);
     let extra_pages = io.writes + io.reads.saturating_sub(input_pages);
 
-    // exact aggregation, extended by the late-materialization stage:
-    // caller metrics == Σ workers + merge + materialize, to the counter.
+    let config = format!(
+        "{} t={t}",
+        match format {
+            Format::Record => "record",
+            Format::Narrow => "narrow",
+        }
+    );
     let agg = metrics.snapshot();
-    let parts = sum(&outcome.worker_metrics)
-        .plus(&outcome.merge_metrics)
-        .plus(&outcome.materialize_metrics);
     assert_eq!(
-        agg, parts,
-        "aggregate metrics must equal Σ workers + merge + materialize (threads={t})"
+        agg,
+        sum(&workers).plus(&merge).plus(&materialize),
+        "aggregate metrics must equal Σ workers + merge + materialize ({config})"
     );
-    let merge_leg = outcome
-        .merge_worker_metrics
-        .iter()
-        .map(|m| m.comparisons)
-        .max()
-        .unwrap_or(outcome.merge_metrics.comparisons);
-    let critical_path = outcome
-        .worker_metrics
-        .iter()
-        .map(|m| m.comparisons)
-        .max()
-        .unwrap_or(0)
-        + merge_leg;
+    // the slowest worker, then the slowest verifier of the in-memory
+    // merge — or the whole sequential winnow when the fallback ran
+    let slowest = |snaps: &[MetricsSnapshot]| snaps.iter().map(|m| m.comparisons).max();
+    let critical_path =
+        slowest(&workers).unwrap_or(0) + slowest(&verifiers).unwrap_or(merge.comparisons);
 
-    let rows = collect_rows(&outcome.skyline, ds, spec.d);
-    let skyline = outcome.skyline.len();
-    let checksum = skyline_checksum(rows);
-    assert_eq!(
-        agg.rows_materialized, skyline,
-        "late materialization must touch exactly the skyline rows (threads={t})"
-    );
-
-    outcome.skyline.delete();
+    let (len, checksum) = answer_of(&skyline, ds, spec.d);
+    skyline.delete();
     drop(sorted); // temp: self-deletes
     assert_eq!(
         ds.disk.allocated_pages(),
         base_pages,
-        "gate run must not leak pages (threads={t})"
+        "gate run must not leak pages ({config})"
     );
 
-    // movement counters span the whole pipeline: presort scan + sort
-    // plus the filter/merge/materialize stages measured above
-    let total = agg.plus(&presort_metrics.snapshot());
-
-    ThreadRun {
-        threads: t,
-        sort_ms,
-        filter_ms,
-        comparisons: agg.comparisons,
-        critical_path,
-        extra_pages,
-        passes: agg.passes,
-        temp_records: agg.temp_records,
-        window_inserts: agg.window_inserts,
-        discarded: agg.discarded,
-        emitted: agg.emitted,
-        input_records: agg.input_records,
-        blocks_skipped: agg.blocks_skipped,
-        lanes_compared: agg.lanes_compared,
-        batches: total.batches,
-        rows_materialized: total.rows_materialized,
-        bytes_moved: total.bytes_moved,
-        bytes_exchanged: total.bytes_exchanged,
-        exchange_frames: total.exchange_frames,
-        pruned_by_representatives: total.pruned_by_representatives,
-        skyline,
-        checksum,
+    let n = spec.n as u64;
+    let counters = match format {
+        // one input scan plus sort write and read (3n), spill write plus
+        // re-read, and emission — all at full record width
+        Format::Record => MetricsSnapshot {
+            rows_materialized: n + agg.temp_records + agg.emitted,
+            bytes_moved: ds.layout.record_size() as u64
+                * (3 * n + 2 * agg.temp_records + agg.emitted),
+            ..agg
+        },
+        Format::Narrow => {
+            assert_eq!(
+                agg.rows_materialized, len,
+                "late materialization must touch exactly the skyline rows ({config})"
+            );
+            agg.plus(&presort_metrics.snapshot())
+        }
+    };
+    Run {
+        section: spec.label,
+        config,
+        counters: named(counters.counters().into_iter().chain([
+            ("critical_path", critical_path),
+            ("extra_pages", extra_pages),
+            ("skyline", len),
+            ("checksum", checksum),
+        ])),
+        timings: vec![("sort_ms", sort_ms), ("filter_ms", filter_ms)],
     }
 }
 
-/// Run one section of the gate grid.
+/// Run one thread-grid section: both formats at every thread count.
 ///
 /// # Panics
-/// Panics when a pipeline stage fails or when the parallel filter's
-/// metrics break the exact-aggregation identity — in a benchmark a wrong
-/// answer must not produce a plausible-looking report.
-pub fn run_section(spec: &GateSpec) -> GateSection {
+/// Panics when a pipeline stage fails, a run leaks pages or breaks the
+/// exact-aggregation identity, or the scalar reference window disagrees
+/// with the block kernel — a wrong answer must not produce a
+/// plausible-looking run.
+pub fn run_section(spec: &GateSpec) -> Vec<Run> {
     let ds = Dataset::paper(spec.n, GATE_SEED);
-    let sky_spec = SkylineSpec::max_all(spec.d);
-    let base_pages = ds.disk.allocated_pages();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
+    let answer = |r: &Run| (r.get("skyline"), r.get("checksum"));
     let mut runs = Vec::new();
-    for &t in spec.threads {
-        runs.push(if spec.batch {
-            batch_run(&ds, spec, &sky_spec, t, base_pages)
-        } else {
-            row_run(&ds, spec, &sky_spec, t, base_pages)
-        });
-    }
-
-    // Kernel cross-check: the scalar reference window must produce the
-    // bit-identical skyline (count and checksum) the block kernel did.
-    {
-        let disk = Arc::clone(&ds.disk) as Arc<dyn Disk>;
-        let (len, ck) = if spec.batch {
-            let mut sorted = batch_presort(
-                Arc::clone(&ds.heap),
-                &ds.layout,
-                &sky_spec,
-                Arc::new(KeySumScore),
-                skyline_exec::batch::BATCH_ROWS,
-                SORT_PAGES,
-                1,
-                Arc::clone(&disk),
-                SkylineMetrics::shared(),
-                None,
-            )
-            .expect("batch presort (scalar cross-check)");
-            sorted.mark_temp();
-            let outcome = parallel_batch_filter(
-                Arc::new(sorted),
-                Arc::clone(&ds.heap),
-                NarrowLayout::new(spec.d),
-                BatchConfig::new(spec.window_pages).with_scalar_window(),
-                1,
-                disk,
-                SkylineMetrics::shared(),
-                None,
-                None,
-            )
-            .expect("scalar-window batch filter");
-            let rows = collect_rows(&outcome.skyline, &ds, spec.d);
-            let out = (outcome.skyline.len(), skyline_checksum(rows));
-            outcome.skyline.delete();
-            out
-        } else {
-            let mut sorted = presort_threaded(
-                Arc::clone(&ds.heap),
-                ds.layout,
-                sky_spec.clone(),
-                SortOrder::Entropy,
-                Some(ds.entropy(spec.d)),
-                SORT_PAGES,
-                1,
-                Arc::clone(&disk),
-            )
-            .expect("presort (scalar cross-check)");
-            sorted.mark_temp();
-            let outcome = parallel_sfs_filter(
-                Arc::new(sorted),
-                ds.layout,
-                sky_spec,
-                SfsConfig::new(spec.window_pages).with_scalar_window(),
-                1,
-                disk,
-                SkylineMetrics::shared(),
-                None,
-                None,
-            )
-            .expect("scalar-window filter");
-            let rows = collect_rows(&outcome.skyline, &ds, spec.d);
-            let out = (outcome.skyline.len(), skyline_checksum(rows));
-            outcome.skyline.delete();
-            out
-        };
-        let base = runs.first().expect("threads grid is non-empty");
+    for format in [Format::Record, Format::Narrow] {
+        let first = runs.len();
+        for &t in spec.threads {
+            runs.push(grid_run(&ds, spec, format, t, false));
+        }
+        let scalar = grid_run(&ds, spec, format, 1, true);
         assert_eq!(
-            (len, ck),
-            (base.skyline, base.checksum),
-            "scalar and block kernels must agree bit-for-bit ({})",
-            spec.label
+            answer(&scalar),
+            answer(&runs[first]),
+            "scalar and block kernels must agree bit-for-bit ({}/{})",
+            spec.label,
+            scalar.config
         );
     }
-
-    GateSection {
-        spec: *spec,
-        cores,
-        runs,
-    }
-}
-
-/// Render the JSON report committed as `BENCH_pr5.json`. Hand-rolled:
-/// the workspace takes no serialization dependency for one flat format.
-/// `server`, when present, lands as a top-level `"server"` object with
-/// the session-layer admission counters and latency percentiles.
-pub fn report_json(
-    sections: &[GateSection],
-    server: Option<&crate::server_gate::ServerGateReport>,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": 1,\n");
-    let _ = writeln!(out, "  \"seed\": {GATE_SEED},");
-    out.push_str("  \"sections\": [\n");
-    for (si, s) in sections.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"label\": \"{}\",", s.spec.label);
-        let _ = writeln!(out, "      \"n\": {},", s.spec.n);
-        let _ = writeln!(out, "      \"d\": {},", s.spec.d);
-        let _ = writeln!(out, "      \"window_pages\": {},", s.spec.window_pages);
-        let _ = writeln!(out, "      \"cores\": {},", s.cores);
-        out.push_str("      \"runs\": [\n");
-        for (ri, r) in s.runs.iter().enumerate() {
-            out.push_str("        { ");
-            let _ = write!(out, "\"threads\": {}, ", r.threads);
-            let _ = write!(out, "\"sort_ms\": {:.3}, ", r.sort_ms);
-            let _ = write!(out, "\"filter_ms\": {:.3}, ", r.filter_ms);
-            let _ = write!(out, "\"comparisons\": {}, ", r.comparisons);
-            let _ = write!(out, "\"critical_path\": {}, ", r.critical_path);
-            let _ = write!(out, "\"extra_pages\": {}, ", r.extra_pages);
-            let _ = write!(out, "\"passes\": {}, ", r.passes);
-            let _ = write!(out, "\"temp_records\": {}, ", r.temp_records);
-            let _ = write!(out, "\"window_inserts\": {}, ", r.window_inserts);
-            let _ = write!(out, "\"discarded\": {}, ", r.discarded);
-            let _ = write!(out, "\"emitted\": {}, ", r.emitted);
-            let _ = write!(out, "\"input_records\": {}, ", r.input_records);
-            let _ = write!(out, "\"blocks_skipped\": {}, ", r.blocks_skipped);
-            let _ = write!(out, "\"lanes_compared\": {}, ", r.lanes_compared);
-            let _ = write!(out, "\"batches\": {}, ", r.batches);
-            let _ = write!(out, "\"rows_materialized\": {}, ", r.rows_materialized);
-            let _ = write!(out, "\"bytes_moved\": {}, ", r.bytes_moved);
-            let _ = write!(out, "\"bytes_exchanged\": {}, ", r.bytes_exchanged);
-            let _ = write!(out, "\"exchange_frames\": {}, ", r.exchange_frames);
-            let _ = write!(
-                out,
-                "\"pruned_by_representatives\": {}, ",
-                r.pruned_by_representatives
-            );
-            let _ = write!(out, "\"skyline\": {}, ", r.skyline);
-            let _ = write!(out, "\"checksum\": \"{:#018x}\", ", r.checksum);
-            let _ = write!(
-                out,
-                "\"speedup_wall\": {:.3}, ",
-                s.speedup_wall(r.threads).unwrap_or(0.0)
-            );
-            let _ = write!(
-                out,
-                "\"speedup_model\": {:.3}",
-                s.speedup_model(r.threads).unwrap_or(0.0)
-            );
-            out.push_str(if ri + 1 < s.runs.len() {
-                " },\n"
-            } else {
-                " }\n"
-            });
-        }
-        out.push_str("      ]\n");
-        out.push_str(if si + 1 < sections.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]");
-    if let Some(sv) = server {
-        out.push_str(",\n  \"server\": { ");
-        let _ = write!(out, "\"workers\": {}, ", sv.workers);
-        let _ = write!(out, "\"queries\": {}, ", sv.queries);
-        let _ = write!(out, "\"admitted\": {}, ", sv.admitted);
-        let _ = write!(out, "\"rejected\": {}, ", sv.rejected);
-        let _ = write!(out, "\"cancelled\": {}, ", sv.cancelled);
-        let _ = write!(out, "\"completed\": {}, ", sv.completed);
-        let _ = write!(out, "\"p50_ms\": {:.3}, ", sv.p50_ms);
-        let _ = write!(out, "\"p99_ms\": {:.3}", sv.p99_ms);
-        out.push_str(" }");
-    }
-    out.push_str("\n}\n");
-    out
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny() -> GateSpec {
-        GateSpec {
-            label: "tiny",
-            n: 2_000,
-            d: 5,
-            window_pages: 4,
-            threads: &[1, 2],
-            batch: false,
+    const TINY: GateSpec = GateSpec {
+        label: "tiny",
+        n: 2_000,
+        d: 5,
+        window_pages: 4,
+        threads: &[1, 2],
+    };
+
+    fn run(section: &'static str, config: &str, counters: &[(&'static str, u64)]) -> Run {
+        Run {
+            section,
+            config: config.to_string(),
+            counters: named(counters.iter().copied()),
+            timings: vec![("filter_ms", 1.0)],
         }
     }
 
-    fn tiny_batch() -> GateSpec {
-        GateSpec {
-            label: "tiny-batch",
-            batch: true,
-            ..tiny()
+    /// A law-abiding miniature of the real run set; the first three runs
+    /// are the `--smoke` subset.
+    fn healthy() -> Vec<Run> {
+        let grid = |rows, bytes| {
+            [
+                ("comparisons", 900),
+                ("critical_path", 500),
+                ("rows_materialized", rows),
+                ("bytes_moved", bytes),
+                ("skyline", 42),
+                ("checksum", 7),
+            ]
+        };
+        vec![
+            run("smoke", "record t=1", &grid(2_100, 630)),
+            run("smoke", "narrow t=1", &grid(42, 400)),
+            run("server", "mix", &[("admitted", 50), ("rejected", 10)]),
+            run("full", "record t=1", &grid(2_100, 630)),
+            run("full", "record t=2", &grid(2_100, 630)),
+            run("shard-full", "naive shards=2", &[("bytes_exchanged", 9)]),
+        ]
+    }
+
+    /// A golden file of `runs` in the temp dir, removed on drop.
+    struct TempGolden(std::path::PathBuf);
+
+    fn temp_golden(name: &str, runs: &[Run]) -> TempGolden {
+        let file = format!("skyline-gate-{name}-{}.txt", std::process::id());
+        let path = std::env::temp_dir().join(file);
+        write_text(&path, &render_golden(&golden_of(runs))).expect("write temp golden");
+        TempGolden(path)
+    }
+
+    impl Drop for TempGolden {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
         }
     }
 
     #[test]
-    fn batch_section_matches_row_section_and_moves_less() {
-        let row = run_section(&tiny());
-        let batch = run_section(&tiny_batch());
-        batch.validate(false, 1.5).expect("structural checks pass");
-        for (rr, br) in row.runs.iter().zip(&batch.runs) {
-            assert_eq!(rr.threads, br.threads);
-            // identical answer, strictly less data movement
-            assert_eq!((rr.skyline, rr.checksum), (br.skyline, br.checksum));
-            assert!(br.batches > 0 && rr.batches == 0);
-            assert!(br.rows_materialized < rr.rows_materialized);
-            assert!(br.bytes_moved < rr.bytes_moved);
-            // late materialization touches exactly the skyline rows
-            assert_eq!(br.rows_materialized, br.skyline);
+    fn grid_section_obeys_the_laws_and_the_model() {
+        let runs = run_section(&TINY);
+        assert_eq!(runs.len(), 4, "two formats × two thread counts");
+        assert_eq!(check_laws(&runs, 1), Vec::<String>::new());
+        for r in &runs {
+            let (_, t) = r.grid_point().expect("grid config");
+            let (cmp, path) = (r.get("comparisons"), r.get("critical_path"));
+            if t == 1 {
+                assert_eq!(cmp, path, "no merge at t=1: critical path == aggregate");
+            } else {
+                // max worker + merge never exceeds Σ workers + merge
+                assert!(path <= cmp && path > Some(0), "{r:?}");
+            }
+            if r.config.starts_with("narrow") {
+                assert!(r.get("batches") > Some(0));
+                assert_eq!(r.get("rows_materialized"), r.get("skyline"));
+            } else {
+                assert_eq!(r.get("batches"), Some(0));
+            }
         }
-    }
-
-    #[test]
-    fn section_runs_and_validates_structurally() {
-        let s = run_section(&tiny());
-        assert_eq!(s.runs.len(), 2);
-        s.validate(false, 1.5).expect("structural checks pass");
-        // identical deterministic fields across thread counts
-        assert_eq!(s.runs[0].skyline, s.runs[1].skyline);
-        assert_eq!(s.runs[0].checksum, s.runs[1].checksum);
-        // t=1 has no merge: critical path == aggregate comparisons
-        assert_eq!(s.runs[0].critical_path, s.runs[0].comparisons);
-        // critical path (max worker + merge) never exceeds the aggregate
-        // (Σ workers + merge); at this tiny scale the merge can keep it
-        // above the sequential count, so only the aggregate bound holds
-        assert!(s.runs[1].critical_path <= s.runs[1].comparisons);
-        assert!(s.runs[1].critical_path > 0);
     }
 
     #[test]
@@ -795,44 +817,158 @@ mod tests {
     }
 
     #[test]
-    fn json_report_shape() {
-        let s = run_section(&tiny());
-        let j = report_json(std::slice::from_ref(&s), None);
-        assert!(j.contains("\"label\": \"tiny\""));
-        assert!(j.contains("\"threads\": 2"));
-        assert!(j.contains("\"checksum\": \"0x"));
-        assert!(!j.contains("\"server\""));
-        assert!(j.ends_with("}\n"));
+    fn golden_text_round_trips_and_rejects_garbage() {
+        let golden = golden_of(&healthy());
+        let text = render_golden(&golden);
+        assert!(text.contains("smoke/narrow t=1/rows_materialized 42\n"));
+        assert!(text.contains("server/mix/admitted 50\n"));
+        assert_eq!(parse_golden(&text).unwrap(), golden);
+        let err = parse_golden("smoke/record t=1/comparisons many\n").unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
     }
 
     #[test]
-    fn json_report_carries_the_server_object() {
-        let s = run_section(&tiny());
-        let sv = crate::server_gate::ServerGateReport {
-            workers: 2,
-            queries: 60,
-            admitted: 50,
-            rejected: 10,
-            cancelled: 10,
-            completed: 40,
-            p50_ms: 1.5,
-            p99_ms: 3.25,
+    fn a_perturbed_counter_fails_the_check_naming_key_and_both_values() {
+        let runs = healthy();
+        let golden = temp_golden("perturbed", &runs);
+        gate(&runs, 1, &golden.0, true).expect("identical runs pass");
+        let mut drifted = runs.clone();
+        drifted[1].counters[3].1 = 401;
+        let err = gate(&drifted, 1, &golden.0, true).unwrap_err();
+        assert!(
+            err.contains("smoke/narrow t=1/bytes_moved: committed 400, fresh 401"),
+            "{err}"
+        );
+        assert!(err.starts_with("1 counter(s) differ"), "{err}");
+    }
+
+    #[test]
+    fn missing_keys_fail_in_both_directions() {
+        let runs = healthy();
+        let golden = temp_golden("missing", &runs);
+        // a committed key of a section that ran, absent from the fresh run
+        let mut fewer = runs.clone();
+        fewer[2].counters.pop();
+        let err = gate(&fewer, 1, &golden.0, true).unwrap_err();
+        assert!(
+            err.contains("server/mix/rejected: committed 10, missing from the fresh run"),
+            "{err}"
+        );
+        // a fresh key absent from the file
+        let mut more = runs.clone();
+        more[2].counters.push(("completed".into(), 40));
+        let err = gate(&more, 1, &golden.0, true).unwrap_err();
+        assert!(
+            err.contains("server/mix/completed: not committed, fresh 40"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn smoke_ignores_the_sections_it_does_not_run() {
+        let runs = healthy();
+        let golden = temp_golden("smoke", &runs);
+        let smoke = runs[..3].to_vec();
+        gate(&smoke, 1, &golden.0, true).expect("full and shard-full keys are ignored");
+        // …and regenerating from the smoke subset keeps them
+        let mut moved = smoke.clone();
+        moved[2].counters[0].1 = 51;
+        gate(&moved, 1, &golden.0, false).expect("regenerate");
+        let text = read_text(&golden.0).expect("read back");
+        assert!(text.contains("full/record t=1/comparisons 900\n"), "{text}");
+        assert!(text.contains("shard-full/naive shards=2/bytes_exchanged 9\n"));
+        assert!(text.contains("server/mix/admitted 51\n"), "{text}");
+    }
+
+    #[test]
+    fn a_broken_law_fails_even_when_the_runs_equal_the_golden_file() {
+        let mut runs = healthy();
+        // narrow materializes as many rows as record: the format's reason
+        // to exist is gone
+        runs[1].counters[2].1 = 2_100;
+        let golden = temp_golden("law", &runs);
+        let err = gate(&runs, 1, &golden.0, true).unwrap_err();
+        assert!(err.contains("law(s) violated"), "{err}");
+        assert!(
+            err.contains(
+                "smoke/narrow t=1/rows_materialized: 2100 is not strictly below \
+                 `record t=1`'s 2100"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn each_law_names_its_violation() {
+        let law = |runs: &[Run], cores| check_laws(runs, cores).join("\n");
+        // a different answer
+        let mut runs = healthy();
+        runs[1].counters[5].1 = 8;
+        assert!(law(&runs, 1).contains("smoke/narrow t=1: (skyline, checksum) (42, 8)"));
+        // a `lo` run without its `hi` twin
+        let runs = vec![run("s", "grid shards=2", &[("bytes_exchanged", 1)])];
+        assert!(law(&runs, 1).contains("s/grid shards=2: no `naive shards=2` run to beat"));
+        // vacuous pruning
+        let runs = vec![
+            run(
+                "s",
+                "naive shards=2",
+                &[("bytes_exchanged", 9), ("coordinator_comparisons", 9)],
+            ),
+            run(
+                "s",
+                "representative shards=2",
+                &[("bytes_exchanged", 1), ("coordinator_comparisons", 1)],
+            ),
+        ];
+        assert_eq!(
+            law(&runs, 1),
+            "s/representative shards=2/pruned_by_representatives: must be > 0"
+        );
+        // the speedup bar binds `full` only, at the top thread count
+        let at = |section, t, path| {
+            run(
+                section,
+                &format!("record t={t}"),
+                &[("comparisons", 900), ("critical_path", path)],
+            )
         };
-        let j = report_json(std::slice::from_ref(&s), Some(&sv));
-        assert!(j.contains("\"server\": { \"workers\": 2, \"queries\": 60"));
-        assert!(j.contains("\"p99_ms\": 3.250"));
-        assert!(j.ends_with("}\n"));
+        let slow = vec![at("full", 1, 900), at("full", 2, 700)];
+        let msg = law(&slow, 1);
+        assert!(
+            msg.contains("full/record t=2: model speedup 1.29×"),
+            "{msg}"
+        );
+        assert!(!msg.contains("wall"), "one core cannot measure t=2: {msg}");
+        assert!(law(&slow, 2).contains("wall speedup 1.00×"));
+        assert_eq!(law(&[at("smoke", 1, 900), at("smoke", 2, 700)], 2), "");
+        assert_eq!(law(&[at("full", 1, 900), at("full", 2, 600)], 1), "");
     }
 
     #[test]
-    fn validate_flags_speedup_miss() {
-        let mut s = run_section(&tiny());
-        // forge a degenerate critical path to trip the model gate
-        let flat = s.runs[0].comparisons.max(1);
-        for r in &mut s.runs {
-            r.critical_path = flat;
-        }
-        let err = s.validate(true, 1.5).unwrap_err();
-        assert!(err.contains("model speedup"), "{err}");
+    fn report_never_prints_a_wall_speedup_it_could_not_measure() {
+        let runs = vec![
+            run(
+                "full",
+                "record t=1",
+                &[("comparisons", 900), ("critical_path", 900)],
+            ),
+            run(
+                "full",
+                "record t=4",
+                &[("comparisons", 950), ("critical_path", 450)],
+            ),
+        ];
+        let text = report(&runs, 2);
+        assert!(text.starts_with("cores: 2\ncpu: "), "{text}");
+        assert!(text.contains("\nrustc: "));
+        assert!(
+            text.contains(
+                "full/record t=4: filter_ms=1.000 speedup_model=2.000x \
+                 speedup_wall=not measured (cores=2)"
+            ),
+            "{text}"
+        );
+        assert!(report(&runs, 4).contains("speedup_wall=1.000x"));
     }
 }

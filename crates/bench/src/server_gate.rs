@@ -1,4 +1,4 @@
-//! The session-server section of the PR perf gate.
+//! The server mix of the counter gate.
 //!
 //! Three deterministic phases drive a [`SkylineServer`] over the seeded
 //! gate workload:
@@ -13,13 +13,12 @@
 //!   already-elapsed deadline; every one must come back as a typed
 //!   cancellation.
 //!
-//! The admission counters (queries, admitted, rejected, cancelled,
-//! completed) are therefore exact functions of the three phase sizes —
-//! the regression gate compares them exactly — while the latency
-//! percentiles are wall-clock and compared within the same tolerance as
-//! the filter times.
+//! The five admission counters (`queries`, `admitted`, `rejected`,
+//! `cancelled`, `completed`) are exact functions of the three phase
+//! sizes, so they are gated like every other counter; the latency
+//! percentiles are timings — reported, never compared.
 
-use crate::gate::GATE_SEED;
+use crate::gate::{named, Run, GATE_SEED};
 use skyline_query::catalog::Catalog;
 use skyline_relation::rng::Rng;
 use skyline_relation::{tuple, ColumnType, Schema, Table};
@@ -38,28 +37,6 @@ pub const DEADLINE_QUERIES: usize = 10;
 const N: usize = 10_000;
 
 const SQL: &str = "SELECT * FROM t SKYLINE OF a MIN, b MIN, c MAX, d MAX";
-
-/// One completed server-gate run: deterministic admission counters plus
-/// wall-clock latency percentiles.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerGateReport {
-    /// Worker threads the server ran.
-    pub workers: usize,
-    /// Total submissions across the three phases.
-    pub queries: u64,
-    /// Submissions that passed admission (phases A and C).
-    pub admitted: u64,
-    /// Submissions shed at admission (phase B).
-    pub rejected: u64,
-    /// Admitted queries ended by their deadline (phase C).
-    pub cancelled: u64,
-    /// Admitted queries that streamed a full result (phase A).
-    pub completed: u64,
-    /// Median phase-A round-trip latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile phase-A round-trip latency, milliseconds.
-    pub p99_ms: f64,
-}
 
 fn catalog() -> Catalog {
     let schema = Schema::of(&[
@@ -93,21 +70,20 @@ fn percentile(sorted: &[f64], pct: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Run the three server phases and return the section report.
+/// Run the three server phases and return the `server/mix` run.
 ///
 /// # Panics
 /// Panics when any phase breaks its contract (a phase-A query fails, a
 /// phase-B query is admitted, a phase-C query is not cancelled, or the
 /// final counters are not conserved) — a benchmark must not produce a
-/// plausible-looking report from a broken server.
+/// plausible-looking run from a broken server.
 #[must_use]
-pub fn run_server_gate() -> ServerGateReport {
+pub fn run_server_gate() -> Vec<Run> {
     let cfg = ServerConfig {
         workers: 2,
         external_threshold: 1_000,
         ..ServerConfig::default()
     };
-    let workers = cfg.workers;
     let pool_pages = cfg.pool_pages;
     let server = SkylineServer::new(catalog(), cfg);
     let session = server.session();
@@ -170,16 +146,21 @@ pub fn run_server_gate() -> ServerGateReport {
     );
 
     latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    ServerGateReport {
-        workers,
-        queries: l + s + d,
-        admitted: l + d,
-        rejected: s,
-        cancelled: d,
-        completed: l,
-        p50_ms: percentile(&latencies, 50.0),
-        p99_ms: percentile(&latencies, 99.0),
-    }
+    vec![Run {
+        section: "server",
+        config: "mix".to_string(),
+        counters: named([
+            ("queries", totals.submitted),
+            ("admitted", totals.admitted),
+            ("rejected", totals.rejected),
+            ("cancelled", totals.cancelled),
+            ("completed", totals.completed),
+        ]),
+        timings: vec![
+            ("p50_ms", percentile(&latencies, 50.0)),
+            ("p99_ms", percentile(&latencies, 99.0)),
+        ],
+    }]
 }
 
 #[cfg(test)]
@@ -195,13 +176,23 @@ mod tests {
     }
 
     #[test]
-    fn server_gate_counters_are_exact() {
-        let r = run_server_gate();
-        assert_eq!(r.queries, 60);
-        assert_eq!(r.admitted, 50);
-        assert_eq!(r.rejected, 10);
-        assert_eq!(r.cancelled, 10);
-        assert_eq!(r.completed, 40);
-        assert!(r.p50_ms > 0.0 && r.p99_ms >= r.p50_ms);
+    fn server_counters_are_exact_and_identical_across_two_runs() {
+        let first = run_server_gate();
+        let [run] = first.as_slice() else {
+            panic!("one server run, got {first:?}");
+        };
+        assert_eq!(
+            run.counters,
+            named([
+                ("queries", 60),
+                ("admitted", 50),
+                ("rejected", 10),
+                ("cancelled", 10),
+                ("completed", 40),
+            ])
+        );
+        let (p50, p99) = (run.timings[0].1, run.timings[1].1);
+        assert!(p50 > 0.0 && p99 >= p50);
+        assert_eq!(run_server_gate()[0].counters, run.counters);
     }
 }

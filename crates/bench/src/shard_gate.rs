@@ -1,43 +1,34 @@
-//! The sharded-skyline perf gate (PR 10 acceptance bar).
+//! The strategy × shard-count matrix of the counter gate.
 //!
 //! Runs the seed-2003 paper workload through
-//! [`skyline_core::planner::sharded_skyline_pipeline`] across a grid of
-//! shard counts × exchange strategies and reports, per run: wall time,
-//! aggregate and coordinator-side dominance comparisons, per-shard
-//! comparison counts and bytes serialized, exchange traffic
-//! (`bytes_exchanged`, `exchange_frames`), representative pruning, the
-//! union cardinality the coordinator merged, and the skyline's size and
-//! order-independent checksum.
+//! [`skyline_core::planner::sharded_skyline_pipeline`] at every
+//! (exchange strategy, shard count) and returns one [`Run`] each —
+//! every aggregate [`skyline_core::MetricsSnapshot`] counter, the
+//! coordinator-side comparisons, the union cardinality the coordinator
+//! merged, per-shard comparisons and bytes serialized
+//! (`shard_comparisons[i]`, `shard_bytes_exchanged[i]`), the skyline's
+//! size and checksum, and the wall time — plus a `single-node` run, the
+//! batch pipeline's answer every sharded run must reproduce bit for bit
+//! (`sky(R) = sky(sky(R₁) ∪ … ∪ sky(R_N))` holds for any partition, so
+//! routing may change costs but never the answer).
 //!
-//! The laws the gate enforces (here in [`ShardGateSection::validate`]
-//! and again in `cargo xtask bench --gate` over the committed
-//! `BENCH_pr10.json`):
-//!
-//! * every (strategy, shard count) run reproduces the single-node batch
-//!   pipeline's skyline **bit for bit** — the partition identity
-//!   `sky(R) = sky(sky(R₁) ∪ … ∪ sky(R_N))` holds for any partition,
-//!   so routing may change costs but never the answer;
-//! * at every shard count, **grid** routing and **representative**
-//!   filtering each *strictly* reduce both bytes exchanged and
-//!   coordinator-side comparisons vs the naive round-robin exchange —
-//!   the two optimizations' reason to exist;
-//! * representative runs actually prune (`pruned_by_representatives >
-//!   0`) — a vacuously passing broadcast would hide a routing bug;
-//! * exact metric aggregation: the caller's counters equal the sum of
-//!   every shard worker's plus the coordinator's, to the counter, and
-//!   the exchange meter agrees with the `bytes_exchanged` /
-//!   `exchange_frames` counters it mirrors.
+//! The laws over these runs — same answer everywhere, grid and
+//! representative strictly below naive on bytes exchanged and
+//! coordinator comparisons at every shard count, representative runs
+//! actually pruning — live in [`crate::gate::LAWS`]. Two identities are
+//! asserted here, per run: the caller's counters equal the sum of every
+//! shard worker's plus the coordinator's, and the exchange meter agrees
+//! with the `bytes_exchanged` / `exchange_frames` counters it mirrors.
 
-use crate::gate::{collect_rows, skyline_checksum, sum, GATE_SEED};
+use crate::gate::{answer_of, named, sum, Run, GATE_SEED};
 use crate::harness::Dataset;
 use skyline_core::planner::{batch_skyline_pipeline, sharded_skyline_pipeline};
 use skyline_core::{BatchConfig, ShardConfig, ShardStrategy, SkylineMetrics, SkylineSpec};
 use skyline_storage::Disk;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The three exchange strategies, in report order.
+/// The three exchange strategies, in run order.
 pub const STRATEGIES: &[ShardStrategy] = &[
     ShardStrategy::Naive,
     ShardStrategy::Grid,
@@ -47,7 +38,7 @@ pub const STRATEGIES: &[ShardStrategy] = &[
 /// One shard-gate section: a workload size and a shard-count grid.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardGateSpec {
-    /// Section name in the JSON report.
+    /// Section name.
     pub label: &'static str,
     /// Tuple count.
     pub n: usize,
@@ -77,152 +68,24 @@ pub const SMOKE_SHARD: ShardGateSpec = ShardGateSpec {
     shards: &[2, 4, 8],
 };
 
-/// Measurements for one (strategy, shard count) run.
-#[derive(Debug, Clone)]
-pub struct ShardRun {
-    /// Exchange strategy.
-    pub strategy: ShardStrategy,
-    /// Shard count.
-    pub shards: usize,
-    /// End-to-end wall time, milliseconds (routing through
-    /// materialization).
-    pub wall_ms: f64,
-    /// Aggregate dominance comparisons (all shards + coordinator).
-    /// Deterministic.
-    pub comparisons: u64,
-    /// Coordinator-side comparisons: the score-sorted prefix merge
-    /// (loader + verifiers) over the decoded union. Deterministic.
-    pub coordinator_comparisons: u64,
-    /// Per-shard comparison counts, in shard order. Deterministic.
-    pub shard_comparisons: Vec<u64>,
-    /// Per-shard bytes serialized into the exchange (local-skyline
-    /// frames), in shard order. Deterministic.
-    pub shard_bytes_exchanged: Vec<u64>,
-    /// Total bytes through the exchange: local-skyline uploads plus
-    /// representative broadcasts charged per receiver. Deterministic.
-    pub bytes_exchanged: u64,
-    /// Frames through the exchange. Deterministic.
-    pub exchange_frames: u64,
-    /// Local-skyline entries dropped by broadcast representatives
-    /// before serialization. Deterministic; zero except under
-    /// [`ShardStrategy::Representative`].
-    pub pruned_by_representatives: u64,
-    /// Entries in the decoded union the coordinator merged.
-    pub union_entries: u64,
-    /// Skyline cardinality.
-    pub skyline: u64,
-    /// FNV-1a over the sorted skyline key rows — order-independent.
-    pub checksum: u64,
-}
-
-/// A completed shard-gate section: the single-node baseline plus one
-/// run per (strategy, shard count).
-#[derive(Debug, Clone)]
-pub struct ShardGateSection {
-    /// The spec this section ran.
-    pub spec: ShardGateSpec,
-    /// Single-node batch-pipeline skyline cardinality (the oracle).
-    pub baseline_skyline: u64,
-    /// Single-node batch-pipeline checksum.
-    pub baseline_checksum: u64,
-    /// One entry per (strategy, shard count), strategies outer.
-    pub runs: Vec<ShardRun>,
-}
-
-impl ShardGateSection {
-    /// The run at (`strategy`, `shards`), if present.
-    pub fn run_at(&self, strategy: ShardStrategy, shards: usize) -> Option<&ShardRun> {
-        self.runs
-            .iter()
-            .find(|r| r.strategy == strategy && r.shards == shards)
-    }
-
-    /// Enforce the section's laws: bit-identical skylines everywhere,
-    /// and grid + representative filtering strictly below naive on both
-    /// bytes exchanged and coordinator comparisons at every shard
-    /// count, with representative runs actually pruning.
-    ///
-    /// # Errors
-    /// A human-readable description of the first violated check.
-    pub fn validate(&self) -> Result<(), String> {
-        for r in &self.runs {
-            if (r.skyline, r.checksum) != (self.baseline_skyline, self.baseline_checksum) {
-                return Err(format!(
-                    "{}: {} shards={} skyline ({}, {:#018x}) differs from the single-node \
-                     baseline ({}, {:#018x})",
-                    self.spec.label,
-                    r.strategy.name(),
-                    r.shards,
-                    r.skyline,
-                    r.checksum,
-                    self.baseline_skyline,
-                    self.baseline_checksum
-                ));
-            }
-        }
-        for &s in self.spec.shards {
-            let naive = self
-                .run_at(ShardStrategy::Naive, s)
-                .ok_or_else(|| format!("{}: no naive run at shards={s}", self.spec.label))?;
-            for strat in [ShardStrategy::Grid, ShardStrategy::Representative] {
-                let run = self.run_at(strat, s).ok_or_else(|| {
-                    format!("{}: no {} run at shards={s}", self.spec.label, strat.name())
-                })?;
-                if run.bytes_exchanged >= naive.bytes_exchanged {
-                    return Err(format!(
-                        "{}: {} shards={s} bytes_exchanged {} does not beat naive's {}",
-                        self.spec.label,
-                        strat.name(),
-                        run.bytes_exchanged,
-                        naive.bytes_exchanged
-                    ));
-                }
-                if run.coordinator_comparisons >= naive.coordinator_comparisons {
-                    return Err(format!(
-                        "{}: {} shards={s} coordinator comparisons {} do not beat naive's {}",
-                        self.spec.label,
-                        strat.name(),
-                        run.coordinator_comparisons,
-                        naive.coordinator_comparisons
-                    ));
-                }
-            }
-            let rep = self
-                .run_at(ShardStrategy::Representative, s)
-                .ok_or_else(|| {
-                    format!("{}: no representative run at shards={s}", self.spec.label)
-                })?;
-            if rep.pruned_by_representatives == 0 {
-                return Err(format!(
-                    "{}: representative shards={s} pruned nothing — the broadcast is vacuous",
-                    self.spec.label
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One sharded run, with the exact-aggregation and exchange-meter
 /// identities asserted to the counter.
 fn shard_run(
     ds: &Dataset,
     spec: &ShardGateSpec,
-    sky_spec: &SkylineSpec,
     strategy: ShardStrategy,
     shards: usize,
     base_pages: u64,
-) -> ShardRun {
-    let disk = Arc::clone(&ds.disk) as Arc<dyn Disk>;
+) -> Run {
+    let config = format!("{} shards={shards}", strategy.name());
     let metrics = SkylineMetrics::shared();
-    let cfg = ShardConfig::new(shards, strategy, spec.window_pages);
     let t0 = Instant::now();
     let outcome = sharded_skyline_pipeline(
         Arc::clone(&ds.heap),
         &ds.layout,
-        sky_spec,
-        cfg,
-        disk,
+        &SkylineSpec::max_all(spec.d),
+        ShardConfig::new(shards, strategy, spec.window_pages),
+        Arc::clone(&ds.disk) as Arc<dyn Disk>,
         Arc::clone(&metrics),
         None,
     )
@@ -232,12 +95,10 @@ fn shard_run(
     // exact aggregation: caller metrics == Σ shard workers + coordinator
     let agg = metrics.snapshot();
     let shard_metrics: Vec<_> = outcome.shard_stats.iter().map(|s| s.metrics).collect();
-    let parts = sum(&shard_metrics).plus(&outcome.coordinator_metrics);
     assert_eq!(
         agg,
-        parts,
-        "aggregate metrics must equal Σ shards + coordinator ({} shards={shards})",
-        strategy.name()
+        sum(&shard_metrics).plus(&outcome.coordinator_metrics),
+        "aggregate metrics must equal Σ shards + coordinator ({config})"
     );
     // the exchange meter and the metrics counters watch the same wire
     assert_eq!(
@@ -246,220 +107,128 @@ fn shard_run(
             outcome.exchange.bytes_exchanged,
             outcome.exchange.exchange_frames
         ),
-        "exchange meter must agree with the counters ({} shards={shards})",
-        strategy.name()
+        "exchange meter must agree with the counters ({config})"
     );
 
-    let rows = collect_rows(&outcome.skyline, ds, spec.d);
-    let skyline = outcome.skyline.len();
-    let checksum = skyline_checksum(rows);
+    let (skyline, checksum) = answer_of(&outcome.skyline, ds, spec.d);
     outcome.skyline.delete();
     assert_eq!(
         ds.disk.allocated_pages(),
         base_pages,
-        "gate run must not leak pages ({} shards={shards})",
-        strategy.name()
+        "gate run must not leak pages ({config})"
     );
 
-    ShardRun {
-        strategy,
-        shards,
-        wall_ms,
-        comparisons: agg.comparisons,
-        coordinator_comparisons: outcome.coordinator_metrics.comparisons,
-        shard_comparisons: outcome
-            .shard_stats
-            .iter()
-            .map(|s| s.metrics.comparisons)
-            .collect(),
-        shard_bytes_exchanged: outcome
-            .shard_stats
-            .iter()
-            .map(|s| s.metrics.bytes_exchanged)
-            .collect(),
-        bytes_exchanged: agg.bytes_exchanged,
-        exchange_frames: agg.exchange_frames,
-        pruned_by_representatives: agg.pruned_by_representatives,
-        union_entries: outcome.union_entries,
-        skyline,
-        checksum,
+    let mut counters = named(agg.counters().into_iter().chain([
+        (
+            "coordinator_comparisons",
+            outcome.coordinator_metrics.comparisons,
+        ),
+        ("union_entries", outcome.union_entries),
+        ("skyline", skyline),
+        ("checksum", checksum),
+    ]));
+    for (i, m) in shard_metrics.iter().enumerate() {
+        counters.push((format!("shard_comparisons[{i}]"), m.comparisons));
+        counters.push((format!("shard_bytes_exchanged[{i}]"), m.bytes_exchanged));
+    }
+    Run {
+        section: spec.label,
+        config,
+        counters,
+        timings: vec![("wall_ms", wall_ms)],
     }
 }
 
-/// Run one section of the shard-gate grid: the single-node baseline,
-/// then every strategy at every shard count.
+/// Run one section of the shard matrix: the single-node baseline, then
+/// every strategy at every shard count.
 ///
 /// # Panics
 /// Panics when a pipeline stage fails, when a run leaks pages, or when
 /// the exact-aggregation / exchange-meter identities break — a wrong
-/// answer must not produce a plausible-looking report.
-pub fn run_shard_section(spec: &ShardGateSpec) -> ShardGateSection {
+/// answer must not produce a plausible-looking run.
+pub fn run_shard_section(spec: &ShardGateSpec) -> Vec<Run> {
     let ds = Dataset::paper(spec.n, GATE_SEED);
-    let sky_spec = SkylineSpec::max_all(spec.d);
     let base_pages = ds.disk.allocated_pages();
 
     // single-node batch pipeline: the oracle every sharded run must hit
-    let (baseline_skyline, baseline_checksum) = {
-        let outcome = batch_skyline_pipeline(
-            Arc::clone(&ds.heap),
-            &ds.layout,
-            &sky_spec,
-            BatchConfig::new(spec.window_pages),
-            crate::gate::SORT_PAGES,
-            1,
-            Arc::clone(&ds.disk) as Arc<dyn Disk>,
-            SkylineMetrics::shared(),
-            None,
-            None,
-        )
-        .expect("single-node baseline");
-        let rows = collect_rows(&outcome.skyline, &ds, spec.d);
-        let out = (outcome.skyline.len(), skyline_checksum(rows));
-        outcome.skyline.delete();
-        out
-    };
+    let outcome = batch_skyline_pipeline(
+        Arc::clone(&ds.heap),
+        &ds.layout,
+        &SkylineSpec::max_all(spec.d),
+        BatchConfig::new(spec.window_pages),
+        crate::gate::SORT_PAGES,
+        1,
+        Arc::clone(&ds.disk) as Arc<dyn Disk>,
+        SkylineMetrics::shared(),
+        None,
+        None,
+    )
+    .expect("single-node baseline");
+    let (skyline, checksum) = answer_of(&outcome.skyline, &ds, spec.d);
+    outcome.skyline.delete();
 
-    let mut runs = Vec::new();
+    let mut runs = vec![Run {
+        section: spec.label,
+        config: "single-node".to_string(),
+        counters: named([("skyline", skyline), ("checksum", checksum)]),
+        timings: Vec::new(),
+    }];
     for &strategy in STRATEGIES {
         for &s in spec.shards {
-            runs.push(shard_run(&ds, spec, &sky_spec, strategy, s, base_pages));
+            runs.push(shard_run(&ds, spec, strategy, s, base_pages));
         }
     }
-
-    ShardGateSection {
-        spec: *spec,
-        baseline_skyline,
-        baseline_checksum,
-        runs,
-    }
-}
-
-/// Render the JSON report committed as `BENCH_pr10.json`. Hand-rolled
-/// like [`crate::gate::report_json`]: the workspace takes no
-/// serialization dependency for one flat format.
-pub fn shard_report_json(sections: &[ShardGateSection]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": 1,\n");
-    let _ = writeln!(out, "  \"seed\": {GATE_SEED},");
-    out.push_str("  \"sections\": [\n");
-    for (si, s) in sections.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"label\": \"{}\",", s.spec.label);
-        let _ = writeln!(out, "      \"n\": {},", s.spec.n);
-        let _ = writeln!(out, "      \"d\": {},", s.spec.d);
-        let _ = writeln!(out, "      \"window_pages\": {},", s.spec.window_pages);
-        let _ = writeln!(out, "      \"baseline_skyline\": {},", s.baseline_skyline);
-        let _ = writeln!(
-            out,
-            "      \"baseline_checksum\": \"{:#018x}\",",
-            s.baseline_checksum
-        );
-        out.push_str("      \"runs\": [\n");
-        for (ri, r) in s.runs.iter().enumerate() {
-            out.push_str("        { ");
-            let _ = write!(out, "\"strategy\": \"{}\", ", r.strategy.name());
-            let _ = write!(out, "\"shards\": {}, ", r.shards);
-            let _ = write!(out, "\"wall_ms\": {:.3}, ", r.wall_ms);
-            let _ = write!(out, "\"comparisons\": {}, ", r.comparisons);
-            let _ = write!(
-                out,
-                "\"coordinator_comparisons\": {}, ",
-                r.coordinator_comparisons
-            );
-            let join = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
-            let _ = write!(
-                out,
-                "\"shard_comparisons\": [{}], ",
-                join(&r.shard_comparisons)
-            );
-            let _ = write!(
-                out,
-                "\"shard_bytes_exchanged\": [{}], ",
-                join(&r.shard_bytes_exchanged)
-            );
-            let _ = write!(out, "\"bytes_exchanged\": {}, ", r.bytes_exchanged);
-            let _ = write!(out, "\"exchange_frames\": {}, ", r.exchange_frames);
-            let _ = write!(
-                out,
-                "\"pruned_by_representatives\": {}, ",
-                r.pruned_by_representatives
-            );
-            let _ = write!(out, "\"union_entries\": {}, ", r.union_entries);
-            let _ = write!(out, "\"skyline\": {}, ", r.skyline);
-            let _ = write!(out, "\"checksum\": \"{:#018x}\"", r.checksum);
-            out.push_str(if ri + 1 < s.runs.len() {
-                " },\n"
-            } else {
-                " }\n"
-            });
-        }
-        out.push_str("      ]\n");
-        out.push_str(if si + 1 < sections.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::check_laws;
 
-    fn tiny() -> ShardGateSpec {
-        ShardGateSpec {
-            label: "shard-tiny",
-            n: 4_000,
-            d: 5,
-            window_pages: 4,
-            shards: &[2, 3],
-        }
-    }
+    const TINY: ShardGateSpec = ShardGateSpec {
+        label: "shard-tiny",
+        n: 4_000,
+        d: 5,
+        window_pages: 4,
+        shards: &[2, 3],
+    };
 
     #[test]
-    fn section_runs_and_validates() {
-        let s = run_shard_section(&tiny());
-        assert_eq!(s.runs.len(), STRATEGIES.len() * 2);
-        s.validate().expect("laws hold at tiny scale");
+    fn section_obeys_the_laws_and_repeats_exactly() {
+        let runs = run_shard_section(&TINY);
+        assert_eq!(runs.len(), 1 + STRATEGIES.len() * 2);
+        assert_eq!(check_laws(&runs, 1), Vec::<String>::new());
+        let grid3 = runs
+            .iter()
+            .find(|r| r.config == "grid shards=3")
+            .expect("grid run");
+        assert!(grid3.get("shard_comparisons[2]").is_some());
+        assert!(grid3.get("shard_comparisons[3]").is_none());
         // determinism: a second run reproduces every counter
-        let again = run_shard_section(&tiny());
-        for (a, b) in s.runs.iter().zip(&again.runs) {
-            assert_eq!(
-                (a.comparisons, a.bytes_exchanged, a.exchange_frames),
-                (b.comparisons, b.bytes_exchanged, b.exchange_frames),
-                "{} shards={}",
-                a.strategy.name(),
-                a.shards
-            );
+        let again = run_shard_section(&TINY);
+        for (a, b) in runs.iter().zip(&again) {
+            assert_eq!(a.counters, b.counters, "{}", a.config);
         }
     }
 
     #[test]
-    fn json_report_shape() {
-        let s = run_shard_section(&tiny());
-        let j = shard_report_json(std::slice::from_ref(&s));
-        assert!(j.contains("\"label\": \"shard-tiny\""));
-        assert!(j.contains("\"strategy\": \"grid\""));
-        assert!(j.contains("\"shard_comparisons\": ["));
-        assert!(j.contains("\"bytes_exchanged\": "));
-        assert!(j.ends_with("}\n"));
-    }
-
-    #[test]
-    fn validate_flags_a_forged_regression() {
-        let mut s = run_shard_section(&tiny());
-        let naive_bytes = s
-            .run_at(ShardStrategy::Naive, 2)
-            .expect("naive run")
-            .bytes_exchanged;
-        for r in &mut s.runs {
-            if r.strategy == ShardStrategy::Grid && r.shards == 2 {
-                r.bytes_exchanged = naive_bytes;
+    fn a_forged_regression_breaks_the_naive_law() {
+        let mut runs = run_shard_section(&TINY);
+        let naive_bytes = runs[1].get("bytes_exchanged").expect("naive shards=2");
+        let grid = runs
+            .iter_mut()
+            .find(|r| r.config == "grid shards=2")
+            .expect("grid run");
+        for (name, value) in &mut grid.counters {
+            if name == "bytes_exchanged" {
+                *value = naive_bytes;
             }
         }
-        let err = s.validate().unwrap_err();
-        assert!(err.contains("does not beat naive"), "{err}");
+        let bad = check_laws(&runs, 1).join("\n");
+        assert!(
+            bad.contains("shard-tiny/grid shards=2/bytes_exchanged") && bad.contains("naive"),
+            "{bad}"
+        );
     }
 }

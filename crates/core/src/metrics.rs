@@ -283,6 +283,48 @@ impl MetricsSnapshot {
                 + other.pruned_by_representatives,
         }
     }
+
+    /// Every counter as a `(name, value)` pair, in declaration order —
+    /// what the bench gate writes per run. The destructure has no `..`,
+    /// so a field added to the snapshot does not compile until it is
+    /// reported here.
+    #[must_use]
+    pub fn counters(&self) -> [(&'static str, u64); 15] {
+        let MetricsSnapshot {
+            comparisons,
+            passes,
+            temp_records,
+            window_inserts,
+            discarded,
+            emitted,
+            input_records,
+            blocks_skipped,
+            lanes_compared,
+            batches,
+            rows_materialized,
+            bytes_moved,
+            bytes_exchanged,
+            exchange_frames,
+            pruned_by_representatives,
+        } = *self;
+        [
+            ("comparisons", comparisons),
+            ("passes", passes),
+            ("temp_records", temp_records),
+            ("window_inserts", window_inserts),
+            ("discarded", discarded),
+            ("emitted", emitted),
+            ("input_records", input_records),
+            ("blocks_skipped", blocks_skipped),
+            ("lanes_compared", lanes_compared),
+            ("batches", batches),
+            ("rows_materialized", rows_materialized),
+            ("bytes_moved", bytes_moved),
+            ("bytes_exchanged", bytes_exchanged),
+            ("exchange_frames", exchange_frames),
+            ("pruned_by_representatives", pruned_by_representatives),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -8,9 +8,12 @@
 //!   check, and the streaming loop re-checks between batches.
 //! - Every resource is lease-shaped. The admission credit and the
 //!   shared-pool page charge travel *inside* the job, so whichever
-//!   thread drops the job (worker, or the queue drain at shutdown)
-//!   returns them; result channels are closed by the worker on every
-//!   path and by [`QueryHandle`]'s drop on the client side.
+//!   thread drops the job (an unwinding worker, or the queue drain at
+//!   shutdown) returns them — and a worker that finishes a job returns
+//!   the charge before it publishes the verdict, so a client never
+//!   observes its own finished query on the ledger; result channels are
+//!   closed by the worker on every path and by [`QueryHandle`]'s drop
+//!   on the client side.
 
 use crate::config::ServerConfig;
 use crate::error::ServerError;
@@ -78,13 +81,14 @@ enum Msg {
 }
 
 /// A query in flight: everything the worker needs, including the
-/// admission credit's page charge (returned when the job drops).
+/// admission credit's page charge (returned when the worker takes it
+/// out after settling the books, or when the job drops).
 struct Job {
     sql: String,
     algo: SkylineAlgo,
     token: CancelToken,
     quota: BufferPool,
-    _charge: BufferLease,
+    charge: Option<BufferLease>,
     results: Arc<WorkQueue<Msg>>,
     stats: Arc<Mutex<SessionStats>>,
     submitted_at: Instant,
@@ -282,7 +286,7 @@ impl Session {
             algo: q.algo,
             token: token.clone(),
             quota: BufferPool::new(quota_pages),
-            _charge: charge,
+            charge: Some(charge),
             results: Arc::clone(&results),
             stats: Arc::clone(&self.stats),
             submitted_at: Instant::now(),
@@ -423,7 +427,7 @@ enum Verdict {
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.jobs.pop() {
+    while let Some(mut job) = shared.jobs.pop() {
         let waited = job.submitted_at.elapsed();
         let started = Instant::now();
         let outcome = run_query(shared, &job);
@@ -438,9 +442,12 @@ fn worker_loop(shared: &Shared) {
                 Verdict::Failed => st.failed += 1,
             }
             st.pages_peak = st.pages_peak.max(pages_peak);
-            st.wall_ms += u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-            st.queue_wait_ms += u64::try_from(waited.as_millis()).unwrap_or(u64::MAX);
+            st.add_times(started.elapsed(), waited);
         }
+        // Return the page charge before the verdict is visible: a client
+        // that resubmits on `End` must not be shed by its own finished
+        // query still sitting on the ledger.
+        drop(job.charge.take());
         // Publish the verdict only after the books are settled, so a
         // client that has seen its terminal message can trust the
         // counters. Bounded by the stream grace like every other push.
@@ -453,7 +460,7 @@ fn worker_loop(shared: &Shared) {
             // client gone or stalled; closing the channel severs it
         }
         job.results.close();
-        drop(job); // returns the shared-pool page charge
+        drop(job);
         shared.gate.release();
     }
 }

@@ -14,6 +14,8 @@
 //! conserved hop by hop, and the server snapshot is the plain sum of
 //! its sessions — there is no second bookkeeping to drift.
 
+use std::time::Duration;
+
 /// Counters for one session (and, summed, for the whole server).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
@@ -36,10 +38,14 @@ pub struct SessionStats {
     /// Highest per-query quota-pool peak observed, in pages.
     pub pages_peak: usize,
     /// Total execution wall time across finished queries, in
-    /// milliseconds.
-    pub wall_ms: u64,
+    /// microseconds.
+    pub wall_us: u64,
     /// Total time finished queries spent waiting in the admission
-    /// queue, in milliseconds.
+    /// queue, in microseconds.
+    pub queue_wait_us: u64,
+    /// `wall_us / 1000`: the total is truncated, not each query.
+    pub wall_ms: u64,
+    /// `queue_wait_us / 1000`.
     pub queue_wait_ms: u64,
 }
 
@@ -50,6 +56,15 @@ impl SessionStats {
     pub fn conserved(&self) -> bool {
         self.submitted == self.admitted + self.rejected
             && self.admitted == self.completed + self.cancelled + self.failed + self.in_flight
+    }
+
+    /// Charge one finished query's execution wall time and queue wait.
+    pub fn add_times(&mut self, wall: Duration, queue_wait: Duration) {
+        let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        self.wall_us = self.wall_us.saturating_add(us(wall));
+        self.queue_wait_us = self.queue_wait_us.saturating_add(us(queue_wait));
+        self.wall_ms = self.wall_us / 1000;
+        self.queue_wait_ms = self.queue_wait_us / 1000;
     }
 
     /// Fold another session's counters into this one (sums; peak is a
@@ -63,8 +78,10 @@ impl SessionStats {
         self.failed += other.failed;
         self.in_flight += other.in_flight;
         self.pages_peak = self.pages_peak.max(other.pages_peak);
-        self.wall_ms += other.wall_ms;
-        self.queue_wait_ms += other.queue_wait_ms;
+        self.wall_us += other.wall_us;
+        self.queue_wait_us += other.queue_wait_us;
+        self.wall_ms = self.wall_us / 1000;
+        self.queue_wait_ms = self.queue_wait_us / 1000;
     }
 }
 
@@ -92,6 +109,8 @@ mod tests {
             failed: 0,
             in_flight: 1,
             pages_peak: 64,
+            wall_us: 10_400,
+            queue_wait_us: 3_700,
             wall_ms: 10,
             queue_wait_ms: 3,
         };
@@ -109,6 +128,23 @@ mod tests {
         assert!(sum.conserved());
         assert_eq!(sum.submitted, 7);
         assert_eq!(sum.pages_peak, 128, "peak is a max, not a sum");
+        assert_eq!((sum.wall_ms, sum.queue_wait_ms), (10, 3));
+    }
+
+    #[test]
+    fn sub_millisecond_times_add_up_instead_of_truncating_to_zero() {
+        let mut s = SessionStats::default();
+        for _ in 0..1_000 {
+            s.add_times(Duration::from_micros(400), Duration::from_micros(400));
+        }
+        assert_eq!((s.wall_us, s.wall_ms), (400_000, 400));
+        assert_eq!((s.queue_wait_us, s.queue_wait_ms), (400_000, 400));
+        // …and two sessions' remainders carry into the server total
+        let mut total = SessionStats::default();
+        s.wall_us += 600;
+        total.absorb(&s);
+        total.absorb(&s);
+        assert_eq!(total.wall_ms, 801);
     }
 
     #[test]

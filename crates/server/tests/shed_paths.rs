@@ -139,3 +139,34 @@ fn quota_failure_settles_books_and_drains_ledger() {
     assert!(stats.conserved(), "{stats:?}");
     assert_eq!((stats.admitted, stats.completed, stats.failed), (2, 1, 1));
 }
+
+/// A finished query's page charge is back on the ledger before its
+/// client can see the verdict: with the pool sized for exactly one
+/// query, a session that resubmits the moment `collect()` returns must
+/// never be shed by its own previous query.
+#[test]
+fn resubmit_on_end_is_never_shed_by_the_finished_query() {
+    let cfg = ServerConfig {
+        pool_pages: 64,
+        quota_pages: 64,
+        ..ServerConfig::default()
+    };
+    let server = SkylineServer::new(catalog(), cfg);
+    let session = server.session();
+    for i in 0..300 {
+        let rows = session
+            .submit(SKYLINE_SQL)
+            .unwrap_or_else(|e| panic!("iteration {i}: shed by its own predecessor: {e:?}"))
+            .collect()
+            .expect("fault-free query completes");
+        assert!(!rows.is_empty());
+        assert_eq!(
+            server.inflight_pages(),
+            0,
+            "iteration {i}: the verdict was visible before the charge returned"
+        );
+    }
+    let stats = session.stats();
+    assert!(stats.conserved(), "{stats:?}");
+    assert_eq!((stats.completed, stats.rejected), (300, 0), "{stats:?}");
+}

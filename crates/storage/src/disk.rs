@@ -245,6 +245,15 @@ pub fn write_text(path: &Path, contents: &str) -> std::io::Result<()> {
     std::fs::write(path, contents)
 }
 
+/// Read a text artifact written by [`write_text`] (or by hand) — the
+/// matching doorway for the `raw-io` lint.
+///
+/// # Errors
+/// Propagates open and read failures, including invalid UTF-8.
+pub fn read_text(path: &Path) -> std::io::Result<String> {
+    std::fs::read_to_string(path)
+}
+
 impl FileDisk {
     /// Create a disk rooted at `dir` (created if missing). Files are named
     /// `skyline-<id>.pages` and removed on [`Disk::delete`]; any such file

@@ -33,7 +33,7 @@ mod sync;
 
 pub use btree::{BTree, BTreeScan, SharedBTreeScan};
 pub use buffer::{BufferLease, BufferPool};
-pub use disk::{write_text, Disk, FileDisk, FileId, MemDisk};
+pub use disk::{read_text, write_text, Disk, FileDisk, FileId, MemDisk};
 pub use error::{ErrorKind, IoOp, StorageError};
 pub use fault::{FaultDisk, FaultSchedule};
 pub use heap::{HeapFile, HeapScanner, HeapWriter, SharedScanner};

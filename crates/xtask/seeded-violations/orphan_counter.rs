@@ -1,10 +1,9 @@
 //! Seeded violation: **counter-conservation**.
 //!
 //! A miniature `SkylineMetrics` with an `orphans` counter that never
-//! reaches `MetricsSnapshot` (or the snapshot/absorb/reset plumbing),
-//! and a `window_inserts` statistic the gate report drops. The
-//! self-test maps this file to `crates/core/src/metrics.rs` next to a
-//! stub gate sink and asserts both holes are flagged.
+//! reaches `MetricsSnapshot` (or the snapshot/absorb/reset plumbing).
+//! The self-test maps this file to `crates/core/src/metrics.rs` and
+//! asserts the hole is flagged at each of the four hops.
 
 pub struct SkylineMetrics {
     comparisons: AtomicU64,

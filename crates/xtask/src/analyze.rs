@@ -48,10 +48,11 @@
 //!    must block — all while a guard is held — are stall/deadlock
 //!    findings.
 //! 7. **counter-conservation** — every `SkylineMetrics` counter must
-//!    survive the whole plumbing: a `MetricsSnapshot` field, the
-//!    `snapshot`/`absorb`/`reset`/`plus` hops, and the downstream
-//!    sinks (bench gate report, xtask report parser). A counter
-//!    dropped at any hop is a silently-lost statistic.
+//!    survive the hub's plumbing: a `MetricsSnapshot` field and the
+//!    `snapshot`/`absorb`/`reset`/`plus` hops. A counter dropped at any
+//!    hop is a silently-lost statistic. (Downstream, the bench gate
+//!    reports `MetricsSnapshot::counters()`, whose exhaustive
+//!    destructure makes the compiler do this job.)
 //! 8. **resource-pairing** — path-sensitive pairing of acquire-shaped
 //!    effects: a `Backpressure` credit (`.acquire(` /
 //!    `.acquire_timeout(` / `.try_acquire(`) must be `.release()`d —
@@ -138,9 +139,8 @@ const RECORD_TOKENS: &[&str] = &[".next()", ".next_record(", ".pop()", ".probe"]
 /// [`WorkQueue`]/[`Backpressure`]-typed binding.
 const BLOCKING_METHODS: &[&str] = &[".push(", ".pop(", ".acquire("];
 
-/// The metrics hub and the downstream sinks every counter must reach.
+/// The metrics hub every counter must be plumbed through.
 const METRICS_PATH: &str = "crates/core/src/metrics.rs";
-const COUNTER_SINKS: &[&str] = &["crates/bench/src/gate.rs", "crates/xtask/src/bench.rs"];
 
 /// Directories under the resource-pairing and books-before-visibility
 /// contracts: everywhere credits, leases, and admission counters move.
@@ -1327,11 +1327,10 @@ fn collect_blocking_lets(block: &Block, set: &mut BTreeSet<String>) {
 
 // ------------------------------------------------ counter-conservation
 
-/// Every `SkylineMetrics` counter must survive the whole statistics
-/// pipeline: a `MetricsSnapshot` field, the `snapshot`/`absorb`/`reset`
-/// plumbing, snapshot `plus`, and the downstream sinks (`bench` gate
-/// report and the xtask report parser). A counter added in core but
-/// dropped anywhere downstream is a silently-lost statistic.
+/// Every `SkylineMetrics` counter must survive the hub: a
+/// `MetricsSnapshot` field, the `snapshot`/`absorb`/`reset` plumbing,
+/// and snapshot `plus`. A counter dropped at any hop is a silently-lost
+/// statistic.
 fn counter_lint(files: &[(String, CleanSource)], models: &[FileModel], out: &mut Vec<Finding>) {
     let Some((_, metrics_cs)) = files.iter().find(|(p, _)| p == METRICS_PATH) else {
         return;
@@ -1382,60 +1381,6 @@ fn counter_lint(files: &[(String, CleanSource)], models: &[FileModel], out: &mut
                     });
                 }
             }
-        }
-    }
-    // downstream sinks: gate report and report parser
-    for sink in COUNTER_SINKS {
-        let Some((_, cs)) = files.iter().find(|(p, _)| p == sink) else {
-            continue;
-        };
-        // raw text: in the sinks a counter travels as a JSON key string
-        // (`"passes": {}` / `"passes"` parser lookups), which lexical
-        // cleaning would blank out. When the sink has a model with a
-        // `report_json` fn, scope the check to that fn's lines — else
-        // struct fields and aggregation code elsewhere in the file mask
-        // a counter dropped from the rendered report. (The xtask parser
-        // sink has no model — xtask is excluded — and keeps the
-        // whole-file check.)
-        let text = models
-            .iter()
-            .find(|m| m.path == *sink)
-            .and_then(|m| fn_raw_lines(cs, m, "report_json"))
-            .unwrap_or_else(|| cs.raw.join("\n"));
-        for (c, _) in &snap {
-            if word_hits(&text, c).is_empty() {
-                out.push(Finding {
-                    lint: "counter-conservation",
-                    file: (*sink).to_string(),
-                    line: 1,
-                    excerpt: format!(
-                        "SkylineMetrics counter `{c}` is not plumbed through this sink — the statistic is silently dropped"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// The raw source lines spanned by fn `name`'s body, `None` when the
-/// file has no such fn with a body.
-fn fn_raw_lines(cs: &CleanSource, m: &FileModel, name: &str) -> Option<String> {
-    let f = m.fns.iter().find(|f| f.name == name)?;
-    let body = f.body.as_ref()?;
-    let mut last = f.line;
-    last_stmt_line(body, &mut last);
-    let lo = f.line.saturating_sub(1);
-    let hi = last.min(cs.raw.len());
-    Some(cs.raw[lo..hi].join("\n"))
-}
-
-fn last_stmt_line(block: &Block, last: &mut usize) {
-    for stmt in &block.stmts {
-        if stmt.line > *last {
-            *last = stmt.line;
-        }
-        for b in &stmt.blocks {
-            last_stmt_line(b, last);
         }
     }
 }

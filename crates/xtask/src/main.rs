@@ -11,23 +11,14 @@
 //!   the dominance auditors watch every operator test.
 //! * `oracle` — the differential gate of [`oracle`]: every algorithm
 //!   against the naive O(n²) oracle across the paper's workload grid.
-//! * `bench [--gate] [--smoke]` — run the parallel-SFS bench gate.
-//!   Without `--gate`, (re)writes the committed `BENCH_pr9.json`
-//!   baseline; with `--gate`, writes a fresh report to `target/` and
-//!   diffs it against the committed one via [`bench::compare`]
-//!   (deterministic counters exactly, wall time within 20%), then
-//!   checks [`bench::improvement`] (the committed `BENCH_pr5.json`
-//!   must beat the retained scalar-era `BENCH_pr4.json` by ≥1.3× in
-//!   model comparison cost with a bit-identical skyline) and
-//!   [`bench::batch_beats_row`] (in `BENCH_pr9.json` the columnar
-//!   sections must reproduce their row twins' skylines bit-for-bit
-//!   while strictly reducing rows materialized and bytes moved) and
-//!   [`bench::shard_beats_naive`] (in `BENCH_pr10.json` the grid and
-//!   representative exchanges must reproduce the single-node skyline
-//!   bit-for-bit while strictly reducing bytes exchanged and
-//!   coordinator comparisons vs the naive exchange at every shard
-//!   count). `--smoke` runs only the small sections — the CI
-//!   configuration.
+//! * `bench [--gate] [--smoke]` — run the counter gate (the
+//!   `bench_gate` binary of `skyline-bench`, release build). Without
+//!   `--gate` it rewrites the committed `BENCH_gate.txt`; with `--gate`
+//!   it only reads it: every counter a fresh run reports must equal its
+//!   committed value exactly, mismatches are listed by key. Timings go
+//!   to `target/bench_gate_report.txt` and are never compared — wall
+//!   regressions are `BENCHMARK.json`'s job. `--smoke` runs only the
+//!   small sections — the CI configuration.
 //! * `ratchet --base PATH` — monotonicity check: the committed
 //!   `lint-baseline.txt` must be ≤ the snapshot at PATH entry-wise (CI
 //!   passes the PR base branch's copy), so allowances only ever shrink.
@@ -36,7 +27,6 @@
 
 mod analyze;
 mod baseline;
-mod bench;
 mod callgraph;
 mod cfg;
 mod lints;
@@ -242,21 +232,9 @@ fn run_oracle() -> Result<(), String> {
     }
 }
 
-/// Run the bench-gate and shard-gate binaries; with `gate`, diff their
-/// fresh reports against the committed `BENCH_pr9.json` /
-/// `BENCH_pr10.json` (deterministic fields must match exactly, wall
-/// time within [`bench::MAX_WALL_REGRESSION`]), check the committed
-/// `BENCH_pr5.json` improves on the scalar-era `BENCH_pr4.json` by
-/// [`bench::MIN_COST_IMPROVEMENT`], check the committed `BENCH_pr9.json`
-/// batch sections beat their row twins via [`bench::batch_beats_row`],
-/// and check the committed `BENCH_pr10.json` grid/representative runs
-/// beat the naive exchange via [`bench::shard_beats_naive`].
+/// Spawn the counter gate; it owns the golden file, the laws and the
+/// comparison (`skyline_bench::gate`).
 fn run_bench(root: &Path, gate: bool, smoke: bool) -> Result<(), String> {
-    let out_rel = if gate {
-        "target/bench_gate_fresh.json"
-    } else {
-        "BENCH_pr9.json"
-    };
     let mut args = vec![
         "run",
         "--release",
@@ -270,76 +248,10 @@ fn run_bench(root: &Path, gate: bool, smoke: bool) -> Result<(), String> {
     if smoke {
         args.push("--smoke");
     }
-    args.extend(["--out", out_rel]);
-    run_cargo(root, &args)?;
-    let shard_out_rel = if gate {
-        "target/shard_gate_fresh.json"
-    } else {
-        "BENCH_pr10.json"
-    };
-    let mut shard_args = vec![
-        "run",
-        "--release",
-        "-q",
-        "-p",
-        "skyline-bench",
-        "--bin",
-        "shard_gate",
-        "--",
-    ];
-    if smoke {
-        shard_args.push("--smoke");
+    if gate {
+        args.push("--check");
     }
-    shard_args.extend(["--out", shard_out_rel]);
-    run_cargo(root, &shard_args)?;
-    if !gate {
-        return Ok(());
-    }
-    let committed = std::fs::read_to_string(root.join("BENCH_pr9.json")).map_err(|e| {
-        format!("read BENCH_pr9.json: {e} — regenerate the baseline with `cargo xtask bench`")
-    })?;
-    let fresh =
-        std::fs::read_to_string(root.join(out_rel)).map_err(|e| format!("read {out_rel}: {e}"))?;
-    for note in bench::compare(&committed, &fresh)? {
-        println!("bench: {note}");
-    }
-    println!("bench: gate ok — fresh run agrees with the committed BENCH_pr9.json");
-    let scalar_era = std::fs::read_to_string(root.join("BENCH_pr4.json"))
-        .map_err(|e| format!("read BENCH_pr4.json (scalar-era baseline): {e}"))?;
-    let block_era = std::fs::read_to_string(root.join("BENCH_pr5.json"))
-        .map_err(|e| format!("read BENCH_pr5.json (block-era baseline): {e}"))?;
-    for note in bench::improvement(&scalar_era, &block_era)? {
-        println!("bench: {note}");
-    }
-    println!(
-        "bench: improvement ok — block kernel beats the scalar-era baseline by ≥{:.1}×",
-        bench::MIN_COST_IMPROVEMENT
-    );
-    for note in bench::batch_beats_row(&committed)? {
-        println!("bench: {note}");
-    }
-    println!(
-        "bench: batch ok — columnar sections beat their row twins on data movement \
-         (wall within {:.0}% at t=1)",
-        (bench::BATCH_WALL_SLACK - 1.0) * 100.0
-    );
-    let committed_shard = std::fs::read_to_string(root.join("BENCH_pr10.json")).map_err(|e| {
-        format!("read BENCH_pr10.json: {e} — regenerate the baseline with `cargo xtask bench`")
-    })?;
-    let fresh_shard = std::fs::read_to_string(root.join(shard_out_rel))
-        .map_err(|e| format!("read {shard_out_rel}: {e}"))?;
-    for note in bench::shard_compare(&committed_shard, &fresh_shard)? {
-        println!("bench: {note}");
-    }
-    println!("bench: shard gate ok — fresh run agrees with the committed BENCH_pr10.json");
-    for note in bench::shard_beats_naive(&committed_shard)? {
-        println!("bench: {note}");
-    }
-    println!(
-        "bench: shard ok — grid and representative strictly reduce bytes exchanged and \
-         coordinator comparisons vs naive at every shard count"
-    );
-    Ok(())
+    run_cargo(root, &args)
 }
 
 fn usage() -> String {

@@ -31,7 +31,7 @@ pub fn rule_help(lint: &str) -> &'static str {
             "No bounded-queue pushes, condvar waits, or blocking callees while a mutex guard is held."
         }
         "counter-conservation" => {
-            "Every SkylineMetrics counter must survive snapshot, absorb, reset, merge, and report sinks."
+            "Every SkylineMetrics counter must survive snapshot, absorb, reset, and merge (plus)."
         }
         "resource-pairing" => {
             "Acquired credits, admission-counter bumps, and pool leases must be released, rolled back, or Drop-carried on every error exit path."

@@ -24,7 +24,7 @@ use skyline::exec::{collect, HeapScan, NarrowLayout, Operator};
 use skyline::relation::gen::{Distribution, WorkloadSpec};
 use skyline::relation::RecordLayout;
 use skyline::storage::{HeapFile, MemDisk};
-use skyline_bench::gate::{report_json, run_section, GateSpec};
+use skyline_bench::gate::{golden_of, parse_golden, render_golden, run_section, GateSpec};
 use std::sync::Arc;
 
 /// An anti-correlated workload (big skyline, guaranteed multipass at
@@ -486,63 +486,42 @@ fn sharded_aggregate_is_exact_and_the_exchange_meter_closes() {
     }
 }
 
-/// Pull one `u64` field back out of the hand-rolled gate JSON.
-fn field_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let at = json.find(&pat)? + pat.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// The three movement counters survive the trip into the gate report
-/// verbatim — batch sections serialize the measured values, row sections
-/// serialize the analytic model with `batches` pinned to 0.
+/// The three movement counters survive the trip into the gate's golden
+/// text verbatim — narrow runs serialize the measured values, record runs
+/// the analytic model with `batches` pinned to 0.
 #[test]
 fn movement_counters_round_trip_through_the_gate_report() {
-    let batch_spec = GateSpec {
-        label: "rt-batch",
+    let runs = run_section(&GateSpec {
+        label: "rt",
         n: 600,
         d: 4,
         window_pages: 2,
         threads: &[1],
-        batch: true,
+    });
+    let golden = parse_golden(&render_golden(&golden_of(&runs))).expect("own text parses");
+    let [record, narrow] = runs.as_slice() else {
+        panic!("one run per format, got {runs:?}");
     };
-    let section = run_section(&batch_spec);
-    let json = report_json(std::slice::from_ref(&section), None);
-    let r = &section.runs[0];
-    for (key, want) in [
-        ("batches", r.batches),
-        ("rows_materialized", r.rows_materialized),
-        ("bytes_moved", r.bytes_moved),
-    ] {
-        assert!(want > 0, "batch section must measure a nonzero `{key}`");
+    for key in ["batches", "rows_materialized", "bytes_moved"] {
+        let want = narrow.get(key);
+        assert!(want > Some(0), "narrow runs must measure a nonzero `{key}`");
         assert_eq!(
-            field_u64(&json, key),
-            Some(want),
-            "`{key}` did not round-trip through the report"
+            golden.get(&format!("rt/narrow t=1/{key}")).copied(),
+            want,
+            "`{key}` did not round-trip through the golden text"
+        );
+        assert_eq!(
+            golden.get(&format!("rt/record t=1/{key}")).copied(),
+            record.get(key)
         );
     }
-
-    let row_spec = GateSpec {
-        label: "rt-row",
-        batch: false,
-        ..batch_spec
-    };
-    let section = run_section(&row_spec);
-    let json = report_json(std::slice::from_ref(&section), None);
-    let r = &section.runs[0];
-    assert_eq!(r.batches, 0, "row sections never form batches");
-    assert_eq!(field_u64(&json, "batches"), Some(0));
     assert_eq!(
-        field_u64(&json, "rows_materialized"),
-        Some(r.rows_materialized)
+        record.get("batches"),
+        Some(0),
+        "record runs never form batches"
     );
-    assert_eq!(field_u64(&json, "bytes_moved"), Some(r.bytes_moved));
     assert!(
-        r.rows_materialized > r.skyline,
-        "the row model re-materializes more than the survivors"
+        record.get("rows_materialized") > record.get("skyline"),
+        "the record model re-materializes more than the survivors"
     );
 }
