@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the columnar block kernel against the
 //! scalar dominance loop: the same presorted SFS probe stream driven
 //! through a `Vec`-of-rows window with [`dominates`] versus a
-//! [`BlockWindow`] with its summary pruning and Theorem-4 cutoff.
+//! [`BlockWindow`] with its summary pruning, Theorem-4 cutoff and
+//! level-code screen. `sfs_scalar_window` is the reference column.
 
 use skyline_bench::crit::{BenchmarkId, Criterion};
 use skyline_bench::{criterion_group, criterion_main};

@@ -132,8 +132,9 @@ impl SkylineMetrics {
     }
 
     /// Record the block-kernel side of a probe: blocks pruned whole by
-    /// summaries/bounds and window-entry lanes physically evaluated.
-    /// Scalar-kernel probes add nothing here.
+    /// summaries/bounds and window-entry lanes screened (every lane of a
+    /// non-skipped block, tested once by level code). Scalar-kernel
+    /// probes add nothing here.
     #[inline]
     pub fn add_block_stats(&self, blocks_skipped: u64, lanes_compared: u64) {
         self.blocks_skipped
@@ -236,8 +237,10 @@ pub struct MetricsSnapshot {
     /// Window blocks pruned whole by the columnar kernel's summaries /
     /// score bounds (zero on scalar-kernel runs).
     pub blocks_skipped: u64,
-    /// Window-entry lanes physically evaluated by the batched columnar
-    /// kernel (zero on scalar-kernel runs).
+    /// Window-entry lanes screened by the columnar kernel: the population
+    /// of every non-skipped block, each tested once by level code — not
+    /// the (smaller, uncounted) number that reached an exact f64 compare.
+    /// Zero on scalar-kernel runs.
     pub lanes_compared: u64,
     /// Column-major key batches formed (zero on row-path runs).
     pub batches: u64,

@@ -759,12 +759,13 @@ impl KWayMerge {
         if self.heap.is_empty() {
             return Ok(None);
         }
-        // Move the minimum out, refill from its scanner, restore the heap.
-        let (bytes, idx) = {
+        // Swap the minimum out — the heap entry keeps the previous output
+        // buffer's allocation to refill into — then restore the heap.
+        let idx = {
             let top = &mut self.heap[0];
-            (std::mem::take(&mut top.1), top.2)
+            std::mem::swap(&mut self.out, &mut top.1);
+            top.2
         };
-        self.out = bytes;
         match self.scanners[idx].next_record()? {
             Some(r) => {
                 let top = &mut self.heap[0];

@@ -63,6 +63,35 @@ where
     f(&mut rng);
 }
 
+/// One oriented dominance key of `d` criteria whose columns are hard
+/// on anything that quantizes or summarizes them. The column kind cycles
+/// with the criterion index: a wide integer range, a constant column
+/// (zero range), two distinct values, heavy ties, the `i32` extremes,
+/// ±1e300, a sprinkling of ±∞ / NaN lanes, and a fractional range.
+pub fn hostile_key(rng: &mut Rng, d: usize) -> Vec<f64> {
+    fn pick(rng: &mut Rng, from: &[f64]) -> f64 {
+        from[rng.usize_below(from.len())]
+    }
+    (0..d)
+        .map(|c| match c % 8 {
+            0 => rng.usize_below(1000) as f64,
+            1 => 42.0,
+            2 => pick(rng, &[-1.0, 1.0]),
+            3 => rng.usize_below(5) as f64,
+            4 => pick(
+                rng,
+                &[f64::from(i32::MIN), f64::from(i32::MAX), -1.0, 0.0, 1.0],
+            ),
+            5 => pick(rng, &[1e300, -1e300, 0.5, -0.5]),
+            6 if rng.usize_below(8) == 0 => {
+                pick(rng, &[f64::INFINITY, f64::NEG_INFINITY, f64::NAN])
+            }
+            6 => rng.usize_below(3) as f64,
+            _ => rng.usize_below(1 << 20) as f64 / 1024.0 - 512.0,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -303,6 +303,101 @@ fn fractional_tables_stay_in_memory_and_answer_correctly() {
     }
 }
 
+/// A table built to be hard on the window's level-code quantizer
+/// (DESIGN.md §12.5): `k` is constant (a zero range), `b` holds exactly
+/// the two i32 extremes, `m` takes five values, and every `(w, v)` pair
+/// occurs four times, so whole keys repeat — under a MIN/MAX mix.
+fn quantizer_stress_catalog(n: i64) -> (Catalog, &'static str) {
+    let schema = Schema::of(&[
+        ("id", ColumnType::Int),
+        ("k", ColumnType::Int),
+        ("b", ColumnType::Int),
+        ("m", ColumnType::Int),
+        ("w", ColumnType::Int),
+        ("v", ColumnType::Int),
+    ]);
+    let mut t = Table::empty(schema);
+    let distinct = n / 4;
+    for i in 0..n {
+        let pair = i % distinct;
+        let b = i64::from(if (i / distinct) % 2 == 0 {
+            i32::MIN
+        } else {
+            i32::MAX
+        });
+        t.push(tuple![
+            i,
+            7,
+            b,
+            (pair * 13) % 5,
+            pair,
+            pair + (pair * 7) % 5
+        ])
+        .unwrap();
+    }
+    let mut cat = Catalog::new();
+    cat.register("t", t);
+    (
+        cat,
+        "SELECT * FROM t SKYLINE OF k MAX, b MIN, m MAX, w MIN, v MAX",
+    )
+}
+
+/// The quantizer-stress table through SQL on the paged path, for every
+/// algorithm hint: the naive oracle's rows, duplicates included, and no
+/// page left behind.
+#[test]
+fn quantizer_stress_table_on_the_paged_path_matches_the_oracle() {
+    let (cat, sql) = quantizer_stress_catalog(2_400);
+    let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
+    assert!(
+        want.len() > 8 * 16,
+        "fixture must fill several window blocks"
+    );
+    for algo in PAGED_ALGOS {
+        let disk = MemDisk::shared();
+        let pool = BufferPool::new(1 << 16);
+        let opts = ExecOptions::default()
+            .with_algo(algo)
+            .with_external_threshold(1_000)
+            .with_sort_pages(4)
+            .with_pool(pool.clone())
+            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+        assert_eq!(got.rows(), want.rows(), "{algo:?}");
+        assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
+        assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
+        assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
+    }
+}
+
+/// The same table below the threshold: the in-memory windows, same
+/// oracle, and not one page written.
+#[test]
+fn quantizer_stress_table_in_memory_matches_the_oracle() {
+    let (cat, sql) = quantizer_stress_catalog(2_400);
+    let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
+    let mut algos = PAGED_ALGOS.to_vec();
+    algos.push(SkylineAlgo::DivideAndConquer);
+    for algo in algos {
+        let disk = MemDisk::shared();
+        let pool = BufferPool::new(1 << 16);
+        let opts = ExecOptions::default()
+            .with_algo(algo)
+            .with_pool(pool.clone())
+            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+        assert_eq!(got.rows(), want.rows(), "{algo:?}");
+        assert_eq!(
+            disk.stats().writes(),
+            0,
+            "{algo:?}: paged below the threshold"
+        );
+        assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
+        assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
+    }
+}
+
 #[test]
 fn error_paths_are_reported() {
     let catalog = Catalog::new();
