@@ -1,3 +1,5 @@
+#![warn(clippy::missing_errors_doc, clippy::missing_panics_doc)]
+
 //! Experiment harness reproducing the paper's evaluation (§5).
 //!
 //! Every figure/table has a binary in `src/bin/` built from the runners

@@ -24,6 +24,9 @@ impl ReportTable {
     }
 
     /// Append a row (stringified cells).
+    ///
+    /// # Panics
+    /// When `cells` does not have one cell per header column.
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells);
@@ -121,7 +124,7 @@ mod tests {
         t.row(vec!["1".into(), "2".into()]);
         let dir = std::env::temp_dir().join(format!("skyline-report-{}", std::process::id()));
         t.save_csv(&dir, "demo").unwrap();
-        let text = std::fs::read_to_string(dir.join("demo.csv")).unwrap();
+        let text = skyline_storage::read_text(&dir.join("demo.csv")).unwrap();
         assert_eq!(text, "a,b\n1,2\n");
         let _ = std::fs::remove_dir_all(&dir);
     }

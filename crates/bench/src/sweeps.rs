@@ -16,6 +16,10 @@ use std::time::Instant;
 /// Figures 9 & 10: the three SFS variants over a window sweep (d = 7 at
 /// paper scale). One sweep produces both the time table (Fig. 9) and the
 /// extra-page I/O table (Fig. 10).
+///
+/// # Panics
+/// When the three SFS variants disagree on the skyline — the sweep
+/// doubles as a cross-check.
 pub fn fig09_10(ds: &Dataset, d: usize, windows: &[usize]) -> (ReportTable, ReportTable) {
     let mut time = ReportTable::new(
         format!(
@@ -117,6 +121,9 @@ fn re_window_limit(n: usize, windows: &[usize], full: bool) -> Vec<usize> {
 
 /// Figures 12/13 (times) and 14/15 (I/Os): SFS (w/E,P) vs BNL vs
 /// BNL w/RE at dimension `d`. Fig 12+14 use d=5; Fig 13+15 use d=7.
+///
+/// # Panics
+/// When SFS and BNL disagree on the skyline.
 pub fn fig_comparison(
     ds: &Dataset,
     d: usize,
@@ -271,6 +278,9 @@ pub fn table_dimred(n: usize, seed: u64) -> ReportTable {
 /// §5 text: the first four skyline strata at d = 4 and d = 5 with a
 /// 500-page window (paper: d=4 sizes 460/1,430/2,766/4,444 in 118 s;
 /// d=5 sizes 1,651/5,749/11,879/19,020 in 723 s).
+///
+/// # Panics
+/// When the external strata run fails (the bench disk is fault-free).
 pub fn table_strata(ds: &Dataset, dims: &[usize], window_pages: usize) -> ReportTable {
     let mut t = ReportTable::new(
         format!(
@@ -318,6 +328,9 @@ pub fn table_strata(ds: &Dataset, dims: &[usize], window_pages: usize) -> Report
 /// |R|/|Window| number of passes." Sweep the three canonical
 /// distributions at a fixed small window and report skyline fraction,
 /// passes, and times.
+///
+/// # Panics
+/// When SFS and BNL disagree on the skyline.
 pub fn table_distributions(n: usize, seed: u64, d: usize, window_pages: usize) -> ReportTable {
     use skyline_relation::gen::Distribution;
     let mut t = ReportTable::new(
@@ -369,6 +382,9 @@ pub fn table_distributions(n: usize, seed: u64, d: usize, window_pages: usize) -
 /// "random" arrival impossible. Compare BNL over heap (random) order vs
 /// index order ascending/descending on attribute 0, with SFS — which
 /// re-sorts anyway — for reference.
+///
+/// # Panics
+/// When any input order changes the skyline.
 pub fn table_clustered(ds: &Dataset, d: usize, window_pages: usize) -> ReportTable {
     let mut t = ReportTable::new(
         format!(

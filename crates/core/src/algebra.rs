@@ -18,6 +18,9 @@ use crate::algo::{naive, sfs, MemSortOrder};
 use crate::keys::KeyMatrix;
 
 /// Project a key matrix onto a subset of its dimensions.
+///
+/// # Panics
+/// When `dims` is empty or names a dimension `keys` does not have.
 pub fn project_dims(keys: &KeyMatrix, dims: &[usize]) -> KeyMatrix {
     assert!(!dims.is_empty(), "need at least one dimension");
     assert!(dims.iter().all(|&d| d < keys.d()), "dimension out of range");

@@ -74,6 +74,9 @@ pub enum MemSortOrder {
 }
 
 /// Sort row indices into a monotone (topological-wrt-dominance) order.
+///
+/// # Panics
+/// When an entropy score is NaN, which finite keys never produce.
 pub fn presort_indices(keys: &KeyMatrix, order: MemSortOrder) -> Vec<usize> {
     let n = keys.n();
     let mut idx: Vec<usize> = (0..n).collect();
@@ -237,6 +240,9 @@ fn naive_over(keys: &KeyMatrix, rows: &[usize], comparisons: &mut u64) -> Vec<us
 /// stratum `i` is the skyline after removing strata `0..i`. Runs one
 /// presorted pass with `k` windows; tuples dominated in every window fall
 /// off the end (they belong to strata ≥ `k`).
+///
+/// # Panics
+/// When `k` is zero.
 pub fn strata(keys: &KeyMatrix, k: usize, order: MemSortOrder) -> (Vec<Vec<usize>>, u64) {
     assert!(k > 0, "need at least one stratum");
     let idx = presort_indices(keys, order);

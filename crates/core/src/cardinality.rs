@@ -84,6 +84,9 @@ pub fn expected_selectivity(n: usize, d: usize) -> f64 {
 /// This is the optimizer hook the paper's §6 asks for ("a cardinality
 /// estimator for skyline queries is necessary if skyline is to be
 /// incorporated into relational engines").
+///
+/// # Panics
+/// When `entry_bytes` is zero.
 pub fn recommend_window_pages(n: usize, d: usize, entry_bytes: usize) -> usize {
     assert!(entry_bytes > 0);
     let per_page = (skyline_relation::PAGE_SIZE / entry_bytes).max(1);

@@ -124,6 +124,11 @@ impl SkylineSpec {
 
     /// Validate against a layout (every referenced attribute must exist,
     /// and criteria/diff attributes must be distinct).
+    ///
+    /// # Errors
+    /// [`SpecError::Empty`] without criteria, [`SpecError::AttrOutOfRange`] /
+    /// [`SpecError::DuplicateAttr`] for an attribute the layout lacks or that is
+    /// named twice.
     pub fn validate(&self, layout: &RecordLayout) -> Result<(), SpecError> {
         if self.criteria.is_empty() {
             return Err(SpecError::Empty);

@@ -46,6 +46,13 @@
 //! while [`ProbeCost::lanes`] records the lanes screened and
 //! [`ProbeCost::blocks_skipped`] the summary prunes.
 
+// Hot path: typed errors only, nothing discarded (DESIGN.md §8.1).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok, unused_must_use))]
+
 /// Entries per block. Sixteen f64 lanes per criterion column = two cache
 /// lines, as are the block's sixteen level codes; small enough that
 /// per-block summaries prune at fine grain.

@@ -100,6 +100,9 @@ impl HistogramEntropyScore {
 
     /// Build from flat row-major oriented keys (`n × d`), sampling every
     /// row, with `buckets` buckets per dimension.
+    ///
+    /// # Panics
+    /// When `d` is zero or `keys` holds less than one row.
     pub fn from_keys(keys: &[f64], d: usize, buckets: usize) -> Self {
         assert!(d > 0 && keys.len() >= d);
         let dims = (0..d)
@@ -113,6 +116,9 @@ impl HistogramEntropyScore {
 
     /// Approximate min/max stats consistent with the histogram (for
     /// interoperating with APIs that want [`ColumnStats`]).
+    ///
+    /// # Panics
+    /// Never in practice: a normalizer always has at least one bound.
     pub fn minmax_stats(&self) -> Vec<ColumnStats> {
         self.dims
             .iter()

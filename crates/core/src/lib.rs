@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::missing_errors_doc, clippy::missing_panics_doc)]
 
 //! **Skyline with presorting** — a full implementation of the SFS
 //! (Sort-Filter-Skyline) algorithm of Chomicki, Godfrey, Gryz & Liang

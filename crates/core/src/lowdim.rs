@@ -18,6 +18,9 @@ use crate::algo::{sfs, AlgoResult, MemSortOrder};
 use crate::keys::KeyMatrix;
 
 /// 1-D skyline: every row equal to the maximum.
+///
+/// # Panics
+/// When `keys` is not one column wide.
 pub fn skyline_1d(keys: &KeyMatrix) -> AlgoResult {
     assert_eq!(keys.d(), 1, "skyline_1d needs a 1-column matrix");
     let mut best = f64::NEG_INFINITY;
@@ -34,6 +37,9 @@ pub fn skyline_1d(keys: &KeyMatrix) -> AlgoResult {
 /// 2-D skyline in `O(n log n)`: sort by `(x desc, y desc)`; within each
 /// equal-`x` group only the group's maximal `y` can survive, and it does
 /// iff it beats the best `y` seen among strictly larger `x`.
+///
+/// # Panics
+/// When `keys` is not two columns wide, or a key is NaN.
 pub fn skyline_2d(keys: &KeyMatrix) -> AlgoResult {
     assert_eq!(keys.d(), 2, "skyline_2d needs a 2-column matrix");
     let n = keys.n();
@@ -104,6 +110,9 @@ impl Staircase {
 /// 3-D skyline: process equal-`x` groups in descending `x`; each group's
 /// survivors are its own 2-D `(y, z)` skyline minus anything the
 /// staircase (strictly larger `x`) covers.
+///
+/// # Panics
+/// When `keys` is not three columns wide, or a key is NaN.
 pub fn skyline_3d(keys: &KeyMatrix) -> AlgoResult {
     assert_eq!(keys.d(), 3, "skyline_3d needs a 3-column matrix");
     let n = keys.n();

@@ -15,24 +15,109 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared counters updated by a skyline operator while it runs.
-#[derive(Debug, Default)]
-pub struct SkylineMetrics {
-    comparisons: AtomicU64,
-    passes: AtomicU64,
-    temp_records: AtomicU64,
-    window_inserts: AtomicU64,
-    discarded: AtomicU64,
-    emitted: AtomicU64,
-    input_records: AtomicU64,
-    blocks_skipped: AtomicU64,
-    lanes_compared: AtomicU64,
-    batches: AtomicU64,
-    rows_materialized: AtomicU64,
-    bytes_moved: AtomicU64,
-    bytes_exchanged: AtomicU64,
-    exchange_frames: AtomicU64,
-    pruned_by_representatives: AtomicU64,
+/// The one list of counters. Everything a counter must survive on its
+/// way from an operator to a report — a `SkylineMetrics` atomic, a
+/// `MetricsSnapshot` field, and the `reset`/`snapshot`/`absorb`/`plus`/
+/// `counters` hops between them — is generated from it, so a counter
+/// cannot be dropped at one hop. The doc comment on each entry becomes
+/// the snapshot field's.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Shared counters updated by a skyline operator while it runs.
+        #[derive(Debug, Default)]
+        pub struct SkylineMetrics {
+            $($name: AtomicU64,)*
+        }
+
+        /// Immutable copy of [`SkylineMetrics`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl SkylineMetrics {
+            /// Reset all counters.
+            pub fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+            }
+
+            /// Point-in-time copy.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+
+            /// Fold a worker's snapshot into these counters — how the
+            /// parallel filter surfaces per-worker metrics through the
+            /// caller's aggregate.
+            pub fn absorb(&self, s: &MetricsSnapshot) {
+                $(self.$name.fetch_add(s.$name, Ordering::Relaxed);)*
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Component-wise sum — the exact-aggregation identity the
+            /// parallel filter is tested against (`aggregate == Σ workers
+            /// + merge`).
+            #[must_use]
+            pub fn plus(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name + other.$name,)*
+                }
+            }
+
+            /// Every counter as a `(name, value)` pair, in declaration
+            /// order — what the bench gate writes per run.
+            #[must_use]
+            pub fn counters(&self) -> [(&'static str, u64); [$(stringify!($name)),*].len()] {
+                [$((stringify!($name), self.$name),)*]
+            }
+        }
+    };
+}
+
+counters! {
+    /// Dominance comparisons performed.
+    comparisons,
+    /// Filter passes run.
+    passes,
+    /// Records written to temp files (across all passes).
+    temp_records,
+    /// Window insertions.
+    window_inserts,
+    /// Tuples discarded as dominated.
+    discarded,
+    /// Tuples emitted as skyline.
+    emitted,
+    /// Records fetched from the operator's child (excludes temp refetches).
+    input_records,
+    /// Window blocks pruned whole by the columnar kernel's summaries /
+    /// score bounds (zero on scalar-kernel runs).
+    blocks_skipped,
+    /// Window-entry lanes screened by the columnar kernel: the population
+    /// of every non-skipped block, each tested once by level code — not
+    /// the (smaller, uncounted) number that reached an exact f64 compare.
+    /// Zero on scalar-kernel runs.
+    lanes_compared,
+    /// Column-major key batches formed (zero on row-path runs).
+    batches,
+    /// Full-width records materialized from row ids at emission — the
+    /// batch path's late-materialization count (zero on row-path runs).
+    rows_materialized,
+    /// Modeled bytes crossing stage boundaries (zero on row-path runs;
+    /// the bench gate derives the row path's equivalent analytically).
+    bytes_moved,
+    /// Bytes crossing the shard exchange — frame headers plus payload for
+    /// local-skyline uploads and representative broadcasts (zero on
+    /// single-node runs).
+    bytes_exchanged,
+    /// Length-prefixed frames crossing the shard exchange (zero on
+    /// single-node runs).
+    exchange_frames,
+    /// Shard-local skyline candidates pruned by broadcast representatives
+    /// before serialization (zero unless representative filtering ran).
+    pruned_by_representatives,
 }
 
 impl SkylineMetrics {
@@ -142,192 +227,6 @@ impl SkylineMetrics {
         self.lanes_compared
             .fetch_add(lanes_compared, Ordering::Relaxed);
     }
-
-    /// Reset all counters.
-    pub fn reset(&self) {
-        for c in [
-            &self.comparisons,
-            &self.passes,
-            &self.temp_records,
-            &self.window_inserts,
-            &self.discarded,
-            &self.emitted,
-            &self.input_records,
-            &self.blocks_skipped,
-            &self.lanes_compared,
-            &self.batches,
-            &self.rows_materialized,
-            &self.bytes_moved,
-            &self.bytes_exchanged,
-            &self.exchange_frames,
-            &self.pruned_by_representatives,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Point-in-time copy.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            comparisons: self.comparisons.load(Ordering::Relaxed),
-            passes: self.passes.load(Ordering::Relaxed),
-            temp_records: self.temp_records.load(Ordering::Relaxed),
-            window_inserts: self.window_inserts.load(Ordering::Relaxed),
-            discarded: self.discarded.load(Ordering::Relaxed),
-            emitted: self.emitted.load(Ordering::Relaxed),
-            input_records: self.input_records.load(Ordering::Relaxed),
-            blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
-            lanes_compared: self.lanes_compared.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            rows_materialized: self.rows_materialized.load(Ordering::Relaxed),
-            bytes_moved: self.bytes_moved.load(Ordering::Relaxed),
-            bytes_exchanged: self.bytes_exchanged.load(Ordering::Relaxed),
-            exchange_frames: self.exchange_frames.load(Ordering::Relaxed),
-            pruned_by_representatives: self.pruned_by_representatives.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Fold a worker's snapshot into these counters — how the parallel
-    /// filter surfaces per-worker metrics through the caller's aggregate.
-    pub fn absorb(&self, s: &MetricsSnapshot) {
-        self.comparisons.fetch_add(s.comparisons, Ordering::Relaxed);
-        self.passes.fetch_add(s.passes, Ordering::Relaxed);
-        self.temp_records
-            .fetch_add(s.temp_records, Ordering::Relaxed);
-        self.window_inserts
-            .fetch_add(s.window_inserts, Ordering::Relaxed);
-        self.discarded.fetch_add(s.discarded, Ordering::Relaxed);
-        self.emitted.fetch_add(s.emitted, Ordering::Relaxed);
-        self.input_records
-            .fetch_add(s.input_records, Ordering::Relaxed);
-        self.blocks_skipped
-            .fetch_add(s.blocks_skipped, Ordering::Relaxed);
-        self.lanes_compared
-            .fetch_add(s.lanes_compared, Ordering::Relaxed);
-        self.batches.fetch_add(s.batches, Ordering::Relaxed);
-        self.rows_materialized
-            .fetch_add(s.rows_materialized, Ordering::Relaxed);
-        self.bytes_moved.fetch_add(s.bytes_moved, Ordering::Relaxed);
-        self.bytes_exchanged
-            .fetch_add(s.bytes_exchanged, Ordering::Relaxed);
-        self.exchange_frames
-            .fetch_add(s.exchange_frames, Ordering::Relaxed);
-        self.pruned_by_representatives
-            .fetch_add(s.pruned_by_representatives, Ordering::Relaxed);
-    }
-}
-
-/// Immutable copy of [`SkylineMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Dominance comparisons performed.
-    pub comparisons: u64,
-    /// Filter passes run.
-    pub passes: u64,
-    /// Records written to temp files (across all passes).
-    pub temp_records: u64,
-    /// Window insertions.
-    pub window_inserts: u64,
-    /// Tuples discarded as dominated.
-    pub discarded: u64,
-    /// Tuples emitted as skyline.
-    pub emitted: u64,
-    /// Records fetched from the operator's child (excludes temp refetches).
-    pub input_records: u64,
-    /// Window blocks pruned whole by the columnar kernel's summaries /
-    /// score bounds (zero on scalar-kernel runs).
-    pub blocks_skipped: u64,
-    /// Window-entry lanes screened by the columnar kernel: the population
-    /// of every non-skipped block, each tested once by level code — not
-    /// the (smaller, uncounted) number that reached an exact f64 compare.
-    /// Zero on scalar-kernel runs.
-    pub lanes_compared: u64,
-    /// Column-major key batches formed (zero on row-path runs).
-    pub batches: u64,
-    /// Full-width records materialized from row ids at emission — the
-    /// batch path's late-materialization count (zero on row-path runs).
-    pub rows_materialized: u64,
-    /// Modeled bytes crossing stage boundaries (zero on row-path runs;
-    /// the bench gate derives the row path's equivalent analytically).
-    pub bytes_moved: u64,
-    /// Bytes crossing the shard exchange — frame headers plus payload for
-    /// local-skyline uploads and representative broadcasts (zero on
-    /// single-node runs).
-    pub bytes_exchanged: u64,
-    /// Length-prefixed frames crossing the shard exchange (zero on
-    /// single-node runs).
-    pub exchange_frames: u64,
-    /// Shard-local skyline candidates pruned by broadcast representatives
-    /// before serialization (zero unless representative filtering ran).
-    pub pruned_by_representatives: u64,
-}
-
-impl MetricsSnapshot {
-    /// Component-wise sum — the exact-aggregation identity the parallel
-    /// filter is tested against (`aggregate == Σ workers + merge`).
-    #[must_use]
-    pub fn plus(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            comparisons: self.comparisons + other.comparisons,
-            passes: self.passes + other.passes,
-            temp_records: self.temp_records + other.temp_records,
-            window_inserts: self.window_inserts + other.window_inserts,
-            discarded: self.discarded + other.discarded,
-            emitted: self.emitted + other.emitted,
-            input_records: self.input_records + other.input_records,
-            blocks_skipped: self.blocks_skipped + other.blocks_skipped,
-            lanes_compared: self.lanes_compared + other.lanes_compared,
-            batches: self.batches + other.batches,
-            rows_materialized: self.rows_materialized + other.rows_materialized,
-            bytes_moved: self.bytes_moved + other.bytes_moved,
-            bytes_exchanged: self.bytes_exchanged + other.bytes_exchanged,
-            exchange_frames: self.exchange_frames + other.exchange_frames,
-            pruned_by_representatives: self.pruned_by_representatives
-                + other.pruned_by_representatives,
-        }
-    }
-
-    /// Every counter as a `(name, value)` pair, in declaration order —
-    /// what the bench gate writes per run. The destructure has no `..`,
-    /// so a field added to the snapshot does not compile until it is
-    /// reported here.
-    #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 15] {
-        let MetricsSnapshot {
-            comparisons,
-            passes,
-            temp_records,
-            window_inserts,
-            discarded,
-            emitted,
-            input_records,
-            blocks_skipped,
-            lanes_compared,
-            batches,
-            rows_materialized,
-            bytes_moved,
-            bytes_exchanged,
-            exchange_frames,
-            pruned_by_representatives,
-        } = *self;
-        [
-            ("comparisons", comparisons),
-            ("passes", passes),
-            ("temp_records", temp_records),
-            ("window_inserts", window_inserts),
-            ("discarded", discarded),
-            ("emitted", emitted),
-            ("input_records", input_records),
-            ("blocks_skipped", blocks_skipped),
-            ("lanes_compared", lanes_compared),
-            ("batches", batches),
-            ("rows_materialized", rows_materialized),
-            ("bytes_moved", bytes_moved),
-            ("bytes_exchanged", bytes_exchanged),
-            ("exchange_frames", exchange_frames),
-            ("pruned_by_representatives", pruned_by_representatives),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -412,5 +311,33 @@ mod tests {
         m.absorb(&a);
         m.absorb(&b);
         assert_eq!(m.snapshot(), a.plus(&b));
+    }
+
+    /// The hops are generated from the list: a list with a counter the
+    /// real one lacks gets the whole plumbing for it, no other edit.
+    mod extended {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        counters! {
+            /// A counter the real list has.
+            passes,
+            /// A counter nobody plumbed by hand.
+            brand_new,
+        }
+
+        #[test]
+        fn a_listed_counter_reaches_every_hop() {
+            let s = MetricsSnapshot {
+                passes: 2,
+                brand_new: 5,
+            };
+            let m = SkylineMetrics::default();
+            m.absorb(&s);
+            m.absorb(&s);
+            assert_eq!(m.snapshot(), s.plus(&s));
+            assert_eq!(m.snapshot().counters(), [("passes", 4), ("brand_new", 10)]);
+            m.reset();
+            assert_eq!(m.snapshot(), MetricsSnapshot::default());
+        }
     }
 }

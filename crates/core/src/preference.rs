@@ -66,6 +66,9 @@ impl PreferenceIndex {
     /// The best row under a monotone scoring — found by scanning only the
     /// skyline (Lemma 2 guarantees the answer is there). Ties broken by
     /// lower row index. `None` on an empty relation.
+    ///
+    /// # Panics
+    /// When `score` returns NaN.
     pub fn best<S: MonotoneScore + ?Sized>(&self, score: &S) -> Option<usize> {
         self.skyline.iter().copied().max_by(|&a, &b| {
             score

@@ -116,6 +116,9 @@ pub struct ComposedScore {
 impl ComposedScore {
     /// Build from per-dimension monotone increasing functions. The caller
     /// is responsible for monotonicity.
+    ///
+    /// # Panics
+    /// When `fns` is empty.
     pub fn new(fns: Vec<Box<dyn Fn(f64) -> f64 + Send + Sync>>) -> Self {
         assert!(!fns.is_empty());
         ComposedScore { fns }
@@ -132,6 +135,9 @@ impl MonotoneScore for ComposedScore {
 /// Compare two oriented keys lexicographically, **descending** — the
 /// nested sort of the paper's Figure 6 (`ORDER BY a₁ DESC, …, a_k DESC`),
 /// itself a monotone order by Theorem 7.
+///
+/// # Panics
+/// When a key is NaN.
 #[inline]
 pub fn nested_desc(a: &[f64], b: &[f64]) -> Ordering {
     debug_assert_eq!(a.len(), b.len());

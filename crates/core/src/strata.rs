@@ -35,6 +35,9 @@ pub struct StrataResult {
 ///
 /// # Errors
 /// Propagates operator and configuration errors.
+///
+/// # Panics
+/// When `k` is zero.
 #[allow(clippy::too_many_arguments)]
 pub fn strata_external(
     heap: Arc<HeapFile>,

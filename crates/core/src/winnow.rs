@@ -82,6 +82,9 @@ pub struct WeightedSumPreference {
 
 impl WeightedSumPreference {
     /// Build from weights (any signs allowed; it's just a linear functional).
+    ///
+    /// # Panics
+    /// When `weights` is empty.
     pub fn new(weights: Vec<f64>) -> Self {
         assert!(!weights.is_empty());
         WeightedSumPreference { weights }

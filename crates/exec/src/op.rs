@@ -12,9 +12,17 @@ use std::sync::Arc;
 /// allocation-free.
 pub trait Operator {
     /// Prepare the stream. Blocking operators (sort) do their work here.
+    ///
+    /// # Errors
+    /// Whatever preparing the stream hits: storage faults, an exhausted page
+    /// budget, cancellation.
     fn open(&mut self) -> Result<(), ExecError>;
 
     /// Produce the next record, or `Ok(None)` at end of stream.
+    ///
+    /// # Errors
+    /// Storage faults, cancellation, or [`ExecError::Protocol`] for a `next`
+    /// before `open`.
     fn next(&mut self) -> Result<Option<&[u8]>, ExecError>;
 
     /// Release resources (temp files, buffer leases). Idempotent.

@@ -10,9 +10,16 @@
 //! cannot — actual blocking — asserting no lost wakeups (every release
 //! wakes an admitter) and that close() releases all waiters.
 
-use skyline_exec::{Backpressure, TryAcquire};
+use skyline_exec::{Backpressure, Credit, TryAcquire};
 use skyline_testkit::interleave::{interleavings, schedule_count};
-use std::sync::Arc;
+
+/// What a `try_acquire` step observed, stripped of the credit itself.
+#[derive(Debug, PartialEq, Eq)]
+enum Seen {
+    Granted,
+    Exhausted,
+    Closed,
+}
 
 /// Pure sequential reference for the gate's observable behavior.
 struct ModelGate {
@@ -32,44 +39,62 @@ impl ModelGate {
         }
     }
 
-    fn try_acquire(&mut self) -> TryAcquire {
+    fn try_acquire(&mut self) -> Seen {
         if self.closed {
-            TryAcquire::Closed
+            Seen::Closed
         } else if self.available > 0 {
             self.available -= 1;
             self.granted += 1;
-            TryAcquire::Granted
+            Seen::Granted
         } else {
-            TryAcquire::Exhausted
+            Seen::Exhausted
         }
     }
 
+    /// A held credit drops. Returning one that was never granted is
+    /// not a step the guard API can express, so neither can the model.
     fn release(&mut self) {
+        assert!(self.granted > self.returned, "release without a grant");
         self.available += 1;
         self.returned += 1;
     }
 }
 
+/// One admitter step on both gates; a granted [`Credit`] joins `held`.
+fn acquire_step(real: &Backpressure, model: &mut ModelGate, held: &mut Vec<Credit>) {
+    let got = match real.try_acquire() {
+        TryAcquire::Granted(credit) => {
+            held.push(credit);
+            Seen::Granted
+        }
+        TryAcquire::Exhausted => Seen::Exhausted,
+        TryAcquire::Closed => Seen::Closed,
+    };
+    assert_eq!(got, model.try_acquire());
+}
+
+/// One finisher step: the oldest held credit (if any) drops.
+fn release_step(model: &mut ModelGate, held: &mut Vec<Credit>) {
+    if !held.is_empty() {
+        drop(held.remove(0));
+        model.release();
+    }
+}
+
 #[test]
 fn gate_matches_reference_model_on_every_interleaving() {
-    // admitter: try_acquire ×2; finisher: release; closer: close.
-    // One credit exercises exhaustion; the closer exercises refusal in
-    // every position relative to the grants.
+    // admitter: try_acquire ×2; finisher: drop a held credit; closer:
+    // close. One credit exercises exhaustion; the closer exercises
+    // refusal in every position relative to the grants.
     let shape = [2usize, 1, 1];
     let explored = interleavings(&shape, |schedule| {
         let real = Backpressure::new(1);
         let mut model = ModelGate::new(1);
+        let mut held = Vec::new();
         for &t in schedule {
             match t {
-                0 => {
-                    let got = real.try_acquire();
-                    let want = model.try_acquire();
-                    assert_eq!(got, want, "acquire at {schedule:?}");
-                }
-                1 => {
-                    real.release();
-                    model.release();
-                }
+                0 => acquire_step(&real, &mut model, &mut held),
+                1 => release_step(&mut model, &mut held),
                 _ => {
                     real.close();
                     model.closed = true;
@@ -77,14 +102,11 @@ fn gate_matches_reference_model_on_every_interleaving() {
             }
             // step invariants: state agreement and grant/return
             // conservation at every prefix of every schedule
-            assert_eq!(real.available(), model.available);
+            assert_eq!(real.available(), model.available, "{schedule:?}");
             assert_eq!(real.is_closed(), model.closed);
             assert_eq!(real.granted(), model.granted);
             assert_eq!(real.returned(), model.returned);
-            assert_eq!(
-                real.outstanding(),
-                model.granted.saturating_sub(model.returned)
-            );
+            assert_eq!(real.outstanding(), held.len() as u64);
         }
     });
     assert_eq!(explored, schedule_count(&shape));
@@ -93,28 +115,22 @@ fn gate_matches_reference_model_on_every_interleaving() {
 #[test]
 fn two_admitters_conserve_credits_on_every_interleaving() {
     // Two competing admitters against a 1-credit gate, with a finisher
-    // returning one credit: however the grants interleave, at most one
+    // dropping one credit: however the grants interleave, at most one
     // credit is ever outstanding per un-returned grant.
     let shape = [2usize, 2, 1];
     let explored = interleavings(&shape, |schedule| {
         let real = Backpressure::new(1);
         let mut model = ModelGate::new(1);
+        let mut held = Vec::new();
         for &t in schedule {
             match t {
-                0 | 1 => {
-                    let got = real.try_acquire();
-                    let want = model.try_acquire();
-                    assert_eq!(got, want, "admitter {t} at {schedule:?}");
-                }
-                _ => {
-                    real.release();
-                    model.release();
-                }
+                0 | 1 => acquire_step(&real, &mut model, &mut held),
+                _ => release_step(&mut model, &mut held),
             }
             assert_eq!(real.available(), model.available);
             assert_eq!(real.granted(), model.granted);
-            // credit conservation: every acquire moves one credit from
-            // the pool to a holder, every release moves one back, so
+            // credit conservation: every grant moves one credit from
+            // the pool to a holder, every drop moves one back, so
             // available + granted − returned is always the capacity
             assert_eq!(
                 real.available() as u64 + real.granted() - real.returned(),
@@ -122,6 +138,8 @@ fn two_admitters_conserve_credits_on_every_interleaving() {
                 "credit conservation at {schedule:?}"
             );
         }
+        drop(held);
+        assert_eq!(real.granted(), real.returned(), "every grant came home");
     });
     assert_eq!(explored, schedule_count(&shape));
 }
@@ -129,20 +147,19 @@ fn two_admitters_conserve_credits_on_every_interleaving() {
 #[test]
 fn real_thread_stress_has_no_lost_wakeups() {
     // 4 admitters × 50 rounds through a 2-credit gate, with blocking
-    // acquire. A lost wakeup (a release whose notify lands nowhere
-    // while an acquirer sleeps) would deadlock this test; completion
-    // plus exact conservation is the assertion.
+    // acquire. A lost wakeup (a drop whose notify lands nowhere while
+    // an acquirer sleeps) would deadlock this test; completion plus
+    // exact conservation is the assertion.
     const ROUNDS: u64 = 50;
     const THREADS: u64 = 4;
-    let gate = Arc::new(Backpressure::new(2));
+    let gate = Backpressure::new(2);
     std::thread::scope(|s| {
         for _ in 0..THREADS {
-            let gate = Arc::clone(&gate);
-            s.spawn(move || {
+            s.spawn(|| {
                 for _ in 0..ROUNDS {
-                    assert!(gate.acquire(), "gate is never closed here");
+                    let credit = gate.acquire().expect("gate is never closed here");
                     std::thread::yield_now();
-                    gate.release();
+                    drop(credit);
                 }
             });
         }
@@ -158,12 +175,12 @@ fn real_thread_close_releases_all_waiters() {
     // Exhaust the gate, park three blocking acquirers on it, close.
     // Every waiter must wake with a refusal — none may hang (the
     // shutdown-liveness contract).
-    let gate = Arc::new(Backpressure::new(1));
-    assert!(gate.acquire());
+    let gate = Backpressure::new(1);
+    let held = gate.acquire();
     let waiters: Vec<_> = (0..3)
         .map(|_| {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || gate.acquire())
+            let gate = gate.clone();
+            std::thread::spawn(move || gate.acquire().is_some())
         })
         .collect();
     // give the waiters time to actually block on the empty gate
@@ -173,6 +190,6 @@ fn real_thread_close_releases_all_waiters() {
         assert!(!h.join().unwrap(), "close must refuse every waiter");
     }
     // the in-flight credit still comes home after close
-    gate.release();
+    drop(held);
     assert_eq!(gate.outstanding(), 0);
 }

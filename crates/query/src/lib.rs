@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::missing_errors_doc, clippy::missing_panics_doc)]
 
 //! A small SQL dialect with the paper's `SKYLINE OF` clause (Figure 3):
 //!

@@ -126,6 +126,10 @@ fn infer_type(cells: &[String]) -> ColumnType {
 
 /// Read a table from CSV text with a header row. When `schema` is `None`,
 /// column types are inferred from the data.
+///
+/// # Errors
+/// [`CsvError::Io`] from the reader; [`CsvError::Parse`] with the line number
+/// for an empty input, a ragged row or a cell its column type rejects.
 pub fn read_csv<R: BufRead>(reader: R, schema: Option<Schema>) -> Result<Table, CsvError> {
     let mut lines = Vec::new();
     for (i, line) in reader.lines().enumerate() {
@@ -201,6 +205,9 @@ fn quote(field: &str) -> String {
 }
 
 /// Write a table as CSV with a header row.
+///
+/// # Errors
+/// Whatever the writer reports.
 pub fn write_csv<W: Write>(table: &Table, mut w: W) -> io::Result<()> {
     let header: Vec<String> = table
         .schema()

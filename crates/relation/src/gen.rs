@@ -90,6 +90,9 @@ impl WorkloadSpec {
     }
 
     /// Generate the encoded records.
+    ///
+    /// # Panics
+    /// When the domain is empty (`lo > hi`).
     pub fn generate(&self) -> Vec<Vec<u8>> {
         let mut rng = Rng::seed_from_u64(self.seed);
         let (lo, hi) = self.domain;
@@ -165,6 +168,9 @@ impl WorkloadSpec {
     /// Generate only the first-`d`-attribute key matrix (row-major,
     /// `n × d`, flattened) without materializing records. Same values as
     /// [`WorkloadSpec::generate`] followed by key extraction.
+    ///
+    /// # Panics
+    /// When `d` exceeds the layout's dimensions.
     pub fn generate_keys(&self, d: usize) -> Vec<f64> {
         assert!(d <= self.layout.dims);
         let recs = self.generate();

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::missing_errors_doc, clippy::missing_panics_doc)]
 
 //! Relational substrate for the skyline workspace: schemas, values, tuples,
 //! fixed-width record codecs, workload generators, statistics, and sample

@@ -53,6 +53,9 @@ impl RecordLayout {
     ///
     /// `attrs.len()` must equal `dims` and `payload.len()` must equal
     /// `self.payload`.
+    ///
+    /// # Panics
+    /// When either length is off.
     pub fn encode(&self, attrs: &[i32], payload: &[u8]) -> Vec<u8> {
         assert_eq!(attrs.len(), self.dims, "attribute arity mismatch");
         assert_eq!(payload.len(), self.payload, "payload size mismatch");
@@ -71,6 +74,9 @@ impl RecordLayout {
     }
 
     /// Decode a single attribute without touching the rest of the record.
+    ///
+    /// # Panics
+    /// When `record` is too short to hold attribute `i`.
     #[inline]
     pub fn attr(&self, record: &[u8], i: usize) -> i32 {
         debug_assert!(i < self.dims);

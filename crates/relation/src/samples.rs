@@ -11,6 +11,9 @@ use crate::tuple;
 ///
 /// Its skyline under `S MAX, F MAX, D MAX, price MIN` is Figure 2:
 /// Summer Moon, Zakopane, Yamanote, and Fenton & Pickle.
+///
+/// # Panics
+/// Never: the rows are static and match the schema.
 pub fn good_eats() -> Table {
     let schema = Schema::of(&[
         ("restaurant", ColumnType::Str),
@@ -40,6 +43,9 @@ pub const GOOD_EATS_SKYLINE: [&str; 4] = ["Summer Moon", "Zakopane", "Yamanote",
 /// over schema `(a1, a2)`. All three tuples are skyline, but `(2,2)` is not
 /// the maximum of any *positive linear* scoring function — only of a
 /// non-linear monotone one.
+///
+/// # Panics
+/// Never: the rows are static and match the schema.
 pub fn theorem4_points() -> Table {
     let schema = Schema::of(&[("a1", ColumnType::Int), ("a2", ColumnType::Int)]);
     Table::new(schema, vec![tuple![4, 1], tuple![2, 2], tuple![1, 4]])

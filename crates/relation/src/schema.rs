@@ -62,6 +62,9 @@ pub struct Schema {
 
 impl Schema {
     /// Build a schema; column names must be unique (case-insensitive).
+    ///
+    /// # Errors
+    /// [`SchemaError::DuplicateColumn`] naming the first repeated column.
     pub fn new(columns: Vec<Column>) -> Result<Self, SchemaError> {
         for (i, a) in columns.iter().enumerate() {
             for b in &columns[i + 1..] {
@@ -75,6 +78,9 @@ impl Schema {
 
     /// Shorthand for building from `(name, type)` pairs. Panics on
     /// duplicates; intended for statically known schemas in tests/examples.
+    ///
+    /// # Panics
+    /// On a duplicate column name.
     pub fn of(cols: &[(&str, ColumnType)]) -> Self {
         Schema::new(cols.iter().map(|(n, t)| Column::new(*n, *t)).collect())
             .expect("duplicate column in static schema")

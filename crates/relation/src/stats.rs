@@ -74,6 +74,9 @@ pub struct TableStats {
 
 impl TableStats {
     /// Compute stats over the first `d` attributes of encoded records.
+    ///
+    /// # Panics
+    /// When `d` exceeds the layout's dimensions.
     pub fn from_records<'a, I>(layout: RecordLayout, d: usize, records: I) -> Self
     where
         I: IntoIterator<Item = &'a [u8]>,
@@ -89,6 +92,9 @@ impl TableStats {
     }
 
     /// Compute stats over a flat row-major `n × d` key matrix.
+    ///
+    /// # Panics
+    /// When `d` is zero or does not divide `keys.len()`.
     pub fn from_keys(keys: &[f64], d: usize) -> Self {
         assert!(d > 0 && keys.len().is_multiple_of(d));
         let mut columns = vec![ColumnStats::empty(); d];

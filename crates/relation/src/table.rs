@@ -24,6 +24,10 @@ impl Table {
     }
 
     /// Build from schema and rows, checking arity.
+    ///
+    /// # Errors
+    /// [`TableError::ArityMismatch`] for the first row whose width differs from
+    /// the schema's.
     pub fn new(schema: Schema, rows: Vec<Tuple>) -> Result<Self, TableError> {
         for (i, r) in rows.iter().enumerate() {
             if r.len() != schema.len() {
@@ -58,6 +62,10 @@ impl Table {
     }
 
     /// Append one row, checking arity.
+    ///
+    /// # Errors
+    /// [`TableError::ArityMismatch`] when the row's width differs from the
+    /// schema's; the table is unchanged.
     pub fn push(&mut self, row: Tuple) -> Result<(), TableError> {
         if row.len() != self.schema.len() {
             return Err(TableError::ArityMismatch {
@@ -77,6 +85,10 @@ impl Table {
 
     /// Extract an `n × k` matrix of `f64` keys for the named columns.
     /// Fails if a column is missing or a value is non-numeric.
+    ///
+    /// # Errors
+    /// [`TableError::NoSuchColumn`] for a missing column,
+    /// [`TableError::NonNumeric`] for the first row with a non-numeric value.
     pub fn numeric_matrix(&self, columns: &[&str]) -> Result<Vec<Vec<f64>>, TableError> {
         let idx: Vec<usize> = columns
             .iter()
@@ -99,6 +111,13 @@ impl Table {
     ///
     /// Values outside `i32` range are clamped; this is only used to push
     /// friendly tables down into the paged engine.
+    ///
+    /// # Errors
+    /// [`TableError::NoSuchColumn`] for a missing key column,
+    /// [`TableError::NonNumeric`] for the first row with a non-integer key.
+    ///
+    /// # Panics
+    /// When there are more key columns than the layout has dimensions.
     pub fn to_records(
         &self,
         layout: RecordLayout,

@@ -25,6 +25,9 @@ pub enum Value {
 impl Value {
     /// Construct a float value, rejecting NaN (which would break the total
     /// order skyline criteria require).
+    ///
+    /// # Errors
+    /// [`ValueError::NanFloat`] for NaN.
     pub fn float(f: f64) -> Result<Self, ValueError> {
         if f.is_nan() {
             Err(ValueError::NanFloat)

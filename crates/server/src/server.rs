@@ -6,31 +6,33 @@
 //!   live — stats updates happen in their own tight scopes.
 //! - The worker loop is cancel-live: every job run begins with a token
 //!   check, and the streaming loop re-checks between batches.
-//! - Every resource is lease-shaped. The admission credit and the
-//!   shared-pool page charge travel *inside* the job, so whichever
-//!   thread drops the job (an unwinding worker, or the queue drain at
-//!   shutdown) returns them — and a worker that finishes a job returns
-//!   the charge before it publishes the verdict, so a client never
-//!   observes its own finished query on the ledger; result channels are
-//!   closed by the worker on every path and by [`QueryHandle`]'s drop
-//!   on the client side.
+//! - Every resource is lease-shaped. The admission credit, the
+//!   shared-pool page charge and the open book entry travel *inside*
+//!   the job as one [`Admission`], so whichever thread drops the job
+//!   (an unwinding worker, or the queue drain at shutdown) returns and
+//!   settles them — and the terminal message can only be built from the
+//!   token [`Admission::settle`] yields, so a client never observes its
+//!   own finished query on the ledger or the books; result channels
+//!   are closed by the worker on every path and by [`QueryHandle`]'s
+//!   drop on the client side.
 
+use crate::admission::{Admission, Settled};
 use crate::config::ServerConfig;
 use crate::error::ServerError;
 use crate::stats::{ServerSnapshot, SessionStats};
-use skyline_exec::{Backpressure, CancelToken, PushTimeout, TryAcquire, WorkQueue};
+use skyline_exec::{Backpressure, CancelToken, PushTimeout, WorkQueue};
 use skyline_query::{
     catalog::Catalog, execute_query_with, parse, ExecOptions, QueryError, SkylineAlgo,
 };
 use skyline_relation::Tuple;
-use skyline_storage::{BufferLease, BufferPool};
+use skyline_storage::BufferPool;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Poison-recovering lock: the ledger data stays usable even if a
 /// worker panicked mid-update.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -75,32 +77,33 @@ impl QueryOptions {
 enum Msg {
     /// A batch of result rows, in order.
     Rows(Vec<Tuple>),
-    /// Terminal marker: how the query ended. Exactly one per query
-    /// unless the channel was severed.
-    End(Result<(), ServerError>),
+    /// Terminal marker: how the query ended, built from settled books.
+    /// Exactly one per query unless the channel was severed.
+    End(Settled),
 }
 
-/// A query in flight: everything the worker needs, including the
-/// admission credit's page charge (returned when the worker takes it
-/// out after settling the books, or when the job drops).
+/// A query in flight: everything the worker needs. Fields drop in
+/// order, so an abandoned job settles its books and returns its pages
+/// and credit before its channel closes.
 struct Job {
+    admission: Admission,
     sql: String,
     algo: SkylineAlgo,
     token: CancelToken,
     quota: BufferPool,
-    charge: Option<BufferLease>,
-    results: Arc<WorkQueue<Msg>>,
-    stats: Arc<Mutex<SessionStats>>,
-    submitted_at: Instant,
+    results: ResultTx,
 }
 
-impl Drop for Job {
+/// The worker's end of a query's result channel.
+struct ResultTx(Arc<WorkQueue<Msg>>);
+
+impl Drop for ResultTx {
     /// Sever the result channel on every exit — including a worker
     /// unwinding mid-job — so an abandoned client observes
     /// [`ServerError::Stalled`] instead of blocking forever. Closing is
-    /// idempotent; the normal path has already closed after its `End`.
+    /// idempotent.
     fn drop(&mut self) {
-        self.results.close();
+        self.0.close();
     }
 }
 
@@ -248,32 +251,12 @@ impl Session {
         if sh.root.is_cancelled() {
             return Err(self.reject(ServerError::Shutdown));
         }
-        // Pages watermark: the query's whole quota is charged up front,
-        // so admitted quotas can never oversubscribe the server pool.
+        // The pages and queue-depth watermarks, then the book entry —
+        // opened *before* the job becomes visible to workers: a fast
+        // worker could otherwise settle a query nobody had admitted.
         let quota_pages = q.quota_pages.unwrap_or(sh.cfg.quota_pages);
-        let charge = match sh.pool.reserve(quota_pages) {
-            Ok(lease) => lease,
-            Err(_) => {
-                return Err(self.reject(ServerError::Overloaded {
-                    retry_after_ms: sh.cfg.retry_after_ms,
-                }))
-            }
-        };
-        // Queue-depth watermark: waiting is bounded by the admission
-        // timeout, then the query is shed.
-        match sh.gate.acquire_timeout(sh.cfg.admission_timeout) {
-            TryAcquire::Granted => {}
-            TryAcquire::Exhausted => {
-                drop(charge);
-                return Err(self.reject(ServerError::Overloaded {
-                    retry_after_ms: sh.cfg.retry_after_ms,
-                }));
-            }
-            TryAcquire::Closed => {
-                drop(charge);
-                return Err(self.reject(ServerError::Shutdown));
-            }
-        }
+        let admission = Admission::open(&sh.pool, &sh.gate, &sh.cfg, quota_pages, &self.stats)
+            .map_err(|e| self.reject(e))?;
         let deadline = q.deadline.or(sh.cfg.deadline);
         let token = match deadline {
             Some(d) => sh.root.child_with_deadline(d),
@@ -282,39 +265,26 @@ impl Session {
         let results: Arc<WorkQueue<Msg>> =
             Arc::new(WorkQueue::bounded(sh.cfg.result_batches.max(1)));
         let job = Job {
+            admission,
             sql: sql.to_string(),
             algo: q.algo,
             token: token.clone(),
             quota: BufferPool::new(quota_pages),
-            charge: Some(charge),
-            results: Arc::clone(&results),
-            stats: Arc::clone(&self.stats),
-            submitted_at: Instant::now(),
+            results: ResultTx(Arc::clone(&results)),
         };
-        // Count the admission *before* the job becomes visible to
-        // workers: a fast worker could otherwise finish the query (and
-        // decrement `in_flight`) before we ever incremented it. A
-        // failed enqueue rolls the admission back into a rejection.
-        {
-            let mut st = lock(&self.stats);
-            st.admitted += 1;
-            st.in_flight += 1;
-        }
+        // A failed enqueue hands the job back; dropping it unstarted
+        // rolls the admission back into a rejection.
         let enqueue_by = Instant::now() + sh.cfg.admission_timeout;
         match sh.jobs.push_deadline(job, enqueue_by) {
             Ok(()) => {}
             Err(PushTimeout::TimedOut(job)) => {
-                drop(job); // returns the page charge
-                sh.gate.release();
-                self.unadmit();
+                drop(job);
                 return Err(self.reject(ServerError::Overloaded {
                     retry_after_ms: sh.cfg.retry_after_ms,
                 }));
             }
             Err(PushTimeout::Closed(job)) => {
                 drop(job);
-                sh.gate.release();
-                self.unadmit();
                 return Err(self.reject(ServerError::Shutdown));
             }
         }
@@ -333,13 +303,6 @@ impl Session {
     fn reject(&self, err: ServerError) -> ServerError {
         lock(&self.stats).rejected += 1;
         err
-    }
-
-    /// Roll back a provisional admission whose enqueue failed.
-    fn unadmit(&self) {
-        let mut st = lock(&self.stats);
-        st.admitted -= 1;
-        st.in_flight -= 1;
     }
 }
 
@@ -383,13 +346,9 @@ impl QueryHandle {
         }
         match self.results.pop() {
             Some(Msg::Rows(rows)) => Some(Ok(rows)),
-            Some(Msg::End(Ok(()))) => {
+            Some(Msg::End(settled)) => {
                 self.done = true;
-                None
-            }
-            Some(Msg::End(Err(e))) => {
-                self.done = true;
-                Some(Err(e))
+                settled.into_result().err().map(Err)
             }
             // Severed without a verdict: the worker declared us stalled.
             None => {
@@ -419,49 +378,31 @@ impl Drop for QueryHandle {
     }
 }
 
-/// How a job ended, for the stats ledger.
-enum Verdict {
-    Completed,
-    Cancelled,
-    Failed,
-}
-
 fn worker_loop(shared: &Shared) {
     while let Some(mut job) = shared.jobs.pop() {
-        let waited = job.submitted_at.elapsed();
-        let started = Instant::now();
+        job.admission.start();
         let outcome = run_query(shared, &job);
-        let (verdict, terminal) = stream_batches(shared, &job, outcome);
-        let pages_peak = job.quota.peak();
-        {
-            let mut st = lock(&job.stats);
-            st.in_flight -= 1;
-            match verdict {
-                Verdict::Completed => st.completed += 1,
-                Verdict::Cancelled => st.cancelled += 1,
-                Verdict::Failed => st.failed += 1,
-            }
-            st.pages_peak = st.pages_peak.max(pages_peak);
-            st.add_times(started.elapsed(), waited);
-        }
-        // Return the page charge before the verdict is visible: a client
-        // that resubmits on `End` must not be shed by its own finished
-        // query still sitting on the ledger.
-        drop(job.charge.take());
-        // Publish the verdict only after the books are settled, so a
-        // client that has seen its terminal message can trust the
-        // counters. Bounded by the stream grace like every other push.
+        let terminal = stream_batches(shared, &job, outcome);
+        let Job {
+            admission,
+            quota,
+            results,
+            ..
+        } = job;
+        // The books settle and the page charge and credit go home
+        // before the verdict is visible: a client that has seen its
+        // terminal message can trust the counters, and one that
+        // resubmits on `End` is never shed by its own finished query.
+        let settled = admission.settle(terminal, quota.peak());
+        // Bounded by the stream grace like every other push.
         let grace_until = Instant::now() + shared.cfg.stream_grace;
-        if job
-            .results
-            .push_deadline(Msg::End(terminal), grace_until)
+        if results
+            .0
+            .push_deadline(Msg::End(settled), grace_until)
             .is_err()
         {
-            // client gone or stalled; closing the channel severs it
+            // client gone or stalled; dropping `results` severs it
         }
-        job.results.close();
-        drop(job);
-        shared.gate.release();
     }
 }
 
@@ -491,49 +432,38 @@ fn run_query(shared: &Shared, job: &Job) -> Result<Vec<Tuple>, ServerError> {
 /// Stream the row batches to the client through the bounded channel and
 /// decide the verdict. Between batches the token is re-checked; a
 /// consumer slower than the stream grace has the query cancelled
-/// instead of wedging the worker. The terminal message is returned, not
-/// pushed: the worker loop publishes it after the stats ledger settles,
-/// so a client that has read its verdict always sees consistent books.
+/// instead of wedging the worker. The terminal result is returned, not
+/// pushed: only the settled books can publish it.
 fn stream_batches(
     shared: &Shared,
     job: &Job,
     outcome: Result<Vec<Tuple>, ServerError>,
-) -> (Verdict, Result<(), ServerError>) {
-    let rows = match outcome {
-        Ok(rows) => rows,
-        Err(e) => {
-            let verdict = if e.is_cancelled() {
-                Verdict::Cancelled
-            } else {
-                Verdict::Failed
-            };
-            return (verdict, Err(e));
-        }
-    };
+) -> Result<(), ServerError> {
+    let rows = outcome?;
     let batch_rows = shared.cfg.batch_rows.max(1);
     let mut sent = 0u64;
     for chunk in rows.chunks(batch_rows) {
         if job.token.is_cancelled() {
-            let err = ServerError::Query(QueryError::Cancelled {
+            return Err(ServerError::Query(QueryError::Cancelled {
                 records_processed: sent,
-            });
-            return (Verdict::Cancelled, Err(err));
+            }));
         }
         let grace_until = Instant::now() + shared.cfg.stream_grace;
         match job
             .results
+            .0
             .push_deadline(Msg::Rows(chunk.to_vec()), grace_until)
         {
             Ok(()) => sent += chunk.len() as u64,
             // client gone; the verdict still lands in the stats
-            Err(PushTimeout::Closed(_)) => return (Verdict::Cancelled, Err(ServerError::Stalled)),
+            Err(PushTimeout::Closed(_)) => return Err(ServerError::Stalled),
             Err(PushTimeout::TimedOut(_)) => {
                 // stalled consumer: cancel so any in-engine work (none,
                 // at this point) and the client both observe it
                 job.token.cancel();
-                return (Verdict::Cancelled, Err(ServerError::Stalled));
+                return Err(ServerError::Stalled);
             }
         }
     }
-    (Verdict::Completed, Ok(()))
+    Ok(())
 }

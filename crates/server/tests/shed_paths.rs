@@ -1,13 +1,16 @@
 //! Shed-path bookkeeping contracts: every admission rejection and
 //! quota failure must leave the books *exactly* restored — `admitted`
 //! and `in_flight` back where they were, the page ledger at zero —
-//! not merely conserved in aggregate. These are the runtime twins of
-//! the `resource-pairing` lint: the static analysis proves the
-//! rollback code is on every error path, these tests prove it runs.
+//! not merely conserved in aggregate. The `Admission` type makes the
+//! rollback the only thing a shed path can do; these tests prove it
+//! runs — including when a worker unwinds mid-query.
 
 use skyline_query::catalog::Catalog;
 use skyline_relation::samples::good_eats;
 use skyline_server::{QueryOptions, ServerConfig, ServerError, SkylineServer};
+use skyline_storage::{Disk, FileId, IoStats, MemDisk, StorageError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const SKYLINE_SQL: &str =
@@ -169,4 +172,84 @@ fn resubmit_on_end_is_never_shed_by_the_finished_query() {
     let stats = session.stats();
     assert!(stats.conserved(), "{stats:?}");
     assert_eq!((stats.completed, stats.rejected), (300, 0), "{stats:?}");
+}
+
+/// A disk whose first page write panics — the one way to unwind a
+/// worker from inside `run_query` — and which behaves afterwards.
+struct PanicOnce {
+    inner: MemDisk,
+    armed: AtomicBool,
+}
+
+impl Disk for PanicOnce {
+    fn create(&self) -> Result<FileId, StorageError> {
+        self.inner.create()
+    }
+    fn delete(&self, file: FileId) {
+        self.inner.delete(file);
+    }
+    fn write_page(&self, file: FileId, page_no: u64, data: &[u8]) -> Result<(), StorageError> {
+        assert!(!self.armed.swap(false, Ordering::SeqCst), "injected unwind");
+        self.inner.write_page(file, page_no, data)
+    }
+    fn read_page(&self, file: FileId, page_no: u64, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+        self.inner.read_page(file, page_no, buf)
+    }
+    fn num_pages(&self, file: FileId) -> Result<u64, StorageError> {
+        self.inner.num_pages(file)
+    }
+    fn stats(&self) -> &IoStats {
+        self.inner.stats()
+    }
+    fn allocated_pages(&self) -> u64 {
+        self.inner.allocated_pages()
+    }
+}
+
+/// A worker that unwinds mid-query settles the query as failed and
+/// returns its pages and its queue credit. The gate has one credit per
+/// worker and the other worker's is held by a wedged query, so a
+/// follow-up is admitted only if the dead worker's credit came home;
+/// it then completes on the surviving worker.
+#[test]
+fn worker_unwind_settles_as_failed_and_returns_the_credit() {
+    let cfg = ServerConfig {
+        workers: 2,
+        queue_capacity: 0,
+        batch_rows: 1,
+        result_batches: 1,
+        stream_grace: Duration::from_secs(30),
+        external_threshold: 0,
+        disk: Some(Arc::new(PanicOnce {
+            inner: MemDisk::new(),
+            armed: AtomicBool::new(true),
+        })),
+        ..ServerConfig::default()
+    };
+    let server = SkylineServer::new(catalog(), cfg);
+    let session = server.session();
+    // fractional `price` keeps this one in memory: it never writes, and
+    // its unread result channel wedges one worker with its credit held
+    let wedged = session.submit(SKYLINE_SQL).unwrap();
+    // integer criteria only, so this one takes the paged engine
+    let paged = "SELECT restaurant FROM GoodEats SKYLINE OF S MAX, F MAX, D MAX";
+    let err = session.submit(paged).unwrap().collect().unwrap_err();
+    assert_eq!(err, ServerError::Stalled, "the unwinding worker severs");
+    let stats = session.stats();
+    assert!(stats.conserved(), "{stats:?}");
+    assert_eq!((stats.failed, stats.in_flight), (1, 1), "{stats:?}");
+    let follow_up = session
+        .submit(paged)
+        .expect("shed: the dead worker's credit never came home");
+    assert!(!wedged.collect().unwrap().is_empty());
+    assert!(!follow_up.collect().unwrap().is_empty());
+    server.shutdown();
+    let totals = server.snapshot().totals;
+    assert!(totals.conserved(), "{totals:?}");
+    assert_eq!(
+        (totals.completed, totals.failed, totals.in_flight),
+        (2, 1, 0),
+        "{totals:?}"
+    );
+    assert_eq!(server.inflight_pages(), 0, "every page charge came home");
 }

@@ -76,7 +76,21 @@ impl BufferPool {
 }
 
 /// RAII reservation of pages from a [`BufferPool`]; released on drop.
+///
+/// A lease nobody binds returns its pages in the statement that took
+/// them, and the work it was meant to cover runs unaccounted — so it
+/// does not compile where the hot paths deny `unused_must_use`:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// use skyline_storage::{buffer::BufferError, BufferPool};
+/// fn charge(pool: &BufferPool) -> Result<(), BufferError> {
+///     pool.reserve(8)?;
+///     Ok(())
+/// }
+/// ```
 #[derive(Debug)]
+#[must_use = "dropping a lease returns its pages to the pool at once"]
 pub struct BufferLease {
     pool: BufferPool,
     pages: usize,

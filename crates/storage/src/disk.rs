@@ -11,6 +11,12 @@
 //! across a syscall, so page I/O on different files proceeds in parallel
 //! (and the `lock-across-io` lint of `cargo xtask analyze` stays clean).
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the io_stats-counted layer is where file I/O belongs"
+)]
+
 use crate::error::{ErrorKind, IoOp, StorageError};
 use crate::io_stats::IoStats;
 use crate::sync::lock;
@@ -284,6 +290,7 @@ impl FileDisk {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             if name.starts_with("skyline-") && name.ends_with(".pages") {
+                #[allow(clippy::let_underscore_must_use, reason = "best-effort sweep")]
                 let _ = std::fs::remove_file(entry.path());
             }
         }
@@ -328,6 +335,7 @@ impl Disk for FileDisk {
 
     fn delete(&self, file: FileId) {
         if lock(&self.files).remove(&file).is_some() {
+            #[allow(clippy::let_underscore_must_use, reason = "delete is infallible")]
             let _ = std::fs::remove_file(self.path(file));
         }
     }

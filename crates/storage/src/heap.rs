@@ -319,6 +319,7 @@ impl Drop for HeapWriter<'_> {
     fn drop(&mut self) {
         // Best-effort: a failed flush here has no caller to report to, and
         // the surrounding error unwind is already deleting temp files.
+        #[allow(clippy::let_underscore_must_use, reason = "Drop cannot report")]
         let _ = self.flush_page();
     }
 }

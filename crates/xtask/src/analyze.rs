@@ -1,9 +1,11 @@
 //! Dataflow lints over the parsed workspace model of [`crate::model`].
 //!
-//! Nine lint families that need statement order, scope, or paths, which
-//! the token scan of [`crate::lints`] cannot express. Families 1, 8,
-//! and 9 run on per-function control-flow graphs ([`crate::cfg`],
-//! DESIGN.md §15); families 5–9 ride the workspace call graph of
+//! Four lint families that need statement order, scope, or paths. What a
+//! type or a stock clippy lint can hold is held there instead (DESIGN.md
+//! §8.1 maps every contract to its mechanism); these are the contracts
+//! neither can express. The first and the path-sensitive half of the
+//! last run on per-function control-flow graphs ([`crate::cfg`],
+//! DESIGN.md §15); the last three ride the workspace call graph of
 //! [`crate::callgraph`] (DESIGN.md §13):
 //!
 //! 1. **page-leak** — CFG escape analysis over `HeapFile` creation. An
@@ -15,14 +17,7 @@
 //!    twin of the fault-injection `allocated_pages() == 0` check
 //!    (DESIGN.md §9). Temp files are RAII-safe (`Drop` deletes them) and
 //!    are deliberately not tracked.
-//! 2. **result-discard** — no `let _ =` / `.ok();`-swallow of a call
-//!    whose `Result` carries a typed storage/exec error in the hot
-//!    paths. Propagate or handle; a swallowed transient `StorageError`
-//!    turns a retryable fault into silent data loss.
-//! 3. **hot-path-panic** — the statement-accurate replacement for the
-//!    old token lint: panic-family calls in operator hot paths, with
-//!    per-statement (not per-line) test/auditor exemption.
-//! 4. **lock-order** / **lock-across-io** — every `lock(&…)` /
+//! 2. **lock-order** / **lock-across-io** — every `lock(&…)` /
 //!    `.lock()` acquisition feeds a workspace-wide lock-order graph;
 //!    cycles are deadlock candidates and are flagged at each
 //!    participating edge. A guard held across a `Disk` I/O call
@@ -31,7 +26,14 @@
 //!    graph through resolvable callees that acquire `self.`-field
 //!    locks, and `lock-across-io` fires when a uniquely-resolved
 //!    callee is guaranteed to hit disk.
-//! 5. **cancel-liveness** — every record-driven loop in a
+//! 3. **guard-into-spawn** / **blocking-under-lock** — thread-capture
+//!    and blocking discipline: a `MutexGuard` held at a `spawn(` site,
+//!    a condvar `wait(` that does not name (and hence cannot release)
+//!    a held guard, a bounded `WorkQueue`/`Backpressure` method on a
+//!    typed receiver, or a call into a uniquely-resolved callee that
+//!    must block — all while a guard is held — are stall/deadlock
+//!    findings.
+//! 4. **cancel-liveness** — every record-driven loop in a
 //!    cancellation-aware function on the cancellable paths (external
 //!    operators, the parallel filter, the exec crate) must poll
 //!    `CancelToken` within a bounded stride, directly or via a callee
@@ -40,49 +42,29 @@
 //!    cancellation. The CFG recheck also catches the path-sensitive
 //!    variant: a `continue` edge that skips every poll in a loop that
 //!    otherwise polls.
-//! 6. **guard-into-spawn** / **blocking-under-lock** — thread-capture
-//!    and blocking discipline: a `MutexGuard` held at a `spawn(` site,
-//!    a condvar `wait(` that does not name (and hence cannot release)
-//!    a held guard, a bounded `WorkQueue`/`Backpressure` method on a
-//!    typed receiver, or a call into a uniquely-resolved callee that
-//!    must block — all while a guard is held — are stall/deadlock
-//!    findings.
-//! 7. **counter-conservation** — every `SkylineMetrics` counter must
-//!    survive the hub's plumbing: a `MetricsSnapshot` field and the
-//!    `snapshot`/`absorb`/`reset`/`plus` hops. A counter dropped at any
-//!    hop is a silently-lost statistic. (Downstream, the bench gate
-//!    reports `MetricsSnapshot::counters()`, whose exhaustive
-//!    destructure makes the compiler do this job.)
-//! 8. **resource-pairing** — path-sensitive pairing of acquire-shaped
-//!    effects: a `Backpressure` credit (`.acquire(` /
-//!    `.acquire_timeout(` / `.try_acquire(`) must be `.release()`d —
-//!    directly, via a callee known to release it, or discharged by a
-//!    failure match arm that never granted — on every error exit; a
-//!    paired admission counter bump (`admitted`/`in_flight` `+=`) must
-//!    be debited or rolled back (`unadmit`-style callees count) on
-//!    every error exit; a `BufferPool` lease must be *bound*, not
-//!    discarded in the statement that reserves it. Success exits are
-//!    exempt: credits and books legitimately outlive the function
-//!    (released by the worker that consumes the handed-off work), and
-//!    `Drop` carriers discharge obligations on unwind.
-//! 9. **books-before-visibility** — dominance ordering inside a
-//!    function: verdict-counter settlement must dominate the terminal
-//!    `Msg::End` publish, and admission bookkeeping must dominate
-//!    queue insertion, so no observer (client draining results, stats
-//!    snapshot) can see state the books don't yet account for — the
-//!    ordering that fixed PR 7's underflow deadlock, as a ratchet.
 //!
-//! All findings flow into the same `lint-baseline.txt` ratchet as the
-//! token lints, and `cargo xtask analyze --sarif` renders them as SARIF
-//! for CI code-scanning annotations (`cargo xtask analyze --explain
-//! <rule-id>` prints the per-rule help).
+//! Any finding fails `cargo xtask analyze`; `--sarif` renders them as
+//! SARIF for CI code-scanning annotations (`cargo xtask analyze
+//! --explain <rule-id>` prints the per-rule help).
 
 use crate::callgraph::{self, resolvable_calls, CallGraph, POLL_TOKENS};
-use crate::cfg::{self, Cfg, EdgeKind, NodeKind, EXIT_ERR, EXIT_OK};
-use crate::lints::{has_token, Finding, HOT_PATHS, PANIC_TOKENS};
+use crate::cfg::{self, EdgeKind, NodeKind, EXIT_ERR, EXIT_OK};
 use crate::model::{file_model, word_hits, Block, FileModel, FnModel};
-use crate::scan::CleanSource;
+use crate::scan::{has_token, CleanSource};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// One lint hit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Lint identifier (`page-leak`, `lock-order`, …).
+    pub lint: &'static str,
+    /// Workspace-relative path.
+    pub file: String,
+    /// 1-based line number.
+    pub line: usize,
+    /// What was matched, for the report.
+    pub excerpt: String,
+}
 
 /// Directories the page-leak lint watches: everywhere operators create
 /// or hand off heap files.
@@ -93,15 +75,6 @@ const LEAK_DIRS: &[&str] = &[
     "crates/core/src/strata.rs",
     "crates/core/src/par.rs",
     "crates/storage",
-];
-
-/// Error types whose `Result`s must not be swallowed.
-const ERROR_TYPES: &[&str] = &[
-    "StorageError",
-    "ExecError",
-    "AlgoError",
-    "ParError",
-    "BufferError",
 ];
 
 /// Disk/file I/O calls a lock guard must not be held across.
@@ -139,34 +112,6 @@ const RECORD_TOKENS: &[&str] = &[".next()", ".next_record(", ".pop()", ".probe"]
 /// [`WorkQueue`]/[`Backpressure`]-typed binding.
 const BLOCKING_METHODS: &[&str] = &[".push(", ".pop(", ".acquire("];
 
-/// The metrics hub every counter must be plumbed through.
-const METRICS_PATH: &str = "crates/core/src/metrics.rs";
-
-/// Directories under the resource-pairing and books-before-visibility
-/// contracts: everywhere credits, leases, and admission counters move.
-const PAIR_DIRS: &[&str] = &[
-    "crates/server/src",
-    "crates/exec/src",
-    "crates/core/src/external",
-    "crates/core/src/planner.rs",
-    "crates/core/src/par.rs",
-    "crates/storage/src",
-    "crates/query/src",
-];
-
-/// Admission counters that must pair a bump with a debit/rollback on
-/// every error exit (the `SessionStats::conserved()` invariant).
-pub(crate) const PAIRED_COUNTERS: &[&str] = &["admitted", "in_flight"];
-
-/// Credit-granting method calls whose grant must reach a `.release()`.
-const ACQUIRE_TOKENS: &[&str] = &[".acquire(", ".acquire_timeout(", ".try_acquire("];
-
-/// Match-arm pattern fragments that mean the acquire did NOT grant —
-/// the arm discharges the obligation. A pattern is only a failure arm
-/// when it has one of these and none of [`SUCCESS_ARMS`].
-const FAILURE_ARMS: &[&str] = &["Exhausted", "Closed", "TimedOut", "Err(", "None"];
-const SUCCESS_ARMS: &[&str] = &["Granted", "Ok("];
-
 /// Paths whose functions are all test/bench scaffolding.
 pub(crate) fn is_test_path(path: &str) -> bool {
     path.starts_with("tests/")
@@ -180,52 +125,6 @@ fn under(path: &str, dirs: &[&str]) -> bool {
     dirs.iter().any(|d| path.starts_with(d))
 }
 
-/// Does `text` apply compound-assignment `op` to a field/binding named
-/// `name`? (`st.admitted += 1` → `bumps(text, "admitted", "+=")`.)
-pub(crate) fn bumps(text: &str, name: &str, op: &str) -> bool {
-    word_hits(text, name)
-        .iter()
-        .any(|&at| text[at + name.len()..].trim_start().starts_with(op))
-}
-
-/// The paired admission counters `text` debits (`-=`). Feeds the call
-/// graph's rollback summaries.
-pub(crate) fn paired_counter_debits(text: &str) -> BTreeSet<String> {
-    PAIRED_COUNTERS
-        .iter()
-        .filter(|c| bumps(text, c, "-="))
-        .map(|c| (*c).to_string())
-        .collect()
-}
-
-/// Receiver bases of every `method` call in `text`: the final
-/// `.`-component of the identifier chain before it (`sh.gate.release()`
-/// → `gate`).
-pub(crate) fn method_bases(text: &str, method: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut from = 0;
-    while let Some(p) = text[from..].find(method) {
-        let at = from + p;
-        from = at + method.len();
-        let chain: String = text[..at]
-            .chars()
-            .rev()
-            .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == '.')
-            .collect();
-        let chain: String = chain.chars().rev().collect();
-        let base = chain.rsplit('.').next().unwrap_or("");
-        if !base.is_empty()
-            && base
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphabetic() || c == '_')
-        {
-            out.insert(base.to_string());
-        }
-    }
-    out
-}
-
 /// Run every dataflow lint over the cleaned workspace files.
 pub fn analyze_files(files: &[(String, CleanSource)]) -> Vec<Finding> {
     let models: Vec<FileModel> = files
@@ -233,20 +132,6 @@ pub fn analyze_files(files: &[(String, CleanSource)]) -> Vec<Finding> {
         .filter(|(path, _)| !path.starts_with("crates/xtask"))
         .map(|(path, cs)| file_model(path, cs))
         .collect();
-
-    // Workspace function index: which call names are fallible (return a
-    // Result carrying one of our typed errors). Name collisions across
-    // crates are merged conservatively.
-    let mut fallible: BTreeSet<&str> = BTreeSet::new();
-    for m in &models {
-        for f in &m.fns {
-            if let Some(ret) = f.ret() {
-                if ret.contains("Result") && ERROR_TYPES.iter().any(|t| ret.contains(t)) {
-                    fallible.insert(&f.name);
-                }
-            }
-        }
-    }
 
     let graph = callgraph::build(&models);
 
@@ -259,19 +144,8 @@ pub fn analyze_files(files: &[(String, CleanSource)]) -> Vec<Finding> {
             if f.is_test || file_is_test {
                 continue;
             }
-            if under(&m.path, HOT_PATHS) {
-                panic_lint(&m.path, body, &mut out);
-                if !f.in_drop_impl {
-                    discard_lint(&m.path, body, &fallible, &mut out);
-                }
-            }
             if under(&m.path, LEAK_DIRS) && !f.in_drop_impl {
                 heap_pairing(&m.path, &f.name, f, body, &mut out);
-            }
-            if under(&m.path, PAIR_DIRS) && !f.in_drop_impl {
-                pairing_lint(&m.path, &f.name, f, &graph, &mut out);
-                books_lint(&m.path, &f.name, f, &mut out);
-                reserve_discard(&m.path, &f.name, body, &mut out);
             }
             if under(&m.path, CANCEL_SCOPE) && cancel_aware(f, body) {
                 cancel_liveness(&m.path, &f.name, body, &graph, &mut out);
@@ -285,65 +159,8 @@ pub fn analyze_files(files: &[(String, CleanSource)]) -> Vec<Finding> {
         }
     }
     lock_cycles(&edges, &mut out);
-    counter_lint(files, &models, &mut out);
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint)));
     out
-}
-
-// ---------------------------------------------------------------- panic
-
-/// Statement-accurate panic-family detection in hot paths.
-fn panic_lint(path: &str, block: &Block, out: &mut Vec<Finding>) {
-    for stmt in &block.stmts {
-        if !stmt.exempt {
-            for tok in PANIC_TOKENS {
-                if has_token(&stmt.head, tok) {
-                    out.push(Finding {
-                        lint: "hot-path-panic",
-                        file: path.to_string(),
-                        line: stmt.line,
-                        excerpt: (*tok).to_string(),
-                    });
-                }
-            }
-        }
-        for b in &stmt.blocks {
-            panic_lint(path, b, out);
-        }
-    }
-}
-
-// -------------------------------------------------------------- discard
-
-/// `let _ = fallible(…);` and `fallible(…).ok();` swallow typed errors.
-fn discard_lint(path: &str, block: &Block, fallible: &BTreeSet<&str>, out: &mut Vec<Finding>) {
-    for stmt in &block.stmts {
-        if !stmt.exempt {
-            let head = stmt.head.trim_start();
-            let discards = (head.starts_with("let _ =") || head.starts_with("let _:"))
-                && !stmt.head.contains('?');
-            let swallows = stmt.head.contains(".ok();") || stmt.head.trim_end().ends_with(".ok()");
-            if discards || swallows {
-                if let Some(name) = calls_in(&stmt.text_all())
-                    .into_iter()
-                    .find(|c| fallible.contains(c.as_str()))
-                {
-                    out.push(Finding {
-                        lint: "result-discard",
-                        file: path.to_string(),
-                        line: stmt.line,
-                        excerpt: format!(
-                            "Result of fallible `{name}` is {} — propagate or handle the typed error",
-                            if discards { "discarded with `let _ =`" } else { "swallowed with `.ok()`" }
-                        ),
-                    });
-                }
-            }
-        }
-        for b in &stmt.blocks {
-            discard_lint(path, b, fallible, out);
-        }
-    }
 }
 
 /// Call names in `text`: every identifier directly followed by `(`.
@@ -581,244 +398,6 @@ fn persist_target(head: &str) -> Option<String> {
         None
     } else {
         Some(name)
-    }
-}
-
-// ----------------------------------------------------- resource-pairing
-
-/// One acquire-shaped obligation tracked by [`pairing_lint`].
-enum PairOb {
-    /// A `Backpressure`-style credit on receiver base `String`.
-    Credit(String),
-    /// A paired admission counter bump.
-    Counter(&'static str),
-}
-
-/// Path-sensitive pairing of credits and admission counters: an
-/// obligation gen'd at an acquire/bump must be killed — released,
-/// debited, rolled back via a callee the call graph knows about, or
-/// discharged by a non-granting failure arm — before every *error*
-/// exit. Success exits are exempt (credits legitimately outlive the
-/// function inside returned handles; the worker settles them), and
-/// panic edges are exempt (`Drop` carriers discharge on unwind).
-fn pairing_lint(path: &str, fn_name: &str, f: &FnModel, graph: &CallGraph, out: &mut Vec<Finding>) {
-    let Some(cfg) = cfg::build(f) else { return };
-    let mut obs: Vec<(PairOb, usize, usize)> = Vec::new(); // ob, line, gen node
-    let mut gen = vec![0u64; cfg.nodes.len()];
-    for (i, n) in cfg.nodes.iter().enumerate() {
-        if n.kind != NodeKind::Stmt || n.exempt {
-            continue;
-        }
-        let mut bases = BTreeSet::new();
-        for tok in ACQUIRE_TOKENS {
-            bases.extend(method_bases(&n.text, tok));
-        }
-        for base in bases {
-            if obs.len() < 64 {
-                gen[i] |= 1 << obs.len();
-                obs.push((PairOb::Credit(base), n.line, i));
-            }
-        }
-        for c in PAIRED_COUNTERS {
-            if bumps(&n.text, c, "+=") && obs.len() < 64 {
-                gen[i] |= 1 << obs.len();
-                obs.push((PairOb::Counter(c), n.line, i));
-            }
-        }
-    }
-    if obs.is_empty() {
-        return;
-    }
-    let mut kill = vec![0u64; cfg.nodes.len()];
-    for (i, n) in cfg.nodes.iter().enumerate() {
-        if n.kind != NodeKind::Stmt {
-            continue;
-        }
-        let calls = resolvable_calls(&n.text);
-        for (b, (ob, _, gen_node)) in obs.iter().enumerate() {
-            let killed = match ob {
-                PairOb::Credit(base) => {
-                    method_bases(&n.text, ".release(").contains(base)
-                        || calls
-                            .iter()
-                            .any(|c| graph.releases(c).is_some_and(|s| s.contains(base)))
-                        || failure_arm(&cfg, i, *gen_node)
-                }
-                PairOb::Counter(c) => {
-                    bumps(&n.text, c, "-=")
-                        || calls
-                            .iter()
-                            .any(|c2| graph.rolls_back(c2).is_some_and(|s| s.contains(*c)))
-                }
-            };
-            if killed {
-                kill[i] |= 1 << b;
-            }
-        }
-    }
-    let r = cfg::reach(&cfg, &gen, &kill);
-    let mut err_at: Vec<Option<usize>> = vec![None; obs.len()];
-    for (p, n) in cfg.nodes.iter().enumerate() {
-        if n.kind != NodeKind::Stmt {
-            continue;
-        }
-        for &(t, k) in &cfg.succs[p] {
-            if t != EXIT_ERR || k == EdgeKind::Panic {
-                continue;
-            }
-            let set = cfg::edge_set(&r, &kill, p, k);
-            for (b, h) in err_at.iter_mut().enumerate() {
-                if set >> b & 1 == 1 && h.is_none_or(|line| n.line < line) {
-                    *h = Some(n.line);
-                }
-            }
-        }
-    }
-    for (b, (ob, line, _)) in obs.iter().enumerate() {
-        let Some(at) = err_at[b] else { continue };
-        let excerpt = match ob {
-            PairOb::Credit(base) => format!(
-                "credit acquired from `{base}` in `{fn_name}` is not released on the error path exiting at line {at} — pair it with `.release()` or a failure-arm discharge"
-            ),
-            PairOb::Counter(c) => format!(
-                "counter `{c}` bumped in `{fn_name}` is not rolled back on the error path exiting at line {at} — admission books drift on shed/error"
-            ),
-        };
-        out.push(Finding {
-            lint: "resource-pairing",
-            file: path.to_string(),
-            line: *line,
-            excerpt,
-        });
-    }
-}
-
-/// Is node `i` a match arm of the statement at `gen_node` whose pattern
-/// can only mean the acquire did NOT grant? Such an arm discharges the
-/// credit obligation — there is nothing to release.
-fn failure_arm(cfg: &Cfg, i: usize, gen_node: usize) -> bool {
-    let n = &cfg.nodes[i];
-    if n.arm_of != Some(gen_node) {
-        return false;
-    }
-    let Some(pat) = n.text.split("=>").next() else {
-        return false;
-    };
-    FAILURE_ARMS.iter().any(|t| pat.contains(t)) && !SUCCESS_ARMS.iter().any(|t| pat.contains(t))
-}
-
-/// A `BufferPool::reserve` lease discarded in the statement that
-/// created it returns the page charge immediately — the work it was
-/// supposed to cover runs unaccounted. Flags `let _ = …reserve(…)` and
-/// bare `pool.reserve(…)?;` statements; binding the lease (even to
-/// `_lease`) keeps the charge alive and is clean.
-fn reserve_discard(path: &str, fn_name: &str, block: &Block, out: &mut Vec<Finding>) {
-    for stmt in &block.stmts {
-        if !stmt.exempt {
-            if let Some(at) = stmt.head.find(".reserve(") {
-                let head = stmt.head.trim_start();
-                let discards = head.starts_with("let _ =") || head.starts_with("let _:");
-                let before = stmt.head[..at].trim_start();
-                let bare = !before.is_empty()
-                    && before
-                        .chars()
-                        .all(|c| c.is_alphanumeric() || c == '_' || c == '.');
-                if discards || bare {
-                    out.push(Finding {
-                        lint: "resource-pairing",
-                        file: path.to_string(),
-                        line: stmt.line,
-                        excerpt: format!(
-                            "BufferPool lease reserved in `{fn_name}` is discarded by this statement — bind it so the page charge lives as long as the work it covers"
-                        ),
-                    });
-                }
-            }
-        }
-        for b in &stmt.blocks {
-            reserve_discard(path, fn_name, b, out);
-        }
-    }
-}
-
-// ----------------------------------------------- books-before-visibility
-
-/// Dominance ordering of bookkeeping against visibility: in any
-/// function that both settles verdict counters and publishes a terminal
-/// `Msg::End`, every publish must be dominated by a settlement (a
-/// client that saw the end-of-stream must find settled books); in any
-/// function that both bumps `admitted` and inserts into the work queue,
-/// every insertion must be dominated by a bump (a worker that popped
-/// the job must find it admitted). Exactly the ordering whose violation
-/// produced PR 7's underflow deadlock.
-fn books_lint(path: &str, fn_name: &str, f: &FnModel, out: &mut Vec<Finding>) {
-    let Some(cfg) = cfg::build(f) else { return };
-    let stmts: Vec<usize> = cfg
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.kind == NodeKind::Stmt && !n.exempt)
-        .map(|(i, _)| i)
-        .collect();
-    let settles: Vec<usize> = stmts
-        .iter()
-        .copied()
-        .filter(|&i| {
-            let t = &cfg.nodes[i].text;
-            bumps(t, "completed", "+=")
-                || bumps(t, "cancelled", "+=")
-                || bumps(t, "failed", "+=")
-                || bumps(t, "in_flight", "-=")
-        })
-        .collect();
-    let publishes: Vec<usize> = stmts
-        .iter()
-        .copied()
-        .filter(|&i| cfg.nodes[i].text.contains("Msg::End"))
-        .collect();
-    let admits: Vec<usize> = stmts
-        .iter()
-        .copied()
-        .filter(|&i| bumps(&cfg.nodes[i].text, "admitted", "+="))
-        .collect();
-    let enqueues: Vec<usize> = stmts
-        .iter()
-        .copied()
-        .filter(|&i| cfg.nodes[i].text.contains("jobs.push"))
-        .collect();
-    let r1 = !settles.is_empty() && !publishes.is_empty();
-    let r2 = !admits.is_empty() && !enqueues.is_empty();
-    if !r1 && !r2 {
-        return;
-    }
-    let doms = cfg::dominators(&cfg);
-    if r1 {
-        for &p in &publishes {
-            if !settles.iter().any(|&s| cfg::dominates(&doms, s, p)) {
-                out.push(Finding {
-                    lint: "books-before-visibility",
-                    file: path.to_string(),
-                    line: cfg.nodes[p].line,
-                    excerpt: format!(
-                        "terminal `Msg::End` publish in `{fn_name}` is not dominated by counter settlement — a client can observe end-of-stream before the books settle"
-                    ),
-                });
-            }
-        }
-    }
-    if r2 {
-        for &e in &enqueues {
-            if !admits.iter().any(|&a| cfg::dominates(&doms, a, e)) {
-                out.push(Finding {
-                    lint: "books-before-visibility",
-                    file: path.to_string(),
-                    line: cfg.nodes[e].line,
-                    excerpt: format!(
-                        "queue insertion in `{fn_name}` is not dominated by the `admitted` bump — a worker can settle books that were never opened"
-                    ),
-                });
-            }
-        }
     }
 }
 
@@ -1325,98 +904,6 @@ fn collect_blocking_lets(block: &Block, set: &mut BTreeSet<String>) {
     }
 }
 
-// ------------------------------------------------ counter-conservation
-
-/// Every `SkylineMetrics` counter must survive the hub: a
-/// `MetricsSnapshot` field, the `snapshot`/`absorb`/`reset` plumbing,
-/// and snapshot `plus`. A counter dropped at any hop is a silently-lost
-/// statistic.
-fn counter_lint(files: &[(String, CleanSource)], models: &[FileModel], out: &mut Vec<Finding>) {
-    let Some((_, metrics_cs)) = files.iter().find(|(p, _)| p == METRICS_PATH) else {
-        return;
-    };
-    let counters = struct_fields(metrics_cs, "SkylineMetrics");
-    let snap: Vec<(String, usize)> = struct_fields(metrics_cs, "MetricsSnapshot");
-    let snap_names: BTreeSet<&str> = snap.iter().map(|(n, _)| n.as_str()).collect();
-    for (c, line) in &counters {
-        if !snap_names.contains(c.as_str()) {
-            out.push(Finding {
-                lint: "counter-conservation",
-                file: METRICS_PATH.to_string(),
-                line: *line,
-                excerpt: format!(
-                    "counter `{c}` has no MetricsSnapshot field — it vanishes at snapshot()"
-                ),
-            });
-        }
-    }
-    // intra-hub plumbing: snapshot/absorb/reset must touch every
-    // counter, snapshot plus() every snapshot field
-    if let Some(m) = models.iter().find(|m| m.path == METRICS_PATH) {
-        let body_of = |name: &str| -> Option<String> {
-            m.fns
-                .iter()
-                .find(|f| f.name == name)
-                .and_then(|f| f.body.as_ref())
-                .map(callgraph::block_text)
-        };
-        for (fn_name, fields) in [
-            ("snapshot", &counters),
-            ("absorb", &counters),
-            ("reset", &counters),
-            ("plus", &snap),
-        ] {
-            let Some(body) = body_of(fn_name) else {
-                continue;
-            };
-            for (c, line) in fields {
-                if word_hits(&body, c).is_empty() {
-                    out.push(Finding {
-                        lint: "counter-conservation",
-                        file: METRICS_PATH.to_string(),
-                        line: *line,
-                        excerpt: format!(
-                            "counter `{c}` is missing from `{fn_name}` — conservation breaks at that hop"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// `(field, line)` pairs of a one-field-per-line struct definition.
-fn struct_fields(cs: &CleanSource, name: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < cs.code.len() {
-        let l = &cs.code[i];
-        if !word_hits(l, "struct").is_empty() && !word_hits(l, name).is_empty() {
-            break;
-        }
-        i += 1;
-    }
-    if i == cs.code.len() {
-        return out;
-    }
-    i += 1;
-    while i < cs.code.len() {
-        let t = cs.code[i].trim();
-        if t.starts_with('}') {
-            break;
-        }
-        let t = t.strip_prefix("pub ").unwrap_or(t);
-        if let Some((field, _)) = t.split_once(':') {
-            let f = field.trim();
-            if !f.is_empty() && f.chars().all(|c| c.is_alphanumeric() || c == '_') {
-                out.push((f.to_string(), i + 1));
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 /// DFS cycle detection over the lock-order graph; every edge on a cycle
 /// is a finding at its acquisition site.
 fn lock_cycles(edges: &BTreeMap<(String, String), (String, usize)>, out: &mut Vec<Finding>) {
@@ -1588,127 +1075,6 @@ mod tests {
 ";
         let hits = run(&[("crates/exec/src/seeded.rs", src)]);
         assert!(lints(&hits, "page-leak").is_empty(), "{hits:?}");
-    }
-
-    // -------------------------------------------------- result-discard
-
-    #[test]
-    fn let_underscore_discard_of_typed_error_is_flagged() {
-        let src = "\
-fn flush_page(&mut self) -> Result<(), StorageError> { Ok(()) }
-fn sloppy(w: &mut W) {
-    let _ = w.flush_page();
-}
-";
-        let hits = run(&[("crates/storage/src/seeded.rs", src)]);
-        let d = lints(&hits, "result-discard");
-        assert_eq!(d.len(), 1, "{hits:?}");
-        assert!(d[0].excerpt.contains("flush_page"));
-    }
-
-    #[test]
-    fn ok_swallow_is_flagged_but_propagation_is_not() {
-        let src = "\
-fn flush_page(&mut self) -> Result<(), StorageError> { Ok(()) }
-fn swallows(w: &mut W) {
-    w.flush_page().ok();
-}
-fn propagates(w: &mut W) -> Result<(), StorageError> {
-    let _ = w.flush_page()?;
-    Ok(())
-}
-";
-        let hits = run(&[("crates/storage/src/seeded.rs", src)]);
-        let d = lints(&hits, "result-discard");
-        assert_eq!(d.len(), 1, "{hits:?}");
-        assert_eq!(d[0].line, 3);
-    }
-
-    #[test]
-    fn drop_impls_may_discard_results() {
-        let src = "\
-fn flush_page(&mut self) -> Result<(), StorageError> { Ok(()) }
-impl Drop for HeapWriter {
-    fn drop(&mut self) {
-        let _ = self.flush_page();
-    }
-}
-";
-        let hits = run(&[("crates/storage/src/seeded.rs", src)]);
-        assert!(lints(&hits, "result-discard").is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn infallible_discards_are_fine() {
-        let src = "\
-fn observe(&self) -> usize { 1 }
-fn f(x: &X) {
-    let _ = x.observe();
-}
-";
-        let hits = run(&[("crates/exec/src/seeded.rs", src)]);
-        assert!(lints(&hits, "result-discard").is_empty(), "{hits:?}");
-    }
-
-    // --------------------------------------------------- hot-path-panic
-
-    #[test]
-    fn seeded_unwrap_in_hot_path_is_flagged() {
-        let src = "fn pull(&mut self) { self.child.next().unwrap(); }\n";
-        let hits = run(&[("crates/exec/src/seeded.rs", src)]);
-        let p = lints(&hits, "hot-path-panic");
-        assert_eq!(p.len(), 1, "{hits:?}");
-        assert_eq!(p[0].line, 1);
-        // identical code outside a hot path: no finding
-        let hits = run(&[("crates/core/src/algo.rs", src)]);
-        assert!(lints(&hits, "hot-path-panic").is_empty());
-    }
-
-    #[test]
-    fn block_kernel_file_is_a_hot_path() {
-        // the batched dominance kernel sits directly under crates/core/src
-        // but is hot-path code: the single-file HOT_PATHS entry must
-        // cover it
-        let src = "fn probe(&self) { self.blocks.last().unwrap(); }\n";
-        let hits = run(&[("crates/core/src/dominance_block.rs", src)]);
-        assert_eq!(lints(&hits, "hot-path-panic").len(), 1, "{hits:?}");
-    }
-
-    #[test]
-    fn panic_macro_and_expect_are_flagged() {
-        let src = "fn f() { g().expect(\"boom\"); panic!(\"no\"); }\n";
-        let hits = run(&[("crates/storage/src/seeded.rs", src)]);
-        let toks: Vec<_> = lints(&hits, "hot-path-panic")
-            .iter()
-            .map(|f| f.excerpt.clone())
-            .collect();
-        assert!(toks.contains(&".expect(".to_string()), "{hits:?}");
-        assert!(toks.contains(&"panic!(".to_string()), "{hits:?}");
-    }
-
-    #[test]
-    fn gated_statement_inside_live_fn_is_exempt() {
-        let src = "\
-fn hot(&mut self) {
-    work();
-    #[cfg(feature = \"check-invariants\")]
-    self.auditor.check().unwrap();
-    more();
-}
-#[cfg(test)]
-mod tests {
-    fn t() { x.unwrap(); }
-}
-";
-        let hits = run(&[("crates/core/src/external/seeded.rs", src)]);
-        assert!(lints(&hits, "hot-path-panic").is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn strings_and_comments_cannot_fake_findings() {
-        let src = "fn f() { log(\"don't panic!(\"); } // .unwrap() in a comment\n";
-        let hits = run(&[("crates/exec/src/seeded.rs", src)]);
-        assert!(lints(&hits, "hot-path-panic").is_empty(), "{hits:?}");
     }
 
     // ------------------------------------------------------------ locks

@@ -11,8 +11,8 @@
 //!   an OR-merge over name collisions: if *any* workspace function named
 //!   `next` polls, a call to `next(` counts as possibly polling. A
 //!   wrongly-suppressed finding is the cost; a false finding on a loop
-//!   that genuinely polls through its iterator would be worse for the
-//!   ratchet. Propagation between functions still only follows
+//!   that genuinely polls through its iterator would be worse for a
+//!   gate that fails on any finding. Propagation between functions still only follows
 //!   *resolvable* calls (free and `self.`-method); otherwise one
 //!   polling `next` would transitively mark most of the workspace
 //!   may-poll and the lint would be vacuous.
@@ -20,14 +20,14 @@
 //!   *generate* blocking-under-lock findings — propagate only through
 //!   *uniquely named* workspace functions: a call name with two or more
 //!   definitions is treated as opaque. Both asymmetries err toward
-//!   silence, so a baseline regression is always a real change.
+//!   silence, so a finding is always a real change.
 //!
 //! The graph is name-based (no receiver types), which DESIGN.md §13
 //! documents as the model's main approximation.
 
-use crate::analyze::{is_test_path, method_bases, paired_counter_debits, IO_TOKENS};
-use crate::lints::has_token;
+use crate::analyze::{is_test_path, IO_TOKENS};
 use crate::model::{Block, FileModel};
+use crate::scan::has_token;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tokens that poll the cancellation token directly: the free/assoc
@@ -91,10 +91,6 @@ struct FnFacts {
     /// are stable across call sites of the same impl, unlike parameter
     /// locks, so only these propagate to callers.
     field_acquires: BTreeSet<String>,
-    /// Paired admission counters the body debits (`admitted -= 1` …).
-    rollbacks: BTreeSet<String>,
-    /// Receiver bases the body calls `.release()` on (`gate` …).
-    releases: BTreeSet<String>,
 }
 
 /// The workspace call graph plus its transitive capability sets.
@@ -109,13 +105,6 @@ pub struct CallGraph {
     /// Uniquely-defined call names → `self.`-field locks they (or their
     /// unique callees) acquire.
     call_acquires: BTreeMap<String, BTreeSet<String>>,
-    /// Call names → paired admission counters they (or their callees)
-    /// debit. Used to *discharge* resource-pairing obligations, so like
-    /// `may_poll` it OR-merges across name collisions.
-    counter_rollbacks: BTreeMap<String, BTreeSet<String>>,
-    /// Call names → credit receivers they (or their callees) call
-    /// `.release()` on. Suppression-only, OR-merged like `may_poll`.
-    credit_releases: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl CallGraph {
@@ -137,16 +126,6 @@ impl CallGraph {
     /// Field locks a call to `name` acquires (unique definition only).
     pub fn acquires(&self, name: &str) -> Option<&BTreeSet<String>> {
         self.call_acquires.get(name)
-    }
-
-    /// Paired counters a call to `name` may debit (OR over collisions).
-    pub fn rolls_back(&self, name: &str) -> Option<&BTreeSet<String>> {
-        self.counter_rollbacks.get(name)
-    }
-
-    /// Credit receivers a call to `name` may release (OR over collisions).
-    pub fn releases(&self, name: &str) -> Option<&BTreeSet<String>> {
-        self.credit_releases.get(name)
     }
 }
 
@@ -170,8 +149,6 @@ pub fn build(models: &[FileModel]) -> CallGraph {
                 blocks: BLOCK_TOKENS.iter().any(|t| has_token(&text, t)),
                 does_io: IO_TOKENS.iter().any(|t| has_token(&text, t)),
                 field_acquires,
-                rollbacks: paired_counter_debits(&text),
-                releases: method_bases(&text, ".release("),
             });
         }
     }
@@ -245,13 +222,6 @@ pub fn build(models: &[FileModel]) -> CallGraph {
         }
     }
 
-    // counter rollbacks / credit releases: these *discharge* pairing
-    // obligations at call sites, so like may_poll they are suppression
-    // maps — OR-merged across name collisions and propagated through
-    // any resolvable call. A spurious discharge only silences.
-    let counter_rollbacks = or_merge(&fns, |f| &f.rollbacks);
-    let credit_releases = or_merge(&fns, |f| &f.releases);
-
     let mut must_block = BTreeSet::new();
     let mut must_io = BTreeSet::new();
     let mut call_acquires = BTreeMap::new();
@@ -273,47 +243,6 @@ pub fn build(models: &[FileModel]) -> CallGraph {
         must_block,
         must_io,
         call_acquires,
-        counter_rollbacks,
-        credit_releases,
-    }
-}
-
-/// OR-merge fixpoint for a suppression set-map: seed each call name
-/// with the union of its definitions' direct facts, then propagate
-/// through resolvable calls until stable.
-fn or_merge(
-    fns: &[FnFacts],
-    direct: fn(&FnFacts) -> &BTreeSet<String>,
-) -> BTreeMap<String, BTreeSet<String>> {
-    let mut map: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for f in fns {
-        if !direct(f).is_empty() {
-            map.entry(f.name.clone())
-                .or_default()
-                .extend(direct(f).iter().cloned());
-        }
-    }
-    loop {
-        let mut changed = false;
-        for f in fns {
-            let mut extra: Vec<String> = Vec::new();
-            for c in &f.calls {
-                if let Some(s) = map.get(c) {
-                    extra.extend(
-                        s.iter()
-                            .filter(|v| !map.get(&f.name).is_some_and(|m| m.contains(*v)))
-                            .cloned(),
-                    );
-                }
-            }
-            if !extra.is_empty() {
-                map.entry(f.name.clone()).or_default().extend(extra);
-                changed = true;
-            }
-        }
-        if !changed {
-            return map;
-        }
     }
 }
 
@@ -469,34 +398,6 @@ mod tests {
             "fn lock<T>(m: &Mutex<T>) -> MutexGuard<T> { m.lock().unwrap_or_else(|e| e.into_inner()) }\n",
         )]);
         assert!(g.acquires("lock").is_none());
-    }
-
-    #[test]
-    fn counter_rollbacks_propagate_or_wise() {
-        let g = graph(&[(
-            "crates/server/src/a.rs",
-            "fn unadmit(&self) { let mut st = lock(&self.stats); st.admitted -= 1; st.in_flight -= 1; }\n\
-             fn shed(&self) { self.unadmit(); }\n\
-             fn bystander(&self) { work(); }\n",
-        )]);
-        let r = g.rolls_back("unadmit").expect("direct debits");
-        assert!(r.contains("admitted") && r.contains("in_flight"));
-        assert!(
-            g.rolls_back("shed").is_some_and(|s| s.contains("admitted")),
-            "rollback propagates through the call"
-        );
-        assert!(g.rolls_back("bystander").is_none());
-    }
-
-    #[test]
-    fn credit_releases_track_receiver_bases() {
-        let g = graph(&[(
-            "crates/server/src/a.rs",
-            "fn finish(&self) { self.shared.gate.release(); }\n\
-             fn outer(&self) { self.finish(); }\n",
-        )]);
-        assert!(g.releases("finish").is_some_and(|s| s.contains("gate")));
-        assert!(g.releases("outer").is_some_and(|s| s.contains("gate")));
     }
 
     #[test]

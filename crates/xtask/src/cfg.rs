@@ -1,10 +1,10 @@
 //! Per-function control-flow graphs over the AST-lite model of
-//! [`crate::model`], plus the small dataflow engines the path-sensitive
+//! [`crate::model`], plus the small dataflow engine the path-sensitive
 //! lints in [`crate::analyze`] run on (DESIGN.md §15).
 //!
 //! A [`Cfg`] has one node per leaf statement (control statements
 //! contribute their head as a node and their nested blocks as separate
-//! nodes), four virtual nodes (entry and the ok/err/panic exits), a
+//! nodes), three virtual nodes (entry and the ok/err exits), a
 //! virtual join node per loop, and a scope-end node per lexical block.
 //! Edges model branches (`if` arms are alternatives, with a fallthrough
 //! edge when there are more `if`s than `else`s), `match` arm groups
@@ -12,19 +12,16 @@
 //! success value keeps flowing), loops (back edges, conditional exit
 //! for `while`/`for`), early `return` (routed to the ok or err exit by
 //! its payload), `break`/`continue` (to the innermost loop's join or
-//! header), `?`-propagation (an [`EdgeKind::Err`] edge to the err
-//! exit), and panic-family unwinds (an [`EdgeKind::Panic`] edge).
+//! header), and `?`-propagation (an [`EdgeKind::Err`] edge to the err
+//! exit). Panic unwinds are not modelled: `Drop` carriers discharge
+//! every RAII obligation on that path.
 //!
-//! Two engines run on top:
-//!
-//! * [`reach`] — forward may-analysis with gen/kill sets (union at
-//!   joins). Its one path-sensitive refinement is edge semantics: an
-//!   `Err`/`Panic` edge out of a statement carries `IN \ kill`, not
-//!   `OUT` — the statement's kills (a consumed binding, a released
-//!   credit) happened before the `?` propagated, while its gens (the
-//!   value being bound) never materialized if the statement errored.
-//! * [`dominators`] — the classic iterative intersection, used by the
-//!   books-before-visibility ordering lint.
+//! One engine runs on top: [`reach`], a forward may-analysis with
+//! gen/kill sets (union at joins). Its one path-sensitive refinement is
+//! edge semantics: an `Err` edge out of a statement carries `IN \ kill`,
+//! not `OUT` — the statement's kills (a consumed binding) happened
+//! before the `?` propagated, while its gens (the value being bound)
+//! never materialized if the statement errored.
 //!
 //! Known approximations, all erring toward silence: closures inside
 //! call parentheses stay in the statement head (no nodes), struct
@@ -32,7 +29,6 @@
 //! pieces are chained sequentially, merging the arm alternatives), and
 //! labeled `break`/`continue` bind to the innermost loop.
 
-use crate::lints::{has_token, PANIC_TOKENS};
 use crate::model::{Block, FnModel, Stmt};
 
 /// Virtual node: function entry.
@@ -41,14 +37,11 @@ pub const ENTRY: usize = 0;
 pub const EXIT_OK: usize = 1;
 /// Virtual node: the `?`/`return Err` exit.
 pub const EXIT_ERR: usize = 2;
-/// Virtual node: the panic/unwind exit. Pairing lints ignore it: an
-/// unwind runs `Drop` carriers, which discharge every RAII obligation.
-pub const EXIT_PANIC: usize = 3;
 
 /// What a CFG node stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
-    /// One of the four virtual entry/exit nodes.
+    /// One of the three virtual entry/exit nodes.
     Virtual,
     /// A leaf statement, or a control statement's head.
     Stmt,
@@ -68,8 +61,6 @@ pub enum EdgeKind {
     /// `?`/error propagation: carries `IN \ kill` (kills happened, gens
     /// never materialized).
     Err,
-    /// Panic unwind: same set semantics as [`EdgeKind::Err`].
-    Panic,
 }
 
 /// One CFG node.
@@ -86,8 +77,6 @@ pub struct Node {
     /// Innermost lexical block, by build order (function body = 0,
     /// `usize::MAX` for virtual nodes).
     pub block_id: usize,
-    /// For the first statement of a match arm: the match-head node.
-    pub arm_of: Option<usize>,
 }
 
 /// One loop's structure, for loop-scoped checks.
@@ -105,7 +94,7 @@ pub struct LoopInfo {
 
 /// A per-function control-flow graph.
 pub struct Cfg {
-    /// Nodes; indices 0..=3 are the virtual entry/exits.
+    /// Nodes; indices 0..=2 are the virtual entry/exits.
     pub nodes: Vec<Node>,
     /// Successor adjacency: `succs[n]` = `(target, kind)` pairs.
     pub succs: Vec<Vec<(usize, EdgeKind)>>,
@@ -203,7 +192,6 @@ impl Builder {
             text,
             exempt,
             block_id: block,
-            arm_of: None,
         });
         self.succs.push(Vec::new());
         self.nodes.len() - 1
@@ -229,7 +217,7 @@ impl Builder {
         let mut last_line = 0;
         for stmt in &blk.stmts {
             last_line = stmt.line;
-            frontier = self.stmt(stmt, frontier, id, None).1;
+            frontier = self.stmt(stmt, frontier, id).1;
         }
         let s = self.node(NodeKind::ScopeEnd, last_line, String::new(), false, id);
         self.connect(&frontier, s);
@@ -237,13 +225,7 @@ impl Builder {
     }
 
     /// Build one statement; returns `(head node, out frontier)`.
-    fn stmt(
-        &mut self,
-        stmt: &Stmt,
-        frontier: Frontier,
-        block: usize,
-        arm_of: Option<usize>,
-    ) -> (usize, Frontier) {
+    fn stmt(&mut self, stmt: &Stmt, frontier: Frontier, block: usize) -> (usize, Frontier) {
         let n = self.node(
             NodeKind::Stmt,
             stmt.line,
@@ -251,13 +233,9 @@ impl Builder {
             stmt.exempt,
             block,
         );
-        self.nodes[n].arm_of = arm_of;
         self.connect(&frontier, n);
         if stmt.head.contains('?') {
             self.edge(n, EXIT_ERR, EdgeKind::Err);
-        }
-        if PANIC_TOKENS.iter().any(|t| has_token(&stmt.head, t)) {
-            self.edge(n, EXIT_PANIC, EdgeKind::Panic);
         }
         let ctl = if stmt.blocks.is_empty() {
             None
@@ -373,9 +351,8 @@ impl Builder {
             }
             for g in groups {
                 let mut f: Frontier = vec![(n, EdgeKind::Seq)];
-                for (i, s) in g.iter().enumerate() {
-                    let arm_of = if i == 0 { Some(n) } else { None };
-                    let (an, nf) = self.stmt(s, f, arm_block, arm_of);
+                for s in g {
+                    let (an, nf) = self.stmt(s, f, arm_block);
                     f = nf;
                     let arrows = s.head.matches("=>").count();
                     let terms = term_hits(&s.head, "return")
@@ -422,7 +399,7 @@ pub fn build(f: &FnModel) -> Option<Cfg> {
         stack: Vec::new(),
         next_block: 0,
     };
-    for _ in 0..4 {
+    for _ in 0..3 {
         b.node(NodeKind::Virtual, 0, String::new(), false, usize::MAX);
     }
     let f = b.block(body, vec![(ENTRY, EdgeKind::Seq)]);
@@ -455,7 +432,7 @@ pub struct Reach {
 /// What an edge of `kind` out of node `p` carries, given the fixpoint.
 pub fn edge_set(reach: &Reach, kill: &[u64], p: usize, kind: EdgeKind) -> u64 {
     match kind {
-        EdgeKind::Err | EdgeKind::Panic => reach.ins[p] & !kill[p],
+        EdgeKind::Err => reach.ins[p] & !kill[p],
         EdgeKind::Seq | EdgeKind::Back => reach.outs[p],
     }
 }
@@ -487,45 +464,6 @@ pub fn reach(cfg: &Cfg, gen: &[u64], kill: &[u64]) -> Reach {
     }
 }
 
-/// Dominator sets (as bit-matrix rows): `a` dominates `b` iff every
-/// path from entry to `b` passes through `a`. Iterative intersection
-/// over predecessors of every edge kind.
-pub fn dominators(cfg: &Cfg) -> Vec<Vec<u64>> {
-    let n = cfg.nodes.len();
-    let words = n.div_ceil(64);
-    let full = vec![u64::MAX; words];
-    let mut dom: Vec<Vec<u64>> = vec![full; n];
-    dom[ENTRY] = vec![0; words];
-    dom[ENTRY][0] = 1; // only the entry dominates the entry
-    loop {
-        let mut changed = false;
-        for v in 0..n {
-            if v == ENTRY || cfg.preds[v].is_empty() {
-                continue;
-            }
-            let mut new = vec![u64::MAX; words];
-            for &(p, _) in &cfg.preds[v] {
-                for (w, bits) in new.iter_mut().enumerate() {
-                    *bits &= dom[p][w];
-                }
-            }
-            new[v / 64] |= 1u64 << (v % 64);
-            if new != dom[v] {
-                dom[v] = new;
-                changed = true;
-            }
-        }
-        if !changed {
-            return dom;
-        }
-    }
-}
-
-/// Does node `a` dominate node `b` under `doms` = [`dominators`]?
-pub fn dominates(doms: &[Vec<u64>], a: usize, b: usize) -> bool {
-    doms[b][a / 64] >> (a % 64) & 1 == 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,6 +473,13 @@ mod tests {
     fn cfg_of(src: &str) -> Cfg {
         let m = file_model("crates/exec/src/t.rs", &CleanSource::new(src));
         build(&m.fns[0]).expect("fn has a body")
+    }
+
+    /// Can control reach `target` from the entry without passing `node`?
+    fn bypasses(cfg: &Cfg, node: usize, target: usize) -> bool {
+        let mut stop = vec![false; cfg.nodes.len()];
+        stop[node] = true;
+        cfg.reach_avoiding(&[ENTRY], &stop)[target]
     }
 
     fn find(cfg: &Cfg, needle: &str) -> usize {
@@ -551,10 +496,9 @@ mod tests {
         let b = find(&cfg, "b()");
         assert!(cfg.succs[ENTRY].iter().any(|&(t, _)| t == a));
         assert!(cfg.succs[a].iter().any(|&(t, _)| t == b));
-        // b -> scope end -> exit ok
-        let doms = dominators(&cfg);
-        assert!(dominates(&doms, a, EXIT_OK));
-        assert!(dominates(&doms, b, EXIT_OK));
+        // b -> scope end -> exit ok, and there is no way around either
+        assert!(!bypasses(&cfg, a, EXIT_OK));
+        assert!(!bypasses(&cfg, b, EXIT_OK));
     }
 
     #[test]
@@ -583,9 +527,8 @@ mod tests {
         let iff = find(&cfg, "if c");
         let a = find(&cfg, "a()");
         let tail = find(&cfg, "tail()");
-        let doms = dominators(&cfg);
-        assert!(dominates(&doms, iff, tail), "head dominates the join");
-        assert!(!dominates(&doms, a, tail), "branch body does not");
+        assert!(!bypasses(&cfg, iff, tail), "head dominates the join");
+        assert!(bypasses(&cfg, a, tail), "branch body does not");
     }
 
     #[test]
@@ -595,7 +538,7 @@ mod tests {
         // every successor of the head is a branch entry, not the join
         let branch_entries: Vec<usize> = cfg.succs[iff]
             .iter()
-            .filter(|(t, _)| !matches!(t, &EXIT_ERR | &EXIT_PANIC))
+            .filter(|&&(t, _)| t != EXIT_ERR)
             .map(|&(t, _)| t)
             .collect();
         assert_eq!(branch_entries.len(), 2, "{branch_entries:?}");
@@ -622,9 +565,8 @@ fn f() -> u32 {
         let cfg = cfg_of(src);
         let arm = find(&cfg, "Ok(x)");
         let use_it = find(&cfg, "use_it");
-        let doms = dominators(&cfg);
         assert!(
-            dominates(&doms, arm, use_it),
+            !bypasses(&cfg, arm, use_it),
             "the merged success arm is on every path to the tail"
         );
         // the return inside the Err block leaves via EXIT_OK
@@ -762,12 +704,5 @@ fn f(c: bool) {
         assert_eq!(r.ins[scope_ends[0]], 1, "live at its scope end");
         let tail = find(&cfg, "tail()");
         assert_eq!(r.ins[tail], 0, "dead past the block");
-    }
-
-    #[test]
-    fn panic_tokens_add_unwind_edges() {
-        let cfg = cfg_of("fn f() { x.unwrap(); }\n");
-        let u = find(&cfg, "unwrap");
-        assert!(cfg.succs[u].contains(&(EXIT_PANIC, EdgeKind::Panic)));
     }
 }

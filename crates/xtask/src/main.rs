@@ -1,11 +1,11 @@
 //! `cargo xtask` — repo automation gate.
 //!
 //! Subcommands:
-//! * `analyze [--update-baseline] [--sarif PATH]` — the full static
-//!   pass: the token lints of [`lints`] plus the dataflow lints of
-//!   [`analyze`] over the parsed model of [`model`], ratcheted against
-//!   `lint-baseline.txt`; `--sarif` additionally writes a SARIF 2.1.0
-//!   report for CI code-scanning annotations.
+//! * `analyze [--sarif PATH] [--explain RULE-ID]` — the static pass
+//!   clippy and the type system cannot do: the dataflow lints of
+//!   [`analyze`] over the parsed model of [`model`]. Any finding fails;
+//!   `--sarif` additionally writes a SARIF 2.1.0 report for CI
+//!   code-scanning annotations.
 //! * `lint` — alias for `analyze` (the historical name).
 //! * `audit` — run the crates under the `check-invariants` feature so
 //!   the dominance auditors watch every operator test.
@@ -19,17 +19,19 @@
 //!   to `target/bench_gate_report.txt` and are never compared — wall
 //!   regressions are `BENCHMARK.json`'s job. `--smoke` runs only the
 //!   small sections — the CI configuration.
-//! * `ratchet --base PATH` — monotonicity check: the committed
-//!   `lint-baseline.txt` must be ≤ the snapshot at PATH entry-wise (CI
-//!   passes the PR base branch's copy), so allowances only ever shrink.
-//! * `check` — analyze + audit + oracle; the CI entry point (the bench
-//!   gate is a separate CI job: it needs a release build).
+//! * `check` — clippy (`-D warnings`, where the hot-path, raw-I/O and
+//!   doc-section contracts live) + analyze + audit + oracle; the CI entry
+//!   point (the bench gate is a separate CI job: it needs a release
+//!   build).
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the analyzer reads sources and writes reports, not pages"
+)]
 
 mod analyze;
-mod baseline;
 mod callgraph;
 mod cfg;
-mod lints;
 mod model;
 mod oracle;
 mod sarif;
@@ -39,8 +41,6 @@ mod seeded_tests;
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
-
-const BASELINE_FILE: &str = "lint-baseline.txt";
 
 fn workspace_root() -> PathBuf {
     // compiled into the binary: crates/xtask → ../../ is the workspace
@@ -65,8 +65,7 @@ fn source_files(root: &Path) -> Vec<String> {
             let name = name.to_string_lossy();
             if path.is_dir() {
                 // `seeded-violations` holds deliberate lint violations
-                // for the self-tests; scanning them would seed the
-                // baseline with intentional findings
+                // for the self-tests, not workspace code
                 if name != "target" && name != "seeded-violations" && !name.starts_with('.') {
                     stack.push(path);
                 }
@@ -81,103 +80,39 @@ fn source_files(root: &Path) -> Vec<String> {
     out
 }
 
-fn run_analysis(root: &Path, update_baseline: bool, sarif_out: Option<&str>) -> Result<(), String> {
+/// Every finding of every lint family over the workspace sources.
+fn workspace_findings(root: &Path) -> Result<Vec<analyze::Finding>, String> {
     let mut cleaned = Vec::new();
     for rel in source_files(root) {
         let src =
             std::fs::read_to_string(root.join(&rel)).map_err(|e| format!("read {rel}: {e}"))?;
         cleaned.push((rel, scan::CleanSource::new(&src)));
     }
-    let mut findings = Vec::new();
-    for (rel, cs) in &cleaned {
-        findings.extend(lints::lint_file(rel, cs));
-    }
-    findings.extend(analyze::analyze_files(&cleaned));
+    Ok(analyze::analyze_files(&cleaned))
+}
+
+fn run_analysis(root: &Path, sarif_out: Option<&str>) -> Result<(), String> {
+    let findings = workspace_findings(root)?;
     if let Some(path) = sarif_out {
         std::fs::write(root.join(path), sarif::render(&findings))
             .map_err(|e| format!("write {path}: {e}"))?;
         println!("analyze: SARIF report written to {path}");
     }
-    let current = baseline::counts_of(&findings);
-    let baseline_path = root.join(BASELINE_FILE);
-
-    if update_baseline {
-        std::fs::write(&baseline_path, baseline::render(&current))
-            .map_err(|e| format!("write {BASELINE_FILE}: {e}"))?;
-        println!(
-            "analyze: baseline rewritten with {} findings across {} (lint, file) pairs",
-            findings.len(),
-            current.len()
-        );
-        return Ok(());
-    }
-
-    let base_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
-    let base = baseline::parse(&base_text)?;
-    let (regressions, improvements) = baseline::compare(&current, &base);
-
-    for d in &improvements {
-        println!(
-            "analyze: {}:{} improved {} → {} — ratchet down with `cargo xtask analyze --update-baseline`",
-            d.lint, d.file, d.allowed, d.current
-        );
-    }
-    if regressions.is_empty() {
-        println!(
-            "analyze: ok — {} findings, all within the ratchet ({} files scanned)",
-            findings.len(),
-            cleaned.len()
-        );
+    if findings.is_empty() {
+        println!("analyze: ok — no findings");
         return Ok(());
     }
     let mut msg = String::new();
-    for d in &regressions {
+    for f in &findings {
         msg.push_str(&format!(
-            "analyze regression: {} in {} — {} findings, baseline allows {}\n",
-            d.lint, d.file, d.current, d.allowed
-        ));
-        for f in findings
-            .iter()
-            .filter(|f| f.lint == d.lint && f.file == d.file)
-        {
-            msg.push_str(&format!("    {}:{}  {}\n", f.file, f.line, f.excerpt));
-        }
-    }
-    msg.push_str(
-        "fix the new findings (or, for accepted debt, run `cargo xtask analyze --update-baseline`)",
-    );
-    Err(msg)
-}
-
-/// Monotonicity check for the ratchet itself: the committed
-/// `lint-baseline.txt` may only ever shrink. Compares it against an
-/// older baseline snapshot (CI passes the merge-base's copy) and fails
-/// if any `(lint, file)` count grew or a new pair appeared — catching
-/// a `--update-baseline` run that laundered new findings into the
-/// allowance.
-fn run_ratchet(root: &Path, base_path: &str) -> Result<(), String> {
-    let current_text = std::fs::read_to_string(root.join(BASELINE_FILE))
-        .map_err(|e| format!("read {BASELINE_FILE}: {e}"))?;
-    let base_text = std::fs::read_to_string(base_path)
-        .map_err(|e| format!("read base baseline {base_path}: {e}"))?;
-    let current = baseline::parse(&current_text)?;
-    let base = baseline::parse(&base_text)?;
-    let (regressions, improvements) = baseline::compare(&current, &base);
-    if regressions.is_empty() {
-        println!(
-            "ratchet: ok — {} allowance(s) lowered, none raised",
-            improvements.len()
-        );
-        return Ok(());
-    }
-    let mut msg = String::new();
-    for d in &regressions {
-        msg.push_str(&format!(
-            "ratchet violation: {} in {} — allowance raised {} → {}\n",
-            d.lint, d.file, d.allowed, d.current
+            "{}:{}  {}: {}\n",
+            f.file, f.line, f.lint, f.excerpt
         ));
     }
-    msg.push_str("the lint baseline may only shrink; fix the findings instead of re-baselining");
+    msg.push_str(&format!(
+        "analyze: {} finding(s) — there is no baseline to absorb them, fix each one",
+        findings.len()
+    ));
     Err(msg)
 }
 
@@ -194,6 +129,22 @@ fn run_cargo(root: &Path, args: &[&str]) -> Result<(), String> {
     } else {
         Err(format!("`cargo {}` failed ({status})", args.join(" ")))
     }
+}
+
+/// The stock-lint leg: hot-path panics and discards, raw file I/O and
+/// missing `# Errors`/`# Panics` sections all fail here.
+fn run_clippy(root: &Path) -> Result<(), String> {
+    run_cargo(
+        root,
+        &[
+            "clippy",
+            "--workspace",
+            "--all-targets",
+            "--",
+            "-D",
+            "warnings",
+        ],
+    )
 }
 
 fn run_audit(root: &Path) -> Result<(), String> {
@@ -255,8 +206,8 @@ fn run_bench(root: &Path, gate: bool, smoke: bool) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: cargo xtask <check|analyze|lint|audit|oracle|bench|ratchet> \
-     [--update-baseline] [--sarif PATH] [--explain RULE-ID] [--gate] [--smoke] [--base PATH]"
+    "usage: cargo xtask <check|analyze|lint|audit|oracle|bench> \
+     [--sarif PATH] [--explain RULE-ID] [--gate] [--smoke]"
         .to_string()
 }
 
@@ -277,7 +228,6 @@ fn run_explain(rule: &str) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let root = workspace_root();
-    let update = args.iter().any(|a| a == "--update-baseline");
     let sarif = args
         .iter()
         .position(|a| a == "--sarif")
@@ -285,11 +235,6 @@ fn main() -> ExitCode {
         .map(String::as_str);
     let gate = args.iter().any(|a| a == "--gate");
     let smoke = args.iter().any(|a| a == "--smoke");
-    let base = args
-        .iter()
-        .position(|a| a == "--base")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
     let explain = args
         .iter()
         .position(|a| a == "--explain")
@@ -298,17 +243,12 @@ fn main() -> ExitCode {
     let result = match (args.first().map(String::as_str), explain) {
         (Some("analyze" | "lint"), Some(rule)) => run_explain(rule),
         (first, _) => match first {
-            Some("analyze") | Some("lint") => run_analysis(&root, update, sarif),
-            Some("ratchet") => match base {
-                Some(b) => run_ratchet(&root, b),
-                None => Err(
-                    "ratchet needs --base PATH (the older baseline to compare against)".to_string(),
-                ),
-            },
+            Some("analyze") | Some("lint") => run_analysis(&root, sarif),
             Some("audit") => run_audit(&root),
             Some("oracle") => run_oracle(),
             Some("bench") => run_bench(&root, gate, smoke),
-            Some("check") => run_analysis(&root, false, sarif)
+            Some("check") => run_clippy(&root)
+                .and_then(|()| run_analysis(&root, sarif))
                 .and_then(|()| run_audit(&root))
                 .and_then(|()| run_oracle()),
             _ => Err(usage()),

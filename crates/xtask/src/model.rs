@@ -9,10 +9,19 @@
 //! braces (`head`) and the nested blocks themselves. That is enough to
 //! do scoped, statement-ordered reasoning — track a binding from its
 //! `let`, see which later statements mention or consume it, know when
-//! its block scope ends — which the line-oriented token lints cannot.
+//! its block scope ends.
 
-use crate::lints::EXEMPT_GATES;
 use crate::scan::{gated_regions, CleanSource};
+
+/// Attribute prefixes whose gated items the lints ignore: tests, and the
+/// `check-invariants` auditor (whose *job* is to panic).
+const EXEMPT_GATES: &[&str] = &[
+    "#[cfg(test)]",
+    "#[cfg(all(test",
+    "#[test]",
+    "#[cfg(feature = \"check-invariants\")]",
+    "#[cfg(all(test, feature = \"check-invariants\"))]",
+];
 
 /// One parsed source file.
 pub struct FileModel {
@@ -81,13 +90,6 @@ impl Stmt {
             }
         }
         out
-    }
-}
-
-impl FnModel {
-    /// The return-type text of the signature (after `->`), if any.
-    pub fn ret(&self) -> Option<&str> {
-        self.sig.split_once("->").map(|(_, r)| r.trim())
     }
 }
 
@@ -522,7 +524,6 @@ trait T {
         assert!(!m.fns[1].is_pub);
         assert!(m.fns[2].is_pub, "pub(crate) counts as pub");
         assert!(m.fns[4].body.is_none(), "trait signature has no body");
-        assert_eq!(m.fns[2].ret(), Some("Result<u8, String>"));
         assert_eq!(m.fns[0].line, 1);
         assert_eq!(m.fns[1].line, 3);
     }

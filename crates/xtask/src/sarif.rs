@@ -5,22 +5,16 @@
 //! Uploaded by CI via `github/codeql-action/upload-sarif`, which turns
 //! each result into an inline PR annotation at `file:line`.
 
-use crate::lints::Finding;
+use crate::analyze::Finding;
 use std::collections::BTreeMap;
 
 /// Per-lint one-line help text, embedded as the rule description and
 /// printed by `cargo xtask analyze --explain <rule-id>`.
 pub fn rule_help(lint: &str) -> &'static str {
     match lint {
-        "hot-path-panic" => {
-            "No unwrap/expect/panic-family calls in operator hot paths; return typed errors."
-        }
-        "raw-io" => "No std::fs I/O outside the io_stats-counted disk layer.",
-        "doc-sections" => "Public fallible APIs document `# Errors` / `# Panics`.",
         "page-leak" => {
             "Owned HeapFiles must reach persist/mark_temp/delete/a consumer on every `?`/return path."
         }
-        "result-discard" => "Typed StorageError/ExecError Results must not be discarded or swallowed.",
         "lock-order" => "Lock acquisition order must be acyclic across the workspace.",
         "lock-across-io" => "Mutex guards must not be held across disk I/O calls.",
         "cancel-liveness" => {
@@ -30,34 +24,18 @@ pub fn rule_help(lint: &str) -> &'static str {
         "blocking-under-lock" => {
             "No bounded-queue pushes, condvar waits, or blocking callees while a mutex guard is held."
         }
-        "counter-conservation" => {
-            "Every SkylineMetrics counter must survive snapshot, absorb, reset, and merge (plus)."
-        }
-        "resource-pairing" => {
-            "Acquired credits, admission-counter bumps, and pool leases must be released, rolled back, or Drop-carried on every error exit path."
-        }
-        "books-before-visibility" => {
-            "Counter settlement must dominate the terminal Msg::End publish, and the admitted bump must dominate queue insertion."
-        }
         _ => "Workspace lint.",
     }
 }
 
 /// Every rule id `--explain` accepts, in rendering order.
 pub const RULE_IDS: &[&str] = &[
-    "hot-path-panic",
-    "raw-io",
-    "doc-sections",
     "page-leak",
-    "result-discard",
     "lock-order",
     "lock-across-io",
     "cancel-liveness",
     "guard-into-spawn",
     "blocking-under-lock",
-    "counter-conservation",
-    "resource-pairing",
-    "books-before-visibility",
 ];
 
 /// Render `findings` as a SARIF 2.1.0 document.
@@ -176,15 +154,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrency_contract_lints_have_distinct_rules() {
-        let lints = [
-            "cancel-liveness",
-            "guard-into-spawn",
-            "blocking-under-lock",
-            "counter-conservation",
-            "resource-pairing",
-            "books-before-visibility",
-        ];
+    fn every_lint_has_a_distinct_rule() {
+        let lints = RULE_IDS;
         let findings: Vec<Finding> = lints
             .iter()
             .map(|l| Finding {
@@ -198,7 +169,7 @@ mod tests {
         for l in lints {
             assert!(doc.contains(&format!("\"id\": \"{l}\"")), "{l} rule id");
         }
-        // each new lint carries its own help text, not the fallback
+        // each lint carries its own help text, not the fallback
         assert_eq!(doc.matches("Workspace lint.").count(), 0);
     }
 

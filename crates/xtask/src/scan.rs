@@ -1,11 +1,10 @@
 //! Comment- and string-aware source scanning.
 //!
-//! The lints in [`crate::lints`] work on *cleaned* source: string/char
+//! The lints in [`crate::analyze`] work on *cleaned* source: string/char
 //! literal contents and comments are blanked out (newlines preserved) so
-//! token searches cannot be fooled by text inside them, while doc-comment
-//! text is kept in a parallel buffer for the doc-section lint. Rust is
-//! lexed just deeply enough for that — nested block comments, raw strings
-//! with hashes, byte strings, and the char-literal/lifetime ambiguity.
+//! token searches cannot be fooled by text inside them. Rust is lexed
+//! just deeply enough for that — nested block comments, raw strings with
+//! hashes, byte strings, and the char-literal/lifetime ambiguity.
 
 /// A source file after lexical cleaning, split into lines.
 pub struct CleanSource {
@@ -14,8 +13,6 @@ pub struct CleanSource {
     pub raw: Vec<String>,
     /// Code text with comments and literal contents blanked.
     pub code: Vec<String>,
-    /// Doc-comment lines (`///` / `//!`); blank for non-doc lines.
-    pub docs: Vec<String>,
 }
 
 impl CleanSource {
@@ -24,27 +21,17 @@ impl CleanSource {
         let chars: Vec<char> = src.chars().collect();
         let n = chars.len();
         let mut code = vec![' '; n];
-        let mut docs = vec![' '; n];
         for (i, &c) in chars.iter().enumerate() {
             if c == '\n' {
                 code[i] = '\n';
-                docs[i] = '\n';
             }
         }
         let mut i = 0;
         while i < n {
             let c = chars[i];
             if c == '/' && i + 1 < n && chars[i + 1] == '/' {
-                // `///x` and `//!` are docs; `////...` is a plain comment
-                let doc = i + 2 < n
-                    && (chars[i + 2] == '!'
-                        || (chars[i + 2] == '/' && !(i + 3 < n && chars[i + 3] == '/')));
-                let start = i;
                 while i < n && chars[i] != '\n' {
                     i += 1;
-                }
-                if doc {
-                    docs[start..i].copy_from_slice(&chars[start..i]);
                 }
             } else if c == '/' && i + 1 < n && chars[i + 1] == '*' {
                 // block comments nest in Rust
@@ -101,7 +88,6 @@ impl CleanSource {
         CleanSource {
             raw: src.split('\n').map(str::to_string).collect(),
             code: to_lines(&code),
-            docs: to_lines(&docs),
         }
     }
 }
@@ -185,6 +171,25 @@ fn to_lines(chars: &[char]) -> Vec<String> {
     s.split('\n').map(str::to_string).collect()
 }
 
+/// `haystack` contains `tok` at an identifier boundary — so
+/// `File::create(` does not fire on `HeapFile::create(`.
+pub fn has_token(haystack: &str, tok: &str) -> bool {
+    let mut from = 0;
+    while let Some(p) = haystack[from..].find(tok) {
+        let at = from + p;
+        let bounded = !tok.starts_with(|c: char| c.is_alphanumeric() || c == '_')
+            || !haystack[..at]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        if bounded {
+            return true;
+        }
+        from = at + tok.len();
+    }
+    false
+}
+
 /// Mark every line belonging to an item gated by an attribute whose
 /// (whitespace-trimmed) text starts with one of `prefixes` — e.g.
 /// `#[cfg(test)] mod tests { … }` marks the whole module body.
@@ -253,16 +258,6 @@ mod tests {
         assert!(!joined.contains("expect"));
         assert!(joined.contains("let s"));
         assert!(joined.contains("let u"));
-    }
-
-    #[test]
-    fn doc_comments_are_kept_separately() {
-        let cs = CleanSource::new("/// # Errors\n/// bad things\npub fn f() {}\n// plain\n");
-        assert!(cs.docs[0].contains("# Errors"));
-        assert!(cs.docs[1].contains("bad things"));
-        assert_eq!(cs.docs[3].trim(), "");
-        assert!(cs.code[2].contains("pub fn f"));
-        assert_eq!(cs.code[0].trim(), "");
     }
 
     #[test]

@@ -14,7 +14,8 @@ use skyline::query::rewrite::to_except_sql;
 use skyline::query::{execute, explain, parse};
 use skyline::relation::csv::read_csv;
 use skyline::relation::samples::{good_eats, theorem4_points};
-use std::io::{BufRead, BufReader, Write};
+use skyline::storage::read_text;
+use std::io::{BufRead, Write};
 
 fn main() {
     let mut catalog = Catalog::new();
@@ -22,8 +23,8 @@ fn main() {
     catalog.register("points", theorem4_points());
 
     for path in std::env::args().skip(1) {
-        let file = std::fs::File::open(&path).expect("open csv");
-        let table = read_csv(BufReader::new(file), None).expect("parse csv");
+        let text = read_text(std::path::Path::new(&path)).expect("open csv");
+        let table = read_csv(text.as_bytes(), None).expect("parse csv");
         let name = std::path::Path::new(&path)
             .file_stem()
             .and_then(|s| s.to_str())
