@@ -10,7 +10,9 @@
 //! record an operator pulls from its *child* is eventually either emitted
 //! or discarded — spilled records come back in a later pass — so
 //! `emitted + discarded == input_records` once the operator drains, and
-//! total fetches equal `input_records + temp_records`.
+//! total fetches equal `input_records + temp_records`. Where an
+//! elimination filter sits ahead of the sort, the keys it drops never
+//! reach an operator: `eliminated + input_records == n`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,6 +120,9 @@ counters! {
     /// Shard-local skyline candidates pruned by broadcast representatives
     /// before serialization (zero unless representative filtering ran).
     pruned_by_representatives,
+    /// Keys the elimination filter dropped ahead of the sort — they never
+    /// became `input_records` of any operator (zero where no filter ran).
+    eliminated,
 }
 
 impl SkylineMetrics {
@@ -216,6 +221,12 @@ impl SkylineMetrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record one key dropped by the elimination filter before the sort.
+    #[inline]
+    pub fn add_eliminated(&self) {
+        self.eliminated.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record the block-kernel side of a probe: blocks pruned whole by
     /// summaries/bounds and window-entry lanes screened (every lane of a
     /// non-skipped block, tested once by level code). Scalar-kernel
@@ -251,6 +262,7 @@ mod tests {
         m.add_bytes_exchanged(80);
         m.add_exchange_frame();
         m.add_pruned_by_representative();
+        m.add_eliminated();
         let s = m.snapshot();
         assert_eq!(s.comparisons, 15);
         assert_eq!(s.passes, 1);
@@ -267,6 +279,7 @@ mod tests {
         assert_eq!(s.bytes_exchanged, 80);
         assert_eq!(s.exchange_frames, 1);
         assert_eq!(s.pruned_by_representatives, 1);
+        assert_eq!(s.eliminated, 1);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
@@ -289,6 +302,7 @@ mod tests {
             bytes_exchanged: 64,
             exchange_frames: 1,
             pruned_by_representatives: 2,
+            eliminated: 9,
         };
         let b = MetricsSnapshot {
             comparisons: 7,
@@ -306,6 +320,7 @@ mod tests {
             bytes_exchanged: 32,
             exchange_frames: 3,
             pruned_by_representatives: 5,
+            eliminated: 1,
         };
         let m = SkylineMetrics::shared();
         m.absorb(&a);

@@ -62,8 +62,10 @@ pub struct ExecOptions {
     /// the paged external engine (default
     /// [`crate::pushdown::EXTERNAL_THRESHOLD`]).
     pub external_threshold: usize,
-    /// External-sort arena budget in pages (default 1000, matching the
-    /// historical pushdown).
+    /// External-sort budget in pages (default 1000, matching the
+    /// historical pushdown): one page for the elimination filter ahead
+    /// of the sort, the rest for its arena. Below 4 a paged query fails
+    /// with a typed configuration error.
     pub sort_pages: usize,
     /// Worker threads for [`SkylineAlgo::Parallel`]; `0` means one per
     /// available core.

@@ -23,6 +23,7 @@ use skyline_core::KeyMatrix;
 use skyline_exec::cancel::poll;
 use skyline_exec::ExecError;
 use skyline_relation::{Table, Tuple, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -73,9 +74,10 @@ pub fn execute_query_with(
         .get(&query.from)
         .ok_or_else(|| QueryError::NoSuchTable(query.from.clone()))?;
 
-    // Filter
+    // Filter. Without a WHERE the table is borrowed: a skyline over a
+    // whole table clones its survivors and nothing else.
     let mut schema = table.schema().clone();
-    let mut rows: Vec<Tuple> = match &query.where_clause {
+    let mut rows: Cow<'_, [Tuple]> = match &query.where_clause {
         Some(pred) => {
             expr::validate(pred, &schema)?;
             table
@@ -85,7 +87,7 @@ pub fn execute_query_with(
                 .cloned()
                 .collect()
         }
-        None => table.rows().to_vec(),
+        None => Cow::Borrowed(table.rows()),
     };
 
     // Group by / aggregate (the paper's Fig. 8 pre-pass shape). The
@@ -97,7 +99,8 @@ pub fn execute_query_with(
         .any(|i| matches!(i, SelectItem::Aggregate { .. }));
     let grouped = !query.group_by.is_empty() || has_agg;
     if grouped {
-        (schema, rows) = apply_group_by(&schema, rows, query)?;
+        let (out_schema, out_rows) = apply_group_by(&schema, &rows, query)?;
+        (schema, rows) = (out_schema, Cow::Owned(out_rows));
     }
     if let Some(having) = &query.having {
         if !grouped {
@@ -106,12 +109,12 @@ pub fn execute_query_with(
             ));
         }
         expr::validate(having, &schema)?;
-        rows.retain(|r| expr::eval(having, &schema, r));
+        rows.to_mut().retain(|r| expr::eval(having, &schema, r));
     }
 
     // Skyline (over the possibly-grouped relation)
     if let Some(clause) = &query.skyline {
-        rows = apply_skyline(rows, &schema, clause, opts)?;
+        rows = Cow::Owned(apply_skyline(&rows, &schema, clause, opts)?);
     }
 
     // Order by
@@ -123,7 +126,7 @@ pub fn execute_query_with(
                 .ok_or_else(|| QueryError::NoSuchColumn(item.column.clone()))?;
             keys.push((idx, item.desc));
         }
-        rows.sort_by(|a, b| {
+        rows.to_mut().sort_by(|a, b| {
             for &(idx, desc) in &keys {
                 let ord = a.get(idx).sql_cmp(b.get(idx)).unwrap_or(Ordering::Equal);
                 let ord = if desc { ord.reverse() } else { ord };
@@ -137,12 +140,12 @@ pub fn execute_query_with(
 
     // Limit
     if let Some(n) = query.limit {
-        rows.truncate(n as usize);
+        rows.to_mut().truncate(n as usize);
     }
 
     // Project (grouping already produced the output shape)
     if query.select.is_empty() || grouped {
-        Table::new(schema, rows).map_err(|e| QueryError::Semantic(e.to_string()))
+        Table::new(schema, rows.into_owned()).map_err(|e| QueryError::Semantic(e.to_string()))
     } else {
         let mut indices = Vec::with_capacity(query.select.len());
         let mut out_cols = Vec::with_capacity(query.select.len());
@@ -172,7 +175,7 @@ pub fn execute_query_with(
 /// group.
 fn apply_group_by(
     schema: &skyline_relation::Schema,
-    rows: Vec<Tuple>,
+    rows: &[Tuple],
     query: &Query,
 ) -> Result<(skyline_relation::Schema, Vec<Tuple>), QueryError> {
     use skyline_relation::{Column, ColumnType, Schema};
@@ -310,7 +313,7 @@ fn apply_group_by(
 }
 
 fn apply_skyline(
-    rows: Vec<Tuple>,
+    rows: &[Tuple],
     schema: &skyline_relation::Schema,
     clause: &crate::ast::SkylineClause,
     opts: &ExecOptions,
@@ -348,10 +351,10 @@ fn apply_skyline(
             data.push(if is_min { -v } else { v });
         }
     }
-    // Large integer-valued relations push down to the paged engine,
-    // which takes the matrix as its input stream.
-    if crate::pushdown::routes_to_paged_engine(&rows, &data, &crit, &diff, opts) {
-        let keep = crate::pushdown::external_skyline_with(data, d, &rows, &diff, opts)?;
+    // Large relations push down to the paged engine, which takes the
+    // matrix as its input stream.
+    if crate::pushdown::routes_to_paged_engine(rows, &data, &diff, opts) {
+        let keep = crate::pushdown::external_skyline_with(data, d, rows, &diff, opts)?;
         return Ok(keep.into_iter().map(|i| rows[i].clone()).collect());
     }
 

@@ -11,6 +11,18 @@
 //! integration the paper argues for — the skyline as *an operator inside
 //! the engine*, not an application post-pass.
 //!
+//! Ahead of the sort sits a LESS [`EliminationFilter`]: one page of the
+//! best-entropy keys seen so far, probed per matrix row *before* the row
+//! is encoded, so a row some earlier row strictly dominates costs no
+//! encode, arena byte, run page, merge step or filter probe. It is exact
+//! (every dropped row is dominated by a forwarded one) and its page is
+//! the sort's own — `sort_pages − 1` go to the arena — so no lease
+//! grows. It runs on every presorted arm and stays out only where the
+//! code can see it would be wrong or pointless: with DIFF lanes
+//! (incomparable groups interleave in the unsorted stream) and on the
+//! `Bnl` arm (the paper's unsorted baseline, and the filter-free twin
+//! the differential tests compare against).
+//!
 //! [`external_skyline_with`] honours the [`ExecOptions`] contract: the
 //! algorithm hint picks the narrow instantiation (SFS for `Auto`, `Sfs`
 //! and `Strata` — stratum s₀ *is* the SFS skyline; BNL over the unsorted
@@ -28,7 +40,7 @@ use crate::error::QueryError;
 use crate::options::{ExecOptions, SkylineAlgo};
 use skyline_core::cardinality::recommend_window_pages;
 use skyline_core::external::{
-    parallel_filter, sort_narrow, BatchBnl, BatchConfig, BatchSfs, NarrowFormat,
+    parallel_filter, sort_narrow, BatchBnl, BatchConfig, BatchSfs, EliminationFilter, NarrowFormat,
 };
 use skyline_core::{EntropyScore, SfsConfig, SkylineMetrics};
 use skyline_exec::cancel::poll;
@@ -43,36 +55,29 @@ pub const EXTERNAL_THRESHOLD: usize = 50_000;
 
 /// Does this skyline run on the paged engine? Yes when the relation is
 /// at least `opts.external_threshold` rows, the algorithm is not
-/// divide-and-conquer (in-memory only), every criterion value is
-/// integral and within `i32`, and every DIFF key is an integer within
-/// `i32`.
+/// divide-and-conquer (in-memory only), every criterion value is finite
+/// (NaN and ±∞ keep their in-memory semantics), and every DIFF key is an
+/// integer within `i32`.
 ///
-/// The integrality clause is deliberate, not a codec limit — narrow
-/// entries carry any f64. Paging fractional criteria was measured on the
-/// end-to-end benchmark's `float_d5` workload (100k rows, 5 fractional
-/// criteria, 2 cores): the external sort over 48-byte entries moved
-/// `query_p50_ms` 50.0 → 69.3 (entropy presort; 62.6 with the key-sum
-/// presort) and `setup_s` 0.26 → 0.39, both beyond that benchmark's 0.25
-/// regression bound. Until the sort is cheaper, such tables stay on the
-/// in-memory executor.
+/// Criteria used to have to be integral and within `i32` as well — not a
+/// codec limit (narrow entries carry any f64) but a measurement: paging
+/// the end-to-end benchmark's `float_d5` workload (100k rows, 5
+/// fractional criteria, 2 cores) moved `query_p50_ms` 50.0 → 69.3,
+/// because the external sort handled every one of the 100k entries. With
+/// the elimination filter 97 % of that table never reaches the sort, and
+/// the same pairing reads 44.9 → 18.4 ms, ten pairs of ten
+/// (EXPERIMENTS.md "Elimination filter") — so fractional tables page,
+/// and charge the quota a 64-page sort arena instead of a 977-page key
+/// matrix.
 pub fn routes_to_paged_engine(
     rows: &[Tuple],
     keys: &[f64],
-    crit: &[(usize, bool)],
     diff: &[usize],
     opts: &ExecOptions,
 ) -> bool {
-    let fits_i32 =
-        |v: f64| v.fract() == 0.0 && v >= f64::from(i32::MIN) && v <= f64::from(i32::MAX);
     rows.len() >= opts.external_threshold
         && opts.algo != SkylineAlgo::DivideAndConquer
-        && keys.chunks_exact(crit.len()).all(|key| {
-            // keys are oriented (MIN columns negated); the test is on
-            // the stored value
-            key.iter()
-                .zip(crit)
-                .all(|(&k, &(_, is_min))| fits_i32(if is_min { -k } else { k }))
-        })
+        && keys.iter().all(|k| k.is_finite())
         && rows.iter().all(|row| {
             diff.iter().all(|&idx| {
                 row.get(idx)
@@ -95,12 +100,14 @@ fn reserve(opts: &ExecOptions, pages: usize) -> Result<Option<BufferLease>, Quer
 }
 
 /// The planner's key matrix (plus DIFF lanes) lent to the external
-/// operators as narrow entries, row index as the row id.
+/// operators as narrow entries, row index as the row id. Rows the
+/// elimination filter drops are skipped before they are encoded.
 struct MatrixEntries {
     keys: Vec<f64>,
     groups: Vec<f64>,
     narrow: NarrowLayout,
     row: usize,
+    filter: Option<EliminationFilter>,
     lanes: Vec<f64>,
     entry: Vec<u8>,
     cancel: Option<CancelToken>,
@@ -113,19 +120,27 @@ impl Operator for MatrixEntries {
     }
 
     fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
-        poll(self.cancel.as_ref(), self.row as u64)?;
         let (d, g) = (self.narrow.dims(), self.narrow.diff_dims());
-        let Some(key) = self.keys.get(self.row * d..(self.row + 1) * d) else {
-            return Ok(None);
-        };
-        self.lanes.clear();
-        self.lanes.extend_from_slice(key);
-        self.lanes
-            .extend_from_slice(&self.groups[self.row * g..(self.row + 1) * g]);
-        self.narrow
-            .encode_into(&self.lanes, self.row as u64, &mut self.entry);
-        self.row += 1;
-        Ok(Some(&self.entry))
+        loop {
+            // per row consumed, not per row emitted: the filter may drop
+            // almost everything
+            poll(self.cancel.as_ref(), self.row as u64)?;
+            let row = self.row;
+            let Some(key) = self.keys.get(row * d..(row + 1) * d) else {
+                return Ok(None);
+            };
+            self.row += 1;
+            if self.filter.as_mut().is_some_and(|f| !f.admit(key)) {
+                continue;
+            }
+            self.lanes.clear();
+            self.lanes.extend_from_slice(key);
+            self.lanes
+                .extend_from_slice(&self.groups[row * g..(row + 1) * g]);
+            self.narrow
+                .encode_into(&self.lanes, row as u64, &mut self.entry);
+            return Ok(Some(&self.entry));
+        }
     }
 
     fn close(&mut self) {}
@@ -135,6 +150,10 @@ impl Operator for MatrixEntries {
     }
 }
 
+/// Fewest `sort_pages` the contract accepts: the external sort's three
+/// (two inputs and an output) plus the elimination filter's one.
+const MIN_SORT_PAGES: usize = 4;
+
 /// Run the skyline of `keys` (oriented, row-major, `d` wide — one row
 /// per tuple of `rows`) on the paged engine under the execution contract
 /// `opts`, grouping by the `diff` columns of `rows`. The caller has
@@ -142,6 +161,8 @@ impl Operator for MatrixEntries {
 /// ascending.
 ///
 /// # Errors
+/// [`QueryError::Exec`] (an [`ExecError::Config`]) when `opts.sort_pages`
+/// is below four, before anything is reserved;
 /// [`QueryError::QuotaExceeded`] when a pass's arena does not fit the
 /// quota pool, [`QueryError::Cancelled`] when the token trips, and
 /// [`QueryError::Exec`] for storage or worker failures. No heap pages
@@ -153,6 +174,12 @@ pub fn external_skyline_with(
     diff: &[usize],
     opts: &ExecOptions,
 ) -> Result<Vec<usize>, QueryError> {
+    if opts.sort_pages < MIN_SORT_PAGES {
+        return Err(QueryError::from_exec(ExecError::Config(format!(
+            "sort_pages is {} but the paged skyline needs at least {MIN_SORT_PAGES}",
+            opts.sort_pages
+        ))));
+    }
     let narrow = NarrowLayout::new(d).with_diff(diff.len());
     let disk: Arc<dyn Disk> = match &opts.disk {
         Some(d) => Arc::clone(d),
@@ -167,6 +194,15 @@ pub fn external_skyline_with(
     // over the matrix for the column statistics).
     let presort = (opts.algo != SkylineAlgo::Bnl || !diff.is_empty())
         .then(|| Arc::new(EntropyScore::from_keys(&keys, d)));
+    // The elimination filter rides every presorted stream whose entries
+    // are all mutually comparable — the `diff_dims() == 0` test
+    // `NarrowCmp::prefix_key` makes.
+    let elimination = presort
+        .as_ref()
+        .filter(|_| diff.is_empty())
+        .map(|score| EliminationFilter::new(d, Arc::clone(score) as _, Arc::clone(&metrics)));
+    // Its page is the sort's: what it holds, the arena gives up.
+    let arena_pages = opts.sort_pages - usize::from(elimination.is_some());
     let groups = rows
         .iter()
         .flat_map(|row| diff.iter().map(|&idx| row.get(idx).as_f64().unwrap_or(0.0)))
@@ -176,6 +212,7 @@ pub fn external_skyline_with(
         groups,
         narrow,
         row: 0,
+        filter: elimination,
         lanes: Vec::new(),
         entry: Vec::new(),
         cancel: opts.cancel.clone(),
@@ -207,7 +244,7 @@ pub fn external_skyline_with(
                 entries,
                 narrow,
                 score,
-                opts.sort_pages,
+                arena_pages,
                 if parallel { opts.threads } else { 1 },
                 Arc::clone(&disk),
             )
@@ -292,7 +329,7 @@ mod tests {
     ) -> Result<Option<Vec<usize>>, QueryError> {
         let opts = opts.clone().with_external_threshold(0);
         let keys = oriented(rows, crit);
-        if !routes_to_paged_engine(rows, &keys, crit, diff, &opts) {
+        if !routes_to_paged_engine(rows, &keys, diff, &opts) {
             return Ok(None);
         }
         external_skyline_with(keys, crit.len(), rows, diff, &opts).map(Some)
@@ -381,7 +418,7 @@ mod tests {
         let keys = oriented(&rows, &crit);
         let at = |threshold| {
             let opts = ExecOptions::default().with_external_threshold(threshold);
-            routes_to_paged_engine(&rows, &keys, &crit, &[], &opts)
+            routes_to_paged_engine(&rows, &keys, &[], &opts)
         };
         assert!(at(100));
         assert!(!at(101));
@@ -426,6 +463,38 @@ mod tests {
     }
 
     #[test]
+    fn cancel_is_seen_within_one_poll_interval_while_the_filter_drops_everything() {
+        // The first row dominates every other, so after it the stream
+        // emits nothing: the token has to be polled per row consumed.
+        let n = 100_000usize;
+        let keys: Vec<f64> = (0..n)
+            .flat_map(|i| [(n - i) as f64, (n - i) as f64])
+            .collect();
+        let token = CancelToken::new();
+        let metrics = SkylineMetrics::shared();
+        let score = Arc::new(EntropyScore::from_keys(&keys, 2));
+        let mut entries = MatrixEntries {
+            keys,
+            groups: Vec::new(),
+            narrow: NarrowLayout::new(2),
+            row: 0,
+            filter: Some(EliminationFilter::new(2, score, Arc::clone(&metrics))),
+            lanes: Vec::new(),
+            entry: Vec::new(),
+            cancel: Some(token.clone()),
+        };
+        entries.open().unwrap();
+        assert!(entries.next().unwrap().is_some());
+        token.cancel();
+        let err = entries.next().unwrap_err();
+        let ExecError::Cancelled { records_processed } = err else {
+            panic!("{err}");
+        };
+        assert!(records_processed <= skyline_exec::cancel::CANCEL_CHECK_INTERVAL);
+        assert_eq!(metrics.snapshot().eliminated + 1, records_processed);
+    }
+
+    #[test]
     fn sort_arena_then_window_are_the_only_charges() {
         // The lease discipline: the sort arena while sorting, released
         // before the window is charged — so the peak is the larger of
@@ -444,25 +513,56 @@ mod tests {
     }
 
     #[test]
-    fn non_integer_values_stay_in_memory() {
+    fn finite_criteria_page_and_everything_else_stays_in_memory() {
+        let route = |rows: &[Tuple], diff: &[usize]| {
+            paged(rows, &[(0, false)], diff, &ExecOptions::default())
+        };
+        // fractional and beyond-i32 criteria page: narrow entries carry
+        // any finite f64
         let rows = vec![tuple![1.5], tuple![2.5]];
-        let out = paged(&rows, &[(0, false)], &[], &ExecOptions::default()).unwrap();
-        assert!(out.is_none(), "fractional values do not push down");
+        assert_eq!(route(&rows, &[]).unwrap(), Some(vec![1]));
         let rows = vec![
             Tuple::new(vec![Value::Int(i64::from(i32::MAX) + 1)]),
             Tuple::new(vec![Value::Int(0)]),
         ];
-        let out = paged(&rows, &[(0, false)], &[], &ExecOptions::default()).unwrap();
-        assert!(out.is_none(), "out-of-range values do not push down");
-        // the bound is on the stored value, not the oriented key:
-        // i32::MIN under MIN orients to 2^31, and still pages
-        let rows = vec![Tuple::new(vec![Value::Int(i64::from(i32::MIN))])];
-        let out = paged(&rows, &[(0, true)], &[], &ExecOptions::default()).unwrap();
-        assert_eq!(out, Some(vec![0]));
-        // a DIFF key outside i32 keeps the query in memory too
+        assert_eq!(route(&rows, &[]).unwrap(), Some(vec![0]));
+        // NaN and ±∞ criteria keep the in-memory executor's semantics
+        for odd in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rows = vec![tuple![1.5], tuple![odd]];
+            assert!(route(&rows, &[]).unwrap().is_none(), "{odd}");
+        }
+        // and so does a DIFF key outside i32, or one that is no integer
         let rows = vec![tuple![1, i64::from(i32::MAX) + 1]];
-        let out = paged(&rows, &[(0, false)], &[1], &ExecOptions::default()).unwrap();
-        assert!(out.is_none());
+        assert!(route(&rows, &[1]).unwrap().is_none());
+        let rows = vec![tuple![1, 0.5]];
+        assert!(route(&rows, &[1]).unwrap().is_none());
+    }
+
+    #[test]
+    fn too_few_sort_pages_is_a_typed_error_before_anything_is_reserved() {
+        let rows = random_table(2_000);
+        let crit = vec![(0usize, false), (1usize, true)];
+        for algo in ALGOS {
+            for sort_pages in 0..MIN_SORT_PAGES {
+                let (pool, disk) = (BufferPool::new(1 << 16), MemDisk::shared());
+                let opts = ExecOptions::default()
+                    .with_algo(algo)
+                    .with_sort_pages(sort_pages)
+                    .with_pool(pool.clone())
+                    .with_disk(disk.clone());
+                let err = paged(&rows, &crit, &[], &opts).unwrap_err();
+                assert!(
+                    matches!(&err, QueryError::Exec(m) if m.contains("sort_pages")),
+                    "{algo:?} sort_pages={sort_pages}: {err}"
+                );
+                assert_eq!((pool.peak(), pool.used()), (0, 0), "{algo:?}");
+                assert_eq!(disk.allocated_pages(), 0, "{algo:?}");
+            }
+        }
+        // the floor itself works: one page to the filter, three to the sort
+        let opts = ExecOptions::default().with_sort_pages(MIN_SORT_PAGES);
+        let out = paged(&rows, &crit, &[], &opts).unwrap();
+        assert_eq!(out, Some(in_memory(&rows, &crit, &[])));
     }
 
     #[test]

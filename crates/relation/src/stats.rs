@@ -49,11 +49,14 @@ impl ColumnStats {
     /// For a domain of width `w = max − min` we map
     /// `v ↦ (v − min + ½) / (w + 1)`, which stays strictly inside `(0,1)`
     /// for any `v ∈ [min, max]` — exactly what the paper's entropy function
-    /// `Σ ln(v̄ᵢ + 1)` assumes. A degenerate (constant) column maps to ½.
+    /// `Σ ln(v̄ᵢ + 1)` assumes. A degenerate column maps to ½: a constant
+    /// one, an empty one, and one whose width overflows f64 (`∞ / ∞` would
+    /// otherwise hand the presort a NaN score; a constant keeps the score
+    /// monotone, which is all the presort needs).
     #[inline]
     pub fn normalize(&self, v: f64) -> f64 {
         let w = self.max - self.min;
-        if w.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        if !(w > 0.0 && w.is_finite()) {
             return 0.5;
         }
         (v - self.min + 0.5) / (w + 1.0)
@@ -160,6 +163,11 @@ mod tests {
         c.observe(4.0);
         assert_eq!(c.normalize(4.0), 0.5);
         assert_eq!(ColumnStats::empty().normalize(1.0), 0.5);
+        // a width beyond f64: ½, not ∞ / ∞
+        let mut wide = ColumnStats::empty();
+        wide.observe(-1.5e308);
+        wide.observe(1.5e308);
+        assert_eq!(wide.normalize(1.5e308), 0.5);
     }
 
     #[test]

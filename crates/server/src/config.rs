@@ -42,9 +42,11 @@ pub struct ServerConfig {
     /// Row count at which queries leave the in-memory executor for the
     /// paged external engine (see [`ExecOptions::external_threshold`]).
     pub external_threshold: usize,
-    /// Pages granted to an external presort pass. Must fit inside
-    /// `quota_pages`, or every external query fails its quota on the
-    /// very first reservation.
+    /// Pages granted to an external presort pass: one for the elimination
+    /// filter, the rest for the sort arena. At least 4 (a paged query
+    /// under fewer fails with a typed configuration error), and must fit
+    /// inside `quota_pages`, or every external query fails its quota on
+    /// the very first reservation.
     pub sort_pages: usize,
     /// Worker threads for the parallel skyline algorithm (0 = one per
     /// core).

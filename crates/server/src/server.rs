@@ -439,22 +439,22 @@ fn stream_batches(
     job: &Job,
     outcome: Result<Vec<Tuple>, ServerError>,
 ) -> Result<(), ServerError> {
-    let rows = outcome?;
+    // The rows move into the batches: the result is cloned once, out of
+    // the table, and never again.
+    let mut rows = outcome?.into_iter();
     let batch_rows = shared.cfg.batch_rows.max(1);
     let mut sent = 0u64;
-    for chunk in rows.chunks(batch_rows) {
+    while rows.len() > 0 {
         if job.token.is_cancelled() {
             return Err(ServerError::Query(QueryError::Cancelled {
                 records_processed: sent,
             }));
         }
+        let batch: Vec<Tuple> = rows.by_ref().take(batch_rows).collect();
+        let in_batch = batch.len() as u64;
         let grace_until = Instant::now() + shared.cfg.stream_grace;
-        match job
-            .results
-            .0
-            .push_deadline(Msg::Rows(chunk.to_vec()), grace_until)
-        {
-            Ok(()) => sent += chunk.len() as u64,
+        match job.results.0.push_deadline(Msg::Rows(batch), grace_until) {
+            Ok(()) => sent += in_batch,
             // client gone; the verdict still lands in the stats
             Err(PushTimeout::Closed(_)) => return Err(ServerError::Stalled),
             Err(PushTimeout::TimedOut(_)) => {

@@ -6,6 +6,7 @@
 //! runs — including when a worker unwinds mid-query.
 
 use skyline_query::catalog::Catalog;
+use skyline_query::{QueryError, SkylineAlgo};
 use skyline_relation::samples::good_eats;
 use skyline_server::{QueryOptions, ServerConfig, ServerError, SkylineServer};
 use skyline_storage::{Disk, FileId, IoStats, MemDisk, StorageError};
@@ -228,18 +229,18 @@ fn worker_unwind_settles_as_failed_and_returns_the_credit() {
     };
     let server = SkylineServer::new(catalog(), cfg);
     let session = server.session();
-    // fractional `price` keeps this one in memory: it never writes, and
+    // divide-and-conquer keeps this one in memory: it never writes, and
     // its unread result channel wedges one worker with its credit held
-    let wedged = session.submit(SKYLINE_SQL).unwrap();
-    // integer criteria only, so this one takes the paged engine
-    let paged = "SELECT restaurant FROM GoodEats SKYLINE OF S MAX, F MAX, D MAX";
-    let err = session.submit(paged).unwrap().collect().unwrap_err();
+    let in_memory = QueryOptions::default().with_algo(SkylineAlgo::DivideAndConquer);
+    let wedged = session.submit_with(SKYLINE_SQL, &in_memory).unwrap();
+    // under the default hint the same query takes the paged engine
+    let err = session.submit(SKYLINE_SQL).unwrap().collect().unwrap_err();
     assert_eq!(err, ServerError::Stalled, "the unwinding worker severs");
     let stats = session.stats();
     assert!(stats.conserved(), "{stats:?}");
     assert_eq!((stats.failed, stats.in_flight), (1, 1), "{stats:?}");
     let follow_up = session
-        .submit(paged)
+        .submit(SKYLINE_SQL)
         .expect("shed: the dead worker's credit never came home");
     assert!(!wedged.collect().unwrap().is_empty());
     assert!(!follow_up.collect().unwrap().is_empty());
@@ -252,4 +253,48 @@ fn worker_unwind_settles_as_failed_and_returns_the_credit() {
         "{totals:?}"
     );
     assert_eq!(server.inflight_pages(), 0, "every page charge came home");
+}
+
+/// `sort_pages` below the paged engine's floor is refused with a typed
+/// error before anything is reserved. It used to reach an `assert!`
+/// inside the sort and unwind the worker — and a dead worker is not
+/// respawned — so the query is sent once per worker and once more, and
+/// then both workers must still be there: one wedged behind an unread
+/// result channel, the other answering.
+#[test]
+fn too_few_sort_pages_is_a_typed_error_and_costs_no_worker() {
+    let cfg = ServerConfig {
+        workers: 2,
+        queue_capacity: 0,
+        batch_rows: 1,
+        result_batches: 1,
+        stream_grace: Duration::from_secs(30),
+        external_threshold: 0,
+        sort_pages: 2,
+        ..ServerConfig::default()
+    };
+    let server = SkylineServer::new(catalog(), cfg);
+    let session = server.session();
+    for _ in 0..3 {
+        let err = session.submit(SKYLINE_SQL).unwrap().collect().unwrap_err();
+        assert!(
+            matches!(&err, ServerError::Query(QueryError::Exec(m)) if m.contains("sort_pages")),
+            "{err:?}"
+        );
+    }
+    let stats = session.stats();
+    assert!(stats.conserved(), "{stats:?}");
+    assert_eq!((stats.failed, stats.in_flight), (3, 0), "{stats:?}");
+    assert_eq!(stats.pages_peak, 0, "nothing was reserved");
+    assert_eq!(server.inflight_pages(), 0);
+
+    let in_memory = QueryOptions::default().with_algo(SkylineAlgo::DivideAndConquer);
+    let wedged = session.submit_with(SKYLINE_SQL, &in_memory).unwrap();
+    let answered = session.submit_with(SKYLINE_SQL, &in_memory).unwrap();
+    assert!(!answered.collect().unwrap().is_empty());
+    assert!(!wedged.collect().unwrap().is_empty());
+    server.shutdown();
+    let totals = server.snapshot().totals;
+    assert!(totals.conserved(), "{totals:?}");
+    assert_eq!((totals.completed, totals.failed), (2, 3), "{totals:?}");
 }

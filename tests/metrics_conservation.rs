@@ -12,18 +12,20 @@
 //! comparisons per lane bound, and both counters aggregate exactly
 //! across parallel stages like every other counter.
 
-use skyline::core::external::{sharded_skyline, ShardConfig, ShardStrategy, WinnowOp};
+use skyline::core::external::{
+    sharded_skyline, sort_narrow, EliminationFilter, ShardConfig, ShardStrategy, WinnowOp,
+};
 use skyline::core::planner::{bnl_over, entropy_stats_of, load_heap, presort, sfs_filter};
 use skyline::core::winnow::SkylinePreference;
 use skyline::core::{
-    batch_presort, parallel_batch_filter, parallel_sfs_filter, BatchConfig, KeySumScore,
-    MetricsSnapshot, SfsConfig, SkylineMetrics, SkylineSpec, SortOrder,
+    batch_presort, parallel_batch_filter, parallel_sfs_filter, BatchConfig, BatchSfs, EntropyScore,
+    KeySumScore, MetricsSnapshot, SfsConfig, SkylineMetrics, SkylineSpec, SortOrder,
 };
 use skyline::exchange::FRAME_HEADER_BYTES;
-use skyline::exec::{collect, HeapScan, NarrowLayout, Operator};
+use skyline::exec::{collect, ExecError, HeapScan, NarrowLayout, Operator};
 use skyline::relation::gen::{Distribution, WorkloadSpec};
 use skyline::relation::RecordLayout;
-use skyline::storage::{HeapFile, MemDisk};
+use skyline::storage::{Disk, HeapFile, MemDisk};
 use skyline_bench::gate::{golden_of, parse_golden, render_golden, run_section, GateSpec};
 use std::sync::Arc;
 
@@ -251,6 +253,116 @@ fn parallel_filter_aggregate_is_the_exact_sum_of_its_stages() {
             agg.lanes_compared
         );
         outcome.skyline.delete();
+    }
+}
+
+/// A key matrix as narrow entries, minus what an elimination filter
+/// drops: the SQL push-down's producer, rebuilt from its public parts.
+struct FilteredKeys {
+    keys: Vec<f64>,
+    narrow: NarrowLayout,
+    filter: EliminationFilter,
+    row: usize,
+    entry: Vec<u8>,
+}
+
+impl Operator for FilteredKeys {
+    fn open(&mut self) -> Result<(), ExecError> {
+        self.row = 0;
+        Ok(())
+    }
+
+    fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
+        let d = self.narrow.dims();
+        while let Some(key) = self.keys.get(self.row * d..(self.row + 1) * d) {
+            self.row += 1;
+            if self.filter.admit(key) {
+                self.narrow
+                    .encode_into(key, self.row as u64 - 1, &mut self.entry);
+                return Ok(Some(&self.entry));
+            }
+        }
+        Ok(None)
+    }
+
+    fn close(&mut self) {}
+
+    fn record_size(&self) -> usize {
+        self.narrow.entry_size()
+    }
+}
+
+/// With an elimination filter ahead of the sort, a key is settled in
+/// exactly one of three places: dropped by the filter, discarded by SFS,
+/// or emitted. The three stages share one `SkylineMetrics`, as they do
+/// under SQL, and the sort in between neither adds nor loses a record.
+#[test]
+fn elimination_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
+    let (n, d) = (4_000usize, 3usize);
+    for (multipass, window_pages) in [(false, 8), (true, 1)] {
+        let label = if multipass {
+            "multipass"
+        } else {
+            "single-pass"
+        };
+        let mut keys = Vec::with_capacity(n * d);
+        skyline_testkit::replay(0x1E55, |rng| {
+            for _ in 0..n {
+                let x = rng.usize_below(1_000);
+                // multipass: `x + y` nearly constant, so a skyline of
+                // several hundred keys over a bulk the filter can drop
+                let y = if multipass {
+                    1_000 - x + rng.usize_below(40)
+                } else {
+                    rng.usize_below(1_000)
+                };
+                keys.extend([x as f64, y as f64, rng.usize_below(100) as f64]);
+            }
+        });
+        let disk = MemDisk::shared();
+        let metrics = SkylineMetrics::shared();
+        let score = Arc::new(EntropyScore::from_keys(&keys, d));
+        let narrow = NarrowLayout::new(d);
+        let entries = FilteredKeys {
+            keys,
+            narrow,
+            filter: EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(&metrics)),
+            row: 0,
+            entry: Vec::new(),
+        };
+        let mut sorted = sort_narrow(
+            Box::new(entries),
+            narrow,
+            score,
+            3,
+            1,
+            Arc::clone(&disk) as _,
+        )
+        .unwrap();
+        sorted.mark_temp();
+        let forwarded = sorted.len();
+        let mut sfs = BatchSfs::new(
+            Box::new(HeapScan::new(Arc::new(sorted))),
+            narrow,
+            BatchConfig::new(window_pages),
+            Arc::clone(&disk) as _,
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let out = collect(&mut sfs).unwrap();
+        drop(sfs);
+        let s = metrics.snapshot();
+        assert!(s.eliminated > 0, "{label}: the filter dropped nothing");
+        assert_eq!(
+            s.eliminated + forwarded,
+            n as u64,
+            "{label}: dropped or sorted"
+        );
+        assert_eq!(s.input_records, n as u64 - s.eliminated, "{label}");
+        assert_eq!(s.eliminated + s.emitted + s.discarded, n as u64, "{label}");
+        assert_eq!(s.emitted, out.len() as u64, "{label}");
+        assert_eq!(s.passes > 1, multipass, "{label}: {} passes", s.passes);
+        assert_eq!(disk.allocated_pages(), 0, "{label}: pages leaked");
     }
 }
 

@@ -270,19 +270,21 @@ fn diff_over_the_threshold_runs_paged_for_every_hint() {
     }
 }
 
-/// Product path (c): routing is pinned — a table with fractional
-/// criteria stays on the in-memory executor however large it is (see
-/// `pushdown::routes_to_paged_engine` for why), so it answers correctly
-/// without a single page write.
+/// Product path (c): a table with fractional criteria pages like any
+/// other (`pushdown::routes_to_paged_engine` records the measurement
+/// that made it so), under a pool its in-memory key matrix would not
+/// fit — it answers like the oracle for every hint and gives every page
+/// back.
 #[test]
-fn fractional_tables_stay_in_memory_and_answer_correctly() {
+fn fractional_tables_page_and_answer_correctly() {
     let schema = Schema::of(&[
         ("id", ColumnType::Int),
         ("x", ColumnType::Float),
         ("y", ColumnType::Float),
     ]);
     let mut t = Table::empty(schema);
-    for i in 0..2_000i64 {
+    let n = 2_000i64;
+    for i in 0..n {
         let (x, y) = ((i * 7_919) % 1_009, (i * 104_729) % 1_013);
         t.push(tuple![i, x as f64 + 0.5, y as f64 / 4.0]).unwrap();
     }
@@ -290,17 +292,131 @@ fn fractional_tables_stay_in_memory_and_answer_correctly() {
     cat.register("t", t);
     let sql = "SELECT * FROM t SKYLINE OF x MAX, y MIN";
     let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
+    // what plan::apply_skyline would charge for the in-memory matrix
+    let matrix_pages = (n as usize * 2 * 8).div_ceil(skyline::storage::PAGE_SIZE);
     for algo in PAGED_ALGOS {
         let disk = MemDisk::shared();
+        let pool = BufferPool::new(matrix_pages - 1);
         let opts = ExecOptions::default()
             .with_algo(algo)
+            .with_threads(1)
             .with_external_threshold(1_000)
+            .with_sort_pages(4)
+            .with_pool(pool.clone())
             .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
-        let got = execute_with(sql, &cat, &opts).unwrap();
+        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
         assert_eq!(got.rows(), want.rows(), "{algo:?}");
-        assert_eq!(disk.stats().writes(), 0, "{algo:?}: fractional table paged");
-        assert_eq!(disk.allocated_pages(), 0, "{algo:?}");
+        // success under this pool already rules the in-memory executor
+        // out; the presorted hints also leave their runs in the I/O
+        // stats (BNL writes only when its window overflows)
+        assert!(pool.peak() < matrix_pages, "{algo:?}");
+        if algo != SkylineAlgo::Bnl {
+            assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
+        }
+        assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
+        assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
     }
+}
+
+/// The elimination filter ahead of the sort changes no answer. Tables
+/// of finite `hostile_key` rows (constant, two-valued and heavily tied
+/// columns, the `i32` extremes, ±1e300 or ±1.5e308, fractions), with whole keys
+/// repeated and sizes straddling the filter's one-page capacity, under
+/// random MIN/MAX mixes: every presorted hint (filtered) equals the naive
+/// oracle, and so do its filter-free twins — the `Bnl` hint, paged, and
+/// `DivideAndConquer`, in memory — with no page left behind.
+#[test]
+fn elimination_filter_changes_no_answer_on_hostile_tables() {
+    use skyline::core::{algo, KeyMatrix};
+    skyline_testkit::cases(60, 0xE1F1, |rng| {
+        let d = [1, 2, 4, 7, 9][rng.usize_below(5)];
+        let capacity = skyline::storage::PAGE_SIZE / (8 * d);
+        let n = [
+            capacity / 2,
+            capacity - 1,
+            capacity,
+            capacity + 1,
+            3 * capacity,
+        ][rng.usize_below(5)];
+        let columns: Vec<(String, ColumnType)> =
+            std::iter::once(("id".to_string(), ColumnType::Int))
+                .chain((0..d).map(|c| (format!("c{c}"), ColumnType::Float)))
+                .collect();
+        let named: Vec<(&str, ColumnType)> =
+            columns.iter().map(|(c, t)| (c.as_str(), *t)).collect();
+        let mut t = Table::empty(Schema::of(&named));
+        let is_min: Vec<bool> = (0..d).map(|_| rng.bool()).collect();
+        let widest = rng.bool();
+        let mut keys: Vec<f64> = Vec::with_capacity(n * d);
+        for i in 0..n {
+            // one row in four repeats an earlier row's whole key
+            let values: Vec<f64> = if i > 0 && rng.usize_below(4) == 0 {
+                let j = rng.usize_below(i);
+                (0..d)
+                    .map(|c| t.rows()[j].get(c + 1).as_f64().unwrap())
+                    .collect()
+            } else {
+                skyline_testkit::hostile_key(rng, d)
+                    .into_iter()
+                    .map(|v| match v {
+                        v if !v.is_finite() => 0.0,
+                        // a column too wide for f64 to hold its range
+                        v if widest && v.abs() == 1e300 => v * 1.5e8,
+                        v => v,
+                    })
+                    .collect()
+            };
+            keys.extend(
+                values
+                    .iter()
+                    .zip(&is_min)
+                    .map(|(&v, &min)| if min { -v } else { v }),
+            );
+            let mut row = vec![skyline::relation::Value::Int(i as i64)];
+            row.extend(values.into_iter().map(skyline::relation::Value::Float));
+            t.push(skyline::relation::Tuple::new(row)).unwrap();
+        }
+        let mut want = algo::naive(&KeyMatrix::new(d, keys)).indices;
+        want.sort_unstable();
+        let mut cat = Catalog::new();
+        cat.register("t", t);
+        let criteria: Vec<String> = is_min
+            .iter()
+            .enumerate()
+            .map(|(c, &min)| format!("c{c} {}", if min { "MIN" } else { "MAX" }))
+            .collect();
+        let sql = format!("SELECT id FROM t SKYLINE OF {}", criteria.join(", "));
+
+        let mut algos = PAGED_ALGOS.to_vec();
+        algos.push(SkylineAlgo::DivideAndConquer);
+        for algo in algos {
+            let disk = MemDisk::shared();
+            let pool = BufferPool::new(1 << 16);
+            let opts = ExecOptions::default()
+                .with_algo(algo)
+                .with_threads(2)
+                .with_external_threshold(1)
+                .with_sort_pages(4)
+                .with_pool(pool.clone())
+                .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+            let got = execute_with(&sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+            let got: Vec<usize> = got
+                .rows()
+                .iter()
+                .map(|r| r.get(0).as_i64().unwrap() as usize)
+                .collect();
+            assert_eq!(got, want, "{algo:?} d={d} n={n} {sql}");
+            // the presort always writes its runs; BNL writes only when
+            // its window overflows, so it proves nothing either way
+            match algo {
+                SkylineAlgo::DivideAndConquer => assert_eq!(disk.stats().writes(), 0, "paged"),
+                SkylineAlgo::Bnl => {}
+                _ => assert!(disk.stats().writes() > 0, "{algo:?}: did not page"),
+            }
+            assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
+            assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
+        }
+    });
 }
 
 /// A table built to be hard on the window's level-code quantizer
