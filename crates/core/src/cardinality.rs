@@ -12,8 +12,9 @@
 //!
 //! (condition on the rank of the last tuple in dimension `d`; e.g.
 //! Buchta 1989, Godfrey 2002). [`expected_skyline_size`] evaluates it
-//! exactly in `O(n·d)`, and [`asymptotic_skyline_size`] gives the
-//! closed-form growth the paper quotes. A query optimizer costing a
+//! exactly in `O(n·d)` time and `O(d)` space, and
+//! [`asymptotic_skyline_size`] gives the closed-form growth the paper
+//! quotes. A query optimizer costing a
 //! `SKYLINE OF` clause would call exactly these.
 
 /// Exact expected skyline size for `n` tuples, `d` independent dimensions
@@ -35,17 +36,18 @@ pub fn expected_skyline_size(n: usize, d: usize) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    // rows over d, each of length n+1: m_d[i] = m(i, d)
-    let mut prev: Vec<f64> = vec![1.0; n + 1]; // m(·, 1) = 1 for n ≥ 1
-    prev[0] = 0.0;
-    for _dim in 2..=d {
-        let mut cur = vec![0.0f64; n + 1];
-        for i in 1..=n {
-            cur[i] = cur[i - 1] + prev[i] / i as f64;
+    // `m[k]` holds m(i, k + 1) once step `i` is done; m(0, ·) = 0. Each
+    // step is the recurrence read left to right, so `m[k − 1]` is already
+    // this step's value when `m[k]` takes it — the additions a table of
+    // `d` rows of `n + 1` made, in the same order per `k`.
+    let mut m = vec![0.0f64; d];
+    for i in 1..=n {
+        m[0] = 1.0;
+        for k in 1..d {
+            m[k] += m[k - 1] / i as f64;
         }
-        prev = cur;
     }
-    prev[n]
+    m[d - 1]
 }
 
 /// The paper's asymptotic form `(ln n)^{d−1} / (d−1)!`.

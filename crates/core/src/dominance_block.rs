@@ -657,6 +657,13 @@ impl ReplaceWindow {
         self.arena.push(key);
     }
 
+    /// Copy the key of the entry at global position `pos` into `out`.
+    pub fn copy_key(&self, pos: usize, out: &mut Vec<f64>) {
+        debug_assert!(pos < self.arena.len);
+        out.clear();
+        out.extend((0..self.arena.d).map(|c| self.arena.value(pos, c)));
+    }
+
     /// Remove the entry at global position `pos` by moving the last entry
     /// into its place (`Vec::swap_remove` semantics). Summaries of the
     /// touched blocks are rebuilt exactly.

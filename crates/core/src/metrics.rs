@@ -14,6 +14,7 @@
 //! elimination filter sits ahead of the sort, the keys it drops never
 //! reach an operator: `eliminated + input_records == n`.
 
+use crate::dominance_block::ProbeCost;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -123,6 +124,18 @@ counters! {
     /// Keys the elimination filter dropped ahead of the sort — they never
     /// became `input_records` of any operator (zero where no filter ran).
     eliminated,
+}
+
+impl MetricsSnapshot {
+    /// Add one window probe's cost — for an operator that keeps its
+    /// per-record counters in a plain snapshot and hands them to the
+    /// shared metrics ([`SkylineMetrics::absorb`]) once per pass or chunk.
+    #[inline]
+    pub fn add_probe(&mut self, cost: ProbeCost) {
+        self.comparisons += cost.comparisons;
+        self.blocks_skipped += cost.blocks_skipped;
+        self.lanes_compared += cost.lanes;
+    }
 }
 
 impl SkylineMetrics {

@@ -14,19 +14,20 @@ use crate::error::QueryError;
 use crate::expr;
 use crate::options::{matrix_pages, ExecOptions, SkylineAlgo};
 use crate::parser::parse;
+use crate::pushdown::SkylineColumns;
 use skyline_core::algo;
 use skyline_core::algo::MemSortOrder;
 use skyline_core::cardinality::expected_skyline_size;
 use skyline_core::lowdim::skyline_auto;
 use skyline_core::par::{parallel_skyline_cancellable, AlgoError};
 use skyline_core::KeyMatrix;
-use skyline_exec::cancel::poll;
 use skyline_exec::ExecError;
-use skyline_relation::{Table, Tuple, Value};
+use skyline_relation::{KeyColumn, Table, Tuple, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Parse and execute `sql` against `catalog`.
 ///
@@ -114,7 +115,8 @@ pub fn execute_query_with(
 
     // Skyline (over the possibly-grouped relation)
     if let Some(clause) = &query.skyline {
-        rows = Cow::Owned(apply_skyline(&rows, &schema, clause, opts)?);
+        let resident = matches!(rows, Cow::Borrowed(_)).then_some(table);
+        rows = Cow::Owned(apply_skyline(&rows, resident, &schema, clause, opts)?);
     }
 
     // Order by
@@ -140,7 +142,7 @@ pub fn execute_query_with(
 
     // Limit
     if let Some(n) = query.limit {
-        rows.to_mut().truncate(n as usize);
+        truncate(&mut rows, n as usize);
     }
 
     // Project (grouping already produced the output shape)
@@ -166,6 +168,15 @@ pub fn execute_query_with(
             .map_err(|e| QueryError::Semantic(e.to_string()))?;
         let out_rows: Vec<Tuple> = rows.iter().map(|r| r.project(&indices)).collect();
         Table::new(out_schema, out_rows).map_err(|e| QueryError::Semantic(e.to_string()))
+    }
+}
+
+/// Keep the first `n` rows. A borrowed relation stays borrowed: `LIMIT`
+/// over a whole table clones the rows it returns and no others.
+fn truncate(rows: &mut Cow<'_, [Tuple]>, n: usize) {
+    match rows {
+        Cow::Borrowed(all) => *all = &all[..n.min(all.len())],
+        Cow::Owned(owned) => owned.truncate(n),
     }
 }
 
@@ -312,21 +323,26 @@ fn apply_group_by(
     Ok((out_schema, out_rows))
 }
 
+/// The skyline of `rows`; `resident` is the catalog table when `rows` is
+/// all of it, so its key columns can be shared across queries.
 fn apply_skyline(
     rows: &[Tuple],
+    resident: Option<&Table>,
     schema: &skyline_relation::Schema,
     clause: &crate::ast::SkylineClause,
     opts: &ExecOptions,
 ) -> Result<Vec<Tuple>, QueryError> {
-    let mut crit: Vec<(usize, bool)> = Vec::new(); // (col idx, is_min)
-    let mut diff: Vec<usize> = Vec::new();
+    // criterion columns with their direction, and the DIFF columns
+    let (mut crit, mut min, mut diff) = (Vec::new(), Vec::new(), Vec::new());
     for item in &clause.items {
         let idx = schema
             .index_of(&item.column)
             .ok_or_else(|| QueryError::NoSuchColumn(item.column.clone()))?;
         match item.directive {
-            Directive::Min => crit.push((idx, true)),
-            Directive::Max => crit.push((idx, false)),
+            Directive::Min | Directive::Max => {
+                crit.push(idx);
+                min.push(item.directive == Directive::Min);
+            }
             Directive::Diff => diff.push(idx),
         }
     }
@@ -335,31 +351,45 @@ fn apply_skyline(
             "SKYLINE OF needs at least one MIN/MAX criterion".into(),
         ));
     }
-    // oriented key matrix
-    let d = crit.len();
-    let cancel = opts.cancel.as_ref();
-    let mut data = Vec::with_capacity(rows.len() * d);
-    for (rowno, row) in rows.iter().enumerate() {
-        poll(cancel, rowno as u64).map_err(QueryError::from_exec)?;
-        for &(idx, is_min) in &crit {
-            let v = row.get(idx).as_f64().ok_or_else(|| {
-                QueryError::Semantic(format!(
-                    "row {rowno}: skyline column {} is not numeric",
-                    schema.column(idx).name
-                ))
-            })?;
-            data.push(if is_min { -v } else { v });
-        }
+    // The clause's key columns, criteria then DIFF: the table's resident
+    // ones when the relation is a whole catalog table, built for this
+    // query (same type, same builder) when it was filtered or grouped.
+    let poll_row = |rowno| match &opts.cancel {
+        Some(token) => token.check(rowno).map_err(QueryError::from_exec),
+        None => Ok(()),
+    };
+    let wanted = [crit.as_slice(), diff.as_slice()].concat();
+    let columns: Vec<Arc<KeyColumn>> = match resident {
+        Some(table) => table.key_columns(&wanted, poll_row)?,
+        None => KeyColumn::build_all(rows, &wanted, poll_row)?
+            .into_iter()
+            .map(Arc::new)
+            .collect(),
+    };
+    // the lowest offending row, the first criterion in clause order on a
+    // tie — the value a row-at-a-time scan would have met first
+    let offender = columns
+        .iter()
+        .zip(&crit)
+        .filter_map(|(c, &idx)| Some((c.first_non_numeric()?, idx)))
+        .min_by_key(|&(rowno, _)| rowno);
+    if let Some((rowno, idx)) = offender {
+        return Err(QueryError::Semantic(format!(
+            "row {rowno}: skyline column {} is not numeric",
+            schema.column(idx).name
+        )));
     }
-    // Large relations push down to the paged engine, which takes the
-    // matrix as its input stream.
-    if crate::pushdown::routes_to_paged_engine(rows, &data, &diff, opts) {
-        let keep = crate::pushdown::external_skyline_with(data, d, rows, &diff, opts)?;
+    let cols = SkylineColumns::new(columns, &min);
+    // Large relations push down to the paged engine, which reads the
+    // columns as its input stream.
+    if crate::pushdown::routes_to_paged_engine(&cols, opts) {
+        let keep = crate::pushdown::external_skyline_with(cols, opts)?;
         return Ok(keep.into_iter().map(|i| rows[i].clone()).collect());
     }
 
     // The in-memory working set — the oriented matrix — charges the
     // quota pool for as long as the filter runs.
+    let d = crit.len();
     let _lease = match &opts.pool {
         Some(pool) => Some(
             pool.reserve(matrix_pages(rows.len(), d))
@@ -367,7 +397,7 @@ fn apply_skyline(
         ),
         None => None,
     };
-    let keys = KeyMatrix::new(d, data);
+    let keys = KeyMatrix::new(d, cols.oriented_matrix());
 
     let mut keep: Vec<usize> = if diff.is_empty() {
         mem_skyline(&keys, opts)?
@@ -800,6 +830,28 @@ mod tests {
         let out = execute("SELECT g, COUNT(x) AS n, SUM(x) AS s FROM t GROUP BY g", &c).unwrap();
         assert_eq!(out.rows()[0].get(1).as_i64(), Some(2));
         assert_eq!(out.rows()[0].get(2).as_i64(), Some(12));
+    }
+
+    #[test]
+    fn limit_over_a_whole_table_reborrows_the_prefix() {
+        use skyline_relation::{tuple, ColumnType, Schema};
+        let rows: Vec<Tuple> = (0..100_000i64).map(|i| tuple![i]).collect();
+        // borrowed stays borrowed: the three rows are the table's own
+        let mut all = Cow::Borrowed(rows.as_slice());
+        truncate(&mut all, 3);
+        assert!(matches!(all, Cow::Borrowed(kept) if std::ptr::eq(kept, &rows[..3])));
+        truncate(&mut all, 7);
+        assert_eq!(all.len(), 3, "a limit beyond the relation keeps it whole");
+        let mut owned: Cow<'_, [Tuple]> = Cow::Owned(rows[..10].to_vec());
+        truncate(&mut owned, 4);
+        assert!(matches!(&owned, Cow::Owned(kept) if kept[..] == rows[..4]));
+        // and through SQL the answer is those rows
+        let mut c = Catalog::new();
+        let schema = Schema::of(&[("x", ColumnType::Int)]);
+        c.register("big", Table::new(schema, rows).unwrap());
+        let out = execute("SELECT * FROM big LIMIT 3", &c).unwrap();
+        assert_eq!(out.rows(), c.get("big").unwrap().rows()[..3].to_vec());
+        assert!(execute("SELECT * FROM big LIMIT 0", &c).unwrap().is_empty());
     }
 
     #[test]

@@ -2,23 +2,30 @@
 //!
 //! The in-memory executor in [`crate::plan`] is right for small and
 //! medium tables; past a threshold the planner hands the skyline to the
-//! external operators instead. The oriented key matrix the planner has
-//! already built is streamed as *narrow entries* — `d` f64 keys, the
-//! DIFF lanes, and the originating row index — straight into the
-//! external sort (entropy-presorted, the paper's "w/ E", DIFF groups
-//! outermost), filtered through a window sized by the §6 cardinality
-//! estimator, and the surviving row ids are read back. This is the
-//! integration the paper argues for — the skyline as *an operator inside
-//! the engine*, not an application post-pass.
+//! external operators instead. The planner holds the clause's key
+//! columns ([`SkylineColumns`] — for a whole catalog table the table's
+//! own resident columns, shared across queries); they are read a chunk
+//! of rows at a time, the sign of a `MIN` criterion applied as a value
+//! is read, and streamed as *narrow entries* — `d` f64 keys, the DIFF
+//! lanes, and the originating row index — straight into the external
+//! sort (entropy-presorted, the paper's "w/ E", DIFF groups outermost;
+//! the score is built from the columns' cached statistics), filtered
+//! through a window sized by the §6 cardinality estimator, and the
+//! surviving row ids are read back. No oriented key matrix exists on
+//! this route. This is the integration the paper argues for — the
+//! skyline as *an operator inside the engine*, not an application
+//! post-pass.
 //!
 //! Ahead of the sort sits a LESS [`EliminationFilter`]: one page of the
-//! best-entropy keys seen so far, probed per matrix row *before* the row
-//! is encoded, so a row some earlier row strictly dominates costs no
-//! encode, arena byte, run page, merge step or filter probe. It is exact
-//! (every dropped row is dominated by a forwarded one) and its page is
-//! the sort's own — `sort_pages − 1` go to the arena — so no lease
-//! grows. It runs on every presorted arm and stays out only where the
-//! code can see it would be wrong or pointless: with DIFF lanes
+//! best-entropy keys seen so far. Each chunk is screened against its
+//! best-scored entry column at a time, only the survivors are gathered
+//! into keys and probed against the whole page, and only what that
+//! admits is encoded — so a row some earlier row strictly dominates
+//! costs no encode, arena byte, run page, merge step or filter probe. It
+//! is exact (every dropped row is dominated by a forwarded one) and its
+//! page is the sort's own — `sort_pages − 1` go to the arena — so no
+//! lease grows. It runs on every presorted arm and stays out only where
+//! the code can see it would be wrong or pointless: with DIFF lanes
 //! (incomparable groups interleave in the unsorted stream) and on the
 //! `Bnl` arm (the paper's unsorted baseline, and the filter-free twin
 //! the differential tests compare against).
@@ -43,9 +50,9 @@ use skyline_core::external::{
     parallel_filter, sort_narrow, BatchBnl, BatchConfig, BatchSfs, EliminationFilter, NarrowFormat,
 };
 use skyline_core::{EntropyScore, SfsConfig, SkylineMetrics};
-use skyline_exec::cancel::poll;
+use skyline_exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
 use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
-use skyline_relation::Tuple;
+use skyline_relation::{KeyColumn, TableStats};
 use skyline_storage::{BufferLease, Disk, MemDisk};
 use std::sync::Arc;
 
@@ -53,11 +60,73 @@ use std::sync::Arc;
 /// through the external engine.
 pub const EXTERNAL_THRESHOLD: usize = 50_000;
 
+/// The columns one `SKYLINE OF` clause reads, as the relation holds
+/// them: criterion `k` of row `i`, in the all-max orientation, is
+/// `crit[k].1 * crit[k].0.values()[i]`.
+pub struct SkylineColumns {
+    /// The `MIN`/`MAX` columns in clause order (at least one, every row
+    /// numeric), each with its sign: −1 for `MIN`.
+    pub crit: Vec<(Arc<KeyColumn>, f64)>,
+    /// The `DIFF` columns in clause order.
+    pub diff: Vec<Arc<KeyColumn>>,
+}
+
+impl SkylineColumns {
+    /// From a clause's columns — criteria, then DIFF, each in clause
+    /// order — and whether each criterion is a `MIN`.
+    #[must_use]
+    pub fn new(mut columns: Vec<Arc<KeyColumn>>, min: &[bool]) -> Self {
+        let diff = columns.split_off(min.len());
+        let signed = |(column, &is_min)| (column, if is_min { -1.0 } else { 1.0 });
+        SkylineColumns {
+            crit: columns.into_iter().zip(min).map(signed).collect(),
+            diff,
+        }
+    }
+
+    /// Rows of the relation.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.crit.first().map_or(0, |(c, _)| c.values().len())
+    }
+
+    /// The oriented criteria of `row`, appended to `out`.
+    fn key_into(&self, row: usize, out: &mut Vec<f64>) {
+        out.extend(self.crit.iter().map(|(c, sign)| sign * c.values()[row]));
+    }
+
+    /// The row-major oriented key matrix — the in-memory executor's input.
+    #[must_use]
+    pub fn oriented_matrix(&self) -> Vec<f64> {
+        let columns: Vec<(&[f64], f64)> = self.crit.iter().map(|(c, s)| (c.values(), *s)).collect();
+        let mut data = Vec::with_capacity(self.rows() * columns.len());
+        for row in 0..self.rows() {
+            data.extend(columns.iter().map(|(values, sign)| sign * values[row]));
+        }
+        data
+    }
+
+    /// The entropy presort over the oriented criteria, from the columns'
+    /// statistics: no pass over the values.
+    fn entropy_score(&self) -> EntropyScore {
+        let oriented = |(c, sign): &(Arc<KeyColumn>, f64)| {
+            if *sign < 0.0 {
+                c.stats().negated()
+            } else {
+                *c.stats()
+            }
+        };
+        EntropyScore::new(TableStats::from_columns(
+            self.crit.iter().map(oriented).collect(),
+        ))
+    }
+}
+
 /// Does this skyline run on the paged engine? Yes when the relation is
 /// at least `opts.external_threshold` rows, the algorithm is not
 /// divide-and-conquer (in-memory only), every criterion value is finite
 /// (NaN and ±∞ keep their in-memory semantics), and every DIFF key is an
-/// integer within `i32`.
+/// integer within `i32` — flags the columns carry, so nothing is scanned.
 ///
 /// Criteria used to have to be integral and within `i32` as well — not a
 /// codec limit (narrow entries carry any f64) but a measurement: paging
@@ -69,22 +138,12 @@ pub const EXTERNAL_THRESHOLD: usize = 50_000;
 /// (EXPERIMENTS.md "Elimination filter") — so fractional tables page,
 /// and charge the quota a 64-page sort arena instead of a 977-page key
 /// matrix.
-pub fn routes_to_paged_engine(
-    rows: &[Tuple],
-    keys: &[f64],
-    diff: &[usize],
-    opts: &ExecOptions,
-) -> bool {
-    rows.len() >= opts.external_threshold
+#[must_use]
+pub fn routes_to_paged_engine(cols: &SkylineColumns, opts: &ExecOptions) -> bool {
+    cols.rows() >= opts.external_threshold
         && opts.algo != SkylineAlgo::DivideAndConquer
-        && keys.iter().all(|k| k.is_finite())
-        && rows.iter().all(|row| {
-            diff.iter().all(|&idx| {
-                row.get(idx)
-                    .as_i64()
-                    .is_some_and(|v| i32::try_from(v).is_ok())
-            })
-        })
+        && cols.crit.iter().all(|(c, _)| c.all_finite())
+        && cols.diff.iter().all(|c| c.int_within_i32())
 }
 
 /// Charge `pages` against the quota pool, if one is set. The lease is
@@ -99,47 +158,101 @@ fn reserve(opts: &ExecOptions, pages: usize) -> Result<Option<BufferLease>, Quer
     }
 }
 
-/// The planner's key matrix (plus DIFF lanes) lent to the external
-/// operators as narrow entries, row index as the row id. Rows the
-/// elimination filter drops are skipped before they are encoded.
-struct MatrixEntries {
-    keys: Vec<f64>,
-    groups: Vec<f64>,
+/// Rows read off the columns between cancellation polls — and the unit
+/// the elimination filter screens column at a time.
+const CHUNK_ROWS: usize = CANCEL_CHECK_INTERVAL as usize;
+
+/// The key columns lent to the external operators as narrow entries, row
+/// index as the row id, a chunk of rows at a time. Rows the elimination
+/// filter drops are skipped before they are gathered or encoded.
+struct ColumnEntries {
+    cols: SkylineColumns,
     narrow: NarrowLayout,
-    row: usize,
     filter: Option<EliminationFilter>,
+    cancel: Option<CancelToken>,
+    /// First row of the chunk in hand, and of the one after it.
+    chunk: usize,
+    next_chunk: usize,
+    /// Offsets into the chunk of the rows its screen let through, and
+    /// how many of them have been consumed.
+    survivors: Vec<u32>,
+    taken: usize,
     lanes: Vec<f64>,
     entry: Vec<u8>,
-    cancel: Option<CancelToken>,
 }
 
-impl Operator for MatrixEntries {
+impl ColumnEntries {
+    fn new(
+        cols: SkylineColumns,
+        narrow: NarrowLayout,
+        filter: Option<EliminationFilter>,
+        cancel: Option<CancelToken>,
+    ) -> Self {
+        ColumnEntries {
+            cols,
+            narrow,
+            filter,
+            cancel,
+            chunk: 0,
+            next_chunk: 0,
+            survivors: Vec::new(),
+            taken: 0,
+            lanes: Vec::new(),
+            entry: Vec::new(),
+        }
+    }
+}
+
+impl Operator for ColumnEntries {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.row = 0;
+        (self.chunk, self.next_chunk, self.taken) = (0, 0, 0);
+        self.survivors.clear();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
-        let (d, g) = (self.narrow.dims(), self.narrow.diff_dims());
         loop {
-            // per row consumed, not per row emitted: the filter may drop
-            // almost everything
-            poll(self.cancel.as_ref(), self.row as u64)?;
-            let row = self.row;
-            let Some(key) = self.keys.get(row * d..(row + 1) * d) else {
-                return Ok(None);
-            };
-            self.row += 1;
-            if self.filter.as_mut().is_some_and(|f| !f.admit(key)) {
-                continue;
+            while let Some(&offset) = self.survivors.get(self.taken) {
+                self.taken += 1;
+                let row = self.chunk + offset as usize;
+                self.lanes.clear();
+                self.cols.key_into(row, &mut self.lanes);
+                if self.filter.as_mut().is_some_and(|f| !f.admit(&self.lanes)) {
+                    continue;
+                }
+                self.lanes
+                    .extend(self.cols.diff.iter().map(|c| c.values()[row]));
+                self.narrow
+                    .encode_into(&self.lanes, row as u64, &mut self.entry);
+                return Ok(Some(&self.entry));
             }
-            self.lanes.clear();
-            self.lanes.extend_from_slice(key);
-            self.lanes
-                .extend_from_slice(&self.groups[row * g..(row + 1) * g]);
-            self.narrow
-                .encode_into(&self.lanes, row as u64, &mut self.entry);
-            return Ok(Some(&self.entry));
+            // Chunk boundary: the filter's counters reach the shared
+            // metrics, then the token is polled — per row consumed, not
+            // per row emitted, since the filter may drop almost everything.
+            if let Some(filter) = &mut self.filter {
+                filter.settle();
+            }
+            poll(self.cancel.as_ref(), self.next_chunk as u64)?;
+            let (lo, hi) = (
+                self.next_chunk,
+                self.cols.rows().min(self.next_chunk + CHUNK_ROWS),
+            );
+            if lo == hi {
+                return Ok(None);
+            }
+            (self.chunk, self.next_chunk, self.taken) = (lo, hi, 0);
+            let crit = &self.cols.crit;
+            match &mut self.filter {
+                Some(filter) => filter.screen(
+                    hi - lo,
+                    |k| (&crit[k].0.values()[lo..hi], crit[k].1),
+                    &mut self.survivors,
+                ),
+                None => {
+                    self.survivors.clear();
+                    self.survivors.extend(0..(hi - lo) as u32);
+                }
+            }
         }
     }
 
@@ -154,11 +267,9 @@ impl Operator for MatrixEntries {
 /// (two inputs and an output) plus the elimination filter's one.
 const MIN_SORT_PAGES: usize = 4;
 
-/// Run the skyline of `keys` (oriented, row-major, `d` wide — one row
-/// per tuple of `rows`) on the paged engine under the execution contract
-/// `opts`, grouping by the `diff` columns of `rows`. The caller has
-/// checked [`routes_to_paged_engine`]. Returned row indices are
-/// ascending.
+/// Run the skyline over `cols` on the paged engine under the execution
+/// contract `opts`, grouping by the DIFF columns. The caller has checked
+/// [`routes_to_paged_engine`]. Returned row indices are ascending.
 ///
 /// # Errors
 /// [`QueryError::Exec`] (an [`ExecError::Config`]) when `opts.sort_pages`
@@ -168,10 +279,7 @@ const MIN_SORT_PAGES: usize = 4;
 /// [`QueryError::Exec`] for storage or worker failures. No heap pages
 /// remain allocated on any error path.
 pub fn external_skyline_with(
-    keys: Vec<f64>,
-    d: usize,
-    rows: &[Tuple],
-    diff: &[usize],
+    cols: SkylineColumns,
     opts: &ExecOptions,
 ) -> Result<Vec<usize>, QueryError> {
     if opts.sort_pages < MIN_SORT_PAGES {
@@ -180,43 +288,35 @@ pub fn external_skyline_with(
             opts.sort_pages
         ))));
     }
-    let narrow = NarrowLayout::new(d).with_diff(diff.len());
+    let (d, grouped) = (cols.crit.len(), !cols.diff.is_empty());
+    let narrow = NarrowLayout::new(d).with_diff(cols.diff.len());
     let disk: Arc<dyn Disk> = match &opts.disk {
         Some(d) => Arc::clone(d),
         None => MemDisk::shared(),
     };
     // Capacity in entries is what the estimator sizes; a narrow window
     // entry is the key alone, 8·d bytes.
-    let cfg = BatchConfig::new(recommend_window_pages(rows.len(), d, 8 * d));
+    let cfg = BatchConfig::new(recommend_window_pages(cols.rows(), d, 8 * d));
     let metrics = SkylineMetrics::shared();
     // BNL takes the stream as it comes; everything else — a DIFF clause
-    // included, since BNL cannot group — presorts by entropy (one pass
-    // over the matrix for the column statistics).
-    let presort = (opts.algo != SkylineAlgo::Bnl || !diff.is_empty())
-        .then(|| Arc::new(EntropyScore::from_keys(&keys, d)));
+    // included, since BNL cannot group — presorts by entropy.
+    let presort =
+        (opts.algo != SkylineAlgo::Bnl || grouped).then(|| Arc::new(cols.entropy_score()));
     // The elimination filter rides every presorted stream whose entries
     // are all mutually comparable — the `diff_dims() == 0` test
     // `NarrowCmp::prefix_key` makes.
     let elimination = presort
         .as_ref()
-        .filter(|_| diff.is_empty())
+        .filter(|_| !grouped)
         .map(|score| EliminationFilter::new(d, Arc::clone(score) as _, Arc::clone(&metrics)));
     // Its page is the sort's: what it holds, the arena gives up.
     let arena_pages = opts.sort_pages - usize::from(elimination.is_some());
-    let groups = rows
-        .iter()
-        .flat_map(|row| diff.iter().map(|&idx| row.get(idx).as_f64().unwrap_or(0.0)))
-        .collect();
-    let entries: BoxedOperator = Box::new(MatrixEntries {
-        keys,
-        groups,
+    let entries: BoxedOperator = Box::new(ColumnEntries::new(
+        cols,
         narrow,
-        row: 0,
-        filter: elimination,
-        lanes: Vec::new(),
-        entry: Vec::new(),
-        cancel: opts.cancel.clone(),
-    });
+        elimination,
+        opts.cancel.clone(),
+    ));
 
     // Each arm yields the operator to drain and the window lease that
     // stays charged while it drains.
@@ -299,7 +399,7 @@ pub fn external_skyline_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline_relation::{tuple, Value};
+    use skyline_relation::{tuple, Tuple, Value};
     use skyline_storage::BufferPool;
 
     fn random_table(n: usize) -> Vec<Tuple> {
@@ -319,6 +419,19 @@ mod tests {
         data
     }
 
+    /// The clause's columns, built the way `plan::apply_skyline` builds
+    /// them for a relation it does not find in the catalog.
+    fn columns(rows: &[Tuple], crit: &[(usize, bool)], diff: &[usize]) -> SkylineColumns {
+        let wanted: Vec<usize> = crit
+            .iter()
+            .map(|c| c.0)
+            .chain(diff.iter().copied())
+            .collect();
+        let built = KeyColumn::build_all(rows, &wanted, |_| Ok::<(), ()>(())).unwrap();
+        let min: Vec<bool> = crit.iter().map(|c| c.1).collect();
+        SkylineColumns::new(built.into_iter().map(Arc::new).collect(), &min)
+    }
+
     /// What `plan::apply_skyline` does with a relation of any size:
     /// `None` when the routing predicate keeps it in memory.
     fn paged(
@@ -328,11 +441,11 @@ mod tests {
         opts: &ExecOptions,
     ) -> Result<Option<Vec<usize>>, QueryError> {
         let opts = opts.clone().with_external_threshold(0);
-        let keys = oriented(rows, crit);
-        if !routes_to_paged_engine(rows, &keys, diff, &opts) {
+        let cols = columns(rows, crit, diff);
+        if !routes_to_paged_engine(&cols, &opts) {
             return Ok(None);
         }
-        external_skyline_with(keys, crit.len(), rows, diff, &opts).map(Some)
+        external_skyline_with(cols, &opts).map(Some)
     }
 
     fn in_memory(rows: &[Tuple], crit: &[(usize, bool)], diff: &[usize]) -> Vec<usize> {
@@ -415,10 +528,10 @@ mod tests {
     fn threshold_is_part_of_the_routing_predicate() {
         let rows = random_table(100);
         let crit = vec![(0usize, false), (1usize, true)];
-        let keys = oriented(&rows, &crit);
+        let cols = columns(&rows, &crit, &[]);
         let at = |threshold| {
             let opts = ExecOptions::default().with_external_threshold(threshold);
-            routes_to_paged_engine(&rows, &keys, &[], &opts)
+            routes_to_paged_engine(&cols, &opts)
         };
         assert!(at(100));
         assert!(!at(101));
@@ -466,23 +579,19 @@ mod tests {
     fn cancel_is_seen_within_one_poll_interval_while_the_filter_drops_everything() {
         // The first row dominates every other, so after it the stream
         // emits nothing: the token has to be polled per row consumed.
-        let n = 100_000usize;
-        let keys: Vec<f64> = (0..n)
-            .flat_map(|i| [(n - i) as f64, (n - i) as f64])
-            .collect();
+        let n = 100_000i64;
+        let rows: Vec<Tuple> = (0..n).map(|i| tuple![n - i, n - i]).collect();
+        let cols = columns(&rows, &[(0, false), (1, false)], &[]);
         let token = CancelToken::new();
         let metrics = SkylineMetrics::shared();
-        let score = Arc::new(EntropyScore::from_keys(&keys, 2));
-        let mut entries = MatrixEntries {
-            keys,
-            groups: Vec::new(),
-            narrow: NarrowLayout::new(2),
-            row: 0,
-            filter: Some(EliminationFilter::new(2, score, Arc::clone(&metrics))),
-            lanes: Vec::new(),
-            entry: Vec::new(),
-            cancel: Some(token.clone()),
-        };
+        let score = Arc::new(cols.entropy_score());
+        let filter = EliminationFilter::new(2, score, Arc::clone(&metrics));
+        let mut entries = ColumnEntries::new(
+            cols,
+            NarrowLayout::new(2),
+            Some(filter),
+            Some(token.clone()),
+        );
         entries.open().unwrap();
         assert!(entries.next().unwrap().is_some());
         token.cancel();

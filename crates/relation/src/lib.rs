@@ -34,7 +34,7 @@ pub use record::{RecordLayout, PAGE_SIZE};
 pub use rng::Rng;
 pub use schema::{Column, ColumnType, Schema};
 pub use stats::{ColumnStats, TableStats};
-pub use table::Table;
+pub use table::{KeyColumn, Table};
 #[doc(hidden)]
 pub use tuple::__into_value;
 pub use tuple::Tuple;

@@ -2,24 +2,168 @@
 
 use crate::record::RecordLayout;
 use crate::schema::Schema;
+use crate::stats::ColumnStats;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// One attribute of a relation as `f64`s, with the facts the skyline
+/// planner asks of it: statistics for the entropy presort, whether every
+/// value is finite (the paged engine's criterion test), whether every
+/// value is an integer within `i32` (its `DIFF`-key test), and the first
+/// row that has no numeric view at all.
+///
+/// Values are stored as the table has them; a `MIN` criterion is a sign
+/// flip at read time ([`ColumnStats::negated`] for the statistics).
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyColumn {
+    values: Vec<f64>,
+    stats: ColumnStats,
+    all_finite: bool,
+    int_within_i32: bool,
+    first_non_numeric: Option<usize>,
+}
+
+/// Rows [`KeyColumn::build_all`] copies between two calls of its `poll`.
+pub const BUILD_BLOCK: usize = 256;
+
+impl KeyColumn {
+    fn empty(rows: usize) -> Self {
+        KeyColumn {
+            values: Vec::with_capacity(rows),
+            stats: ColumnStats::empty(),
+            all_finite: true,
+            int_within_i32: true,
+            first_non_numeric: None,
+        }
+    }
+
+    /// Build the columns at positions `columns` of `rows` in one pass,
+    /// a block of [`BUILD_BLOCK`] rows at a time: `poll` is called with
+    /// the row number at the head of each block (the caller's
+    /// cancellation check; its error aborts the build).
+    ///
+    /// A column stops at its first `NULL` or string: it records that row,
+    /// holds no values, and fails both flag tests.
+    ///
+    /// # Errors
+    /// Whatever `poll` returns.
+    ///
+    /// # Panics
+    /// When a position is outside a row.
+    pub fn build_all<E>(
+        rows: &[Tuple],
+        columns: &[usize],
+        mut poll: impl FnMut(u64) -> Result<(), E>,
+    ) -> Result<Vec<KeyColumn>, E> {
+        let mut out: Vec<KeyColumn> = columns
+            .iter()
+            .map(|_| KeyColumn::empty(rows.len()))
+            .collect();
+        // Column by column within a block, so each copy loop runs over
+        // one output vector while the block's tuples stay in cache.
+        for (block_no, block) in rows.chunks(BUILD_BLOCK).enumerate() {
+            let first_row = block_no * BUILD_BLOCK;
+            poll(first_row as u64)?;
+            for (col, &idx) in out.iter_mut().zip(columns) {
+                col.append(block, idx, first_row);
+            }
+        }
+        // What can be read off the copies is, a column at a time. (An
+        // integer is within `i32` exactly when its f64 is: the bounds are
+        // f64s and the conversion is monotone.)
+        for col in &mut out {
+            if col.first_non_numeric.is_some() {
+                col.values = Vec::new();
+                col.all_finite = false;
+                col.int_within_i32 = false;
+                continue;
+            }
+            col.stats = ColumnStats::of(&col.values);
+            col.all_finite = col.values.iter().fold(true, |all, v| all & v.is_finite());
+            col.int_within_i32 &=
+                col.stats.min >= f64::from(i32::MIN) && col.stats.max <= f64::from(i32::MAX);
+        }
+        Ok(out)
+    }
+
+    /// Copy position `idx` of `block` (whose first row is row `first_row`
+    /// of the relation) onto the end, unless the column has stopped.
+    fn append(&mut self, block: &[Tuple], idx: usize, first_row: usize) {
+        if self.first_non_numeric.is_some() {
+            return;
+        }
+        for (offset, row) in block.iter().enumerate() {
+            match row.get(idx) {
+                Value::Int(i) | Value::Date(i) => self.values.push(*i as f64),
+                Value::Float(f) => {
+                    self.values.push(*f);
+                    self.int_within_i32 = false;
+                }
+                Value::Null | Value::Str(_) => {
+                    self.first_non_numeric = Some(first_row + offset);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The values, one per row — empty when [`Self::first_non_numeric`]
+    /// is set.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Min/max/count of the values.
+    pub fn stats(&self) -> &ColumnStats {
+        &self.stats
+    }
+
+    /// True when every row is numeric and neither NaN nor ±∞.
+    pub fn all_finite(&self) -> bool {
+        self.all_finite
+    }
+
+    /// True when every row is an `Int`/`Date` within `i32`.
+    pub fn int_within_i32(&self) -> bool {
+        self.int_within_i32
+    }
+
+    /// The first row whose value is `NULL` or a string, if any.
+    pub fn first_non_numeric(&self) -> Option<usize> {
+        self.first_non_numeric
+    }
+}
 
 /// A schema plus rows. The friendly relation used by the query layer,
 /// samples, and examples.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A table also keeps *resident key columns*: the [`KeyColumn`] of every
+/// attribute a skyline query has referenced so far, built on first use
+/// ([`Table::key_columns`]) and shared by every later query. They are
+/// derived data — [`Table::push`] drops them, and `Clone`, `PartialEq`
+/// and `Debug` look at schema and rows only (a clone starts cold).
 pub struct Table {
     schema: Schema,
     rows: Vec<Tuple>,
+    /// One slot per schema column. One lock for the table, held across a
+    /// build: a query racing the first one waits and finds the columns.
+    resident: Mutex<Vec<Option<Arc<KeyColumn>>>>,
 }
 
 impl Table {
     /// An empty table with the given schema.
     pub fn empty(schema: Schema) -> Self {
+        Table::cold(schema, Vec::new())
+    }
+
+    fn cold(schema: Schema, rows: Vec<Tuple>) -> Self {
+        let resident = Mutex::new(vec![None; schema.len()]);
         Table {
             schema,
-            rows: Vec::new(),
+            rows,
+            resident,
         }
     }
 
@@ -38,7 +182,7 @@ impl Table {
                 });
             }
         }
-        Ok(Table { schema, rows })
+        Ok(Table::cold(schema, rows))
     }
 
     /// The schema.
@@ -61,7 +205,7 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Append one row, checking arity.
+    /// Append one row, checking arity. Drops the resident key columns.
     ///
     /// # Errors
     /// [`TableError::ArityMismatch`] when the row's width differs from the
@@ -75,7 +219,50 @@ impl Table {
             });
         }
         self.rows.push(row);
+        self.resident
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .fill(None);
         Ok(())
+    }
+
+    /// The resident key columns at positions `columns` (repeats allowed),
+    /// building in one pass over the rows those no query has asked for
+    /// yet. `poll` is the caller's cancellation check, called as
+    /// [`KeyColumn::build_all`] calls it; when it fails nothing is
+    /// cached. A concurrent caller waits for the build instead of
+    /// repeating it.
+    ///
+    /// # Errors
+    /// Whatever `poll` returns.
+    ///
+    /// # Panics
+    /// When a position is outside the schema.
+    pub fn key_columns<E>(
+        &self,
+        columns: &[usize],
+        poll: impl FnMut(u64) -> Result<(), E>,
+    ) -> Result<Vec<Arc<KeyColumn>>, E> {
+        // A slot is `None` or a finished column at every instant, so a
+        // poisoned lock still guards valid data.
+        let mut slots = self.resident.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut missing: Vec<usize> = columns
+            .iter()
+            .copied()
+            .filter(|&c| slots[c].is_none())
+            .collect();
+        missing.sort_unstable();
+        missing.dedup();
+        if !missing.is_empty() {
+            let built = KeyColumn::build_all(&self.rows, &missing, poll)?;
+            for (c, column) in missing.into_iter().zip(built) {
+                slots[c] = Some(Arc::new(column));
+            }
+        }
+        Ok(columns
+            .iter()
+            .map(|&c| Arc::clone(slots[c].as_ref().expect("present or just built")))
+            .collect())
     }
 
     /// Consume into rows.
@@ -197,6 +384,27 @@ impl Table {
     }
 }
 
+impl Clone for Table {
+    fn clone(&self) -> Self {
+        Table::cold(self.schema.clone(), self.rows.clone())
+    }
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.rows == other.rows
+    }
+}
+
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Table")
+            .field("schema", &self.schema)
+            .field("rows", &self.rows)
+            .finish()
+    }
+}
+
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.render())
@@ -289,6 +497,153 @@ mod tests {
         // payload carries the row index
         let payload = layout.payload_of(&recs[1]);
         assert_eq!(u64::from_le_bytes(payload[..8].try_into().unwrap()), 1);
+    }
+
+    fn never(_: u64) -> Result<(), ()> {
+        Ok(())
+    }
+
+    #[test]
+    fn a_key_column_carries_values_statistics_and_routing_facts() {
+        let rows = vec![
+            tuple![1, 2.5, 7, "x"],
+            tuple![-3, f64::INFINITY, i64::from(i32::MAX) + 1, "y"],
+            Tuple::new(vec![
+                Value::Date(9),
+                Value::Float(0.0),
+                Value::Null,
+                Value::Null,
+            ]),
+        ];
+        let cols = KeyColumn::build_all(&rows, &[0, 1, 2, 3, 0], never).unwrap();
+        let (ints, floats, holed, strings) = (&cols[0], &cols[1], &cols[2], &cols[3]);
+        assert_eq!(ints.values(), [1.0, -3.0, 9.0]);
+        assert_eq!(
+            (ints.stats().min, ints.stats().max, ints.stats().count),
+            (-3.0, 9.0, 3)
+        );
+        assert!(ints.all_finite() && ints.int_within_i32());
+        assert_eq!(ints.first_non_numeric(), None);
+        assert_eq!(ints, &cols[4], "a repeated position builds the same column");
+        // an infinity is numeric but not finite; a float is no DIFF key
+        assert_eq!(floats.values(), [2.5, f64::INFINITY, 0.0]);
+        assert!(!floats.all_finite() && !floats.int_within_i32());
+        assert_eq!(floats.first_non_numeric(), None);
+        // a column stops at its first NULL or string and fails every test
+        assert_eq!(holed.first_non_numeric(), Some(2));
+        assert_eq!(strings.first_non_numeric(), Some(0));
+        for c in [holed, strings] {
+            assert!(c.values().is_empty() && !c.all_finite() && !c.int_within_i32());
+        }
+        // beyond i32 is finite — a criterion pages — but no DIFF key
+        let wide = &KeyColumn::build_all(&rows[..2], &[2], never).unwrap()[0];
+        assert!(wide.all_finite() && !wide.int_within_i32());
+    }
+
+    #[test]
+    fn resident_columns_are_built_once_and_dropped_by_push() {
+        let mut t = small();
+        let mut polled = 0;
+        let mut count = |_| {
+            polled += 1;
+            Ok::<(), ()>(())
+        };
+        let first = t.key_columns(&[2, 1, 2], &mut count).unwrap();
+        assert_eq!(first[0].values(), [2.0, 4.0]);
+        assert_eq!(first[1].values(), [1.0, 3.0]);
+        assert!(Arc::ptr_eq(&first[0], &first[2]));
+        // one pass built both; a second call builds nothing, and a call
+        // that adds a column passes once more for that column alone
+        let again = t.key_columns(&[1, 2], &mut count).unwrap();
+        assert!(Arc::ptr_eq(&again[0], &first[1]) && Arc::ptr_eq(&again[1], &first[0]));
+        let name = t.key_columns(&[0, 1], &mut count).unwrap();
+        assert_eq!(name[0].first_non_numeric(), Some(0));
+        assert!(Arc::ptr_eq(&name[1], &first[1]));
+        assert_eq!(polled, 2, "one block each");
+
+        // a clone is the same table, cold; so is the table after a push
+        let clone = t.clone();
+        assert_eq!(clone, t);
+        assert!(!format!("{t:?}").contains("resident"));
+        let refuse = |_| Err::<(), &str>("cold");
+        assert_eq!(clone.key_columns(&[1], refuse).unwrap_err(), "cold");
+        assert!(
+            t.key_columns(&[1], refuse).is_ok(),
+            "the original stays warm"
+        );
+        t.push(tuple!["c", 5, 6.0]).unwrap();
+        assert_ne!(clone, t);
+        assert_eq!(t.key_columns(&[1], refuse).unwrap_err(), "cold");
+        let rebuilt = t.key_columns(&[1], never).unwrap();
+        assert_eq!(rebuilt[0].values(), [1.0, 3.0, 5.0]);
+        // a refused push changes nothing
+        assert!(t.push(tuple![1]).is_err());
+        assert!(Arc::ptr_eq(
+            &t.key_columns(&[1], refuse).unwrap()[0],
+            &rebuilt[0]
+        ));
+    }
+
+    #[test]
+    fn a_refused_build_caches_nothing() {
+        let rows = (0..3 * BUILD_BLOCK as i64)
+            .map(|i| tuple!["r", i, 0.5])
+            .collect();
+        let t = Table::new(small().schema().clone(), rows).unwrap();
+        let mut seen = Vec::new();
+        let err = t.key_columns(&[1, 2], |row| {
+            seen.push(row);
+            if row == 0 {
+                Ok(())
+            } else {
+                Err("stop")
+            }
+        });
+        assert_eq!(err.unwrap_err(), "stop");
+        assert_eq!(
+            seen,
+            [0, BUILD_BLOCK as u64],
+            "polled at the head of each block"
+        );
+        for c in [1, 2] {
+            assert!(
+                t.key_columns(&[c], |_| Err(())).is_err(),
+                "column {c} cached"
+            );
+        }
+    }
+
+    #[test]
+    fn a_caller_racing_a_build_waits_for_it_and_shares_the_columns() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let rows = (0..1_000).map(|i| tuple!["r", i, 0.5]).collect();
+        let t = Table::new(small().schema().clone(), rows).unwrap();
+        let polls = AtomicUsize::new(0);
+        let (started, second_may_go) = std::sync::mpsc::channel();
+        let (a, b) = std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                t.key_columns(&[1, 2], |row| {
+                    // the builder holds the lock from here to its last row
+                    if row == 0 {
+                        started.send(()).unwrap();
+                    }
+                    polls.fetch_add(1, Ordering::Relaxed);
+                    Ok::<(), ()>(())
+                })
+            });
+            second_may_go.recv().unwrap();
+            let second = t.key_columns(&[2, 1], |_| {
+                polls.fetch_add(1, Ordering::Relaxed);
+                Ok::<(), ()>(())
+            });
+            (first.join().unwrap().unwrap(), second.unwrap())
+        });
+        assert_eq!(
+            polls.into_inner(),
+            t.len().div_ceil(BUILD_BLOCK),
+            "one build, one pass"
+        );
+        assert!(Arc::ptr_eq(&a[0], &b[1]) && Arc::ptr_eq(&a[1], &b[0]));
     }
 
     #[test]

@@ -22,7 +22,8 @@ use skyline::core::{
     KeySumScore, MetricsSnapshot, SfsConfig, SkylineMetrics, SkylineSpec, SortOrder,
 };
 use skyline::exchange::FRAME_HEADER_BYTES;
-use skyline::exec::{collect, ExecError, HeapScan, NarrowLayout, Operator};
+use skyline::exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
+use skyline::exec::{collect, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
 use skyline::relation::gen::{Distribution, WorkloadSpec};
 use skyline::relation::RecordLayout;
 use skyline::storage::{Disk, HeapFile, MemDisk};
@@ -256,33 +257,76 @@ fn parallel_filter_aggregate_is_the_exact_sum_of_its_stages() {
     }
 }
 
-/// A key matrix as narrow entries, minus what an elimination filter
-/// drops: the SQL push-down's producer, rebuilt from its public parts.
+/// Key columns as narrow entries, minus what an elimination filter
+/// drops: the SQL push-down's producer, rebuilt from its public parts —
+/// a chunk of rows is screened against the filter's front column at a
+/// time, the survivors are gathered and admitted, and the filter's
+/// counters are settled where the token is polled.
 struct FilteredKeys {
-    keys: Vec<f64>,
+    columns: Vec<Vec<f64>>,
     narrow: NarrowLayout,
     filter: EliminationFilter,
-    row: usize,
+    cancel: Option<CancelToken>,
+    chunk: usize,
+    next_chunk: usize,
+    survivors: Vec<u32>,
+    taken: usize,
+    key: Vec<f64>,
     entry: Vec<u8>,
+}
+
+impl FilteredKeys {
+    /// Over the row-major `keys`, `d` wide.
+    fn new(keys: &[f64], d: usize, filter: EliminationFilter) -> Self {
+        FilteredKeys {
+            columns: (0..d)
+                .map(|k| keys.iter().skip(k).step_by(d).copied().collect())
+                .collect(),
+            narrow: NarrowLayout::new(d),
+            filter,
+            cancel: None,
+            chunk: 0,
+            next_chunk: 0,
+            survivors: Vec::new(),
+            taken: 0,
+            key: Vec::new(),
+            entry: Vec::new(),
+        }
+    }
 }
 
 impl Operator for FilteredKeys {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.row = 0;
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
-        let d = self.narrow.dims();
-        while let Some(key) = self.keys.get(self.row * d..(self.row + 1) * d) {
-            self.row += 1;
-            if self.filter.admit(key) {
-                self.narrow
-                    .encode_into(key, self.row as u64 - 1, &mut self.entry);
-                return Ok(Some(&self.entry));
+        loop {
+            while let Some(&offset) = self.survivors.get(self.taken) {
+                self.taken += 1;
+                let row = self.chunk + offset as usize;
+                self.key.clear();
+                self.key.extend(self.columns.iter().map(|c| c[row]));
+                if self.filter.admit(&self.key) {
+                    self.narrow
+                        .encode_into(&self.key, row as u64, &mut self.entry);
+                    return Ok(Some(&self.entry));
+                }
             }
+            self.filter.settle();
+            poll(self.cancel.as_ref(), self.next_chunk as u64)?;
+            let (lo, hi) = (
+                self.next_chunk,
+                self.columns[0].len().min(self.next_chunk + CHUNK),
+            );
+            if lo == hi {
+                return Ok(None);
+            }
+            (self.chunk, self.next_chunk, self.taken) = (lo, hi, 0);
+            let columns = &self.columns;
+            self.filter
+                .screen(hi - lo, |k| (&columns[k][lo..hi], 1.0), &mut self.survivors);
         }
-        Ok(None)
     }
 
     fn close(&mut self) {}
@@ -291,6 +335,9 @@ impl Operator for FilteredKeys {
         self.narrow.entry_size()
     }
 }
+
+/// Rows between the producer's cancellation polls.
+const CHUNK: usize = CANCEL_CHECK_INTERVAL as usize;
 
 /// With an elimination filter ahead of the sort, a key is settled in
 /// exactly one of three places: dropped by the filter, discarded by SFS,
@@ -323,13 +370,8 @@ fn elimination_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
         let metrics = SkylineMetrics::shared();
         let score = Arc::new(EntropyScore::from_keys(&keys, d));
         let narrow = NarrowLayout::new(d);
-        let entries = FilteredKeys {
-            keys,
-            narrow,
-            filter: EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(&metrics)),
-            row: 0,
-            entry: Vec::new(),
-        };
+        let filter = EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(&metrics));
+        let entries = FilteredKeys::new(&keys, d, filter);
         let mut sorted = sort_narrow(
             Box::new(entries),
             narrow,
@@ -364,6 +406,53 @@ fn elimination_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
         assert_eq!(s.passes > 1, multipass, "{label}: {} passes", s.passes);
         assert_eq!(disk.allocated_pages(), 0, "{label}: pages leaked");
     }
+}
+
+/// A producer cancelled mid-stream has settled, by the time the error
+/// surfaces, exactly the rows it consumed: what it forwarded plus what
+/// the filter — front test and window probe — dropped. Nothing waits in
+/// the filter's plain counters for a drop that might never come.
+#[test]
+fn a_cancelled_producer_has_settled_every_row_it_consumed() {
+    let (n, d) = (10 * CHUNK + 17, 3usize);
+    let mut keys = Vec::with_capacity(n * d);
+    skyline_testkit::replay(0xCA7C, |rng| {
+        for _ in 0..n {
+            keys.extend((0..d).map(|_| rng.usize_below(1_000) as f64));
+        }
+    });
+    let metrics = SkylineMetrics::shared();
+    let score = Arc::new(EntropyScore::from_keys(&keys, d));
+    let filter = EliminationFilter::new(d, score, Arc::clone(&metrics));
+    let token = CancelToken::new();
+    let mut entries = FilteredKeys::new(&keys, d, filter);
+    entries.cancel = Some(token.clone());
+    let narrow = entries.narrow;
+    entries.open().unwrap();
+    let mut forwarded = 0u64;
+    let mut last_row = 0;
+    while last_row < 3 * CHUNK as u64 {
+        let entry = entries.next().unwrap().expect("cancelled before the end");
+        last_row = narrow.row_id(entry);
+        forwarded += 1;
+    }
+    token.cancel();
+    let consumed = loop {
+        match entries.next() {
+            Ok(Some(_)) => forwarded += 1,
+            Ok(None) => panic!("the token was never seen"),
+            Err(ExecError::Cancelled { records_processed }) => break records_processed,
+            Err(e) => panic!("{e}"),
+        }
+    };
+    assert!(consumed < n as u64 && consumed.is_multiple_of(CHUNK as u64));
+    assert!(consumed <= last_row + 1 + CHUNK as u64, "one poll interval");
+    let s = metrics.snapshot();
+    assert!(s.eliminated > 0, "the filter dropped nothing");
+    assert_eq!(s.eliminated + forwarded, consumed);
+    // and the drop that follows adds nothing twice
+    drop(entries);
+    assert_eq!(metrics.snapshot(), s);
 }
 
 /// The columnar filter obeys the same conservation laws as the row

@@ -318,6 +318,89 @@ fn fractional_tables_page_and_answer_correctly() {
     }
 }
 
+/// `n` rows of `d` [`skyline_testkit::hostile_key`] values, each passed
+/// through `tame`; one row in four repeats an earlier row's whole key.
+fn hostile_rows(
+    rng: &mut skyline_testkit::Rng,
+    n: usize,
+    d: usize,
+    tame: impl Fn(f64) -> f64,
+) -> Vec<Vec<f64>> {
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+    for i in 0..n {
+        let row = if i > 0 && rng.usize_below(4) == 0 {
+            rows[rng.usize_below(i)].clone()
+        } else {
+            let key = skyline_testkit::hostile_key(rng, d);
+            key.into_iter().map(&tame).collect()
+        };
+        rows.push(row);
+    }
+    rows
+}
+
+/// `rows` as a table `(id INT, c0 FLOAT, …)`, `id` the row number.
+fn float_table(rows: &[Vec<f64>]) -> Table {
+    use skyline::relation::{Tuple, Value};
+    let d = rows.first().map_or(0, Vec::len);
+    let columns: Vec<(String, ColumnType)> = std::iter::once(("id".to_string(), ColumnType::Int))
+        .chain((0..d).map(|c| (format!("c{c}"), ColumnType::Float)))
+        .collect();
+    let named: Vec<(&str, ColumnType)> = columns.iter().map(|(c, t)| (c.as_str(), *t)).collect();
+    let mut t = Table::empty(Schema::of(&named));
+    for (i, row) in rows.iter().enumerate() {
+        let mut values = vec![Value::Int(i as i64)];
+        values.extend(row.iter().copied().map(Value::Float));
+        t.push(Tuple::new(values)).unwrap();
+    }
+    t
+}
+
+/// `SELECT id … SKYLINE OF c0 MIN|MAX, …` and, by the naive dominance
+/// loop, the ascending row numbers it must return over `rows`.
+fn hostile_query(rows: &[Vec<f64>], is_min: &[bool]) -> (String, Vec<usize>) {
+    use skyline::core::{algo, KeyMatrix};
+    let oriented = |row: &Vec<f64>| {
+        let signed = row.iter().zip(is_min);
+        signed
+            .map(|(&v, &min)| if min { -v } else { v })
+            .collect::<Vec<f64>>()
+    };
+    let keys: Vec<f64> = rows.iter().flat_map(oriented).collect();
+    let mut want = algo::naive(&KeyMatrix::new(is_min.len(), keys)).indices;
+    want.sort_unstable();
+    let criteria: Vec<String> = is_min
+        .iter()
+        .enumerate()
+        .map(|(c, &min)| format!("c{c} {}", if min { "MIN" } else { "MAX" }))
+        .collect();
+    let sql = format!("SELECT id FROM t SKYLINE OF {}", criteria.join(", "));
+    (sql, want)
+}
+
+/// Run `sql` under `algo` with a one-row paging threshold and a
+/// four-page sort, and return the `id`s; no quota or temp page may be
+/// left behind.
+fn ids_under(cat: &Catalog, sql: &str, algo: SkylineAlgo) -> (Vec<usize>, Arc<MemDisk>) {
+    let disk = MemDisk::shared();
+    let pool = BufferPool::new(1 << 16);
+    let opts = ExecOptions::default()
+        .with_algo(algo)
+        .with_threads(2)
+        .with_external_threshold(1)
+        .with_sort_pages(4)
+        .with_pool(pool.clone())
+        .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+    let got = execute_with(sql, cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+    assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
+    assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
+    let ids = got
+        .rows()
+        .iter()
+        .map(|r| r.get(0).as_i64().unwrap() as usize);
+    (ids.collect(), disk)
+}
+
 /// The elimination filter ahead of the sort changes no answer. Tables
 /// of finite `hostile_key` rows (constant, two-valued and heavily tied
 /// columns, the `i32` extremes, ±1e300 or ±1.5e308, fractions), with whole keys
@@ -327,7 +410,6 @@ fn fractional_tables_page_and_answer_correctly() {
 /// `DivideAndConquer`, in memory — with no page left behind.
 #[test]
 fn elimination_filter_changes_no_answer_on_hostile_tables() {
-    use skyline::core::{algo, KeyMatrix};
     skyline_testkit::cases(60, 0xE1F1, |rng| {
         let d = [1, 2, 4, 7, 9][rng.usize_below(5)];
         let capacity = skyline::storage::PAGE_SIZE / (8 * d);
@@ -338,73 +420,22 @@ fn elimination_filter_changes_no_answer_on_hostile_tables() {
             capacity + 1,
             3 * capacity,
         ][rng.usize_below(5)];
-        let columns: Vec<(String, ColumnType)> =
-            std::iter::once(("id".to_string(), ColumnType::Int))
-                .chain((0..d).map(|c| (format!("c{c}"), ColumnType::Float)))
-                .collect();
-        let named: Vec<(&str, ColumnType)> =
-            columns.iter().map(|(c, t)| (c.as_str(), *t)).collect();
-        let mut t = Table::empty(Schema::of(&named));
         let is_min: Vec<bool> = (0..d).map(|_| rng.bool()).collect();
         let widest = rng.bool();
-        let mut keys: Vec<f64> = Vec::with_capacity(n * d);
-        for i in 0..n {
-            // one row in four repeats an earlier row's whole key
-            let values: Vec<f64> = if i > 0 && rng.usize_below(4) == 0 {
-                let j = rng.usize_below(i);
-                (0..d)
-                    .map(|c| t.rows()[j].get(c + 1).as_f64().unwrap())
-                    .collect()
-            } else {
-                skyline_testkit::hostile_key(rng, d)
-                    .into_iter()
-                    .map(|v| match v {
-                        v if !v.is_finite() => 0.0,
-                        // a column too wide for f64 to hold its range
-                        v if widest && v.abs() == 1e300 => v * 1.5e8,
-                        v => v,
-                    })
-                    .collect()
-            };
-            keys.extend(
-                values
-                    .iter()
-                    .zip(&is_min)
-                    .map(|(&v, &min)| if min { -v } else { v }),
-            );
-            let mut row = vec![skyline::relation::Value::Int(i as i64)];
-            row.extend(values.into_iter().map(skyline::relation::Value::Float));
-            t.push(skyline::relation::Tuple::new(row)).unwrap();
-        }
-        let mut want = algo::naive(&KeyMatrix::new(d, keys)).indices;
-        want.sort_unstable();
+        let rows = hostile_rows(rng, n, d, |v| match v {
+            v if !v.is_finite() => 0.0,
+            // a column too wide for f64 to hold its range
+            v if widest && v.abs() == 1e300 => v * 1.5e8,
+            v => v,
+        });
+        let (sql, want) = hostile_query(&rows, &is_min);
         let mut cat = Catalog::new();
-        cat.register("t", t);
-        let criteria: Vec<String> = is_min
-            .iter()
-            .enumerate()
-            .map(|(c, &min)| format!("c{c} {}", if min { "MIN" } else { "MAX" }))
-            .collect();
-        let sql = format!("SELECT id FROM t SKYLINE OF {}", criteria.join(", "));
+        cat.register("t", float_table(&rows));
 
         let mut algos = PAGED_ALGOS.to_vec();
         algos.push(SkylineAlgo::DivideAndConquer);
         for algo in algos {
-            let disk = MemDisk::shared();
-            let pool = BufferPool::new(1 << 16);
-            let opts = ExecOptions::default()
-                .with_algo(algo)
-                .with_threads(2)
-                .with_external_threshold(1)
-                .with_sort_pages(4)
-                .with_pool(pool.clone())
-                .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
-            let got = execute_with(&sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
-            let got: Vec<usize> = got
-                .rows()
-                .iter()
-                .map(|r| r.get(0).as_i64().unwrap() as usize)
-                .collect();
+            let (got, disk) = ids_under(&cat, &sql, algo);
             assert_eq!(got, want, "{algo:?} d={d} n={n} {sql}");
             // the presort always writes its runs; BNL writes only when
             // its window overflows, so it proves nothing either way
@@ -413,10 +444,252 @@ fn elimination_filter_changes_no_answer_on_hostile_tables() {
                 SkylineAlgo::Bnl => {}
                 _ => assert!(disk.stats().writes() > 0, "{algo:?}: did not page"),
             }
-            assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
-            assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
         }
     });
+}
+
+/// The resident key column at position `column` of `table`, if a query
+/// has built it: a build that is refused at its first row caches
+/// nothing, so this never builds one.
+fn resident(table: &Table, column: usize) -> Option<Arc<skyline::relation::KeyColumn>> {
+    let columns = table.key_columns(&[column], |_| Err(()));
+    columns.ok().map(|mut c| c.remove(0))
+}
+
+/// Resident key columns change no answer and are built once per table
+/// version. Finite `hostile_key` tables (they page) and ones with ±∞
+/// lanes (they stay in memory — the cached flag says so): queried under
+/// every hint and two MIN/MAX assignments, `INSERT`ed into through DDL,
+/// queried again — every answer is the naive oracle's over the rows of
+/// the moment, no page is left behind, the second query on an unchanged
+/// table finds the very columns the first one built, and the table an
+/// `INSERT` leaves starts cold.
+#[test]
+fn resident_columns_survive_queries_and_not_an_insert() {
+    use skyline::query::ddl::run_statement;
+    for finite in [true, false] {
+        skyline_testkit::cases(12, 0x4E51 + u64::from(finite), |rng| {
+            let d = [7, 9][rng.usize_below(2)];
+            let capacity = skyline::storage::PAGE_SIZE / (8 * d);
+            let n = [capacity - 1, capacity + 1, 3 * capacity][rng.usize_below(3)];
+            let tame = |v: f64| match v {
+                v if finite && !v.is_finite() => 0.0,
+                v if v.is_nan() => f64::INFINITY,
+                v => v,
+            };
+            let mut rows = hostile_rows(rng, n, d, tame);
+            if !finite {
+                rows[n / 2][6] = f64::NEG_INFINITY;
+            }
+            let assignments: [Vec<bool>; 2] = [0, 1].map(|_| (0..d).map(|_| rng.bool()).collect());
+            let mut cat = Catalog::new();
+            cat.register("t", float_table(&rows));
+            let mut algos = PAGED_ALGOS.to_vec();
+            algos.push(SkylineAlgo::DivideAndConquer);
+            let check_every_hint = |cat: &Catalog, rows: &[Vec<f64>]| {
+                for is_min in &assignments {
+                    let (sql, want) = hostile_query(rows, is_min);
+                    for &algo in &algos {
+                        let (got, disk) = ids_under(cat, &sql, algo);
+                        assert_eq!(got, want, "{algo:?} finite={finite} d={d} n={n} {sql}");
+                        let presorted = algo != SkylineAlgo::Bnl;
+                        let in_memory = !finite || algo == SkylineAlgo::DivideAndConquer;
+                        if in_memory {
+                            assert_eq!(disk.stats().writes(), 0, "{algo:?}: paged");
+                        } else if presorted {
+                            assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
+                        }
+                    }
+                }
+            };
+
+            assert!(resident(cat.get("t").unwrap(), 1).is_none(), "cold");
+            check_every_hint(&cat, &rows);
+            let first: Vec<_> = (1..=d)
+                .map(|c| resident(cat.get("t").unwrap(), c).expect("the first query built it"))
+                .collect();
+            assert_eq!(first[6].all_finite(), finite);
+            assert!(
+                resident(cat.get("t").unwrap(), 0).is_none(),
+                "id is no criterion"
+            );
+            check_every_hint(&cat, &rows);
+            for (c, column) in first.iter().enumerate() {
+                let again = resident(cat.get("t").unwrap(), c + 1).unwrap();
+                assert!(Arc::ptr_eq(column, &again), "column c{c} was rebuilt");
+            }
+
+            // three more rows through DDL; finite decimals are all SQL can say
+            let fresh = hostile_rows(rng, 3, d, |v| if v.is_finite() { v } else { 0.0 });
+            let literal = |(i, row): (usize, &Vec<f64>)| {
+                let values: Vec<String> = row.iter().map(|v| format!("{v:.10}")).collect();
+                format!("({}, {})", n + i, values.join(", "))
+            };
+            let tuples: Vec<String> = fresh.iter().enumerate().map(literal).collect();
+            run_statement(
+                &format!("INSERT INTO t VALUES {}", tuples.join(", ")),
+                &mut cat,
+            )
+            .unwrap();
+            rows.extend(fresh);
+            assert_eq!(cat.get("t").unwrap().len(), rows.len());
+            assert!(
+                resident(cat.get("t").unwrap(), 1).is_none(),
+                "INSERT starts cold"
+            );
+            check_every_hint(&cat, &rows);
+            let rebuilt = resident(cat.get("t").unwrap(), 1).expect("built again");
+            assert!(!Arc::ptr_eq(&first[0], &rebuilt));
+            assert_eq!(rebuilt.values().len(), rows.len());
+        });
+    }
+}
+
+/// Two sessions race the first query against a cold 100k-row table:
+/// both answer like the in-memory SFS over the same keys, and both find
+/// the same columns afterwards — one build, which the loser waited for.
+#[test]
+fn two_sessions_racing_a_cold_table_share_one_build() {
+    use skyline::core::dominates;
+    let n = 100_000usize;
+    // three noisy readings of one value: a skyline of a handful of rows
+    let rows: Vec<Vec<f64>> = (0..n as u64)
+        .map(|i| {
+            let v = ((i * 7_919) % 10_007) as f64;
+            let noise = |m: u64| (i % m) as f64 / 8.0;
+            vec![v + noise(5), 10_007.0 - v + noise(7), v + noise(3)]
+        })
+        .collect();
+    // The oracle: whatever the row with the largest key sum dominates is
+    // out (and, dominance being transitive, so is whatever those rows
+    // dominate); the naive loop settles the few hundred rows left.
+    let keys: Vec<[f64; 3]> = rows.iter().map(|r| [r[0], -r[1], r[2]]).collect();
+    let sum = |k: &[f64; 3]| k.iter().sum::<f64>();
+    let best = keys
+        .iter()
+        .max_by(|a, b| sum(a).total_cmp(&sum(b)))
+        .unwrap();
+    let left: Vec<usize> = (0..n).filter(|&i| !dominates(best, &keys[i])).collect();
+    assert!(
+        left.len() < 2_000,
+        "fixture is not correlated: {}",
+        left.len()
+    );
+    let undominated = |&i: &usize| !left.iter().any(|&j| dominates(&keys[j], &keys[i]));
+    let want: Vec<usize> = left.iter().copied().filter(undominated).collect();
+    let mut cat = Catalog::new();
+    cat.register("t", float_table(&rows));
+    let table = cat.get("t").unwrap();
+    let sql = "SELECT id FROM t SKYLINE OF c0 MAX, c1 MIN, c2 MAX";
+    let start = std::sync::Barrier::new(2);
+    let session = || {
+        start.wait();
+        let got = execute(sql, &cat).unwrap();
+        let ids: Vec<usize> = got
+            .rows()
+            .iter()
+            .map(|r| r.get(0).as_i64().unwrap() as usize)
+            .collect();
+        assert_eq!(ids, want);
+        resident(table, 1).expect("resident after the query")
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let other = s.spawn(session);
+        (session(), other.join().unwrap())
+    });
+    assert!(
+        Arc::ptr_eq(&a, &b),
+        "the racing sessions built a column each"
+    );
+    assert_eq!(a.values().len(), n);
+}
+
+/// A `NULL` or a string under a criterion is reported as the
+/// row-at-a-time scan reported it — the lowest offending row, the first
+/// criterion in clause order when two offend in that row — on the cold
+/// query, on the warm one (the fact is resident), and, numbered within
+/// the filtered relation, under a `WHERE`.
+#[test]
+fn a_non_numeric_criterion_names_the_same_row_and_column_cold_and_warm() {
+    use skyline::relation::{Tuple, Value};
+    let schema = Schema::of(&[
+        ("id", ColumnType::Int),
+        ("a", ColumnType::Int),
+        ("b", ColumnType::Int),
+        ("s", ColumnType::Str),
+    ]);
+    let mut t = Table::empty(schema);
+    for i in 0..10i64 {
+        let a = if i == 5 || i == 7 {
+            Value::Null
+        } else {
+            Value::Int(i)
+        };
+        let b = if i == 3 || i == 5 {
+            Value::Null
+        } else {
+            Value::Int(9 - i)
+        };
+        t.push(Tuple::new(vec![
+            Value::Int(i),
+            a,
+            b,
+            Value::Str(format!("r{i}")),
+        ]))
+        .unwrap();
+    }
+    let mut cat = Catalog::new();
+    cat.register("t", t);
+    let message = |sql: &str| execute(sql, &cat).unwrap_err().to_string();
+    for _cold_then_warm in 0..2 {
+        let m = message("SELECT * FROM t SKYLINE OF a MAX, b MIN");
+        assert!(m.contains("row 3: skyline column b is not numeric"), "{m}");
+        let m = message("SELECT * FROM t SKYLINE OF a MAX, id MIN");
+        assert!(m.contains("row 5: skyline column a is not numeric"), "{m}");
+        // rows 0..=2 go, so table row 5 — both criteria NULL — is row 1
+        let m = message("SELECT * FROM t WHERE id > 3 SKYLINE OF a MAX, b MIN");
+        assert!(m.contains("row 1: skyline column a is not numeric"), "{m}");
+        let m = message("SELECT * FROM t WHERE id > 3 SKYLINE OF b MIN, a MAX");
+        assert!(m.contains("row 1: skyline column b is not numeric"), "{m}");
+        let m = message("SELECT * FROM t SKYLINE OF id MAX, s MIN");
+        assert!(m.contains("row 0: skyline column s is not numeric"), "{m}");
+        // a string is a fine DIFF key
+        assert_eq!(
+            execute("SELECT * FROM t SKYLINE OF id MAX, s DIFF", &cat)
+                .unwrap()
+                .len(),
+            10
+        );
+    }
+}
+
+/// A token tripped before the first query's build leaves nothing
+/// resident; the next query builds and answers as if it had never run.
+#[test]
+fn a_cancelled_first_query_caches_nothing() {
+    let rows: Vec<Vec<f64>> = (0..600)
+        .map(|i| vec![f64::from(i % 29), f64::from(i % 31)])
+        .collect();
+    let (sql, want) = hostile_query(&rows, &[false, true]);
+    let mut cat = Catalog::new();
+    cat.register("t", float_table(&rows));
+    let token = skyline::exec::CancelToken::new();
+    token.cancel();
+    let opts = ExecOptions::default().with_cancel(token);
+    let err = execute_with(&sql, &cat, &opts).unwrap_err();
+    assert!(
+        matches!(err, skyline::query::QueryError::Cancelled { .. }),
+        "{err}"
+    );
+    for c in 0..3 {
+        assert!(
+            resident(cat.get("t").unwrap(), c).is_none(),
+            "column {c} is resident"
+        );
+    }
+    let (got, _) = ids_under(&cat, &sql, SkylineAlgo::Auto);
+    assert_eq!(got, want);
+    assert!(resident(cat.get("t").unwrap(), 1).is_some());
 }
 
 /// A table built to be hard on the window's level-code quantizer
