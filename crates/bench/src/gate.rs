@@ -568,10 +568,8 @@ fn grid_run(ds: &Dataset, spec: &GateSpec, format: Format, t: usize, scalar: boo
             None,
         ),
     };
-    let mut sorted = sorted.expect("presort");
+    let sorted = Arc::new(sorted.expect("presort"));
     let sort_ms = t0.elapsed().as_secs_f64() * 1e3;
-    sorted.mark_temp();
-    let sorted = Arc::new(sorted);
     let input_pages = sorted.num_pages();
 
     let metrics = SkylineMetrics::shared();
@@ -657,8 +655,8 @@ fn grid_run(ds: &Dataset, spec: &GateSpec, format: Format, t: usize, scalar: boo
         slowest(&workers).unwrap_or(0) + slowest(&verifiers).unwrap_or(merge.comparisons);
 
     let (len, checksum) = answer_of(&skyline, ds, spec.d);
-    skyline.delete();
-    drop(sorted); // temp: self-deletes
+    drop(skyline);
+    drop(sorted);
     assert_eq!(
         ds.disk.allocated_pages(),
         base_pages,

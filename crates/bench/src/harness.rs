@@ -216,12 +216,6 @@ pub fn run_sfs(ds: &Dataset, d: usize, window_pages: usize, variant: SfsVariant)
     let (extra_ios, extra_pages_written) =
         filter_io(before, ds.disk.stats().snapshot(), input_pages);
 
-    // free the sorted copy (drop the operator's scan handle first)
-    drop(sfs);
-    if let Ok(f) = Arc::try_unwrap(sorted) {
-        f.delete();
-    }
-
     RunResult {
         sort_ms,
         filter_ms,
@@ -264,8 +258,8 @@ pub fn run_bnl(ds: &Dataset, d: usize, window_pages: usize, input: BnlInput) -> 
     let spec = SkylineSpec::max_all(d);
     let disk = Arc::clone(&ds.disk) as Arc<dyn Disk>;
 
-    let (input_heap, owned): (Arc<HeapFile>, bool) = match input {
-        BnlInput::Natural => (Arc::clone(&ds.heap), false),
+    let input_heap: Arc<HeapFile> = match input {
+        BnlInput::Natural => Arc::clone(&ds.heap),
         BnlInput::ReverseEntropy => {
             let sorted = presort(
                 Arc::clone(&ds.heap),
@@ -277,7 +271,7 @@ pub fn run_bnl(ds: &Dataset, d: usize, window_pages: usize, input: BnlInput) -> 
                 Arc::clone(&disk),
             )
             .expect("presort");
-            (Arc::new(sorted), true)
+            Arc::new(sorted)
         }
     };
     let input_pages = input_heap.num_pages();
@@ -298,12 +292,6 @@ pub fn run_bnl(ds: &Dataset, d: usize, window_pages: usize, input: BnlInput) -> 
     let filter_ms = t0.elapsed().as_secs_f64() * 1e3;
     let (extra_ios, extra_pages_written) =
         filter_io(before, ds.disk.stats().snapshot(), input_pages);
-    if owned {
-        drop(bnl);
-        if let Ok(f) = Arc::try_unwrap(input_heap) {
-            f.delete();
-        }
-    }
     RunResult {
         sort_ms: 0.0,
         filter_ms,
@@ -338,9 +326,7 @@ pub fn run_sort_only(ds: &Dataset, d: usize, order: SortOrder) -> (f64, u64) {
     )
     .expect("presort");
     let ms = t0.elapsed().as_secs_f64() * 1e3;
-    let n = sorted.len();
-    sorted.delete();
-    (ms, n)
+    (ms, sorted.len())
 }
 
 /// BNL fed from a clustered B+-tree index scan on attribute 0 — the
@@ -378,14 +364,13 @@ pub fn run_bnl_clustered(
         pairs.push((i32_key(k), r.to_vec()));
     }
     pairs.sort_by_key(|p| p.0);
-    let mut tree = BTree::bulk_load(
+    let tree = BTree::bulk_load(
         Arc::clone(&disk),
         4,
         ds.layout.record_size(),
         pairs.iter().map(|(k, r)| (k.as_slice(), r.as_slice())),
     )
     .expect("bulk load");
-    tree.mark_temp();
     let tree = Arc::new(tree);
     let input_pages = tree.num_pages();
 
@@ -447,9 +432,7 @@ pub fn run_sort_only_no_dsu(ds: &Dataset, d: usize) -> (f64, u64) {
     let t0 = Instant::now();
     let sorted = skyline_core::planner::materialize(&mut sort, disk).expect("materialize");
     let ms = t0.elapsed().as_secs_f64() * 1e3;
-    let n = sorted.len();
-    sorted.delete();
-    (ms, n)
+    (ms, sorted.len())
 }
 
 /// Dimensional-reduction pre-pass (paper Fig. 8): nested-sort, group by

@@ -111,7 +111,7 @@ fn shard_run(
     );
 
     let (skyline, checksum) = answer_of(&outcome.skyline, ds, spec.d);
-    outcome.skyline.delete();
+    drop(outcome.skyline);
     assert_eq!(
         ds.disk.allocated_pages(),
         base_pages,
@@ -165,7 +165,7 @@ pub fn run_shard_section(spec: &ShardGateSpec) -> Vec<Run> {
     )
     .expect("single-node baseline");
     let (skyline, checksum) = answer_of(&outcome.skyline, &ds, spec.d);
-    outcome.skyline.delete();
+    drop(outcome.skyline);
 
     let mut runs = vec![Run {
         section: spec.label,

@@ -259,7 +259,7 @@ pub fn table_dimred(n: usize, seed: u64) -> ReportTable {
         };
         let ds = Dataset::from_spec(spec);
         let t0 = Instant::now();
-        let (reduced, n_reduced) = dimensional_reduction(&ds, d);
+        let (_, n_reduced) = dimensional_reduction(&ds, d);
         let reduce_ms = t0.elapsed().as_secs_f64() * 1e3;
         let full = run_sfs(&ds, d, 500, SfsVariant::EntropyProjection);
         t.row(vec![
@@ -270,7 +270,6 @@ pub fn table_dimred(n: usize, seed: u64) -> ReportTable {
             ms(reduce_ms),
             full.skyline.to_string(),
         ]);
-        reduced.delete();
     }
     t
 }

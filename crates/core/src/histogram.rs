@@ -190,8 +190,6 @@ mod external_tests {
 
         let run = |sorted: skyline_storage::HeapFile| {
             let metrics = SkylineMetrics::shared();
-            let mut sorted = sorted;
-            sorted.mark_temp();
             let mut sfs = sfs_filter(
                 Arc::new(sorted),
                 layout,

@@ -19,14 +19,13 @@ use skyline_storage::{Disk, HeapFile, StorageError};
 use std::sync::Arc;
 
 /// Drain an operator into a fresh heap file on `disk` (the sorted-relation
-/// materialization step). The file is *not* marked temp; callers decide
-/// its lifetime. Internally it is built as temp and persisted only on
-/// success, so an error unwind never leaks a partial materialization.
+/// materialization step). The pages live as long as the returned handle;
+/// an error unwind drops the partial file and frees them.
 ///
 /// # Errors
 /// Propagates operator errors and storage errors from the heap writer.
 pub fn materialize(op: &mut dyn Operator, disk: Arc<dyn Disk>) -> Result<HeapFile, ExecError> {
-    let mut out = HeapFile::create_temp(disk, op.record_size())?;
+    let mut out = HeapFile::create(disk, op.record_size())?;
     op.open()?;
     {
         let mut w = out.writer()?;
@@ -36,7 +35,6 @@ pub fn materialize(op: &mut dyn Operator, disk: Arc<dyn Disk>) -> Result<HeapFil
         w.finish()?;
     }
     op.close();
-    out.persist();
     Ok(out)
 }
 
@@ -153,7 +151,7 @@ pub fn parallel_skyline_pipeline(
     pool: Option<&skyline_storage::BufferPool>,
     cancel: Option<skyline_exec::CancelToken>,
 ) -> Result<crate::external::ParFilterOutcome, ExecError> {
-    let mut sorted = presort_threaded(
+    let sorted = presort_threaded(
         heap,
         layout,
         spec.clone(),
@@ -163,7 +161,6 @@ pub fn parallel_skyline_pipeline(
         threads,
         Arc::clone(&disk),
     )?;
-    sorted.mark_temp(); // intermediate: lives only until the filter is done
     crate::external::parallel_sfs_filter(
         Arc::new(sorted),
         layout,
@@ -200,7 +197,7 @@ pub fn batch_skyline_pipeline(
     cancel: Option<skyline_exec::CancelToken>,
 ) -> Result<crate::external::BatchFilterOutcome, ExecError> {
     let narrow = skyline_exec::NarrowLayout::new(spec.dims());
-    let mut sorted = crate::external::batch_presort(
+    let sorted = crate::external::batch_presort(
         Arc::clone(&heap),
         layout,
         spec,
@@ -212,7 +209,6 @@ pub fn batch_skyline_pipeline(
         Arc::clone(&metrics),
         cancel.clone(),
     )?;
-    sorted.mark_temp(); // intermediate: lives only until the filter is done
     crate::external::parallel_batch_filter(
         Arc::new(sorted),
         heap,
@@ -303,8 +299,8 @@ pub fn bnl_over(
     Bnl::new(scan, layout, spec, window_pages, disk, metrics)
 }
 
-/// Load records into a fresh heap file (workload setup). Built as temp
-/// and persisted on success, so a failed load never leaks pages.
+/// Load records into a fresh heap file (workload setup). A failed load
+/// drops the file and frees its pages.
 ///
 /// # Errors
 /// Storage errors from file creation or the appends.
@@ -316,9 +312,8 @@ pub fn load_heap<'a, I>(
 where
     I: IntoIterator<Item = &'a [u8]>,
 {
-    let mut heap = HeapFile::create_temp(disk, record_size)?;
+    let mut heap = HeapFile::create(disk, record_size)?;
     heap.append_all(records)?;
-    heap.persist();
     Ok(heap)
 }
 

@@ -58,7 +58,7 @@ pub fn strata_external(
         if input.is_empty() {
             break;
         }
-        let mut sorted = presort(
+        let sorted = presort(
             Arc::clone(&input),
             layout,
             spec.clone(),
@@ -67,7 +67,6 @@ pub fn strata_external(
             sort_pages,
             Arc::clone(&disk),
         )?;
-        sorted.mark_temp();
         let mut sfs = sfs_filter(
             Arc::new(sorted),
             layout,
@@ -76,18 +75,11 @@ pub fn strata_external(
             Arc::clone(&disk),
             Arc::clone(&metrics),
         )?;
-        // strata stay temp until every round succeeds: a mid-round
-        // failure must not leak the already-built output files
-        let mut stratum = materialize(&mut sfs, Arc::clone(&disk))?;
-        stratum.mark_temp();
-        strata.push(stratum);
+        strata.push(materialize(&mut sfs, Arc::clone(&disk))?);
         match sfs.take_rest() {
             Some(rest) if !rest.is_empty() => input = Arc::new(rest),
             _ => break,
         }
-    }
-    for s in &mut strata {
-        s.persist();
     }
     Ok(StrataResult {
         strata,
@@ -121,14 +113,13 @@ pub fn label_strata(
     disk: Arc<dyn Disk>,
 ) -> Result<(HeapFile, RecordLayout, usize), ExecError> {
     let out_layout = RecordLayout::new(layout.dims + 1, layout.payload);
-    // temp until complete: a mid-round failure must not leak the output
-    let mut out = HeapFile::create_temp(Arc::clone(&disk), out_layout.record_size())?;
+    let mut out = HeapFile::create(Arc::clone(&disk), out_layout.record_size())?;
     let metrics = SkylineMetrics::shared();
     let mut input = heap;
     let mut stratum = 0usize;
     let mut attrs = vec![0i32; out_layout.dims];
     while !input.is_empty() {
-        let mut sorted = presort(
+        let sorted = presort(
             Arc::clone(&input),
             layout,
             spec.clone(),
@@ -137,7 +128,6 @@ pub fn label_strata(
             sort_pages,
             Arc::clone(&disk),
         )?;
-        sorted.mark_temp();
         let mut sfs = sfs_filter(
             Arc::new(sorted),
             layout,
@@ -166,7 +156,6 @@ pub fn label_strata(
         }
         stratum += 1;
     }
-    out.persist();
     Ok((out, out_layout, stratum + 1))
 }
 

@@ -4,10 +4,7 @@
 //! between every stage. The batch path instead carries a [`KeyBatch`] —
 //! one `Vec<f64>` per dominance dimension plus a row-id column — and
 //! defers touching the full payload until emission (late
-//! materialization). Filtering between stages is expressed by a
-//! *selection vector* of logical row indices over the physical columns,
-//! so discarding rows never moves key data; only [`KeyBatch::compact`]
-//! gathers.
+//! materialization).
 //!
 //! Between blocking stages a batch flattens into fixed-width *narrow
 //! entries* (`d` little-endian f64 keys followed by a u64 row id,
@@ -28,20 +25,13 @@ use std::sync::Arc;
 /// 10-dimension batch (88 B/row) stays comfortably inside L2.
 pub const BATCH_ROWS: usize = 1024;
 
-/// A column-major batch of dominance keys plus a row-id column, with an
-/// optional selection vector defining the live logical rows.
-///
-/// Physical storage is append-only ([`KeyBatch::push`]); all filtering
-/// composes through the selection vector ([`KeyBatch::select`],
-/// [`KeyBatch::filter`], [`KeyBatch::slice`]) without touching key data.
-/// Logical indices (`0..len()`) are what every accessor takes; the
-/// selection indirection is internal.
+/// A column-major batch of dominance keys plus a row-id column.
+/// Append-only ([`KeyBatch::push`]) between [`KeyBatch::clear`]s.
 #[derive(Debug, Clone)]
 pub struct KeyBatch {
     d: usize,
     cols: Vec<Vec<f64>>,
     row_ids: Vec<u64>,
-    sel: Option<Vec<u32>>,
 }
 
 impl KeyBatch {
@@ -55,7 +45,6 @@ impl KeyBatch {
             d,
             cols: vec![Vec::new(); d],
             row_ids: Vec::new(),
-            sel: None,
         }
     }
 
@@ -64,42 +53,27 @@ impl KeyBatch {
         self.d
     }
 
-    /// Logical row count (after selection).
+    /// Row count.
     pub fn len(&self) -> usize {
-        match &self.sel {
-            Some(s) => s.len(),
-            None => self.row_ids.len(),
-        }
+        self.row_ids.len()
     }
 
-    /// True when no logical rows are live.
+    /// True when the batch holds no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Physical row count (ignoring selection).
-    pub fn physical_len(&self) -> usize {
-        self.row_ids.len()
-    }
-
-    /// The current selection vector, if any — physical indices in
-    /// logical order.
-    pub fn selection(&self) -> Option<&[u32]> {
-        self.sel.as_deref()
-    }
-
-    /// Modeled size of the live rows in bytes: `len · 8(d+1)`.
+    /// Modeled size of the rows in bytes: `len · 8(d+1)`.
     pub fn bytes(&self) -> u64 {
         (self.len() * 8 * (self.d + 1)) as u64
     }
 
-    /// Drop all rows and the selection; keeps `d` and column capacity.
+    /// Drop all rows; keeps `d` and column capacity.
     pub fn clear(&mut self) {
         for c in &mut self.cols {
             c.clear();
         }
         self.row_ids.clear();
-        self.sel = None;
     }
 
     /// [`KeyBatch::clear`], additionally re-shaping to `d` columns —
@@ -117,13 +91,11 @@ impl KeyBatch {
         }
     }
 
-    /// Append one physical row.
+    /// Append one row.
     ///
     /// # Panics
-    /// Panics when a selection is active (compact first — appending under
-    /// a selection would silently hide the new row) or `key.len() != d`.
+    /// Panics when `key.len() != d`.
     pub fn push(&mut self, key: &[f64], row_id: u64) {
-        assert!(self.sel.is_none(), "push under a selection; compact first");
         assert_eq!(key.len(), self.d, "key width mismatch");
         for (c, v) in self.cols.iter_mut().zip(key) {
             c.push(*v);
@@ -131,103 +103,27 @@ impl KeyBatch {
         self.row_ids.push(row_id);
     }
 
-    /// Key value of logical row `i` in dimension `j`.
+    /// Key value of row `i` in dimension `j`.
     pub fn value(&self, j: usize, i: usize) -> f64 {
-        self.cols[j][self.physical(i)]
+        self.cols[j][i]
     }
 
-    /// Row id of logical row `i`.
+    /// Row id of row `i`.
     pub fn row_id_at(&self, i: usize) -> u64 {
-        self.row_ids[self.physical(i)]
+        self.row_ids[i]
     }
 
-    /// Copy logical row `i`'s key into `out` (cleared first).
+    /// Copy row `i`'s key into `out` (cleared first).
     pub fn key_at(&self, i: usize, out: &mut Vec<f64>) {
-        let p = self.physical(i);
         out.clear();
         for c in &self.cols {
-            out.push(c[p]);
+            out.push(c[i]);
         }
     }
 
-    /// Physical storage of dimension `j`. Indices in this slice are
-    /// *physical*; honor the selection via [`KeyBatch::value`] unless the
-    /// batch was just compacted.
+    /// Dimension `j` of every row, in row order.
     pub fn col(&self, j: usize) -> &[f64] {
         &self.cols[j]
-    }
-
-    /// Restrict the view to the logical rows in `idx`, in that order.
-    /// Composes with any existing selection; rows may repeat.
-    ///
-    /// # Panics
-    /// Panics when an index is out of logical range.
-    pub fn select(&mut self, idx: &[u32]) {
-        let len = self.len();
-        let composed: Vec<u32> = match &self.sel {
-            Some(sel) => idx
-                .iter()
-                .map(|&i| {
-                    assert!((i as usize) < len, "selection index out of range");
-                    sel[i as usize]
-                })
-                .collect(),
-            None => {
-                for &i in idx {
-                    assert!((i as usize) < len, "selection index out of range");
-                }
-                idx.to_vec()
-            }
-        };
-        self.sel = Some(composed);
-    }
-
-    /// Keep only logical rows where `keep(batch, i)` holds, preserving
-    /// order. Pure selection-vector surgery; key data does not move.
-    pub fn filter<F>(&mut self, mut keep: F)
-    where
-        F: FnMut(&KeyBatch, usize) -> bool,
-    {
-        let idx: Vec<u32> = (0..self.len())
-            .filter(|&i| keep(self, i))
-            .map(|i| i as u32)
-            .collect();
-        self.select(&idx);
-    }
-
-    /// Restrict the view to logical rows `offset..offset + len`.
-    ///
-    /// # Panics
-    /// Panics when the range exceeds the logical length.
-    pub fn slice(&mut self, offset: usize, len: usize) {
-        assert!(
-            offset.checked_add(len).is_some_and(|hi| hi <= self.len()),
-            "slice out of range"
-        );
-        let idx: Vec<u32> = (offset..offset + len).map(|i| i as u32).collect();
-        self.select(&idx);
-    }
-
-    /// Materialize the selection: gather the live rows into fresh
-    /// physical storage and drop the selection vector. The one place in
-    /// the batch algebra where key data moves.
-    pub fn compact(&mut self) {
-        let Some(sel) = self.sel.take() else {
-            return;
-        };
-        let mut cols = Vec::with_capacity(self.d);
-        for c in &self.cols {
-            cols.push(sel.iter().map(|&p| c[p as usize]).collect());
-        }
-        self.row_ids = sel.iter().map(|&p| self.row_ids[p as usize]).collect();
-        self.cols = cols;
-    }
-
-    fn physical(&self, i: usize) -> usize {
-        match &self.sel {
-            Some(s) => s[i] as usize,
-            None => i,
-        }
     }
 }
 
@@ -329,7 +225,7 @@ impl BatchSource for BatchHeapScan {
             c.check(self.fetched)?;
         }
         out.reset(self.extract.dims());
-        while out.physical_len() < self.batch_rows {
+        while out.len() < self.batch_rows {
             let row_id = scan.position();
             match scan.next_record()? {
                 Some(rec) => {
@@ -340,7 +236,7 @@ impl BatchSource for BatchHeapScan {
                 None => break,
             }
         }
-        self.fetched += out.physical_len() as u64;
+        self.fetched += out.len() as u64;
         Ok(!out.is_empty())
     }
 
@@ -544,7 +440,6 @@ mod tests {
     fn push_and_read_back() {
         let b = sample_batch();
         assert_eq!(b.len(), 6);
-        assert_eq!(b.physical_len(), 6);
         assert!(!b.is_empty());
         assert_eq!(b.value(0, 3), 3.0);
         assert_eq!(b.value(1, 3), 7.0);
@@ -556,52 +451,21 @@ mod tests {
     }
 
     #[test]
-    fn select_composes_and_compact_materializes() {
+    fn reset_reshapes_and_empties() {
         let mut b = sample_batch();
-        b.select(&[5, 3, 1]);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.row_id_at(0), 105);
-        // second select indexes the *logical* view
-        b.select(&[2, 0]);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.row_id_at(0), 101);
-        assert_eq!(b.row_id_at(1), 105);
-        b.compact();
-        assert!(b.selection().is_none());
-        assert_eq!(b.physical_len(), 2);
-        assert_eq!(b.value(0, 1), 5.0);
-        // push works again after compact
-        b.push(&[9.0, 9.0], 999);
-        assert_eq!(b.row_id_at(2), 999);
+        b.reset(5);
+        assert_eq!(b.dims(), 5);
+        assert!(b.is_empty());
+        b.push(&[0.0; 5], 9);
+        assert_eq!(b.len(), 1);
+        assert_eq!(b.row_id_at(0), 9);
+        assert_eq!(b.col(4), [0.0]);
     }
 
     #[test]
-    fn filter_and_slice_are_selections() {
-        let mut b = sample_batch();
-        b.filter(|b, i| b.value(0, i) >= 2.0);
-        assert_eq!(b.len(), 4);
-        assert_eq!(b.row_id_at(0), 102);
-        b.slice(1, 2);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.row_id_at(0), 103);
-        assert_eq!(b.row_id_at(1), 104);
-        assert_eq!(b.physical_len(), 6, "no data moved");
-    }
-
-    #[test]
-    #[should_panic(expected = "push under a selection")]
-    fn push_under_selection_panics() {
-        let mut b = sample_batch();
-        b.select(&[0]);
-        b.push(&[0.0, 0.0], 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "selection index out of range")]
-    fn select_checks_logical_range() {
-        let mut b = sample_batch();
-        b.select(&[0, 1]);
-        b.select(&[2]);
+    #[should_panic(expected = "key width mismatch")]
+    fn push_checks_the_key_width() {
+        sample_batch().push(&[1.0], 0);
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl RunFormer {
     }
 
     fn write_run(&self, arena: &[u8], order: &[u32]) -> Result<HeapFile, ExecError> {
-        let mut run = HeapFile::create_temp(Arc::clone(&self.disk), self.record_size)?;
+        let mut run = HeapFile::create(Arc::clone(&self.disk), self.record_size)?;
         let rs = self.record_size;
         let mut w = run.writer()?;
         for &i in order {
@@ -181,7 +181,7 @@ impl RunFormer {
         runs: Vec<Arc<HeapFile>>,
         cancel: Option<CancelToken>,
     ) -> Result<HeapFile, ExecError> {
-        let mut out = HeapFile::create_temp(Arc::clone(&self.disk), self.record_size)?;
+        let mut out = HeapFile::create(Arc::clone(&self.disk), self.record_size)?;
         let mut merge = KWayMerge::new(runs, Arc::clone(&self.cmp), cancel);
         let mut w = out.writer()?;
         while let Some(r) = merge.next_record()? {

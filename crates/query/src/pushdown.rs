@@ -37,8 +37,8 @@
 //! against the optional quota pool (sort arena while sorting, filter
 //! window while filtering), the cancel token is polled while entries
 //! stream and inside the operators, and spills go to the caller's disk
-//! when one is given. Every heap file it creates is temp-marked, so
-//! pages are reclaimed on *every* path — success, typed quota error,
+//! when one is given. A heap file frees its pages when its handle drops,
+//! so they are reclaimed on *every* path — success, typed quota error,
 //! cancellation, or storage fault. A `DIFF` clause always runs as
 //! presort + SFS (BNL cannot group; the parallel filter falls back to
 //! one stratum).
@@ -340,7 +340,7 @@ pub fn external_skyline_with(
             // The sort arena is charged only while sorting.
             let parallel = opts.algo == SkylineAlgo::Parallel;
             let sort_lease = reserve(opts, opts.sort_pages)?;
-            let mut sorted = sort_narrow(
+            let sorted = sort_narrow(
                 entries,
                 narrow,
                 score,
@@ -349,9 +349,6 @@ pub fn external_skyline_with(
                 Arc::clone(&disk),
             )
             .map_err(QueryError::from_exec)?;
-            // Temp-marked: the pages are reclaimed when the last handle
-            // drops, whichever path (success or unwind) gets there.
-            sorted.mark_temp();
             drop(sort_lease);
             let sorted = Arc::new(sorted);
             if parallel {
@@ -359,7 +356,7 @@ pub fn external_skyline_with(
                 // windows and merge arena itself.
                 let fmt =
                     NarrowFormat::new(narrow, cfg.batch_rows).map_err(QueryError::from_exec)?;
-                let mut skyline = parallel_filter(
+                let skyline = parallel_filter(
                     sorted,
                     fmt,
                     SfsConfig::new(cfg.window_pages).with_projection(),
@@ -371,7 +368,6 @@ pub fn external_skyline_with(
                 )
                 .map_err(QueryError::from_exec)?
                 .skyline;
-                skyline.mark_temp();
                 (Box::new(HeapScan::new(Arc::new(skyline))), None)
             } else {
                 let scan = Box::new(HeapScan::new(sorted));

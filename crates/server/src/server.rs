@@ -26,6 +26,7 @@ use skyline_query::{
 };
 use skyline_relation::Tuple;
 use skyline_storage::BufferPool;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -204,8 +205,8 @@ impl SkylineServer {
         };
         for h in handles {
             if h.join().is_err() {
-                // a worker panicked; its job's leases were reclaimed by
-                // unwinding drops, so shutdown still converges
+                // unreachable short of a panic outside a job (each job
+                // runs under `catch_unwind`); shutdown converges anyway
             }
         }
     }
@@ -379,30 +380,40 @@ impl Drop for QueryHandle {
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some(mut job) = shared.jobs.pop() {
-        job.admission.start();
-        let outcome = run_query(shared, &job);
-        let terminal = stream_batches(shared, &job, outcome);
-        let Job {
-            admission,
-            quota,
-            results,
-            ..
-        } = job;
-        // The books settle and the page charge and credit go home
-        // before the verdict is visible: a client that has seen its
-        // terminal message can trust the counters, and one that
-        // resubmits on `End` is never shed by its own finished query.
-        let settled = admission.settle(terminal, quota.peak());
-        // Bounded by the stream grace like every other push.
-        let grace_until = Instant::now() + shared.cfg.stream_grace;
-        if results
-            .0
-            .push_deadline(Msg::End(settled), grace_until)
-            .is_err()
-        {
-            // client gone or stalled; dropping `results` severs it
+    while let Some(job) = shared.jobs.pop() {
+        // A query that panics takes its job down with it — the unwind
+        // drops the job inside the closure, so the started `Admission`
+        // settles as failed and the client reads `Stalled` — but not
+        // the worker: the thread goes back to the queue.
+        if catch_unwind(AssertUnwindSafe(|| serve(shared, job))).is_err() {
+            // the panic hook has already reported it
         }
+    }
+}
+
+fn serve(shared: &Shared, mut job: Job) {
+    job.admission.start();
+    let outcome = run_query(shared, &job);
+    let terminal = stream_batches(shared, &job, outcome);
+    let Job {
+        admission,
+        quota,
+        results,
+        ..
+    } = job;
+    // The books settle and the page charge and credit go home before
+    // the verdict is visible: a client that has seen its terminal
+    // message can trust the counters, and one that resubmits on `End`
+    // is never shed by its own finished query.
+    let settled = admission.settle(terminal, quota.peak());
+    // Bounded by the stream grace like every other push.
+    let grace_until = Instant::now() + shared.cfg.stream_grace;
+    if results
+        .0
+        .push_deadline(Msg::End(settled), grace_until)
+        .is_err()
+    {
+        // client gone or stalled; dropping `results` severs it
     }
 }
 

@@ -207,11 +207,10 @@ impl Disk for PanicOnce {
     }
 }
 
-/// A worker that unwinds mid-query settles the query as failed and
-/// returns its pages and its queue credit. The gate has one credit per
-/// worker and the other worker's is held by a wedged query, so a
-/// follow-up is admitted only if the dead worker's credit came home;
-/// it then completes on the surviving worker.
+/// A query that unwinds mid-flight settles as failed and returns its
+/// pages and its queue credit. The gate has one credit per worker and
+/// the other worker's is held by a wedged query, so a follow-up is
+/// admitted only if the unwound query's credit came home.
 #[test]
 fn worker_unwind_settles_as_failed_and_returns_the_credit() {
     let cfg = ServerConfig {
@@ -241,7 +240,7 @@ fn worker_unwind_settles_as_failed_and_returns_the_credit() {
     assert_eq!((stats.failed, stats.in_flight), (1, 1), "{stats:?}");
     let follow_up = session
         .submit(SKYLINE_SQL)
-        .expect("shed: the dead worker's credit never came home");
+        .expect("shed: the unwound query's credit never came home");
     assert!(!wedged.collect().unwrap().is_empty());
     assert!(!follow_up.collect().unwrap().is_empty());
     server.shutdown();
@@ -255,12 +254,43 @@ fn worker_unwind_settles_as_failed_and_returns_the_credit() {
     assert_eq!(server.inflight_pages(), 0, "every page charge came home");
 }
 
+/// A worker outlives the query that panicked on it. With one worker,
+/// the query after the injected panic is served only if that worker
+/// went back to the queue — a dead one would leave it admitted and
+/// never answered.
+#[test]
+fn the_only_worker_survives_a_panicking_query() {
+    let cfg = ServerConfig {
+        workers: 1,
+        external_threshold: 0,
+        disk: Some(Arc::new(PanicOnce {
+            inner: MemDisk::new(),
+            armed: AtomicBool::new(true),
+        })),
+        ..ServerConfig::default()
+    };
+    let server = SkylineServer::new(catalog(), cfg);
+    let session = server.session();
+    let err = session.submit(SKYLINE_SQL).unwrap().collect().unwrap_err();
+    assert_eq!(err, ServerError::Stalled, "the unwinding job severs");
+    let rows = session.submit(SKYLINE_SQL).unwrap().collect().unwrap();
+    assert!(!rows.is_empty());
+    server.shutdown();
+    let totals = server.snapshot().totals;
+    assert!(totals.conserved(), "{totals:?}");
+    assert_eq!(
+        (totals.completed, totals.failed, totals.in_flight),
+        (1, 1, 0),
+        "{totals:?}"
+    );
+    assert_eq!(server.inflight_pages(), 0, "every page charge came home");
+}
+
 /// `sort_pages` below the paged engine's floor is refused with a typed
 /// error before anything is reserved. It used to reach an `assert!`
-/// inside the sort and unwind the worker — and a dead worker is not
-/// respawned — so the query is sent once per worker and once more, and
-/// then both workers must still be there: one wedged behind an unread
-/// result channel, the other answering.
+/// inside the sort and unwind the job, so the query is sent once per
+/// worker and once more, and then both workers must still be there:
+/// one wedged behind an unread result channel, the other answering.
 #[test]
 fn too_few_sort_pages_is_a_typed_error_and_costs_no_worker() {
     let cfg = ServerConfig {

@@ -64,7 +64,8 @@ fn le_u64(b: &[u8]) -> u64 {
 }
 
 /// A B+-tree over `(key, record)` pairs with fixed sizes. Duplicate keys
-/// are allowed.
+/// are allowed. The handle owns the tree's pages: dropping it frees them
+/// (see [`crate::HeapFile`]).
 pub struct BTree {
     disk: Arc<dyn Disk>,
     file: FileId,
@@ -74,7 +75,6 @@ pub struct BTree {
     next_page: u64,
     height: u32,
     n_records: u64,
-    temp: bool,
 }
 
 struct Node {
@@ -142,8 +142,6 @@ impl BTree {
     ) -> Result<Self, StorageError> {
         assert!(key_len > 0 && record_size > 0);
         let file = disk.create()?;
-        // Built temp-first: if the root write below fails, Drop deletes
-        // the just-created file instead of orphaning its entry.
         let mut t = BTree {
             disk,
             file,
@@ -153,20 +151,13 @@ impl BTree {
             next_page: 0,
             height: 1,
             n_records: 0,
-            temp: true,
         };
         assert!(t.leaf_cap() >= 2, "records too large for a page");
         assert!(t.internal_cap() >= 2, "keys too large for a page");
         let root = t.alloc_node(T_LEAF);
         t.root = root.page_no;
         t.write_node(&root)?;
-        t.temp = false;
         Ok(t)
-    }
-
-    /// Mark for deletion on drop.
-    pub fn mark_temp(&mut self) {
-        self.temp = true;
     }
 
     /// Number of records.
@@ -437,10 +428,9 @@ impl BTree {
     /// leaving every node ~full.
     ///
     /// # Errors
-    /// [`StorageError`] when a node write fails mid-build; pages written
-    /// so far stay in the (not yet returned, hence leaked-on-error) file
-    /// unless the disk handle is dropped — load into a temp-marked tree
-    /// when that matters.
+    /// [`StorageError`] when a node write fails mid-build; the
+    /// half-built tree drops on the way out and frees every page written
+    /// so far.
     ///
     /// # Panics
     /// Panics on size mismatches or unsorted input (debug assertions).
@@ -530,18 +520,11 @@ impl BTree {
         t.n_records = n_records;
         Ok(t)
     }
-
-    /// Delete the file, consuming the handle.
-    pub fn delete(self) {
-        self.disk.delete(self.file);
-    }
 }
 
 impl Drop for BTree {
     fn drop(&mut self) {
-        if self.temp {
-            self.disk.delete(self.file);
-        }
+        self.disk.delete(self.file);
     }
 }
 
@@ -683,8 +666,8 @@ mod tests {
             FaultSchedule::nth_write(0),
         );
         assert!(BTree::new(disk, 4, 8).is_err(), "first write must fault");
-        // temp-first construction: the unwound tree deleted its file,
-        // so the id is gone (not merely empty)
+        // the unwound tree deleted its file, so the id is gone (not
+        // merely empty)
         let mut buf = Vec::new();
         let err = inner.read_page(0, 0, &mut buf).unwrap_err();
         assert!(err.to_string().contains("unknown or deleted file"), "{err}");
@@ -850,17 +833,63 @@ mod tests {
     }
 
     #[test]
-    fn temp_tree_freed_on_drop() {
+    fn tree_freed_on_drop() {
         let disk = MemDisk::shared();
         {
             let mut t = mk(&disk);
-            t.mark_temp();
             for v in 0..100 {
                 t.insert(&i32_key(v), &rec(v)).unwrap();
             }
             assert!(disk.allocated_pages() > 0);
         }
         assert_eq!(disk.allocated_pages(), 0);
+    }
+
+    /// Grows a tree past its first split, then fails on a read past EOF
+    /// (a permanent error on every device): the handle drops on the `?`.
+    fn build_then_fail(disk: Arc<dyn Disk>) -> Result<BTree, StorageError> {
+        let mut t = BTree::new(disk, 4, 8)?;
+        for v in 0..1000 {
+            t.insert(&i32_key(v), &rec(v))?;
+        }
+        t.read_node(t.next_page + 99)?;
+        Ok(t)
+    }
+
+    #[test]
+    fn handle_dropped_on_an_early_return_frees_its_pages_on_every_disk() {
+        // on the `FaultDisk` an insert's write faults with earlier nodes
+        // already on disk
+        crate::fault::assert_failed_build_frees_every_page("btree-raii", 5, build_then_fail);
+    }
+
+    #[test]
+    fn bulk_load_failure_frees_every_page() {
+        use crate::fault::{FaultDisk, FaultSchedule};
+        // 2000 entries at 339 per leaf: write 0 is `new`'s root, 1..=6 the
+        // leaves, 7 the index node above them
+        let pairs: Vec<([u8; 4], [u8; 8])> = (0..2000).map(|v| (i32_key(v), rec(v))).collect();
+        let load = |disk: Arc<dyn Disk>| {
+            BTree::bulk_load(
+                disk,
+                4,
+                8,
+                pairs.iter().map(|(k, r)| (k.as_slice(), r.as_slice())),
+            )
+        };
+        for n in [1, 2, 6, 7] {
+            let inner = MemDisk::shared();
+            let disk = FaultDisk::shared(
+                Arc::clone(&inner) as Arc<dyn Disk>,
+                FaultSchedule::nth_write(n),
+            );
+            assert!(load(Arc::clone(&disk) as Arc<dyn Disk>).is_err(), "n={n}");
+            assert_eq!(disk.injected_faults(), 1, "n={n}");
+            assert_eq!(inner.allocated_pages(), 0, "n={n}: pages orphaned");
+        }
+        // one write further and the load completes: 7 was the last
+        let disk = FaultDisk::shared(MemDisk::shared(), FaultSchedule::nth_write(8));
+        assert_eq!(load(disk).unwrap().num_pages(), 7);
     }
 
     fn random_vals(rng: &mut skyline_testkit::Rng) -> Vec<i32> {

@@ -217,6 +217,31 @@ impl Disk for FaultDisk {
     }
 }
 
+/// Test support for the owning handles (`HeapFile`, `BTree`): run
+/// `build` — which must write pages and then fail — on a `MemDisk`, a
+/// `FileDisk` and a `FaultDisk` failing its `nth_write`-th write, and
+/// assert each disk is left with no allocated page.
+#[cfg(test)]
+pub(crate) fn assert_failed_build_frees_every_page<T>(
+    tag: &str,
+    nth_write: u64,
+    build: impl Fn(Arc<dyn Disk>) -> Result<T, StorageError>,
+) {
+    use crate::disk::{FileDisk, MemDisk};
+    let dir = std::env::temp_dir().join(format!("skyline-{tag}-{}", std::process::id()));
+    let disks: [Arc<dyn Disk>; 3] = [
+        MemDisk::shared(),
+        Arc::new(FileDisk::new(&dir).unwrap()),
+        FaultDisk::shared(MemDisk::shared(), FaultSchedule::nth_write(nth_write)),
+    ];
+    for disk in disks {
+        assert!(build(Arc::clone(&disk)).is_err());
+        assert!(disk.stats().snapshot().writes > 0, "nothing was written");
+        assert_eq!(disk.allocated_pages(), 0);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,12 +13,16 @@ use crate::PAGE_SIZE;
 use std::sync::Arc;
 
 /// A fixed-width-record file on a [`Disk`].
+///
+/// The handle owns the file's pages: dropping it frees them, on every
+/// path — success, `?`, unwind. There is no way to reopen a file by id,
+/// so a file outliving its handle could only ever be a leak; keep the
+/// handle (or an `Arc` of it) for as long as the records are needed.
 pub struct HeapFile {
     disk: Arc<dyn Disk>,
     file: FileId,
     record_size: usize,
     n_records: u64,
-    temp: bool,
 }
 
 impl HeapFile {
@@ -40,33 +44,14 @@ impl HeapFile {
             file,
             record_size,
             n_records: 0,
-            temp: false,
         })
     }
 
-    /// Create a heap file that deletes itself on drop (sort runs, skyline
-    /// temp files).
-    ///
-    /// # Errors
-    /// [`StorageError`] when the disk cannot create a file.
-    pub fn create_temp(disk: Arc<dyn Disk>, record_size: usize) -> Result<Self, StorageError> {
-        let mut h = HeapFile::create(disk, record_size)?;
-        h.temp = true;
-        Ok(h)
-    }
-
-    /// Mark the file for deletion when the handle drops.
-    pub fn mark_temp(&mut self) {
-        self.temp = true;
-    }
-
-    /// Keep the file when the handle drops — the complement of
-    /// [`HeapFile::mark_temp`]. Output files are built as temp and
-    /// persisted only once complete, so an error unwind mid-build cannot
-    /// leak pages.
-    pub fn persist(&mut self) {
-        self.temp = false;
-    }
+    /// Does nothing: every heap file frees its pages on drop. Kept only
+    /// for `benchmark/src/replay.rs`, which still calls it and changes in
+    /// benchmark PRs alone; nothing in this workspace does, and it goes
+    /// with that caller.
+    pub fn mark_temp(&mut self) {}
 
     /// Records per page for this file's record size.
     pub fn records_per_page(&self) -> usize {
@@ -148,11 +133,6 @@ impl HeapFile {
         }
     }
 
-    /// Delete the file on disk, consuming the handle.
-    pub fn delete(self) {
-        self.disk.delete(self.file);
-    }
-
     /// Truncate to zero records, freeing the old pages (the handle stays
     /// valid). Used when a multi-pass algorithm recycles its temp file.
     ///
@@ -182,9 +162,7 @@ impl HeapFile {
 
 impl Drop for HeapFile {
     fn drop(&mut self) {
-        if self.temp {
-            self.disk.delete(self.file);
-        }
+        self.disk.delete(self.file);
     }
 }
 
@@ -464,10 +442,10 @@ mod tests {
     }
 
     #[test]
-    fn temp_file_deleted_on_drop() {
+    fn file_deleted_on_drop() {
         let disk = MemDisk::shared();
         {
-            let mut h = HeapFile::create_temp(Arc::clone(&disk) as Arc<dyn Disk>, 100).unwrap();
+            let mut h = HeapFile::create(Arc::clone(&disk) as Arc<dyn Disk>, 100).unwrap();
             h.append_all(mk_records(80, 100).iter().map(Vec::as_slice))
                 .unwrap();
             assert!(disk.allocated_pages() > 0);
@@ -475,22 +453,26 @@ mod tests {
         assert_eq!(disk.allocated_pages(), 0);
     }
 
+    /// Writes two pages, then fails on a read past EOF (a permanent error
+    /// on every device): the handle drops on the `?`.
+    fn build_then_fail(disk: Arc<dyn Disk>) -> Result<HeapFile, StorageError> {
+        let mut h = HeapFile::create(disk, 100)?;
+        h.append_all(mk_records(80, 100).iter().map(Vec::as_slice))?;
+        h.disk.read_page(h.file, 99, &mut Vec::new())?;
+        Ok(h)
+    }
+
     #[test]
-    fn persisted_temp_file_survives_drop() {
-        let disk = MemDisk::shared();
-        {
-            let mut h = HeapFile::create_temp(Arc::clone(&disk) as Arc<dyn Disk>, 100).unwrap();
-            h.append_all(mk_records(80, 100).iter().map(Vec::as_slice))
-                .unwrap();
-            h.persist();
-        }
-        assert!(disk.allocated_pages() > 0, "persisted file must remain");
+    fn handle_dropped_on_an_early_return_frees_its_pages_on_every_disk() {
+        // on the `FaultDisk` the second page write faults, with the
+        // first already on disk
+        crate::fault::assert_failed_build_frees_every_page("heap-raii", 1, build_then_fail);
     }
 
     #[test]
     fn truncate_frees_pages_and_resets() {
         let disk = MemDisk::shared();
-        let mut h = HeapFile::create_temp(Arc::clone(&disk) as Arc<dyn Disk>, 100).unwrap();
+        let mut h = HeapFile::create(Arc::clone(&disk) as Arc<dyn Disk>, 100).unwrap();
         h.append_all(mk_records(80, 100).iter().map(Vec::as_slice))
             .unwrap();
         h.truncate().unwrap();

@@ -1,11 +1,11 @@
-//! Seeded violation: **cancel-liveness** (path-sensitive `continue`).
+//! Seeded violation: **cancel-liveness** (`continue` ahead of the poll).
 //!
 //! The loop in `drain_skipping` does poll its `CancelToken` — the flat
 //! whole-loop scan is satisfied — but the tombstone `continue` jumps
 //! back to the header without ever reaching the poll. A stream of
-//! tombstones starves cancellation indefinitely. The CFG recheck walks
-//! the loop body edge-by-edge, stops at poll sites, and flags any
-//! `continue` still reachable. `drain_polled` hoists the poll above
+//! tombstones starves cancellation indefinitely. The recheck walks the
+//! loop body in statement order up to its first poll and flags any
+//! `continue` met on the way. `drain_polled` hoists the poll above
 //! the skip and is clean on every path.
 
 /// Seeded: the `continue` edge bypasses the poll.

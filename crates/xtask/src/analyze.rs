@@ -1,23 +1,14 @@
 //! Dataflow lints over the parsed workspace model of [`crate::model`].
 //!
-//! Four lint families that need statement order, scope, or paths. What a
-//! type or a stock clippy lint can hold is held there instead (DESIGN.md
-//! §8.1 maps every contract to its mechanism); these are the contracts
-//! neither can express. The first and the path-sensitive half of the
-//! last run on per-function control-flow graphs ([`crate::cfg`],
-//! DESIGN.md §15); the last three ride the workspace call graph of
+//! Three lint families that need statement order, scope, or the call
+//! graph. What a type or a stock clippy lint can hold is held there
+//! instead (DESIGN.md §8.1 maps every contract to its mechanism — a heap
+//! file's pages, for one, are its handle's `Drop`); these are the
+//! contracts neither can express. All three walk the statement tree of
+//! [`crate::model`] and ride the workspace call graph of
 //! [`crate::callgraph`] (DESIGN.md §13):
 //!
-//! 1. **page-leak** — CFG escape analysis over `HeapFile` creation. An
-//!    *owned* (non-temp) heap file — a direct `HeapFile::create` or a
-//!    temp binding that has been `persist()`ed — must reach a consumer
-//!    (moved out, returned, `mark_temp`, `delete`) on every path. An
-//!    error edge (`?`/`return Err`) while one is live, or reaching its
-//!    scope end unconsumed on any path, orphans its pages: the static
-//!    twin of the fault-injection `allocated_pages() == 0` check
-//!    (DESIGN.md §9). Temp files are RAII-safe (`Drop` deletes them) and
-//!    are deliberately not tracked.
-//! 2. **lock-order** / **lock-across-io** — every `lock(&…)` /
+//! 1. **lock-order** / **lock-across-io** — every `lock(&…)` /
 //!    `.lock()` acquisition feeds a workspace-wide lock-order graph;
 //!    cycles are deadlock candidates and are flagged at each
 //!    participating edge. A guard held across a `Disk` I/O call
@@ -26,37 +17,35 @@
 //!    graph through resolvable callees that acquire `self.`-field
 //!    locks, and `lock-across-io` fires when a uniquely-resolved
 //!    callee is guaranteed to hit disk.
-//! 3. **guard-into-spawn** / **blocking-under-lock** — thread-capture
+//! 2. **guard-into-spawn** / **blocking-under-lock** — thread-capture
 //!    and blocking discipline: a `MutexGuard` held at a `spawn(` site,
 //!    a condvar `wait(` that does not name (and hence cannot release)
 //!    a held guard, a bounded `WorkQueue`/`Backpressure` method on a
 //!    typed receiver, or a call into a uniquely-resolved callee that
 //!    must block — all while a guard is held — are stall/deadlock
 //!    findings.
-//! 4. **cancel-liveness** — every record-driven loop in a
+//! 3. **cancel-liveness** — every record-driven loop in a
 //!    cancellation-aware function on the cancellable paths (external
 //!    operators, the parallel filter, the exec crate) must poll
 //!    `CancelToken` within a bounded stride, directly or via a callee
 //!    that may poll (PR 2's "poll every 256 records" contract). A loop
 //!    that fetches records but can never reach a poll starves
-//!    cancellation. The CFG recheck also catches the path-sensitive
-//!    variant: a `continue` edge that skips every poll in a loop that
-//!    otherwise polls.
+//!    cancellation — and so does a `continue` ahead of the loop body's
+//!    first poll, in a loop that otherwise polls.
 //!
 //! Any finding fails `cargo xtask analyze`; `--sarif` renders them as
 //! SARIF for CI code-scanning annotations (`cargo xtask analyze
 //! --explain <rule-id>` prints the per-rule help).
 
 use crate::callgraph::{self, resolvable_calls, CallGraph, POLL_TOKENS};
-use crate::cfg::{self, EdgeKind, NodeKind, EXIT_ERR, EXIT_OK};
-use crate::model::{file_model, word_hits, Block, FileModel, FnModel};
+use crate::model::{file_model, word_hits, Block, FileModel, FnModel, Stmt};
 use crate::scan::{has_token, CleanSource};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One lint hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Lint identifier (`page-leak`, `lock-order`, …).
+    /// Lint identifier (`lock-order`, `cancel-liveness`, …).
     pub lint: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -65,17 +54,6 @@ pub struct Finding {
     /// What was matched, for the report.
     pub excerpt: String,
 }
-
-/// Directories the page-leak lint watches: everywhere operators create
-/// or hand off heap files.
-const LEAK_DIRS: &[&str] = &[
-    "crates/exec",
-    "crates/core/src/external",
-    "crates/core/src/planner.rs",
-    "crates/core/src/strata.rs",
-    "crates/core/src/par.rs",
-    "crates/storage",
-];
 
 /// Disk/file I/O calls a lock guard must not be held across.
 pub(crate) const IO_TOKENS: &[&str] = &[
@@ -144,12 +122,8 @@ pub fn analyze_files(files: &[(String, CleanSource)]) -> Vec<Finding> {
             if f.is_test || file_is_test {
                 continue;
             }
-            if under(&m.path, LEAK_DIRS) && !f.in_drop_impl {
-                heap_pairing(&m.path, &f.name, f, body, &mut out);
-            }
             if under(&m.path, CANCEL_SCOPE) && cancel_aware(f, body) {
                 cancel_liveness(&m.path, &f.name, body, &graph, &mut out);
-                cancel_continue(&m.path, &f.name, f, &graph, &mut out);
             }
             let recv = blocking_receivers(f, body);
             let mut held = Vec::new();
@@ -188,185 +162,6 @@ pub(crate) fn calls_in(text: &str) -> Vec<String> {
     out
 }
 
-// ------------------------------------------------------------ page-leak
-
-/// Names `let`-bound to a temp heap file anywhere in the function —
-/// a later `persist()` on one of these re-arms leak tracking.
-fn temp_bindings_of(block: &Block) -> BTreeSet<String> {
-    let mut set = BTreeSet::new();
-    collect_temp_bindings(block, &mut set);
-    set
-}
-
-fn collect_temp_bindings(block: &Block, set: &mut BTreeSet<String>) {
-    for stmt in &block.stmts {
-        if let Some(name) = let_binding(&stmt.head) {
-            if has_token(&stmt.text_all(), "create_temp(") {
-                set.insert(name);
-            }
-        }
-        for b in &stmt.blocks {
-            collect_temp_bindings(b, set);
-        }
-    }
-}
-
-/// One owned-heap-file obligation: `name` bound at `node`, owed a
-/// consumer before the error exit / its scope end.
-struct HeapOb {
-    name: String,
-    line: usize,
-    block: usize,
-}
-
-/// CFG escape analysis over owned heap files (the PR 3 lint, upgraded
-/// from statement heuristics to dataflow): gen an obligation at every
-/// owned allocation (`HeapFile::create` / `Self::create`, or `persist()`
-/// of a temp binding), kill it wherever [`consumes`] moves the binding
-/// into a consumer and at its scope end; any obligation carried into
-/// the error exit or still live at a scope end is a leak. Panic edges
-/// are deliberately inert here for parity with the runtime contract:
-/// the fault-injection suite checks `allocated_pages()==0` after
-/// unwind via `Drop` carriers, and files a `Drop` can't see were
-/// already flagged on the non-panic paths.
-fn heap_pairing(path: &str, fn_name: &str, f: &FnModel, body: &Block, out: &mut Vec<Finding>) {
-    let Some(cfg) = cfg::build(f) else { return };
-    let temps = temp_bindings_of(body);
-    let mut obs: Vec<HeapOb> = Vec::new();
-    let mut gen = vec![0u64; cfg.nodes.len()];
-    for (i, n) in cfg.nodes.iter().enumerate() {
-        if n.kind != NodeKind::Stmt || obs.len() == 64 {
-            continue;
-        }
-        if let Some(name) = let_binding(&n.text) {
-            if (has_token(&n.text, "HeapFile::create(") || has_token(&n.text, "Self::create("))
-                && !n.text.contains("create_temp(")
-            {
-                gen[i] |= 1 << obs.len();
-                obs.push(HeapOb {
-                    name,
-                    line: n.line,
-                    block: n.block_id,
-                });
-                continue;
-            }
-        }
-        // persist() turns a temp binding into an owned one
-        if let Some(name) = persist_target(&n.text) {
-            if temps.contains(&name) {
-                gen[i] |= 1 << obs.len();
-                obs.push(HeapOb {
-                    name,
-                    line: n.line,
-                    block: n.block_id,
-                });
-            }
-        }
-    }
-    if obs.is_empty() {
-        return;
-    }
-    let mut kill = vec![0u64; cfg.nodes.len()];
-    for (i, n) in cfg.nodes.iter().enumerate() {
-        for (b, ob) in obs.iter().enumerate() {
-            match n.kind {
-                NodeKind::Stmt if consumes(&n.text, &ob.name) => {
-                    kill[i] |= 1 << b;
-                }
-                // the function-body scope end (block 0) is the
-                // catch-all: obligations that escaped an inner scope
-                // via a break/continue edge still die — and report —
-                // here
-                NodeKind::ScopeEnd if n.block_id == ob.block || n.block_id == 0 => {
-                    kill[i] |= 1 << b;
-                }
-                _ => {}
-            }
-        }
-    }
-    let r = cfg::reach(&cfg, &gen, &kill);
-    // hazard candidates: obligations carried into an exit edge
-    let mut hazard: Vec<Option<usize>> = vec![None; obs.len()];
-    let mut scoped = vec![false; obs.len()];
-    for (p, n) in cfg.nodes.iter().enumerate() {
-        for &(t, k) in &cfg.succs[p] {
-            let set = match (t, k) {
-                (EXIT_ERR, EdgeKind::Err) => cfg::edge_set(&r, &kill, p, k),
-                // early `return` while live (scope ends never carry:
-                // their kill already settled the books)
-                (EXIT_OK | EXIT_ERR, EdgeKind::Seq) if n.kind == NodeKind::Stmt => r.outs[p],
-                _ => continue,
-            };
-            for (b, h) in hazard.iter_mut().enumerate() {
-                if set >> b & 1 == 1 && h.is_none_or(|line| n.line < line) {
-                    *h = Some(n.line);
-                }
-            }
-        }
-        if n.kind == NodeKind::ScopeEnd {
-            for (b, ob) in obs.iter().enumerate() {
-                if (n.block_id == ob.block || n.block_id == 0) && r.ins[p] >> b & 1 == 1 {
-                    scoped[b] = true;
-                }
-            }
-        }
-    }
-    for (b, ob) in obs.iter().enumerate() {
-        if let Some(at) = hazard[b] {
-            out.push(Finding {
-                lint: "page-leak",
-                file: path.to_string(),
-                line: ob.line,
-                excerpt: format!(
-                    "owned HeapFile `{}` in `{}` is live across a fallible `?`/return at line {} — its pages leak on the error path",
-                    ob.name, fn_name, at
-                ),
-            });
-        } else if scoped[b] {
-            out.push(Finding {
-                lint: "page-leak",
-                file: path.to_string(),
-                line: ob.line,
-                excerpt: format!(
-                    "owned HeapFile `{}` in `{}` is dropped at end of scope without persist/mark_temp/delete",
-                    ob.name, fn_name
-                ),
-            });
-        }
-    }
-}
-
-/// The statement moves `name` into a consumer: `mark_temp`/`delete`/
-/// `drop`, moved as a value (argument, struct field, `Ok(…)`, tail
-/// expression), or returned.
-fn consumes(text: &str, name: &str) -> bool {
-    if text.trim() == name {
-        return true; // block tail expression
-    }
-    for at in word_hits(text, name) {
-        let after: String = text[at + name.len()..].chars().take(12).collect();
-        if after.starts_with(".mark_temp(") || after.starts_with(".delete(") {
-            return true;
-        }
-        // drop(name)
-        let before = text[..at].trim_end();
-        if before.ends_with("drop(") {
-            return true;
-        }
-        // moved as a value: delimiters on both sides
-        let prev = before.chars().next_back();
-        let next = text[at + name.len()..].chars().find(|c| *c != ' ');
-        let prev_moves = matches!(prev, Some('(' | ',' | '{' | '=' | ':'))
-            || before.ends_with("return")
-            || before.ends_with("break");
-        let next_closes = matches!(next, Some(',' | ')' | '}' | ';') | None);
-        if prev_moves && next_closes {
-            return true;
-        }
-    }
-    false
-}
-
 /// `let [mut] name = …` — the bound identifier, if the pattern is a
 /// plain binding.
 fn let_binding(head: &str) -> Option<String> {
@@ -379,22 +174,6 @@ fn let_binding(head: &str) -> Option<String> {
         .take_while(|c| c.is_alphanumeric() || *c == '_')
         .collect();
     if name.is_empty() || name == "_" {
-        None
-    } else {
-        Some(name)
-    }
-}
-
-/// `name.persist(` in a statement head → `name`.
-fn persist_target(head: &str) -> Option<String> {
-    let at = head.find(".persist(")?;
-    let base: String = head[..at]
-        .chars()
-        .rev()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    let name: String = base.chars().rev().collect();
-    if name.is_empty() {
         None
     } else {
         Some(name)
@@ -766,11 +545,26 @@ fn cancel_aware(f: &FnModel, body: &Block) -> bool {
     full.contains("cancel") || full.contains("Cancel")
 }
 
+fn is_loop(stmt: &Stmt) -> bool {
+    !stmt.blocks.is_empty()
+        && ["loop", "while", "for"]
+            .iter()
+            .any(|k| !word_hits(&stmt.head, k).is_empty())
+}
+
+fn polls(text: &str, graph: &CallGraph) -> bool {
+    POLL_TOKENS.iter().any(|t| has_token(text, t))
+        || calls_in(text).iter().any(|c| graph.may_poll(c))
+}
+
 /// Every record-driven loop in a cancel-aware scope function must poll
 /// the token — directly (`poll(`/`.check(`/`is_cancelled(`) or through
 /// a callee that may poll. Stride boundedness comes from the poll
 /// helpers themselves (`CANCEL_CHECK_INTERVAL` is a compile-time
-/// constant), so presence is the static contract.
+/// constant), so presence is the static contract — with one refinement:
+/// in a loop that does poll, a `continue` ahead of the body's first
+/// poll starves cancellation on that path (records keep flowing while
+/// every iteration short-circuits around the poll).
 fn cancel_liveness(
     path: &str,
     fn_name: &str,
@@ -779,16 +573,10 @@ fn cancel_liveness(
     out: &mut Vec<Finding>,
 ) {
     for stmt in &block.stmts {
-        let looping = !stmt.blocks.is_empty()
-            && ["loop", "while", "for"]
-                .iter()
-                .any(|k| !word_hits(&stmt.head, k).is_empty());
-        if looping && !stmt.exempt {
+        if is_loop(stmt) && !stmt.exempt {
             let text = stmt.text_all();
-            let fetches = RECORD_TOKENS.iter().any(|t| text.contains(t));
-            let polls = POLL_TOKENS.iter().any(|t| has_token(&text, t))
-                || calls_in(&text).iter().any(|c| graph.may_poll(c));
-            if fetches && !polls {
+            let record_driven = RECORD_TOKENS.iter().any(|t| text.contains(t));
+            if record_driven && !polls(&text, graph) {
                 out.push(Finding {
                     lint: "cancel-liveness",
                     file: path.to_string(),
@@ -797,6 +585,21 @@ fn cancel_liveness(
                         "record-driven loop in `{fn_name}` never polls CancelToken (directly or via a callee) — cancellation can starve"
                     ),
                 });
+            } else if record_driven && !polls(&stmt.head, graph) {
+                let mut skips = Vec::new();
+                for b in &stmt.blocks {
+                    continues_before_poll(b, graph, &mut skips);
+                }
+                for line in skips {
+                    out.push(Finding {
+                        lint: "cancel-liveness",
+                        file: path.to_string(),
+                        line,
+                        excerpt: format!(
+                            "`continue` in a record-driven loop in `{fn_name}` skips every CancelToken poll — cancellation starves on that path"
+                        ),
+                    });
+                }
             }
         }
         for b in &stmt.blocks {
@@ -805,65 +608,34 @@ fn cancel_liveness(
     }
 }
 
-/// The CFG recheck of cancel-liveness: in a record-driven loop that
-/// *does* contain a poll (so the flat lint is satisfied), a `continue`
-/// reachable from the loop header without passing any poll node starves
-/// cancellation on that path — records keep flowing while every
-/// iteration short-circuits around the poll.
-fn cancel_continue(
-    path: &str,
-    fn_name: &str,
-    f: &FnModel,
-    graph: &CallGraph,
-    out: &mut Vec<Finding>,
-) {
-    let Some(cfg) = cfg::build(f) else { return };
-    let is_poll = |n: &cfg::Node| {
-        POLL_TOKENS.iter().any(|t| has_token(&n.text, t))
-            || calls_in(&n.text).iter().any(|c| graph.may_poll(c))
-    };
-    for lp in &cfg.loops {
-        let header = &cfg.nodes[lp.header];
-        if header.exempt || lp.continues.is_empty() || is_poll(header) {
+/// Walk a loop body in statement order up to its first poll, pushing
+/// the line of every `continue` met on the way; returns whether a poll
+/// was reached. The nested blocks of one statement (`if`/`else` arms,
+/// `match` arms) are alternatives: each is walked from the same
+/// not-yet-polled state, and the statement counts as polling if any of
+/// them does (erring toward silence, like labeled `continue`s, taken
+/// as innermost). A nested loop is stepped over: its `continue`s are
+/// its own, and it may run zero times, so a poll inside it is no poll.
+fn continues_before_poll(block: &Block, graph: &CallGraph, skips: &mut Vec<usize>) -> bool {
+    for stmt in &block.stmts {
+        if is_loop(stmt) {
             continue;
         }
-        let body_text: String = (lp.body.0..lp.body.1)
-            .map(|i| cfg.nodes[i].text.as_str())
-            .chain([header.text.as_str()])
-            .collect::<Vec<_>>()
-            .join(" ");
-        if !RECORD_TOKENS.iter().any(|t| body_text.contains(t)) {
-            continue;
+        if polls(&stmt.head, graph) {
+            return true;
         }
-        let stop: Vec<bool> = cfg
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (lp.body.0..lp.body.1).contains(&i) && is_poll(n))
-            .collect();
-        let any_poll = stop.iter().any(|&s| s);
-        if !any_poll {
-            continue; // the flat lint already owns the no-poll case
+        if !stmt.exempt && !word_hits(&stmt.head, "continue").is_empty() {
+            skips.push(stmt.line);
         }
-        let starts: Vec<usize> = cfg.succs[lp.header]
-            .iter()
-            .filter(|&&(t, k)| t != lp.join && matches!(k, EdgeKind::Seq | EdgeKind::Back))
-            .map(|&(t, _)| t)
-            .collect();
-        let seen = cfg.reach_avoiding(&starts, &stop);
-        for &c in &lp.continues {
-            if seen[c] && !stop[c] && !cfg.nodes[c].exempt {
-                out.push(Finding {
-                    lint: "cancel-liveness",
-                    file: path.to_string(),
-                    line: cfg.nodes[c].line,
-                    excerpt: format!(
-                        "`continue` in a record-driven loop in `{fn_name}` skips every CancelToken poll — cancellation starves on that path"
-                    ),
-                });
-            }
+        let mut polled = false;
+        for b in &stmt.blocks {
+            polled |= continues_before_poll(b, graph, skips);
+        }
+        if polled {
+            return true;
         }
     }
+    false
 }
 
 /// Bindings in this function whose type is a bounded [`crate`]-side
@@ -956,133 +728,10 @@ mod tests {
         findings.iter().filter(|f| f.lint == lint).collect()
     }
 
-    // ------------------------------------------------------- page-leak
-
-    #[test]
-    fn seeded_page_leak_is_detected() {
-        // the acceptance-criteria seed: an owned HeapFile live across `?`
-        let src = "\
-fn spill_all(disk: Arc<dyn Disk>, rs: &[Record]) -> Result<HeapFile, StorageError> {
-    let mut out = HeapFile::create(disk, 100)?;
-    let mut w = HeapWriter::new(&mut out);
-    for r in rs {
-        w.push(r)?;
-    }
-    w.finish()?;
-    Ok(out)
-}
-";
-        let hits = run(&[("crates/exec/src/seeded.rs", src)]);
-        let leaks = lints(&hits, "page-leak");
-        assert_eq!(leaks.len(), 1, "{hits:?}");
-        assert_eq!(leaks[0].line, 2, "reported at the allocation site");
-        assert!(leaks[0].excerpt.contains("`out`"));
-    }
-
-    #[test]
-    fn end_of_scope_drop_without_consumer_is_a_leak() {
-        let src = "\
-fn orphan(disk: Arc<dyn Disk>) -> Result<(), StorageError> {
-    let out = HeapFile::create(disk, 100);
-    Ok(())
-}
-";
-        let hits = run(&[("crates/storage/src/seeded.rs", src)]);
-        assert_eq!(lints(&hits, "page-leak").len(), 1, "{hits:?}");
-    }
-
-    #[test]
-    fn temp_create_then_persist_then_return_is_clean() {
-        let src = "\
-fn load(disk: Arc<dyn Disk>) -> Result<HeapFile, StorageError> {
-    let mut heap = HeapFile::create_temp(disk, 100)?;
-    heap.append_all(records)?;
-    heap.persist();
-    Ok(heap)
-}
-";
-        let hits = run(&[("crates/core/src/planner.rs", src)]);
-        assert!(lints(&hits, "page-leak").is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn persist_too_early_re_arms_tracking() {
-        let src = "\
-fn eager(disk: Arc<dyn Disk>) -> Result<HeapFile, StorageError> {
-    let mut heap = HeapFile::create_temp(disk, 100)?;
-    heap.persist();
-    heap.append_all(records)?;
-    Ok(heap)
-}
-";
-        let hits = run(&[("crates/core/src/planner.rs", src)]);
-        assert_eq!(lints(&hits, "page-leak").len(), 1, "{hits:?}");
-    }
-
-    #[test]
-    fn temp_files_are_raii_safe_and_untracked() {
-        let src = "\
-fn spill(disk: Arc<dyn Disk>) -> Result<HeapFile, StorageError> {
-    let mut run = HeapFile::create_temp(disk, 100)?;
-    run.append_all(records)?;
-    Ok(run)
-}
-";
-        let hits = run(&[("crates/core/src/external/spill.rs", src)]);
-        assert!(lints(&hits, "page-leak").is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn moving_into_a_consumer_resolves_tracking() {
-        let src = "\
-fn hand_off(disk: Arc<dyn Disk>) -> Result<(), StorageError> {
-    let out = HeapFile::create(disk, 100)?;
-    registry.adopt(out);
-    fallible()?;
-    Ok(())
-}
-";
-        let hits = run(&[("crates/exec/src/seeded.rs", src)]);
-        assert!(lints(&hits, "page-leak").is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn leak_inside_nested_block_scope() {
-        let src = "\
-fn branchy(disk: Arc<dyn Disk>, c: bool) -> Result<(), StorageError> {
-    if c {
-        let out = HeapFile::create(disk, 100)?;
-        out.append_all(records)?;
-    }
-    Ok(())
-}
-";
-        let hits = run(&[("crates/exec/src/seeded.rs", src)]);
-        assert_eq!(lints(&hits, "page-leak").len(), 1, "{hits:?}");
-    }
-
-    #[test]
-    fn test_gated_code_is_not_leak_checked() {
-        let src = "\
-#[cfg(test)]
-mod tests {
-    fn t(disk: Arc<dyn Disk>) -> Result<(), StorageError> {
-        let out = HeapFile::create(disk, 100)?;
-        other()?;
-        Ok(())
-    }
-}
-";
-        let hits = run(&[("crates/exec/src/seeded.rs", src)]);
-        assert!(lints(&hits, "page-leak").is_empty(), "{hits:?}");
-    }
-
     // ------------------------------------------------------------ locks
 
-    #[test]
-    fn seeded_lock_order_inversion_is_detected() {
-        // the acceptance-criteria seed: AB in one function, BA in another
-        let src = "\
+    /// AB in one function, BA in another.
+    const LOCK_INVERSION: &str = "\
 fn transfer(&self) {
     let a = lock(&self.accounts);
     let b = lock(&self.audit_log);
@@ -1094,7 +743,11 @@ fn report(&self) {
     b.push(a.len());
 }
 ";
-        let hits = run(&[("crates/storage/src/seeded.rs", src)]);
+
+    #[test]
+    fn seeded_lock_order_inversion_is_detected() {
+        // the acceptance-criteria seed: AB in one function, BA in another
+        let hits = run(&[("crates/storage/src/seeded.rs", LOCK_INVERSION)]);
         let cycles = lints(&hits, "lock-order");
         assert_eq!(cycles.len(), 2, "both edges of the cycle: {hits:?}");
         assert!(cycles.iter().any(|f| f.excerpt.contains("`audit_log`")));
@@ -1196,20 +849,50 @@ fn bump(&self) {
         assert!(hits.is_empty(), "{hits:?}");
     }
 
+    // -------------------------------------------------- cancel-liveness
+
+    #[test]
+    fn a_continue_is_judged_against_its_own_loop_and_its_own_path() {
+        // the inner loop's `continue` is the inner loop's (which polls
+        // first); the outer `else` arm skips the poll its sibling arm
+        // makes; the `continue` after the `if` runs behind a poll
+        let src = "\
+fn drain(src: &mut Stream, token: &CancelToken) -> Result<(), AlgoError> {
+    while let Some(r) = src.next() {
+        for part in r.parts() {
+            poll(Some(token), 0)?;
+            if part.is_empty() {
+                continue;
+            }
+        }
+        if r.is_live() {
+            poll(Some(token), 1)?;
+        } else {
+            continue;
+        }
+        if r.is_small() {
+            continue;
+        }
+        consume(r);
+    }
+    Ok(())
+}
+";
+        let hits = run(&[("crates/core/src/external/seeded.rs", src)]);
+        let lines: Vec<usize> = lints(&hits, "cancel-liveness")
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, [12], "{hits:?}");
+    }
+
     // -------------------------------------------------------- plumbing
 
     #[test]
     fn xtask_and_test_files_are_skipped() {
-        let leaky = "\
-fn t(disk: Arc<dyn Disk>) -> Result<(), StorageError> {
-    let out = HeapFile::create(disk, 100)?;
-    other()?;
-    Ok(())
-}
-";
-        assert!(run(&[("crates/xtask/src/seeded.rs", leaky)]).is_empty());
-        assert!(run(&[("tests/seeded.rs", leaky)]).is_empty());
-        assert!(run(&[("crates/storage/tests/seeded.rs", leaky)]).is_empty());
+        assert!(run(&[("crates/xtask/src/seeded.rs", LOCK_INVERSION)]).is_empty());
+        assert!(run(&[("tests/seeded.rs", LOCK_INVERSION)]).is_empty());
+        assert!(run(&[("crates/storage/tests/seeded.rs", LOCK_INVERSION)]).is_empty());
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! * `lint` — alias for `analyze` (the historical name).
 //! * `audit` — run the crates under the `check-invariants` feature so
 //!   the dominance auditors watch every operator test.
-//! * `oracle` — the differential gate of [`oracle`]: every algorithm
-//!   against the naive O(n²) oracle across the paper's workload grid.
 //! * `bench [--gate] [--smoke]` — run the counter gate (the
 //!   `bench_gate` binary of `skyline-bench`, release build). Without
 //!   `--gate` it rewrites the committed `BENCH_gate.txt`; with `--gate`
@@ -20,7 +18,7 @@
 //!   regressions are `BENCHMARK.json`'s job. `--smoke` runs only the
 //!   small sections — the CI configuration.
 //! * `check` — clippy (`-D warnings`, where the hot-path, raw-I/O and
-//!   doc-section contracts live) + analyze + audit + oracle; the CI entry
+//!   doc-section contracts live) + analyze + audit; the CI entry
 //!   point (the bench gate is a separate CI job: it needs a release
 //!   build).
 
@@ -31,9 +29,7 @@
 
 mod analyze;
 mod callgraph;
-mod cfg;
 mod model;
-mod oracle;
 mod sarif;
 mod scan;
 #[cfg(test)]
@@ -161,28 +157,6 @@ fn run_audit(root: &Path) -> Result<(), String> {
     )
 }
 
-fn run_oracle() -> Result<(), String> {
-    match oracle::run(false) {
-        Ok(cases) => {
-            println!("oracle: ok — {cases} algorithm/workload cases agree with the naive oracle");
-            Ok(())
-        }
-        Err(mismatches) => {
-            let mut msg = String::new();
-            for m in mismatches.iter().take(5) {
-                msg.push_str(&format!(
-                    "oracle mismatch: {} on {}\n  expected {:?}\n  got      {:?}\n",
-                    m.algo, m.workload, m.expected, m.got
-                ));
-            }
-            if mismatches.len() > 5 {
-                msg.push_str(&format!("… and {} more\n", mismatches.len() - 5));
-            }
-            Err(msg)
-        }
-    }
-}
-
 /// Spawn the counter gate; it owns the golden file, the laws and the
 /// comparison (`skyline_bench::gate`).
 fn run_bench(root: &Path, gate: bool, smoke: bool) -> Result<(), String> {
@@ -206,7 +180,7 @@ fn run_bench(root: &Path, gate: bool, smoke: bool) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: cargo xtask <check|analyze|lint|audit|oracle|bench> \
+    "usage: cargo xtask <check|analyze|lint|audit|bench> \
      [--sarif PATH] [--explain RULE-ID] [--gate] [--smoke]"
         .to_string()
 }
@@ -245,12 +219,10 @@ fn main() -> ExitCode {
         (first, _) => match first {
             Some("analyze") | Some("lint") => run_analysis(&root, sarif),
             Some("audit") => run_audit(&root),
-            Some("oracle") => run_oracle(),
             Some("bench") => run_bench(&root, gate, smoke),
             Some("check") => run_clippy(&root)
                 .and_then(|()| run_analysis(&root, sarif))
-                .and_then(|()| run_audit(&root))
-                .and_then(|()| run_oracle()),
+                .and_then(|()| run_audit(&root)),
             _ => Err(usage()),
         },
     };

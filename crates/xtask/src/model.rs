@@ -4,7 +4,7 @@
 //! source of [`crate::scan::CleanSource`] (comments and literal contents
 //! already blanked) just deeply enough to recover the structure the
 //! dataflow lints need: every function item (name, signature, whether it
-//! is test-gated or a `Drop` impl method) with its body as a tree of
+//! is test-gated) with its body as a tree of
 //! statements, where each statement records the text outside nested
 //! braces (`head`) and the nested blocks themselves. That is enough to
 //! do scoped, statement-ordered reasoning — track a binding from its
@@ -48,8 +48,6 @@ pub struct FnModel {
     pub is_pub: bool,
     /// Inside a `#[cfg(test)]`/`#[test]`-gated region.
     pub is_test: bool,
-    /// Declared inside an `impl Drop for …` block.
-    pub in_drop_impl: bool,
     /// The body; `None` for trait-method signatures.
     pub body: Option<Block>,
 }
@@ -113,7 +111,7 @@ pub fn file_model(path: &str, cs: &CleanSource) -> FileModel {
         fns: Vec::new(),
     };
     let end = p.text.len();
-    p.items(0, end, false, false);
+    p.items(0, end, false);
     FileModel {
         path: to_owned_path(path),
         fns: p.fns,
@@ -178,9 +176,9 @@ impl Parser {
         j
     }
 
-    /// Item-level scan of `[i, end)`; `in_drop` marks an enclosing
-    /// `impl Drop for` block, `in_test` a file-wide test context.
-    fn items(&mut self, mut i: usize, end: usize, in_drop: bool, in_test: bool) {
+    /// Item-level scan of `[i, end)`; `in_test` marks a file-wide test
+    /// context.
+    fn items(&mut self, mut i: usize, end: usize, in_test: bool) {
         let mut is_pub = false;
         while i < end {
             let c = self.text[i];
@@ -240,23 +238,20 @@ impl Parser {
                         continue;
                     }
                     "fn" => {
-                        i = self.parse_fn(i, end, is_pub, in_drop, in_test);
+                        i = self.parse_fn(i, end, is_pub, in_test);
                         is_pub = false;
                         continue;
                     }
                     "impl" | "mod" | "trait" => {
                         // header up to the `{` (or `;` for `mod x;`)
                         let mut j = after;
-                        let mut header = String::new();
                         while j < end && self.text[j] != '{' && self.text[j] != ';' {
-                            header.push(self.text[j]);
                             j += 1;
                         }
                         if j < end && self.text[j] == '{' {
                             let body_end = self.skip_braces(j);
-                            let drop_impl = w == "impl" && impl_header_is_drop(&header);
                             let test = in_test || self.exempt_at(i);
-                            self.items(j + 1, body_end - 1, drop_impl, test);
+                            self.items(j + 1, body_end - 1, test);
                             i = body_end;
                         } else {
                             i = j + 1;
@@ -295,14 +290,7 @@ impl Parser {
     }
 
     /// Parse `fn …` starting at the `fn` keyword at `i`.
-    fn parse_fn(
-        &mut self,
-        i: usize,
-        end: usize,
-        is_pub: bool,
-        in_drop: bool,
-        in_test: bool,
-    ) -> usize {
+    fn parse_fn(&mut self, i: usize, end: usize, is_pub: bool, in_test: bool) -> usize {
         let decl_line = self.line_at(i);
         let mut j = i + 2;
         while j < end && !is_ident(self.text[j]) {
@@ -329,7 +317,6 @@ impl Parser {
                         sig,
                         is_pub,
                         is_test: in_test || self.exempt_at(i),
-                        in_drop_impl: in_drop,
                         body: None,
                     });
                     return k + 1;
@@ -349,7 +336,6 @@ impl Parser {
             sig,
             is_pub,
             is_test: in_test || self.exempt_at(i),
-            in_drop_impl: in_drop,
             body: Some(body),
         });
         next
@@ -462,15 +448,6 @@ impl Parser {
     }
 }
 
-/// An `impl` header introduces a `Drop` impl: `Drop for T`, possibly
-/// with generics between `impl` and `Drop`.
-fn impl_header_is_drop(header: &str) -> bool {
-    header
-        .split_once(" for ")
-        .is_some_and(|(tr, _)| tr.trim_end().ends_with("Drop"))
-        || header.trim_start().starts_with("Drop for ")
-}
-
 /// Whole-word occurrence search: `name` in `text` at identifier
 /// boundaries, returning the byte offset of each hit.
 pub fn word_hits(text: &str, name: &str) -> Vec<usize> {
@@ -581,7 +558,7 @@ fn f() -> Result<u8, E> {
     }
 
     #[test]
-    fn drop_impls_and_test_gates_are_marked() {
+    fn test_gates_are_marked() {
         let src = "\
 impl Drop for Guard {
     fn drop(&mut self) { let _ = cleanup(); }
@@ -595,33 +572,10 @@ mod tests {
 fn live() {}
 ";
         let m = model(src);
-        let drop_fn = m.fns.iter().find(|f| f.name == "drop").unwrap();
-        assert!(drop_fn.in_drop_impl);
-        assert!(!drop_fn.is_test);
+        assert!(!m.fns.iter().find(|f| f.name == "drop").unwrap().is_test);
         assert!(m.fns.iter().find(|f| f.name == "helper").unwrap().is_test);
         assert!(m.fns.iter().find(|f| f.name == "case").unwrap().is_test);
         assert!(!m.fns.iter().find(|f| f.name == "live").unwrap().is_test);
-    }
-
-    #[test]
-    fn generic_impls_are_not_drop() {
-        let src = "\
-impl<T: Clone> Holder<T> {
-    fn get(&self) -> T { self.0.clone() }
-}
-impl<'a> Drop for Lease<'a> {
-    fn drop(&mut self) {}
-}
-";
-        let m = model(src);
-        assert!(!m.fns.iter().find(|f| f.name == "get").unwrap().in_drop_impl);
-        assert!(
-            m.fns
-                .iter()
-                .find(|f| f.name == "drop")
-                .unwrap()
-                .in_drop_impl
-        );
     }
 
     #[test]

@@ -12,9 +12,6 @@ use std::collections::BTreeMap;
 /// printed by `cargo xtask analyze --explain <rule-id>`.
 pub fn rule_help(lint: &str) -> &'static str {
     match lint {
-        "page-leak" => {
-            "Owned HeapFiles must reach persist/mark_temp/delete/a consumer on every `?`/return path."
-        }
         "lock-order" => "Lock acquisition order must be acyclic across the workspace.",
         "lock-across-io" => "Mutex guards must not be held across disk I/O calls.",
         "cancel-liveness" => {
@@ -30,7 +27,6 @@ pub fn rule_help(lint: &str) -> &'static str {
 
 /// Every rule id `--explain` accepts, in rendering order.
 pub const RULE_IDS: &[&str] = &[
-    "page-leak",
     "lock-order",
     "lock-across-io",
     "cancel-liveness",
@@ -104,10 +100,10 @@ mod tests {
     fn sample() -> Vec<Finding> {
         vec![
             Finding {
-                lint: "page-leak",
+                lint: "cancel-liveness",
                 file: "crates/exec/src/op.rs".to_string(),
                 line: 42,
-                excerpt: "owned HeapFile `out` leaks on \"error\" path".to_string(),
+                excerpt: "loop in `drain` starves on the \"error\" path".to_string(),
             },
             Finding {
                 lint: "lock-order",

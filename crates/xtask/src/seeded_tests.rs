@@ -6,8 +6,8 @@
 //! bug is caught, and the twin stays clean. The fixtures live outside
 //! `src/` (and [`crate::source_files`] skips the directory) so the
 //! deliberate violations never reach the real analysis; here they are
-//! mapped onto in-scope workspace paths so the path-scoped lints
-//! (page-leak, cancel-liveness) see them as production code. A final
+//! mapped onto in-scope workspace paths so the path-scoped lint
+//! (cancel-liveness) sees them as production code. A final
 //! test runs the analyzer over the real workspace and asserts it
 //! reports nothing — the floor `cargo xtask analyze` holds is zero.
 
@@ -18,7 +18,6 @@ const STARVED_LOOP: &str = include_str!("../seeded-violations/starved_loop.rs");
 const GUARD_INTO_SPAWN: &str = include_str!("../seeded-violations/guard_into_spawn.rs");
 const BLOCKING_PUSH: &str = include_str!("../seeded-violations/blocking_push_under_lock.rs");
 const TIMEOUT_WAIT: &str = include_str!("../seeded-violations/timeout_wait_under_lock.rs");
-const LEAK_ON_ERROR: &str = include_str!("../seeded-violations/leak_on_error_path.rs");
 const POLL_SKIPPING_CONTINUE: &str = include_str!("../seeded-violations/poll_skipping_continue.rs");
 
 fn run(files: &[(&str, &str)]) -> Vec<Finding> {
@@ -141,35 +140,6 @@ fn timeout_wait_under_foreign_lock_is_flagged_and_protocol_twin_is_clean() {
 }
 
 #[test]
-fn leak_on_error_path_is_flagged_per_path_and_twins_are_clean() {
-    let findings = run(&[("crates/exec/src/seeded_leak.rs", LEAK_ON_ERROR)]);
-    let hits = of(&findings, "page-leak");
-    assert_eq!(hits.len(), 2, "expected the two seeded leaks: {findings:?}");
-    let hazard = hits
-        .iter()
-        .find(|f| f.excerpt.contains("`spill_all`"))
-        .expect("error-path leak in `spill_all`");
-    assert!(
-        hazard.excerpt.contains("at line 16"),
-        "hazard span must point at the first fallible statement: {hazard:?}"
-    );
-    let scope = hits
-        .iter()
-        .find(|f| f.excerpt.contains("`route`"))
-        .expect("branch-join leak in `route`");
-    assert!(
-        scope.excerpt.contains("end of scope"),
-        "the `!keep` path drops `out` at scope end: {scope:?}"
-    );
-    assert!(
-        !hits.iter().any(|f| {
-            f.excerpt.contains("`spill_all_clean`") || f.excerpt.contains("`route_clean`")
-        }),
-        "temp-first and both-branch twins must stay clean: {hits:?}"
-    );
-}
-
-#[test]
 fn poll_skipping_continue_is_flagged_and_poll_first_twin_is_clean() {
     let findings = run(&[(
         "crates/core/src/external/seeded_skip.rs",
@@ -184,7 +154,7 @@ fn poll_skipping_continue_is_flagged_and_poll_first_twin_is_clean() {
     assert!(
         hits[0].excerpt.contains("`drain_skipping`")
             && hits[0].excerpt.contains("skips every CancelToken poll"),
-        "the path-sensitive recheck owns this finding: {hits:?}"
+        "the continue-before-poll recheck owns this finding: {hits:?}"
     );
     assert_eq!(
         hits[0].line, 16,

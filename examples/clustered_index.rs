@@ -52,14 +52,13 @@ fn main() {
         .map(|r| (i32_key(layout.attr(r, 0)), r.as_slice()))
         .collect();
     pairs.sort_by_key(|p| p.0);
-    let mut tree = BTree::bulk_load(
+    let tree = BTree::bulk_load(
         Arc::clone(&disk) as Arc<dyn Disk>,
         4,
         layout.record_size(),
         pairs.iter().map(|(k, r)| (k.as_slice(), *r)),
     )
     .expect("bulk load");
-    tree.mark_temp();
     let tree = Arc::new(tree);
     println!(
         "clustered B+-tree: {} records, height {}, {} pages",
@@ -105,7 +104,7 @@ fn main() {
     // SFS re-sorts, so the input order is irrelevant — whatever arrives,
     // it imposes its own monotone order first.
     let t = Instant::now();
-    let mut sorted = presort(
+    let sorted = presort(
         Arc::clone(&heap),
         layout,
         spec.clone(),
@@ -115,7 +114,6 @@ fn main() {
         Arc::clone(&disk) as Arc<dyn Disk>,
     )
     .expect("presort");
-    sorted.mark_temp();
     let metrics = SkylineMetrics::shared();
     let mut sfs = sfs_filter(
         Arc::new(sorted),

@@ -68,13 +68,12 @@ fn make_records(dist: Distribution, d: usize, n: usize, seed: u64) -> (RecordLay
 }
 
 fn load(disk: &Arc<MemDisk>, layout: &RecordLayout, records: &[Vec<u8>]) -> Arc<HeapFile> {
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(disk) as Arc<dyn Disk>,
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .unwrap();
-    heap.mark_temp(); // self-deletes with the last Arc: leak checks see 0
     Arc::new(heap)
 }
 
@@ -134,7 +133,7 @@ fn row_rows(layout: &RecordLayout, spec: &SkylineSpec, records: &[Vec<u8>]) -> V
         None,
     )
     .unwrap();
-    let rows = value_rows(
+    value_rows(
         layout,
         spec.dims(),
         outcome
@@ -143,9 +142,7 @@ fn row_rows(layout: &RecordLayout, spec: &SkylineSpec, records: &[Vec<u8>]) -> V
             .unwrap()
             .iter()
             .map(Vec::as_slice),
-    );
-    outcome.skyline.delete();
-    rows
+    )
 }
 
 /// Batch-pipeline run at `threads`, with small batches (64 rows) so even
@@ -201,7 +198,7 @@ fn batch_rows(
             .iter()
             .map(Vec::as_slice),
     );
-    outcome.skyline.delete();
+    drop(outcome.skyline);
     assert_eq!(disk.allocated_pages(), 0, "{label}: leaked pages");
     rows
 }
@@ -275,12 +272,6 @@ fn batch_strata_match_row_strata_across_specs() {
                     "stratum {s} on {label}"
                 );
             }
-            for f in row.strata {
-                f.delete();
-            }
-            for f in batch.strata {
-                f.delete();
-            }
         }
     }
 }
@@ -320,7 +311,6 @@ fn batch_skyband_matches_the_matrix_oracle() {
                     want,
                     "batch skyband on {label}"
                 );
-                band.delete();
             }
         }
     }
@@ -357,7 +347,6 @@ fn batch_top_n_returns_the_best_scored_skyline_prefix() {
             d,
             top.read_all().unwrap().iter().map(Vec::as_slice),
         );
-        top.delete();
         let expect_len = (n as usize).min(sky.len());
         assert_eq!(got.len(), expect_len, "top-{n} length");
         // every returned row is a skyline row…
@@ -441,7 +430,7 @@ fn batch_pipeline_aggregate_is_the_exact_sum_of_its_stages() {
             agg.bytes_moved > filter_parts.bytes_moved,
             "t={threads}: presort bytes"
         );
-        outcome.skyline.delete();
+        drop(outcome.skyline);
         assert_eq!(disk.allocated_pages(), 0, "t={threads}: leaked pages");
     }
 }

@@ -1,11 +1,9 @@
 //! Differential oracle gate: every skyline algorithm against the naive
 //! O(n²) oracle across the paper's §5 workload grid — uniform,
 //! correlated and anti-correlated distributions, both in-memory presort
-//! orders, several dimensionalities.
-//!
-//! `cargo xtask oracle` runs the same grid (larger sizes) from the
-//! workspace-automation side; this file is the version that rides along
-//! with every plain `cargo test`.
+//! orders, several dimensionalities (d ∈ 1..=4, n ∈ {200, 1000}, three
+//! seeds). This is the one differential gate; it rides along with every
+//! plain `cargo test`.
 
 use skyline::core::algo::{bnl, naive, sfs, strata, MemSortOrder};
 use skyline::core::planner::{entropy_stats_of, load_heap, parallel_skyline_pipeline};
@@ -41,10 +39,11 @@ fn keys_for(dist: Distribution, d: usize, n: usize, seed: u64) -> KeyMatrix {
 fn grid(mut f: impl FnMut(&KeyMatrix, &str)) {
     for &(dname, dist) in DISTS {
         for d in [1, 2, 3, 4] {
-            for seed in [1, 2] {
-                let n = 300;
-                let km = keys_for(dist, d, n, seed);
-                f(&km, &format!("{dname} d={d} n={n} seed={seed}"));
+            for n in [200, 1000] {
+                for seed in [1, 2, 3] {
+                    let km = keys_for(dist, d, n, seed);
+                    f(&km, &format!("{dname} d={d} n={n} seed={seed}"));
+                }
             }
         }
     }
@@ -178,7 +177,6 @@ fn external_pipeline_rows(
     .unwrap();
     let rows = row_set(&outcome.skyline, &layout, d);
     let snap = metrics.snapshot();
-    outcome.skyline.delete();
     (rows, (snap.emitted, snap.discarded, snap.input_records))
 }
 

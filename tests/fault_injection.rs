@@ -86,16 +86,15 @@ fn run_sfs(
     order: SortOrder,
 ) -> Result<Vec<Vec<i32>>, String> {
     let spec = SkylineSpec::max_all(D);
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(&disk),
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .map_err(|e| e.to_string())?;
-    heap.mark_temp();
     let entropy = matches!(order, SortOrder::Entropy | SortOrder::ReverseEntropy)
         .then(|| entropy_stats_of_records(&layout, &spec, records.iter().map(Vec::as_slice)));
-    let mut sorted = presort(
+    let sorted = presort(
         Arc::new(heap),
         layout,
         spec.clone(),
@@ -105,7 +104,6 @@ fn run_sfs(
         Arc::clone(&disk),
     )
     .map_err(|e| e.to_string())?;
-    sorted.mark_temp();
     let mut sfs = sfs_filter(
         Arc::new(sorted),
         layout,
@@ -132,13 +130,12 @@ fn bnl(
     layout: RecordLayout,
     records: &[Vec<u8>],
 ) -> Result<Vec<Vec<i32>>, String> {
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(&disk),
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .map_err(|e| e.to_string())?;
-    heap.mark_temp();
     let mut op = bnl_over(
         Arc::new(heap),
         layout,
@@ -157,13 +154,12 @@ fn winnow(
     layout: RecordLayout,
     records: &[Vec<u8>],
 ) -> Result<Vec<Vec<i32>>, String> {
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(&disk),
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .map_err(|e| e.to_string())?;
-    heap.mark_temp();
     let mut op = WinnowOp::new(
         Box::new(HeapScan::new(Arc::new(heap))),
         layout,
@@ -183,13 +179,12 @@ fn parallel(
     layout: RecordLayout,
     records: &[Vec<u8>],
 ) -> Result<Vec<Vec<i32>>, String> {
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(&disk),
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .map_err(|e| e.to_string())?;
-    heap.mark_temp();
     let heap = Arc::new(heap);
     let idx = parallel_skyline_heap(&heap, &layout, &SkylineSpec::max_all(D), 4, None)
         .map_err(|e| e.to_string())?;
@@ -217,13 +212,12 @@ fn run_par_sfs(
     order: SortOrder,
 ) -> Result<Vec<Vec<i32>>, String> {
     let spec = SkylineSpec::max_all(D);
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(&disk),
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .map_err(|e| e.to_string())?;
-    heap.mark_temp();
     let entropy = matches!(order, SortOrder::Entropy | SortOrder::ReverseEntropy)
         .then(|| entropy_stats_of_records(&layout, &spec, records.iter().map(Vec::as_slice)));
     let outcome = parallel_skyline_pipeline(
@@ -241,11 +235,8 @@ fn run_par_sfs(
         None,
     )
     .map_err(|e| e.to_string())?;
-    // the outcome's skyline is persisted: delete it on *both* paths, or
-    // a read fault here would masquerade as a page leak
-    let rows = outcome.skyline.read_all().map_err(|e| e.to_string());
-    outcome.skyline.delete();
-    Ok(value_rows(&layout, rows?.iter().map(Vec::as_slice)))
+    let rows = outcome.skyline.read_all().map_err(|e| e.to_string())?;
+    Ok(value_rows(&layout, rows.iter().map(Vec::as_slice)))
 }
 
 fn par_sfs_nested(
@@ -269,13 +260,12 @@ fn strata(
     layout: RecordLayout,
     records: &[Vec<u8>],
 ) -> Result<Vec<Vec<i32>>, String> {
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(&disk),
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .map_err(|e| e.to_string())?;
-    heap.mark_temp();
     let res = strata_external(
         Arc::new(heap),
         layout,
@@ -288,15 +278,11 @@ fn strata(
         disk,
     )
     .map_err(|e| e.to_string())?;
-    let mut files = res.strata.into_iter();
-    let first = files
-        .next()
+    let first = res
+        .strata
+        .first()
         .ok_or_else(|| "no strata produced".to_string())?;
     let rows = first.read_all().map_err(|e| e.to_string())?;
-    first.delete();
-    for f in files {
-        f.delete();
-    }
     Ok(value_rows(&layout, rows.iter().map(Vec::as_slice)))
 }
 
@@ -305,13 +291,12 @@ fn skyband_k1(
     layout: RecordLayout,
     records: &[Vec<u8>],
 ) -> Result<Vec<Vec<i32>>, String> {
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(&disk),
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .map_err(|e| e.to_string())?;
-    heap.mark_temp();
     let stored = heap.read_all().map_err(|e| e.to_string())?;
     let km = keys_of(&layout, &stored);
     let idx = skyband(&km, 1);
@@ -333,13 +318,12 @@ fn run_batch(
     scalar: bool,
 ) -> Result<Vec<Vec<i32>>, String> {
     let spec = SkylineSpec::max_all(D);
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(&disk),
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .map_err(|e| e.to_string())?;
-    heap.mark_temp();
     let mut cfg = BatchConfig::new(1).with_batch_rows(64);
     if scalar {
         cfg = cfg.with_scalar_window();
@@ -357,11 +341,8 @@ fn run_batch(
         None,
     )
     .map_err(|e| e.to_string())?;
-    // the outcome's skyline is persisted: delete it on *both* paths, or
-    // a read fault here would masquerade as a page leak
-    let rows = outcome.skyline.read_all().map_err(|e| e.to_string());
-    outcome.skyline.delete();
-    Ok(value_rows(&layout, rows?.iter().map(Vec::as_slice)))
+    let rows = outcome.skyline.read_all().map_err(|e| e.to_string())?;
+    Ok(value_rows(&layout, rows.iter().map(Vec::as_slice)))
 }
 
 fn batch_block(d: Arc<dyn Disk>, l: RecordLayout, r: &[Vec<u8>]) -> Result<Vec<Vec<i32>>, String> {
@@ -383,13 +364,12 @@ fn run_sharded(
     strategy: ShardStrategy,
 ) -> Result<Vec<Vec<i32>>, String> {
     let spec = SkylineSpec::max_all(D);
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(&disk),
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .map_err(|e| e.to_string())?;
-    heap.mark_temp();
     let outcome = sharded_skyline_pipeline(
         Arc::new(heap),
         &layout,
@@ -402,11 +382,8 @@ fn run_sharded(
         None,
     )
     .map_err(|e| e.to_string())?;
-    // the outcome's skyline is persisted: delete it on *both* paths, or
-    // a read fault here would masquerade as a page leak
-    let rows = outcome.skyline.read_all().map_err(|e| e.to_string());
-    outcome.skyline.delete();
-    Ok(value_rows(&layout, rows?.iter().map(Vec::as_slice)))
+    let rows = outcome.skyline.read_all().map_err(|e| e.to_string())?;
+    Ok(value_rows(&layout, rows.iter().map(Vec::as_slice)))
 }
 
 fn sharded_naive(
@@ -597,13 +574,12 @@ fn cancelled_operators_surface_typed_error_without_leaking() {
 
     // SFS: pre-cancelled token trips on the very first poll.
     {
-        let mut heap = load_heap(
+        let heap = load_heap(
             Arc::clone(&disk) as Arc<dyn Disk>,
             layout.record_size(),
             records.iter().map(Vec::as_slice),
         )
         .unwrap();
-        heap.mark_temp();
         let token = CancelToken::new();
         token.cancel();
         let mut sfs = sfs_filter(
@@ -626,13 +602,12 @@ fn cancelled_operators_surface_typed_error_without_leaking() {
 
     // BNL: a zero deadline trips mid-stream without an explicit cancel().
     {
-        let mut heap = load_heap(
+        let heap = load_heap(
             Arc::clone(&disk) as Arc<dyn Disk>,
             layout.record_size(),
             records.iter().map(Vec::as_slice),
         )
         .unwrap();
-        heap.mark_temp();
         let mut op = bnl_over(
             Arc::new(heap),
             layout,
@@ -650,13 +625,12 @@ fn cancelled_operators_surface_typed_error_without_leaking() {
 
     // Winnow: same contract as the other window operators.
     {
-        let mut heap = load_heap(
+        let heap = load_heap(
             Arc::clone(&disk) as Arc<dyn Disk>,
             layout.record_size(),
             records.iter().map(Vec::as_slice),
         )
         .unwrap();
-        heap.mark_temp();
         let token = CancelToken::new();
         token.cancel();
         let mut op = WinnowOp::new(
@@ -685,13 +659,12 @@ fn cancelled_batch_stages_surface_typed_error_without_leaking() {
     let disk = MemDisk::shared();
     let spec = SkylineSpec::max_all(D);
     let fresh_heap = || {
-        let mut heap = load_heap(
+        let heap = load_heap(
             Arc::clone(&disk) as Arc<dyn Disk>,
             layout.record_size(),
             records.iter().map(Vec::as_slice),
         )
         .unwrap();
-        heap.mark_temp();
         Arc::new(heap)
     };
 
@@ -787,14 +760,13 @@ fn parallel_skyline_cancellation_is_typed() {
 fn drop_mid_pass_cleans_up(disk: Arc<dyn Disk>) {
     let (layout, records) = workload();
     let spec = SkylineSpec::max_all(D);
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(&disk),
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .unwrap();
-    heap.mark_temp();
-    let mut sorted = presort(
+    let sorted = presort(
         Arc::new(heap),
         layout,
         spec.clone(),
@@ -804,7 +776,6 @@ fn drop_mid_pass_cleans_up(disk: Arc<dyn Disk>) {
         Arc::clone(&disk),
     )
     .unwrap();
-    sorted.mark_temp();
     let mut sfs = sfs_filter(
         Arc::new(sorted),
         layout,
@@ -849,13 +820,12 @@ fn sharded_skyline_with_faulty_shard_disks_returns_oracle_or_typed_error() {
             ShardStrategy::Representative,
         ] {
             let coord = MemDisk::shared();
-            let mut heap = load_heap(
+            let heap = load_heap(
                 Arc::clone(&coord) as Arc<dyn Disk>,
                 layout.record_size(),
                 records.iter().map(Vec::as_slice),
             )
             .unwrap();
-            heap.mark_temp();
             let shard_inners: Vec<_> = (0..SHARDS).map(|_| MemDisk::shared()).collect();
             let shard_disks: Vec<Arc<dyn Disk>> = shard_inners
                 .iter()
@@ -893,7 +863,6 @@ fn sharded_skyline_with_faulty_shard_disks_returns_oracle_or_typed_error() {
                         want,
                         "{strategy:?} under {sname}: completed with a WRONG skyline"
                     );
-                    outcome.skyline.delete();
                     Some(())
                 }
                 Err(e) => {
@@ -940,13 +909,12 @@ fn cancelled_sharded_skyline_is_typed_and_leak_free() {
         ShardStrategy::Representative,
     ] {
         let disk = MemDisk::shared();
-        let mut heap = load_heap(
+        let heap = load_heap(
             Arc::clone(&disk) as Arc<dyn Disk>,
             layout.record_size(),
             records.iter().map(Vec::as_slice),
         )
         .unwrap();
-        heap.mark_temp();
         let err = match sharded_skyline_pipeline(
             Arc::new(heap),
             &layout,

@@ -253,7 +253,6 @@ fn parallel_filter_aggregate_is_the_exact_sum_of_its_stages() {
             agg.comparisons,
             agg.lanes_compared
         );
-        outcome.skyline.delete();
     }
 }
 
@@ -372,7 +371,7 @@ fn elimination_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
         let narrow = NarrowLayout::new(d);
         let filter = EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(&metrics));
         let entries = FilteredKeys::new(&keys, d, filter);
-        let mut sorted = sort_narrow(
+        let sorted = sort_narrow(
             Box::new(entries),
             narrow,
             score,
@@ -381,7 +380,6 @@ fn elimination_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
             Arc::clone(&disk) as _,
         )
         .unwrap();
-        sorted.mark_temp();
         let forwarded = sorted.len();
         let mut sfs = BatchSfs::new(
             Box::new(HeapScan::new(Arc::new(sorted))),
@@ -464,8 +462,8 @@ fn batch_filter_aggregate_is_exact_and_touches_the_payload_once() {
     let n = 2_000usize;
     let (heap, layout, spec, disk) = fixture(n, 5, 31);
     let record_size = layout.record_size() as u64;
-    let sorted = Arc::new({
-        let mut s = batch_presort(
+    let sorted = Arc::new(
+        batch_presort(
             Arc::clone(&heap),
             &layout,
             &spec,
@@ -477,10 +475,8 @@ fn batch_filter_aggregate_is_exact_and_touches_the_payload_once() {
             SkylineMetrics::shared(),
             None,
         )
-        .unwrap();
-        s.mark_temp();
-        s
-    });
+        .unwrap(),
+    );
     for threads in [2usize, 4] {
         let metrics = SkylineMetrics::shared();
         let outcome = parallel_batch_filter(
@@ -558,7 +554,6 @@ fn batch_filter_aggregate_is_exact_and_touches_the_payload_once() {
             agg.batches >= n as u64 / 128,
             "{label}: at least one batch per full batch_rows of input"
         );
-        outcome.skyline.delete();
     }
 }
 
@@ -678,11 +673,10 @@ fn sharded_aggregate_is_exact_and_the_exchange_meter_closes() {
                 }
             }
             // per-shard disks drained; the skyline lives on the
-            // coordinator disk until we delete it.
+            // coordinator disk.
             for (i, sd) in shard_disks.iter().enumerate() {
                 assert_eq!(sd.allocated_pages(), 0, "{label}: shard {i} disk leaked");
             }
-            outcome.skyline.delete();
         }
     }
 }

@@ -36,7 +36,7 @@ fn run_sfs_with_window(
     window_pages: usize,
 ) -> Vec<Vec<u8>> {
     let spec = SkylineSpec::max_all(d);
-    let mut sorted = presort(
+    let sorted = presort(
         Arc::clone(heap),
         layout,
         spec.clone(),
@@ -46,7 +46,6 @@ fn run_sfs_with_window(
         Arc::clone(disk) as Arc<dyn Disk>,
     )
     .unwrap();
-    sorted.mark_temp();
     let mut sfs = sfs_filter(
         Arc::new(sorted),
         layout,
@@ -351,7 +350,7 @@ fn preference_order_top_n_with_early_stop() {
     let spec = SkylineSpec::max_all(d);
     let score = Arc::new(LinearScore::new(vec![4.0, 3.0, 2.0, 1.0]));
 
-    let mut sorted = presort_by_preference(
+    let sorted = presort_by_preference(
         Arc::clone(&heap),
         layout,
         spec.clone(),
@@ -360,7 +359,6 @@ fn preference_order_top_n_with_early_stop() {
         Arc::clone(&disk) as Arc<dyn Disk>,
     )
     .unwrap();
-    sorted.mark_temp();
     let metrics = SkylineMetrics::shared();
     let sfs = sfs_filter(
         Arc::new(sorted),
@@ -420,7 +418,7 @@ fn pipeline_works_on_real_files() {
         .unwrap(),
     );
     let spec = SkylineSpec::max_all(5);
-    let mut sorted = presort(
+    let sorted = presort(
         Arc::clone(&heap),
         layout,
         spec.clone(),
@@ -430,7 +428,6 @@ fn pipeline_works_on_real_files() {
         Arc::clone(&fdisk),
     )
     .unwrap();
-    sorted.mark_temp();
     let mut sfs = sfs_filter(
         Arc::new(sorted),
         layout,

@@ -107,13 +107,12 @@ fn loaded_heap(
     layout: &RecordLayout,
     records: &[Vec<u8>],
 ) -> Arc<skyline::storage::HeapFile> {
-    let mut heap = load_heap(
+    let heap = load_heap(
         Arc::clone(disk) as Arc<dyn Disk>,
         layout.record_size(),
         records.iter().map(Vec::as_slice),
     )
     .unwrap();
-    heap.mark_temp();
     Arc::new(heap)
 }
 
@@ -146,7 +145,7 @@ fn every_strategy_and_shard_count_matches_batch_and_oracle() {
                     want,
                     "batch pipeline vs oracle on {dname} d={d} {sname}"
                 );
-                outcome.skyline.delete();
+                drop(outcome.skyline);
                 assert_eq!(disk.allocated_pages(), 0, "batch leak on {dname} d={d}");
 
                 for &strategy in STRATEGIES {
@@ -175,7 +174,7 @@ fn every_strategy_and_shard_count_matches_batch_and_oracle() {
                             want,
                             "{label}"
                         );
-                        outcome.skyline.delete();
+                        drop(outcome.skyline);
                         assert_eq!(disk.allocated_pages(), 0, "{label}: leaked pages");
                     }
                 }
