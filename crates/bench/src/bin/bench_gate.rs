@@ -49,7 +49,7 @@ fn main() -> ExitCode {
         eprintln!("bench gate: cannot write {REPORT_FILE}: {e}");
         return ExitCode::FAILURE;
     }
-    match gate::gate(&runs, cores, Path::new(GOLDEN_FILE), check) {
+    match gate::gate(&runs, Path::new(GOLDEN_FILE), check) {
         Ok(n) if check => println!("bench gate: ok — {n} counters equal {GOLDEN_FILE}"),
         Ok(n) => println!("bench gate: {n} counters written to {GOLDEN_FILE} — review the diff"),
         Err(e) => {

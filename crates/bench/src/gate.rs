@@ -137,16 +137,6 @@ pub enum Law {
         /// The counter that must move.
         counter: &'static str,
     },
-    /// At the top thread count of `section`, each format's deterministic
-    /// model speedup (`t=1` comparisons over the critical path) reaches
-    /// `min` — and so does the wall speedup, but only on a machine with
-    /// that many cores.
-    Speedup {
-        /// The only section held to the bar.
-        section: &'static str,
-        /// Minimum speedup.
-        min: f64,
-    },
 }
 
 /// The one law table. Laws whose variants a section does not run hold
@@ -172,10 +162,6 @@ pub const LAWS: &[Law] = &[
         variant: "representative",
         counter: "pruned_by_representatives",
     },
-    Law::Speedup {
-        section: "full",
-        min: 1.5,
-    },
 ];
 
 /// Thread count, model speedup and wall speedup of a thread-grid `run`
@@ -191,7 +177,7 @@ fn speedups<'a>(runs: impl IntoIterator<Item = &'a Run>, run: &Run) -> Option<(u
 }
 
 impl Law {
-    fn check(&self, section: &str, runs: &[&Run], cores: usize, bad: &mut Vec<String>) {
+    fn check(&self, section: &str, runs: &[&Run], bad: &mut Vec<String>) {
         let answer = |r: &Run| Some((r.get("skyline")?, r.get("checksum")?));
         let show = |v: Option<u64>| v.map_or("(not reported)".to_string(), |v| v.to_string());
         match *self {
@@ -239,46 +225,19 @@ impl Law {
                     }
                 }
             }
-            Law::Speedup { section: only, min } => {
-                if section != only {
-                    return;
-                }
-                let top = runs.iter().filter_map(|r| Some(r.grid_point()?.1)).max();
-                for r in runs {
-                    let Some((t, model, wall)) = speedups(runs.iter().copied(), r) else {
-                        continue;
-                    };
-                    if Some(t) != top {
-                        continue;
-                    }
-                    if model < min {
-                        bad.push(format!(
-                            "{section}/{}: model speedup {model:.2}× is below {min:.1}×",
-                            r.config
-                        ));
-                    }
-                    if cores >= t && wall < min {
-                        bad.push(format!(
-                            "{section}/{}: wall speedup {wall:.2}× is below {min:.1}× \
-                             ({cores} cores available)",
-                            r.config
-                        ));
-                    }
-                }
-            }
         }
     }
 }
 
 /// Check every law of [`LAWS`] on the fresh `runs`, section by section.
 /// Returns one line per violation; empty means the laws hold.
-pub fn check_laws(runs: &[Run], cores: usize) -> Vec<String> {
+pub fn check_laws(runs: &[Run]) -> Vec<String> {
     let sections: BTreeSet<&str> = runs.iter().map(|r| r.section).collect();
     let mut bad = Vec::new();
     for section in sections {
         let of: Vec<&Run> = runs.iter().filter(|r| r.section == section).collect();
         for law in LAWS {
-            law.check(section, &of, cores, &mut bad);
+            law.check(section, &of, &mut bad);
         }
     }
     bad
@@ -374,8 +333,8 @@ pub fn compare(committed: &Golden, fresh: &Golden) -> Vec<String> {
 /// # Errors
 /// Every violated law, or every mismatched key, one per line; or the
 /// I/O / parse failure on the golden file.
-pub fn gate(runs: &[Run], cores: usize, golden: &Path, check: bool) -> Result<usize, String> {
-    let bad = check_laws(runs, cores);
+pub fn gate(runs: &[Run], golden: &Path, check: bool) -> Result<usize, String> {
+    let bad = check_laws(runs);
     if !bad.is_empty() {
         return Err(format!(
             "{} law(s) violated:\n{}",
@@ -786,7 +745,7 @@ mod tests {
     fn grid_section_obeys_the_laws_and_the_model() {
         let runs = run_section(&TINY);
         assert_eq!(runs.len(), 4, "two formats × two thread counts");
-        assert_eq!(check_laws(&runs, 1), Vec::<String>::new());
+        assert_eq!(check_laws(&runs), Vec::<String>::new());
         for r in &runs {
             let (_, t) = r.grid_point().expect("grid config");
             let (cmp, path) = (r.get("comparisons"), r.get("critical_path"));
@@ -829,10 +788,10 @@ mod tests {
     fn a_perturbed_counter_fails_the_check_naming_key_and_both_values() {
         let runs = healthy();
         let golden = temp_golden("perturbed", &runs);
-        gate(&runs, 1, &golden.0, true).expect("identical runs pass");
+        gate(&runs, &golden.0, true).expect("identical runs pass");
         let mut drifted = runs.clone();
         drifted[1].counters[3].1 = 401;
-        let err = gate(&drifted, 1, &golden.0, true).unwrap_err();
+        let err = gate(&drifted, &golden.0, true).unwrap_err();
         assert!(
             err.contains("smoke/narrow t=1/bytes_moved: committed 400, fresh 401"),
             "{err}"
@@ -847,7 +806,7 @@ mod tests {
         // a committed key of a section that ran, absent from the fresh run
         let mut fewer = runs.clone();
         fewer[2].counters.pop();
-        let err = gate(&fewer, 1, &golden.0, true).unwrap_err();
+        let err = gate(&fewer, &golden.0, true).unwrap_err();
         assert!(
             err.contains("server/mix/rejected: committed 10, missing from the fresh run"),
             "{err}"
@@ -855,7 +814,7 @@ mod tests {
         // a fresh key absent from the file
         let mut more = runs.clone();
         more[2].counters.push(("completed".into(), 40));
-        let err = gate(&more, 1, &golden.0, true).unwrap_err();
+        let err = gate(&more, &golden.0, true).unwrap_err();
         assert!(
             err.contains("server/mix/completed: not committed, fresh 40"),
             "{err}"
@@ -867,11 +826,11 @@ mod tests {
         let runs = healthy();
         let golden = temp_golden("smoke", &runs);
         let smoke = runs[..3].to_vec();
-        gate(&smoke, 1, &golden.0, true).expect("full and shard-full keys are ignored");
+        gate(&smoke, &golden.0, true).expect("full and shard-full keys are ignored");
         // …and regenerating from the smoke subset keeps them
         let mut moved = smoke.clone();
         moved[2].counters[0].1 = 51;
-        gate(&moved, 1, &golden.0, false).expect("regenerate");
+        gate(&moved, &golden.0, false).expect("regenerate");
         let text = read_text(&golden.0).expect("read back");
         assert!(text.contains("full/record t=1/comparisons 900\n"), "{text}");
         assert!(text.contains("shard-full/naive shards=2/bytes_exchanged 9\n"));
@@ -885,7 +844,7 @@ mod tests {
         // to exist is gone
         runs[1].counters[2].1 = 2_100;
         let golden = temp_golden("law", &runs);
-        let err = gate(&runs, 1, &golden.0, true).unwrap_err();
+        let err = gate(&runs, &golden.0, true).unwrap_err();
         assert!(err.contains("law(s) violated"), "{err}");
         assert!(
             err.contains(
@@ -898,14 +857,14 @@ mod tests {
 
     #[test]
     fn each_law_names_its_violation() {
-        let law = |runs: &[Run], cores| check_laws(runs, cores).join("\n");
+        let law = |runs: &[Run]| check_laws(runs).join("\n");
         // a different answer
         let mut runs = healthy();
         runs[1].counters[5].1 = 8;
-        assert!(law(&runs, 1).contains("smoke/narrow t=1: (skyline, checksum) (42, 8)"));
+        assert!(law(&runs).contains("smoke/narrow t=1: (skyline, checksum) (42, 8)"));
         // a `lo` run without its `hi` twin
         let runs = vec![run("s", "grid shards=2", &[("bytes_exchanged", 1)])];
-        assert!(law(&runs, 1).contains("s/grid shards=2: no `naive shards=2` run to beat"));
+        assert!(law(&runs).contains("s/grid shards=2: no `naive shards=2` run to beat"));
         // vacuous pruning
         let runs = vec![
             run(
@@ -920,27 +879,9 @@ mod tests {
             ),
         ];
         assert_eq!(
-            law(&runs, 1),
+            law(&runs),
             "s/representative shards=2/pruned_by_representatives: must be > 0"
         );
-        // the speedup bar binds `full` only, at the top thread count
-        let at = |section, t, path| {
-            run(
-                section,
-                &format!("record t={t}"),
-                &[("comparisons", 900), ("critical_path", path)],
-            )
-        };
-        let slow = vec![at("full", 1, 900), at("full", 2, 700)];
-        let msg = law(&slow, 1);
-        assert!(
-            msg.contains("full/record t=2: model speedup 1.29×"),
-            "{msg}"
-        );
-        assert!(!msg.contains("wall"), "one core cannot measure t=2: {msg}");
-        assert!(law(&slow, 2).contains("wall speedup 1.00×"));
-        assert_eq!(law(&[at("smoke", 1, 900), at("smoke", 2, 700)], 2), "");
-        assert_eq!(law(&[at("full", 1, 900), at("full", 2, 600)], 1), "");
     }
 
     #[test]

@@ -198,7 +198,7 @@ mod tests {
     fn section_obeys_the_laws_and_repeats_exactly() {
         let runs = run_shard_section(&TINY);
         assert_eq!(runs.len(), 1 + STRATEGIES.len() * 2);
-        assert_eq!(check_laws(&runs, 1), Vec::<String>::new());
+        assert_eq!(check_laws(&runs), Vec::<String>::new());
         let grid3 = runs
             .iter()
             .find(|r| r.config == "grid shards=3")
@@ -225,7 +225,7 @@ mod tests {
                 *value = naive_bytes;
             }
         }
-        let bad = check_laws(&runs, 1).join("\n");
+        let bad = check_laws(&runs).join("\n");
         assert!(
             bad.contains("shard-tiny/grid shards=2/bytes_exchanged") && bad.contains("naive"),
             "{bad}"

@@ -15,7 +15,21 @@
 //! exactly in `O(n·d)` time and `O(d)` space, and
 //! [`asymptotic_skyline_size`] gives the closed-form growth the paper
 //! quotes. A query optimizer costing a
-//! `SKYLINE OF` clause would call exactly these.
+//! `SKYLINE OF` clause would call exactly these — once per query, which
+//! is why the last few `(n, d)` evaluations are remembered: at
+//! 100 000 × 7 the recurrence is 0.77 ms, a third of a query whose
+//! skyline is three rows.
+
+use std::sync::{Mutex, PoisonError};
+
+/// `(n, d)` evaluations of the recurrence kept, oldest dropped first. A
+/// server sees a handful of table sizes and clause widths at a time; an
+/// `INSERT` moves `n` and the old pair ages out.
+const MEMO_ENTRIES: usize = 32;
+
+/// The function is pure, so the memo is process-wide and holds values,
+/// not results: nothing to invalidate.
+static MEMO: Mutex<Vec<((usize, usize), f64)>> = Mutex::new(Vec::new());
 
 /// Exact expected skyline size for `n` tuples, `d` independent dimensions
 /// with continuous (duplicate-free) values, via the harmonic recurrence.
@@ -36,6 +50,22 @@ pub fn expected_skyline_size(n: usize, d: usize) -> f64 {
     if n == 0 {
         return 0.0;
     }
+    // every update is one push or one remove: a poisoned memo is intact
+    let memo = || MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(_, size)) = memo().iter().find(|(key, _)| *key == (n, d)) {
+        return size;
+    }
+    let size = harmonic_recurrence(n, d);
+    let mut memo = memo();
+    if memo.len() == MEMO_ENTRIES {
+        memo.remove(0);
+    }
+    memo.push(((n, d), size));
+    size
+}
+
+/// `m(n, d)` by the recurrence, `n ≥ 1`.
+fn harmonic_recurrence(n: usize, d: usize) -> f64 {
     // `m[k]` holds m(i, k + 1) once step `i` is done; m(0, ·) = 0. Each
     // step is the recurrence read left to right, so `m[k − 1]` is already
     // this step's value when `m[k]` takes it — the additions a table of
@@ -105,6 +135,32 @@ mod tests {
         for n in [1usize, 2, 10, 1000] {
             assert_eq!(expected_skyline_size(n, 1), 1.0);
         }
+    }
+
+    #[test]
+    fn the_memo_returns_the_recurrence_bit_for_bit() {
+        // cold, warm, after the table grew by a row (an INSERT), and
+        // after enough other pairs to push the first ones out
+        let pairs = || (0..2 * MEMO_ENTRIES).map(|i| (9_000 + i / 3, 2 + i % 6));
+        for round in 0..3 {
+            for (n, d) in pairs() {
+                let want = harmonic_recurrence(n, d).to_bits();
+                assert_eq!(
+                    expected_skyline_size(n, d).to_bits(),
+                    want,
+                    "{round}: {n} {d}"
+                );
+                assert_eq!(
+                    expected_skyline_size(n, d).to_bits(),
+                    want,
+                    "{round}: {n} {d}"
+                );
+                let grown = harmonic_recurrence(n + 1, d).to_bits();
+                assert_eq!(expected_skyline_size(n + 1, d).to_bits(), grown);
+                assert_ne!(grown, want, "one more row is a different value");
+            }
+        }
+        assert!(MEMO.lock().unwrap().len() <= MEMO_ENTRIES);
     }
 
     #[test]

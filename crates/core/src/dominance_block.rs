@@ -39,12 +39,24 @@
 //! `code(entry) ≥ code(key)` field-wise. One SWAR subtraction per lane
 //! tests all fields at once, and only the lanes that pass get the exact
 //! f64 confirm, in lane order. The screen is a necessary condition, so
-//! the first decisive lane — and with it every verdict and every charge —
-//! is the one an exact scan of all lanes finds. Model *comparisons* are
-//! charged entry-at-a-time, up to and including the first decisive entry
-//! in window order — never more than the scalar kernel would charge —
-//! while [`ProbeCost::lanes`] records the lanes screened and
-//! [`ProbeCost::blocks_skipped`] the summary prunes.
+//! the first decisive lane of an arena — and with it every verdict and
+//! every charge — is the one an exact scan of all its lanes finds.
+//!
+//! Past 2 048 entries the append-only [`BlockWindow`] is a **bucket
+//! directory** (§12.6): entries are filed under a coarse version of the
+//! same code — per criterion, a level among a few quantile cuts of the
+//! window's contents — in up to 256 arenas sharing the one quantizer,
+//! and a probe visits only the buckets whose code is ≥ the key's in
+//! every field, by the same SWAR test and the same monotonicity
+//! argument. Verdicts cannot change (what is asked is whether *some*
+//! entry dominates or equals the key); charges do, and fall.
+//!
+//! Model *comparisons* are charged entry-at-a-time, up to and including
+//! the first decisive entry in visiting order — never more than the
+//! window holds, hence never more than the scalar kernel charges a probe
+//! that finds nothing (§12.4) — while [`ProbeCost::lanes`] records the
+//! lanes screened and [`ProbeCost::blocks_skipped`] the blocks ruled out
+//! by a summary, the score cutoff or their bucket's code.
 
 // Hot path: typed errors only, nothing discarded (DESIGN.md §8.1).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -69,15 +81,17 @@ pub fn key_score(key: &[f64]) -> f64 {
 /// What one block-window operation cost, in both model and machine units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeCost {
-    /// Model dominance comparisons charged: entries of non-skipped blocks
-    /// scanned up to and including the first decisive entry. Never
-    /// exceeds what the scalar kernel charges for the same probe.
+    /// Model dominance comparisons charged: entries of visited,
+    /// non-skipped blocks scanned up to and including the first decisive
+    /// entry. Never exceeds the window's length — so never what the
+    /// scalar kernel charges a probe that finds nothing.
     pub comparisons: u64,
     /// Window-entry lanes screened: the full (visible) population of
     /// every non-skipped block, each tested once by level code. How many
     /// of them went on to the exact f64 confirm is not part of the model.
     pub lanes: u64,
-    /// Blocks pruned whole by a summary or score bound.
+    /// Blocks pruned whole by a summary or score bound, or — a
+    /// bucket's worth at a time — by a coarse code (§12.6).
     pub blocks_skipped: u64,
 }
 
@@ -127,6 +141,8 @@ struct Coder {
     /// clamped to `0..=top`. `scale` is finite and ≥ 0, which is all
     /// soundness needs: `v ↦ (v − lo)·scale` is then monotone in f64.
     axes: Vec<(f64, f64)>,
+    /// Window length at which the quantizer is next re-derived.
+    next_calibration: usize,
 }
 
 impl Coder {
@@ -138,6 +154,60 @@ impl Coder {
             top: (1 << (bits - 1)) - 1,
             guard: (0..coded).fold(0, |h, c| h | (1 << (c * bits + bits - 1))),
             axes: vec![(0.0, 0.0); coded],
+            next_calibration: FIRST_CALIBRATION,
+        }
+    }
+
+    /// Back to the zero quantizer and the start of the schedule.
+    fn reset(&mut self) {
+        self.axes.fill((0.0, 0.0));
+        self.next_calibration = FIRST_CALIBRATION;
+    }
+
+    /// Is a window that has just reached `len` entries due for
+    /// calibration? Saying yes schedules the next one at twice `len`.
+    #[inline]
+    fn due(&mut self, len: usize) -> bool {
+        let due = len == self.next_calibration;
+        if due {
+            self.next_calibration = len * 2;
+        }
+        due
+    }
+
+    /// Re-derive each coded criterion's quantizer from the finite values
+    /// `arenas` hold now. Called at doublings of the window, so the work
+    /// is amortized O(1) per insert, and a function of the insert
+    /// sequence alone.
+    fn fit(&mut self, arenas: &[Arena]) {
+        let levels = (self.top + 1) as f64;
+        for c in 0..self.axes.len() {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for a in arenas {
+                for b in 0..a.blocks() {
+                    for &v in a.column(b, c).iter().filter(|v| v.is_finite()) {
+                        lo = lo.min(v);
+                        hi = hi.max(v);
+                    }
+                }
+            }
+            // A constant or empty column, or a range that overflows f64,
+            // gets the zero quantizer: every value on level 0.
+            let scale = levels / (hi - lo);
+            self.axes[c] = if scale.is_finite() && scale > 0.0 {
+                (lo, scale)
+            } else {
+                (0.0, 0.0)
+            };
+        }
+    }
+
+    /// [`Coder::fit`], then every code of `arenas` recomputed under the
+    /// new quantizer.
+    fn calibrate(&mut self, arenas: &mut [Arena]) {
+        self.fit(arenas);
+        for a in arenas {
+            a.recode(self);
         }
     }
 
@@ -177,10 +247,12 @@ fn lanes_where(codes: &[u64], pass: impl Fn(u64) -> bool) -> u16 {
         .fold(0, |m, (l, &w)| m | (u16::from(pass(w)) << l))
 }
 
-/// Blocked storage shared by both window shapes: three contiguous arenas
+/// Blocked storage shared by every window shape: three contiguous arenas
 /// (key columns, block summaries, level codes) indexed by block. Entries
-/// are dense in global position order, so every block but the last is
-/// full and a block's population follows from `len`.
+/// are dense in position order, so every block but the last is full and
+/// a block's population follows from `len`. The quantizer behind the
+/// codes belongs to the window, which may file its entries in many
+/// arenas under one [`Coder`].
 struct Arena {
     d: usize,
     len: usize,
@@ -195,12 +267,10 @@ struct Arena {
     /// One level code per lane, position-aligned with `cols`; 0 in
     /// unused lanes.
     codes: Vec<u64>,
-    coder: Coder,
-    /// Window length at which the quantizer is next re-derived.
-    next_calibration: usize,
 }
 
 impl Arena {
+    /// An empty arena; nothing is allocated until the first push.
     fn new(d: usize) -> Self {
         debug_assert!(d > 0);
         Arena {
@@ -209,8 +279,6 @@ impl Arena {
             cols: Vec::new(),
             sums: Vec::new(),
             codes: Vec::new(),
-            coder: Coder::new(d),
-            next_calibration: FIRST_CALIBRATION,
         }
     }
 
@@ -219,8 +287,6 @@ impl Arena {
         self.cols.clear();
         self.sums.clear();
         self.codes.clear();
-        self.coder.axes.fill((0.0, 0.0));
-        self.next_calibration = FIRST_CALIBRATION;
     }
 
     fn blocks(&self) -> usize {
@@ -238,10 +304,24 @@ impl Arena {
         (pos / BLOCK_LANES * self.d + c) * BLOCK_LANES + pos % BLOCK_LANES
     }
 
-    /// Value of criterion `c` of the entry at global position `pos`.
+    /// Value of criterion `c` of the entry at position `pos`.
     #[inline]
     fn value(&self, pos: usize, c: usize) -> f64 {
         self.cols[self.col_at(pos, c)]
+    }
+
+    /// Copy the key of the entry at position `pos` into `out`.
+    fn key_into(&self, pos: usize, out: &mut Vec<f64>) {
+        debug_assert!(pos < self.len);
+        out.clear();
+        out.extend((0..self.d).map(|c| self.value(pos, c)));
+    }
+
+    /// All sixteen lanes of criterion `c` in block `b`, `-inf` padding
+    /// included.
+    #[inline]
+    fn column(&self, b: usize, c: usize) -> &[f64] {
+        &self.cols[(b * self.d + c) * BLOCK_LANES..][..BLOCK_LANES]
     }
 
     #[inline]
@@ -292,7 +372,9 @@ impl Arena {
         }
     }
 
-    fn push(&mut self, key: &[f64]) {
+    /// Append `key`, whose level code under the window's quantizer is
+    /// `code`.
+    fn push(&mut self, key: &[f64], code: u64) {
         debug_assert_eq!(key.len(), self.d);
         let (d, pos) = (self.d, self.len);
         if pos.is_multiple_of(BLOCK_LANES) {
@@ -306,44 +388,21 @@ impl Arena {
             let at = self.col_at(pos, c);
             self.cols[at] = v;
         }
-        self.codes[pos] = self.coder.code(key);
+        self.codes[pos] = code;
         self.len += 1;
         self.summarize(pos);
-        if self.len == self.next_calibration {
-            self.calibrate();
-            self.next_calibration = self.len * 2;
-        }
     }
 
-    /// Re-derive each coded criterion's quantizer from the finite values
-    /// the window holds now, and recompute every code under it. Called at
-    /// doublings of the window, so the work is amortized O(1) per insert,
-    /// and a function of the insert sequence alone.
-    fn calibrate(&mut self) {
-        let (d, blocks) = (self.d, self.blocks());
-        let levels = (self.coder.top + 1) as f64;
+    /// Recompute every code under `coder` (after a calibration). Padding
+    /// lanes hold `-inf`, which every quantizer sends to level 0.
+    fn recode(&mut self, coder: &Coder) {
         self.codes.fill(0);
-        for c in 0..self.coder.axes.len() {
-            let column = |b: usize| (b * d + c) * BLOCK_LANES..(b * d + c + 1) * BLOCK_LANES;
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for b in 0..blocks {
-                for &v in self.cols[column(b)].iter().filter(|v| v.is_finite()) {
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-            }
-            // A constant or empty column, or a range that overflows f64,
-            // gets the zero quantizer: every value on level 0.
-            let scale = levels / (hi - lo);
-            self.coder.axes[c] = if scale.is_finite() && scale > 0.0 {
-                (lo, scale)
-            } else {
-                (0.0, 0.0)
-            };
-            for b in 0..blocks {
+        for c in 0..coder.axes.len() {
+            for b in 0..self.blocks() {
                 let codes = &mut self.codes[b * BLOCK_LANES..(b + 1) * BLOCK_LANES];
-                for (code, &v) in codes.iter_mut().zip(&self.cols[column(b)]) {
-                    *code |= self.coder.field(c, v);
+                let column = &self.cols[(b * self.d + c) * BLOCK_LANES..][..BLOCK_LANES];
+                for (code, &v) in codes.iter_mut().zip(column) {
+                    *code |= coder.field(c, v);
                 }
             }
         }
@@ -404,19 +463,18 @@ impl Arena {
 
     /// Lanes of block `b` whose code is ≥ `t` in every field: the only
     /// ones that can hold an entry ≥ the key coded `t` coordinate-wise.
-    /// Per field `(w | H) − t` keeps its guard bit exactly when
-    /// `w ≥ t`, and never borrows from the field above.
+    /// With `h` the coder's guard bits, per field `(w | H) − t` keeps its
+    /// guard bit exactly when `w ≥ t`, and never borrows from the field
+    /// above.
     #[inline(always)]
-    fn lanes_at_least(&self, b: usize, t: u64) -> u16 {
-        let h = self.coder.guard;
+    fn lanes_at_least(&self, b: usize, t: u64, h: u64) -> u16 {
         lanes_where(self.block_codes(b), |w| ((w | h) - t) & h == h)
     }
 
     /// Lanes of block `b` whose code is ≤ `t` in every field: the only
     /// ones that can hold an entry ≤ the key coded `t` coordinate-wise.
     #[inline(always)]
-    fn lanes_at_most(&self, b: usize, t: u64) -> u16 {
-        let h = self.coder.guard;
+    fn lanes_at_most(&self, b: usize, t: u64, h: u64) -> u16 {
         lanes_where(self.block_codes(b), |w| ((t | h) - w) & h == h)
     }
 
@@ -452,24 +510,105 @@ fn lanes_of(mut mask: u16) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Most buckets a window's directory holds (§12.6).
+const MAX_BUCKETS: usize = 256;
+
+/// Criteria a coarse code covers: the first eight, like a level code a
+/// necessary condition on a subset of the criteria.
+const MAX_COARSE: usize = 8;
+
+/// Window length at which the directory first splits: eight entries to
+/// the bucket of a full directory. Below it the window is one arena — a
+/// split would trade its full blocks for as many nearly empty ones, and
+/// at 1 024 the re-filing cost a 1 040-entry window 5 % of its query
+/// (EXPERIMENTS.md "The first split"). It is a calibration doubling, and
+/// the next ones re-file.
+pub(crate) const FIRST_SPLIT: usize = 8 * MAX_BUCKETS;
+
+/// Field layout of a *coarse code*: per covered criterion, the entry's
+/// level among `levels − 1` quantile cuts of the window's contents,
+/// packed like a level code — a guard bit on top of every field — so that
+/// "≥ in every field" is the same SWAR test.
+#[derive(Clone, Copy)]
+struct Coarse {
+    /// Criteria covered: `min(d, 8)`.
+    fields: usize,
+    /// Levels per criterion: the largest `L` with `L^fields ≤ 256`.
+    levels: usize,
+    /// Field width, guard bit included: `⌊64 / fields⌋`, at least 8.
+    bits: usize,
+    /// The guard bit of every field.
+    guard: u64,
+}
+
+impl Coarse {
+    fn new(d: usize) -> Self {
+        let fields = d.min(MAX_COARSE);
+        let fits = |l: &usize| l.pow(fields as u32) <= MAX_BUCKETS;
+        let levels = (2..).take_while(fits).last().unwrap_or(2);
+        let bits = 64 / fields;
+        // 255 is the highest level any layout reaches (d = 1)
+        debug_assert!(levels - 1 < 1 << (bits - 1));
+        Coarse {
+            fields,
+            levels,
+            bits,
+            guard: (0..fields).fold(0, |h, c| h | (1 << (c * bits + bits - 1))),
+        }
+    }
+
+    /// Is the code `at` ≥ the code `key` in every field?
+    #[inline(always)]
+    fn at_least(self, at: u64, key: u64) -> bool {
+        ((at | self.guard) - key) & self.guard == self.guard
+    }
+}
+
 /// Append-only columnar window — the SFS shape: entries are only ever
 /// inserted (survivors are proven skyline) and the whole window clears
-/// between passes or DIFF groups. Also serves, fully populated, as the
-/// read-only arena of the parallel prefix merge via
-/// [`BlockWindow::probe_prefix`].
+/// between passes or DIFF groups.
+///
+/// Past [`FIRST_SPLIT`] entries the window is a **bucket directory**
+/// (DESIGN.md §12.6): every entry is filed under its coarse code, each
+/// bucket is an [`Arena`] of the same blocks under the one shared
+/// quantizer, and a probe visits only the buckets whose code is ≥ the
+/// key's in every field — the others cannot hold an entry ≥ the key
+/// coordinate-wise, by the monotonicity argument of the level code. Below
+/// the first split there is one bucket and the probe is the flat scan.
+/// Cuts are re-derived and every entry re-filed at the doublings where
+/// the quantizer is recalibrated anyway; a bucket keeps its entries in
+/// insertion order throughout, so the Theorem-4 cutoff holds per bucket.
 ///
 /// `capacity` is the caller's page-budget model (`window_pages ·
 /// ⌊PAGE_SIZE / window_entry_bytes⌋` for the external filter) and counts
 /// key bytes only. The block summaries and the 8-byte level code per
-/// entry are real memory the model does not charge: +8 B on a 56 B key at
-/// d = 7, +14 %.
+/// entry are real memory the model does not charge (+8 B on a 56 B key at
+/// d = 7, +14 %), and so is the directory's: at most one partial block
+/// per bucket in use (≤ 256 · 16 lanes), two bytes per entry for the
+/// filing log, and a second copy of the keys while a doubling re-files.
 pub struct BlockWindow {
-    arena: Arena,
+    d: usize,
+    len: usize,
     capacity: usize,
     /// True while insertion scores have been non-increasing — the
     /// precondition for the Theorem-4 whole-tail cutoff.
     monotone: bool,
     last_score: f64,
+    coder: Coder,
+    coarse: Coarse,
+    first_split: usize,
+    /// Ascending quantile cuts, `levels − 1` per coarse field; empty
+    /// until the first split, which puts every key on level 0.
+    cuts: Vec<f64>,
+    /// Bucket `Σ level_c · levels^c`: one until the first split,
+    /// `levels^fields` after, unallocated until something is filed there.
+    buckets: Vec<Arena>,
+    /// `(coarse code, bucket)` of every non-empty bucket, in visiting
+    /// order: highest bucket first.
+    occupied: Vec<(u64, u16)>,
+    /// The bucket of each entry in insertion order, kept once split so
+    /// that re-filing can keep that order within every bucket.
+    filed: Vec<u16>,
 }
 
 impl BlockWindow {
@@ -477,24 +616,43 @@ impl BlockWindow {
     /// `capacity` entries (use `usize::MAX` for unbounded in-memory use).
     #[must_use]
     pub fn new(d: usize, capacity: usize) -> Self {
+        Self::with_first_split(d, capacity, FIRST_SPLIT)
+    }
+
+    /// [`BlockWindow::new`] with the first split at `first_split` entries
+    /// (rounded up to a calibration doubling) instead of the constant
+    /// every caller gets — the differential tests' seam for driving small
+    /// windows through many splits.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_first_split(d: usize, capacity: usize, first_split: usize) -> Self {
+        debug_assert!(d > 0);
         BlockWindow {
-            arena: Arena::new(d),
+            d,
+            len: 0,
             capacity: capacity.max(1),
             monotone: true,
             last_score: f64::INFINITY,
+            coder: Coder::new(d),
+            coarse: Coarse::new(d),
+            first_split,
+            cuts: Vec::new(),
+            buckets: vec![Arena::new(d)],
+            occupied: Vec::new(),
+            filed: Vec::new(),
         }
     }
 
     /// Entries currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.arena.len
+        self.len
     }
 
     /// True when no entries are held.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.arena.len == 0
+        self.len == 0
     }
 
     /// Maximum entries this window may hold.
@@ -503,10 +661,17 @@ impl BlockWindow {
         self.capacity
     }
 
+    /// Raise the capacity to `capacity` entries (the caller has been
+    /// granted the pages). The entries held stay as they are.
+    pub fn grow(&mut self, capacity: usize) {
+        debug_assert!(capacity >= self.capacity);
+        self.capacity = capacity;
+    }
+
     /// True when at capacity.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.arena.len >= self.capacity
+        self.len >= self.capacity
     }
 
     /// Whether insertion scores have been non-increasing so far (the
@@ -516,67 +681,219 @@ impl BlockWindow {
         self.monotone
     }
 
-    /// Drop all entries (pass / DIFF-group boundary). The quantizer and
-    /// its calibration schedule start over with the next insert.
+    /// Buckets holding at least one entry: 1 until the first split.
+    /// Exposed for tests.
+    #[must_use]
+    pub fn buckets_in_use(&self) -> usize {
+        self.occupied.len()
+    }
+
+    /// Drop all entries (pass / DIFF-group boundary). The directory
+    /// collapses to one bucket, and the quantizer and its calibration
+    /// schedule start over with the next insert.
     pub fn clear(&mut self) {
-        self.arena.clear();
+        self.buckets.truncate(1);
+        self.buckets[0].clear();
+        self.occupied.clear();
+        self.cuts.clear();
+        self.filed.clear();
+        self.coder.reset();
+        self.len = 0;
         self.monotone = true;
         self.last_score = f64::INFINITY;
+    }
+
+    /// The coarse code of `key` under the current cuts, and the bucket it
+    /// names. A level counts the cuts strictly below the value, so it is
+    /// monotone in the value and a NaN sits on level 0 — where it makes a
+    /// probe visit more buckets, never fewer.
+    #[inline(always)]
+    fn coarse_of(&self, key: &[f64]) -> (u64, usize) {
+        let (mut code, mut bucket, mut radix) = (0, 0, 1);
+        let per_field = self.coarse.levels - 1;
+        for (c, cuts) in self.cuts.chunks_exact(per_field).enumerate() {
+            let level = cuts.partition_point(|&cut| key[c] > cut);
+            code |= (level as u64) << (c * self.coarse.bits);
+            bucket += level * radix;
+            radix *= self.coarse.levels;
+        }
+        (code, bucket)
+    }
+
+    /// Append `key` to the bucket its coarse code names.
+    fn file(&mut self, key: &[f64]) {
+        let (coarse, bucket) = self.coarse_of(key);
+        if self.buckets[bucket].len == 0 {
+            let at = self
+                .occupied
+                .partition_point(|&(_, b)| usize::from(b) > bucket);
+            self.occupied.insert(at, (coarse, bucket as u16));
+        }
+        self.buckets[bucket].push(key, self.coder.code(key));
+        if !self.cuts.is_empty() {
+            self.filed.push(bucket as u16);
+        }
     }
 
     /// Append a key. Caller must have checked [`BlockWindow::is_full`].
     pub fn insert(&mut self, key: &[f64]) {
         debug_assert!(!self.is_full());
+        debug_assert_eq!(key.len(), self.d);
         let score = key_score(key);
-        if self.arena.len > 0 && score > self.last_score {
+        // A NaN score disarms the cutoff as well: it enters no block's
+        // max-score, so a block of such entries would read −∞ and end
+        // every scan in front of the blocks behind it.
+        if score > self.last_score || score.is_nan() {
             self.monotone = false;
         }
         self.last_score = score;
-        self.arena.push(key);
+        self.file(key);
+        self.len += 1;
+        if self.coder.due(self.len) {
+            if self.len >= self.first_split {
+                self.refile();
+            } else {
+                self.coder.calibrate(&mut self.buckets);
+            }
+        }
+    }
+
+    /// The doubling past the first split: re-fit the quantizer, cut every
+    /// coarse field at the `levels`-quantiles of what the window holds
+    /// now, and file every entry again, in insertion order, under the new
+    /// codes. O(len · d), a function of the insert sequence alone.
+    fn refile(&mut self) {
+        self.coder.fit(&self.buckets);
+        let Coarse { fields, levels, .. } = self.coarse;
+        let mut column: Vec<f64> = Vec::with_capacity(self.len);
+        self.cuts.clear();
+        for c in 0..fields {
+            column.clear();
+            for a in &self.buckets {
+                for b in 0..a.blocks() {
+                    let live = &a.column(b, c)[..a.block_len(b)];
+                    column.extend(live.iter().filter(|v| !v.is_nan()));
+                }
+            }
+            // Successive order statistics, each selected from the part of
+            // the column at or above the one before. A column of NaNs
+            // cuts nowhere.
+            let (n, mut rest, mut below) = (column.len(), &mut column[..], 0);
+            for j in 1..levels {
+                let rank = (j * n / levels).min(n.saturating_sub(1));
+                let cut = if rest.is_empty() {
+                    f64::INFINITY
+                } else {
+                    *rest.select_nth_unstable_by(rank - below, f64::total_cmp).1
+                };
+                self.cuts.push(cut);
+                rest = &mut rest[rank - below..];
+                below = rank;
+            }
+        }
+
+        let buckets = levels.pow(fields as u32);
+        let fresh = (0..buckets).map(|_| Arena::new(self.d)).collect();
+        let old = std::mem::replace(&mut self.buckets, fresh);
+        let log = std::mem::take(&mut self.filed);
+        self.occupied.clear();
+        let mut next = vec![0usize; old.len()];
+        let mut key = Vec::with_capacity(self.d);
+        for i in 0..self.len {
+            // before the first split everything sits in bucket 0
+            let from = log.get(i).map_or(0, |&b| usize::from(b));
+            old[from].key_into(next[from], &mut key);
+            next[from] += 1;
+            self.file(&key);
+        }
     }
 
     /// Probe the window for a dominator or an equal key. Verdicts are
-    /// identical to the scalar kernel's: the first decisive entry in
-    /// window order decides (skipped blocks and screened-out lanes
-    /// provably hold none).
+    /// identical to the scalar kernel's: window entries are pairwise
+    /// non-dominating, so "some entry dominates the key" and "some entry
+    /// equals it" exclude each other and neither depends on the order
+    /// entries are visited in — and the unvisited buckets, skipped blocks
+    /// and screened-out lanes provably hold no such entry.
     #[must_use]
     pub fn probe(&self, key: &[f64]) -> (BlockVerdict, ProbeCost) {
-        let a = &self.arena;
-        debug_assert_eq!(key.len(), a.d);
+        debug_assert_eq!(key.len(), self.d);
         let score = key_score(key);
-        let code = a.coder.code(key);
+        let code = self.coder.code(key);
+        let (coarse, _) = self.coarse_of(key);
         let mut cost = ProbeCost::default();
         let mut examined = 0u64;
-        for b in 0..a.blocks() {
-            // Theorem-4 cutoff: with non-increasing insertion scores the
-            // block max-scores are non-increasing, so the first block
-            // strictly below the candidate ends the scan.
-            if self.monotone && a.summaries(b).1 < score {
-                cost.blocks_skipped += (a.blocks() - b) as u64;
-                break;
-            }
-            if !a.may_beat(b, key, score) {
-                cost.blocks_skipped += 1;
+        for &(at, bucket) in &self.occupied {
+            let a = &self.buckets[usize::from(bucket)];
+            if !self.coarse.at_least(at, coarse) {
+                cost.blocks_skipped += a.blocks() as u64;
                 continue;
             }
-            let live = a.block_len(b);
-            cost.lanes += live as u64;
-            for l in lanes_of(a.lanes_at_least(b, code) & first_lanes(live)) {
-                let (ge, le) = a.confirm(b, l, key);
-                if ge {
-                    cost.comparisons = examined + l as u64 + 1;
-                    let verdict = if le {
-                        BlockVerdict::Equal
-                    } else {
-                        BlockVerdict::Dominated
-                    };
-                    return (verdict, cost);
+            for b in 0..a.blocks() {
+                // Theorem-4 cutoff: with non-increasing insertion scores
+                // a bucket's block max-scores are non-increasing, so the
+                // first block strictly below the candidate ends its scan.
+                if self.monotone && a.summaries(b).1 < score {
+                    cost.blocks_skipped += (a.blocks() - b) as u64;
+                    break;
                 }
+                if !a.may_beat(b, key, score) {
+                    cost.blocks_skipped += 1;
+                    continue;
+                }
+                let live = a.block_len(b);
+                cost.lanes += live as u64;
+                let lanes = a.lanes_at_least(b, code, self.coder.guard) & first_lanes(live);
+                for l in lanes_of(lanes) {
+                    let (ge, le) = a.confirm(b, l, key);
+                    if ge {
+                        cost.comparisons = examined + l as u64 + 1;
+                        let verdict = if le {
+                            BlockVerdict::Equal
+                        } else {
+                            BlockVerdict::Dominated
+                        };
+                        return (verdict, cost);
+                    }
+                }
+                examined += live as u64;
             }
-            examined += live as u64;
         }
         cost.comparisons = examined;
         (BlockVerdict::Incomparable, cost)
+    }
+}
+
+/// Append `key` to a window that is one arena under its own quantizer,
+/// calibrating at the doublings.
+fn push_calibrating(arena: &mut Arena, coder: &mut Coder, key: &[f64]) {
+    arena.push(key, coder.code(key));
+    if coder.due(arena.len) {
+        coder.calibrate(std::slice::from_mut(arena));
+    }
+}
+
+/// The read-only arena of the parallel prefix merge: the sorted union in
+/// one flat [`Arena`], probed by *position* — entry `i` answers to the
+/// entries before it — which is why it is not a [`BlockWindow`]: a bucket
+/// directory has no global positions.
+pub struct PrefixArena {
+    arena: Arena,
+    coder: Coder,
+}
+
+impl PrefixArena {
+    /// An empty arena over `d`-criterion oriented keys.
+    #[must_use]
+    pub fn new(d: usize) -> Self {
+        PrefixArena {
+            arena: Arena::new(d),
+            coder: Coder::new(d),
+        }
+    }
+
+    /// Append a key at the next position.
+    pub fn push(&mut self, key: &[f64]) {
+        push_calibrating(&mut self.arena, &mut self.coder, key);
     }
 
     /// Probe only the first `prefix` entries, looking for a *dominator*
@@ -589,7 +906,7 @@ impl BlockWindow {
         debug_assert_eq!(key.len(), a.d);
         debug_assert!(prefix <= a.len);
         let score = key_score(key);
-        let code = a.coder.code(key);
+        let code = self.coder.code(key);
         let mut cost = ProbeCost::default();
         let mut examined = 0u64;
         for b in 0..prefix.div_ceil(BLOCK_LANES) {
@@ -599,7 +916,8 @@ impl BlockWindow {
             }
             let visible = (prefix - b * BLOCK_LANES).min(BLOCK_LANES);
             cost.lanes += visible as u64;
-            for l in lanes_of(a.lanes_at_least(b, code) & first_lanes(visible)) {
+            let lanes = a.lanes_at_least(b, code, self.coder.guard) & first_lanes(visible);
+            for l in lanes_of(lanes) {
                 if a.confirm(b, l, key) == (true, false) {
                     cost.comparisons = examined + l as u64 + 1;
                     return (true, cost);
@@ -623,6 +941,7 @@ impl BlockWindow {
 /// `Vec::swap_remove`, in order, to stay aligned.
 pub struct ReplaceWindow {
     arena: Arena,
+    coder: Coder,
 }
 
 impl ReplaceWindow {
@@ -632,6 +951,7 @@ impl ReplaceWindow {
     pub fn new(d: usize) -> Self {
         ReplaceWindow {
             arena: Arena::new(d),
+            coder: Coder::new(d),
         }
     }
 
@@ -650,18 +970,17 @@ impl ReplaceWindow {
     /// Drop all entries.
     pub fn clear(&mut self) {
         self.arena.clear();
+        self.coder.reset();
     }
 
     /// Append a key (no capacity check — the caller owns that policy).
     pub fn push(&mut self, key: &[f64]) {
-        self.arena.push(key);
+        push_calibrating(&mut self.arena, &mut self.coder, key);
     }
 
     /// Copy the key of the entry at global position `pos` into `out`.
     pub fn copy_key(&self, pos: usize, out: &mut Vec<f64>) {
-        debug_assert!(pos < self.arena.len);
-        out.clear();
-        out.extend((0..self.arena.d).map(|c| self.arena.value(pos, c)));
+        self.arena.key_into(pos, out);
     }
 
     /// Remove the entry at global position `pos` by moving the last entry
@@ -686,7 +1005,8 @@ impl ReplaceWindow {
         debug_assert_eq!(key.len(), a.d);
         removed.clear();
         let score = key_score(key);
-        let code = a.coder.code(key);
+        let code = self.coder.code(key);
+        let h = self.coder.guard;
         let mut cost = ProbeCost::default();
         let mut examined = 0u64;
         let mut victims: Vec<usize> = Vec::new();
@@ -702,8 +1022,12 @@ impl ReplaceWindow {
             // A lane outside `beat_lanes` cannot confirm `ge`, one outside
             // `fall_lanes` cannot confirm `le`: one exact test per lane of
             // the union settles both directions.
-            let beat_lanes = if beat { a.lanes_at_least(b, code) } else { 0 };
-            let fall_lanes = if fall { a.lanes_at_most(b, code) } else { 0 };
+            let beat_lanes = if beat {
+                a.lanes_at_least(b, code, h)
+            } else {
+                0
+            };
+            let fall_lanes = if fall { a.lanes_at_most(b, code, h) } else { 0 };
             for l in lanes_of((beat_lanes | fall_lanes) & first_lanes(live)) {
                 match a.confirm(b, l, key) {
                     (true, false) => {
@@ -843,6 +1167,19 @@ mod tests {
     }
 
     #[test]
+    fn nan_scores_disarm_the_cutoff() {
+        // A block of NaN-scored entries advertises max-score −∞; were the
+        // cutoff still armed it would hide the dominator behind it.
+        let mut w = BlockWindow::new(2, usize::MAX);
+        for i in 0..BLOCK_LANES {
+            w.insert(&[f64::NAN, i as f64]);
+        }
+        assert!(!w.is_monotone());
+        w.insert(&[9.0, 9.0]);
+        assert_eq!(w.probe(&[2.0, 2.0]).0, BlockVerdict::Dominated);
+    }
+
+    #[test]
     fn equal_key_not_masked_by_score_bound() {
         let mut w = BlockWindow::new(2, usize::MAX);
         w.insert(&[3.0, 4.0]);
@@ -864,6 +1201,12 @@ mod tests {
         assert!(!w.is_full());
     }
 
+    fn prefix_arena_from(rows: &[Vec<f64>]) -> PrefixArena {
+        let mut a = PrefixArena::new(rows[0].len());
+        rows.iter().for_each(|r| a.push(r));
+        a
+    }
+
     #[test]
     fn probe_prefix_sees_only_the_prefix() {
         let rows: Vec<Vec<f64>> = vec![
@@ -871,8 +1214,7 @@ mod tests {
             vec![1.0, 5.0],
             vec![9.0, 9.0], // dominator, position 2
         ];
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let w = window_from(&refs);
+        let w = prefix_arena_from(&rows);
         let key = [2.0, 2.0];
         assert!(w.probe_prefix(&key, 3).0);
         assert!(!w.probe_prefix(&key, 2).0, "dominator beyond the prefix");
@@ -887,8 +1229,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..20)
             .map(|i| vec![f64::from(i), f64::from(20 - i)])
             .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let w = window_from(&refs);
+        let w = prefix_arena_from(&rows);
         // Entry 18 is (18, 2); it dominates (17.5, 1.5) but sits beyond
         // prefix 18 (positions 0..18).
         let key = [17.5, 1.5];
@@ -1071,16 +1412,16 @@ mod tests {
     /// The arena's standing invariants: every live lane's code is what
     /// the current quantizer gives its key, every unused lane is `-inf`
     /// with code 0, and the arenas are exactly `blocks` long.
-    fn assert_codes_aligned(a: &Arena, label: &str) {
+    fn assert_codes_aligned(a: &Arena, coder: &Coder, label: &str) {
         let blocks = a.blocks();
         assert_eq!(a.cols.len(), blocks * a.d * BLOCK_LANES, "{label}: cols");
         assert_eq!(a.codes.len(), blocks * BLOCK_LANES, "{label}: codes");
         assert_eq!(a.sums.len(), blocks * (2 * a.d + 2), "{label}: sums");
         for pos in 0..blocks * BLOCK_LANES {
             if pos < a.len {
-                let code = a.coder.code(&a.key_at(pos));
+                let code = coder.code(&a.key_at(pos));
                 assert_eq!(a.codes[pos], code, "{label}: code of entry {pos}");
-                assert_eq!(code & a.coder.guard, 0, "{label}: guard bit set");
+                assert_eq!(code & coder.guard, 0, "{label}: guard bit set");
             } else {
                 assert_eq!(a.codes[pos], 0, "{label}: padding code {pos}");
                 assert!(a.key_at(pos).iter().all(|&v| v == f64::NEG_INFINITY));
@@ -1092,10 +1433,10 @@ mod tests {
     /// drops a lane the exact test would accept, in either direction —
     /// so scanning the screened lanes in order finds the same first
     /// decisive lane as scanning them all.
-    fn assert_screen_necessary(a: &Arena, key: &[f64], label: &str) {
-        let code = a.coder.code(key);
+    fn assert_screen_necessary(a: &Arena, coder: &Coder, key: &[f64], label: &str) {
+        let (code, h) = (coder.code(key), coder.guard);
         for b in 0..a.blocks() {
-            let (beat, fall) = (a.lanes_at_least(b, code), a.lanes_at_most(b, code));
+            let (beat, fall) = (a.lanes_at_least(b, code, h), a.lanes_at_most(b, code, h));
             for l in 0..a.block_len(b) {
                 let (ge, le) = a.confirm(b, l, key);
                 let entry = a.key_at(b * BLOCK_LANES + l);
@@ -1180,7 +1521,8 @@ mod tests {
             for _ in 0..200 {
                 a.codes = (0..BLOCK_LANES).map(|_| random_code(&mut rng)).collect();
                 let t = random_code(&mut rng);
-                let (beat, fall) = (a.lanes_at_least(0, t), a.lanes_at_most(0, t));
+                let h = coder.guard;
+                let (beat, fall) = (a.lanes_at_least(0, t, h), a.lanes_at_most(0, t, h));
                 for (l, &w) in a.codes.iter().enumerate() {
                     let ge = fields(w).iter().zip(fields(t)).all(|(&x, y)| x >= y);
                     let le = fields(w).iter().zip(fields(t)).all(|(&x, y)| x <= y);
@@ -1202,9 +1544,9 @@ mod tests {
                 if len == due {
                     due *= 2;
                 }
-                assert_eq!(w.arena.next_calibration, due, "d={d} len={len}");
+                assert_eq!(w.coder.next_calibration, due, "d={d} len={len}");
                 let label = format!("d={d} len={len}");
-                assert_codes_aligned(&w.arena, &label);
+                assert_codes_aligned(&w.buckets[0], &w.coder, &label);
                 // straddle every recalibration and block boundary
                 if (len + 1).is_power_of_two()
                     || len.is_power_of_two()
@@ -1212,17 +1554,17 @@ mod tests {
                 {
                     for i in 0..12 {
                         let key = if i % 3 == 0 {
-                            w.arena.key_at(i * 7 % len)
+                            w.buckets[0].key_at(i * 7 % len)
                         } else {
                             hostile_key(&mut rng, d)
                         };
-                        assert_screen_necessary(&w.arena, &key, &label);
+                        assert_screen_necessary(&w.buckets[0], &w.coder, &key, &label);
                     }
                 }
             }
             // a column the window holds at one value stays on level 0
             if d > 1 {
-                let (lo, scale) = w.arena.coder.axes[1];
+                let (lo, scale) = w.coder.axes[1];
                 assert_eq!((lo, scale), (0.0, 0.0), "d={d}: constant column");
             }
         }
@@ -1237,15 +1579,18 @@ mod tests {
         for i in 0..64 {
             w.insert(&[f64::from(i) * 1e6, f64::from(63 - i) * 1e-3]);
         }
-        let code = w.arena.coder.code(&[31.5e6, 31.5e-3]);
-        let passed: u32 = (0..4)
-            .map(|b| w.arena.lanes_at_least(b, code).count_ones())
-            .sum();
-        assert_eq!(passed, 0, "an anti-chain candidate confirms no lane");
-        let code = w.arena.coder.code(&[10e6, 10e-3]);
-        let passed: u32 = (0..4)
-            .map(|b| w.arena.lanes_at_least(b, code).count_ones())
-            .sum();
+        let passed = |code: u64| -> u32 {
+            (0..4)
+                .map(|b| {
+                    w.buckets[0]
+                        .lanes_at_least(b, code, w.coder.guard)
+                        .count_ones()
+                })
+                .sum()
+        };
+        let passed_mid = passed(w.coder.code(&[31.5e6, 31.5e-3]));
+        assert_eq!(passed_mid, 0, "an anti-chain candidate confirms no lane");
+        let passed = passed(w.coder.code(&[10e6, 10e-3]));
         assert!(
             (43..=46).contains(&passed),
             "entries 10..=53 beat it, got {passed}"
@@ -1270,16 +1615,16 @@ mod tests {
             let mut reused = BlockWindow::new(d, usize::MAX);
             first.iter().for_each(|r| reused.insert(r));
             reused.clear();
-            assert_eq!(reused.arena.next_calibration, FIRST_CALIBRATION);
+            assert_eq!(reused.coder.next_calibration, FIRST_CALIBRATION);
             let mut fresh = BlockWindow::new(d, usize::MAX);
             for r in &second {
                 reused.insert(r);
                 fresh.insert(r);
             }
-            assert_eq!(reused.arena.codes, fresh.arena.codes, "d={d}");
-            assert_eq!(reused.arena.coder.axes, fresh.arena.coder.axes, "d={d}");
-            assert_eq!(reused.arena.next_calibration, fresh.arena.next_calibration);
-            assert_codes_aligned(&reused.arena, &format!("d={d} reused"));
+            assert_eq!(reused.buckets[0].codes, fresh.buckets[0].codes, "d={d}");
+            assert_eq!(reused.coder.axes, fresh.coder.axes, "d={d}");
+            assert_eq!(reused.coder.next_calibration, fresh.coder.next_calibration);
+            assert_codes_aligned(&reused.buckets[0], &reused.coder, &format!("d={d} reused"));
         }
     }
 
@@ -1303,7 +1648,7 @@ mod tests {
                     mirror.swap_remove(pos);
                 } else {
                     let key = hostile_key(&mut rng, d);
-                    assert_screen_necessary(&w.arena, &key, &label);
+                    assert_screen_necessary(&w.arena, &w.coder, &key, &label);
                     let (dominated, _) = w.probe_replace(&key, &mut removed);
                     for &p in &removed {
                         mirror.swap_remove(p);
@@ -1314,7 +1659,7 @@ mod tests {
                     }
                 }
                 assert_eq!(w.len(), mirror.len(), "{label}");
-                assert_codes_aligned(&w.arena, &label);
+                assert_codes_aligned(&w.arena, &w.coder, &label);
                 for (pos, key) in mirror.iter().enumerate() {
                     // bit-for-bit, NaN lanes included
                     let held: Vec<u64> = w.arena.key_at(pos).iter().map(|v| v.to_bits()).collect();
@@ -1323,5 +1668,197 @@ mod tests {
                 }
             }
         }
+    }
+
+    // ---- the bucket directory (§12.6) ----
+
+    #[test]
+    fn coarse_layout_per_dimensionality() {
+        // the largest L with L^min(d,8) ≤ 256, in fields that hold it
+        for (d, levels) in [
+            (1usize, 256usize),
+            (2, 16),
+            (3, 6),
+            (4, 4),
+            (5, 3),
+            (6, 2),
+            (7, 2),
+            (8, 2),
+            (9, 2),
+            (12, 2),
+            (65, 2),
+        ] {
+            let coarse = Coarse::new(d);
+            let fields = d.min(MAX_COARSE);
+            assert_eq!(coarse.levels, levels, "d={d}");
+            assert!(levels.pow(fields as u32) <= MAX_BUCKETS, "d={d}");
+            assert!((levels + 1).pow(fields as u32) > MAX_BUCKETS, "d={d}");
+            assert_eq!(coarse.bits, 64 / fields, "d={d}");
+            assert_eq!(coarse.guard.count_ones() as usize, fields, "d={d}");
+            assert!(
+                (levels as u64) <= 1 << (coarse.bits - 1),
+                "d={d}: level fits"
+            );
+        }
+    }
+
+    /// The directory's standing invariants: every entry sits in the
+    /// bucket its coarse code names, under the code the shared quantizer
+    /// gives it; `occupied` lists exactly the non-empty buckets, highest
+    /// first, each with its code; and the filing log replays the insert
+    /// sequence, so every bucket holds its entries in insertion order.
+    fn assert_directory(w: &BlockWindow, inserted: &[Vec<f64>], label: &str) {
+        assert_eq!(w.len, inserted.len(), "{label}: len");
+        assert_eq!(
+            w.buckets.iter().map(|a| a.len).sum::<usize>(),
+            w.len,
+            "{label}"
+        );
+        let in_use: Vec<u16> = (0..w.buckets.len() as u16)
+            .rev()
+            .filter(|&b| w.buckets[usize::from(b)].len > 0)
+            .collect();
+        let listed: Vec<u16> = w.occupied.iter().map(|&(_, b)| b).collect();
+        assert_eq!(listed, in_use, "{label}: occupied");
+        for &(code, b) in &w.occupied {
+            let a = &w.buckets[usize::from(b)];
+            assert_codes_aligned(a, &w.coder, &format!("{label} bucket {b}"));
+            for pos in 0..a.len {
+                assert_eq!(
+                    w.coarse_of(&a.key_at(pos)),
+                    (code, usize::from(b)),
+                    "{label}"
+                );
+            }
+        }
+        for cuts in w.cuts.chunks_exact(w.coarse.levels - 1) {
+            assert!(
+                cuts.is_sorted() && !cuts.iter().any(|c| c.is_nan()),
+                "{label}"
+            );
+        }
+        let split = !w.cuts.is_empty();
+        assert_eq!(w.filed.len(), if split { w.len } else { 0 }, "{label}: log");
+        let mut next = vec![0usize; w.buckets.len()];
+        for (i, key) in inserted.iter().enumerate() {
+            let b = w.filed.get(i).map_or(0, |&b| usize::from(b));
+            let held: Vec<u64> = w.buckets[b]
+                .key_at(next[b])
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u64> = key.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(held, want, "{label}: insert {i} in bucket {b}");
+            next[b] += 1;
+        }
+    }
+
+    #[test]
+    fn directory_files_every_entry_under_its_code_in_insertion_order() {
+        for d in DIMS {
+            let mut rng = Rng::seed_from_u64(24 + d as u64);
+            let mut w = BlockWindow::with_first_split(d, usize::MAX, 16);
+            let mut inserted: Vec<Vec<f64>> = Vec::new();
+            for len in 1..=300usize {
+                // hostile keys, with runs of exact duplicates among them
+                let key = match inserted.last() {
+                    Some(last) if len % 5 == 0 => last.clone(),
+                    _ => hostile_key(&mut rng, d),
+                };
+                w.insert(&key);
+                inserted.push(key);
+                let label = format!("d={d} len={len}");
+                // every doubling and its neighbours, and a spread between
+                if (len + 1).is_power_of_two()
+                    || len.is_power_of_two()
+                    || (len - 1).is_power_of_two()
+                    || len % 37 == 0
+                {
+                    assert_directory(&w, &inserted, &label);
+                    // the coarse screen is a necessary condition
+                    for i in 0..12 {
+                        let key = if i % 3 == 0 {
+                            inserted[i * 7 % len].clone()
+                        } else {
+                            hostile_key(&mut rng, d)
+                        };
+                        let (coarse, _) = w.coarse_of(&key);
+                        for &(at, b) in &w.occupied {
+                            let a = &w.buckets[usize::from(b)];
+                            let holds_ge = (0..a.len)
+                                .any(|p| a.key_at(p).iter().zip(&key).all(|(e, k)| e >= k));
+                            assert!(
+                                !holds_ge || w.coarse.at_least(at, coarse),
+                                "{label}: bucket {b} holds an entry ≥ {key:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                w.buckets.len(),
+                w.coarse.levels.pow(d.min(MAX_COARSE) as u32)
+            );
+            assert!(w.buckets_in_use() > 1, "d={d}: 300 hostile keys spread out");
+            // clear collapses the directory; reuse is a fresh window
+            w.clear();
+            assert_eq!((w.buckets.len(), w.buckets_in_use(), w.len()), (1, 0, 0));
+            let mut fresh = BlockWindow::with_first_split(d, usize::MAX, 16);
+            for key in &inserted[..40] {
+                w.insert(key);
+                fresh.insert(key);
+            }
+            assert_directory(&w, &inserted[..40], &format!("d={d} reused"));
+            assert_eq!(w.cuts, fresh.cuts, "d={d}");
+            assert_eq!(w.occupied, fresh.occupied, "d={d}");
+            assert_eq!(w.coder.axes, fresh.coder.axes, "d={d}");
+        }
+    }
+
+    #[test]
+    fn a_window_below_the_first_split_is_one_arena() {
+        // an anti-chain: every entry survives, and spreads over the codes
+        let key = |i: usize| [i as f64, (FIRST_SPLIT * 2 - i) as f64];
+        let mut w = BlockWindow::new(2, usize::MAX);
+        for i in 0..FIRST_SPLIT - 1 {
+            w.insert(&key(i));
+        }
+        assert_eq!((w.buckets.len(), w.buckets_in_use()), (1, 1));
+        assert!(w.cuts.is_empty() && w.filed.is_empty());
+        w.insert(&key(FIRST_SPLIT - 1));
+        assert_eq!(w.buckets.len(), MAX_BUCKETS);
+        // on an anti-diagonal only the 16 + 15 codes along it are used
+        assert!(
+            (16..=31).contains(&w.buckets_in_use()),
+            "{}",
+            w.buckets_in_use()
+        );
+        // a probe below the chain's middle finds its dominator, and
+        // visits only the buckets at or above its own code
+        let (half, s) = (FIRST_SPLIT as f64 / 2.0, FIRST_SPLIT as f64 * 1.5);
+        let (verdict, cost) = w.probe(&[half - 0.5, s - 0.5]);
+        assert_eq!(verdict, BlockVerdict::Dominated);
+        assert!(cost.lanes < FIRST_SPLIT as u64 / 4, "lanes {}", cost.lanes);
+        let (verdict, cost) = w.probe(&[half + 0.5, s + 0.5]);
+        assert_eq!(verdict, BlockVerdict::Incomparable);
+        assert!(cost.comparisons < FIRST_SPLIT as u64 / 4);
+        assert!(
+            cost.blocks_skipped >= FIRST_SPLIT as u64 / 32,
+            "unvisited buckets count"
+        );
+    }
+
+    #[test]
+    fn grow_raises_the_capacity_and_keeps_the_entries() {
+        let mut w = BlockWindow::new(2, 2);
+        w.insert(&[1.0, 9.0]);
+        w.insert(&[9.0, 1.0]);
+        assert!(w.is_full());
+        w.grow(3);
+        assert!(!w.is_full());
+        assert_eq!((w.len(), w.capacity()), (2, 3));
+        assert_eq!(w.probe(&[0.0, 8.0]).0, BlockVerdict::Dominated);
+        w.insert(&[5.0, 5.0]);
+        assert!(w.is_full());
     }
 }

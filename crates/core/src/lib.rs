@@ -54,7 +54,9 @@ pub mod winnow;
 
 pub use builder::{MemAlgorithm, SkylineBuilder};
 pub use dominance::{dom_rel, dominates, Criterion, Direction, DomRel, SkylineSpec};
-pub use dominance_block::{BlockVerdict, BlockWindow, ProbeCost, ReplaceWindow, BLOCK_LANES};
+pub use dominance_block::{
+    BlockVerdict, BlockWindow, PrefixArena, ProbeCost, ReplaceWindow, BLOCK_LANES,
+};
 pub use external::{
     batch_presort, batch_skyband, batch_strata, batch_top_n, parallel_batch_filter,
     parallel_sfs_filter, sharded_skyline, BatchBnl, BatchConfig, BatchFilterOutcome, BatchSfs, Bnl,

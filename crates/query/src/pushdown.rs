@@ -37,7 +37,17 @@
 //! against the optional quota pool (sort arena while sorting, filter
 //! window while filtering), the cancel token is polled while entries
 //! stream and inside the operators, and spills go to the caller's disk
-//! when one is given. A heap file frees its pages when its handle drops,
+//! when one is given.
+//!
+//! On the presorted arms the §6 estimate is the window's *initial*
+//! reservation — clipped to what the quota has free once the sort arena
+//! is back, so a clause whose estimate exceeds the whole quota still
+//! runs — and the SFS operator, handed the pool, grows the window inside
+//! the quota before a pass spills (never after one has) and spills as
+//! Figure 7 does when the pool refuses: the skyline the estimator
+//! undershot takes one pass when there is room and the multi-pass path
+//! when there is not. The `Bnl` arm reserves its estimate in full, as
+//! before. A heap file frees its pages when its handle drops,
 //! so they are reclaimed on *every* path — success, typed quota error,
 //! cancellation, or storage fault. A `DIFF` clause always runs as
 //! presort + SFS (BNL cannot group; the parallel filter falls back to
@@ -53,7 +63,7 @@ use skyline_core::{EntropyScore, SfsConfig, SkylineMetrics};
 use skyline_exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
 use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
 use skyline_relation::{KeyColumn, TableStats};
-use skyline_storage::{BufferLease, Disk, MemDisk};
+use skyline_storage::{BufferLease, BufferPool, Disk, MemDisk};
 use std::sync::Arc;
 
 /// Row-count threshold above which [`crate::execute`] routes the skyline
@@ -319,7 +329,7 @@ pub fn external_skyline_with(
     ));
 
     // Each arm yields the operator to drain and the window lease that
-    // stays charged while it drains.
+    // stays charged while it drains, unless the operator holds its own.
     let (mut filter, _window_lease): (BoxedOperator, _) = match presort {
         None => {
             let mut bnl = BatchBnl::new(
@@ -351,6 +361,12 @@ pub fn external_skyline_with(
             .map_err(QueryError::from_exec)?;
             drop(sort_lease);
             let sorted = Arc::new(sorted);
+            // On a presorted stream the estimate is where the window
+            // starts, never more than the quota has free: SFS grows from
+            // there or spills, and a wide clause whose estimate exceeds
+            // the whole quota (739 pages at 100 000 × 10) still runs.
+            let free = opts.pool.as_ref().map_or(usize::MAX, BufferPool::available);
+            let cfg = BatchConfig::new(cfg.window_pages.min(free).max(1));
             if parallel {
                 // The partitioned filter charges (and releases) its
                 // windows and merge arena itself.
@@ -376,7 +392,12 @@ pub fn external_skyline_with(
                 if let Some(token) = &opts.cancel {
                     sfs = sfs.with_cancel(token.clone());
                 }
-                (Box::new(sfs), reserve(opts, cfg.window_pages)?)
+                // Charged at open, grown before a pass spills, released
+                // on close and on drop.
+                if let Some(pool) = &opts.pool {
+                    sfs = sfs.with_pool(pool.clone());
+                }
+                (Box::new(sfs), None)
             }
         }
     };
@@ -396,7 +417,6 @@ pub fn external_skyline_with(
 mod tests {
     use super::*;
     use skyline_relation::{tuple, Tuple, Value};
-    use skyline_storage::BufferPool;
 
     fn random_table(n: usize) -> Vec<Tuple> {
         (0..n as i64)

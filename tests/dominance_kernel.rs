@@ -2,8 +2,12 @@
 //! workload distribution, dimensionality 2..=10, and MIN/MAX orientation
 //! mix, the batched [`BlockWindow`]/[`ReplaceWindow`] verdicts must equal
 //! the scalar [`dom_rel`] reference — and the model comparison charge of
-//! a batched probe must never exceed the scalar charge for the same
-//! probe (skipped blocks provably contain no decisive entry).
+//! a probe never exceeds the window's length, hence never the scalar
+//! charge of a probe that finds nothing (unvisited buckets, skipped
+//! blocks and screened lanes provably contain no decisive entry). The
+//! append-only window is driven both as every caller gets it and with an
+//! early first split, so the bucket directory (DESIGN.md §12.6) is
+//! re-filed several times under each grid point.
 //!
 //! The second half pins the level-code screen (DESIGN.md §12.5) to a
 //! [`Model`] of the block windows that has no codes at all — 16-entry
@@ -13,7 +17,7 @@
 //! on a quantizer.
 
 use skyline::core::dominance_block::{
-    key_score, BlockVerdict, BlockWindow, ProbeCost, ReplaceWindow, BLOCK_LANES,
+    key_score, BlockVerdict, BlockWindow, PrefixArena, ProbeCost, ReplaceWindow, BLOCK_LANES,
 };
 use skyline::core::{dom_rel, Criterion, DomRel, SkylineSpec};
 use skyline::relation::gen::{Distribution, WorkloadSpec};
@@ -91,80 +95,172 @@ fn grid(mut f: impl FnMut(&[Vec<f64>], &str)) {
 }
 
 /// Scalar reference for [`BlockWindow::probe`]: first decisive entry in
-/// window order decides; the charge is entries scanned up to it.
-fn scalar_probe(window: &[&Vec<f64>], key: &[f64]) -> (BlockVerdict, u64) {
-    let mut comparisons = 0u64;
+/// window order decides; the charge is entries scanned up to it. Also
+/// says whether the window holds *both* a dominator of `key` and an
+/// equal key — only a window that is not pairwise non-dominating can,
+/// and there which of the two a probe meets first is its visiting order.
+fn scalar_probe(window: &[&Vec<f64>], key: &[f64]) -> (BlockVerdict, u64, bool) {
+    let (mut first, mut comparisons) = (None, 0u64);
+    let (mut dominator, mut equal) = (false, false);
     for entry in window {
-        comparisons += 1;
-        match dom_rel(entry, key) {
-            DomRel::Dominates => return (BlockVerdict::Dominated, comparisons),
-            DomRel::Equal => return (BlockVerdict::Equal, comparisons),
-            _ => {}
+        let (ge, gt) = ge_gt(entry, key);
+        dominator |= ge && gt;
+        equal |= ge && !gt;
+        if first.is_none() {
+            comparisons += 1;
+            if ge {
+                first = Some(if gt {
+                    BlockVerdict::Dominated
+                } else {
+                    BlockVerdict::Equal
+                });
+            }
         }
     }
-    (BlockVerdict::Incomparable, comparisons)
+    (
+        first.unwrap_or(BlockVerdict::Incomparable),
+        comparisons,
+        dominator && equal,
+    )
+}
+
+/// The two windows every append-only differential drives: the one every
+/// caller gets (one arena at these sizes) and one whose directory first
+/// splits at 16 entries and re-files at 32, 64, 128, …
+fn windows(d: usize) -> [(&'static str, BlockWindow); 2] {
+    [
+        ("flat", BlockWindow::new(d, usize::MAX)),
+        (
+            "partitioned",
+            BlockWindow::with_first_split(d, usize::MAX, 16),
+        ),
+    ]
+}
+
+/// Probe `rows` in the order given against the survivors so far, on both
+/// [`windows`] and the scalar reference. The reference decides what is
+/// inserted. Returns each window's per-probe costs.
+///
+/// What must hold, probe for probe: the verdict is the reference's —
+/// except that a window holding both a dominator and an equal key (the
+/// insert sequence was no topological sort) may report either; the
+/// charge never exceeds the window's length, hence never the scalar
+/// charge when nothing decides; and the totals of a stream never exceed
+/// the scalar totals when `cheaper_in_total` (a presorted stream, where
+/// the strongest entries come first in every bucket).
+fn drive(rows: &[&Vec<f64>], label: &str, cheaper_in_total: bool) -> [Vec<ProbeCost>; 2] {
+    let d = rows[0].len();
+    let mut scalar: Vec<&Vec<f64>> = Vec::new();
+    let mut blocks = windows(d);
+    let mut costs = [Vec::new(), Vec::new()];
+    let mut scalar_total = 0u64;
+    for (i, key) in rows.iter().enumerate() {
+        let (expect, scalar_cost, either) = scalar_probe(&scalar, key);
+        scalar_total += scalar_cost;
+        for ((name, block), costs) in blocks.iter_mut().zip(&mut costs) {
+            let (verdict, cost) = block.probe(key);
+            if either {
+                assert_ne!(
+                    verdict,
+                    BlockVerdict::Incomparable,
+                    "{label} {name}: row {i}"
+                );
+            } else {
+                assert_eq!(verdict, expect, "{label} {name}: verdict for row {i}");
+            }
+            assert!(
+                cost.comparisons <= scalar.len() as u64 && cost.lanes <= scalar.len() as u64,
+                "{label} {name}: row {i} charged {cost:?} against {} entries",
+                scalar.len()
+            );
+            if verdict == BlockVerdict::Incomparable {
+                assert!(cost.comparisons <= scalar_cost, "{label} {name}: row {i}");
+            }
+            costs.push(cost);
+            if expect != BlockVerdict::Dominated {
+                block.insert(key);
+            }
+        }
+        if expect != BlockVerdict::Dominated {
+            scalar.push(key);
+        }
+    }
+    for ((name, block), costs) in blocks.iter().zip(&costs) {
+        assert_eq!(block.len(), scalar.len(), "{label} {name}: survivor count");
+        let total: u64 = costs.iter().map(|c| c.comparisons).sum();
+        assert!(
+            !cheaper_in_total || total <= scalar_total,
+            "{label} {name}: stream charged {total} > scalar {scalar_total}"
+        );
+    }
+    let (_, partitioned) = &blocks[1];
+    assert!(
+        scalar.len() < 32 || partitioned.buckets_in_use() > 1,
+        "{label}: {} survivors in one bucket",
+        scalar.len()
+    );
+    costs
 }
 
 /// SFS-shape agreement: insert in score-descending order (the Theorem-4
 /// cutoff armed), probing each candidate against the survivors so far.
-/// Block verdicts, survivor sets, and per-probe charges must match the
-/// scalar reference.
+/// Verdicts and survivor sets must match the scalar reference, and the
+/// stream must cost no more than the scalar stream.
 #[test]
 fn block_window_matches_scalar_verdicts_presorted() {
     grid(|rows, label| {
-        let d = rows[0].len();
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| key_score(&rows[b]).total_cmp(&key_score(&rows[a])));
-
-        let mut block = BlockWindow::new(d, usize::MAX);
-        let mut scalar: Vec<&Vec<f64>> = Vec::new();
-        for &i in &order {
-            let key = &rows[i];
-            let (verdict, cost) = block.probe(key);
-            let (expect, scalar_cost) = scalar_probe(&scalar, key);
-            assert_eq!(verdict, expect, "{label}: verdict for row {i}");
-            assert!(
-                cost.comparisons <= scalar_cost,
-                "{label}: block charged {} > scalar {} for row {i}",
-                cost.comparisons,
-                scalar_cost
-            );
-            if !matches!(verdict, BlockVerdict::Dominated) {
-                block.insert(key);
-                scalar.push(key);
-            }
-        }
-        assert!(block.is_monotone(), "{label}: presorted insertions");
-        assert_eq!(block.len(), scalar.len(), "{label}: survivor count");
+        let mut order: Vec<&Vec<f64>> = rows.iter().collect();
+        order.sort_by(|a, b| key_score(b).total_cmp(&key_score(a)));
+        drive(&order, label, true);
     });
 }
 
 /// Same agreement with the cutoff disarmed: insertion in generation
-/// order, where scores are not monotone, so only the per-block summary
-/// screens prune.
+/// order, where scores are not monotone, so only the coarse codes and
+/// the per-block summary screens prune — and where the window is not the
+/// pairwise non-dominating set SFS keeps, so a key with both a dominator
+/// and an equal in it may meet either first.
 #[test]
 fn block_window_matches_scalar_verdicts_unsorted() {
     grid(|rows, label| {
-        let d = rows[0].len();
-        let mut block = BlockWindow::new(d, usize::MAX);
-        let mut scalar: Vec<&Vec<f64>> = Vec::new();
-        for (i, key) in rows.iter().enumerate() {
-            let (verdict, cost) = block.probe(key);
-            let (expect, scalar_cost) = scalar_probe(&scalar, key);
-            assert_eq!(verdict, expect, "{label}: verdict for row {i}");
-            assert!(
-                cost.comparisons <= scalar_cost,
-                "{label}: block charged {} > scalar {} for row {i}",
-                cost.comparisons,
-                scalar_cost
-            );
-            if !matches!(verdict, BlockVerdict::Dominated) {
-                block.insert(key);
-                scalar.push(key);
-            }
-        }
-        assert_eq!(block.len(), scalar.len(), "{label}: survivor count");
+        let order: Vec<&Vec<f64>> = rows.iter().collect();
+        drive(&order, label, false);
     });
+}
+
+/// The partitioned window on keys that are hard on cuts and quantizers —
+/// NaN, ±∞, ±1e300, `i32` extremes, constant and two-valued columns,
+/// runs of exact duplicates — at the dimensionalities that hit every
+/// coarse layout (256, 16, 4, 3 and 2 levels; above 8 criteria only the
+/// first 8 are coded), 600 keys each so the directory re-files at 16,
+/// 32, …, 512. Presorted and not: verdicts and survivors as the scalar
+/// reference has them, and every counter a function of the insert
+/// sequence — a second run charges every probe exactly the same.
+#[test]
+fn partitioned_window_matches_scalar_on_hostile_keys_past_several_splits() {
+    for d in [1usize, 2, 4, 5, 7, 9, 12] {
+        for presorted in [true, false] {
+            let mut rng = Rng::seed_from_u64(24 + d as u64);
+            let mut rows: Vec<Vec<f64>> = Vec::new();
+            for i in 0..600 {
+                let duplicate = i % 7 == 3 && !rows.is_empty();
+                let key = if duplicate {
+                    rows[rng.usize_below(rows.len())].clone()
+                } else {
+                    hostile_key(&mut rng, d)
+                };
+                rows.push(key);
+            }
+            let mut order: Vec<&Vec<f64>> = rows.iter().collect();
+            if presorted {
+                order.sort_by(|a, b| key_score(b).total_cmp(&key_score(a)));
+            }
+            let label = format!("hostile d={d} presorted={presorted}");
+            let first = drive(&order, &label, false);
+            let second = drive(&order, &label, false);
+            assert_eq!(first, second, "{label}: counters must repeat exactly");
+        }
+    }
 }
 
 /// BNL-shape agreement: [`ReplaceWindow::probe_replace`] must discard
@@ -232,9 +328,9 @@ fn prefix_probe_matches_scalar_prefix_scan() {
         order.sort_by(|&a, &b| key_score(&rows[b]).total_cmp(&key_score(&rows[a])));
         let sorted: Vec<&Vec<f64>> = order.iter().map(|&i| &rows[i]).collect();
 
-        let mut arena = BlockWindow::new(d, usize::MAX);
+        let mut arena = PrefixArena::new(d);
         for key in &sorted {
-            arena.insert(key);
+            arena.push(key);
         }
         // probe a spread of prefixes, not all n² pairs
         for (i, key) in sorted.iter().enumerate().step_by(17) {
@@ -300,9 +396,12 @@ struct Model {
 
 impl Model {
     fn insert(&mut self, key: &[f64]) {
-        if let Some(last) = self.rows.last() {
-            self.scores_rose |= key_score(key) > key_score(last);
-        }
+        // a NaN score counts as a rise: it advertises no block max
+        let last = self
+            .rows
+            .last()
+            .map_or(f64::INFINITY, |last| key_score(last));
+        self.scores_rose |= key_score(key) > last || key_score(key).is_nan();
         self.rows.push(key.to_vec());
     }
 
@@ -431,6 +530,8 @@ fn coded_block_window_equals_the_uncoded_model_in_verdict_and_cost() {
             let mut block = BlockWindow::new(d, usize::MAX);
             let mut model = Model::default();
             for group in 0..2 {
+                // the prefix arena has no `clear`: one per group
+                let mut arena = PrefixArena::new(d);
                 let mut rows: Vec<Vec<f64>> = (0..140).map(|_| hostile_key(&mut rng, d)).collect();
                 if group == 1 {
                     rows.iter_mut().flatten().for_each(|v| *v = *v * 1e-3 + 5.0);
@@ -440,6 +541,7 @@ fn coded_block_window_equals_the_uncoded_model_in_verdict_and_cost() {
                 }
                 for row in &rows {
                     block.insert(row);
+                    arena.push(row);
                     model.insert(row);
                     let len = model.rows.len();
                     let label = format!("d={d} presorted={presorted} group={group} len={len}");
@@ -451,7 +553,7 @@ fn coded_block_window_equals_the_uncoded_model_in_verdict_and_cost() {
                         for prefix in [len / 2, len - len % BLOCK_LANES, len.saturating_sub(1), len]
                         {
                             assert_eq!(
-                                block.probe_prefix(&key, prefix),
+                                arena.probe_prefix(&key, prefix),
                                 model.probe_prefix(&key, prefix),
                                 "{label}: prefix {prefix} of {key:?}"
                             );

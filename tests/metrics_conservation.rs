@@ -23,10 +23,12 @@ use skyline::core::{
 };
 use skyline::exchange::FRAME_HEADER_BYTES;
 use skyline::exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
-use skyline::exec::{collect, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
+use skyline::exec::{
+    collect, BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator,
+};
 use skyline::relation::gen::{Distribution, WorkloadSpec};
 use skyline::relation::RecordLayout;
-use skyline::storage::{Disk, HeapFile, MemDisk};
+use skyline::storage::{BufferLease, BufferPool, Disk, HeapFile, MemDisk};
 use skyline_bench::gate::{golden_of, parse_golden, render_golden, run_section, GateSpec};
 use std::sync::Arc;
 
@@ -404,6 +406,255 @@ fn elimination_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
         assert_eq!(s.passes > 1, multipass, "{label}: {} passes", s.passes);
         assert_eq!(disk.allocated_pages(), 0, "{label}: pages leaked");
     }
+}
+
+/// An anti-correlated key set — `x + y` nearly constant, so a skyline far
+/// larger than a one-page window — through the SQL push-down's pipeline
+/// (elimination filter, narrow sort) up to a [`BatchSfs`] that starts on
+/// one window page and is charged to `pool`; `wrap` may put something
+/// between the sorted scan and the filter. Returns the operator, the
+/// shared metrics and the disk.
+fn growth_fixture(
+    keys: &[f64],
+    pool: Option<&BufferPool>,
+    wrap: impl FnOnce(Arc<HeapFile>, &Arc<SkylineMetrics>) -> BoxedOperator,
+) -> (BatchSfs, Arc<SkylineMetrics>, Arc<MemDisk>) {
+    let d = 2usize;
+    let disk = MemDisk::shared();
+    let metrics = SkylineMetrics::shared();
+    let score = Arc::new(EntropyScore::from_keys(keys, d));
+    let narrow = NarrowLayout::new(d);
+    let filter = EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(&metrics));
+    let entries = FilteredKeys::new(keys, d, filter);
+    let sorted = sort_narrow(
+        Box::new(entries),
+        narrow,
+        score,
+        3,
+        1,
+        Arc::clone(&disk) as _,
+    )
+    .unwrap();
+    let mut sfs = BatchSfs::new(
+        wrap(Arc::new(sorted), &metrics),
+        narrow,
+        BatchConfig::new(1),
+        Arc::clone(&disk) as _,
+        Arc::clone(&metrics),
+    )
+    .unwrap();
+    if let Some(pool) = pool {
+        sfs = sfs.with_pool(pool.clone());
+    }
+    (sfs, metrics, disk)
+}
+
+const GROWTH_ROWS: usize = 8_000;
+
+/// The growth fixture's row-major keys and the ascending row ids of
+/// their skyline.
+fn growth_keys() -> (Vec<f64>, Vec<u64>) {
+    let mut keys = Vec::with_capacity(GROWTH_ROWS * 2);
+    skyline_testkit::replay(0x6207, |rng| {
+        for _ in 0..GROWTH_ROWS {
+            let x = rng.usize_below(4_000);
+            keys.extend([x as f64, (4_000 - x + rng.usize_below(12)) as f64]);
+        }
+    });
+    let rows: Vec<&[f64]> = keys.chunks_exact(2).collect();
+    let beats = |a: &[f64], b: &[f64]| a != b && a[0] >= b[0] && a[1] >= b[1];
+    let oracle = (0..rows.len())
+        .filter(|&i| !rows.iter().any(|o| beats(o, rows[i])))
+        .map(|i| i as u64)
+        .collect();
+    (keys, oracle)
+}
+
+/// Ascending row ids of narrow entries (two key lanes, then the id).
+fn row_ids(entries: &[Vec<u8>]) -> Vec<u64> {
+    let narrow = NarrowLayout::new(2);
+    let mut ids: Vec<u64> = entries.iter().map(|e| narrow.row_id(e)).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// The window grows inside the quota before a pass spills, and only
+/// there. Pools that allow 0, 1, 2, … doublings of a one-page window and
+/// then refuse all return the oracle's rows, settle every key exactly
+/// once, stay inside the pool and give everything back; a pool of one
+/// page is the pool-less run counter for counter (a refused reservation
+/// spills exactly as Figure 7 does), and one that holds the whole
+/// skyline takes a single pass and writes no temp record.
+#[test]
+fn window_growth_inside_the_quota_is_exact_and_conserved() {
+    let (keys, oracle) = growth_keys();
+    let (mut bare, bare_metrics, _) =
+        growth_fixture(&keys, None, |sorted, _| Box::new(HeapScan::new(sorted)));
+    assert_eq!(row_ids(&collect(&mut bare).unwrap()), oracle);
+    drop(bare);
+    let bare = bare_metrics.snapshot();
+    let capacity_per_page = skyline::storage::PAGE_SIZE / 16;
+    let distinct = bare.window_inserts as usize;
+    assert!(
+        distinct > 4 * capacity_per_page,
+        "fixture: {distinct} window entries must overflow four pages"
+    );
+
+    let mut last_passes = u64::MAX;
+    for pages in [1usize, 2, 3, 4, 5, 7, 8, 16, 64] {
+        let label = format!("pool of {pages}");
+        let pool = BufferPool::new(pages);
+        let (mut sfs, metrics, disk) = growth_fixture(&keys, Some(&pool), |sorted, _| {
+            Box::new(HeapScan::new(sorted))
+        });
+        let out = collect(&mut sfs).unwrap();
+        assert_eq!(pool.used(), 0, "{label}: close returns every lease");
+        drop(sfs);
+        assert_eq!(row_ids(&out), oracle, "{label}");
+        let s = metrics.snapshot();
+        assert_eq!(
+            s.eliminated + s.emitted + s.discarded,
+            GROWTH_ROWS as u64,
+            "{label}"
+        );
+        assert_eq!(
+            s.input_records,
+            GROWTH_ROWS as u64 - s.eliminated,
+            "{label}"
+        );
+        assert_eq!(s.emitted, out.len() as u64, "{label}");
+        assert_eq!(s.window_inserts, bare.window_inserts, "{label}");
+        // the window doubled, as far as the pool went, until it held
+        // the skyline
+        let mut held = 1;
+        while held * capacity_per_page < distinct && held < pages {
+            held += held.min(pages - held);
+        }
+        assert_eq!(pool.peak(), held, "{label}: peak");
+        assert!(pool.peak() <= pool.total(), "{label}");
+        assert_eq!(disk.allocated_pages(), 0, "{label}: pages leaked");
+        // a larger window never needs more passes
+        assert!(s.passes <= last_passes, "{label}: {} passes", s.passes);
+        last_passes = s.passes;
+        if pages == 1 {
+            assert_eq!(s, bare, "{label}: refused growth is the pool-less run");
+        }
+        let fits = pages * capacity_per_page >= distinct;
+        assert_eq!(
+            (s.passes == 1, s.temp_records == 0),
+            (fits, fits),
+            "{label}: {} passes, {} temp records",
+            s.passes,
+            s.temp_records
+        );
+    }
+}
+
+/// A scan that gives a lease back when it hands out its `after`-th
+/// record, and notes the counters as they stood.
+struct ReleaseAfter {
+    inner: HeapScan,
+    after: u64,
+    lease: Option<BufferLease>,
+    metrics: Arc<SkylineMetrics>,
+    released_at: Arc<std::sync::Mutex<Option<MetricsSnapshot>>>,
+}
+
+impl Operator for ReleaseAfter {
+    fn open(&mut self) -> Result<(), ExecError> {
+        self.inner.open()
+    }
+
+    fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
+        if self.after == 0 && self.lease.take().is_some() {
+            *self.released_at.lock().unwrap() = Some(self.metrics.snapshot());
+        }
+        self.after = self.after.saturating_sub(1);
+        self.inner.next()
+    }
+
+    fn close(&mut self) {
+        self.inner.close();
+    }
+
+    fn record_size(&self) -> usize {
+        self.inner.record_size()
+    }
+}
+
+/// Fills → refused → spills → the next pass grows. While another lease
+/// holds the rest of the pool the first pass cannot grow and spills; the
+/// lease goes back *mid-pass*, after records have spilled, and the pass
+/// must not take the pages — a later survivor has not met the records
+/// spilled ahead of it, so it may not enter the window. The second pass
+/// grows and finishes the job. (Under `check-invariants` the stream
+/// auditor checks emitted-set incomparability and per-pass accounting
+/// through the same run.)
+#[test]
+fn a_pass_that_has_spilled_never_grows_and_the_next_one_does() {
+    let (keys, oracle) = growth_keys();
+    let pool = BufferPool::new(64);
+    let blocker = pool.reserve(63).unwrap();
+    let released_at = Arc::new(std::sync::Mutex::new(None));
+    let (mut sfs, metrics, disk) = growth_fixture(&keys, Some(&pool), |sorted, metrics| {
+        Box::new(ReleaseAfter {
+            after: sorted.len() / 2,
+            inner: HeapScan::new(sorted),
+            lease: Some(blocker),
+            metrics: Arc::clone(metrics),
+            released_at: Arc::clone(&released_at),
+        })
+    });
+    sfs.open().unwrap();
+    assert_eq!(
+        pool.used(),
+        64,
+        "the window's first page is charged at open"
+    );
+    let capacity_per_page = (skyline::storage::PAGE_SIZE / 16) as u64;
+    let mut out: Vec<Vec<u8>> = Vec::new();
+    let mut first_pass_inserts = None;
+    while let Some(entry) = sfs.next().unwrap() {
+        out.push(entry.to_vec());
+        let now = metrics.snapshot();
+        if now.passes == 2 && first_pass_inserts.is_none() {
+            // this emission is the second pass's first insert
+            first_pass_inserts = Some(now.window_inserts - 1);
+        }
+    }
+    sfs.close();
+    assert_eq!(pool.used(), 0, "close returns every lease");
+    drop(sfs);
+
+    let at_release = released_at
+        .lock()
+        .unwrap()
+        .expect("the lease was never released");
+    assert_eq!(at_release.passes, 1, "released during the first pass");
+    assert!(
+        at_release.temp_records > 0,
+        "released after the pass had spilled"
+    );
+    assert_eq!(
+        at_release.window_inserts, capacity_per_page,
+        "one full page"
+    );
+    assert_eq!(
+        first_pass_inserts,
+        Some(capacity_per_page),
+        "the first pass inserted nothing after it spilled, pages or no pages"
+    );
+    let s = metrics.snapshot();
+    assert_eq!(row_ids(&out), oracle);
+    assert_eq!(s.passes, 2, "pass 2 grew to hold what pass 1 spilled");
+    assert!(s.window_inserts > 4 * capacity_per_page);
+    assert_eq!(
+        s.eliminated + s.emitted + s.discarded,
+        GROWTH_ROWS as u64,
+        "every key settled once"
+    );
+    assert!(pool.peak() <= pool.total());
+    assert_eq!(disk.allocated_pages(), 0);
 }
 
 /// A producer cancelled mid-stream has settled, by the time the error

@@ -11,9 +11,14 @@
 //! The peak need is *measured*, not assumed: each (algorithm × route)
 //! pair first runs unlimited, records `BufferPool::peak()`, and the
 //! sweep probes budgets straddling that watermark.
+//!
+//! On the presorted route the window estimate is only where the filter
+//! starts: it grows inside the quota before it spills. The last test
+//! sweeps quotas that allow no, some and all of that growth.
 
 use skyline::query::catalog::Catalog;
-use skyline::query::{execute_with, ExecOptions, QueryError, SkylineAlgo};
+use skyline::query::rewrite::eval_except_semantics;
+use skyline::query::{execute_with, parse, ExecOptions, QueryError, SkylineAlgo};
 use skyline::relation::rng::Rng;
 use skyline::relation::{tuple, ColumnType, Schema, Table};
 use skyline::storage::{BufferPool, Disk, MemDisk};
@@ -177,4 +182,63 @@ fn routes_agree_under_quota() {
         }
     }
     assert_eq!(disk.allocated_pages(), 0);
+}
+
+/// An anti-correlated table whose skyline is some twenty times what the
+/// §6 estimator sizes the window for, under quotas from "the sort arena
+/// and not a page more" to "room for everything": the window doubles as
+/// far as each quota lets it and spills from there, and every size
+/// returns the oracle's rows in the oracle's order, stays inside its
+/// pool and leaves no quota or heap page behind.
+#[test]
+fn window_growth_returns_the_oracle_rows_at_every_quota() {
+    let n = 6_000i64;
+    let schema = Schema::of(&[("x", ColumnType::Int), ("y", ColumnType::Int)]);
+    let mut t = Table::empty(schema);
+    let mut rng = Rng::seed_from_u64(0x6207);
+    for _ in 0..n {
+        let x = rng.i64_inclusive(0, 2_999);
+        t.push(tuple![x, 3_000 - x + rng.i64_inclusive(0, 7)])
+            .unwrap();
+    }
+    let mut cat = Catalog::new();
+    cat.register("t", t);
+    let sql = "SELECT * FROM t SKYLINE OF x MAX, y MAX";
+    let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
+    let estimate = skyline::core::cardinality::recommend_window_pages(n as usize, 2, 16);
+    let capacity = estimate * (skyline::storage::PAGE_SIZE / 16);
+    assert!(want.len() > 4 * capacity, "skyline {}", want.len());
+
+    let sort_pages = 4;
+    let mut peaks = Vec::new();
+    for quota in [4usize, 5, 6, 8, 12, 16, 64] {
+        for algo in [SkylineAlgo::Auto, SkylineAlgo::Sfs, SkylineAlgo::Strata] {
+            let disk = MemDisk::shared();
+            let pool = BufferPool::new(quota);
+            let opts = ExecOptions::default()
+                .with_algo(algo)
+                .with_pool(pool.clone())
+                .with_sort_pages(sort_pages)
+                .with_external_threshold(0)
+                .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+            let got =
+                execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?} @{quota}: {e}"));
+            assert_eq!(got.rows(), want.rows(), "{algo:?} @{quota}");
+            assert!(pool.peak() <= pool.total(), "{algo:?} @{quota}");
+            assert_eq!(pool.used(), 0, "{algo:?} @{quota}: quota pages leaked");
+            assert_eq!(
+                disk.allocated_pages(),
+                0,
+                "{algo:?} @{quota}: heap pages leaked"
+            );
+            peaks.push(pool.peak());
+        }
+    }
+    // the window used the room it was given, until it needed no more
+    assert_eq!(peaks.first(), Some(&sort_pages));
+    assert!(peaks.is_sorted(), "{peaks:?}");
+    assert!(
+        peaks.last().is_some_and(|&p| p > sort_pages && p < 64),
+        "{peaks:?}"
+    );
 }
