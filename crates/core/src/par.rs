@@ -13,7 +13,7 @@
 use crate::algo::{presort_indices, sfs, sfs_presorted, MemSortOrder};
 use crate::dominance::SkylineSpec;
 use crate::keys::KeyMatrix;
-use skyline_exec::CancelToken;
+use skyline_exec::{cancel, CancelToken};
 use skyline_relation::RecordLayout;
 use skyline_storage::{HeapFile, StorageError};
 use std::fmt;
@@ -74,13 +74,11 @@ impl From<StorageError> for AlgoError {
     }
 }
 
-fn check_cancel(cancel: Option<&CancelToken>, processed: u64) -> Result<(), AlgoError> {
-    match cancel {
-        Some(t) if t.is_cancelled() => Err(AlgoError::Cancelled {
-            records_processed: processed,
-        }),
-        _ => Ok(()),
-    }
+/// [`cancel::poll_now`], reporting a trip in the in-memory drivers' type.
+fn poll_now(token: Option<&CancelToken>, processed: u64) -> Result<(), AlgoError> {
+    cancel::poll_now(token, processed).map_err(|_| AlgoError::Cancelled {
+        records_processed: processed,
+    })
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
@@ -124,7 +122,7 @@ pub fn parallel_skyline_cancellable(
 ) -> Result<Vec<usize>, AlgoError> {
     let n = keys.n();
     let threads = effective_threads(threads);
-    check_cancel(cancel, 0)?;
+    poll_now(cancel, 0)?;
     if threads == 1 || n < 4 * threads || n < 1024 {
         let mut idx = sfs(keys, MemSortOrder::Entropy).indices;
         idx.sort_unstable();
@@ -145,7 +143,7 @@ pub fn parallel_skyline_cancellable(
             handles.push(scope.spawn(move || {
                 // Worker-side check: a cancel raised after spawn aborts
                 // the partition before its O(n log n) local work.
-                check_cancel(cancel, (lo as u64).min(n as u64))?;
+                poll_now(cancel, (lo as u64).min(n as u64))?;
                 let rows: Vec<usize> = (lo..hi).collect();
                 let sub = keys.select(&rows);
                 Ok(sfs(&sub, MemSortOrder::Entropy)
@@ -167,7 +165,7 @@ pub fn parallel_skyline_cancellable(
 
     // merge boundary: the union is materialized but the final filter has
     // not run — a natural cancellation point.
-    check_cancel(cancel, n as u64)?;
+    poll_now(cancel, n as u64)?;
 
     // merge: skyline of the union of local skylines
     let union: Vec<usize> = locals.into_iter().flatten().collect();
@@ -204,7 +202,7 @@ pub fn parallel_skyline_heap(
     let mut flat = Vec::with_capacity(records.len() * spec.dims());
     for (i, r) in records.iter().enumerate() {
         if i % 4096 == 0 {
-            check_cancel(cancel, i as u64)?;
+            poll_now(cancel, i as u64)?;
         }
         spec.key_of(layout, r, &mut key);
         flat.extend_from_slice(&key);

@@ -147,6 +147,14 @@ pub fn poll(token: Option<&CancelToken>, count: u64) -> Result<(), ExecError> {
     }
 }
 
+/// [`poll`] without the stride: check `token`, if there is one, now.
+///
+/// # Errors
+/// [`ExecError::Cancelled`] when the token has tripped.
+pub fn poll_now(token: Option<&CancelToken>, count: u64) -> Result<(), ExecError> {
+    token.map_or(Ok(()), |t| t.check(count))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -238,27 +238,7 @@ fn apply_group_by(
             }
         }
     }
-    // partition rows into groups (insertion order preserved)
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
-    for (i, row) in rows.iter().enumerate() {
-        let key = group_idx
-            .iter()
-            .map(|&g| row.get(g).to_string())
-            .collect::<Vec<_>>()
-            .join("\u{1}");
-        groups
-            .entry(key.clone())
-            .or_insert_with(|| {
-                order.push(key);
-                Vec::new()
-            })
-            .push(i);
-    }
-    if query.group_by.is_empty() && !rows.is_empty() {
-        // single implicit group
-        debug_assert_eq!(groups.len(), 1);
-    }
+    let groups = group_rows(rows, &group_idx);
     let agg_value = |func: AggFunc, idx: usize, members: &[usize]| -> Result<Value, QueryError> {
         let nums: Vec<f64> = members
             .iter()
@@ -308,8 +288,7 @@ fn apply_group_by(
         })
     };
     let mut out_rows = Vec::with_capacity(groups.len());
-    for key in &order {
-        let members = &groups[key];
+    for members in &groups {
         let mut vals = Vec::with_capacity(outs.len());
         for out in &outs {
             match out {
@@ -321,6 +300,58 @@ fn apply_group_by(
     }
     let out_schema = Schema::new(out_cols).map_err(|e| QueryError::Semantic(e.to_string()))?;
     Ok((out_schema, out_rows))
+}
+
+/// One cell as a grouping key, equal exactly when the values are equal
+/// under [`Value::sql_cmp`]: numbers by value across `Int`/`Float`/`Date`
+/// (`-0.0` is `0.0`), strings by their text, `NULL` only to `NULL`.
+#[derive(PartialEq, Eq, Hash)]
+enum Cell<'a> {
+    Null,
+    Num(u64),
+    Str(&'a str),
+}
+
+impl<'a> Cell<'a> {
+    /// `None` for NaN, which equals nothing.
+    fn of(v: &'a Value) -> Option<Self> {
+        match v {
+            Value::Null => Some(Cell::Null),
+            Value::Str(s) => Some(Cell::Str(s)),
+            // adding +0.0 turns -0.0 into 0.0 and leaves the rest alone
+            v => v
+                .as_f64()
+                .filter(|x| !x.is_nan())
+                .map(|x| Cell::Num((x + 0.0).to_bits())),
+        }
+    }
+}
+
+/// Partition `rows` by their values at `columns`, groups in order of
+/// first appearance: two rows share a group when every column compares
+/// equal under [`Value::sql_cmp`] — `DIFF`'s equality in the `EXCEPT`
+/// rewrite — so a row holding a NaN is a group of its own.
+fn group_rows(rows: &[Tuple], columns: &[usize]) -> Vec<Vec<usize>> {
+    let k = columns.len();
+    let cells: Vec<Option<Cell<'_>>> = rows
+        .iter()
+        .flat_map(|r| columns.iter().map(|&c| Cell::of(r.get(c))))
+        .collect();
+    let mut index: HashMap<&[Option<Cell<'_>>], usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for i in 0..rows.len() {
+        let key = &cells[i * k..(i + 1) * k];
+        let g = if key.contains(&None) {
+            groups.len()
+        } else {
+            *index.entry(key).or_insert(groups.len())
+        };
+        if g == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[g].push(i);
+    }
+    groups
 }
 
 /// The skyline of `rows`; `resident` is the catalog table when `rows` is
@@ -402,18 +433,8 @@ fn apply_skyline(
     let mut keep: Vec<usize> = if diff.is_empty() {
         mem_skyline(&keys, opts)?
     } else {
-        // group rows by the rendered diff key, skyline per group
-        let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            let gk = diff
-                .iter()
-                .map(|&idx| row.get(idx).to_string())
-                .collect::<Vec<_>>()
-                .join("\u{1}");
-            groups.entry(gk).or_default().push(i);
-        }
         let mut keep = Vec::new();
-        for members in groups.values() {
+        for members in &group_rows(rows, &diff) {
             let sub = keys.select(members);
             keep.extend(mem_skyline(&sub, opts)?.iter().map(|&l| members[l]));
         }

@@ -1,6 +1,7 @@
 //! The session server: admission, workers, streaming, shutdown.
 //!
-//! Concurrency contract (checked by `cargo xtask analyze`):
+//! Concurrency contract (`cargo xtask analyze` checks the second bullet;
+//! no lint has checked the first since PR 25):
 //!
 //! - No queue/backpressure call is ever made while a mutex guard is
 //!   live — stats updates happen in their own tight scopes.

@@ -2,7 +2,7 @@
 //!
 //! Subcommands:
 //! * `analyze [--sarif PATH] [--explain RULE-ID]` — the static pass
-//!   clippy and the type system cannot do: the dataflow lints of
+//!   clippy and the type system cannot do: the two dataflow lints of
 //!   [`analyze`] over the parsed model of [`model`]. Any finding fails;
 //!   `--sarif` additionally writes a SARIF 2.1.0 report for CI
 //!   code-scanning annotations.
@@ -28,7 +28,6 @@
 )]
 
 mod analyze;
-mod callgraph;
 mod model;
 mod sarif;
 mod scan;
@@ -76,7 +75,7 @@ fn source_files(root: &Path) -> Vec<String> {
     out
 }
 
-/// Every finding of every lint family over the workspace sources.
+/// Every finding of both lint families over the workspace sources.
 fn workspace_findings(root: &Path) -> Result<Vec<analyze::Finding>, String> {
     let mut cleaned = Vec::new();
     for rel in source_files(root) {

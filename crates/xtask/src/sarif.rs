@@ -12,27 +12,16 @@ use std::collections::BTreeMap;
 /// printed by `cargo xtask analyze --explain <rule-id>`.
 pub fn rule_help(lint: &str) -> &'static str {
     match lint {
-        "lock-order" => "Lock acquisition order must be acyclic across the workspace.",
         "lock-across-io" => "Mutex guards must not be held across disk I/O calls.",
         "cancel-liveness" => {
-            "Record-driven loops on cancellable paths must poll CancelToken, directly or via a callee."
-        }
-        "guard-into-spawn" => "Mutex guards must not be held (or captured) at thread spawn sites.",
-        "blocking-under-lock" => {
-            "No bounded-queue pushes, condvar waits, or blocking callees while a mutex guard is held."
+            "Record-driven loops on cancellable paths must poll CancelToken, directly or via a callee whose own body polls."
         }
         _ => "Workspace lint.",
     }
 }
 
 /// Every rule id `--explain` accepts, in rendering order.
-pub const RULE_IDS: &[&str] = &[
-    "lock-order",
-    "lock-across-io",
-    "cancel-liveness",
-    "guard-into-spawn",
-    "blocking-under-lock",
-];
+pub const RULE_IDS: &[&str] = &["lock-across-io", "cancel-liveness"];
 
 /// Render `findings` as a SARIF 2.1.0 document.
 pub fn render(findings: &[Finding]) -> String {
@@ -106,10 +95,10 @@ mod tests {
                 excerpt: "loop in `drain` starves on the \"error\" path".to_string(),
             },
             Finding {
-                lint: "lock-order",
+                lint: "lock-across-io",
                 file: "crates/storage/src/buffer.rs".to_string(),
                 line: 7,
-                excerpt: "cycle: a \\ b".to_string(),
+                excerpt: "guard of `a \\ b` is held".to_string(),
             },
         ]
     }

@@ -28,30 +28,97 @@ fn random_table(rows: &[(i64, i64, i64)]) -> Table {
 /// arbitrary tables and direction mixes (incl. DIFF).
 #[test]
 fn operator_matches_except_rewrite() {
+    use skyline::relation::{Tuple, Value};
+    // DIFF keys that look alike as text: NULL and 'NULL', pairs whose
+    // `\u{1}`-joined renderings collide, 0.0 and -0.0
+    let s = [Value::Null, "NULL".into(), "a".into(), "a\u{1}b".into()];
+    let u = [Value::Null, "NULL".into(), "c".into(), "b\u{1}c".into()];
+    let f = [
+        Value::Null,
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(1.5),
+    ];
     skyline_testkit::cases(48, 0x59E1, |rng| {
-        let n = rng.usize_below(60);
-        let rows: Vec<(i64, i64, i64)> = (0..n)
-            .map(|_| {
-                (
-                    rng.i64_inclusive(0, 14),
-                    rng.i64_inclusive(0, 14),
-                    rng.i64_inclusive(0, 2),
-                )
-            })
-            .collect();
-        let table = random_table(&rows);
+        let mut table = Table::empty(Schema::of(&[
+            ("id", ColumnType::Int),
+            ("x", ColumnType::Int),
+            ("y", ColumnType::Int),
+            ("g", ColumnType::Int),
+            ("s", ColumnType::Str),
+            ("u", ColumnType::Str),
+            ("f", ColumnType::Float),
+        ]));
+        for i in 0..rng.usize_below(60) {
+            let row = vec![
+                Value::Int(i as i64),
+                Value::Int(rng.i64_inclusive(0, 14)),
+                Value::Int(rng.i64_inclusive(0, 14)),
+                Value::Int(rng.i64_inclusive(0, 2)),
+                s[rng.usize_below(4)].clone(),
+                u[rng.usize_below(4)].clone(),
+                f[rng.usize_below(4)].clone(),
+            ];
+            table.push(Tuple::new(row)).unwrap();
+        }
         let mut catalog = Catalog::new();
         catalog.register("t", table);
         let xd = if rng.bool() { "MIN" } else { "MAX" };
         let yd = if rng.bool() { "MIN" } else { "MAX" };
-        let diff = if rng.bool() { ", g DIFF" } else { "" };
+        let diff: String = ["g", "s", "u", "f"]
+            .iter()
+            .filter(|_| rng.bool())
+            .map(|c| format!(", {c} DIFF"))
+            .collect();
         let sql = format!("SELECT * FROM t SKYLINE OF x {xd}, y {yd}{diff}");
         let q = parse(&sql).unwrap();
         let via_op = execute(&sql, &catalog).unwrap();
         let via_rewrite = eval_except_semantics(&q, &catalog).unwrap();
         // both preserve input order, so rows compare directly
-        assert_eq!(via_op.rows(), via_rewrite.rows());
+        assert_eq!(via_op.rows(), via_rewrite.rows(), "{sql}");
     });
+}
+
+/// `GROUP BY` and `DIFF` group by the values, not their rendered text:
+/// `NULL` is not `'NULL'`, two pairs whose `\u{1}`-joined renderings
+/// collide stay apart, and `0.0` is `-0.0`.
+#[test]
+fn group_by_and_diff_key_values_not_their_text() {
+    use skyline::relation::{Tuple, Value};
+    let mut t = Table::empty(Schema::of(&[
+        ("x", ColumnType::Int),
+        ("c", ColumnType::Str),
+        ("d", ColumnType::Str),
+        ("f", ColumnType::Float),
+    ]));
+    for (x, c, d, f) in [
+        (1, Value::Null, "z", 0.0),
+        (2, "NULL".into(), "z", -0.0),
+        (3, "a\u{1}b".into(), "c", 0.0),
+        (4, "a".into(), "b\u{1}c", -0.0),
+    ] {
+        let row = vec![Value::Int(x), c, d.into(), Value::Float(f)];
+        t.push(Tuple::new(row)).unwrap();
+    }
+    let mut cat = Catalog::new();
+    cat.register("t", t);
+    let xs = |sql: &str| -> Vec<i64> {
+        let out = execute(sql, &cat).unwrap();
+        out.rows()
+            .iter()
+            .map(|r| r.get(0).as_i64().unwrap())
+            .collect()
+    };
+    assert_eq!(xs("SELECT MAX(x) AS x FROM t GROUP BY c, d"), [1, 2, 3, 4]);
+    assert_eq!(xs("SELECT COUNT(x) AS n FROM t GROUP BY f"), [4]);
+    for sql in [
+        "SELECT * FROM t SKYLINE OF x MAX, c DIFF, d DIFF",
+        "SELECT * FROM t SKYLINE OF x MAX, f DIFF",
+    ] {
+        let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
+        assert_eq!(execute(sql, &cat).unwrap().rows(), want.rows(), "{sql}");
+    }
+    assert_eq!(xs("SELECT * FROM t SKYLINE OF x MAX, f DIFF"), [4]);
 }
 
 /// WHERE composes under the skyline: result equals computing the
