@@ -43,4 +43,6 @@ pub mod token;
 pub use error::QueryError;
 pub use options::{ExecOptions, SkylineAlgo};
 pub use parser::parse;
-pub use plan::{execute, execute_query, execute_query_with, execute_with, explain};
+pub use plan::{
+    execute, execute_query, execute_query_into, execute_query_with, execute_with, explain,
+};

@@ -10,11 +10,12 @@
 //! lanes, and the originating row index — straight into the external
 //! sort (entropy-presorted, the paper's "w/ E", DIFF groups outermost;
 //! the score is built from the columns' cached statistics), filtered
-//! through a window sized by the §6 cardinality estimator, and the
-//! surviving row ids are read back. No oriented key matrix exists on
-//! this route. This is the integration the paper argues for — the
-//! skyline as *an operator inside the engine*, not an application
-//! post-pass.
+//! through a window sized by the §6 cardinality estimator, and each
+//! surviving row id goes to the caller the moment the filter proves it
+//! — the paper's pipelined output, which `LIMIT` and a departed client
+//! cut short. No oriented key matrix exists on this route. This is the
+//! integration the paper argues for — the skyline as *an operator
+//! inside the engine*, not an application post-pass.
 //!
 //! Ahead of the sort sits a LESS [`EliminationFilter`]: one page of the
 //! best-entropy keys seen so far. Each chunk is screened against its
@@ -64,6 +65,7 @@ use skyline_exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
 use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
 use skyline_relation::{KeyColumn, TableStats};
 use skyline_storage::{BufferLease, BufferPool, Disk, MemDisk};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Row-count threshold above which [`crate::execute`] routes the skyline
@@ -278,20 +280,43 @@ impl Operator for ColumnEntries {
 const MIN_SORT_PAGES: usize = 4;
 
 /// Run the skyline over `cols` on the paged engine under the execution
-/// contract `opts`, grouping by the DIFF columns. The caller has checked
-/// [`routes_to_paged_engine`]. Returned row indices are ascending.
+/// contract `opts`, grouping by the DIFF columns, and hand each skyline
+/// row index to `emit` the moment the filter proves it. The caller has
+/// checked [`routes_to_paged_engine`].
+///
+/// Rows arrive in *emission order*, not ascending: on the presorted arms
+/// that is presort order (entropy, DIFF groups outermost), pass by pass
+/// when the window spills; on the `Bnl` arm it is the order BNL confirms
+/// them. A caller that needs another order sorts.
+///
+/// `emit` returning [`ControlFlow::Break`] ends the drain there: the
+/// operator is closed and dropped, so its window lease and temp pages
+/// are back before this returns `Ok` — how `LIMIT n` and a departed
+/// client stop the pipeline.
 ///
 /// # Errors
 /// [`QueryError::Exec`] (an [`ExecError::Config`]) when `opts.sort_pages`
 /// is below four, before anything is reserved;
 /// [`QueryError::QuotaExceeded`] when a pass's arena does not fit the
 /// quota pool, [`QueryError::Cancelled`] when the token trips, and
-/// [`QueryError::Exec`] for storage or worker failures. No heap pages
-/// remain allocated on any error path.
+/// [`QueryError::Exec`] for storage or worker failures — possibly after
+/// some rows were emitted. No heap pages remain allocated on any error
+/// path.
 pub fn external_skyline_with(
     cols: SkylineColumns,
     opts: &ExecOptions,
-) -> Result<Vec<usize>, QueryError> {
+    emit: impl FnMut(usize) -> ControlFlow<()>,
+) -> Result<(), QueryError> {
+    paged_skyline(cols, opts, SkylineMetrics::shared(), emit)
+}
+
+/// [`external_skyline_with`], counting into `metrics`.
+fn paged_skyline(
+    cols: SkylineColumns,
+    opts: &ExecOptions,
+    metrics: Arc<SkylineMetrics>,
+    mut emit: impl FnMut(usize) -> ControlFlow<()>,
+) -> Result<(), QueryError> {
     if opts.sort_pages < MIN_SORT_PAGES {
         return Err(QueryError::from_exec(ExecError::Config(format!(
             "sort_pages is {} but the paged skyline needs at least {MIN_SORT_PAGES}",
@@ -307,7 +332,6 @@ pub fn external_skyline_with(
     // Capacity in entries is what the estimator sizes; a narrow window
     // entry is the key alone, 8·d bytes.
     let cfg = BatchConfig::new(recommend_window_pages(cols.rows(), d, 8 * d));
-    let metrics = SkylineMetrics::shared();
     // BNL takes the stream as it comes; everything else — a DIFF clause
     // included, since BNL cannot group — presorts by entropy.
     let presort =
@@ -402,15 +426,17 @@ pub fn external_skyline_with(
         }
     };
 
-    let mut keep = Vec::new();
     filter.open().map_err(QueryError::from_exec)?;
+    let mut emitted = 0u64;
     while let Some(entry) = filter.next().map_err(QueryError::from_exec)? {
-        poll(opts.cancel.as_ref(), keep.len() as u64).map_err(QueryError::from_exec)?;
-        keep.push(narrow.row_id(entry) as usize);
+        poll(opts.cancel.as_ref(), emitted).map_err(QueryError::from_exec)?;
+        emitted += 1;
+        if emit(narrow.row_id(entry) as usize).is_break() {
+            break;
+        }
     }
     filter.close();
-    keep.sort_unstable();
-    Ok(keep)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -461,7 +487,14 @@ mod tests {
         if !routes_to_paged_engine(&cols, &opts) {
             return Ok(None);
         }
-        external_skyline_with(cols, &opts).map(Some)
+        let mut ids = Vec::new();
+        external_skyline_with(cols, &opts, |id| {
+            ids.push(id);
+            ControlFlow::Continue(())
+        })?;
+        // emission order is presort order; the oracles are ascending
+        ids.sort_unstable();
+        Ok(Some(ids))
     }
 
     fn in_memory(rows: &[Tuple], crit: &[(usize, bool)], diff: &[usize]) -> Vec<usize> {
@@ -688,6 +721,79 @@ mod tests {
         let opts = ExecOptions::default().with_sort_pages(MIN_SORT_PAGES);
         let out = paged(&rows, &crit, &[], &opts).unwrap();
         assert_eq!(out, Some(in_memory(&rows, &crit, &[])));
+    }
+
+    /// `n` rows of seven independent uniform `Int` criteria — the
+    /// benchmark's `indep_d7` shape.
+    fn indep_d7(n: usize) -> Vec<Tuple> {
+        let mut rng = skyline_relation::Rng::seed_from_u64(0x1d7);
+        (0..n)
+            .map(|_| {
+                Tuple::new(
+                    (0..7)
+                        .map(|_| Value::Int(rng.i64_inclusive(0, 9_999)))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn limit_10_stops_the_filter_early_and_leaves_nothing_behind() {
+        use crate::catalog::Catalog;
+        use skyline_relation::{Column, ColumnType, Schema, Table};
+        let rows = indep_d7(5_000);
+        let schema = Schema::new(
+            (0..7)
+                .map(|k| Column::new(format!("a{k}"), ColumnType::Int))
+                .collect(),
+        )
+        .unwrap();
+        let mut cat = Catalog::new();
+        cat.register("t", Table::new(schema, rows.clone()).unwrap());
+        let sky =
+            "SELECT * FROM t SKYLINE OF a0 MAX, a1 MIN, a2 MAX, a3 MIN, a4 MAX, a5 MIN, a6 MAX";
+        // each run on its own pool and disk: rows, pages read
+        let run = |sql: &str| {
+            let (pool, disk) = (BufferPool::new(1 << 12), MemDisk::shared());
+            let opts = ExecOptions::default()
+                .with_external_threshold(0)
+                .with_pool(pool.clone())
+                .with_disk(Arc::clone(&disk) as _);
+            let out = crate::plan::execute_with(sql, &cat, &opts).unwrap();
+            assert_eq!((pool.used(), disk.allocated_pages()), (0, 0), "{sql}");
+            (out.into_rows(), disk.stats().reads())
+        };
+        let (full, full_reads) = run(sky);
+        let (first, first_reads) = run(&format!("{sky} LIMIT 10"));
+        assert!(full.len() > 100, "skyline of {}", full.len());
+        assert_eq!(first.len(), 10);
+        assert!(first.iter().all(|r| full.contains(r)), "not skyline rows");
+        assert!(first_reads < full_reads, "{first_reads} vs {full_reads}");
+
+        // the same stop on the engine alone, counted
+        let crit: Vec<(usize, bool)> = (0..7).map(|k| (k, k % 2 == 1)).collect();
+        let comparisons = |limit: usize| {
+            let metrics = SkylineMetrics::shared();
+            let mut left = limit;
+            paged_skyline(
+                columns(&rows, &crit, &[]),
+                &ExecOptions::default(),
+                Arc::clone(&metrics),
+                |_| {
+                    left -= 1;
+                    if left == 0 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            )
+            .unwrap();
+            metrics.snapshot().comparisons
+        };
+        let (all, ten) = (comparisons(usize::MAX), comparisons(10));
+        assert!(ten < all, "{ten} vs {all}");
     }
 
     #[test]

@@ -42,8 +42,15 @@ use std::time::{Duration, Instant};
 
 /// Where an admission stands; decides what dropping it means.
 enum Phase {
-    Queued { since: Instant },
-    Running { since: Instant, waited: Duration },
+    Queued {
+        since: Instant,
+    },
+    Running {
+        since: Instant,
+        waited: Duration,
+        /// Worker start → the first row batch pushed.
+        first_batch: Option<Duration>,
+    },
     Settled,
 }
 
@@ -119,13 +126,29 @@ impl Admission {
             self.phase = Phase::Running {
                 since: Instant::now(),
                 waited: since.elapsed(),
+                first_batch: None,
             };
         }
     }
 
+    /// The worker pushed a row batch: the first one stamps the query's
+    /// time to first batch.
+    pub(crate) fn batch_pushed(&mut self) {
+        if let Phase::Running {
+            since,
+            first_batch: first @ None,
+            ..
+        } = &mut self.phase
+        {
+            *first = Some(since.elapsed());
+        }
+    }
+
     /// Close the books on a finished query — one verdict counted, the
-    /// quota pool's `pages_peak` and the times folded in — then return
-    /// the charge and the credit. A stalled consumer counts as cancelled.
+    /// quota pool's `pages_peak` and the times folded in (the wall time
+    /// stands in for the first batch of a query that pushed none) — then
+    /// return the charge and the credit. A stalled consumer counts as
+    /// cancelled.
     #[must_use = "the terminal message is built from the token"]
     pub fn settle(mut self, terminal: Result<(), ServerError>, pages_peak: usize) -> Settled {
         {
@@ -137,8 +160,14 @@ impl Admission {
                 Err(_) => st.failed += 1,
             }
             st.pages_peak = st.pages_peak.max(pages_peak);
-            if let Phase::Running { since, waited } = self.phase {
-                st.add_times(since.elapsed(), waited);
+            if let Phase::Running {
+                since,
+                waited,
+                first_batch,
+            } = self.phase
+            {
+                let wall = since.elapsed();
+                st.add_times(wall, waited, first_batch.unwrap_or(wall));
             }
         }
         self.phase = Phase::Settled;

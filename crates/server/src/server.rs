@@ -4,9 +4,22 @@
 //! no lint has checked the first since PR 25):
 //!
 //! - No queue/backpressure call is ever made while a mutex guard is
-//!   live — stats updates happen in their own tight scopes.
+//!   live — stats updates happen in their own tight scopes. Result
+//!   batches are pushed from *inside* the engine, so this is what keeps
+//!   a worker blocked on a slow client from blocking anyone else.
 //! - The worker loop is cancel-live: every job run begins with a token
-//!   check, and the streaming loop re-checks between batches.
+//!   check, and the result stream re-checks before every batch.
+//!
+//! Streaming starts inside the engine: the worker runs
+//! [`execute_query_into`] with a sink that sends each `batch_rows`
+//! batch the moment it fills, so the first rows of a paged skyline
+//! leave while its filter still runs. A departed or stalled client
+//! (one that leaves the channel full past `stream_grace`) cancels the
+//! token and stops the engine through the sink, so the worker is free
+//! again and the query books as [`ServerError::Stalled`]. While a slow
+//! client holds it back, the query keeps its window lease and temp
+//! pages on its own quota pool and disk, for at most `stream_grace` per
+//! batch; its charge on the shared ledger is the same quota as ever.
 //! - Every resource is lease-shaped. The admission credit, the
 //!   shared-pool page charge and the open book entry travel *inside*
 //!   the job as one [`Admission`], so whichever thread drops the job
@@ -23,10 +36,11 @@ use crate::error::ServerError;
 use crate::stats::{ServerSnapshot, SessionStats};
 use skyline_exec::{Backpressure, CancelToken, PushTimeout, WorkQueue};
 use skyline_query::{
-    catalog::Catalog, execute_query_with, parse, ExecOptions, QueryError, SkylineAlgo,
+    catalog::Catalog, execute_query_into, parse, ExecOptions, QueryError, SkylineAlgo,
 };
 use skyline_relation::Tuple;
 use skyline_storage::BufferPool;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -77,10 +91,12 @@ impl QueryOptions {
 
 /// One message on a query's result channel.
 enum Msg {
-    /// A batch of result rows, in order.
+    /// A batch of result rows, in order, sent while the engine may still
+    /// run — so batches can precede a terminal error.
     Rows(Vec<Tuple>),
     /// Terminal marker: how the query ended, built from settled books.
-    /// Exactly one per query unless the channel was severed.
+    /// Exactly one per query unless the channel was severed — one typed
+    /// error even when rows went out before it.
     End(Settled),
 }
 
@@ -335,13 +351,15 @@ impl QueryHandle {
         self.token.cancel();
     }
 
-    /// Next batch of rows, blocking while the worker is ahead. `None`
+    /// Next batch of rows, blocking while the worker is behind. `None`
     /// after the final batch of a completed query.
     ///
     /// # Errors
     /// `Some(Err(…))` exactly once for a query that ended in a typed
     /// error — the terminal [`ServerError`], or [`ServerError::Stalled`]
-    /// when the channel was severed without a verdict.
+    /// when the channel was severed without a verdict. Batches may come
+    /// before it: rows stream while the engine runs, and an engine error
+    /// can follow them.
     pub fn next_batch(&mut self) -> Option<Result<Vec<Tuple>, ServerError>> {
         if self.done {
             return None;
@@ -363,7 +381,8 @@ impl QueryHandle {
     /// Drain the stream into one row set.
     ///
     /// # Errors
-    /// The query's terminal [`ServerError`], if it did not complete.
+    /// The query's terminal [`ServerError`], if it did not complete; any
+    /// rows that streamed before it are discarded.
     pub fn collect(mut self) -> Result<Vec<Tuple>, ServerError> {
         let mut rows = Vec::new();
         while let Some(batch) = self.next_batch() {
@@ -394,14 +413,16 @@ fn worker_loop(shared: &Shared) {
 
 fn serve(shared: &Shared, mut job: Job) {
     job.admission.start();
-    let outcome = run_query(shared, &job);
-    let terminal = stream_batches(shared, &job, outcome);
+    let terminal = run_query(shared, &mut job);
     let Job {
         admission,
         quota,
         results,
         ..
     } = job;
+    // The engine has returned — run out, stopped early or failed — and
+    // every lease it took on the query's own pool went with it.
+    debug_assert_eq!(quota.used(), 0, "the engine returned holding quota pages");
     // The books settle and the page charge and credit go home before
     // the verdict is visible: a client that has seen its terminal
     // message can trust the counters, and one that resubmits on `End`
@@ -418,10 +439,12 @@ fn serve(shared: &Shared, mut job: Job) {
     }
 }
 
-/// Parse and execute one job under its contract. The token is checked
-/// before any work so a cancelled or deadline-stormed queue drains at
-/// token-check speed.
-fn run_query(shared: &Shared, job: &Job) -> Result<Vec<Tuple>, ServerError> {
+/// Parse and execute one job under its contract, streaming its rows to
+/// the client from inside the engine, and decide the verdict. The token
+/// is checked before any work so a cancelled or deadline-stormed queue
+/// drains at token-check speed. The terminal result is returned, not
+/// pushed: only the settled books can publish it.
+fn run_query(shared: &Shared, job: &mut Job) -> Result<(), ServerError> {
     job.token
         .check(0)
         .map_err(|e| ServerError::Query(QueryError::from_exec(e)))?;
@@ -436,46 +459,85 @@ fn run_query(shared: &Shared, job: &Job) -> Result<Vec<Tuple>, ServerError> {
     if let Some(disk) = &shared.cfg.disk {
         opts = opts.with_disk(Arc::clone(disk));
     }
-    execute_query_with(&query, &shared.catalog, &opts)
-        .map(skyline_relation::Table::into_rows)
-        .map_err(ServerError::Query)
+    let mut stream = Stream {
+        cfg: &shared.cfg,
+        job,
+        batch: Vec::new(),
+        sent: 0,
+        cut: None,
+    };
+    let executed = execute_query_into(&query, &shared.catalog, &opts, |_, row| stream.push(row));
+    stream.finish(executed.map(drop))
 }
 
-/// Stream the row batches to the client through the bounded channel and
-/// decide the verdict. Between batches the token is re-checked; a
-/// consumer slower than the stream grace has the query cancelled
-/// instead of wedging the worker. The terminal result is returned, not
-/// pushed: only the settled books can publish it.
-fn stream_batches(
-    shared: &Shared,
-    job: &Job,
-    outcome: Result<Vec<Tuple>, ServerError>,
-) -> Result<(), ServerError> {
-    // The rows move into the batches: the result is cloned once, out of
-    // the table, and never again.
-    let mut rows = outcome?.into_iter();
-    let batch_rows = shared.cfg.batch_rows.max(1);
-    let mut sent = 0u64;
-    while rows.len() > 0 {
-        if job.token.is_cancelled() {
-            return Err(ServerError::Query(QueryError::Cancelled {
-                records_processed: sent,
-            }));
+/// The sink the engine pushes result rows into: it fills `batch_rows`
+/// batches and sends each through the bounded channel the moment it is
+/// full. A consumer that is gone, or slower than the stream grace, has
+/// the token cancelled and the engine stopped, instead of wedging the
+/// worker.
+struct Stream<'a> {
+    cfg: &'a ServerConfig,
+    job: &'a mut Job,
+    batch: Vec<Tuple>,
+    /// Rows the client has been sent.
+    sent: u64,
+    /// Why the stream stopped the engine, if it did.
+    cut: Option<ServerError>,
+}
+
+impl Stream<'_> {
+    fn push(&mut self, row: Tuple) -> ControlFlow<()> {
+        self.batch.push(row);
+        if self.batch.len() < self.cfg.batch_rows.max(1) {
+            return ControlFlow::Continue(());
         }
-        let batch: Vec<Tuple> = rows.by_ref().take(batch_rows).collect();
-        let in_batch = batch.len() as u64;
-        let grace_until = Instant::now() + shared.cfg.stream_grace;
-        match job.results.0.push_deadline(Msg::Rows(batch), grace_until) {
-            Ok(()) => sent += in_batch,
-            // client gone; the verdict still lands in the stats
-            Err(PushTimeout::Closed(_)) => return Err(ServerError::Stalled),
-            Err(PushTimeout::TimedOut(_)) => {
-                // stalled consumer: cancel so any in-engine work (none,
-                // at this point) and the client both observe it
-                job.token.cancel();
-                return Err(ServerError::Stalled);
+        match self.flush() {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(cut) => {
+                self.cut = Some(cut);
+                ControlFlow::Break(())
             }
         }
     }
-    Ok(())
+
+    /// Send the batch in hand, waiting at most the stream grace for room.
+    fn flush(&mut self) -> Result<(), ServerError> {
+        let job = &mut *self.job;
+        if job.token.is_cancelled() {
+            return Err(ServerError::Query(QueryError::Cancelled {
+                records_processed: self.sent,
+            }));
+        }
+        let fresh = Vec::with_capacity(self.cfg.batch_rows.max(1));
+        let batch = std::mem::replace(&mut self.batch, fresh);
+        let in_batch = batch.len() as u64;
+        let grace_until = Instant::now() + self.cfg.stream_grace;
+        match job.results.0.push_deadline(Msg::Rows(batch), grace_until) {
+            Ok(()) => {
+                self.sent += in_batch;
+                job.admission.batch_pushed();
+                Ok(())
+            }
+            // client gone, or stalled: cancel so whatever else watches
+            // the token stops too; the verdict still lands in the stats
+            Err(PushTimeout::Closed(_) | PushTimeout::TimedOut(_)) => {
+                job.token.cancel();
+                Err(ServerError::Stalled)
+            }
+        }
+    }
+
+    /// The verdict: the stream's own cut if it stopped the engine, else
+    /// the engine's — and on success the last, short batch goes out.
+    fn finish(mut self, executed: Result<(), QueryError>) -> Result<(), ServerError> {
+        if let Some(cut) = self.cut.take() {
+            return Err(cut);
+        }
+        executed.map_err(ServerError::Query)?;
+        if self.batch.is_empty() {
+            Ok(())
+        } else {
+            self.flush()
+        }
+    }
 }

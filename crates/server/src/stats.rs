@@ -43,6 +43,11 @@ pub struct SessionStats {
     /// Total time finished queries spent waiting in the admission
     /// queue, in microseconds.
     pub queue_wait_us: u64,
+    /// Total time from worker start to each finished query's first
+    /// pushed row batch — to its end, for one that pushed none — in
+    /// microseconds. Its distance from `wall_us` is how long clients
+    /// held rows before the query was done.
+    pub first_batch_us: u64,
     /// `wall_us / 1000`: the total is truncated, not each query.
     pub wall_ms: u64,
     /// `queue_wait_us / 1000`.
@@ -58,11 +63,13 @@ impl SessionStats {
             && self.admitted == self.completed + self.cancelled + self.failed + self.in_flight
     }
 
-    /// Charge one finished query's execution wall time and queue wait.
-    pub fn add_times(&mut self, wall: Duration, queue_wait: Duration) {
+    /// Charge one finished query's execution wall time, queue wait and
+    /// time to its first batch.
+    pub fn add_times(&mut self, wall: Duration, queue_wait: Duration, first_batch: Duration) {
         let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
         self.wall_us = self.wall_us.saturating_add(us(wall));
         self.queue_wait_us = self.queue_wait_us.saturating_add(us(queue_wait));
+        self.first_batch_us = self.first_batch_us.saturating_add(us(first_batch));
         self.wall_ms = self.wall_us / 1000;
         self.queue_wait_ms = self.queue_wait_us / 1000;
     }
@@ -80,6 +87,7 @@ impl SessionStats {
         self.pages_peak = self.pages_peak.max(other.pages_peak);
         self.wall_us += other.wall_us;
         self.queue_wait_us += other.queue_wait_us;
+        self.first_batch_us += other.first_batch_us;
         self.wall_ms = self.wall_us / 1000;
         self.queue_wait_ms = self.queue_wait_us / 1000;
     }
@@ -111,6 +119,7 @@ mod tests {
             pages_peak: 64,
             wall_us: 10_400,
             queue_wait_us: 3_700,
+            first_batch_us: 2_100,
             wall_ms: 10,
             queue_wait_ms: 3,
         };
@@ -120,6 +129,8 @@ mod tests {
             rejected: 1,
             completed: 1,
             pages_peak: 128,
+            wall_us: 900,
+            first_batch_us: 300,
             ..SessionStats::default()
         };
         assert!(a.conserved() && b.conserved());
@@ -128,16 +139,22 @@ mod tests {
         assert!(sum.conserved());
         assert_eq!(sum.submitted, 7);
         assert_eq!(sum.pages_peak, 128, "peak is a max, not a sum");
-        assert_eq!((sum.wall_ms, sum.queue_wait_ms), (10, 3));
+        assert_eq!((sum.wall_ms, sum.queue_wait_ms), (11, 3));
+        assert_eq!(sum.first_batch_us, 2_400, "summed like wall_us");
     }
 
     #[test]
     fn sub_millisecond_times_add_up_instead_of_truncating_to_zero() {
         let mut s = SessionStats::default();
         for _ in 0..1_000 {
-            s.add_times(Duration::from_micros(400), Duration::from_micros(400));
+            s.add_times(
+                Duration::from_micros(400),
+                Duration::from_micros(400),
+                Duration::from_micros(100),
+            );
         }
         assert_eq!((s.wall_us, s.wall_ms), (400_000, 400));
+        assert_eq!(s.first_batch_us, 100_000);
         assert_eq!((s.queue_wait_us, s.queue_wait_ms), (400_000, 400));
         // …and two sessions' remainders carry into the server total
         let mut total = SessionStats::default();

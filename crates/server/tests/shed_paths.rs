@@ -3,16 +3,18 @@
 //! and `in_flight` back where they were, the page ledger at zero —
 //! not merely conserved in aggregate. The `Admission` type makes the
 //! rollback the only thing a shed path can do; these tests prove it
-//! runs — including when a worker unwinds mid-query.
+//! runs — including when a worker unwinds mid-query, and when a client
+//! walks away from, or stalls on, a query that is still streaming.
 
 use skyline_query::catalog::Catalog;
 use skyline_query::{QueryError, SkylineAlgo};
 use skyline_relation::samples::good_eats;
-use skyline_server::{QueryOptions, ServerConfig, ServerError, SkylineServer};
-use skyline_storage::{Disk, FileId, IoStats, MemDisk, StorageError};
+use skyline_relation::{tuple, ColumnType, Schema, Table};
+use skyline_server::{QueryOptions, ServerConfig, ServerError, Session, SkylineServer};
+use skyline_storage::{Disk, FaultDisk, FaultSchedule, FileId, IoStats, MemDisk, StorageError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SKYLINE_SQL: &str =
     "SELECT restaurant FROM GoodEats SKYLINE OF S MAX, F MAX, D MAX, price MIN";
@@ -327,4 +329,204 @@ fn too_few_sort_pages_is_a_typed_error_and_costs_no_worker() {
     let totals = server.snapshot().totals;
     assert!(totals.conserved(), "{totals:?}");
     assert_eq!((totals.completed, totals.failed), (2, 3), "{totals:?}");
+}
+
+/// Rows of `anti`, and the paged skyline over it: every row lies on the
+/// line x + y = `ANTI_ROWS`, so every row is skyline and the result is
+/// many batches long.
+const ANTI_ROWS: i64 = 2_000;
+const ANTI_SQL: &str = "SELECT * FROM anti SKYLINE OF x MAX, y MAX";
+/// A follow-up that touches no disk, so it is answered under faults too.
+const SCAN_SQL: &str = "SELECT * FROM anti LIMIT 5";
+
+fn anti_catalog() -> Catalog {
+    let schema = Schema::of(&[("x", ColumnType::Int), ("y", ColumnType::Int)]);
+    let rows = (0..ANTI_ROWS).map(|x| tuple![x, ANTI_ROWS - x]).collect();
+    let mut cat = Catalog::new();
+    cat.register("anti", Table::new(schema, rows).unwrap());
+    cat
+}
+
+/// The disk under the streaming queries: a `FaultDisk` over the
+/// returned `MemDisk` when `FAULT_SEED` is set (as the storm-harness CI
+/// leg sets it), the bare `MemDisk` otherwise.
+fn streaming_disk() -> (Arc<MemDisk>, Arc<dyn Disk>, bool) {
+    let mem = MemDisk::shared();
+    let seed = std::env::var("FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok());
+    let disk: Arc<dyn Disk> = match seed {
+        Some(seed) => FaultDisk::shared(
+            Arc::clone(&mem) as Arc<dyn Disk>,
+            FaultSchedule {
+                seed,
+                read_period: 41,
+                write_period: 37,
+                transient_pct: 50,
+                torn_writes: true,
+                arm_after: 0,
+            },
+        ),
+        None => Arc::clone(&mem) as Arc<dyn Disk>,
+    };
+    (mem, disk, seed.is_some())
+}
+
+/// One worker and one credit, so a query is admitted only once the one
+/// before it has given its credit back; every skyline pages onto `disk`.
+fn streaming_server(disk: Arc<dyn Disk>, stream_grace: Duration) -> SkylineServer {
+    let cfg = ServerConfig {
+        workers: 1,
+        queue_capacity: 0,
+        batch_rows: 64,
+        result_batches: 1,
+        stream_grace,
+        admission_timeout: Duration::from_secs(2),
+        external_threshold: 0,
+        disk: Some(disk),
+        ..ServerConfig::default()
+    };
+    SkylineServer::new(anti_catalog(), cfg)
+}
+
+/// Pages `ANTI_SQL` reads when its client takes every row, fault-free —
+/// and the rows leave well before the query ends.
+fn full_run_reads() -> u64 {
+    let disk = MemDisk::shared();
+    let server = streaming_server(Arc::clone(&disk) as Arc<dyn Disk>, Duration::from_secs(30));
+    let rows = server
+        .session()
+        .submit(ANTI_SQL)
+        .unwrap()
+        .collect()
+        .unwrap();
+    assert_eq!(rows.len(), ANTI_ROWS as usize);
+    server.shutdown();
+    let totals = server.snapshot().totals;
+    assert!(totals.first_batch_us < totals.wall_us, "{totals:?}");
+    disk.stats().reads()
+}
+
+/// Wait for the session's queries to settle.
+fn settled(session: &Session) {
+    let until = Instant::now() + Duration::from_secs(10);
+    while session.stats().in_flight > 0 {
+        assert!(
+            Instant::now() < until,
+            "never settled: {:?}",
+            session.stats()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// What a query abandoned mid-stream leaves behind, once it settled: the
+/// engine stopped early — it read fewer pages than a full run — and the
+/// books, the credit, the ledger and the disk all came home. (The
+/// query's own pool is checked as the worker settles it: a lease still
+/// held there fails a debug build's job, which would book as `failed`.)
+fn assert_walked_away(server: &SkylineServer, session: &Session, mem: &MemDisk, faulty: bool) {
+    settled(session);
+    let reads = mem.stats().reads();
+    assert!(
+        reads < full_run_reads(),
+        "the engine ran on: {reads} pages read"
+    );
+    // the one credit came home: the follow-up is admitted, and the one
+    // worker answers it
+    let rows = session.submit(SCAN_SQL).unwrap().collect().unwrap();
+    assert_eq!(rows.len(), 5);
+    server.shutdown();
+    let totals = server.snapshot().totals;
+    assert!(totals.conserved(), "{totals:?}");
+    assert_eq!((totals.completed, totals.in_flight), (1, 0), "{totals:?}");
+    if faulty {
+        assert_eq!(totals.cancelled + totals.failed, 1, "{totals:?}");
+    } else {
+        assert_eq!((totals.cancelled, totals.failed), (1, 0), "{totals:?}");
+    }
+    assert_eq!(server.inflight_pages(), 0, "the ledger charge came home");
+    assert_eq!(mem.allocated_pages(), 0, "the disk drained");
+}
+
+/// A client that drops its handle after the first batch stops the
+/// engine: the push into the closed channel ends the drain.
+#[test]
+fn a_client_walking_away_mid_stream_stops_the_engine() {
+    let (mem, disk, faulty) = streaming_disk();
+    let server = streaming_server(disk, Duration::from_secs(30));
+    let session = server.session();
+    let mut handle = session.submit(ANTI_SQL).unwrap();
+    match handle.next_batch() {
+        Some(Ok(batch)) => assert_eq!(batch.len(), 64),
+        other => assert!(faulty, "{other:?}"),
+    }
+    drop(handle);
+    assert_walked_away(&server, &session, &mem, faulty);
+}
+
+/// A client that holds its handle but reads nothing for longer than the
+/// stream grace has its query cancelled from inside the engine, and
+/// reads `Stalled` once it comes back.
+#[test]
+fn a_consumer_stalled_past_the_grace_stops_the_engine() {
+    let (mem, disk, faulty) = streaming_disk();
+    let server = streaming_server(disk, Duration::from_millis(50));
+    let session = server.session();
+    let mut handle = session.submit(ANTI_SQL).unwrap();
+    let first = handle.next_batch();
+    std::thread::sleep(Duration::from_millis(300));
+    settled(&session);
+    let mut verdict = None;
+    while let Some(batch) = handle.next_batch() {
+        if let Err(e) = batch {
+            verdict = Some(e);
+        }
+    }
+    if !faulty {
+        assert!(matches!(first, Some(Ok(_))), "{first:?}");
+        assert_eq!(verdict, Some(ServerError::Stalled));
+    }
+    assert_walked_away(&server, &session, &mem, faulty);
+}
+
+/// "No queue call under a guard", held by a test: while the only worker
+/// is blocked on a push from inside the engine, everything that takes a
+/// lock the worker might — a session's stats, the server snapshot,
+/// another session's admission — still answers at once.
+#[test]
+fn a_worker_blocked_mid_engine_blocks_no_one_else() {
+    let cfg = ServerConfig {
+        workers: 1,
+        result_batches: 1,
+        batch_rows: 1,
+        stream_grace: Duration::from_secs(10),
+        external_threshold: 0,
+        ..ServerConfig::default()
+    };
+    let server = SkylineServer::new(anti_catalog(), cfg);
+    let (reader, other) = (server.session(), server.session());
+    let mut blocked = reader.submit(ANTI_SQL).unwrap();
+    assert!(matches!(blocked.next_batch(), Some(Ok(_))));
+    // the worker refills the one-slot channel, then waits on the next
+    // push with the skyline's filter still open
+    std::thread::sleep(Duration::from_millis(50));
+    let quick = Duration::from_secs(1);
+    let t = Instant::now();
+    assert!(reader.stats().conserved());
+    assert!(server.snapshot().totals.conserved());
+    let queued = other
+        .submit_with(SCAN_SQL, &QueryOptions::default())
+        .unwrap();
+    assert!(
+        t.elapsed() < quick,
+        "blocked behind the worker: {:?}",
+        t.elapsed()
+    );
+    drop(blocked);
+    assert_eq!(queued.collect().unwrap().len(), 5);
+    server.shutdown();
+    let totals = server.snapshot().totals;
+    assert!(totals.conserved(), "{totals:?}");
+    assert_eq!((totals.completed, totals.cancelled), (1, 1), "{totals:?}");
 }
