@@ -7,12 +7,13 @@
 //! materialization).
 //!
 //! Between blocking stages a batch flattens into fixed-width *narrow
-//! entries* (`d` little-endian f64 keys followed by a u64 row id,
-//! [`NarrowLayout`]) so the existing external sort, spill files, and
-//! Volcano seams compose unchanged; [`BatchEncode`] is that bridge. The
-//! narrow entry IS the batch row in row-major clothing — decoding one
-//! back into columns is a copy, never a re-derivation, so keys computed
-//! once at the scan are never re-extracted downstream.
+//! entries* (`d` little-endian f64 keys followed by a u64 row id, with
+//! optional DIFF and presort-score lanes between them, [`NarrowLayout`])
+//! so the existing external sort, spill files, and Volcano seams compose
+//! unchanged; [`BatchEncode`] is that bridge. The narrow entry IS the
+//! batch row in row-major clothing — decoding one back into columns is a
+//! copy, never a re-derivation, so keys computed once at the scan are
+//! never re-extracted downstream.
 
 use crate::cancel::CancelToken;
 use crate::error::ExecError;
@@ -251,13 +252,16 @@ impl BatchSource for BatchHeapScan {
 
 /// Fixed-width serialization of one batch row: `d` little-endian f64
 /// key lanes, then `g` DIFF group lanes (none unless
-/// [`NarrowLayout::with_diff`]), then a little-endian u64 row id —
-/// `8(d+g+1)` bytes. This is what flows through the external sort and
-/// spill files on the batch path instead of full records.
+/// [`NarrowLayout::with_diff`]), then the presort score lane (absent
+/// unless [`NarrowLayout::with_score`]), then a little-endian u64 row
+/// id — `8(d+g+1)` bytes, `8(d+g+2)` with the score. This is what flows
+/// through the external sort and spill files on the batch path instead
+/// of full records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NarrowLayout {
     d: usize,
     diff: usize,
+    score: bool,
 }
 
 impl NarrowLayout {
@@ -267,7 +271,11 @@ impl NarrowLayout {
     /// Panics when `d == 0`.
     pub fn new(d: usize) -> Self {
         assert!(d > 0, "a narrow entry needs at least one dimension");
-        NarrowLayout { d, diff: 0 }
+        NarrowLayout {
+            d,
+            diff: 0,
+            score: false,
+        }
     }
 
     /// Carry `g` DIFF group lanes between the key lanes and the row id
@@ -275,6 +283,15 @@ impl NarrowLayout {
     #[must_use]
     pub fn with_diff(mut self, g: usize) -> Self {
         self.diff = g;
+        self
+    }
+
+    /// Carry one f64 lane, between the DIFF lanes and the row id, for the
+    /// presort score of the entry's key: computed once where the entry is
+    /// made, and read back by the sort instead of scored again.
+    #[must_use]
+    pub fn with_score(mut self) -> Self {
+        self.score = true;
         self
     }
 
@@ -288,18 +305,25 @@ impl NarrowLayout {
         self.diff
     }
 
-    /// Entry size in bytes: `8(d+g+1)`.
+    /// Entry size in bytes: `8(d+g+1)`, or `8(d+g+2)` with the score lane.
     pub fn entry_size(&self) -> usize {
-        8 * (self.d + self.diff + 1)
+        8 * (self.lanes() + 1)
     }
 
-    /// Serialize `lanes` (the key, then any group lanes) + `row_id` into
-    /// `out` (cleared first).
+    /// f64 lanes ahead of the row id: key, group lanes, score lane.
+    fn lanes(&self) -> usize {
+        self.d + self.diff + usize::from(self.score)
+    }
+
+    /// Serialize `lanes` (the key, then any group lanes, then the score
+    /// when the layout has its lane) + `row_id` into `out` (cleared
+    /// first).
     ///
     /// # Panics
-    /// Panics when `lanes.len() != dims() + diff_dims()`.
+    /// Panics when `lanes.len()` is not `dims() + diff_dims()`, plus one
+    /// with the score lane.
     pub fn encode_into(&self, lanes: &[f64], row_id: u64, out: &mut Vec<u8>) {
-        assert_eq!(lanes.len(), self.d + self.diff, "key width mismatch");
+        assert_eq!(lanes.len(), self.lanes(), "key width mismatch");
         out.clear();
         for v in lanes {
             out.extend_from_slice(&v.to_le_bytes());
@@ -330,10 +354,22 @@ impl NarrowLayout {
         &entry[8 * self.d..8 * (self.d + self.diff)]
     }
 
+    /// The presort score a serialized entry carries; `None` when the
+    /// layout has no score lane.
+    pub fn score_of(&self, entry: &[u8]) -> Option<f64> {
+        debug_assert_eq!(entry.len(), self.entry_size(), "entry size mismatch");
+        self.score.then(|| {
+            let at = 8 * (self.d + self.diff);
+            let mut lane = [0u8; 8];
+            lane.copy_from_slice(&entry[at..at + 8]);
+            f64::from_le_bytes(lane)
+        })
+    }
+
     /// Row id of a serialized entry.
     pub fn row_id(&self, entry: &[u8]) -> u64 {
         debug_assert_eq!(entry.len(), self.entry_size(), "entry size mismatch");
-        let at = 8 * (self.d + self.diff);
+        let at = 8 * self.lanes();
         let mut lane = [0u8; 8];
         lane.copy_from_slice(&entry[at..at + 8]);
         u64::from_le_bytes(lane)
@@ -496,6 +532,46 @@ mod tests {
         n.key_into(&b, &mut key);
         assert_eq!(key, vec![3.0, 4.0]);
         assert_eq!(n.row_id(&b), 12);
+    }
+
+    #[test]
+    fn narrow_layout_score_lane_sits_between_diff_lanes_and_row_id() {
+        for (d, g) in [(1usize, 0usize), (2, 1), (3, 3)] {
+            let plain = NarrowLayout::new(d).with_diff(g);
+            let n = plain.with_score();
+            assert_eq!(n.entry_size(), 8 * (d + g + 2));
+            assert_eq!((n.dims(), n.diff_dims()), (d, g));
+            let lanes: Vec<f64> = (0..d + g).map(|j| j as f64 + 0.5).collect();
+            let (mut with, mut without) = (Vec::new(), Vec::new());
+            let mut scored = lanes.clone();
+            scored.push(-0.0);
+            n.encode_into(&scored, 0xFEED, &mut with);
+            plain.encode_into(&lanes, 0xFEED, &mut without);
+            assert_eq!(with.len(), n.entry_size());
+            // the score's bytes sit right after the group lanes
+            let at = 8 * (d + g);
+            assert_eq!(with[at..at + 8], (-0.0f64).to_le_bytes());
+            assert_eq!(
+                n.score_of(&with).map(f64::to_bits),
+                Some((-0.0f64).to_bits())
+            );
+            assert_eq!(plain.score_of(&without), None);
+            // everything else reads as it does without the lane
+            assert_eq!(n.row_id(&with), plain.row_id(&without));
+            assert_eq!(n.group_of(&with), plain.group_of(&without));
+            for j in 0..d {
+                assert_eq!(n.key_dim(&with, j), plain.key_dim(&without, j));
+            }
+            assert_eq!(with[..at], without[..at]);
+            assert_eq!(with[at + 8..], without[at..]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "key width mismatch")]
+    fn narrow_layout_with_score_asserts_the_wider_width() {
+        let n = NarrowLayout::new(2).with_diff(1).with_score();
+        n.encode_into(&[1.0, 2.0, 7.0], 0, &mut Vec::new());
     }
 
     /// Records are two LE f64s; the key is both, second negated — enough

@@ -7,15 +7,24 @@
 //! own resident columns, shared across queries); they are read a chunk
 //! of rows at a time, the sign of a `MIN` criterion applied as a value
 //! is read, and streamed as *narrow entries* — `d` f64 keys, the DIFF
-//! lanes, and the originating row index — straight into the external
-//! sort (entropy-presorted, the paper's "w/ E", DIFF groups outermost;
-//! the score is built from the columns' cached statistics), filtered
+//! lanes, the row's entropy score, and the originating row index —
+//! straight into the external sort (entropy-presorted, the paper's
+//! "w/ E", DIFF groups outermost; the score is built from the columns'
+//! cached statistics), filtered
 //! through a window sized by the §6 cardinality estimator, and each
 //! surviving row id goes to the caller the moment the filter proves it
 //! — the paper's pipelined output, which `LIMIT` and a departed client
 //! cut short. No oriented key matrix exists on this route. This is the
 //! integration the paper argues for — the skyline as *an operator
 //! inside the engine*, not an application post-pass.
+//!
+//! Each forwarded row is scored once, as the paper's §4.3 has it
+//! ("computed on-the-fly" per tuple). The entry carries the score in its
+//! score lane ([`NarrowLayout::with_score`]): the elimination filter's
+//! `admit` computes it, or the producer does on a DIFF clause, which has
+//! no filter. The sort's run formation, its merge and its comparisons
+//! within a DIFF group read the lane instead of scoring the key again.
+//! The `Bnl` arm does not sort, and its entries carry no score lane.
 //!
 //! Ahead of the sort sits a LESS [`EliminationFilter`]: one page of the
 //! best-entropy keys seen so far. Each chunk is screened against its
@@ -60,7 +69,7 @@ use skyline_core::cardinality::recommend_window_pages;
 use skyline_core::external::{
     parallel_filter, sort_narrow, BatchBnl, BatchConfig, BatchSfs, EliminationFilter, NarrowFormat,
 };
-use skyline_core::{EntropyScore, SfsConfig, SkylineMetrics};
+use skyline_core::{EntropyScore, MonotoneScore, SfsConfig, SkylineMetrics};
 use skyline_exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
 use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
 use skyline_relation::{KeyColumn, TableStats};
@@ -181,6 +190,11 @@ struct ColumnEntries {
     cols: SkylineColumns,
     narrow: NarrowLayout,
     filter: Option<EliminationFilter>,
+    /// The presort's score when `narrow` carries its lane
+    /// ([`ColumnEntries::scored`]). The lane gets the score the filter
+    /// computed in `admit` (it ranks by this same score), or, with no
+    /// filter, the one computed here: once per entry either way.
+    score: Option<Arc<EntropyScore>>,
     cancel: Option<CancelToken>,
     /// First row of the chunk in hand, and of the one after it.
     chunk: usize,
@@ -204,6 +218,7 @@ impl ColumnEntries {
             cols,
             narrow,
             filter,
+            score: None,
             cancel,
             chunk: 0,
             next_chunk: 0,
@@ -212,6 +227,13 @@ impl ColumnEntries {
             lanes: Vec::new(),
             entry: Vec::new(),
         }
+    }
+
+    /// Write `score` of each entry's key into the score lane `narrow`
+    /// was built with ([`NarrowLayout::with_score`]).
+    fn scored(mut self, score: Arc<EntropyScore>) -> Self {
+        self.score = Some(score);
+        self
     }
 }
 
@@ -232,8 +254,13 @@ impl Operator for ColumnEntries {
                 if self.filter.as_mut().is_some_and(|f| !f.admit(&self.lanes)) {
                     continue;
                 }
+                let score = self.score.as_ref().map(|s| match &self.filter {
+                    Some(f) => f.admitted_score(),
+                    None => s.score(&self.lanes),
+                });
                 self.lanes
                     .extend(self.cols.diff.iter().map(|c| c.values()[row]));
+                self.lanes.extend(score);
                 self.narrow
                     .encode_into(&self.lanes, row as u64, &mut self.entry);
                 return Ok(Some(&self.entry));
@@ -324,7 +351,6 @@ fn paged_skyline(
         ))));
     }
     let (d, grouped) = (cols.crit.len(), !cols.diff.is_empty());
-    let narrow = NarrowLayout::new(d).with_diff(cols.diff.len());
     let disk: Arc<dyn Disk> = match &opts.disk {
         Some(d) => Arc::clone(d),
         None => MemDisk::shared(),
@@ -336,6 +362,13 @@ fn paged_skyline(
     // included, since BNL cannot group — presorts by entropy.
     let presort =
         (opts.algo != SkylineAlgo::Bnl || grouped).then(|| Arc::new(cols.entropy_score()));
+    // A presorted entry carries its score, so the sort reads it back.
+    let narrow = NarrowLayout::new(d).with_diff(cols.diff.len());
+    let narrow = if presort.is_some() {
+        narrow.with_score()
+    } else {
+        narrow
+    };
     // The elimination filter rides every presorted stream whose entries
     // are all mutually comparable — the `diff_dims() == 0` test
     // `NarrowCmp::prefix_key` makes.
@@ -345,12 +378,11 @@ fn paged_skyline(
         .map(|score| EliminationFilter::new(d, Arc::clone(score) as _, Arc::clone(&metrics)));
     // Its page is the sort's: what it holds, the arena gives up.
     let arena_pages = opts.sort_pages - usize::from(elimination.is_some());
-    let entries: BoxedOperator = Box::new(ColumnEntries::new(
-        cols,
-        narrow,
-        elimination,
-        opts.cancel.clone(),
-    ));
+    let mut entries = ColumnEntries::new(cols, narrow, elimination, opts.cancel.clone());
+    if let Some(score) = &presort {
+        entries = entries.scored(Arc::clone(score));
+    }
+    let entries: BoxedOperator = Box::new(entries);
 
     // Each arm yields the operator to drain and the window lease that
     // stays charged while it drains, unless the operator holds its own.
@@ -794,6 +826,151 @@ mod tests {
         };
         let (all, ten) = (comparisons(usize::MAX), comparisons(10));
         assert!(ten < all, "{ten} vs {all}");
+    }
+
+    /// The presorted arms as they ran before entries carried their
+    /// score: the same producer, filter, sort arena, window and pool, on
+    /// the layout without the score lane. The row ids in emission order,
+    /// and whether the `Parallel` arm's merge fell back to external BNL.
+    fn unscored_reference(
+        cols: SkylineColumns,
+        opts: &ExecOptions,
+        metrics: &Arc<SkylineMetrics>,
+    ) -> (Vec<usize>, bool) {
+        let (d, grouped) = (cols.crit.len(), !cols.diff.is_empty());
+        let narrow = NarrowLayout::new(d).with_diff(cols.diff.len());
+        let disk: Arc<dyn Disk> = MemDisk::shared();
+        let window = recommend_window_pages(cols.rows(), d, 8 * d);
+        let score = Arc::new(cols.entropy_score());
+        let elimination = (!grouped)
+            .then(|| EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(metrics)));
+        let arena = opts.sort_pages - usize::from(elimination.is_some());
+        let parallel = opts.algo == SkylineAlgo::Parallel;
+        let entries = Box::new(ColumnEntries::new(cols, narrow, elimination, None));
+        let threads = if parallel { opts.threads } else { 1 };
+        let sorted = sort_narrow(entries, narrow, score, arena, threads, Arc::clone(&disk));
+        let sorted = Arc::new(sorted.unwrap());
+        let free = opts.pool.as_ref().map_or(usize::MAX, BufferPool::available);
+        let cfg = BatchConfig::new(window.min(free).max(1));
+        let mut fell_back = false;
+        let mut filter: BoxedOperator = if parallel {
+            let fmt = NarrowFormat::new(narrow, cfg.batch_rows).unwrap();
+            let sfs = SfsConfig::new(cfg.window_pages).with_projection();
+            let pool = opts.pool.as_ref();
+            let out = parallel_filter(
+                sorted,
+                fmt,
+                sfs,
+                opts.threads,
+                disk,
+                Arc::clone(metrics),
+                pool,
+                None,
+            );
+            let out = out.unwrap();
+            fell_back = !out.merged_in_memory;
+            Box::new(HeapScan::new(Arc::new(out.skyline)))
+        } else {
+            let scan = Box::new(HeapScan::new(sorted));
+            let mut sfs = BatchSfs::new(scan, narrow, cfg, disk, Arc::clone(metrics)).unwrap();
+            if let Some(pool) = &opts.pool {
+                sfs = sfs.with_pool(pool.clone());
+            }
+            Box::new(sfs)
+        };
+        let out = skyline_exec::collect(filter.as_mut()).unwrap();
+        let ids = out.iter().map(|e| narrow.row_id(e) as usize).collect();
+        (ids, fell_back)
+    }
+
+    /// Carrying the score changes what the paged path emits, and in what
+    /// order, not at all; nor any counter but `bytes_moved`, which grows
+    /// by exactly 8 bytes for every entry moved. Checked against
+    /// [`unscored_reference`] with and without DIFF lanes, under `Auto`,
+    /// `Parallel`, and a quota that makes the window spill and the sort
+    /// form many runs.
+    ///
+    /// One exception, by design: when the `Parallel` arm's merge falls
+    /// back to external BNL, whose window holds whole entries, a page of
+    /// it holds fewer of the wider entries. There the skyline is the same
+    /// but its order and counters may differ.
+    #[test]
+    fn the_score_lane_changes_no_emission_and_no_counter_but_bytes_moved() {
+        use skyline_core::MetricsSnapshot;
+        let mut rng = skyline_relation::Rng::seed_from_u64(0x5C0E);
+        let n = 4_000i64;
+        // anti-correlated pairs plus two noise columns, and a small-domain
+        // DIFF column set
+        let rows: Vec<Tuple> = (0..n)
+            .map(|i| {
+                tuple![
+                    i + rng.i64_inclusive(0, 40),
+                    n - i + rng.i64_inclusive(0, 40),
+                    rng.i64_inclusive(0, 9),
+                    rng.i64_inclusive(-3, 3),
+                    i % 8,
+                    i % 3,
+                    (i / 7) % 2
+                ]
+            })
+            .collect();
+        let clauses = [
+            (vec![(0, false), (1, false)], vec![]),
+            (vec![(0, false), (1, true), (2, false), (3, true)], vec![]),
+            (vec![(2, false), (3, true)], vec![4]),
+            (vec![(0, true), (2, false), (3, false)], vec![4, 5, 6]),
+        ];
+        let tight = BufferPool::new(6);
+        let configs = [
+            ExecOptions::default(),
+            ExecOptions::default()
+                .with_algo(SkylineAlgo::Parallel)
+                .with_threads(2),
+            ExecOptions::default().with_pool(tight).with_sort_pages(4),
+        ];
+        let (mut spilled, mut exact_parallel, mut fallbacks) = (false, 0, 0);
+        for (crit, diff) in &clauses {
+            let oracle = in_memory(&rows, crit, diff);
+            for opts in &configs {
+                let (scored, unscored) = (SkylineMetrics::shared(), SkylineMetrics::shared());
+                let mut got = Vec::new();
+                let cols = columns(&rows, crit, diff);
+                paged_skyline(cols, opts, Arc::clone(&scored), |id| {
+                    got.push(id);
+                    ControlFlow::Continue(())
+                })
+                .unwrap();
+                let (want, fell_back) =
+                    unscored_reference(columns(&rows, crit, diff), opts, &unscored);
+                let label = format!("{crit:?} DIFF {diff:?} {:?}", opts.algo);
+                if fell_back {
+                    got.sort_unstable();
+                    assert_eq!(got, oracle, "{label}");
+                    fallbacks += 1;
+                    continue;
+                }
+                assert_eq!(got, want, "{label}");
+                assert_eq!(got.len(), oracle.len(), "{label}");
+                exact_parallel += usize::from(opts.algo == SkylineAlgo::Parallel);
+                let (a, b) = (scored.snapshot(), unscored.snapshot());
+                let entry = 8 * (crit.len() + diff.len() + 1) as u64;
+                assert_eq!(b.bytes_moved % entry, 0, "{label}");
+                let moved = b.bytes_moved / entry;
+                assert!(moved >= got.len() as u64, "{label}");
+                assert_eq!(a.bytes_moved, b.bytes_moved + 8 * moved, "{label}");
+                let a = MetricsSnapshot {
+                    bytes_moved: b.bytes_moved,
+                    ..a
+                };
+                assert_eq!(a, b, "{label}");
+                spilled |= b.passes > 1;
+            }
+        }
+        assert!(spilled, "no clause made the window spill");
+        assert!(
+            exact_parallel > 0 && fallbacks > 0,
+            "{exact_parallel} / {fallbacks}"
+        );
     }
 
     #[test]
