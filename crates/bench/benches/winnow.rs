@@ -1,5 +1,4 @@
-//! Criterion: winnow (generalized preference) vs plain skyline, and the
-//! move-to-front window ablation.
+//! Criterion: winnow (generalized preference) vs plain skyline.
 
 use skyline_bench::crit::Criterion;
 use skyline_bench::{criterion_group, criterion_main};

@@ -1,15 +1,16 @@
 //! Columnar block windows: a level-coded dominance screen over blocked
 //! key columns, with per-block pruning bounds (DESIGN.md §12).
 //!
-//! Every window user in this crate — external SFS/BNL/winnow, the
+//! Every window user in this crate — external SFS/BNL, the
 //! in-memory algorithms, and the parallel filter's prefix merge — spends
 //! its inner loop testing one candidate key against many window entries.
 //! The scalar path ([`crate::external`]'s `KeyWindow`, kept as the
 //! differential reference) walks entries row-at-a-time through
-//! [`dom_rel`], a branchy, short-circuiting loop. Here the window is
-//! stored struct-of-arrays in fixed blocks of [`BLOCK_LANES`] entries
-//! (keys are already *oriented* all-max by [`SkylineSpec::key_of`], so
-//! MIN criteria folded away at insert time), and each block carries two
+//! [`dom_rel`](crate::dom_rel), a branchy, short-circuiting loop. Here
+//! the window is stored struct-of-arrays in fixed blocks of
+//! [`BLOCK_LANES`] entries (keys are already *oriented* all-max by
+//! [`SkylineSpec::key_of`](crate::SkylineSpec::key_of), so MIN criteria
+//! folded away at insert time), and each block carries two
 //! summaries that let a probe skip it wholesale:
 //!
 //! * **Per-criterion maxima.** If the candidate strictly beats a block's
@@ -30,7 +31,7 @@
 //! a NaN never compares greater, so summaries simply fail to advertise
 //! the entry and no skip condition can fire against a block it could have
 //! decided — and a NaN-keyed entry can neither dominate nor equal
-//! anything under [`dom_rel`] anyway.
+//! anything under [`dom_rel`](crate::dom_rel) anyway.
 //!
 //! Inside a block that survives the summaries, no f64 is compared until a
 //! **level code** says it might matter (§12.5). Every entry carries a
@@ -568,9 +569,9 @@ impl Coarse {
 /// inserted (survivors are proven skyline) and the whole window clears
 /// between passes or DIFF groups.
 ///
-/// Past [`FIRST_SPLIT`] entries the window is a **bucket directory**
+/// Past `FIRST_SPLIT` entries the window is a **bucket directory**
 /// (DESIGN.md §12.6): every entry is filed under its coarse code, each
-/// bucket is an [`Arena`] of the same blocks under the one shared
+/// bucket is an `Arena` of the same blocks under the one shared
 /// quantizer, and a probe visits only the buckets whose code is ≥ the
 /// key's in every field — the others cannot hold an entry ≥ the key
 /// coordinate-wise, by the monotonicity argument of the level code. Below
@@ -873,7 +874,7 @@ fn push_calibrating(arena: &mut Arena, coder: &mut Coder, key: &[f64]) {
 }
 
 /// The read-only arena of the parallel prefix merge: the sorted union in
-/// one flat [`Arena`], probed by *position* — entry `i` answers to the
+/// one flat `Arena`, probed by *position* — entry `i` answers to the
 /// entries before it — which is why it is not a [`BlockWindow`]: a bucket
 /// directory has no global positions.
 pub struct PrefixArena {

@@ -58,14 +58,12 @@ pub use dominance_block::{
     BlockVerdict, BlockWindow, PrefixArena, ProbeCost, ReplaceWindow, BLOCK_LANES,
 };
 pub use external::{
-    batch_presort, batch_skyband, batch_strata, batch_top_n, parallel_batch_filter,
-    parallel_sfs_filter, sharded_skyline, BatchBnl, BatchConfig, BatchFilterOutcome, BatchSfs, Bnl,
-    KeySumScore, MaterializeRows, NarrowCmp, ParFilterOutcome, Sfs, SfsConfig, ShardConfig,
-    ShardOutcome, ShardStats, ShardStrategy, SpecKeys,
+    batch_presort, parallel_batch_filter, parallel_sfs_filter, sharded_skyline, BatchBnl,
+    BatchConfig, BatchFilterOutcome, BatchSfs, Bnl, KeySumScore, MaterializeRows, NarrowCmp,
+    ParFilterOutcome, Sfs, SfsConfig, ShardConfig, ShardOutcome, ShardStats, ShardStrategy,
+    SpecKeys,
 };
 pub use keys::KeyMatrix;
 pub use metrics::{MetricsSnapshot, SkylineMetrics};
-pub use par::{
-    parallel_skyline, parallel_skyline_cancellable, parallel_skyline_heap, AlgoError, ParError,
-};
+pub use par::{parallel_skyline, parallel_skyline_cancellable, AlgoError};
 pub use score::{EntropyScore, LinearScore, MonotoneScore, SkylineOrderCmp, SortOrder};

@@ -11,13 +11,9 @@
 //! filter as everything else.
 
 use crate::algo::{presort_indices, sfs, sfs_presorted, MemSortOrder};
-use crate::dominance::SkylineSpec;
 use crate::keys::KeyMatrix;
 use skyline_exec::{cancel, CancelToken};
-use skyline_relation::RecordLayout;
-use skyline_storage::{HeapFile, StorageError};
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors from the in-memory algorithm drivers ([`parallel_skyline`] and
 /// friends).
@@ -29,18 +25,12 @@ pub enum AlgoError {
         /// Panic message of the failed worker, if one could be extracted.
         message: Option<String>,
     },
-    /// Reading the input relation failed.
-    Storage(StorageError),
     /// A [`CancelToken`] tripped before the result was complete.
     Cancelled {
         /// Records fully processed before the trip was observed.
         records_processed: u64,
     },
 }
-
-/// Backwards-compatible name: [`parallel_skyline`] originally had its own
-/// error type before storage and cancellation joined the taxonomy.
-pub type ParError = AlgoError;
 
 impl fmt::Display for AlgoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -51,7 +41,6 @@ impl fmt::Display for AlgoError {
             AlgoError::WorkerPanicked { message: None } => {
                 write!(f, "parallel skyline worker panicked")
             }
-            AlgoError::Storage(e) => write!(f, "storage error: {e}"),
             AlgoError::Cancelled { records_processed } => {
                 write!(f, "skyline cancelled after {records_processed} records")
             }
@@ -59,20 +48,7 @@ impl fmt::Display for AlgoError {
     }
 }
 
-impl std::error::Error for AlgoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AlgoError::Storage(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<StorageError> for AlgoError {
-    fn from(e: StorageError) -> Self {
-        AlgoError::Storage(e)
-    }
-}
+impl std::error::Error for AlgoError {}
 
 /// [`cancel::poll_now`], reporting a trip in the in-memory drivers' type.
 fn poll_now(token: Option<&CancelToken>, processed: u64) -> Result<(), AlgoError> {
@@ -103,7 +79,7 @@ fn effective_threads(threads: usize) -> usize {
 /// # Errors
 /// Returns [`AlgoError::WorkerPanicked`] if any worker thread panicked;
 /// the skyline for the unaffected partitions is discarded.
-pub fn parallel_skyline(keys: &KeyMatrix, threads: usize) -> Result<Vec<usize>, ParError> {
+pub fn parallel_skyline(keys: &KeyMatrix, threads: usize) -> Result<Vec<usize>, AlgoError> {
     parallel_skyline_cancellable(keys, threads, None)
 }
 
@@ -180,35 +156,6 @@ pub fn parallel_skyline_cancellable(
     #[cfg(feature = "check-invariants")]
     crate::audit::assert_pairwise_incomparable(keys, &out, "parallel_skyline/merge");
     Ok(out)
-}
-
-/// Compute the skyline of a stored relation: read `heap`, extract the
-/// spec's oriented keys, and run [`parallel_skyline_cancellable`].
-/// Returns record positions in heap order.
-///
-/// # Errors
-/// [`AlgoError::Storage`] when reading the heap fails,
-/// [`AlgoError::Cancelled`] when `cancel` trips, and
-/// [`AlgoError::WorkerPanicked`] when a worker dies.
-pub fn parallel_skyline_heap(
-    heap: &Arc<HeapFile>,
-    layout: &RecordLayout,
-    spec: &SkylineSpec,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<usize>, AlgoError> {
-    let records = heap.read_all()?;
-    let mut key = Vec::new();
-    let mut flat = Vec::with_capacity(records.len() * spec.dims());
-    for (i, r) in records.iter().enumerate() {
-        if i % 4096 == 0 {
-            poll_now(cancel, i as u64)?;
-        }
-        spec.key_of(layout, r, &mut key);
-        flat.extend_from_slice(&key);
-    }
-    let km = KeyMatrix::new(spec.dims(), flat);
-    parallel_skyline_cancellable(&km, threads, cancel)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The *winnow* generalization (Chomicki's preference-query operator,
-//! the paper's reference [6]): keep the tuples not bettered by any other
+//! the paper's reference \[6\]): keep the tuples not bettered by any other
 //! tuple under an **arbitrary strict partial order**, of which skyline
 //! dominance is the special case.
 //!
@@ -22,16 +22,6 @@ use crate::keys::KeyMatrix;
 pub trait Preference {
     /// Is `a` strictly preferred to `b`?
     fn prefers(&self, a: &[f64], b: &[f64]) -> bool;
-
-    /// True iff this preference **is** Pareto dominance over the oriented
-    /// keys. Evaluators may then substitute a batched dominance kernel
-    /// (e.g. [`crate::dominance_block::ReplaceWindow`]) for pairwise
-    /// `prefers` calls; the results are identical by definition. The
-    /// default is `false` — only override when `prefers(a, b) ==
-    /// dominates(a, b)` exactly.
-    fn is_pareto(&self) -> bool {
-        false
-    }
 }
 
 /// Pareto dominance — winnow with this preference *is* the skyline.
@@ -41,10 +31,6 @@ pub struct SkylinePreference;
 impl Preference for SkylinePreference {
     fn prefers(&self, a: &[f64], b: &[f64]) -> bool {
         dominates(a, b)
-    }
-
-    fn is_pareto(&self) -> bool {
-        true
     }
 }
 

@@ -11,8 +11,10 @@
 //! Every operator implements [`Operator`]: `open` / `next` / `close`, with
 //! `next` lending a `&[u8]` record valid until the following call — no
 //! per-record allocation anywhere on the hot path. Operators compose into
-//! left-deep pipelines: `HeapScan → Filter → ExternalSort → (skyline) →
-//! Project → Limit`.
+//! left-deep pipelines: `HeapScan → ExternalSort → (skyline) → Limit`.
+//! Selection and projection are not operators here: the SQL layer
+//! evaluates `WHERE` and the select list per row (`skyline_query`'s
+//! `plan::Output` and `expr::eval`).
 //!
 //! The crate hosts the paper's substrate operators:
 //!
@@ -22,18 +24,16 @@
 //!   separately scheduled operations; so do we.
 //! * [`group_max::GroupMax`] — the `GROUP BY a₁..a_{k−1}, MAX(a_k)`
 //!   pre-pass of the *dimensional reduction* optimization (paper Fig. 8).
-//! * [`filter::Filter`], [`project::Project`], [`limit::Limit`],
-//!   [`op::HeapScan`], [`op::MemSource`] — plumbing every engine needs.
+//! * [`limit::Limit`], [`op::HeapScan`], [`op::MemSource`] — plumbing
+//!   every engine needs.
 
 pub mod backpressure;
 pub mod batch;
 pub mod cancel;
 pub mod error;
-pub mod filter;
 pub mod group_max;
 pub mod limit;
 pub mod op;
-pub mod project;
 pub mod queue;
 pub mod sort;
 mod sync_util;
@@ -42,13 +42,10 @@ pub use backpressure::{Backpressure, Credit, TryAcquire};
 pub use batch::{BatchEncode, BatchHeapScan, BatchSource, KeyBatch, KeyExtract, NarrowLayout};
 pub use cancel::CancelToken;
 pub use error::ExecError;
-pub use filter::Filter;
 pub use group_max::GroupMax;
 pub use limit::Limit;
 pub use op::{
-    collect, BoxedOperator, ChainScan, HeapRangeScan, HeapScan, IndexScan, MemSource, Operator,
-    StridedHeapScan,
+    collect, BoxedOperator, ChainScan, HeapScan, IndexScan, MemSource, Operator, StridedHeapScan,
 };
-pub use project::Project;
 pub use queue::{PushTimeout, TryPop, WorkQueue};
 pub use sort::{ExternalSort, RecordComparator, SortBudget};

@@ -87,57 +87,6 @@ impl Operator for HeapScan {
     }
 }
 
-/// Leaf operator scanning a contiguous record range `[lo, hi)` of a heap
-/// file — one worker's partition of the parallel filter phase. Because a
-/// range of a presorted file is itself presorted, the downstream SFS
-/// window stays provably correct on each partition.
-pub struct HeapRangeScan {
-    heap: Arc<HeapFile>,
-    lo: u64,
-    hi: u64,
-    scan: Option<SharedScanner>,
-}
-
-impl HeapRangeScan {
-    /// Scan records `lo..hi` (0-based, half-open, clamped to the file).
-    pub fn new(heap: Arc<HeapFile>, lo: u64, hi: u64) -> Self {
-        HeapRangeScan {
-            heap,
-            lo,
-            hi,
-            scan: None,
-        }
-    }
-}
-
-impl Operator for HeapRangeScan {
-    fn open(&mut self) -> Result<(), ExecError> {
-        let mut scan = SharedScanner::new(Arc::clone(&self.heap));
-        scan.seek(self.lo);
-        self.scan = Some(scan);
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
-        let scan = self
-            .scan
-            .as_mut()
-            .ok_or(ExecError::Protocol("HeapRangeScan::next before open"))?;
-        if scan.position() >= self.hi {
-            return Ok(None);
-        }
-        Ok(scan.next_record()?)
-    }
-
-    fn close(&mut self) {
-        self.scan = None;
-    }
-
-    fn record_size(&self) -> usize {
-        self.heap.record_size()
-    }
-}
-
 /// Leaf operator yielding every `stride`-th record starting at `offset`
 /// — one stratum of a round-robin partitioning. A strided subsequence of
 /// a presorted file is itself presorted, so a downstream SFS window stays
@@ -445,33 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_range_scan_covers_exact_range() {
-        let heap = heap_of(600);
-        // mid-range, page-unaligned boundaries
-        let mut scan = HeapRangeScan::new(Arc::clone(&heap), 123, 457);
-        assert_eq!(
-            ids(&collect(&mut scan).unwrap()),
-            (123..457).collect::<Vec<_>>()
-        );
-        // clamped past the end
-        let mut scan = HeapRangeScan::new(Arc::clone(&heap), 590, 10_000);
-        assert_eq!(
-            ids(&collect(&mut scan).unwrap()),
-            (590..600).collect::<Vec<_>>()
-        );
-        // empty range
-        let mut scan = HeapRangeScan::new(Arc::clone(&heap), 400, 400);
-        assert!(collect(&mut scan).unwrap().is_empty());
-        // ranges tile the file exactly
-        let mut all = Vec::new();
-        for (lo, hi) in [(0, 200), (200, 401), (401, 600)] {
-            let mut scan = HeapRangeScan::new(Arc::clone(&heap), lo, hi);
-            all.extend(ids(&collect(&mut scan).unwrap()));
-        }
-        assert_eq!(all, (0..600).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn strided_scan_partitions_into_strata() {
         let heap = heap_of(601); // deliberately not a multiple of the stride
         for stride in [1u64, 2, 3, 4, 7] {
@@ -517,8 +439,6 @@ mod tests {
     #[test]
     fn range_and_chain_protocol_errors() {
         let heap = heap_of(3);
-        let mut scan = HeapRangeScan::new(Arc::clone(&heap), 0, 3);
-        assert!(matches!(scan.next(), Err(ExecError::Protocol(_))));
         let mut strided = StridedHeapScan::new(Arc::clone(&heap), 0, 2);
         assert!(matches!(strided.next(), Err(ExecError::Protocol(_))));
         let mut chain = ChainScan::new(vec![heap]);

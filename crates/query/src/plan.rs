@@ -376,49 +376,39 @@ fn apply_group_by(
     }
     let groups = group_rows(rows, &group_idx);
     let agg_value = |func: AggFunc, idx: usize, members: &[usize]| -> Result<Value, QueryError> {
-        let nums: Vec<f64> = members
-            .iter()
-            .filter_map(|&i| rows[i].get(idx).as_f64())
-            .collect();
+        let cells = || members.iter().map(|&i| rows[i].get(idx));
         if func == AggFunc::Count {
-            return Ok(Value::Int(
-                members
-                    .iter()
-                    .filter(|&&i| !rows[i].get(idx).is_null())
-                    .count() as i64,
-            ));
+            return Ok(Value::Int(cells().filter(|v| !v.is_null()).count() as i64));
         }
+        let nums: Vec<f64> = cells().filter_map(Value::as_f64).collect();
         if nums.is_empty() {
             return Ok(Value::Null);
         }
-        let is_int = members
-            .iter()
-            .all(|&i| rows[i].get(idx).as_i64().is_some() || rows[i].get(idx).is_null());
+        // An integer group is aggregated in i64: f64 is exact only up
+        // to 2^53, and a sum past i64 is an error, not a saturated value.
+        if cells().all(|v| v.as_i64().is_some() || v.is_null()) {
+            let mut ints = cells().filter_map(Value::as_i64);
+            match func {
+                AggFunc::Max => return Ok(ints.max().map_or(Value::Null, Value::Int)),
+                AggFunc::Min => return Ok(ints.min().map_or(Value::Null, Value::Int)),
+                AggFunc::Sum => {
+                    return ints
+                        .try_fold(0i64, i64::checked_add)
+                        .map(Value::Int)
+                        .ok_or_else(|| {
+                            QueryError::Semantic(format!(
+                                "SUM({}) overflows a 64-bit integer",
+                                schema.column(idx).name
+                            ))
+                        })
+                }
+                AggFunc::Avg | AggFunc::Count => {}
+            }
+        }
         Ok(match func {
-            AggFunc::Max => {
-                let m = nums.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                if is_int {
-                    Value::Int(m as i64)
-                } else {
-                    Value::Float(m)
-                }
-            }
-            AggFunc::Min => {
-                let m = nums.iter().cloned().fold(f64::INFINITY, f64::min);
-                if is_int {
-                    Value::Int(m as i64)
-                } else {
-                    Value::Float(m)
-                }
-            }
-            AggFunc::Sum => {
-                let s: f64 = nums.iter().sum();
-                if is_int {
-                    Value::Int(s as i64)
-                } else {
-                    Value::Float(s)
-                }
-            }
+            AggFunc::Max => Value::Float(nums.iter().cloned().fold(f64::NEG_INFINITY, f64::max)),
+            AggFunc::Min => Value::Float(nums.iter().cloned().fold(f64::INFINITY, f64::min)),
+            AggFunc::Sum => Value::Float(nums.iter().sum()),
             AggFunc::Avg => Value::Float(nums.iter().sum::<f64>() / nums.len() as f64),
             AggFunc::Count => unreachable!("handled above"),
         })
@@ -995,6 +985,44 @@ mod tests {
         let out = execute("SELECT g, COUNT(x) AS n, SUM(x) AS s FROM t GROUP BY g", &c).unwrap();
         assert_eq!(out.rows()[0].get(1).as_i64(), Some(2));
         assert_eq!(out.rows()[0].get(2).as_i64(), Some(12));
+    }
+
+    #[test]
+    fn integer_aggregates_are_exact_and_sum_overflow_is_an_error() {
+        use skyline_relation::{ColumnType, Schema, Table, Tuple, Value};
+        let table = |rows: &[(i64, i64)]| {
+            let schema = Schema::of(&[("g", ColumnType::Int), ("x", ColumnType::Int)]);
+            let rows = rows
+                .iter()
+                .map(|&(g, x)| Tuple::new(vec![Value::Int(g), Value::Int(x)]))
+                .collect();
+            let mut c = Catalog::new();
+            c.register("t", Table::new(schema, rows).unwrap());
+            c
+        };
+        let big = (1i64 << 53) + 1;
+        let c = table(&[(1, big), (1, 0), (2, 1 << 53), (2, 1), (3, -big), (3, 0)]);
+        let out = execute(
+            "SELECT g, MAX(x) AS hi, MIN(x) AS lo, SUM(x) AS s FROM t GROUP BY g ORDER BY g",
+            &c,
+        )
+        .unwrap();
+        let cols = |r: usize| -> Vec<Option<i64>> {
+            (1..4).map(|j| out.rows()[r].get(j).as_i64()).collect()
+        };
+        assert_eq!(cols(0), [Some(big), Some(0), Some(big)]);
+        assert_eq!(cols(1), [Some(1 << 53), Some(1), Some(big)]);
+        assert_eq!(cols(2), [Some(0), Some(-big), Some(-big)]);
+
+        let c = table(&[(1, i64::MAX), (1, 1)]);
+        let err = execute("SELECT g, SUM(x) AS s FROM t GROUP BY g", &c).unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::Semantic("SUM(x) overflows a 64-bit integer".into())
+        );
+        // MAX over the same group is still exact
+        let out = execute("SELECT g, MAX(x) AS m FROM t GROUP BY g", &c).unwrap();
+        assert_eq!(out.rows()[0].get(1).as_i64(), Some(i64::MAX));
     }
 
     #[test]

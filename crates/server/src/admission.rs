@@ -10,7 +10,7 @@
 //!   [`Settled`] token the terminal message is built from. Nothing else
 //!   can build one, so a client that has read its verdict finds the
 //!   books closed and its pages back.
-//! - dropped before [`Admission::start`] — the enqueue failed: the entry
+//! - dropped before `Admission::start` — the enqueue failed: the entry
 //!   is rolled back, as if the query had never been admitted.
 //! - dropped after `start` — the worker unwound mid-query: it settles as
 //!   `failed`.

@@ -2,21 +2,20 @@
 //! ([`batch_skyline_pipeline`]) against the row pipeline
 //! ([`parallel_skyline_pipeline`]) and the naive O(n²) oracle across
 //! the paper's workload grid — all five distributions, d ∈ 2..=10,
-//! MIN/MAX criterion mixes, and thread counts 1/2/4 — plus the derived
-//! queries (strata, skyband, top-N) through their batch drivers.
+//! MIN/MAX criterion mixes, and thread counts 1/2/4 — plus the record
+//! path's external strata against the in-memory strata.
 //!
 //! The oracle orients every row through [`SkylineSpec::key_of`], so the
 //! same naive maximum test covers pure-MAX and mixed MIN/MAX specs.
 //! Small domains force duplicate rows, stressing the batch merge's
 //! equal-key tie handling exactly like the row suite does.
 
-use skyline::core::algo::naive;
+use skyline::core::algo::{self, naive, MemSortOrder};
 use skyline::core::planner::{batch_skyline_pipeline, load_heap, parallel_skyline_pipeline};
-use skyline::core::skyband::skyband as mem_skyband;
 use skyline::core::strata::strata_external;
 use skyline::core::{
-    batch_skyband, batch_strata, batch_top_n, BatchConfig, Criterion, KeyMatrix, KeySumScore,
-    MetricsSnapshot, SfsConfig, SkylineMetrics, SkylineSpec, SortOrder,
+    BatchConfig, Criterion, KeyMatrix, MetricsSnapshot, SfsConfig, SkylineMetrics, SkylineSpec,
+    SortOrder,
 };
 use skyline::relation::gen::{Distribution, WorkloadSpec};
 use skyline::relation::RecordLayout;
@@ -225,8 +224,10 @@ fn batch_pipeline_matches_row_and_oracle_across_the_grid() {
     }
 }
 
+/// The record path's strata (iterated SFS with a rest file) against
+/// the in-memory simultaneous strata on the same rows.
 #[test]
-fn batch_strata_match_row_strata_across_specs() {
+fn external_strata_match_in_memory_strata_across_specs() {
     for &(dname, dist) in &[DISTS[0], DISTS[2]] {
         let d = 3;
         let (layout, records) = make_records(dist, d, 200, 0xA_2003);
@@ -235,8 +236,15 @@ fn batch_strata_match_row_strata_across_specs() {
             ("min-max-mix", alternating_spec(d)),
         ] {
             let label = format!("{dname} {sname}");
+            let km = oriented_keys(&layout, &spec, &records);
+            let mem: Vec<Vec<Vec<i32>>> = algo::strata(&km, 3, MemSortOrder::Entropy)
+                .0
+                .iter()
+                .filter(|s| !s.is_empty())
+                .map(|s| value_rows(&layout, d, s.iter().map(|&i| records[i].as_slice())))
+                .collect();
             let disk = MemDisk::shared();
-            let row = strata_external(
+            let ext = strata_external(
                 load(&disk, &layout, &records),
                 layout,
                 &spec,
@@ -248,121 +256,13 @@ fn batch_strata_match_row_strata_across_specs() {
                 Arc::clone(&disk) as Arc<dyn Disk>,
             )
             .unwrap();
-            let bdisk = MemDisk::shared();
-            let batch = batch_strata(
-                load(&bdisk, &layout, &records),
-                &layout,
-                &spec,
-                3,
-                2,
-                64,
-                16,
-                Arc::clone(&bdisk) as Arc<dyn Disk>,
-            )
-            .unwrap();
-            assert_eq!(
-                row.strata.len(),
-                batch.strata.len(),
-                "stratum count on {label}"
-            );
-            for (s, (rf, bf)) in row.strata.iter().zip(&batch.strata).enumerate() {
-                assert_eq!(
-                    value_rows(&layout, d, rf.read_all().unwrap().iter().map(Vec::as_slice)),
-                    value_rows(&layout, d, bf.read_all().unwrap().iter().map(Vec::as_slice)),
-                    "stratum {s} on {label}"
-                );
-            }
+            let ext: Vec<Vec<Vec<i32>>> = ext
+                .strata
+                .iter()
+                .map(|f| value_rows(&layout, d, f.read_all().unwrap().iter().map(Vec::as_slice)))
+                .collect();
+            assert_eq!(ext, mem, "strata on {label}");
         }
-    }
-}
-
-#[test]
-fn batch_skyband_matches_the_matrix_oracle() {
-    for &(dname, dist) in &[DISTS[0], DISTS[3]] {
-        let d = 3;
-        let (layout, records) = make_records(dist, d, 180, 0xB_2003);
-        for (sname, spec) in [
-            ("max-all", SkylineSpec::max_all(d)),
-            ("min-max-mix", alternating_spec(d)),
-        ] {
-            let km = oriented_keys(&layout, &spec, &records);
-            for k in [1u64, 2, 3] {
-                let label = format!("{dname} {sname} k={k}");
-                let idx = mem_skyband(&km, k);
-                let want = value_rows(&layout, d, idx.iter().map(|&i| records[i].as_slice()));
-                let disk = MemDisk::shared();
-                let band = batch_skyband(
-                    load(&disk, &layout, &records),
-                    &layout,
-                    &spec,
-                    k,
-                    64,
-                    16,
-                    Arc::clone(&disk) as Arc<dyn Disk>,
-                    SkylineMetrics::shared(),
-                )
-                .unwrap();
-                assert_eq!(
-                    value_rows(
-                        &layout,
-                        d,
-                        band.read_all().unwrap().iter().map(Vec::as_slice)
-                    ),
-                    want,
-                    "batch skyband on {label}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn batch_top_n_returns_the_best_scored_skyline_prefix() {
-    let d = 3;
-    let (layout, records) = make_records(Distribution::UniformIndependent, d, 180, 0xC_2003);
-    let spec = SkylineSpec::max_all(d);
-    let sky = oracle_rows(&layout, &spec, &records);
-    let mut sky_sums: Vec<i64> = sky
-        .iter()
-        .map(|r| r.iter().map(|&v| i64::from(v)).sum())
-        .collect();
-    sky_sums.sort_unstable_by(|a, b| b.cmp(a));
-    for n in [1u64, 5, 1000] {
-        let disk = MemDisk::shared();
-        let top = batch_top_n(
-            load(&disk, &layout, &records),
-            &layout,
-            &spec,
-            Arc::new(KeySumScore),
-            n,
-            2,
-            64,
-            16,
-            Arc::clone(&disk) as Arc<dyn Disk>,
-            SkylineMetrics::shared(),
-        )
-        .unwrap();
-        let got = value_rows(
-            &layout,
-            d,
-            top.read_all().unwrap().iter().map(Vec::as_slice),
-        );
-        let expect_len = (n as usize).min(sky.len());
-        assert_eq!(got.len(), expect_len, "top-{n} length");
-        // every returned row is a skyline row…
-        for r in &got {
-            assert!(
-                sky.binary_search(r).is_ok(),
-                "top-{n} row {r:?} not in skyline"
-            );
-        }
-        // …and their scores are exactly the n best skyline scores
-        let mut got_sums: Vec<i64> = got
-            .iter()
-            .map(|r| r.iter().map(|&v| i64::from(v)).sum())
-            .collect();
-        got_sums.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(got_sums, sky_sums[..expect_len], "top-{n} score multiset");
     }
 }
 

@@ -13,21 +13,18 @@
 
 use skyline::core::algo::naive;
 use skyline::core::external::sharded_skyline;
-use skyline::core::external::WinnowOp;
 use skyline::core::planner::{
     batch_skyline_pipeline, bnl_over, entropy_stats_of_records, load_heap,
     parallel_skyline_pipeline, presort, sfs_filter, sharded_skyline_pipeline,
 };
 use skyline::core::skyband::skyband;
 use skyline::core::strata::strata_external;
-use skyline::core::winnow::SkylinePreference;
 use skyline::core::{
-    batch_presort, parallel_skyline_cancellable, parallel_skyline_heap, AlgoError, BatchConfig,
-    KeyMatrix, KeySumScore, SfsConfig, ShardConfig, ShardStrategy, SkylineMetrics, SkylineSpec,
-    SortOrder, SpecKeys,
+    batch_presort, parallel_skyline_cancellable, AlgoError, BatchConfig, KeyMatrix, KeySumScore,
+    SfsConfig, ShardConfig, ShardStrategy, SkylineMetrics, SkylineSpec, SortOrder, SpecKeys,
 };
 use skyline::exec::batch::{BatchHeapScan, BatchSource, KeyBatch};
-use skyline::exec::{collect, CancelToken, ExecError, HeapScan, Operator};
+use skyline::exec::{collect, CancelToken, ExecError, Operator};
 use skyline::relation::gen::WorkloadSpec;
 use skyline::relation::RecordLayout;
 use skyline::storage::{Disk, FaultDisk, FaultSchedule, FileDisk, MemDisk, RetryDisk, RetryPolicy};
@@ -147,51 +144,6 @@ fn bnl(
     .map_err(|e| e.to_string())?;
     let out = collect(&mut op).map_err(|e| e.to_string())?;
     Ok(value_rows(&layout, out.iter().map(Vec::as_slice)))
-}
-
-fn winnow(
-    disk: Arc<dyn Disk>,
-    layout: RecordLayout,
-    records: &[Vec<u8>],
-) -> Result<Vec<Vec<i32>>, String> {
-    let heap = load_heap(
-        Arc::clone(&disk),
-        layout.record_size(),
-        records.iter().map(Vec::as_slice),
-    )
-    .map_err(|e| e.to_string())?;
-    let mut op = WinnowOp::new(
-        Box::new(HeapScan::new(Arc::new(heap))),
-        layout,
-        SkylineSpec::max_all(D),
-        Arc::new(SkylinePreference),
-        1,
-        disk,
-        SkylineMetrics::shared(),
-    )
-    .map_err(|e| e.to_string())?;
-    let out = collect(&mut op).map_err(|e| e.to_string())?;
-    Ok(value_rows(&layout, out.iter().map(Vec::as_slice)))
-}
-
-fn parallel(
-    disk: Arc<dyn Disk>,
-    layout: RecordLayout,
-    records: &[Vec<u8>],
-) -> Result<Vec<Vec<i32>>, String> {
-    let heap = load_heap(
-        Arc::clone(&disk),
-        layout.record_size(),
-        records.iter().map(Vec::as_slice),
-    )
-    .map_err(|e| e.to_string())?;
-    let heap = Arc::new(heap);
-    let idx = parallel_skyline_heap(&heap, &layout, &SkylineSpec::max_all(D), 4, None)
-        .map_err(|e| e.to_string())?;
-    Ok(value_rows(
-        &layout,
-        idx.iter().map(|&i| records[i].as_slice()),
-    ))
 }
 
 /// Thread count for the partitioned external SFS drivers. CI's
@@ -408,8 +360,6 @@ const DRIVERS: &[(&str, Driver)] = &[
     ("par-sfs-nested", par_sfs_nested),
     ("par-sfs-entropy", par_sfs_entropy),
     ("bnl", bnl),
-    ("winnow", winnow),
-    ("parallel", parallel),
     ("strata", strata),
     ("skyband", skyband_k1),
     ("batch", batch_block),
@@ -622,32 +572,6 @@ fn cancelled_operators_surface_typed_error_without_leaking() {
         assert!(matches!(err, ExecError::Cancelled { .. }));
     }
     assert_eq!(disk.allocated_pages(), 0, "cancelled bnl leaked");
-
-    // Winnow: same contract as the other window operators.
-    {
-        let heap = load_heap(
-            Arc::clone(&disk) as Arc<dyn Disk>,
-            layout.record_size(),
-            records.iter().map(Vec::as_slice),
-        )
-        .unwrap();
-        let token = CancelToken::new();
-        token.cancel();
-        let mut op = WinnowOp::new(
-            Box::new(HeapScan::new(Arc::new(heap))),
-            layout,
-            spec,
-            Arc::new(SkylinePreference),
-            1,
-            Arc::clone(&disk) as Arc<dyn Disk>,
-            SkylineMetrics::shared(),
-        )
-        .unwrap()
-        .with_cancel(token);
-        let err = collect(&mut op).expect_err("cancelled winnow must error");
-        assert!(matches!(err, ExecError::Cancelled { .. }));
-    }
-    assert_eq!(disk.allocated_pages(), 0, "cancelled winnow leaked");
 }
 
 /// Every batch stage polls its cancel token at batch boundaries; a

@@ -1,22 +1,20 @@
 //! Conservation-law gate over the metrics ledger: every record an
 //! operator fetches is settled exactly once — `emitted + discarded ==
-//! input_records` — for sequential SFS, BNL, the generalized winnow,
-//! and (stage by stage, summing to the aggregate *exactly*) the
-//! partitioned parallel filter. These laws are what make the bench
-//! gate's comparison counters trustworthy as a regression oracle.
+//! input_records` — for sequential SFS, BNL, and (stage by stage,
+//! summing to the aggregate *exactly*) the partitioned parallel
+//! filter. These laws are what make the bench gate's comparison
+//! counters trustworthy as a regression oracle.
 //!
 //! The block-kernel counters obey laws of their own: the model
 //! comparison charge never exceeds the physical lane work (comparisons
 //! stop at the first decisive entry of a non-skipped block; lanes count
-//! the whole block), the winnow's Pareto fast path charges exactly 2×
-//! comparisons per lane bound, and both counters aggregate exactly
-//! across parallel stages like every other counter.
+//! the whole block), and both counters aggregate exactly across
+//! parallel stages like every other counter.
 
 use skyline::core::external::{
-    sharded_skyline, sort_narrow, EliminationFilter, ShardConfig, ShardStrategy, WinnowOp,
+    sharded_skyline, sort_narrow, EliminationFilter, ShardConfig, ShardStrategy,
 };
 use skyline::core::planner::{bnl_over, entropy_stats_of, load_heap, presort, sfs_filter};
-use skyline::core::winnow::SkylinePreference;
 use skyline::core::{
     batch_presort, parallel_batch_filter, parallel_sfs_filter, BatchConfig, BatchSfs, EntropyScore,
     KeySumScore, MetricsSnapshot, SfsConfig, SkylineMetrics, SkylineSpec, SortOrder,
@@ -134,36 +132,6 @@ fn bnl_settles_every_record_even_multipass() {
     assert!(
         s.comparisons <= s.lanes_compared,
         "bnl: comparisons {} must not exceed lanes {}",
-        s.comparisons,
-        s.lanes_compared
-    );
-}
-
-#[test]
-fn winnow_op_settles_every_record() {
-    let n = 800usize;
-    let (heap, layout, spec, disk) = fixture(n, 3, 23);
-    let metrics = SkylineMetrics::shared();
-    let mut op = WinnowOp::new(
-        Box::new(HeapScan::new(heap)),
-        layout,
-        spec,
-        Arc::new(SkylinePreference),
-        1,
-        Arc::clone(&disk) as _,
-        Arc::clone(&metrics),
-    )
-    .unwrap();
-    let out = collect(&mut op).unwrap();
-    op.close();
-    let s = metrics.snapshot();
-    assert_settled(&s, n as u64, "winnow");
-    assert_eq!(s.emitted, out.len() as u64);
-    // the Pareto fast path charges two preference tests per model
-    // comparison (the scalar evaluator tested both directions)
-    assert!(
-        s.comparisons <= 2 * s.lanes_compared,
-        "winnow: comparisons {} must not exceed 2x lanes {}",
         s.comparisons,
         s.lanes_compared
     );

@@ -350,54 +350,60 @@ fn preference_order_top_n_with_early_stop() {
     let spec = SkylineSpec::max_all(d);
     let score = Arc::new(LinearScore::new(vec![4.0, 3.0, 2.0, 1.0]));
 
-    let sorted = presort_by_preference(
-        Arc::clone(&heap),
-        layout,
-        spec.clone(),
-        Arc::clone(&score) as Arc<dyn skyline::core::score::MonotoneScore>,
-        50,
-        Arc::clone(&disk) as Arc<dyn Disk>,
-    )
-    .unwrap();
-    let metrics = SkylineMetrics::shared();
-    let sfs = sfs_filter(
-        Arc::new(sorted),
-        layout,
-        spec.clone(),
-        SfsConfig::new(50).with_projection(),
-        Arc::clone(&disk) as Arc<dyn Disk>,
-        Arc::clone(&metrics),
-    )
-    .unwrap();
-    let mut top = Limit::new(Box::new(sfs), 5);
-    let out = collect(&mut top).unwrap();
-    assert_eq!(out.len(), 5);
-
-    // emitted in non-increasing preference score
     let score_of = |r: &[u8]| {
         let mut key = Vec::new();
         spec.key_of(&layout, r, &mut key);
         score.score(&key)
     };
-    for w in out.windows(2) {
-        assert!(score_of(&w[0]) >= score_of(&w[1]));
-    }
-
-    // they are the 5 highest-scoring skyline tuples overall
     let full = run_sfs_with_window(&disk, &heap, layout, d, 100);
     let mut full_scores: Vec<f64> = full.iter().map(|r| score_of(r)).collect();
-    full_scores.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    let got_min = out
-        .iter()
-        .map(|r| score_of(r))
-        .fold(f64::INFINITY, f64::min);
-    assert!(got_min >= full_scores[4] - 1e-9);
+    full_scores.sort_by(|a, b| b.total_cmp(a));
 
-    // early stop: far fewer tuples examined than a full run
-    assert!(
-        metrics.snapshot().emitted <= 6,
-        "Limit closed the operator early"
-    );
+    // one, a few, and more than the whole skyline
+    for n in [1, 5, full.len() + 10] {
+        let sorted = presort_by_preference(
+            Arc::clone(&heap),
+            layout,
+            spec.clone(),
+            Arc::clone(&score) as Arc<dyn MonotoneScore>,
+            50,
+            Arc::clone(&disk) as Arc<dyn Disk>,
+        )
+        .unwrap();
+        let metrics = SkylineMetrics::shared();
+        let sfs = sfs_filter(
+            Arc::new(sorted),
+            layout,
+            spec.clone(),
+            SfsConfig::new(50).with_projection(),
+            Arc::clone(&disk) as Arc<dyn Disk>,
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut top = Limit::new(Box::new(sfs), n as u64);
+        let out = collect(&mut top).unwrap();
+        let want = n.min(full.len());
+        assert_eq!(out.len(), want, "top-{n} length");
+
+        // emitted in non-increasing preference score
+        for w in out.windows(2) {
+            assert!(score_of(&w[0]) >= score_of(&w[1]), "top-{n} order");
+        }
+        // every row is a skyline row, and their scores are exactly the
+        // n best skyline scores
+        for r in &out {
+            assert!(full.binary_search(r).is_ok(), "top-{n}: not a skyline row");
+        }
+        let mut got_scores: Vec<f64> = out.iter().map(|r| score_of(r)).collect();
+        got_scores.sort_by(|a, b| b.total_cmp(a));
+        assert_eq!(got_scores, full_scores[..want], "top-{n} score multiset");
+
+        // early stop: Limit closes the operator after the n-th row
+        assert!(
+            metrics.snapshot().emitted <= want as u64 + 1,
+            "top-{n}: Limit closed the operator early"
+        );
+    }
 }
 
 #[test]
