@@ -32,8 +32,8 @@ pub const SHED_QUERIES: usize = 10;
 /// Phase C elapsed-deadline submissions (all cancelled).
 pub const DEADLINE_QUERIES: usize = 10;
 
-/// Rows in the gate table — above the configured external threshold, so
-/// phase A exercises the paged engine end to end.
+/// Rows in the gate table; phase A runs them through the paged engine
+/// end to end.
 const N: usize = 10_000;
 
 const SQL: &str = "SELECT * FROM t SKYLINE OF a MIN, b MIN, c MAX, d MAX";
@@ -81,7 +81,6 @@ fn percentile(sorted: &[f64], pct: f64) -> f64 {
 pub fn run_server_gate() -> Vec<Run> {
     let cfg = ServerConfig {
         workers: 2,
-        external_threshold: 1_000,
         ..ServerConfig::default()
     };
     let pool_pages = cfg.pool_pages;

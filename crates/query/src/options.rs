@@ -5,11 +5,9 @@
 //! *how* a query may run: which skyline algorithm, how many buffer-pool
 //! pages its working sets may charge, which [`CancelToken`] bounds its
 //! lifetime, and which [`Disk`] receives external spills. The default
-//! options reproduce the historical behaviour of [`crate::execute`]
-//! exactly — auto-dispatched algorithm, no quota, no deadline, a
-//! private in-memory spill disk.
+//! options are those of [`crate::execute`]: the paged engine's default
+//! presort (SFS), no quota, no deadline, a private in-memory spill disk.
 
-use crate::pushdown::EXTERNAL_THRESHOLD;
 use skyline_exec::CancelToken;
 use skyline_storage::{BufferPool, Disk, PAGE_SIZE};
 use std::sync::Arc;
@@ -17,27 +15,32 @@ use std::sync::Arc;
 /// Which skyline algorithm the executor runs.
 ///
 /// All variants compute the same skyline; they differ in comparison
-/// count, memory shape, and external behaviour. The quota sweep in the
-/// repo's tests drives every variant to its typed
-/// [`crate::QueryError::QuotaExceeded`] edge.
+/// count, memory shape, and emission order. Every hint but
+/// [`SkylineAlgo::DivideAndConquer`] runs on the paged engine
+/// ([`crate::pushdown::external_skyline_with`]) whatever the table's
+/// size. The quota sweep in the repo's tests drives every variant to its
+/// typed [`crate::QueryError::QuotaExceeded`] edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SkylineAlgo {
-    /// Dimensionality-based dispatch: the 1-D/2-D/3-D special cases
-    /// where they apply, entropy-presorted SFS otherwise.
+    /// The engine's choice, which is entropy-presorted SFS (the same
+    /// operator as [`SkylineAlgo::Sfs`]).
     #[default]
     Auto,
     /// Sort-Filter-Skyline with the entropy presort (the paper's
     /// algorithm).
     Sfs,
-    /// Block-nested-loops (the unsorted baseline).
+    /// Block-nested-loops over the unsorted stream (the paper's
+    /// baseline). A `DIFF` clause presorts all the same: BNL cannot
+    /// group.
     Bnl,
-    /// Divide-and-conquer (in-memory only; the external path falls back
-    /// to the in-memory executor).
+    /// Divide-and-conquer: the one in-memory hint. It builds the
+    /// oriented key matrix, charges [`matrix_pages`] for it, never
+    /// writes a page and ignores `sort_pages`.
     DivideAndConquer,
-    /// Partitioned parallel SFS.
+    /// Partitioned parallel SFS over the presorted stream.
     Parallel,
     /// The strata generalisation with `k = 1`: stratum s₀ *is* the
-    /// skyline, so the result is identical — only the machinery differs.
+    /// skyline, so the paged engine runs it as SFS.
     Strata,
 }
 
@@ -49,8 +52,8 @@ pub enum SkylineAlgo {
 pub struct ExecOptions {
     /// Algorithm choice (default [`SkylineAlgo::Auto`]).
     pub algo: SkylineAlgo,
-    /// Page quota: when set, every skyline working set — the in-memory
-    /// key matrix, the external sort arena, the filter window — is
+    /// Page quota: when set, every skyline working set — the sort
+    /// arena, the filter window, divide-and-conquer's key matrix — is
     /// charged against this pool, and exhaustion surfaces as the typed
     /// [`crate::QueryError::QuotaExceeded`] with zero pages leaked.
     pub pool: Option<BufferPool>,
@@ -58,14 +61,11 @@ pub struct ExecOptions {
     /// into the external operators; a trip surfaces as
     /// [`crate::QueryError::Cancelled`] with partial progress.
     pub cancel: Option<CancelToken>,
-    /// Row count at which the skyline leaves the in-memory executor for
-    /// the paged external engine (default
-    /// [`crate::pushdown::EXTERNAL_THRESHOLD`]).
-    pub external_threshold: usize,
-    /// External-sort budget in pages (default 1000, matching the
-    /// historical pushdown): one page for the elimination filter ahead
-    /// of the sort, the rest for its arena. Below 4 a paged query fails
-    /// with a typed configuration error.
+    /// External-sort budget in pages (default 1000): one page for the
+    /// elimination filter ahead of the sort, the rest for its arena. A
+    /// pass reserves no more than its input needs, and never fewer than
+    /// 4 pages. Below 4 a paged query fails with a typed configuration
+    /// error.
     pub sort_pages: usize,
     /// Worker threads for [`SkylineAlgo::Parallel`]; `0` means one per
     /// available core.
@@ -83,7 +83,6 @@ impl Default for ExecOptions {
             algo: SkylineAlgo::Auto,
             pool: None,
             cancel: None,
-            external_threshold: EXTERNAL_THRESHOLD,
             sort_pages: 1000,
             threads: 0,
             disk: None,
@@ -113,10 +112,12 @@ impl ExecOptions {
         self
     }
 
-    /// Override the external-engine row threshold.
+    /// Formerly the row count at which a skyline left the in-memory
+    /// executor for the paged engine. Every table size pages now; this
+    /// returns the options unchanged.
+    #[deprecated(note = "ignored; removed with benchmark/src/replay.rs in ROADMAP 1b")]
     #[must_use]
-    pub fn with_external_threshold(mut self, rows: usize) -> Self {
-        self.external_threshold = rows;
+    pub fn with_external_threshold(self, _rows: usize) -> Self {
         self
     }
 
@@ -142,8 +143,8 @@ impl ExecOptions {
     }
 }
 
-/// Pages an `n × d` matrix of 8-byte oriented keys occupies — what the
-/// in-memory executor charges against a quota pool. Never zero: even an
+/// Pages an `n × d` matrix of 8-byte oriented keys occupies — what
+/// [`SkylineAlgo::DivideAndConquer`] charges against a quota pool. Never zero: even an
 /// empty relation charges the one page its bookkeeping touches.
 #[must_use]
 pub fn matrix_pages(n: usize, d: usize) -> usize {
@@ -159,7 +160,6 @@ mod tests {
         let opts = ExecOptions::default();
         assert_eq!(opts.algo, SkylineAlgo::Auto);
         assert!(opts.pool.is_none() && opts.cancel.is_none() && opts.disk.is_none());
-        assert_eq!(opts.external_threshold, EXTERNAL_THRESHOLD);
         assert_eq!(opts.sort_pages, 1000);
     }
 

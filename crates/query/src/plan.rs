@@ -18,12 +18,9 @@ use crate::error::QueryError;
 use crate::expr;
 use crate::options::{matrix_pages, ExecOptions, SkylineAlgo};
 use crate::parser::parse;
-use crate::pushdown::SkylineColumns;
+use crate::pushdown::{external_skyline_with, SkylineColumns};
 use skyline_core::algo;
-use skyline_core::algo::MemSortOrder;
 use skyline_core::cardinality::expected_skyline_size;
-use skyline_core::lowdim::skyline_auto;
-use skyline_core::par::{parallel_skyline_cancellable, AlgoError};
 use skyline_core::KeyMatrix;
 use skyline_exec::ExecError;
 use skyline_relation::{KeyColumn, Schema, Table, Tuple, Value};
@@ -107,8 +104,8 @@ pub fn execute_query_with(
 ///   in *emission order* — presort order on the SFS arms (see
 ///   [`crate::pushdown::external_skyline_with`]) — and `LIMIT n` stops
 ///   the filter after its `n`-th survivor;
-/// - `ORDER BY`, grouping and the in-memory skyline route (which
-///   returns rows ascending) collect first, then emit.
+/// - `ORDER BY`, grouping and the `DivideAndConquer` hint (which runs
+///   in memory and returns rows ascending) collect first, then emit.
 ///
 /// `sink` returning [`ControlFlow::Break`] ends the pipeline as `LIMIT`
 /// does; the call still returns the schema.
@@ -374,7 +371,7 @@ fn apply_group_by(
             }
         }
     }
-    let groups = group_rows(rows, &group_idx);
+    let groups = group_members(&group_ids(rows, &group_idx));
     let agg_value = |func: AggFunc, idx: usize, members: &[usize]| -> Result<Value, QueryError> {
         let cells = || members.iter().map(|&i| rows[i].get(idx));
         if func == AggFunc::Count {
@@ -453,25 +450,36 @@ impl<'a> Cell<'a> {
     }
 }
 
-/// Partition `rows` by their values at `columns`, groups in order of
+/// Number the rows by their values at `columns`, groups in order of
 /// first appearance: two rows share a group when every column compares
 /// equal under [`Value::sql_cmp`] — `DIFF`'s equality in the `EXCEPT`
 /// rewrite — so a row holding a NaN is a group of its own.
-fn group_rows(rows: &[Tuple], columns: &[usize]) -> Vec<Vec<usize>> {
+pub(crate) fn group_ids(rows: &[Tuple], columns: &[usize]) -> Vec<usize> {
     let k = columns.len();
     let cells: Vec<Option<Cell<'_>>> = rows
         .iter()
         .flat_map(|r| columns.iter().map(|&c| Cell::of(r.get(c))))
         .collect();
     let mut index: HashMap<&[Option<Cell<'_>>], usize> = HashMap::new();
+    let mut groups = 0;
+    (0..rows.len())
+        .map(|i| {
+            let key = &cells[i * k..(i + 1) * k];
+            let g = if key.contains(&None) {
+                groups
+            } else {
+                *index.entry(key).or_insert(groups)
+            };
+            groups += usize::from(g == groups);
+            g
+        })
+        .collect()
+}
+
+/// The members of each group [`group_ids`] numbered, ascending.
+fn group_members(ids: &[usize]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    for i in 0..rows.len() {
-        let key = &cells[i * k..(i + 1) * k];
-        let g = if key.contains(&None) {
-            groups.len()
-        } else {
-            *index.entry(key).or_insert(groups.len())
-        };
+    for (i, &g) in ids.iter().enumerate() {
         if g == groups.len() {
             groups.push(Vec::new());
         }
@@ -481,9 +489,10 @@ fn group_rows(rows: &[Tuple], columns: &[usize]) -> Vec<Vec<usize>> {
 }
 
 /// The skyline of `rows`, each survivor's index handed to `emit` — in
-/// emission order on the paged engine, ascending on the in-memory
-/// route; `Break` stops it. `resident` is the catalog table when `rows`
-/// is all of it, so its key columns can be shared across queries.
+/// emission order on the paged engine, ascending under the
+/// `DivideAndConquer` hint; `Break` stops it. `resident` is the catalog
+/// table when `rows` is all of it, so its key columns can be shared
+/// across queries.
 fn apply_skyline(
     rows: &[Tuple],
     resident: Option<&Table>,
@@ -511,17 +520,16 @@ fn apply_skyline(
             "SKYLINE OF needs at least one MIN/MAX criterion".into(),
         ));
     }
-    // The clause's key columns, criteria then DIFF: the table's resident
-    // ones when the relation is a whole catalog table, built for this
-    // query (same type, same builder) when it was filtered or grouped.
+    // The clause's criterion columns: the table's resident ones when the
+    // relation is a whole catalog table, built for this query (same
+    // type, same builder) when it was filtered or grouped.
     let poll_row = |rowno| match &opts.cancel {
         Some(token) => token.check(rowno).map_err(QueryError::from_exec),
         None => Ok(()),
     };
-    let wanted = [crit.as_slice(), diff.as_slice()].concat();
     let columns: Vec<Arc<KeyColumn>> = match resident {
-        Some(table) => table.key_columns(&wanted, poll_row)?,
-        None => KeyColumn::build_all(rows, &wanted, poll_row)?
+        Some(table) => table.key_columns(&crit, poll_row)?,
+        None => KeyColumn::build_all(rows, &crit, poll_row)?
             .into_iter()
             .map(Arc::new)
             .collect(),
@@ -539,15 +547,14 @@ fn apply_skyline(
             schema.column(idx).name
         )));
     }
-    let cols = SkylineColumns::new(columns, &min);
-    // Large relations push down to the paged engine, which reads the
-    // columns as its input stream and emits survivors as it proves them.
-    if crate::pushdown::routes_to_paged_engine(&cols, opts) {
-        return crate::pushdown::external_skyline_with(cols, opts, emit);
+    let groups = (!diff.is_empty()).then(|| group_ids(rows, &diff));
+    let cols = SkylineColumns::new(columns, &min, groups);
+    if opts.algo != SkylineAlgo::DivideAndConquer {
+        return external_skyline_with(cols, opts, emit);
     }
 
-    // The in-memory working set — the oriented matrix — charges the
-    // quota pool for as long as the filter runs, and no longer.
+    // Divide-and-conquer runs in memory: its oriented matrix charges the
+    // quota pool for as long as it runs, and no longer.
     let mut keep: Vec<usize> = {
         let d = crit.len();
         let _lease = match &opts.pool {
@@ -558,15 +565,15 @@ fn apply_skyline(
             None => None,
         };
         let keys = KeyMatrix::new(d, cols.oriented_matrix());
-        if diff.is_empty() {
-            mem_skyline(&keys, opts)?
-        } else {
-            let mut keep = Vec::new();
-            for members in &group_rows(rows, &diff) {
-                let sub = keys.select(members);
-                keep.extend(mem_skyline(&sub, opts)?.iter().map(|&l| members[l]));
-            }
-            keep
+        match &cols.groups {
+            None => algo::divide_and_conquer(&keys).indices,
+            Some(ids) => group_members(ids)
+                .iter()
+                .flat_map(|members| {
+                    let sky = algo::divide_and_conquer(&keys.select(members)).indices;
+                    sky.into_iter().map(|l| members[l])
+                })
+                .collect(),
         }
     };
     keep.sort_unstable();
@@ -576,34 +583,6 @@ fn apply_skyline(
         }
     }
     Ok(())
-}
-
-/// Dispatch the in-memory skyline to the contract's algorithm. `Auto`
-/// keeps the historical behaviour: the 1-D/2-D/3-D special cases where
-/// they apply, entropy-presorted SFS otherwise.
-fn mem_skyline(keys: &KeyMatrix, opts: &ExecOptions) -> Result<Vec<usize>, QueryError> {
-    match opts.algo {
-        SkylineAlgo::Auto => Ok(skyline_auto(keys).indices),
-        SkylineAlgo::Sfs => Ok(algo::sfs(keys, MemSortOrder::Entropy).indices),
-        SkylineAlgo::Bnl => Ok(algo::bnl(keys).indices),
-        SkylineAlgo::DivideAndConquer => Ok(algo::divide_and_conquer(keys).indices),
-        SkylineAlgo::Parallel => {
-            parallel_skyline_cancellable(keys, opts.threads, opts.cancel.as_ref()).map_err(|e| {
-                match e {
-                    AlgoError::Cancelled { records_processed } => {
-                        QueryError::Cancelled { records_processed }
-                    }
-                    other => QueryError::Exec(other.to_string()),
-                }
-            })
-        }
-        // Stratum s₀ of the strata decomposition is the skyline.
-        SkylineAlgo::Strata => Ok(algo::strata(keys, 1, MemSortOrder::Entropy)
-            .0
-            .into_iter()
-            .next()
-            .unwrap_or_default()),
-    }
 }
 
 /// Render the logical plan for `sql`, annotated with the skyline

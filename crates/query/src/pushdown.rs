@@ -1,22 +1,28 @@
-//! Pushing `SKYLINE OF` down into the paged external engine.
+//! `SKYLINE OF` on the paged external engine.
 //!
-//! The in-memory executor in [`crate::plan`] is right for small and
-//! medium tables; past a threshold the planner hands the skyline to the
-//! external operators instead. The planner holds the clause's key
+//! Every SQL skyline runs here, whatever the relation's size, except
+//! under the [`SkylineAlgo::DivideAndConquer`] hint, which stays in
+//! memory ([`crate::plan`]). The planner holds the clause's key
 //! columns ([`SkylineColumns`] — for a whole catalog table the table's
 //! own resident columns, shared across queries); they are read a chunk
 //! of rows at a time, the sign of a `MIN` criterion applied as a value
-//! is read, and streamed as *narrow entries* — `d` f64 keys, the DIFF
-//! lanes, the row's entropy score, and the originating row index —
-//! straight into the external sort (entropy-presorted, the paper's
-//! "w/ E", DIFF groups outermost; the score is built from the columns'
-//! cached statistics), filtered
+//! is read, and streamed as *narrow entries* — `d` f64 keys, the row's
+//! `DIFF` group number, the row's entropy score, and the originating row
+//! index — straight into the external sort (entropy-presorted, the
+//! paper's "w/ E", DIFF groups outermost; the score is built from the
+//! columns' cached statistics), filtered
 //! through a window sized by the §6 cardinality estimator, and each
 //! surviving row id goes to the caller the moment the filter proves it
 //! — the paper's pipelined output, which `LIMIT` and a departed client
 //! cut short. No oriented key matrix exists on this route. This is the
 //! integration the paper argues for — the skyline as *an operator
 //! inside the engine*, not an application post-pass.
+//!
+//! A criterion may hold any number, ±∞ included; a NaN is refused
+//! before the engine starts, as a non-numeric value. A `DIFF` key may be
+//! any value: the planner numbers the groups by `plan`'s value equality
+//! (the one `GROUP BY` and the `EXCEPT` rewrite use), and the entry
+//! carries that number as its one group lane.
 //!
 //! Each forwarded row is scored once, as the paper's §4.3 has it
 //! ("computed on-the-fly" per tuple). The entry carries the score in its
@@ -33,12 +39,12 @@
 //! admits is encoded — so a row some earlier row strictly dominates
 //! costs no encode, arena byte, run page, merge step or filter probe. It
 //! is exact (every dropped row is dominated by a forwarded one) and its
-//! page is the sort's own — `sort_pages − 1` go to the arena — so no
-//! lease grows. It runs on every presorted arm and stays out only where
-//! the code can see it would be wrong or pointless: with DIFF lanes
-//! (incomparable groups interleave in the unsorted stream) and on the
-//! `Bnl` arm (the paper's unsorted baseline, and the filter-free twin
-//! the differential tests compare against).
+//! page is the sort's own — the rest of the sort's pages go to the
+//! arena — so no lease grows. It runs on every presorted arm and stays
+//! out only where the code can see it would be wrong or pointless: with
+//! a DIFF lane (incomparable groups interleave in the unsorted stream)
+//! and on the `Bnl` arm (the paper's unsorted baseline, and the
+//! filter-free twin the differential tests compare against).
 //!
 //! [`external_skyline_with`] honours the [`ExecOptions`] contract: the
 //! algorithm hint picks the narrow instantiation (SFS for `Auto`, `Sfs`
@@ -47,7 +53,9 @@
 //! against the optional quota pool (sort arena while sorting, filter
 //! window while filtering), the cancel token is polled while entries
 //! stream and inside the operators, and spills go to the caller's disk
-//! when one is given.
+//! when one is given. The sort arena is sized by its input: it reserves
+//! what every entry and the filter's page would fill, between 4 pages
+//! and `sort_pages` — so a six-row table asks for 4, not the budget.
 //!
 //! On the presorted arms the §6 estimate is the window's *initial*
 //! reservation — clipped to what the quota has free once the sort arena
@@ -73,13 +81,9 @@ use skyline_core::{EntropyScore, MonotoneScore, SfsConfig, SkylineMetrics};
 use skyline_exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
 use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
 use skyline_relation::{KeyColumn, TableStats};
-use skyline_storage::{BufferLease, BufferPool, Disk, MemDisk};
+use skyline_storage::{BufferLease, BufferPool, Disk, MemDisk, PAGE_SIZE};
 use std::ops::ControlFlow;
 use std::sync::Arc;
-
-/// Row-count threshold above which [`crate::execute`] routes the skyline
-/// through the external engine.
-pub const EXTERNAL_THRESHOLD: usize = 50_000;
 
 /// The columns one `SKYLINE OF` clause reads, as the relation holds
 /// them: criterion `k` of row `i`, in the all-max orientation, is
@@ -88,20 +92,20 @@ pub struct SkylineColumns {
     /// The `MIN`/`MAX` columns in clause order (at least one, every row
     /// numeric), each with its sign: −1 for `MIN`.
     pub crit: Vec<(Arc<KeyColumn>, f64)>,
-    /// The `DIFF` columns in clause order.
-    pub diff: Vec<Arc<KeyColumn>>,
+    /// Each row's `DIFF` group number; `None` without a `DIFF` clause.
+    /// Rows share a group exactly when their `DIFF` values are equal.
+    pub groups: Option<Vec<usize>>,
 }
 
 impl SkylineColumns {
-    /// From a clause's columns — criteria, then DIFF, each in clause
-    /// order — and whether each criterion is a `MIN`.
+    /// From a clause's criterion columns in clause order, whether each
+    /// is a `MIN`, and each row's `DIFF` group number, if any.
     #[must_use]
-    pub fn new(mut columns: Vec<Arc<KeyColumn>>, min: &[bool]) -> Self {
-        let diff = columns.split_off(min.len());
+    pub fn new(columns: Vec<Arc<KeyColumn>>, min: &[bool], groups: Option<Vec<usize>>) -> Self {
         let signed = |(column, &is_min)| (column, if is_min { -1.0 } else { 1.0 });
         SkylineColumns {
             crit: columns.into_iter().zip(min).map(signed).collect(),
-            diff,
+            groups,
         }
     }
 
@@ -116,7 +120,7 @@ impl SkylineColumns {
         out.extend(self.crit.iter().map(|(c, sign)| sign * c.values()[row]));
     }
 
-    /// The row-major oriented key matrix — the in-memory executor's input.
+    /// The row-major oriented key matrix — divide-and-conquer's input.
     #[must_use]
     pub fn oriented_matrix(&self) -> Vec<f64> {
         let columns: Vec<(&[f64], f64)> = self.crit.iter().map(|(c, s)| (c.values(), *s)).collect();
@@ -141,30 +145,6 @@ impl SkylineColumns {
             self.crit.iter().map(oriented).collect(),
         ))
     }
-}
-
-/// Does this skyline run on the paged engine? Yes when the relation is
-/// at least `opts.external_threshold` rows, the algorithm is not
-/// divide-and-conquer (in-memory only), every criterion value is finite
-/// (NaN and ±∞ keep their in-memory semantics), and every DIFF key is an
-/// integer within `i32` — flags the columns carry, so nothing is scanned.
-///
-/// Criteria used to have to be integral and within `i32` as well — not a
-/// codec limit (narrow entries carry any f64) but a measurement: paging
-/// the end-to-end benchmark's `float_d5` workload (100k rows, 5
-/// fractional criteria, 2 cores) moved `query_p50_ms` 50.0 → 69.3,
-/// because the external sort handled every one of the 100k entries. With
-/// the elimination filter 97 % of that table never reaches the sort, and
-/// the same pairing reads 44.9 → 18.4 ms, ten pairs of ten
-/// (EXPERIMENTS.md "Elimination filter") — so fractional tables page,
-/// and charge the quota a 64-page sort arena instead of a 977-page key
-/// matrix.
-#[must_use]
-pub fn routes_to_paged_engine(cols: &SkylineColumns, opts: &ExecOptions) -> bool {
-    cols.rows() >= opts.external_threshold
-        && opts.algo != SkylineAlgo::DivideAndConquer
-        && cols.crit.iter().all(|(c, _)| c.all_finite())
-        && cols.diff.iter().all(|c| c.int_within_i32())
 }
 
 /// Charge `pages` against the quota pool, if one is set. The lease is
@@ -258,8 +238,8 @@ impl Operator for ColumnEntries {
                     Some(f) => f.admitted_score(),
                     None => s.score(&self.lanes),
                 });
-                self.lanes
-                    .extend(self.cols.diff.iter().map(|c| c.values()[row]));
+                let group = self.cols.groups.as_ref().map(|g| g[row] as f64);
+                self.lanes.extend(group);
                 self.lanes.extend(score);
                 self.narrow
                     .encode_into(&self.lanes, row as u64, &mut self.entry);
@@ -306,10 +286,19 @@ impl Operator for ColumnEntries {
 /// (two inputs and an output) plus the elimination filter's one.
 const MIN_SORT_PAGES: usize = 4;
 
+/// Pages a presort pass reserves for `rows` entries of `entry_size`
+/// bytes: room for every entry plus the elimination filter's page,
+/// within `opts.sort_pages` and never below [`MIN_SORT_PAGES`].
+fn sort_pages_for(opts: &ExecOptions, rows: usize, entry_size: usize) -> usize {
+    let input = (rows * entry_size).div_ceil(PAGE_SIZE) + 1;
+    opts.sort_pages.min(input.max(MIN_SORT_PAGES))
+}
+
 /// Run the skyline over `cols` on the paged engine under the execution
-/// contract `opts`, grouping by the DIFF columns, and hand each skyline
-/// row index to `emit` the moment the filter proves it. The caller has
-/// checked [`routes_to_paged_engine`].
+/// contract `opts`, grouping by the DIFF group numbers, and hand each
+/// skyline row index to `emit` the moment the filter proves it. Every
+/// hint but [`SkylineAlgo::DivideAndConquer`] has an arm here; that one
+/// runs as `Auto`.
 ///
 /// Rows arrive in *emission order*, not ascending: on the presorted arms
 /// that is presort order (entropy, DIFF groups outermost), pass by pass
@@ -350,7 +339,7 @@ fn paged_skyline(
             opts.sort_pages
         ))));
     }
-    let (d, grouped) = (cols.crit.len(), !cols.diff.is_empty());
+    let (d, grouped) = (cols.crit.len(), cols.groups.is_some());
     let disk: Arc<dyn Disk> = match &opts.disk {
         Some(d) => Arc::clone(d),
         None => MemDisk::shared(),
@@ -363,7 +352,7 @@ fn paged_skyline(
     let presort =
         (opts.algo != SkylineAlgo::Bnl || grouped).then(|| Arc::new(cols.entropy_score()));
     // A presorted entry carries its score, so the sort reads it back.
-    let narrow = NarrowLayout::new(d).with_diff(cols.diff.len());
+    let narrow = NarrowLayout::new(d).with_diff(usize::from(grouped));
     let narrow = if presort.is_some() {
         narrow.with_score()
     } else {
@@ -376,8 +365,9 @@ fn paged_skyline(
         .as_ref()
         .filter(|_| !grouped)
         .map(|score| EliminationFilter::new(d, Arc::clone(score) as _, Arc::clone(&metrics)));
-    // Its page is the sort's: what it holds, the arena gives up.
-    let arena_pages = opts.sort_pages - usize::from(elimination.is_some());
+    // The filter's page is the sort's: what it holds, the arena gives up.
+    let sort_pages = sort_pages_for(opts, cols.rows(), narrow.entry_size());
+    let arena_pages = sort_pages - usize::from(elimination.is_some());
     let mut entries = ColumnEntries::new(cols, narrow, elimination, opts.cancel.clone());
     if let Some(score) = &presort {
         entries = entries.scored(Arc::clone(score));
@@ -405,7 +395,7 @@ fn paged_skyline(
         Some(score) => {
             // The sort arena is charged only while sorting.
             let parallel = opts.algo == SkylineAlgo::Parallel;
-            let sort_lease = reserve(opts, opts.sort_pages)?;
+            let sort_lease = reserve(opts, sort_pages)?;
             let sorted = sort_narrow(
                 entries,
                 narrow,
@@ -496,37 +486,60 @@ mod tests {
     /// The clause's columns, built the way `plan::apply_skyline` builds
     /// them for a relation it does not find in the catalog.
     fn columns(rows: &[Tuple], crit: &[(usize, bool)], diff: &[usize]) -> SkylineColumns {
-        let wanted: Vec<usize> = crit
-            .iter()
-            .map(|c| c.0)
-            .chain(diff.iter().copied())
-            .collect();
+        let wanted: Vec<usize> = crit.iter().map(|c| c.0).collect();
         let built = KeyColumn::build_all(rows, &wanted, |_| Ok::<(), ()>(())).unwrap();
         let min: Vec<bool> = crit.iter().map(|c| c.1).collect();
-        SkylineColumns::new(built.into_iter().map(Arc::new).collect(), &min)
+        let groups = (!diff.is_empty()).then(|| crate::plan::group_ids(rows, diff));
+        SkylineColumns::new(built.into_iter().map(Arc::new).collect(), &min, groups)
     }
 
-    /// What `plan::apply_skyline` does with a relation of any size:
-    /// `None` when the routing predicate keeps it in memory.
+    /// The paged engine over `rows`, survivors ascending.
     fn paged(
         rows: &[Tuple],
         crit: &[(usize, bool)],
         diff: &[usize],
         opts: &ExecOptions,
-    ) -> Result<Option<Vec<usize>>, QueryError> {
-        let opts = opts.clone().with_external_threshold(0);
-        let cols = columns(rows, crit, diff);
-        if !routes_to_paged_engine(&cols, &opts) {
-            return Ok(None);
-        }
+    ) -> Result<Vec<usize>, QueryError> {
         let mut ids = Vec::new();
-        external_skyline_with(cols, &opts, |id| {
+        external_skyline_with(columns(rows, crit, diff), opts, |id| {
             ids.push(id);
             ControlFlow::Continue(())
         })?;
         // emission order is presort order; the oracles are ascending
         ids.sort_unstable();
-        Ok(Some(ids))
+        Ok(ids)
+    }
+
+    /// `sql` over a table `(id INT, x FLOAT, k)` of `rows`, on a private
+    /// disk under a pool: the `id`s in rank order and the pages written.
+    fn via_sql(
+        rows: Vec<Tuple>,
+        sql: &str,
+        algo: SkylineAlgo,
+    ) -> Result<(Vec<i64>, u64), QueryError> {
+        use crate::catalog::Catalog;
+        use skyline_relation::{ColumnType, Schema, Table};
+        let schema = Schema::of(&[
+            ("id", ColumnType::Int),
+            ("x", ColumnType::Float),
+            ("k", ColumnType::Str),
+        ]);
+        let mut cat = Catalog::new();
+        cat.register("t", Table::new(schema, rows).unwrap());
+        let (pool, disk) = (BufferPool::new(1 << 12), MemDisk::shared());
+        let opts = ExecOptions::default()
+            .with_algo(algo)
+            .with_threads(2)
+            .with_pool(pool.clone())
+            .with_disk(Arc::clone(&disk) as _);
+        let out = crate::plan::execute_with(sql, &cat, &opts);
+        assert_eq!((pool.used(), disk.allocated_pages()), (0, 0), "{sql}");
+        let ids = out?
+            .rows()
+            .iter()
+            .map(|r| r.get(0).as_i64().unwrap())
+            .collect();
+        Ok((ids, disk.stats().writes()))
     }
 
     fn in_memory(rows: &[Tuple], crit: &[(usize, bool)], diff: &[usize]) -> Vec<usize> {
@@ -574,9 +587,7 @@ mod tests {
             (vec![(0, true), (1, false)], vec![]),
             (vec![(0, false), (1, true)], vec![2usize]),
         ] {
-            let ext = paged(&rows, &crit, &diff, &ExecOptions::default())
-                .unwrap()
-                .expect("pushdown applies");
+            let ext = paged(&rows, &crit, &diff, &ExecOptions::default()).unwrap();
             assert_eq!(ext, in_memory(&rows, &crit, &diff), "{crit:?} {diff:?}");
         }
     }
@@ -589,9 +600,7 @@ mod tests {
             let oracle = in_memory(&rows, &crit, &diff);
             for algo in ALGOS {
                 let opts = ExecOptions::default().with_algo(algo).with_threads(2);
-                let ext = paged(&rows, &crit, &diff, &opts)
-                    .unwrap()
-                    .expect("pushdown applies");
+                let ext = paged(&rows, &crit, &diff, &opts).unwrap();
                 assert_eq!(ext, oracle, "{algo:?} diff={diff:?}");
             }
         }
@@ -599,23 +608,17 @@ mod tests {
 
     #[test]
     fn divide_and_conquer_stays_in_memory() {
-        let rows = random_table(100);
-        let crit = vec![(0usize, false), (1usize, true)];
-        let opts = ExecOptions::default().with_algo(SkylineAlgo::DivideAndConquer);
-        assert!(paged(&rows, &crit, &[], &opts).unwrap().is_none());
-    }
-
-    #[test]
-    fn threshold_is_part_of_the_routing_predicate() {
-        let rows = random_table(100);
-        let crit = vec![(0usize, false), (1usize, true)];
-        let cols = columns(&rows, &crit, &[]);
-        let at = |threshold| {
-            let opts = ExecOptions::default().with_external_threshold(threshold);
-            routes_to_paged_engine(&cols, &opts)
-        };
-        assert!(at(100));
-        assert!(!at(101));
+        // the one hint off the paged engine: it writes nothing, and its
+        // answer is the engine's, DIFF groups included
+        let rows: Vec<Tuple> = (0..600i64)
+            .map(|i| tuple![i, (i * 37 % 101) as f64, if i % 3 == 0 { "a" } else { "b" }])
+            .collect();
+        let sql = "SELECT id FROM t SKYLINE OF id MIN, x MAX, k DIFF";
+        let (ids, writes) = via_sql(rows.clone(), sql, SkylineAlgo::DivideAndConquer).unwrap();
+        assert_eq!(writes, 0);
+        let (paged_ids, paged_writes) = via_sql(rows, sql, SkylineAlgo::Auto).unwrap();
+        assert_eq!(ids, paged_ids);
+        assert!(paged_writes > 0);
     }
 
     #[test]
@@ -688,44 +691,70 @@ mod tests {
     fn sort_arena_then_window_are_the_only_charges() {
         // The lease discipline: the sort arena while sorting, released
         // before the window is charged — so the peak is the larger of
-        // the two, never their sum.
+        // the two, never their sum. The arena is sized by its input:
+        // 2 000 entries of 32 bytes fill 16 pages, plus the filter's one.
         let rows = random_table(2_000);
         let crit = vec![(0usize, false), (1usize, true)];
-        let pool = BufferPool::new(1 << 16);
-        let opts = ExecOptions::default()
-            .with_algo(SkylineAlgo::Sfs)
-            .with_pool(pool.clone())
-            .with_sort_pages(24);
-        paged(&rows, &crit, &[], &opts).unwrap().unwrap();
         let window = recommend_window_pages(rows.len(), 2, 16);
-        assert_eq!(pool.peak(), window.max(24));
-        assert_eq!(pool.used(), 0);
+        for (sort_pages, arena) in [(24, 17), (17, 17), (8, 8), (4, 4)] {
+            let pool = BufferPool::new(1 << 16);
+            let opts = ExecOptions::default()
+                .with_algo(SkylineAlgo::Sfs)
+                .with_pool(pool.clone())
+                .with_sort_pages(sort_pages);
+            let out = paged(&rows, &crit, &[], &opts).unwrap();
+            assert_eq!(out, in_memory(&rows, &crit, &[]), "{sort_pages}");
+            assert_eq!(pool.peak(), window.max(arena), "{sort_pages}");
+            assert_eq!(pool.used(), 0);
+        }
+        // a handful of rows asks for the floor, not the budget
+        let pool = BufferPool::new(1 << 16);
+        let opts = ExecOptions::default().with_pool(pool.clone());
+        paged(&rows[..6], &crit, &[], &opts).unwrap();
+        assert_eq!(pool.peak(), MIN_SORT_PAGES);
     }
 
     #[test]
-    fn finite_criteria_page_and_everything_else_stays_in_memory() {
-        let route = |rows: &[Tuple], diff: &[usize]| {
-            paged(rows, &[(0, false)], diff, &ExecOptions::default())
+    fn infinite_criteria_and_any_diff_key_page_and_nan_is_a_typed_error() {
+        let row = |id: i64, x: f64, k: Value| Tuple::new(vec![Value::Int(id), Value::Float(x), k]);
+        let paged_ids = |rows: &[Tuple], sql: &str| {
+            let (ids, writes) = via_sql(rows.to_vec(), sql, SkylineAlgo::Auto).unwrap();
+            assert!(writes > 0, "{sql}: did not page");
+            ids
         };
-        // fractional and beyond-i32 criteria page: narrow entries carry
-        // any finite f64
-        let rows = vec![tuple![1.5], tuple![2.5]];
-        assert_eq!(route(&rows, &[]).unwrap(), Some(vec![1]));
-        let rows = vec![
-            Tuple::new(vec![Value::Int(i64::from(i32::MAX) + 1)]),
-            Tuple::new(vec![Value::Int(0)]),
+        // ±∞ criteria page under either direction
+        let rows = [
+            row(0, 1.5, Value::Null),
+            row(1, f64::INFINITY, Value::Null),
+            row(2, f64::NEG_INFINITY, Value::Null),
         ];
-        assert_eq!(route(&rows, &[]).unwrap(), Some(vec![0]));
-        // NaN and ±∞ criteria keep the in-memory executor's semantics
-        for odd in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let rows = vec![tuple![1.5], tuple![odd]];
-            assert!(route(&rows, &[]).unwrap().is_none(), "{odd}");
+        assert_eq!(paged_ids(&rows, "SELECT id FROM t SKYLINE OF x MAX"), [1]);
+        assert_eq!(paged_ids(&rows, "SELECT id FROM t SKYLINE OF x MIN"), [2]);
+        // text, NULL, float (0.0 is -0.0) and beyond-i32 DIFF keys page:
+        // each row competes within its group only
+        let wide = Value::Int(i64::from(i32::MAX) + 1);
+        let rows = [
+            row(0, 1.0, "a".into()),
+            row(1, 2.0, "a".into()),
+            row(2, 1.0, Value::Null),
+            row(3, 0.0, Value::Float(0.0)),
+            row(4, 5.0, Value::Float(-0.0)),
+            row(5, 1.0, wide.clone()),
+            row(6, 0.5, wide),
+            row(7, 0.5, Value::Int(i64::from(i32::MAX))),
+        ];
+        let sql = "SELECT id FROM t SKYLINE OF x MAX, k DIFF";
+        assert_eq!(paged_ids(&rows, sql), [1, 2, 4, 5, 7]);
+        // a NaN criterion is the typed non-numeric error under every hint
+        let rows = vec![row(0, 1.0, Value::Null), row(1, f64::NAN, Value::Null)];
+        for algo in ALGOS.into_iter().chain([SkylineAlgo::DivideAndConquer]) {
+            let err = via_sql(rows.clone(), "SELECT id FROM t SKYLINE OF x MAX", algo).unwrap_err();
+            assert_eq!(
+                err,
+                QueryError::Semantic("row 1: skyline column x is not numeric".into()),
+                "{algo:?}"
+            );
         }
-        // and so does a DIFF key outside i32, or one that is no integer
-        let rows = vec![tuple![1, i64::from(i32::MAX) + 1]];
-        assert!(route(&rows, &[1]).unwrap().is_none());
-        let rows = vec![tuple![1, 0.5]];
-        assert!(route(&rows, &[1]).unwrap().is_none());
     }
 
     #[test]
@@ -752,7 +781,7 @@ mod tests {
         // the floor itself works: one page to the filter, three to the sort
         let opts = ExecOptions::default().with_sort_pages(MIN_SORT_PAGES);
         let out = paged(&rows, &crit, &[], &opts).unwrap();
-        assert_eq!(out, Some(in_memory(&rows, &crit, &[])));
+        assert_eq!(out, in_memory(&rows, &crit, &[]));
     }
 
     /// `n` rows of seven independent uniform `Int` criteria — the
@@ -789,7 +818,6 @@ mod tests {
         let run = |sql: &str| {
             let (pool, disk) = (BufferPool::new(1 << 12), MemDisk::shared());
             let opts = ExecOptions::default()
-                .with_external_threshold(0)
                 .with_pool(pool.clone())
                 .with_disk(Arc::clone(&disk) as _);
             let out = crate::plan::execute_with(sql, &cat, &opts).unwrap();
@@ -837,14 +865,15 @@ mod tests {
         opts: &ExecOptions,
         metrics: &Arc<SkylineMetrics>,
     ) -> (Vec<usize>, bool) {
-        let (d, grouped) = (cols.crit.len(), !cols.diff.is_empty());
-        let narrow = NarrowLayout::new(d).with_diff(cols.diff.len());
+        let (d, grouped) = (cols.crit.len(), cols.groups.is_some());
+        let narrow = NarrowLayout::new(d).with_diff(usize::from(grouped));
         let disk: Arc<dyn Disk> = MemDisk::shared();
         let window = recommend_window_pages(cols.rows(), d, 8 * d);
         let score = Arc::new(cols.entropy_score());
         let elimination = (!grouped)
             .then(|| EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(metrics)));
-        let arena = opts.sort_pages - usize::from(elimination.is_some());
+        let sort_pages = sort_pages_for(opts, cols.rows(), narrow.entry_size());
+        let arena = sort_pages - usize::from(elimination.is_some());
         let parallel = opts.algo == SkylineAlgo::Parallel;
         let entries = Box::new(ColumnEntries::new(cols, narrow, elimination, None));
         let threads = if parallel { opts.threads } else { 1 };
@@ -953,7 +982,7 @@ mod tests {
                 assert_eq!(got.len(), oracle.len(), "{label}");
                 exact_parallel += usize::from(opts.algo == SkylineAlgo::Parallel);
                 let (a, b) = (scored.snapshot(), unscored.snapshot());
-                let entry = 8 * (crit.len() + diff.len() + 1) as u64;
+                let entry = 8 * (crit.len() + usize::from(!diff.is_empty()) + 1) as u64;
                 assert_eq!(b.bytes_moved % entry, 0, "{label}");
                 let moved = b.bytes_moved / entry;
                 assert!(moved >= got.len() as u64, "{label}");
@@ -977,7 +1006,7 @@ mod tests {
     fn empty_rows_ok() {
         for algo in ALGOS {
             let opts = ExecOptions::default().with_algo(algo);
-            let out = paged(&[], &[(0, false)], &[], &opts).unwrap().unwrap();
+            let out = paged(&[], &[(0, false)], &[], &opts).unwrap();
             assert!(out.is_empty(), "{algo:?}");
         }
     }

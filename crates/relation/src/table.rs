@@ -9,10 +9,8 @@ use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One attribute of a relation as `f64`s, with the facts the skyline
-/// planner asks of it: statistics for the entropy presort, whether every
-/// value is finite (the paged engine's criterion test), whether every
-/// value is an integer within `i32` (its `DIFF`-key test), and the first
-/// row that has no numeric view at all.
+/// planner asks of it: statistics for the entropy presort, and the first
+/// row that is no criterion value at all (`NULL`, a string or NaN).
 ///
 /// Values are stored as the table has them; a `MIN` criterion is a sign
 /// flip at read time ([`ColumnStats::negated`] for the statistics).
@@ -20,8 +18,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub struct KeyColumn {
     values: Vec<f64>,
     stats: ColumnStats,
-    all_finite: bool,
-    int_within_i32: bool,
     first_non_numeric: Option<usize>,
 }
 
@@ -33,8 +29,6 @@ impl KeyColumn {
         KeyColumn {
             values: Vec::with_capacity(rows),
             stats: ColumnStats::empty(),
-            all_finite: true,
-            int_within_i32: true,
             first_non_numeric: None,
         }
     }
@@ -44,8 +38,8 @@ impl KeyColumn {
     /// the row number at the head of each block (the caller's
     /// cancellation check; its error aborts the build).
     ///
-    /// A column stops at its first `NULL` or string: it records that row,
-    /// holds no values, and fails both flag tests.
+    /// A column stops at its first `NULL`, string or NaN: it records that
+    /// row and holds no values.
     ///
     /// # Errors
     /// Whatever `poll` returns.
@@ -70,20 +64,13 @@ impl KeyColumn {
                 col.append(block, idx, first_row);
             }
         }
-        // What can be read off the copies is, a column at a time. (An
-        // integer is within `i32` exactly when its f64 is: the bounds are
-        // f64s and the conversion is monotone.)
+        // The statistics are read off the copies, a column at a time.
         for col in &mut out {
             if col.first_non_numeric.is_some() {
                 col.values = Vec::new();
-                col.all_finite = false;
-                col.int_within_i32 = false;
-                continue;
+            } else {
+                col.stats = ColumnStats::of(&col.values);
             }
-            col.stats = ColumnStats::of(&col.values);
-            col.all_finite = col.values.iter().fold(true, |all, v| all & v.is_finite());
-            col.int_within_i32 &=
-                col.stats.min >= f64::from(i32::MIN) && col.stats.max <= f64::from(i32::MAX);
         }
         Ok(out)
     }
@@ -97,11 +84,8 @@ impl KeyColumn {
         for (offset, row) in block.iter().enumerate() {
             match row.get(idx) {
                 Value::Int(i) | Value::Date(i) => self.values.push(*i as f64),
-                Value::Float(f) => {
-                    self.values.push(*f);
-                    self.int_within_i32 = false;
-                }
-                Value::Null | Value::Str(_) => {
+                Value::Float(f) if !f.is_nan() => self.values.push(*f),
+                Value::Float(_) | Value::Null | Value::Str(_) => {
                     self.first_non_numeric = Some(first_row + offset);
                     return;
                 }
@@ -120,17 +104,7 @@ impl KeyColumn {
         &self.stats
     }
 
-    /// True when every row is numeric and neither NaN nor ±∞.
-    pub fn all_finite(&self) -> bool {
-        self.all_finite
-    }
-
-    /// True when every row is an `Int`/`Date` within `i32`.
-    pub fn int_within_i32(&self) -> bool {
-        self.int_within_i32
-    }
-
-    /// The first row whose value is `NULL` or a string, if any.
+    /// The first row whose value is `NULL`, a string or NaN, if any.
     pub fn first_non_numeric(&self) -> Option<usize> {
         self.first_non_numeric
     }
@@ -504,40 +478,42 @@ mod tests {
     }
 
     #[test]
-    fn a_key_column_carries_values_statistics_and_routing_facts() {
+    fn a_key_column_carries_values_statistics_and_its_first_non_criterion_row() {
         let rows = vec![
-            tuple![1, 2.5, 7, "x"],
-            tuple![-3, f64::INFINITY, i64::from(i32::MAX) + 1, "y"],
+            tuple![1, 2.5, 7, "x", 0.5],
+            tuple![-3, f64::INFINITY, i64::from(i32::MAX) + 1, "y", f64::NAN],
             Tuple::new(vec![
                 Value::Date(9),
                 Value::Float(0.0),
                 Value::Null,
                 Value::Null,
+                Value::Float(1.5),
             ]),
         ];
-        let cols = KeyColumn::build_all(&rows, &[0, 1, 2, 3, 0], never).unwrap();
-        let (ints, floats, holed, strings) = (&cols[0], &cols[1], &cols[2], &cols[3]);
+        let cols = KeyColumn::build_all(&rows, &[0, 1, 2, 3, 4, 0], never).unwrap();
+        let (ints, floats, holed, strings, nan) =
+            (&cols[0], &cols[1], &cols[2], &cols[3], &cols[4]);
         assert_eq!(ints.values(), [1.0, -3.0, 9.0]);
         assert_eq!(
             (ints.stats().min, ints.stats().max, ints.stats().count),
             (-3.0, 9.0, 3)
         );
-        assert!(ints.all_finite() && ints.int_within_i32());
         assert_eq!(ints.first_non_numeric(), None);
-        assert_eq!(ints, &cols[4], "a repeated position builds the same column");
-        // an infinity is numeric but not finite; a float is no DIFF key
+        assert_eq!(ints, &cols[5], "a repeated position builds the same column");
+        // an infinity is a criterion value like any other number
         assert_eq!(floats.values(), [2.5, f64::INFINITY, 0.0]);
-        assert!(!floats.all_finite() && !floats.int_within_i32());
+        assert_eq!(floats.stats().max, f64::INFINITY);
         assert_eq!(floats.first_non_numeric(), None);
-        // a column stops at its first NULL or string and fails every test
+        // a column stops at its first NULL, string or NaN and holds nothing
         assert_eq!(holed.first_non_numeric(), Some(2));
         assert_eq!(strings.first_non_numeric(), Some(0));
-        for c in [holed, strings] {
-            assert!(c.values().is_empty() && !c.all_finite() && !c.int_within_i32());
+        assert_eq!(nan.first_non_numeric(), Some(1));
+        for c in [holed, strings, nan] {
+            assert!(c.values().is_empty());
         }
-        // beyond i32 is finite — a criterion pages — but no DIFF key
+        // beyond i32 is a plain f64
         let wide = &KeyColumn::build_all(&rows[..2], &[2], never).unwrap()[0];
-        assert!(wide.all_finite() && !wide.int_within_i32());
+        assert_eq!(wide.values(), [7.0, f64::from(i32::MAX) + 1.0]);
     }
 
     #[test]

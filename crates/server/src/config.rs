@@ -1,6 +1,5 @@
 //! Server sizing and contract defaults.
 
-use skyline_query::ExecOptions;
 use skyline_storage::Disk;
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,13 +38,19 @@ pub struct ServerConfig {
     pub stream_grace: Duration,
     /// Backoff hint carried by [`crate::ServerError::Overloaded`].
     pub retry_after_ms: u64,
-    /// Row count at which queries leave the in-memory executor for the
-    /// paged external engine (see [`ExecOptions::external_threshold`]).
+    /// Formerly the row count at which queries left the in-memory
+    /// executor for the paged engine. Ignored: every skyline but a
+    /// `DivideAndConquer` one pages, whatever the table's size. The
+    /// default keeps the old value, 50 000, which the benchmark's traced
+    /// replay still reads to choose the stages it replays (it has no
+    /// paged `DIFF` stage).
+    #[deprecated(note = "ignored; removed with benchmark/src/replay.rs in ROADMAP 1b")]
     pub external_threshold: usize,
-    /// Pages granted to an external presort pass: one for the elimination
-    /// filter, the rest for the sort arena. At least 4 (a paged query
-    /// under fewer fails with a typed configuration error), and must fit
-    /// inside `quota_pages`, or every external query fails its quota on
+    /// Most pages granted to a presort pass: one for the elimination
+    /// filter, the rest for the sort arena. A pass reserves no more than
+    /// its input needs, and never fewer than 4. At least 4 (a paged
+    /// query under fewer fails with a typed configuration error), and
+    /// must fit inside `quota_pages`, or a large query fails its quota on
     /// the very first reservation.
     pub sort_pages: usize,
     /// Worker threads for the parallel skyline algorithm (0 = one per
@@ -57,6 +62,8 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
+    // the ignored field still needs a value
+    #[allow(deprecated)]
     fn default() -> Self {
         ServerConfig {
             workers: 2,
@@ -69,7 +76,7 @@ impl Default for ServerConfig {
             result_batches: 8,
             stream_grace: Duration::from_secs(1),
             retry_after_ms: 10,
-            external_threshold: ExecOptions::default().external_threshold,
+            external_threshold: 50_000,
             sort_pages: 64,
             threads: 0,
             disk: None,

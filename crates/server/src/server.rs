@@ -454,8 +454,7 @@ fn run_query(shared: &Shared, job: &mut Job) -> Result<(), ServerError> {
         .with_pool(job.quota.clone())
         .with_cancel(job.token.clone())
         .with_threads(shared.cfg.threads)
-        .with_sort_pages(shared.cfg.sort_pages)
-        .with_external_threshold(shared.cfg.external_threshold);
+        .with_sort_pages(shared.cfg.sort_pages);
     if let Some(disk) = &shared.cfg.disk {
         opts = opts.with_disk(Arc::clone(disk));
     }

@@ -2,9 +2,13 @@
 //! deadline errors, both admission watermarks, shutdown, and counter
 //! conservation.
 
-use skyline_query::{catalog::Catalog, execute, QueryError, SkylineAlgo};
+use skyline_query::{
+    catalog::Catalog, execute, execute_query_into, parse, ExecOptions, QueryError, SkylineAlgo,
+};
 use skyline_relation::samples::good_eats;
+use skyline_relation::Tuple;
 use skyline_server::{QueryOptions, ServerConfig, ServerError, SkylineServer};
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 const SKYLINE_SQL: &str =
@@ -31,11 +35,20 @@ fn completed_query_matches_the_direct_executor() {
     assert_eq!(server.inflight_pages(), 0, "admission charges returned");
 }
 
+/// Every hint serves its skyline in the order the engine emits it — the
+/// order `execute_query_into` pushes rows under that hint (`Parallel`'s
+/// merge emits GoodEats in another order than the table's) — and every
+/// hint serves the oracle's rows.
 #[test]
 fn every_algorithm_serves_the_same_skyline() {
     let server = SkylineServer::new(catalog(), ServerConfig::default());
     let session = server.session();
-    let oracle = execute(SKYLINE_SQL, &catalog()).unwrap().into_rows();
+    let sorted = |mut rows: Vec<Tuple>| {
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    };
+    let oracle = sorted(execute(SKYLINE_SQL, &catalog()).unwrap().into_rows());
+    let query = parse(SKYLINE_SQL).unwrap();
     for algo in [
         SkylineAlgo::Auto,
         SkylineAlgo::Sfs,
@@ -44,10 +57,21 @@ fn every_algorithm_serves_the_same_skyline() {
         SkylineAlgo::Parallel,
         SkylineAlgo::Strata,
     ] {
+        let opts = ExecOptions::default()
+            .with_algo(algo)
+            .with_threads(ServerConfig::default().threads);
+        let mut arrived = Vec::new();
+        execute_query_into(&query, &catalog(), &opts, |_, row| {
+            arrived.push(row);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
         let handle = session
             .submit_with(SKYLINE_SQL, &QueryOptions::default().with_algo(algo))
             .unwrap();
-        assert_eq!(handle.collect().unwrap(), oracle, "{algo:?}");
+        let served = handle.collect().unwrap();
+        assert_eq!(served, arrived, "{algo:?}");
+        assert_eq!(sorted(served), oracle, "{algo:?}");
     }
 }
 

@@ -221,7 +221,6 @@ fn worker_unwind_settles_as_failed_and_returns_the_credit() {
         batch_rows: 1,
         result_batches: 1,
         stream_grace: Duration::from_secs(30),
-        external_threshold: 0,
         disk: Some(Arc::new(PanicOnce {
             inner: MemDisk::new(),
             armed: AtomicBool::new(true),
@@ -264,7 +263,6 @@ fn worker_unwind_settles_as_failed_and_returns_the_credit() {
 fn the_only_worker_survives_a_panicking_query() {
     let cfg = ServerConfig {
         workers: 1,
-        external_threshold: 0,
         disk: Some(Arc::new(PanicOnce {
             inner: MemDisk::new(),
             armed: AtomicBool::new(true),
@@ -301,7 +299,6 @@ fn too_few_sort_pages_is_a_typed_error_and_costs_no_worker() {
         batch_rows: 1,
         result_batches: 1,
         stream_grace: Duration::from_secs(30),
-        external_threshold: 0,
         sort_pages: 2,
         ..ServerConfig::default()
     };
@@ -382,7 +379,6 @@ fn streaming_server(disk: Arc<dyn Disk>, stream_grace: Duration) -> SkylineServe
         result_batches: 1,
         stream_grace,
         admission_timeout: Duration::from_secs(2),
-        external_threshold: 0,
         disk: Some(disk),
         ..ServerConfig::default()
     };
@@ -501,7 +497,6 @@ fn a_worker_blocked_mid_engine_blocks_no_one_else() {
         result_batches: 1,
         batch_rows: 1,
         stream_grace: Duration::from_secs(10),
-        external_threshold: 0,
         ..ServerConfig::default()
     };
     let server = SkylineServer::new(anti_catalog(), cfg);

@@ -8,9 +8,9 @@
 //! answer — and releases every page it reserved (quota pool drained,
 //! zero temp pages left on disk).
 //!
-//! The peak need is *measured*, not assumed: each (algorithm × route)
-//! pair first runs unlimited, records `BufferPool::peak()`, and the
-//! sweep probes budgets straddling that watermark.
+//! The peak need is *measured*, not assumed: each algorithm first runs
+//! unlimited, records `BufferPool::peak()`, and the sweep probes budgets
+//! straddling that watermark.
 //!
 //! On the presorted route the window estimate is only where the filter
 //! starts: it grows inside the quota before it spills. The last test
@@ -59,26 +59,21 @@ fn catalog() -> Catalog {
     cat
 }
 
-/// Run the sweep query with `algo` on the in-memory (`external:
-/// false`) or external (`external: true`) route, under `budget` pages.
+/// Run the sweep query with `algo` under `budget` pages: in memory for
+/// `DivideAndConquer`, on the paged engine for every other hint.
 fn run(
     cat: &Catalog,
     algo: SkylineAlgo,
-    external: bool,
     budget: usize,
     disk: &Arc<MemDisk>,
 ) -> (Result<Table, QueryError>, BufferPool) {
     let pool = BufferPool::new(budget);
-    let mut opts = ExecOptions::default()
+    let opts = ExecOptions::default()
         .with_algo(algo)
         .with_pool(pool.clone())
         .with_sort_pages(8)
         .with_threads(1)
         .with_disk(Arc::clone(disk) as Arc<dyn Disk>);
-    if external {
-        // force every row count onto the external (heap-file) route
-        opts = opts.with_external_threshold(0);
-    }
     (execute_with(SQL, cat, &opts), pool)
 }
 
@@ -86,100 +81,81 @@ fn run(
 fn every_algorithm_fails_typed_below_peak_and_succeeds_at_peak() {
     let cat = catalog();
     for &algo in ALGOS {
-        for external in [false, true] {
-            let route = if external { "external" } else { "in-memory" };
-            let disk = MemDisk::shared();
+        let disk = MemDisk::shared();
 
-            // Unlimited run: establishes the oracle rows and measures
-            // the true peak page need for this (algo × route) pair.
-            let (unlimited, pool) = run(&cat, algo, external, 1 << 20, &disk);
-            let oracle =
-                unlimited.unwrap_or_else(|e| panic!("{algo:?}/{route}: unlimited run failed: {e}"));
-            assert!(!oracle.rows().is_empty(), "{algo:?}/{route}: empty skyline");
-            let peak = pool.peak();
-            assert!(peak > 0, "{algo:?}/{route}: no pages ever reserved");
+        // Unlimited run: establishes the oracle rows and measures
+        // the true peak page need for this algorithm.
+        let (unlimited, pool) = run(&cat, algo, 1 << 20, &disk);
+        let oracle = unlimited.unwrap_or_else(|e| panic!("{algo:?}: unlimited run failed: {e}"));
+        assert!(!oracle.rows().is_empty(), "{algo:?}: empty skyline");
+        let peak = pool.peak();
+        assert!(peak > 0, "{algo:?}: no pages ever reserved");
+        assert_eq!(pool.used(), 0, "{algo:?}: unlimited run leaked quota");
+        assert_eq!(disk.allocated_pages(), 0, "{algo:?}: leaked temp pages");
+
+        // A budget of exactly the measured peak must succeed with
+        // the same rows (deterministic single-threaded runs).
+        let (at_peak, pool) = run(&cat, algo, peak, &disk);
+        let table =
+            at_peak.unwrap_or_else(|e| panic!("{algo:?}: failed at measured peak {peak}: {e}"));
+        assert_eq!(table.rows(), oracle.rows(), "{algo:?}: rows differ at peak");
+        assert_eq!(pool.peak(), peak, "{algo:?}: peak not reproducible");
+        assert_eq!(disk.allocated_pages(), 0);
+
+        // Every budget below the peak must surface the typed quota
+        // error and leave both ledgers empty.
+        let mut budgets = vec![0, 1, peak / 2, peak - 1];
+        budgets.sort_unstable();
+        budgets.dedup();
+        for budget in budgets.into_iter().filter(|&b| b < peak) {
+            let (starved, pool) = run(&cat, algo, budget, &disk);
+            match starved {
+                Err(QueryError::QuotaExceeded {
+                    requested,
+                    available,
+                }) => {
+                    assert!(
+                        available < requested,
+                        "{algo:?} @{budget}: error books are wrong \
+                             (requested {requested}, available {available})"
+                    );
+                }
+                other => panic!(
+                    "{algo:?} @{budget} (peak {peak}): expected QuotaExceeded, \
+                         got {other:?}"
+                ),
+            }
             assert_eq!(
                 pool.used(),
                 0,
-                "{algo:?}/{route}: unlimited run leaked quota"
+                "{algo:?} @{budget}: quota pages not returned after error"
             );
             assert_eq!(
                 disk.allocated_pages(),
                 0,
-                "{algo:?}/{route}: leaked temp pages"
+                "{algo:?} @{budget}: temp pages leaked after error"
             );
-
-            // A budget of exactly the measured peak must succeed with
-            // the same rows (deterministic single-threaded runs).
-            let (at_peak, pool) = run(&cat, algo, external, peak, &disk);
-            let table = at_peak.unwrap_or_else(|e| {
-                panic!("{algo:?}/{route}: failed at measured peak {peak}: {e}")
-            });
-            assert_eq!(
-                table.rows(),
-                oracle.rows(),
-                "{algo:?}/{route}: rows differ at peak"
-            );
-            assert_eq!(pool.peak(), peak, "{algo:?}/{route}: peak not reproducible");
-            assert_eq!(disk.allocated_pages(), 0);
-
-            // Every budget below the peak must surface the typed quota
-            // error and leave both ledgers empty.
-            let mut budgets = vec![0, 1, peak / 2, peak - 1];
-            budgets.sort_unstable();
-            budgets.dedup();
-            for budget in budgets.into_iter().filter(|&b| b < peak) {
-                let (starved, pool) = run(&cat, algo, external, budget, &disk);
-                match starved {
-                    Err(QueryError::QuotaExceeded {
-                        requested,
-                        available,
-                    }) => {
-                        assert!(
-                            available < requested,
-                            "{algo:?}/{route} @{budget}: error books are wrong \
-                             (requested {requested}, available {available})"
-                        );
-                    }
-                    other => panic!(
-                        "{algo:?}/{route} @{budget} (peak {peak}): expected QuotaExceeded, \
-                         got {other:?}"
-                    ),
-                }
-                assert_eq!(
-                    pool.used(),
-                    0,
-                    "{algo:?}/{route} @{budget}: quota pages not returned after error"
-                );
-                assert_eq!(
-                    disk.allocated_pages(),
-                    0,
-                    "{algo:?}/{route} @{budget}: temp pages leaked after error"
-                );
-            }
         }
     }
 }
 
-/// The in-memory and external routes agree row-for-row for every
-/// algorithm under a shared generous budget — the quota machinery must
-/// not perturb results.
+/// The in-memory route (`DivideAndConquer`) and the paged one (every
+/// other hint) agree row-for-row under a shared generous budget — the
+/// quota machinery must not perturb results.
 #[test]
 fn routes_agree_under_quota() {
     let cat = catalog();
     let disk = MemDisk::shared();
-    let (baseline, _) = run(&cat, SkylineAlgo::Auto, false, 1 << 20, &disk);
+    let (baseline, _) = run(&cat, SkylineAlgo::DivideAndConquer, 1 << 20, &disk);
     let want = baseline.unwrap();
     for &algo in ALGOS {
-        for external in [false, true] {
-            let (res, _) = run(&cat, algo, external, 1 << 20, &disk);
-            let got = res.unwrap();
-            let mut got_rows = got.rows().to_vec();
-            let mut want_rows = want.rows().to_vec();
-            got_rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            want_rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            assert_eq!(got_rows, want_rows, "{algo:?} external={external}");
-        }
+        let (res, _) = run(&cat, algo, 1 << 20, &disk);
+        let got = res.unwrap();
+        let mut got_rows = got.rows().to_vec();
+        let mut want_rows = want.rows().to_vec();
+        got_rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        want_rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        assert_eq!(got_rows, want_rows, "{algo:?}");
     }
     assert_eq!(disk.allocated_pages(), 0);
 }
@@ -219,7 +195,6 @@ fn window_growth_returns_the_oracle_rows_at_every_quota() {
                 .with_algo(algo)
                 .with_pool(pool.clone())
                 .with_sort_pages(sort_pages)
-                .with_external_threshold(0)
                 .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
             let got =
                 execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?} @{quota}: {e}"));

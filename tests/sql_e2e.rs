@@ -218,9 +218,9 @@ fn top_n_over_pipelined_skyline() {
 #[test]
 fn large_tables_take_the_external_path_with_identical_results() {
     use skyline::core::{MemAlgorithm, SkylineBuilder};
-    // above pushdown::EXTERNAL_THRESHOLD the skyline runs in the paged
-    // engine; the answer must be identical to the in-memory algorithms'
-    let n = skyline::query::pushdown::EXTERNAL_THRESHOLD + 5_000;
+    // a large table on the paged engine answers exactly like the
+    // in-memory algorithms
+    let n = 55_000;
     let schema = Schema::of(&[("x", ColumnType::Int), ("y", ColumnType::Int)]);
     let mut t = Table::empty(schema);
     let mut xs = Vec::with_capacity(n);
@@ -289,7 +289,6 @@ fn paged_multipass_under_a_tight_quota_matches_the_oracle_and_leaks_nothing() {
         let opts = ExecOptions::default()
             .with_algo(algo)
             .with_threads(1)
-            .with_external_threshold(1_000)
             .with_sort_pages(sort_pages)
             .with_pool(pool.clone())
             .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
@@ -376,7 +375,6 @@ fn a_wide_clause_runs_under_the_default_quota() {
                 let opts = ExecOptions::default()
                     .with_algo(algo)
                     .with_threads(defaults.threads)
-                    .with_external_threshold(defaults.external_threshold)
                     .with_sort_pages(defaults.sort_pages)
                     .with_pool(pool.clone())
                     .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
@@ -397,10 +395,10 @@ fn a_wide_clause_runs_under_the_default_quota() {
     }
 }
 
-/// Product path (b): a `DIFF` query over the threshold runs paged under
-/// every algorithm hint — the disk sees the presort's page writes and the
-/// quota peak stays below what the in-memory key matrix would charge —
-/// and equals the oracle.
+/// Product path (b): a `DIFF` query runs paged under every algorithm
+/// hint — the disk sees the presort's page writes and the quota peak
+/// stays below what divide-and-conquer's key matrix would charge — and
+/// equals the oracle.
 #[test]
 fn diff_over_the_threshold_runs_paged_for_every_hint() {
     let n = 2_000;
@@ -408,7 +406,7 @@ fn diff_over_the_threshold_runs_paged_for_every_hint() {
     cat.register("t", random_table(&anti_correlated_rows(n)));
     let sql = "SELECT * FROM t SKYLINE OF x MAX, y MIN, g DIFF";
     let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
-    // what plan::apply_skyline charges for the in-memory matrix
+    // what plan::apply_skyline charges for divide-and-conquer's matrix
     let matrix_pages = (n as usize * 2 * 8).div_ceil(skyline::storage::PAGE_SIZE);
     for algo in PAGED_ALGOS {
         let disk = MemDisk::shared();
@@ -416,7 +414,6 @@ fn diff_over_the_threshold_runs_paged_for_every_hint() {
         let opts = ExecOptions::default()
             .with_algo(algo)
             .with_threads(2)
-            .with_external_threshold(1_000)
             .with_sort_pages(4)
             .with_pool(pool.clone())
             .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
@@ -434,10 +431,8 @@ fn diff_over_the_threshold_runs_paged_for_every_hint() {
 }
 
 /// Product path (c): a table with fractional criteria pages like any
-/// other (`pushdown::routes_to_paged_engine` records the measurement
-/// that made it so), under a pool its in-memory key matrix would not
-/// fit — it answers like the oracle for every hint and gives every page
-/// back.
+/// other, under a pool its in-memory key matrix would not fit — it
+/// answers like the oracle for every hint and gives every page back.
 #[test]
 fn fractional_tables_page_and_answer_correctly() {
     let schema = Schema::of(&[
@@ -455,7 +450,7 @@ fn fractional_tables_page_and_answer_correctly() {
     cat.register("t", t);
     let sql = "SELECT * FROM t SKYLINE OF x MAX, y MIN";
     let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
-    // what plan::apply_skyline would charge for the in-memory matrix
+    // what plan::apply_skyline would charge for divide-and-conquer's matrix
     let matrix_pages = (n as usize * 2 * 8).div_ceil(skyline::storage::PAGE_SIZE);
     for algo in PAGED_ALGOS {
         let disk = MemDisk::shared();
@@ -463,15 +458,14 @@ fn fractional_tables_page_and_answer_correctly() {
         let opts = ExecOptions::default()
             .with_algo(algo)
             .with_threads(1)
-            .with_external_threshold(1_000)
             .with_sort_pages(4)
             .with_pool(pool.clone())
             .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
         let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
         assert_eq!(got.rows(), want.rows(), "{algo:?}");
-        // success under this pool already rules the in-memory executor
-        // out; the presorted hints also leave their runs in the I/O
-        // stats (BNL writes only when its window overflows)
+        // success under this pool already rules an in-memory matrix out;
+        // the presorted hints also leave their runs in the I/O stats (BNL
+        // writes only when its window overflows)
         assert!(pool.peak() < matrix_pages, "{algo:?}");
         if algo != SkylineAlgo::Bnl {
             assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
@@ -541,16 +535,14 @@ fn hostile_query(rows: &[Vec<f64>], is_min: &[bool]) -> (String, Vec<usize>) {
     (sql, want)
 }
 
-/// Run `sql` under `algo` with a one-row paging threshold and a
-/// four-page sort, and return the `id`s; no quota or temp page may be
-/// left behind.
+/// Run `sql` under `algo` with threads 2 and a four-page sort, and
+/// return the `id`s; no quota or temp page may be left behind.
 fn ids_under(cat: &Catalog, sql: &str, algo: SkylineAlgo) -> (Vec<usize>, Arc<MemDisk>) {
     let disk = MemDisk::shared();
     let pool = BufferPool::new(1 << 16);
     let opts = ExecOptions::default()
         .with_algo(algo)
         .with_threads(2)
-        .with_external_threshold(1)
         .with_sort_pages(4)
         .with_pool(pool.clone())
         .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
@@ -611,6 +603,147 @@ fn elimination_filter_changes_no_answer_on_hostile_tables() {
     });
 }
 
+/// Criteria holding ±∞ page like any other number. Tables of unfiltered
+/// `hostile_key` rows (±∞ lanes kept, NaN lanes turned into +∞, since a
+/// NaN is no criterion value), or of lanes drawn from {−∞, −1, 0, 1, +∞}
+/// — where a key holding both +∞ and −∞, whose sum is NaN, often
+/// dominates another — with whole keys repeated, sizes straddling one
+/// page and random MIN/MAX mixes: every paged hint, `Parallel` included,
+/// equals the naive oracle with no page left behind.
+#[test]
+fn infinite_criteria_match_the_oracle_under_every_hint() {
+    const LANES: [f64; 5] = [f64::NEG_INFINITY, -1.0, 0.0, 1.0, f64::INFINITY];
+    skyline_testkit::cases(60, 0x1F1F, |rng| {
+        let dense = rng.bool();
+        let d = if dense {
+            [2, 3, 4][rng.usize_below(3)]
+        } else {
+            [1, 2, 7, 9, 15, 16][rng.usize_below(6)]
+        };
+        let capacity = skyline::storage::PAGE_SIZE / (8 * d);
+        let n = [capacity - 1, capacity + 1, 2 * capacity][rng.usize_below(3)];
+        let is_min: Vec<bool> = (0..d).map(|_| rng.bool()).collect();
+        let rows = if dense {
+            let mut lane = || LANES[rng.usize_below(LANES.len())];
+            (0..n).map(|_| (0..d).map(|_| lane()).collect()).collect()
+        } else {
+            hostile_rows(rng, n, d, |v| if v.is_nan() { f64::INFINITY } else { v })
+        };
+        let (sql, want) = hostile_query(&rows, &is_min);
+        let mut cat = Catalog::new();
+        cat.register("t", float_table(&rows));
+        for algo in PAGED_ALGOS {
+            let (got, disk) = ids_under(&cat, &sql, algo);
+            assert_eq!(got, want, "{algo:?} d={d} n={n} {sql}");
+            if algo != SkylineAlgo::Bnl {
+                assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
+            }
+        }
+    });
+}
+
+/// A `DIFF` key may be any value. Random tables whose `DIFF` columns hold
+/// text (`NULL` and `'NULL'` among it), floats (`0.0` and `-0.0`, `NULL`)
+/// and integers beyond `i32`, under random MIN/MAX mixes and `DIFF`
+/// subsets: every hint, paged or not, returns the `EXCEPT` rewrite's
+/// rows with no page left behind.
+#[test]
+fn diff_keys_of_any_type_match_the_except_rewrite_under_every_hint() {
+    use skyline::relation::{Tuple, Value};
+    let s = [Value::Null, "NULL".into(), "a".into(), "b".into()];
+    let f = [
+        Value::Null,
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(2.5),
+    ];
+    let wide = i64::from(i32::MAX) + 1;
+    let w = [wide, -wide, i64::MIN, 1 << 40].map(Value::Int);
+    let mut algos = PAGED_ALGOS.to_vec();
+    algos.push(SkylineAlgo::DivideAndConquer);
+    skyline_testkit::cases(24, 0xD1FF, |rng| {
+        let mut table = Table::empty(Schema::of(&[
+            ("id", ColumnType::Int),
+            ("x", ColumnType::Int),
+            ("y", ColumnType::Float),
+            ("s", ColumnType::Str),
+            ("f", ColumnType::Float),
+            ("w", ColumnType::Int),
+        ]));
+        for i in 0..rng.usize_below(300) {
+            let row = vec![
+                Value::Int(i as i64),
+                Value::Int(rng.i64_inclusive(0, 30)),
+                Value::Float(rng.usize_below(40) as f64 / 4.0),
+                s[rng.usize_below(4)].clone(),
+                f[rng.usize_below(4)].clone(),
+                w[rng.usize_below(4)].clone(),
+            ];
+            table.push(Tuple::new(row)).unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.register("t", table);
+        let xd = if rng.bool() { "MIN" } else { "MAX" };
+        let yd = if rng.bool() { "MIN" } else { "MAX" };
+        let mut diff: String = ["s", "f", "w"]
+            .iter()
+            .filter(|_| rng.bool())
+            .map(|c| format!(", {c} DIFF"))
+            .collect();
+        if diff.is_empty() {
+            diff = ", w DIFF".into();
+        }
+        let sql = format!("SELECT id FROM t SKYLINE OF x {xd}, y {yd}{diff}");
+        let want: Vec<usize> = eval_except_semantics(&parse(&sql).unwrap(), &cat)
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| r.get(0).as_i64().unwrap() as usize)
+            .collect();
+        for &algo in &algos {
+            let (got, _) = ids_under(&cat, &sql, algo);
+            assert_eq!(got, want, "{algo:?} {sql}");
+        }
+    });
+}
+
+/// A NaN put in through the `Table` API (CSV and DDL refuse it) is no
+/// criterion value: the query fails with the typed non-numeric error
+/// naming its row and column, under every hint, on the cold query and on
+/// the warm one, and a query that does not read that column still runs.
+#[test]
+fn a_nan_criterion_is_a_typed_error_cold_and_warm() {
+    use skyline::relation::{Tuple, Value};
+    let mut t = Table::empty(Schema::of(&[
+        ("id", ColumnType::Int),
+        ("x", ColumnType::Float),
+        ("y", ColumnType::Float),
+    ]));
+    for i in 0..40i64 {
+        let x = if i == 17 { f64::NAN } else { i as f64 };
+        let row = vec![Value::Int(i), Value::Float(x), Value::Float(-(i as f64))];
+        t.push(Tuple::new(row)).unwrap();
+    }
+    let mut cat = Catalog::new();
+    cat.register("t", t);
+    let mut algos = PAGED_ALGOS.to_vec();
+    algos.push(SkylineAlgo::DivideAndConquer);
+    for _cold_then_warm in 0..2 {
+        for &algo in &algos {
+            let opts = ExecOptions::default().with_algo(algo).with_threads(2);
+            let err = execute_with("SELECT id FROM t SKYLINE OF y MIN, x MAX", &cat, &opts)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("row 17: skyline column x is not numeric"),
+                "{algo:?}: {err}"
+            );
+            let ok = execute_with("SELECT id FROM t SKYLINE OF y MAX", &cat, &opts).unwrap();
+            assert_eq!(ok.len(), 1, "{algo:?}");
+        }
+    }
+}
+
 /// The resident key column at position `column` of `table`, if a query
 /// has built it: a build that is refused at its first row caches
 /// nothing, so this never builds one.
@@ -620,9 +753,9 @@ fn resident(table: &Table, column: usize) -> Option<Arc<skyline::relation::KeyCo
 }
 
 /// Resident key columns change no answer and are built once per table
-/// version. Finite `hostile_key` tables (they page) and ones with ±∞
-/// lanes (they stay in memory — the cached flag says so): queried under
-/// every hint and two MIN/MAX assignments, `INSERT`ed into through DDL,
+/// version. Finite `hostile_key` tables and ones with ±∞ lanes (both
+/// page): queried under every hint and two MIN/MAX assignments,
+/// `INSERT`ed into through DDL,
 /// queried again — every answer is the naive oracle's over the rows of
 /// the moment, no page is left behind, the second query on an unchanged
 /// table finds the very columns the first one built, and the table an
@@ -656,7 +789,7 @@ fn resident_columns_survive_queries_and_not_an_insert() {
                         let (got, disk) = ids_under(cat, &sql, algo);
                         assert_eq!(got, want, "{algo:?} finite={finite} d={d} n={n} {sql}");
                         let presorted = algo != SkylineAlgo::Bnl;
-                        let in_memory = !finite || algo == SkylineAlgo::DivideAndConquer;
+                        let in_memory = algo == SkylineAlgo::DivideAndConquer;
                         if in_memory {
                             assert_eq!(disk.stats().writes(), 0, "{algo:?}: paged");
                         } else if presorted {
@@ -671,7 +804,6 @@ fn resident_columns_survive_queries_and_not_an_insert() {
             let first: Vec<_> = (1..=d)
                 .map(|c| resident(cat.get("t").unwrap(), c).expect("the first query built it"))
                 .collect();
-            assert_eq!(first[6].all_finite(), finite);
             assert!(
                 resident(cat.get("t").unwrap(), 0).is_none(),
                 "id is no criterion"
@@ -911,7 +1043,6 @@ fn quantizer_stress_table_on_the_paged_path_matches_the_oracle() {
         let pool = BufferPool::new(1 << 16);
         let opts = ExecOptions::default()
             .with_algo(algo)
-            .with_external_threshold(1_000)
             .with_sort_pages(4)
             .with_pool(pool.clone())
             .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
@@ -923,31 +1054,23 @@ fn quantizer_stress_table_on_the_paged_path_matches_the_oracle() {
     }
 }
 
-/// The same table below the threshold: the in-memory windows, same
-/// oracle, and not one page written.
+/// The same table in memory, under the one hint that stays there
+/// (`DivideAndConquer`): same oracle, and not one page written.
 #[test]
 fn quantizer_stress_table_in_memory_matches_the_oracle() {
     let (cat, sql) = quantizer_stress_catalog(2_400);
     let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
-    let mut algos = PAGED_ALGOS.to_vec();
-    algos.push(SkylineAlgo::DivideAndConquer);
-    for algo in algos {
-        let disk = MemDisk::shared();
-        let pool = BufferPool::new(1 << 16);
-        let opts = ExecOptions::default()
-            .with_algo(algo)
-            .with_pool(pool.clone())
-            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
-        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
-        assert_eq!(got.rows(), want.rows(), "{algo:?}");
-        assert_eq!(
-            disk.stats().writes(),
-            0,
-            "{algo:?}: paged below the threshold"
-        );
-        assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
-        assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
-    }
+    let disk = MemDisk::shared();
+    let pool = BufferPool::new(1 << 16);
+    let opts = ExecOptions::default()
+        .with_algo(SkylineAlgo::DivideAndConquer)
+        .with_pool(pool.clone())
+        .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+    let got = execute_with(sql, &cat, &opts).unwrap();
+    assert_eq!(got.rows(), want.rows());
+    assert_eq!(disk.stats().writes(), 0, "paged");
+    assert_eq!(pool.used(), 0, "quota pages leaked");
+    assert_eq!(disk.allocated_pages(), 0, "temp pages leaked");
 }
 
 #[test]

@@ -30,10 +30,6 @@ use std::time::Duration;
 
 const N: usize = 1_200;
 const STORM_QUERIES: usize = 250;
-/// Row counts at/above this go external, so storms exercise the
-/// heap-file pipelines (and their fault surface) for table `t` while
-/// `GoodEats` stays in memory.
-const EXTERNAL_THRESHOLD: usize = 64;
 
 const QUERIES: &[&str] = &[
     "SELECT * FROM t SKYLINE OF a MIN, b MIN, c MAX, d MAX",
@@ -85,8 +81,8 @@ fn multiset(rows: &[Tuple]) -> Vec<String> {
     keys
 }
 
-/// Fault-free oracle per (query, algorithm), executed with the same
-/// routing knobs the server uses so completed storm queries must match
+/// Fault-free oracle per (query, algorithm), executed under the same
+/// algorithm hint the server gets, so completed storm queries must match
 /// it exactly.
 fn oracles(cat: &Catalog) -> HashMap<(usize, usize), Vec<String>> {
     let mut map = HashMap::new();
@@ -94,7 +90,6 @@ fn oracles(cat: &Catalog) -> HashMap<(usize, usize), Vec<String>> {
         for (ai, &algo) in ALGOS.iter().enumerate() {
             let opts = ExecOptions::default()
                 .with_algo(algo)
-                .with_external_threshold(EXTERNAL_THRESHOLD)
                 .with_disk(MemDisk::shared() as Arc<dyn Disk>);
             let table = execute_with(sql, cat, &opts)
                 .unwrap_or_else(|e| panic!("oracle {sql} / {algo:?}: {e}"));
@@ -147,7 +142,6 @@ fn storm(seed: u64) {
         batch_rows: 16,
         result_batches: 4,
         stream_grace: Duration::from_secs(5),
-        external_threshold: EXTERNAL_THRESHOLD,
         disk: Some(Arc::clone(&fault) as Arc<dyn Disk>),
         ..ServerConfig::default()
     };
@@ -296,7 +290,6 @@ fn storm_without_faults_is_mostly_sunny() {
         catalog(),
         ServerConfig {
             workers: 2,
-            external_threshold: EXTERNAL_THRESHOLD,
             ..ServerConfig::default()
         },
     );
