@@ -14,14 +14,29 @@
 //! elimination filter's front test over 100 000 × 7 key columns in
 //! 256-row chunks, against a fixed front, on correlated columns (nearly
 //! every row dropped) and independent ones with mixed `MIN`/`MAX` signs.
+//!
+//! `sfs_drain` is the last stage of a paged query: the keys the
+//! elimination filter forwards, in the presort's entropy order, probed
+//! against and inserted into one unbounded window — 50 000 × 4
+//! anti-correlated rows (jitter 0.17: ≈6 500 survivors, the size of the
+//! end-to-end benchmark's `anti_d4` skyline) and 100 000 × 7 independent
+//! ones with mixed signs; both windows are bucket directories. A third
+//! stream, `indep_d7_unfiltered`, is all 100 000 rows in key-sum order
+//! with nothing eliminated — what a window meets with no elimination
+//! filter in front of it (`DIFF` groups, the gate's grids): mostly
+//! dominated keys whose eligible buckets are many and whose dominator
+//! is near the top. It prints the drain's model `comparisons` and
+//! `lanes` beside the time.
 
 use skyline_bench::crit::{BenchmarkId, Criterion};
 use skyline_bench::{criterion_group, criterion_main};
 use skyline_core::dominance_block::{key_score, BlockVerdict, BlockWindow, ReplaceWindow};
 use skyline_core::external::EliminationFilter;
+use skyline_core::score::nested_desc;
 use skyline_core::{dominates, EntropyScore, MonotoneScore, SkylineMetrics};
-use skyline_relation::gen::WorkloadSpec;
+use skyline_relation::gen::{Distribution, WorkloadSpec};
 use skyline_relation::rng::Rng;
+use skyline_relation::RecordLayout;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -191,10 +206,95 @@ fn bench_elimination_screen(c: &mut Criterion) {
     g.finish();
 }
 
+/// `spec`'s first `d` columns, oriented by `signs`, row-major.
+fn oriented_keys(spec: &WorkloadSpec, d: usize, signs: &[f64]) -> Vec<f64> {
+    spec.generate_keys(d)
+        .chunks_exact(d)
+        .flat_map(|row| row.iter().zip(signs).map(|(v, s)| v * s))
+        .collect()
+}
+
+/// The rows of `spec`'s first `d` columns, oriented by `signs`, that the
+/// elimination filter forwards, sorted as the presort emits them:
+/// entropy score descending, then nested descending, then arrival.
+fn forwarded_sorted(spec: &WorkloadSpec, d: usize, signs: &[f64]) -> Vec<Vec<f64>> {
+    let oriented = oriented_keys(spec, d, signs);
+    let score = Arc::new(EntropyScore::from_keys(&oriented, d));
+    let mut filter = EliminationFilter::new(d, score.clone(), SkylineMetrics::shared());
+    let mut rows: Vec<(f64, &[f64])> = oriented
+        .chunks_exact(d)
+        .filter(|key| filter.admit(key))
+        .map(|key| (score.score(key), key))
+        .collect();
+    rows.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| nested_desc(a.1, b.1)));
+    rows.into_iter().map(|(_, key)| key.to_vec()).collect()
+}
+
+/// Drain `rows` through a fresh unbounded window, the SFS rule: a key no
+/// entry dominates is inserted. Returns the window and the model cost.
+fn drain(rows: &[Vec<f64>], d: usize) -> (BlockWindow, u64, u64) {
+    let mut window = BlockWindow::new(d, usize::MAX);
+    let (mut comparisons, mut lanes) = (0, 0);
+    for key in rows {
+        let (verdict, cost) = window.probe(key);
+        comparisons += cost.comparisons;
+        lanes += cost.lanes;
+        if !matches!(verdict, BlockVerdict::Dominated) {
+            window.insert(key);
+        }
+    }
+    (window, comparisons, lanes)
+}
+
+fn bench_sfs_drain(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sfs_drain");
+    let anti = WorkloadSpec {
+        layout: RecordLayout::new(4, 0),
+        dist: Distribution::AntiCorrelated { jitter: 0.17 },
+        domain: (0, 1_000_000),
+        ..WorkloadSpec::paper(50_000, 2003)
+    };
+    let indep = WorkloadSpec::paper(100_000, 2003);
+    let mixed: Vec<f64> = (0..7).map(|k| [1.0, -1.0][k % 2]).collect();
+    let mut unfiltered: Vec<Vec<f64>> = oriented_keys(&indep, 7, &mixed)
+        .chunks_exact(7)
+        .map(<[f64]>::to_vec)
+        .collect();
+    unfiltered.sort_by(|a, b| key_score(b).total_cmp(&key_score(a)));
+    for (name, rows) in [
+        ("anti_d4", forwarded_sorted(&anti, 4, &[1.0; 4])),
+        ("indep_d7", forwarded_sorted(&indep, 7, &mixed)),
+        ("indep_d7_unfiltered", unfiltered),
+    ] {
+        let d = rows[0].len();
+        // the survivors are the skyline of what was forwarded
+        let mut skyline: Vec<&[f64]> = Vec::new();
+        for key in &rows {
+            if !skyline.iter().any(|e| dominates(e, key)) {
+                skyline.push(key);
+            }
+        }
+        let (window, comparisons, lanes) = drain(&rows, d);
+        assert_eq!(window.len(), skyline.len(), "{name}: survivors");
+        assert!(window.buckets_in_use() > 1, "{name}: the directory split");
+        println!(
+            "  {name}: {} forwarded, {} survivors in {} buckets; comparisons {comparisons}, lanes {lanes}",
+            rows.len(),
+            window.len(),
+            window.buckets_in_use(),
+        );
+        g.bench_with_input(BenchmarkId::new("drain", name), &rows, |b, rows| {
+            b.iter(|| drain(rows, d).0.len());
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_kernels,
     bench_large_window,
-    bench_elimination_screen
+    bench_elimination_screen,
+    bench_sfs_drain
 );
 criterion_main!(benches);

@@ -47,17 +47,23 @@
 //! directory** (§12.6): entries are filed under a coarse version of the
 //! same code — per criterion, a level among a few quantile cuts of the
 //! window's contents — in up to 256 arenas sharing the one quantizer,
-//! and a probe visits only the buckets whose code is ≥ the key's in
-//! every field, by the same SWAR test and the same monotonicity
-//! argument. Verdicts cannot change (what is asked is whether *some*
-//! entry dominates or equals the key); charges do, and fall.
+//! and a probe visits only the buckets at or above the key's level on
+//! every coarse field, by the same monotonicity argument. A 256-bit set
+//! of the non-empty buckets, ANDed with a precomputed set per field and
+//! level, names them highest first without a walk over the others.
+//! Verdicts cannot change (what is asked is whether *some* entry
+//! dominates or equals the key); charges do, and fall. Inside a bucket
+//! every block also carries the field-wise maximum of its lanes' codes,
+//! and one SWAR test of it rules a block out before the f64 summaries
+//! are read — only ever a block they would rule out too.
 //!
 //! Model *comparisons* are charged entry-at-a-time, up to and including
 //! the first decisive entry in visiting order — never more than the
 //! window holds, hence never more than the scalar kernel charges a probe
 //! that finds nothing (§12.4) — while [`ProbeCost::lanes`] records the
 //! lanes screened and [`ProbeCost::blocks_skipped`] the blocks ruled out
-//! by a summary, the score cutoff or their bucket's code.
+//! by a summary or code bound, the score cutoff, or — every one of them,
+//! charged when the probe starts — their bucket's code.
 
 // Hot path: typed errors only, nothing discarded (DESIGN.md §8.1).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -91,8 +97,9 @@ pub struct ProbeCost {
     /// every non-skipped block, each tested once by level code. How many
     /// of them went on to the exact f64 confirm is not part of the model.
     pub lanes: u64,
-    /// Blocks pruned whole by a summary or score bound, or — a
-    /// bucket's worth at a time — by a coarse code (§12.6).
+    /// Blocks pruned whole by a summary, code or score bound, or — a
+    /// bucket's worth at a time, for every bucket ruled out whether the
+    /// probe would have reached it or not — by a coarse code (§12.6).
     pub blocks_skipped: u64,
 }
 
@@ -230,6 +237,17 @@ impl Coder {
     fn code(&self, key: &[f64]) -> u64 {
         (0..self.axes.len()).fold(0, |code, c| code | self.field(c, key[c]))
     }
+
+    /// The field-wise maximum of two codes. The SWAR test leaves the
+    /// guard bit of every field where `a ≥ b`; subtracting that bit's
+    /// copy shifted to the bottom of the field turns it into the field's
+    /// level bits, which pick `a` there and `b` everywhere else.
+    #[inline]
+    fn max(&self, a: u64, b: u64) -> u64 {
+        let ge = ((a | self.guard) - b) & self.guard;
+        let pick_a = ge - (ge >> (self.bits - 1));
+        (a & pick_a) | (b & !pick_a)
+    }
 }
 
 /// Bit `l` set for every lane `l < n`.
@@ -268,6 +286,10 @@ struct Arena {
     /// One level code per lane, position-aligned with `cols`; 0 in
     /// unused lanes.
     codes: Vec<u64>,
+    /// Per block, the field-wise maximum of its live lanes' codes: a
+    /// block whose bound is not ≥ a key's code in every field holds no
+    /// lane that can pass the screen (§12.6).
+    bounds: Vec<u64>,
 }
 
 impl Arena {
@@ -280,6 +302,7 @@ impl Arena {
             cols: Vec::new(),
             sums: Vec::new(),
             codes: Vec::new(),
+            bounds: Vec::new(),
         }
     }
 
@@ -288,6 +311,7 @@ impl Arena {
         self.cols.clear();
         self.sums.clear();
         self.codes.clear();
+        self.bounds.clear();
     }
 
     fn blocks(&self) -> usize {
@@ -361,9 +385,9 @@ impl Arena {
         }
     }
 
-    /// Recompute block `b`'s summaries from its live lanes (after a
-    /// removal).
-    fn rebuild_summaries(&mut self, b: usize) {
+    /// Recompute block `b`'s summaries and code bound from its live
+    /// lanes (after a removal).
+    fn rebuild_summaries(&mut self, b: usize, coder: &Coder) {
         let d = self.d;
         let s = b * (2 * d + 2);
         self.sums[s..=s + d].fill(f64::NEG_INFINITY);
@@ -371,11 +395,17 @@ impl Arena {
         for l in 0..self.block_len(b) {
             self.summarize(b * BLOCK_LANES + l);
         }
+        self.rebound(b, coder);
     }
 
-    /// Append `key`, whose level code under the window's quantizer is
-    /// `code`.
-    fn push(&mut self, key: &[f64], code: u64) {
+    /// Recompute block `b`'s code bound. Padding lanes hold code 0, which
+    /// raises no field.
+    fn rebound(&mut self, b: usize, coder: &Coder) {
+        self.bounds[b] = self.block_codes(b).iter().fold(0, |m, &w| coder.max(m, w));
+    }
+
+    /// Append `key`, coded under the window's quantizer `coder`.
+    fn push(&mut self, key: &[f64], coder: &Coder) {
         debug_assert_eq!(key.len(), self.d);
         let (d, pos) = (self.d, self.len);
         if pos.is_multiple_of(BLOCK_LANES) {
@@ -384,18 +414,23 @@ impl Arena {
             self.sums.resize(self.sums.len() + d + 1, f64::NEG_INFINITY);
             self.sums.resize(self.sums.len() + d + 1, f64::INFINITY);
             self.codes.resize(self.codes.len() + BLOCK_LANES, 0);
+            self.bounds.push(0);
         }
         for (c, &v) in key.iter().enumerate() {
             let at = self.col_at(pos, c);
             self.cols[at] = v;
         }
+        let code = coder.code(key);
         self.codes[pos] = code;
+        let bound = &mut self.bounds[pos / BLOCK_LANES];
+        *bound = coder.max(*bound, code);
         self.len += 1;
         self.summarize(pos);
     }
 
-    /// Recompute every code under `coder` (after a calibration). Padding
-    /// lanes hold `-inf`, which every quantizer sends to level 0.
+    /// Recompute every code and code bound under `coder` (after a
+    /// calibration). Padding lanes hold `-inf`, which every quantizer
+    /// sends to level 0.
     fn recode(&mut self, coder: &Coder) {
         self.codes.fill(0);
         for c in 0..coder.axes.len() {
@@ -407,12 +442,15 @@ impl Arena {
                 }
             }
         }
+        for b in 0..self.blocks() {
+            self.rebound(b, coder);
+        }
     }
 
     /// Remove the entry at `pos` by moving the last entry into its place
-    /// (`Vec::swap_remove` semantics), code included; the summaries of
-    /// the touched blocks are rebuilt exactly.
-    fn swap_remove(&mut self, pos: usize) {
+    /// (`Vec::swap_remove` semantics), code included; the summaries and
+    /// code bounds of the touched blocks are rebuilt exactly.
+    fn swap_remove(&mut self, pos: usize, coder: &Coder) {
         debug_assert!(pos < self.len);
         let last = self.len - 1;
         for c in 0..self.d {
@@ -427,16 +465,17 @@ impl Arena {
         self.cols.truncate(blocks * self.d * BLOCK_LANES);
         self.sums.truncate(blocks * (2 * self.d + 2));
         self.codes.truncate(blocks * BLOCK_LANES);
+        self.bounds.truncate(blocks);
         let (hole, tail) = (pos / BLOCK_LANES, last / BLOCK_LANES);
         if tail < blocks {
-            self.rebuild_summaries(tail);
+            self.rebuild_summaries(tail, coder);
         }
         if hole != tail {
-            self.rebuild_summaries(hole);
+            self.rebuild_summaries(hole, coder);
         }
     }
 
-    // The five per-block steps below are `inline(always)`: left to its
+    // The six per-block steps below are `inline(always)`: left to its
     // own judgement LLVM keeps them as calls inside the probe loops, which
     // measured 20–25 % more filter time on the 100k × 7 probe stream.
 
@@ -460,6 +499,14 @@ impl Arena {
             return false;
         }
         !key.iter().zip(mins).any(|(&v, &min)| v < min)
+    }
+
+    /// Can block `b` hold a lane whose code is ≥ `t` in every field? Its
+    /// bound is ≥ `t` wherever some lane's code is — one SWAR test for
+    /// the block.
+    #[inline(always)]
+    fn bound_at_least(&self, b: usize, t: u64, h: u64) -> bool {
+        ((self.bounds[b] | h) - t) & h == h
     }
 
     /// Lanes of block `b` whose code is ≥ `t` in every field: the only
@@ -526,20 +573,15 @@ const MAX_COARSE: usize = 8;
 /// the next ones re-file.
 pub(crate) const FIRST_SPLIT: usize = 8 * MAX_BUCKETS;
 
-/// Field layout of a *coarse code*: per covered criterion, the entry's
-/// level among `levels − 1` quantile cuts of the window's contents,
-/// packed like a level code — a guard bit on top of every field — so that
-/// "≥ in every field" is the same SWAR test.
+/// The shape of the *coarse code*: per covered criterion, the entry's
+/// level among `levels − 1` quantile cuts of the window's contents; the
+/// levels name the bucket `Σ level_c · levels^c`.
 #[derive(Clone, Copy)]
 struct Coarse {
     /// Criteria covered: `min(d, 8)`.
     fields: usize,
     /// Levels per criterion: the largest `L` with `L^fields ≤ 256`.
     levels: usize,
-    /// Field width, guard bit included: `⌊64 / fields⌋`, at least 8.
-    bits: usize,
-    /// The guard bit of every field.
-    guard: u64,
 }
 
 impl Coarse {
@@ -547,21 +589,70 @@ impl Coarse {
         let fields = d.min(MAX_COARSE);
         let fits = |l: &usize| l.pow(fields as u32) <= MAX_BUCKETS;
         let levels = (2..).take_while(fits).last().unwrap_or(2);
-        let bits = 64 / fields;
-        // 255 is the highest level any layout reaches (d = 1)
-        debug_assert!(levels - 1 < 1 << (bits - 1));
-        Coarse {
-            fields,
-            levels,
-            bits,
-            guard: (0..fields).fold(0, |h, c| h | (1 << (c * bits + bits - 1))),
-        }
+        Coarse { fields, levels }
     }
 
-    /// Is the code `at` ≥ the code `key` in every field?
-    #[inline(always)]
-    fn at_least(self, at: u64, key: u64) -> bool {
-        ((at | self.guard) - key) & self.guard == self.guard
+    /// `at_least[c · levels + l]` for every field `c` and level `l`: the
+    /// buckets whose level on `c` is ≥ `l`.
+    fn at_least(self) -> Vec<Buckets> {
+        let Coarse { fields, levels } = self;
+        let buckets = levels.pow(fields as u32);
+        (0..fields * levels)
+            .map(|i| {
+                let (radix, l) = (levels.pow((i / levels) as u32), i % levels);
+                (0..buckets)
+                    .filter(|b| b / radix % levels >= l)
+                    .fold(Buckets::default(), Buckets::with)
+            })
+            .collect()
+    }
+}
+
+/// A set of buckets, one bit each: bucket `b` is bit `b % 64` of word
+/// `b / 64`.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+struct Buckets([u64; MAX_BUCKETS / 64]);
+
+impl Buckets {
+    /// The set with bucket `b` added.
+    fn with(mut self, b: usize) -> Self {
+        self.0[b / 64] |= 1 << (b % 64);
+        self
+    }
+
+    fn and(mut self, other: Buckets) -> Self {
+        for (w, o) in self.0.iter_mut().zip(other.0) {
+            *w &= o;
+        }
+        self
+    }
+
+    fn minus(mut self, other: Buckets) -> Self {
+        for (w, o) in self.0.iter_mut().zip(other.0) {
+            *w &= !o;
+        }
+        self
+    }
+
+    fn len(self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The buckets of the set, highest first.
+    #[inline]
+    fn descending(self) -> impl Iterator<Item = usize> {
+        let mut words = self.0;
+        let mut i = words.len();
+        std::iter::from_fn(move || loop {
+            let w = words.get_mut(i.checked_sub(1)?)?;
+            if *w == 0 {
+                i -= 1;
+                continue;
+            }
+            let bit = 63 - w.leading_zeros() as usize;
+            *w &= !(1 << bit);
+            return Some((i - 1) * 64 + bit);
+        })
     }
 }
 
@@ -572,21 +663,26 @@ impl Coarse {
 /// Past `FIRST_SPLIT` entries the window is a **bucket directory**
 /// (DESIGN.md §12.6): every entry is filed under its coarse code, each
 /// bucket is an `Arena` of the same blocks under the one shared
-/// quantizer, and a probe visits only the buckets whose code is ≥ the
-/// key's in every field — the others cannot hold an entry ≥ the key
-/// coordinate-wise, by the monotonicity argument of the level code. Below
-/// the first split there is one bucket and the probe is the flat scan.
-/// Cuts are re-derived and every entry re-filed at the doublings where
-/// the quantizer is recalibrated anyway; a bucket keeps its entries in
-/// insertion order throughout, so the Theorem-4 cutoff holds per bucket.
+/// quantizer, and a probe visits only the buckets whose level is ≥ the
+/// key's on every coarse field — the others cannot hold an entry ≥ the
+/// key coordinate-wise, by the monotonicity argument of the level code.
+/// A 256-bit set of the non-empty buckets, ANDed with one precomputed
+/// set per field and level, names them without a walk over the rest.
+/// Below the first split there is one bucket and the probe is the flat
+/// scan. Cuts are re-derived and every entry re-filed at the doublings
+/// where the quantizer is recalibrated anyway; a bucket keeps its
+/// entries in insertion order throughout, so the Theorem-4 cutoff holds
+/// per bucket.
 ///
 /// `capacity` is the caller's page-budget model (`window_pages ·
 /// ⌊PAGE_SIZE / window_entry_bytes⌋` for the external filter) and counts
-/// key bytes only. The block summaries and the 8-byte level code per
-/// entry are real memory the model does not charge (+8 B on a 56 B key at
-/// d = 7, +14 %), and so is the directory's: at most one partial block
-/// per bucket in use (≤ 256 · 16 lanes), two bytes per entry for the
-/// filing log, and a second copy of the keys while a doubling re-files.
+/// key bytes only. The block summaries, the 8-byte level code per entry
+/// and the 8-byte code bound per block are real memory the model does not
+/// charge (+8.5 B on a 56 B key at d = 7, +15 %), and so is the
+/// directory's: at most one partial block per bucket in use (≤ 256 · 16
+/// lanes), two bytes per entry for the filing log, the level masks and
+/// `reach` (≤ 10 KB, at d = 1), and a second copy of the keys while a
+/// doubling re-files.
 pub struct BlockWindow {
     d: usize,
     len: usize,
@@ -604,9 +700,15 @@ pub struct BlockWindow {
     /// Bucket `Σ level_c · levels^c`: one until the first split,
     /// `levels^fields` after, unallocated until something is filed there.
     buckets: Vec<Arena>,
-    /// `(coarse code, bucket)` of every non-empty bucket, in visiting
-    /// order: highest bucket first.
-    occupied: Vec<(u64, u16)>,
+    /// The non-empty buckets.
+    occupied: Buckets,
+    /// [`Coarse::at_least`], built at the first split.
+    at_least: Vec<Buckets>,
+    /// Once split, `reach[t]`: the blocks of every bucket at or above
+    /// bucket `t`'s level on every coarse field — all that a probe of a
+    /// key filed in `t` may visit. `reach[0]` counts every block, so
+    /// `reach[0] − reach[t]` is what the key's coarse code rules out.
+    reach: Vec<usize>,
     /// The bucket of each entry in insertion order, kept once split so
     /// that re-filing can keep that order within every bucket.
     filed: Vec<u16>,
@@ -639,7 +741,9 @@ impl BlockWindow {
             first_split,
             cuts: Vec::new(),
             buckets: vec![Arena::new(d)],
-            occupied: Vec::new(),
+            occupied: Buckets::default(),
+            at_least: Vec::new(),
+            reach: Vec::new(),
             filed: Vec::new(),
         }
     }
@@ -695,7 +799,8 @@ impl BlockWindow {
     pub fn clear(&mut self) {
         self.buckets.truncate(1);
         self.buckets[0].clear();
-        self.occupied.clear();
+        self.occupied = Buckets::default();
+        self.reach.clear();
         self.cuts.clear();
         self.filed.clear();
         self.coder.reset();
@@ -704,35 +809,67 @@ impl BlockWindow {
         self.last_score = f64::INFINITY;
     }
 
-    /// The coarse code of `key` under the current cuts, and the bucket it
-    /// names. A level counts the cuts strictly below the value, so it is
-    /// monotone in the value and a NaN sits on level 0 — where it makes a
-    /// probe visit more buckets, never fewer.
+    /// The level of `key` on each coarse field under the current cuts —
+    /// none before the first split. A level counts the cuts strictly
+    /// below the value, so it is monotone in the value and a NaN sits on
+    /// level 0 — where it makes a probe visit more buckets, never fewer.
     #[inline(always)]
-    fn coarse_of(&self, key: &[f64]) -> (u64, usize) {
-        let (mut code, mut bucket, mut radix) = (0, 0, 1);
-        let per_field = self.coarse.levels - 1;
-        for (c, cuts) in self.cuts.chunks_exact(per_field).enumerate() {
-            let level = cuts.partition_point(|&cut| key[c] > cut);
-            code |= (level as u64) << (c * self.coarse.bits);
-            bucket += level * radix;
-            radix *= self.coarse.levels;
-        }
-        (code, bucket)
+    fn levels_of<'a>(&'a self, key: &'a [f64]) -> impl Iterator<Item = usize> + 'a {
+        self.cuts
+            .chunks_exact(self.coarse.levels - 1)
+            .zip(key)
+            .map(|(cuts, &v)| cuts.partition_point(|&cut| v > cut))
+    }
+
+    /// The bucket `key` is filed in.
+    fn bucket_of(&self, key: &[f64]) -> usize {
+        self.eligible(key).1
+    }
+
+    /// The non-empty buckets that can hold an entry ≥ `key` — those at
+    /// or above its level on every coarse field — and the bucket `key`
+    /// would be filed in.
+    #[inline(always)]
+    fn eligible(&self, key: &[f64]) -> (Buckets, usize) {
+        let levels = self.coarse.levels;
+        let (set, bucket, _) = self.levels_of(key).enumerate().fold(
+            (self.occupied, 0, 1),
+            |(set, bucket, radix), (c, l)| {
+                let set = set.and(self.at_least[c * levels + l]);
+                (set, bucket + l * radix, radix * levels)
+            },
+        );
+        (set, bucket)
+    }
+
+    /// The buckets at or below bucket `b`'s level on every coarse field.
+    fn at_or_below(&self, b: usize) -> Buckets {
+        let Coarse { fields, levels } = self.coarse;
+        // `at_least[0]`, level ≥ 0 on the first field, is every bucket
+        (0..fields).fold(self.at_least[0], |set, c| {
+            let l = b / levels.pow(c as u32) % levels;
+            if l + 1 < levels {
+                set.minus(self.at_least[c * levels + l + 1])
+            } else {
+                set
+            }
+        })
     }
 
     /// Append `key` to the bucket its coarse code names.
     fn file(&mut self, key: &[f64]) {
-        let (coarse, bucket) = self.coarse_of(key);
-        if self.buckets[bucket].len == 0 {
-            let at = self
-                .occupied
-                .partition_point(|&(_, b)| usize::from(b) > bucket);
-            self.occupied.insert(at, (coarse, bucket as u16));
-        }
-        self.buckets[bucket].push(key, self.coder.code(key));
+        let bucket = self.bucket_of(key);
+        let a = &mut self.buckets[bucket];
+        let new_block = a.len.is_multiple_of(BLOCK_LANES);
+        a.push(key, &self.coder);
+        self.occupied = self.occupied.with(bucket);
         if !self.cuts.is_empty() {
             self.filed.push(bucket as u16);
+            if new_block {
+                for t in self.at_or_below(bucket).descending() {
+                    self.reach[t] += 1;
+                }
+            }
         }
     }
 
@@ -793,11 +930,15 @@ impl BlockWindow {
             }
         }
 
+        if self.at_least.is_empty() {
+            self.at_least = self.coarse.at_least();
+        }
         let buckets = levels.pow(fields as u32);
         let fresh = (0..buckets).map(|_| Arena::new(self.d)).collect();
         let old = std::mem::replace(&mut self.buckets, fresh);
         let log = std::mem::take(&mut self.filed);
-        self.occupied.clear();
+        self.occupied = Buckets::default();
+        self.reach = vec![0; buckets];
         let mut next = vec![0usize; old.len()];
         let mut key = Vec::with_capacity(self.d);
         for i in 0..self.len {
@@ -815,20 +956,25 @@ impl BlockWindow {
     /// equals it" exclude each other and neither depends on the order
     /// entries are visited in — and the unvisited buckets, skipped blocks
     /// and screened-out lanes provably hold no such entry.
+    ///
+    /// Every block of a bucket the coarse code rules out is charged to
+    /// `blocks_skipped` up front, whether or not the probe would have
+    /// reached it (§12.4).
     #[must_use]
     pub fn probe(&self, key: &[f64]) -> (BlockVerdict, ProbeCost) {
         debug_assert_eq!(key.len(), self.d);
         let score = key_score(key);
         let code = self.coder.code(key);
-        let (coarse, _) = self.coarse_of(key);
-        let mut cost = ProbeCost::default();
+        let h = self.coder.guard;
+        let (eligible, filed_in) = self.eligible(key);
+        let mut cost = ProbeCost {
+            // before the first split nothing is ruled out
+            blocks_skipped: self.reach.get(filed_in).map_or(0, |&r| self.reach[0] - r) as u64,
+            ..ProbeCost::default()
+        };
         let mut examined = 0u64;
-        for &(at, bucket) in &self.occupied {
-            let a = &self.buckets[usize::from(bucket)];
-            if !self.coarse.at_least(at, coarse) {
-                cost.blocks_skipped += a.blocks() as u64;
-                continue;
-            }
+        for bucket in eligible.descending() {
+            let a = &self.buckets[bucket];
             for b in 0..a.blocks() {
                 // Theorem-4 cutoff: with non-increasing insertion scores
                 // a bucket's block max-scores are non-increasing, so the
@@ -837,13 +983,15 @@ impl BlockWindow {
                     cost.blocks_skipped += (a.blocks() - b) as u64;
                     break;
                 }
-                if !a.may_beat(b, key, score) {
+                // The code bound first: one integer test, and it fails
+                // only where `may_beat` would (§12.6).
+                if !a.bound_at_least(b, code, h) || !a.may_beat(b, key, score) {
                     cost.blocks_skipped += 1;
                     continue;
                 }
                 let live = a.block_len(b);
                 cost.lanes += live as u64;
-                let lanes = a.lanes_at_least(b, code, self.coder.guard) & first_lanes(live);
+                let lanes = a.lanes_at_least(b, code, h) & first_lanes(live);
                 for l in lanes_of(lanes) {
                     let (ge, le) = a.confirm(b, l, key);
                     if ge {
@@ -867,7 +1015,7 @@ impl BlockWindow {
 /// Append `key` to a window that is one arena under its own quantizer,
 /// calibrating at the doublings.
 fn push_calibrating(arena: &mut Arena, coder: &mut Coder, key: &[f64]) {
-    arena.push(key, coder.code(key));
+    arena.push(key, coder);
     if coder.due(arena.len) {
         coder.calibrate(std::slice::from_mut(arena));
     }
@@ -988,7 +1136,7 @@ impl ReplaceWindow {
     /// into its place (`Vec::swap_remove` semantics). Summaries of the
     /// touched blocks are rebuilt exactly.
     pub fn remove_at(&mut self, pos: usize) {
-        self.arena.swap_remove(pos);
+        self.arena.swap_remove(pos, &self.coder);
     }
 
     /// Probe with replacement. Returns whether the candidate is dominated
@@ -1412,12 +1560,22 @@ mod tests {
 
     /// The arena's standing invariants: every live lane's code is what
     /// the current quantizer gives its key, every unused lane is `-inf`
-    /// with code 0, and the arenas are exactly `blocks` long.
+    /// with code 0, every block's bound is the field-wise maximum of its
+    /// live lanes' codes, and the arenas are exactly `blocks` long.
     fn assert_codes_aligned(a: &Arena, coder: &Coder, label: &str) {
         let blocks = a.blocks();
         assert_eq!(a.cols.len(), blocks * a.d * BLOCK_LANES, "{label}: cols");
         assert_eq!(a.codes.len(), blocks * BLOCK_LANES, "{label}: codes");
         assert_eq!(a.sums.len(), blocks * (2 * a.d + 2), "{label}: sums");
+        assert_eq!(a.bounds.len(), blocks, "{label}: bounds");
+        for b in 0..blocks {
+            let live = &a.codes[b * BLOCK_LANES..][..a.block_len(b)];
+            let want = (0..coder.axes.len()).fold(0, |bound, c| {
+                let field = live.iter().map(|&w| w >> (c * coder.bits) & coder.top);
+                bound | field.max().unwrap_or(0) << (c * coder.bits)
+            });
+            assert_eq!(a.bounds[b], want, "{label}: bound of block {b}");
+        }
         for pos in 0..blocks * BLOCK_LANES {
             if pos < a.len {
                 let code = coder.code(&a.key_at(pos));
@@ -1433,7 +1591,8 @@ mod tests {
     /// The soundness property everything rests on: the screen never
     /// drops a lane the exact test would accept, in either direction —
     /// so scanning the screened lanes in order finds the same first
-    /// decisive lane as scanning them all.
+    /// decisive lane as scanning them all — and the block bound never
+    /// rules out a block holding an entry ≥ the key.
     fn assert_screen_necessary(a: &Arena, coder: &Coder, key: &[f64], label: &str) {
         let (code, h) = (coder.code(key), coder.guard);
         for b in 0..a.blocks() {
@@ -1441,6 +1600,10 @@ mod tests {
             for l in 0..a.block_len(b) {
                 let (ge, le) = a.confirm(b, l, key);
                 let entry = a.key_at(b * BLOCK_LANES + l);
+                assert!(
+                    !ge || a.bound_at_least(b, code, h),
+                    "{label}: {entry:?} ≥ {key:?} in a block its bound rules out"
+                );
                 assert!(
                     !ge || beat >> l & 1 == 1,
                     "{label}: {entry:?} ≥ {key:?} screened out"
@@ -1529,6 +1692,12 @@ mod tests {
                     let le = fields(w).iter().zip(fields(t)).all(|(&x, y)| x <= y);
                     assert_eq!(beat >> l & 1 == 1, ge, "d={d} w={w:#x} t={t:#x}");
                     assert_eq!(fall >> l & 1 == 1, le, "d={d} w={w:#x} t={t:#x}");
+                    let max: Vec<u64> = fields(w)
+                        .iter()
+                        .zip(fields(t))
+                        .map(|(&x, y)| x.max(y))
+                        .collect();
+                    assert_eq!(fields(coder.max(w, t)), max, "d={d} w={w:#x} t={t:#x}");
                 }
             }
         }
@@ -1694,20 +1863,44 @@ mod tests {
             assert_eq!(coarse.levels, levels, "d={d}");
             assert!(levels.pow(fields as u32) <= MAX_BUCKETS, "d={d}");
             assert!((levels + 1).pow(fields as u32) > MAX_BUCKETS, "d={d}");
-            assert_eq!(coarse.bits, 64 / fields, "d={d}");
-            assert_eq!(coarse.guard.count_ones() as usize, fields, "d={d}");
-            assert!(
-                (levels as u64) <= 1 << (coarse.bits - 1),
-                "d={d}: level fits"
-            );
+            // bucket b has level b / L^c % L on field c
+            let at_least = coarse.at_least();
+            assert_eq!(at_least.len(), fields * levels, "d={d}");
+            for c in 0..fields {
+                for l in 0..levels {
+                    let set = at_least[c * levels + l];
+                    let want = (0..levels.pow(fields as u32))
+                        .filter(|b| b / levels.pow(c as u32) % levels >= l)
+                        .collect::<Vec<_>>();
+                    let mut got: Vec<usize> = set.descending().collect();
+                    got.reverse();
+                    assert_eq!(got, want, "d={d} field {c} level {l}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn bucket_sets_iterate_highest_first() {
+        let all: Vec<usize> = (0..MAX_BUCKETS).collect();
+        let set = all.iter().copied().fold(Buckets::default(), Buckets::with);
+        assert_eq!(set.len(), MAX_BUCKETS);
+        assert!(set.descending().eq(all.iter().copied().rev()));
+        let some = [255, 192, 191, 64, 63, 1, 0];
+        let set = some.iter().copied().fold(Buckets::default(), Buckets::with);
+        assert!(set.descending().eq(some));
+        let evens = all.iter().copied().filter(|b| b % 2 == 0);
+        let evens = evens.fold(Buckets::default(), Buckets::with);
+        assert!(set.and(evens).descending().eq([192, 64, 0]));
+        assert_eq!(Buckets::default().descending().count(), 0);
     }
 
     /// The directory's standing invariants: every entry sits in the
     /// bucket its coarse code names, under the code the shared quantizer
-    /// gives it; `occupied` lists exactly the non-empty buckets, highest
-    /// first, each with its code; and the filing log replays the insert
-    /// sequence, so every bucket holds its entries in insertion order.
+    /// gives it; `occupied` holds exactly the non-empty buckets and
+    /// `blocks` counts their blocks; and the filing log replays the
+    /// insert sequence, so every bucket holds its entries in insertion
+    /// order.
     fn assert_directory(w: &BlockWindow, inserted: &[Vec<f64>], label: &str) {
         assert_eq!(w.len, inserted.len(), "{label}: len");
         assert_eq!(
@@ -1715,21 +1908,34 @@ mod tests {
             w.len,
             "{label}"
         );
-        let in_use: Vec<u16> = (0..w.buckets.len() as u16)
+        let in_use: Vec<usize> = (0..w.buckets.len())
             .rev()
-            .filter(|&b| w.buckets[usize::from(b)].len > 0)
+            .filter(|&b| w.buckets[b].len > 0)
             .collect();
-        let listed: Vec<u16> = w.occupied.iter().map(|&(_, b)| b).collect();
+        let listed: Vec<usize> = w.occupied.descending().collect();
         assert_eq!(listed, in_use, "{label}: occupied");
-        for &(code, b) in &w.occupied {
-            let a = &w.buckets[usize::from(b)];
+        // `reach[t]` sums the buckets at or above `t` on every field
+        let (fields, levels) = (w.coarse.fields, w.coarse.levels);
+        let level = |b: usize, c: usize| b / levels.pow(c as u32) % levels;
+        let reach: Vec<usize> = (0..w.buckets.len())
+            .map(|t| {
+                let above = |u: &usize| (0..fields).all(|c| level(*u, c) >= level(t, c));
+                (0..w.buckets.len())
+                    .filter(above)
+                    .map(|u| w.buckets[u].blocks())
+                    .sum()
+            })
+            .collect();
+        if w.cuts.is_empty() {
+            assert!(w.reach.is_empty(), "{label}: reach before the split");
+        } else {
+            assert_eq!(w.reach, reach, "{label}: reach");
+        }
+        for b in in_use {
+            let a = &w.buckets[b];
             assert_codes_aligned(a, &w.coder, &format!("{label} bucket {b}"));
             for pos in 0..a.len {
-                assert_eq!(
-                    w.coarse_of(&a.key_at(pos)),
-                    (code, usize::from(b)),
-                    "{label}"
-                );
+                assert_eq!(w.bucket_of(&a.key_at(pos)), b, "{label}");
             }
         }
         for cuts in w.cuts.chunks_exact(w.coarse.levels - 1) {
@@ -1783,13 +1989,13 @@ mod tests {
                         } else {
                             hostile_key(&mut rng, d)
                         };
-                        let (coarse, _) = w.coarse_of(&key);
-                        for &(at, b) in &w.occupied {
-                            let a = &w.buckets[usize::from(b)];
+                        let eligible: Vec<usize> = w.eligible(&key).0.descending().collect();
+                        for b in w.occupied.descending() {
+                            let a = &w.buckets[b];
                             let holds_ge = (0..a.len)
                                 .any(|p| a.key_at(p).iter().zip(&key).all(|(e, k)| e >= k));
                             assert!(
-                                !holds_ge || w.coarse.at_least(at, coarse),
+                                !holds_ge || eligible.contains(&b),
                                 "{label}: bucket {b} holds an entry ≥ {key:?}"
                             );
                         }
@@ -1812,6 +2018,7 @@ mod tests {
             assert_directory(&w, &inserted[..40], &format!("d={d} reused"));
             assert_eq!(w.cuts, fresh.cuts, "d={d}");
             assert_eq!(w.occupied, fresh.occupied, "d={d}");
+            assert_eq!(w.at_least, fresh.at_least, "d={d}");
             assert_eq!(w.coder.axes, fresh.coder.axes, "d={d}");
         }
     }
@@ -1847,6 +2054,161 @@ mod tests {
             cost.blocks_skipped >= FIRST_SPLIT as u64 / 32,
             "unvisited buckets count"
         );
+    }
+
+    /// The probe as it was before the bucket sets: a walk over every
+    /// non-empty bucket, highest first, that tests each bucket's coarse
+    /// code — its levels packed one `⌊64/fields⌋`-bit field each under a
+    /// guard bit — against the key's with the SWAR test, then scans the
+    /// blocks of the buckets that pass with the summaries alone and every
+    /// live lane by the exact test. No block code bound, no level-code
+    /// screen. The blocks of every bucket the coarse test rules out are
+    /// charged to `blocks_skipped`, wherever the walk stops.
+    fn list_walk_probe(w: &BlockWindow, key: &[f64]) -> (BlockVerdict, ProbeCost) {
+        let Coarse { fields, levels } = w.coarse;
+        let bits = 64 / fields;
+        let guard = (0..fields).fold(0u64, |h, c| h | 1 << (c * bits + bits - 1));
+        let pack = |level: &dyn Fn(usize) -> usize| {
+            (0..fields).fold(0u64, |code, c| code | (level(c) as u64) << (c * bits))
+        };
+        // before the first split there are no cuts: every level is 0
+        let cuts: Vec<&[f64]> = w.cuts.chunks_exact(levels - 1).collect();
+        let coarse = pack(&|c| {
+            cuts.get(c)
+                .map_or(0, |cuts| cuts.iter().filter(|&&cut| key[c] > cut).count())
+        });
+        let list: Vec<(u64, usize)> = (0..w.buckets.len())
+            .rev()
+            .filter(|&b| w.buckets[b].len > 0)
+            .map(|b| (pack(&|c| b / levels.pow(c as u32) % levels), b))
+            .collect();
+        let at_least = |at: u64| ((at | guard) - coarse) & guard == guard;
+        let score = key_score(key);
+        let mut cost = ProbeCost {
+            blocks_skipped: list
+                .iter()
+                .filter(|&&(at, _)| !at_least(at))
+                .map(|&(_, b)| w.buckets[b].blocks() as u64)
+                .sum(),
+            ..ProbeCost::default()
+        };
+        let mut examined = 0u64;
+        for &(_, bucket) in list.iter().filter(|&&(at, _)| at_least(at)) {
+            let a = &w.buckets[bucket];
+            for b in 0..a.blocks() {
+                if w.monotone && a.summaries(b).1 < score {
+                    cost.blocks_skipped += (a.blocks() - b) as u64;
+                    break;
+                }
+                if !a.may_beat(b, key, score) {
+                    cost.blocks_skipped += 1;
+                    continue;
+                }
+                let live = a.block_len(b);
+                cost.lanes += live as u64;
+                for l in 0..live {
+                    if let (true, le) = a.confirm(b, l, key) {
+                        cost.comparisons = examined + l as u64 + 1;
+                        let verdict = if le {
+                            BlockVerdict::Equal
+                        } else {
+                            BlockVerdict::Dominated
+                        };
+                        return (verdict, cost);
+                    }
+                }
+                examined += live as u64;
+            }
+        }
+        cost.comparisons = examined;
+        (BlockVerdict::Incomparable, cost)
+    }
+
+    #[test]
+    fn the_bucket_set_probe_is_the_list_walk() {
+        for d in [1, 2, 3, 4, 5, 7, 8, 9, 16] {
+            let mut rng = Rng::seed_from_u64(34 + d as u64);
+            // hostile keys with runs of exact duplicates among them
+            let mut generated: Vec<Vec<f64>> = Vec::new();
+            for i in 0..400 {
+                let key = match generated.last() {
+                    Some(last) if i % 5 == 0 => last.clone(),
+                    _ => hostile_key(&mut rng, d),
+                };
+                generated.push(key);
+            }
+            let mut presorted = generated.clone();
+            presorted.sort_by(|a, b| key_score(b).total_cmp(&key_score(a)));
+            for (order, keys) in [("generation", &generated), ("presorted", &presorted)] {
+                let mut w = BlockWindow::with_first_split(d, usize::MAX, 16);
+                // the whole stream, then — across `clear` — its first 150
+                for (round, keys) in [&keys[..], &keys[..150]].into_iter().enumerate() {
+                    w.clear();
+                    for (i, key) in keys.iter().enumerate() {
+                        let label = format!("d={d} {order} round {round} key {i}");
+                        let probed = w.probe(key);
+                        assert_eq!(probed, list_walk_probe(&w, key), "{label}");
+                        // the SFS rule, plus every third key regardless so
+                        // that even a d = 1 window re-files
+                        if probed.0 != BlockVerdict::Dominated || i % 3 == 0 {
+                            w.insert(key);
+                        }
+                    }
+                    // the held entries themselves: Equal verdicts
+                    for key in keys.iter().step_by(7) {
+                        assert_eq!(w.probe(key), list_walk_probe(&w, key), "d={d} {order}");
+                    }
+                    assert!(w.buckets_in_use() > 1, "d={d} {order}: the directory split");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_bounds_are_exact_and_necessary() {
+        for d in DIMS {
+            let mut rng = Rng::seed_from_u64(43 + d as u64);
+            let mut w = BlockWindow::with_first_split(d, usize::MAX, 16);
+            for round in 0..2 {
+                // every push, every recalibration and re-file, and `clear`
+                for len in 1..=140usize {
+                    w.insert(&hostile_key(&mut rng, d));
+                    for (b, a) in w.buckets.iter().enumerate() {
+                        let label = format!("d={d} round {round} len={len} bucket {b}");
+                        assert_codes_aligned(a, &w.coder, &label);
+                        if len % 20 == 0 && a.len > 0 {
+                            for i in 0..6 {
+                                let key = if i % 2 == 0 {
+                                    a.key_at(i * 5 % a.len)
+                                } else {
+                                    hostile_key(&mut rng, d)
+                                };
+                                assert_screen_necessary(a, &w.coder, &key, &label);
+                            }
+                        }
+                    }
+                }
+                w.clear();
+                assert_codes_aligned(&w.buckets[0], &w.coder, &format!("d={d} cleared"));
+            }
+            // and every `remove_at`, at the ends and in the middle
+            let mut r = ReplaceWindow::new(d);
+            for step in 0..200 {
+                if !r.is_empty() && rng.usize_below(3) == 0 {
+                    let pos = match rng.usize_below(3) {
+                        0 => 0,
+                        1 => r.len() - 1,
+                        _ => rng.usize_below(r.len()),
+                    };
+                    r.remove_at(pos);
+                } else {
+                    r.push(&hostile_key(&mut rng, d));
+                }
+                let label = format!("d={d} replace step {step}");
+                assert_codes_aligned(&r.arena, &r.coder, &label);
+                assert_screen_necessary(&r.arena, &r.coder, &hostile_key(&mut rng, d), &label);
+            }
+        }
     }
 
     #[test]
