@@ -58,10 +58,9 @@ pub use dominance_block::{
     BlockVerdict, BlockWindow, PrefixArena, ProbeCost, ReplaceWindow, BLOCK_LANES,
 };
 pub use external::{
-    batch_presort, parallel_batch_filter, parallel_sfs_filter, sharded_skyline, BatchBnl,
-    BatchConfig, BatchFilterOutcome, BatchSfs, Bnl, KeySumScore, MaterializeRows, NarrowCmp,
-    ParFilterOutcome, Sfs, SfsConfig, ShardConfig, ShardOutcome, ShardStats, ShardStrategy,
-    SpecKeys,
+    batch_presort, parallel_batch_filter, parallel_sfs_filter, sharded_skyline, BatchConfig,
+    BatchFilterOutcome, BatchSfs, Bnl, KeySumScore, MaterializeRows, NarrowCmp, ParFilterOutcome,
+    Sfs, SfsConfig, ShardConfig, ShardOutcome, ShardStats, ShardStrategy, SpecKeys,
 };
 pub use keys::KeyMatrix;
 pub use metrics::{MetricsSnapshot, SkylineMetrics};

@@ -41,7 +41,7 @@ pub mod rewrite;
 pub mod token;
 
 pub use error::QueryError;
-pub use options::{ExecOptions, SkylineAlgo};
+pub use options::ExecOptions;
 pub use parser::parse;
 pub use plan::{
     execute, execute_query, execute_query_into, execute_query_with, execute_with, explain,

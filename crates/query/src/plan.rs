@@ -16,13 +16,10 @@ use crate::ast::{AggFunc, Directive, Expr, Query, SelectItem};
 use crate::catalog::Catalog;
 use crate::error::QueryError;
 use crate::expr;
-use crate::options::{matrix_pages, ExecOptions, SkylineAlgo};
+use crate::options::ExecOptions;
 use crate::parser::parse;
 use crate::pushdown::{external_skyline_with, SkylineColumns};
-use skyline_core::algo;
 use skyline_core::cardinality::expected_skyline_size;
-use skyline_core::KeyMatrix;
-use skyline_exec::ExecError;
 use skyline_relation::{KeyColumn, Schema, Table, Tuple, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -57,12 +54,11 @@ pub fn execute_query(query: &Query, catalog: &Catalog) -> Result<Table, QueryErr
 }
 
 /// Execute an already-parsed query under an execution contract: the
-/// skyline honours the algorithm choice, charges its working sets to
-/// the quota pool, polls the cancel token, and spills to the contract's
-/// disk (see [`ExecOptions`]). The rows of [`execute_query_into`],
-/// collected into a table in rank order: a skyline with no `ORDER BY`
-/// over it comes back in the order of the relation it read, however
-/// the engine emitted it.
+/// skyline charges its working sets to the quota pool, polls the cancel
+/// token, and spills to the contract's disk (see [`ExecOptions`]). The
+/// rows of [`execute_query_into`], collected into a table in rank
+/// order: a skyline with no `ORDER BY` over it comes back in the order
+/// of the relation it read, however the engine emitted it.
 ///
 /// # Errors
 /// Everything [`execute_query`] reports, plus the contract errors:
@@ -100,12 +96,10 @@ pub fn execute_query_with(
 /// How far rows stream depends on what sits above them:
 /// - with nothing but `WHERE` under the output, the scan streams, and
 ///   `LIMIT n` ends it at the `n`-th match — no later row is cloned;
-/// - a skyline on the paged engine with no `ORDER BY` over it streams
-///   in *emission order* — presort order on the SFS arms (see
-///   [`crate::pushdown::external_skyline_with`]) — and `LIMIT n` stops
-///   the filter after its `n`-th survivor;
-/// - `ORDER BY`, grouping and the `DivideAndConquer` hint (which runs
-///   in memory and returns rows ascending) collect first, then emit.
+/// - a skyline with no `ORDER BY` over it streams in *emission order* —
+///   presort order (see [`crate::pushdown::external_skyline_with`]) —
+///   and `LIMIT n` stops the filter after its `n`-th survivor;
+/// - `ORDER BY` and grouping collect first, then emit.
 ///
 /// `sink` returning [`ControlFlow::Break`] ends the pipeline as `LIMIT`
 /// does; the call still returns the schema.
@@ -488,9 +482,8 @@ fn group_members(ids: &[usize]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The skyline of `rows`, each survivor's index handed to `emit` — in
-/// emission order on the paged engine, ascending under the
-/// `DivideAndConquer` hint; `Break` stops it. `resident` is the catalog
+/// The skyline of `rows`, each survivor's index handed to `emit` in the
+/// paged engine's emission order; `Break` stops it. `resident` is the catalog
 /// table when `rows` is all of it, so its key columns can be shared
 /// across queries.
 fn apply_skyline(
@@ -499,7 +492,7 @@ fn apply_skyline(
     schema: &skyline_relation::Schema,
     clause: &crate::ast::SkylineClause,
     opts: &ExecOptions,
-    mut emit: impl FnMut(usize) -> ControlFlow<()>,
+    emit: impl FnMut(usize) -> ControlFlow<()>,
 ) -> Result<(), QueryError> {
     // criterion columns with their direction, and the DIFF columns
     let (mut crit, mut min, mut diff) = (Vec::new(), Vec::new(), Vec::new());
@@ -548,41 +541,7 @@ fn apply_skyline(
         )));
     }
     let groups = (!diff.is_empty()).then(|| group_ids(rows, &diff));
-    let cols = SkylineColumns::new(columns, &min, groups);
-    if opts.algo != SkylineAlgo::DivideAndConquer {
-        return external_skyline_with(cols, opts, emit);
-    }
-
-    // Divide-and-conquer runs in memory: its oriented matrix charges the
-    // quota pool for as long as it runs, and no longer.
-    let mut keep: Vec<usize> = {
-        let d = crit.len();
-        let _lease = match &opts.pool {
-            Some(pool) => Some(
-                pool.reserve(matrix_pages(rows.len(), d))
-                    .map_err(|e| QueryError::from_exec(ExecError::Buffer(e)))?,
-            ),
-            None => None,
-        };
-        let keys = KeyMatrix::new(d, cols.oriented_matrix());
-        match &cols.groups {
-            None => algo::divide_and_conquer(&keys).indices,
-            Some(ids) => group_members(ids)
-                .iter()
-                .flat_map(|members| {
-                    let sky = algo::divide_and_conquer(&keys.select(members)).indices;
-                    sky.into_iter().map(|l| members[l])
-                })
-                .collect(),
-        }
-    };
-    keep.sort_unstable();
-    for i in keep {
-        if emit(i).is_break() {
-            break;
-        }
-    }
-    Ok(())
+    external_skyline_with(SkylineColumns::new(columns, &min, groups), opts, emit)
 }
 
 /// Render the logical plan for `sql`, annotated with the skyline

@@ -1,22 +1,22 @@
 //! `SKYLINE OF` on the paged external engine.
 //!
-//! Every SQL skyline runs here, whatever the relation's size, except
-//! under the [`SkylineAlgo::DivideAndConquer`] hint, which stays in
-//! memory ([`crate::plan`]). The planner holds the clause's key
-//! columns ([`SkylineColumns`] — for a whole catalog table the table's
-//! own resident columns, shared across queries); they are read a chunk
-//! of rows at a time, the sign of a `MIN` criterion applied as a value
-//! is read, and streamed as *narrow entries* — `d` f64 keys, the row's
+//! Every SQL skyline runs here, whatever the relation's size, as one
+//! straight path: column entries → elimination filter → entropy presort
+//! → SFS → drain. The planner holds the clause's key columns
+//! ([`SkylineColumns`] — for a whole catalog table the table's own
+//! resident columns, shared across queries); they are read a chunk of
+//! rows at a time, the sign of a `MIN` criterion applied as a value is
+//! read, and streamed as *narrow entries* — `d` f64 keys, the row's
 //! `DIFF` group number, the row's entropy score, and the originating row
 //! index — straight into the external sort (entropy-presorted, the
 //! paper's "w/ E", DIFF groups outermost; the score is built from the
-//! columns' cached statistics), filtered
-//! through a window sized by the §6 cardinality estimator, and each
-//! surviving row id goes to the caller the moment the filter proves it
-//! — the paper's pipelined output, which `LIMIT` and a departed client
-//! cut short. No oriented key matrix exists on this route. This is the
-//! integration the paper argues for — the skyline as *an operator
-//! inside the engine*, not an application post-pass.
+//! columns' cached statistics), filtered through a window sized by the
+//! §6 cardinality estimator, and each surviving row id goes to the
+//! caller the moment the filter proves it — the paper's pipelined
+//! output, which `LIMIT` and a departed client cut short. No oriented key
+//! matrix exists on this route. This is the integration the paper argues
+//! for — the skyline as *an operator inside the engine*, not an
+//! application post-pass.
 //!
 //! A criterion may hold any number, ±∞ included; a NaN is refused
 //! before the engine starts, as a non-numeric value. A `DIFF` key may be
@@ -30,7 +30,6 @@
 //! `admit` computes it, or the producer does on a DIFF clause, which has
 //! no filter. The sort's run formation, its merge and its comparisons
 //! within a DIFF group read the lane instead of scoring the key again.
-//! The `Bnl` arm does not sort, and its entries carry no score lane.
 //!
 //! Ahead of the sort sits a LESS [`EliminationFilter`]: one page of the
 //! best-entropy keys seen so far. Each chunk is screened against its
@@ -40,46 +39,36 @@
 //! costs no encode, arena byte, run page, merge step or filter probe. It
 //! is exact (every dropped row is dominated by a forwarded one) and its
 //! page is the sort's own — the rest of the sort's pages go to the
-//! arena — so no lease grows. It runs on every presorted arm and stays
-//! out only where the code can see it would be wrong or pointless: with
-//! a DIFF lane (incomparable groups interleave in the unsorted stream)
-//! and on the `Bnl` arm (the paper's unsorted baseline, and the
-//! filter-free twin the differential tests compare against).
+//! arena — so no lease grows. It stays out only with a DIFF lane, where
+//! incomparable groups interleave in the unsorted stream.
 //!
-//! [`external_skyline_with`] honours the [`ExecOptions`] contract: the
-//! algorithm hint picks the narrow instantiation (SFS for `Auto`, `Sfs`
-//! and `Strata` — stratum s₀ *is* the SFS skyline; BNL over the unsorted
-//! stream; the strided-parallel filter), each pass's arena is charged
-//! against the optional quota pool (sort arena while sorting, filter
-//! window while filtering), the cancel token is polled while entries
-//! stream and inside the operators, and spills go to the caller's disk
-//! when one is given. The sort arena is sized by its input: it reserves
-//! what every entry and the filter's page would fill, between 4 pages
-//! and `sort_pages` — so a six-row table asks for 4, not the budget.
+//! [`external_skyline_with`] honours the [`ExecOptions`] contract: each
+//! pass's arena is charged against the optional quota pool (sort arena
+//! while sorting, filter window while filtering), the cancel token is
+//! polled while entries stream and inside the operators, and spills go
+//! to the caller's disk when one is given. The sort arena is sized by its
+//! input: it reserves what every entry and the filter's page would fill,
+//! between 4 pages and `sort_pages` — so a six-row table asks for 4, not
+//! the budget.
 //!
-//! On the presorted arms the §6 estimate is the window's *initial*
-//! reservation — clipped to what the quota has free once the sort arena
-//! is back, so a clause whose estimate exceeds the whole quota still
-//! runs — and the SFS operator, handed the pool, grows the window inside
-//! the quota before a pass spills (never after one has) and spills as
-//! Figure 7 does when the pool refuses: the skyline the estimator
-//! undershot takes one pass when there is room and the multi-pass path
-//! when there is not. The `Bnl` arm reserves its estimate in full, as
-//! before. A heap file frees its pages when its handle drops,
-//! so they are reclaimed on *every* path — success, typed quota error,
-//! cancellation, or storage fault. A `DIFF` clause always runs as
-//! presort + SFS (BNL cannot group; the parallel filter falls back to
-//! one stratum).
+//! The §6 estimate is the window's *initial* reservation — clipped to
+//! what the quota has free once the sort arena is back, so a clause whose
+//! estimate exceeds the whole quota still runs — and the SFS operator,
+//! handed the pool, grows the window inside the quota before a pass
+//! spills (never after one has) and spills as Figure 7 does when the
+//! pool refuses: the skyline the estimator undershot takes one pass when
+//! there is room and the multi-pass path when there is not. A heap file
+//! frees its pages when its handle drops, so they are reclaimed on
+//! *every* path — success, typed quota error, cancellation, or storage
+//! fault.
 
 use crate::error::QueryError;
-use crate::options::{ExecOptions, SkylineAlgo};
+use crate::options::ExecOptions;
 use skyline_core::cardinality::recommend_window_pages;
-use skyline_core::external::{
-    parallel_filter, sort_narrow, BatchBnl, BatchConfig, BatchSfs, EliminationFilter, NarrowFormat,
-};
-use skyline_core::{EntropyScore, MonotoneScore, SfsConfig, SkylineMetrics};
+use skyline_core::external::{sort_narrow, BatchConfig, BatchSfs, EliminationFilter};
+use skyline_core::{EntropyScore, MonotoneScore, SkylineMetrics};
 use skyline_exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
-use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
+use skyline_exec::{CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
 use skyline_relation::{KeyColumn, TableStats};
 use skyline_storage::{BufferLease, BufferPool, Disk, MemDisk, PAGE_SIZE};
 use std::ops::ControlFlow;
@@ -118,17 +107,6 @@ impl SkylineColumns {
     /// The oriented criteria of `row`, appended to `out`.
     fn key_into(&self, row: usize, out: &mut Vec<f64>) {
         out.extend(self.crit.iter().map(|(c, sign)| sign * c.values()[row]));
-    }
-
-    /// The row-major oriented key matrix — divide-and-conquer's input.
-    #[must_use]
-    pub fn oriented_matrix(&self) -> Vec<f64> {
-        let columns: Vec<(&[f64], f64)> = self.crit.iter().map(|(c, s)| (c.values(), *s)).collect();
-        let mut data = Vec::with_capacity(self.rows() * columns.len());
-        for row in 0..self.rows() {
-            data.extend(columns.iter().map(|(values, sign)| sign * values[row]));
-        }
-        data
     }
 
     /// The entropy presort over the oriented criteria, from the columns'
@@ -170,11 +148,11 @@ struct ColumnEntries {
     cols: SkylineColumns,
     narrow: NarrowLayout,
     filter: Option<EliminationFilter>,
-    /// The presort's score when `narrow` carries its lane
-    /// ([`ColumnEntries::scored`]). The lane gets the score the filter
+    /// The presort's score, written into the score lane `narrow` carries
+    /// ([`NarrowLayout::with_score`]). The lane gets the score the filter
     /// computed in `admit` (it ranks by this same score), or, with no
     /// filter, the one computed here: once per entry either way.
-    score: Option<Arc<EntropyScore>>,
+    score: Arc<EntropyScore>,
     cancel: Option<CancelToken>,
     /// First row of the chunk in hand, and of the one after it.
     chunk: usize,
@@ -192,13 +170,14 @@ impl ColumnEntries {
         cols: SkylineColumns,
         narrow: NarrowLayout,
         filter: Option<EliminationFilter>,
+        score: Arc<EntropyScore>,
         cancel: Option<CancelToken>,
     ) -> Self {
         ColumnEntries {
             cols,
             narrow,
             filter,
-            score: None,
+            score,
             cancel,
             chunk: 0,
             next_chunk: 0,
@@ -207,13 +186,6 @@ impl ColumnEntries {
             lanes: Vec::new(),
             entry: Vec::new(),
         }
-    }
-
-    /// Write `score` of each entry's key into the score lane `narrow`
-    /// was built with ([`NarrowLayout::with_score`]).
-    fn scored(mut self, score: Arc<EntropyScore>) -> Self {
-        self.score = Some(score);
-        self
     }
 }
 
@@ -234,13 +206,13 @@ impl Operator for ColumnEntries {
                 if self.filter.as_mut().is_some_and(|f| !f.admit(&self.lanes)) {
                     continue;
                 }
-                let score = self.score.as_ref().map(|s| match &self.filter {
+                let score = match &self.filter {
                     Some(f) => f.admitted_score(),
-                    None => s.score(&self.lanes),
-                });
+                    None => self.score.score(&self.lanes),
+                };
                 let group = self.cols.groups.as_ref().map(|g| g[row] as f64);
                 self.lanes.extend(group);
-                self.lanes.extend(score);
+                self.lanes.push(score);
                 self.narrow
                     .encode_into(&self.lanes, row as u64, &mut self.entry);
                 return Ok(Some(&self.entry));
@@ -296,14 +268,11 @@ fn sort_pages_for(opts: &ExecOptions, rows: usize, entry_size: usize) -> usize {
 
 /// Run the skyline over `cols` on the paged engine under the execution
 /// contract `opts`, grouping by the DIFF group numbers, and hand each
-/// skyline row index to `emit` the moment the filter proves it. Every
-/// hint but [`SkylineAlgo::DivideAndConquer`] has an arm here; that one
-/// runs as `Auto`.
+/// skyline row index to `emit` the moment the filter proves it.
 ///
-/// Rows arrive in *emission order*, not ascending: on the presorted arms
-/// that is presort order (entropy, DIFF groups outermost), pass by pass
-/// when the window spills; on the `Bnl` arm it is the order BNL confirms
-/// them. A caller that needs another order sorts.
+/// Rows arrive in *emission order*, not ascending: presort order
+/// (entropy, DIFF groups outermost), pass by pass when the window
+/// spills. A caller that needs another order sorts.
 ///
 /// `emit` returning [`ControlFlow::Break`] ends the drain there: the
 /// operator is closed and dropped, so its window lease and temp pages
@@ -315,9 +284,8 @@ fn sort_pages_for(opts: &ExecOptions, rows: usize, entry_size: usize) -> usize {
 /// is below four, before anything is reserved;
 /// [`QueryError::QuotaExceeded`] when a pass's arena does not fit the
 /// quota pool, [`QueryError::Cancelled`] when the token trips, and
-/// [`QueryError::Exec`] for storage or worker failures — possibly after
-/// some rows were emitted. No heap pages remain allocated on any error
-/// path.
+/// [`QueryError::Exec`] for storage failures — possibly after some rows
+/// were emitted. No heap pages remain allocated on any error path.
 pub fn external_skyline_with(
     cols: SkylineColumns,
     opts: &ExecOptions,
@@ -346,118 +314,62 @@ fn paged_skyline(
     };
     // Capacity in entries is what the estimator sizes; a narrow window
     // entry is the key alone, 8·d bytes.
-    let cfg = BatchConfig::new(recommend_window_pages(cols.rows(), d, 8 * d));
-    // BNL takes the stream as it comes; everything else — a DIFF clause
-    // included, since BNL cannot group — presorts by entropy.
-    let presort =
-        (opts.algo != SkylineAlgo::Bnl || grouped).then(|| Arc::new(cols.entropy_score()));
-    // A presorted entry carries its score, so the sort reads it back.
-    let narrow = NarrowLayout::new(d).with_diff(usize::from(grouped));
-    let narrow = if presort.is_some() {
-        narrow.with_score()
-    } else {
-        narrow
-    };
-    // The elimination filter rides every presorted stream whose entries
-    // are all mutually comparable — the `diff_dims() == 0` test
+    let window_pages = recommend_window_pages(cols.rows(), d, 8 * d);
+    let score = Arc::new(cols.entropy_score());
+    // Every entry carries its score, so the sort reads it back.
+    let narrow = NarrowLayout::new(d)
+        .with_diff(usize::from(grouped))
+        .with_score();
+    // The elimination filter rides every stream whose entries are all
+    // mutually comparable — the `diff_dims() == 0` test
     // `NarrowCmp::prefix_key` makes.
-    let elimination = presort
-        .as_ref()
-        .filter(|_| !grouped)
-        .map(|score| EliminationFilter::new(d, Arc::clone(score) as _, Arc::clone(&metrics)));
+    let elimination = (!grouped)
+        .then(|| EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(&metrics)));
     // The filter's page is the sort's: what it holds, the arena gives up.
     let sort_pages = sort_pages_for(opts, cols.rows(), narrow.entry_size());
     let arena_pages = sort_pages - usize::from(elimination.is_some());
-    let mut entries = ColumnEntries::new(cols, narrow, elimination, opts.cancel.clone());
-    if let Some(score) = &presort {
-        entries = entries.scored(Arc::clone(score));
+    let cancel = opts.cancel.clone();
+    let entries = ColumnEntries::new(cols, narrow, elimination, Arc::clone(&score), cancel);
+
+    // The sort arena is charged only while sorting.
+    let sort_lease = reserve(opts, sort_pages)?;
+    let sorted = sort_narrow(
+        Box::new(entries),
+        narrow,
+        score,
+        arena_pages,
+        1, // sort thread
+        Arc::clone(&disk),
+    )
+    .map_err(QueryError::from_exec)?;
+    drop(sort_lease);
+    // The estimate is where the window starts, never more than the quota
+    // has free: SFS grows from there or spills, and a wide clause whose
+    // estimate exceeds the whole quota (739 pages at 100 000 × 10) still
+    // runs.
+    let free = opts.pool.as_ref().map_or(usize::MAX, BufferPool::available);
+    let cfg = BatchConfig::new(window_pages.min(free).max(1));
+    let scan = Box::new(HeapScan::new(Arc::new(sorted)));
+    let mut sfs = BatchSfs::new(scan, narrow, cfg, disk, metrics).map_err(QueryError::from_exec)?;
+    if let Some(token) = &opts.cancel {
+        sfs = sfs.with_cancel(token.clone());
     }
-    let entries: BoxedOperator = Box::new(entries);
+    // Charged at open, grown before a pass spills, released on close and
+    // on drop.
+    if let Some(pool) = &opts.pool {
+        sfs = sfs.with_pool(pool.clone());
+    }
 
-    // Each arm yields the operator to drain and the window lease that
-    // stays charged while it drains, unless the operator holds its own.
-    let (mut filter, _window_lease): (BoxedOperator, _) = match presort {
-        None => {
-            let mut bnl = BatchBnl::new(
-                entries,
-                narrow,
-                cfg.window_pages,
-                cfg.batch_rows,
-                disk,
-                metrics,
-            )
-            .map_err(QueryError::from_exec)?;
-            if let Some(token) = &opts.cancel {
-                bnl = bnl.with_cancel(token.clone());
-            }
-            (Box::new(bnl), reserve(opts, cfg.window_pages)?)
-        }
-        Some(score) => {
-            // The sort arena is charged only while sorting.
-            let parallel = opts.algo == SkylineAlgo::Parallel;
-            let sort_lease = reserve(opts, sort_pages)?;
-            let sorted = sort_narrow(
-                entries,
-                narrow,
-                score,
-                arena_pages,
-                if parallel { opts.threads } else { 1 },
-                Arc::clone(&disk),
-            )
-            .map_err(QueryError::from_exec)?;
-            drop(sort_lease);
-            let sorted = Arc::new(sorted);
-            // On a presorted stream the estimate is where the window
-            // starts, never more than the quota has free: SFS grows from
-            // there or spills, and a wide clause whose estimate exceeds
-            // the whole quota (739 pages at 100 000 × 10) still runs.
-            let free = opts.pool.as_ref().map_or(usize::MAX, BufferPool::available);
-            let cfg = BatchConfig::new(cfg.window_pages.min(free).max(1));
-            if parallel {
-                // The partitioned filter charges (and releases) its
-                // windows and merge arena itself.
-                let fmt =
-                    NarrowFormat::new(narrow, cfg.batch_rows).map_err(QueryError::from_exec)?;
-                let skyline = parallel_filter(
-                    sorted,
-                    fmt,
-                    SfsConfig::new(cfg.window_pages).with_projection(),
-                    opts.threads,
-                    disk,
-                    metrics,
-                    opts.pool.as_ref(),
-                    opts.cancel.clone(),
-                )
-                .map_err(QueryError::from_exec)?
-                .skyline;
-                (Box::new(HeapScan::new(Arc::new(skyline))), None)
-            } else {
-                let scan = Box::new(HeapScan::new(sorted));
-                let mut sfs = BatchSfs::new(scan, narrow, cfg, disk, metrics)
-                    .map_err(QueryError::from_exec)?;
-                if let Some(token) = &opts.cancel {
-                    sfs = sfs.with_cancel(token.clone());
-                }
-                // Charged at open, grown before a pass spills, released
-                // on close and on drop.
-                if let Some(pool) = &opts.pool {
-                    sfs = sfs.with_pool(pool.clone());
-                }
-                (Box::new(sfs), None)
-            }
-        }
-    };
-
-    filter.open().map_err(QueryError::from_exec)?;
+    sfs.open().map_err(QueryError::from_exec)?;
     let mut emitted = 0u64;
-    while let Some(entry) = filter.next().map_err(QueryError::from_exec)? {
+    while let Some(entry) = sfs.next().map_err(QueryError::from_exec)? {
         poll(opts.cancel.as_ref(), emitted).map_err(QueryError::from_exec)?;
         emitted += 1;
         if emit(narrow.row_id(entry) as usize).is_break() {
             break;
         }
     }
-    filter.close();
+    sfs.close();
     Ok(())
 }
 
@@ -512,11 +424,7 @@ mod tests {
 
     /// `sql` over a table `(id INT, x FLOAT, k)` of `rows`, on a private
     /// disk under a pool: the `id`s in rank order and the pages written.
-    fn via_sql(
-        rows: Vec<Tuple>,
-        sql: &str,
-        algo: SkylineAlgo,
-    ) -> Result<(Vec<i64>, u64), QueryError> {
+    fn via_sql(rows: Vec<Tuple>, sql: &str) -> Result<(Vec<i64>, u64), QueryError> {
         use crate::catalog::Catalog;
         use skyline_relation::{ColumnType, Schema, Table};
         let schema = Schema::of(&[
@@ -528,8 +436,6 @@ mod tests {
         cat.register("t", Table::new(schema, rows).unwrap());
         let (pool, disk) = (BufferPool::new(1 << 12), MemDisk::shared());
         let opts = ExecOptions::default()
-            .with_algo(algo)
-            .with_threads(2)
             .with_pool(pool.clone())
             .with_disk(Arc::clone(&disk) as _);
         let out = crate::plan::execute_with(sql, &cat, &opts);
@@ -571,54 +477,18 @@ mod tests {
         }
     }
 
-    const ALGOS: [SkylineAlgo; 5] = [
-        SkylineAlgo::Auto,
-        SkylineAlgo::Sfs,
-        SkylineAlgo::Bnl,
-        SkylineAlgo::Parallel,
-        SkylineAlgo::Strata,
-    ];
-
     #[test]
     fn external_matches_in_memory() {
         let rows = random_table(3_000);
         for (crit, diff) in [
             (vec![(0usize, false), (1usize, false)], vec![]),
             (vec![(0, true), (1, false)], vec![]),
+            (vec![(0, false), (1, true)], vec![]),
             (vec![(0, false), (1, true)], vec![2usize]),
         ] {
             let ext = paged(&rows, &crit, &diff, &ExecOptions::default()).unwrap();
             assert_eq!(ext, in_memory(&rows, &crit, &diff), "{crit:?} {diff:?}");
         }
-    }
-
-    #[test]
-    fn every_external_algorithm_matches_the_oracle_with_and_without_diff() {
-        let rows = random_table(3_000);
-        let crit = vec![(0usize, false), (1usize, true)];
-        for diff in [vec![], vec![2usize]] {
-            let oracle = in_memory(&rows, &crit, &diff);
-            for algo in ALGOS {
-                let opts = ExecOptions::default().with_algo(algo).with_threads(2);
-                let ext = paged(&rows, &crit, &diff, &opts).unwrap();
-                assert_eq!(ext, oracle, "{algo:?} diff={diff:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn divide_and_conquer_stays_in_memory() {
-        // the one hint off the paged engine: it writes nothing, and its
-        // answer is the engine's, DIFF groups included
-        let rows: Vec<Tuple> = (0..600i64)
-            .map(|i| tuple![i, (i * 37 % 101) as f64, if i % 3 == 0 { "a" } else { "b" }])
-            .collect();
-        let sql = "SELECT id FROM t SKYLINE OF id MIN, x MAX, k DIFF";
-        let (ids, writes) = via_sql(rows.clone(), sql, SkylineAlgo::DivideAndConquer).unwrap();
-        assert_eq!(writes, 0);
-        let (paged_ids, paged_writes) = via_sql(rows, sql, SkylineAlgo::Auto).unwrap();
-        assert_eq!(ids, paged_ids);
-        assert!(paged_writes > 0);
     }
 
     #[test]
@@ -630,7 +500,6 @@ mod tests {
         // a pool far below the sort arena: typed quota error, no pages left
         let pool = BufferPool::new(8);
         let opts = ExecOptions::default()
-            .with_algo(SkylineAlgo::Sfs)
             .with_pool(pool.clone())
             .with_disk(disk.clone());
         let err = paged(&rows, &crit, &[], &opts).unwrap_err();
@@ -639,24 +508,14 @@ mod tests {
         assert_eq!(disk.allocated_pages(), 0, "no heap pages may leak");
 
         // a pre-tripped token: typed cancellation, no pages left
-        for algo in ALGOS {
-            let token = skyline_exec::CancelToken::new();
-            token.cancel();
-            let opts = ExecOptions::default()
-                .with_algo(algo)
-                .with_cancel(token)
-                .with_disk(disk.clone());
-            let err = paged(&rows, &crit, &[], &opts).unwrap_err();
-            assert!(
-                matches!(err, QueryError::Cancelled { .. }),
-                "{algo:?}: {err}"
-            );
-            assert_eq!(
-                disk.allocated_pages(),
-                0,
-                "{algo:?}: no heap pages may leak"
-            );
-        }
+        let token = skyline_exec::CancelToken::new();
+        token.cancel();
+        let opts = ExecOptions::default()
+            .with_cancel(token)
+            .with_disk(disk.clone());
+        let err = paged(&rows, &crit, &[], &opts).unwrap_err();
+        assert!(matches!(err, QueryError::Cancelled { .. }), "{err}");
+        assert_eq!(disk.allocated_pages(), 0, "no heap pages may leak");
     }
 
     #[test]
@@ -669,11 +528,12 @@ mod tests {
         let token = CancelToken::new();
         let metrics = SkylineMetrics::shared();
         let score = Arc::new(cols.entropy_score());
-        let filter = EliminationFilter::new(2, score, Arc::clone(&metrics));
+        let filter = EliminationFilter::new(2, Arc::clone(&score) as _, Arc::clone(&metrics));
         let mut entries = ColumnEntries::new(
             cols,
-            NarrowLayout::new(2),
+            NarrowLayout::new(2).with_score(),
             Some(filter),
+            score,
             Some(token.clone()),
         );
         entries.open().unwrap();
@@ -699,7 +559,6 @@ mod tests {
         for (sort_pages, arena) in [(24, 17), (17, 17), (8, 8), (4, 4)] {
             let pool = BufferPool::new(1 << 16);
             let opts = ExecOptions::default()
-                .with_algo(SkylineAlgo::Sfs)
                 .with_pool(pool.clone())
                 .with_sort_pages(sort_pages);
             let out = paged(&rows, &crit, &[], &opts).unwrap();
@@ -718,7 +577,7 @@ mod tests {
     fn infinite_criteria_and_any_diff_key_page_and_nan_is_a_typed_error() {
         let row = |id: i64, x: f64, k: Value| Tuple::new(vec![Value::Int(id), Value::Float(x), k]);
         let paged_ids = |rows: &[Tuple], sql: &str| {
-            let (ids, writes) = via_sql(rows.to_vec(), sql, SkylineAlgo::Auto).unwrap();
+            let (ids, writes) = via_sql(rows.to_vec(), sql).unwrap();
             assert!(writes > 0, "{sql}: did not page");
             ids
         };
@@ -745,38 +604,32 @@ mod tests {
         ];
         let sql = "SELECT id FROM t SKYLINE OF x MAX, k DIFF";
         assert_eq!(paged_ids(&rows, sql), [1, 2, 4, 5, 7]);
-        // a NaN criterion is the typed non-numeric error under every hint
+        // a NaN criterion is the typed non-numeric error
         let rows = vec![row(0, 1.0, Value::Null), row(1, f64::NAN, Value::Null)];
-        for algo in ALGOS.into_iter().chain([SkylineAlgo::DivideAndConquer]) {
-            let err = via_sql(rows.clone(), "SELECT id FROM t SKYLINE OF x MAX", algo).unwrap_err();
-            assert_eq!(
-                err,
-                QueryError::Semantic("row 1: skyline column x is not numeric".into()),
-                "{algo:?}"
-            );
-        }
+        let err = via_sql(rows, "SELECT id FROM t SKYLINE OF x MAX").unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::Semantic("row 1: skyline column x is not numeric".into())
+        );
     }
 
     #[test]
     fn too_few_sort_pages_is_a_typed_error_before_anything_is_reserved() {
         let rows = random_table(2_000);
         let crit = vec![(0usize, false), (1usize, true)];
-        for algo in ALGOS {
-            for sort_pages in 0..MIN_SORT_PAGES {
-                let (pool, disk) = (BufferPool::new(1 << 16), MemDisk::shared());
-                let opts = ExecOptions::default()
-                    .with_algo(algo)
-                    .with_sort_pages(sort_pages)
-                    .with_pool(pool.clone())
-                    .with_disk(disk.clone());
-                let err = paged(&rows, &crit, &[], &opts).unwrap_err();
-                assert!(
-                    matches!(&err, QueryError::Exec(m) if m.contains("sort_pages")),
-                    "{algo:?} sort_pages={sort_pages}: {err}"
-                );
-                assert_eq!((pool.peak(), pool.used()), (0, 0), "{algo:?}");
-                assert_eq!(disk.allocated_pages(), 0, "{algo:?}");
-            }
+        for sort_pages in 0..MIN_SORT_PAGES {
+            let (pool, disk) = (BufferPool::new(1 << 16), MemDisk::shared());
+            let opts = ExecOptions::default()
+                .with_sort_pages(sort_pages)
+                .with_pool(pool.clone())
+                .with_disk(disk.clone());
+            let err = paged(&rows, &crit, &[], &opts).unwrap_err();
+            assert!(
+                matches!(&err, QueryError::Exec(m) if m.contains("sort_pages")),
+                "sort_pages={sort_pages}: {err}"
+            );
+            assert_eq!((pool.peak(), pool.used()), (0, 0));
+            assert_eq!(disk.allocated_pages(), 0);
         }
         // the floor itself works: one page to the filter, three to the sort
         let opts = ExecOptions::default().with_sort_pages(MIN_SORT_PAGES);
@@ -856,15 +709,44 @@ mod tests {
         assert!(ten < all, "{ten} vs {all}");
     }
 
-    /// The presorted arms as they ran before entries carried their
-    /// score: the same producer, filter, sort arena, window and pool, on
-    /// the layout without the score lane. The row ids in emission order,
-    /// and whether the `Parallel` arm's merge fell back to external BNL.
+    /// [`ColumnEntries`] without the score lane: each entry re-encoded as
+    /// entries were before they carried their score — key and group
+    /// lanes, then the row id.
+    struct Unscored(ColumnEntries, Vec<u8>);
+
+    impl Operator for Unscored {
+        fn open(&mut self) -> Result<(), ExecError> {
+            self.0.open()
+        }
+
+        fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
+            let Some(scored) = self.0.next()? else {
+                return Ok(None);
+            };
+            let score_at = scored.len() - 16;
+            self.1.clear();
+            self.1.extend_from_slice(&scored[..score_at]);
+            self.1.extend_from_slice(&scored[score_at + 8..]);
+            Ok(Some(&self.1))
+        }
+
+        fn close(&mut self) {
+            self.0.close();
+        }
+
+        fn record_size(&self) -> usize {
+            self.0.record_size() - 8
+        }
+    }
+
+    /// The paged path as it ran before entries carried their score: the
+    /// same producer, filter, sort arena, window and pool, on the layout
+    /// without the score lane. The row ids in emission order.
     fn unscored_reference(
         cols: SkylineColumns,
         opts: &ExecOptions,
         metrics: &Arc<SkylineMetrics>,
-    ) -> (Vec<usize>, bool) {
+    ) -> Vec<usize> {
         let (d, grouped) = (cols.crit.len(), cols.groups.is_some());
         let narrow = NarrowLayout::new(d).with_diff(usize::from(grouped));
         let disk: Arc<dyn Disk> = MemDisk::shared();
@@ -874,55 +756,28 @@ mod tests {
             .then(|| EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(metrics)));
         let sort_pages = sort_pages_for(opts, cols.rows(), narrow.entry_size());
         let arena = sort_pages - usize::from(elimination.is_some());
-        let parallel = opts.algo == SkylineAlgo::Parallel;
-        let entries = Box::new(ColumnEntries::new(cols, narrow, elimination, None));
-        let threads = if parallel { opts.threads } else { 1 };
-        let sorted = sort_narrow(entries, narrow, score, arena, threads, Arc::clone(&disk));
+        let scored = narrow.with_score();
+        let entries = ColumnEntries::new(cols, scored, elimination, Arc::clone(&score), None);
+        let entries = Box::new(Unscored(entries, Vec::new()));
+        let sorted = sort_narrow(entries, narrow, score, arena, 1, Arc::clone(&disk));
         let sorted = Arc::new(sorted.unwrap());
         let free = opts.pool.as_ref().map_or(usize::MAX, BufferPool::available);
         let cfg = BatchConfig::new(window.min(free).max(1));
-        let mut fell_back = false;
-        let mut filter: BoxedOperator = if parallel {
-            let fmt = NarrowFormat::new(narrow, cfg.batch_rows).unwrap();
-            let sfs = SfsConfig::new(cfg.window_pages).with_projection();
-            let pool = opts.pool.as_ref();
-            let out = parallel_filter(
-                sorted,
-                fmt,
-                sfs,
-                opts.threads,
-                disk,
-                Arc::clone(metrics),
-                pool,
-                None,
-            );
-            let out = out.unwrap();
-            fell_back = !out.merged_in_memory;
-            Box::new(HeapScan::new(Arc::new(out.skyline)))
-        } else {
-            let scan = Box::new(HeapScan::new(sorted));
-            let mut sfs = BatchSfs::new(scan, narrow, cfg, disk, Arc::clone(metrics)).unwrap();
-            if let Some(pool) = &opts.pool {
-                sfs = sfs.with_pool(pool.clone());
-            }
-            Box::new(sfs)
-        };
-        let out = skyline_exec::collect(filter.as_mut()).unwrap();
-        let ids = out.iter().map(|e| narrow.row_id(e) as usize).collect();
-        (ids, fell_back)
+        let scan = Box::new(HeapScan::new(sorted));
+        let mut sfs = BatchSfs::new(scan, narrow, cfg, disk, Arc::clone(metrics)).unwrap();
+        if let Some(pool) = &opts.pool {
+            sfs = sfs.with_pool(pool.clone());
+        }
+        let out = skyline_exec::collect(&mut sfs).unwrap();
+        out.iter().map(|e| narrow.row_id(e) as usize).collect()
     }
 
     /// Carrying the score changes what the paged path emits, and in what
     /// order, not at all; nor any counter but `bytes_moved`, which grows
     /// by exactly 8 bytes for every entry moved. Checked against
-    /// [`unscored_reference`] with and without DIFF lanes, under `Auto`,
-    /// `Parallel`, and a quota that makes the window spill and the sort
-    /// form many runs.
-    ///
-    /// One exception, by design: when the `Parallel` arm's merge falls
-    /// back to external BNL, whose window holds whole entries, a page of
-    /// it holds fewer of the wider entries. There the skyline is the same
-    /// but its order and counters may differ.
+    /// [`unscored_reference`] with and without DIFF lanes, under the
+    /// defaults and under a quota that makes the window spill and the
+    /// sort form many runs.
     #[test]
     fn the_score_lane_changes_no_emission_and_no_counter_but_bytes_moved() {
         use skyline_core::MetricsSnapshot;
@@ -952,15 +807,12 @@ mod tests {
         let tight = BufferPool::new(6);
         let configs = [
             ExecOptions::default(),
-            ExecOptions::default()
-                .with_algo(SkylineAlgo::Parallel)
-                .with_threads(2),
             ExecOptions::default().with_pool(tight).with_sort_pages(4),
         ];
-        let (mut spilled, mut exact_parallel, mut fallbacks) = (false, 0, 0);
+        let mut spilled = false;
         for (crit, diff) in &clauses {
             let oracle = in_memory(&rows, crit, diff);
-            for opts in &configs {
+            for (c, opts) in configs.iter().enumerate() {
                 let (scored, unscored) = (SkylineMetrics::shared(), SkylineMetrics::shared());
                 let mut got = Vec::new();
                 let cols = columns(&rows, crit, diff);
@@ -969,18 +821,10 @@ mod tests {
                     ControlFlow::Continue(())
                 })
                 .unwrap();
-                let (want, fell_back) =
-                    unscored_reference(columns(&rows, crit, diff), opts, &unscored);
-                let label = format!("{crit:?} DIFF {diff:?} {:?}", opts.algo);
-                if fell_back {
-                    got.sort_unstable();
-                    assert_eq!(got, oracle, "{label}");
-                    fallbacks += 1;
-                    continue;
-                }
+                let want = unscored_reference(columns(&rows, crit, diff), opts, &unscored);
+                let label = format!("{crit:?} DIFF {diff:?} config {c}");
                 assert_eq!(got, want, "{label}");
                 assert_eq!(got.len(), oracle.len(), "{label}");
-                exact_parallel += usize::from(opts.algo == SkylineAlgo::Parallel);
                 let (a, b) = (scored.snapshot(), unscored.snapshot());
                 let entry = 8 * (crit.len() + usize::from(!diff.is_empty()) + 1) as u64;
                 assert_eq!(b.bytes_moved % entry, 0, "{label}");
@@ -996,18 +840,11 @@ mod tests {
             }
         }
         assert!(spilled, "no clause made the window spill");
-        assert!(
-            exact_parallel > 0 && fallbacks > 0,
-            "{exact_parallel} / {fallbacks}"
-        );
     }
 
     #[test]
     fn empty_rows_ok() {
-        for algo in ALGOS {
-            let opts = ExecOptions::default().with_algo(algo);
-            let out = paged(&[], &[(0, false)], &[], &opts).unwrap();
-            assert!(out.is_empty(), "{algo:?}");
-        }
+        let out = paged(&[], &[(0, false)], &[], &ExecOptions::default()).unwrap();
+        assert!(out.is_empty());
     }
 }

@@ -39,11 +39,10 @@ pub struct ServerConfig {
     /// Backoff hint carried by [`crate::ServerError::Overloaded`].
     pub retry_after_ms: u64,
     /// Formerly the row count at which queries left the in-memory
-    /// executor for the paged engine. Ignored: every skyline but a
-    /// `DivideAndConquer` one pages, whatever the table's size. The
-    /// default keeps the old value, 50 000, which the benchmark's traced
-    /// replay still reads to choose the stages it replays (it has no
-    /// paged `DIFF` stage).
+    /// executor for the paged engine. Ignored: every skyline pages,
+    /// whatever the table's size. The default keeps the old value,
+    /// 50 000, which the benchmark's traced replay still reads to choose
+    /// the stages it replays (it has no paged `DIFF` stage).
     #[deprecated(note = "ignored; removed with benchmark/src/replay.rs in ROADMAP 1b")]
     pub external_threshold: usize,
     /// Most pages granted to a presort pass: one for the elimination
@@ -53,8 +52,10 @@ pub struct ServerConfig {
     /// must fit inside `quota_pages`, or a large query fails its quota on
     /// the very first reservation.
     pub sort_pages: usize,
-    /// Worker threads for the parallel skyline algorithm (0 = one per
-    /// core).
+    /// Formerly the worker threads of the `Parallel` hint. Ignored: every
+    /// skyline runs one filter. The benchmark's traced replay still reads
+    /// it.
+    #[deprecated(note = "ignored; removed with benchmark/src/replay.rs in ROADMAP 1b")]
     pub threads: usize,
     /// Disk receiving external spills (`None` = a private in-memory
     /// disk per query). A harness passes its fault-injected disk here.
@@ -62,7 +63,7 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    // the ignored field still needs a value
+    // the ignored fields still need a value
     #[allow(deprecated)]
     fn default() -> Self {
         ServerConfig {

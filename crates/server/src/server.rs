@@ -35,9 +35,7 @@ use crate::config::ServerConfig;
 use crate::error::ServerError;
 use crate::stats::{ServerSnapshot, SessionStats};
 use skyline_exec::{Backpressure, CancelToken, PushTimeout, WorkQueue};
-use skyline_query::{
-    catalog::Catalog, execute_query_into, parse, ExecOptions, QueryError, SkylineAlgo,
-};
+use skyline_query::{catalog::Catalog, execute_query_into, parse, ExecOptions, QueryError};
 use skyline_relation::Tuple;
 use skyline_storage::BufferPool;
 use std::ops::ControlFlow;
@@ -62,8 +60,6 @@ pub struct QueryOptions {
     pub quota_pages: Option<usize>,
     /// Deadline for this query (`None` = the config default).
     pub deadline: Option<Duration>,
-    /// Skyline algorithm to run.
-    pub algo: SkylineAlgo,
 }
 
 impl QueryOptions {
@@ -78,13 +74,6 @@ impl QueryOptions {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Select the skyline algorithm.
-    #[must_use]
-    pub fn with_algo(mut self, algo: SkylineAlgo) -> Self {
-        self.algo = algo;
         self
     }
 }
@@ -106,7 +95,6 @@ enum Msg {
 struct Job {
     admission: Admission,
     sql: String,
-    algo: SkylineAlgo,
     token: CancelToken,
     quota: BufferPool,
     results: ResultTx,
@@ -285,7 +273,6 @@ impl Session {
         let job = Job {
             admission,
             sql: sql.to_string(),
-            algo: q.algo,
             token: token.clone(),
             quota: BufferPool::new(quota_pages),
             results: ResultTx(Arc::clone(&results)),
@@ -450,10 +437,8 @@ fn run_query(shared: &Shared, job: &mut Job) -> Result<(), ServerError> {
         .map_err(|e| ServerError::Query(QueryError::from_exec(e)))?;
     let query = parse(&job.sql).map_err(ServerError::Query)?;
     let mut opts = ExecOptions::default()
-        .with_algo(job.algo)
         .with_pool(job.quota.clone())
         .with_cancel(job.token.clone())
-        .with_threads(shared.cfg.threads)
         .with_sort_pages(shared.cfg.sort_pages);
     if let Some(disk) = &shared.cfg.disk {
         opts = opts.with_disk(Arc::clone(disk));

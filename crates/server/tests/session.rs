@@ -3,7 +3,7 @@
 //! conservation.
 
 use skyline_query::{
-    catalog::Catalog, execute, execute_query_into, parse, ExecOptions, QueryError, SkylineAlgo,
+    catalog::Catalog, execute, execute_query_into, parse, ExecOptions, QueryError,
 };
 use skyline_relation::samples::good_eats;
 use skyline_relation::Tuple;
@@ -35,12 +35,11 @@ fn completed_query_matches_the_direct_executor() {
     assert_eq!(server.inflight_pages(), 0, "admission charges returned");
 }
 
-/// Every hint serves its skyline in the order the engine emits it — the
-/// order `execute_query_into` pushes rows under that hint (`Parallel`'s
-/// merge emits GoodEats in another order than the table's) — and every
-/// hint serves the oracle's rows.
+/// The server streams the skyline in the order the engine emits it —
+/// the order `execute_query_into` pushes rows — and those rows are the
+/// oracle's.
 #[test]
-fn every_algorithm_serves_the_same_skyline() {
+fn served_rows_keep_the_engines_order_and_match_the_oracle() {
     let server = SkylineServer::new(catalog(), ServerConfig::default());
     let session = server.session();
     let sorted = |mut rows: Vec<Tuple>| {
@@ -49,30 +48,15 @@ fn every_algorithm_serves_the_same_skyline() {
     };
     let oracle = sorted(execute(SKYLINE_SQL, &catalog()).unwrap().into_rows());
     let query = parse(SKYLINE_SQL).unwrap();
-    for algo in [
-        SkylineAlgo::Auto,
-        SkylineAlgo::Sfs,
-        SkylineAlgo::Bnl,
-        SkylineAlgo::DivideAndConquer,
-        SkylineAlgo::Parallel,
-        SkylineAlgo::Strata,
-    ] {
-        let opts = ExecOptions::default()
-            .with_algo(algo)
-            .with_threads(ServerConfig::default().threads);
-        let mut arrived = Vec::new();
-        execute_query_into(&query, &catalog(), &opts, |_, row| {
-            arrived.push(row);
-            ControlFlow::Continue(())
-        })
-        .unwrap();
-        let handle = session
-            .submit_with(SKYLINE_SQL, &QueryOptions::default().with_algo(algo))
-            .unwrap();
-        let served = handle.collect().unwrap();
-        assert_eq!(served, arrived, "{algo:?}");
-        assert_eq!(sorted(served), oracle, "{algo:?}");
-    }
+    let mut arrived = Vec::new();
+    execute_query_into(&query, &catalog(), &ExecOptions::default(), |_, row| {
+        arrived.push(row);
+        ControlFlow::Continue(())
+    })
+    .unwrap();
+    let served = session.submit(SKYLINE_SQL).unwrap().collect().unwrap();
+    assert_eq!(served, arrived);
+    assert_eq!(sorted(served), oracle);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! walks away from, or stalls on, a query that is still streaming.
 
 use skyline_query::catalog::Catalog;
-use skyline_query::{QueryError, SkylineAlgo};
+use skyline_query::QueryError;
 use skyline_relation::samples::good_eats;
 use skyline_relation::{tuple, ColumnType, Schema, Table};
 use skyline_server::{QueryOptions, ServerConfig, ServerError, Session, SkylineServer};
@@ -18,6 +18,9 @@ use std::time::{Duration, Instant};
 
 const SKYLINE_SQL: &str =
     "SELECT restaurant FROM GoodEats SKYLINE OF S MAX, F MAX, D MAX, price MIN";
+/// A query that touches no disk: at `batch_rows: 1` its six rows are six
+/// batches, so an unread result channel wedges the worker serving it.
+const SELECT_SQL: &str = "SELECT restaurant FROM GoodEats";
 
 fn catalog() -> Catalog {
     let mut cat = Catalog::new();
@@ -229,11 +232,10 @@ fn worker_unwind_settles_as_failed_and_returns_the_credit() {
     };
     let server = SkylineServer::new(catalog(), cfg);
     let session = server.session();
-    // divide-and-conquer keeps this one in memory: it never writes, and
-    // its unread result channel wedges one worker with its credit held
-    let in_memory = QueryOptions::default().with_algo(SkylineAlgo::DivideAndConquer);
-    let wedged = session.submit_with(SKYLINE_SQL, &in_memory).unwrap();
-    // under the default hint the same query takes the paged engine
+    // a plain SELECT never writes, and its unread result channel wedges
+    // one worker with its credit held
+    let wedged = session.submit(SELECT_SQL).unwrap();
+    // the skyline takes the paged engine, whose first write panics
     let err = session.submit(SKYLINE_SQL).unwrap().collect().unwrap_err();
     assert_eq!(err, ServerError::Stalled, "the unwinding worker severs");
     let stats = session.stats();
@@ -317,9 +319,9 @@ fn too_few_sort_pages_is_a_typed_error_and_costs_no_worker() {
     assert_eq!(stats.pages_peak, 0, "nothing was reserved");
     assert_eq!(server.inflight_pages(), 0);
 
-    let in_memory = QueryOptions::default().with_algo(SkylineAlgo::DivideAndConquer);
-    let wedged = session.submit_with(SKYLINE_SQL, &in_memory).unwrap();
-    let answered = session.submit_with(SKYLINE_SQL, &in_memory).unwrap();
+    // a plain SELECT needs no sort pages
+    let wedged = session.submit(SELECT_SQL).unwrap();
+    let answered = session.submit(SELECT_SQL).unwrap();
     assert!(!answered.collect().unwrap().is_empty());
     assert!(!wedged.collect().unwrap().is_empty());
     server.shutdown();

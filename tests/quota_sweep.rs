@@ -1,14 +1,13 @@
 //! Quota differential sweep.
 //!
-//! Every skyline algorithm the query layer can dispatch must obey the
-//! same buffer-quota contract: given a page budget at or above its
-//! peak need, the run completes with the exact unlimited-budget rows;
-//! given any budget below the peak, it surfaces a typed
-//! [`QueryError::QuotaExceeded`] — never a panic, never a wrong
+//! The paged skyline obeys the buffer-quota contract: given a page
+//! budget at or above its peak need, the run completes with the exact
+//! unlimited-budget rows; given any budget below the peak, it surfaces a
+//! typed [`QueryError::QuotaExceeded`] — never a panic, never a wrong
 //! answer — and releases every page it reserved (quota pool drained,
 //! zero temp pages left on disk).
 //!
-//! The peak need is *measured*, not assumed: each algorithm first runs
+//! The peak need is *measured*, not assumed: the query first runs
 //! unlimited, records `BufferPool::peak()`, and the sweep probes budgets
 //! straddling that watermark.
 //!
@@ -18,7 +17,7 @@
 
 use skyline::query::catalog::Catalog;
 use skyline::query::rewrite::eval_except_semantics;
-use skyline::query::{execute_with, parse, ExecOptions, QueryError, SkylineAlgo};
+use skyline::query::{execute_with, parse, ExecOptions, QueryError};
 use skyline::relation::rng::Rng;
 use skyline::relation::{tuple, ColumnType, Schema, Table};
 use skyline::storage::{BufferPool, Disk, MemDisk};
@@ -26,15 +25,6 @@ use std::sync::Arc;
 
 const SQL: &str = "SELECT * FROM t SKYLINE OF a MIN, b MIN, c MAX, d MAX";
 const N: usize = 1_500;
-
-const ALGOS: &[SkylineAlgo] = &[
-    SkylineAlgo::Auto,
-    SkylineAlgo::Sfs,
-    SkylineAlgo::Bnl,
-    SkylineAlgo::DivideAndConquer,
-    SkylineAlgo::Parallel,
-    SkylineAlgo::Strata,
-];
 
 fn catalog() -> Catalog {
     let schema = Schema::of(&[
@@ -59,104 +49,93 @@ fn catalog() -> Catalog {
     cat
 }
 
-/// Run the sweep query with `algo` under `budget` pages: in memory for
-/// `DivideAndConquer`, on the paged engine for every other hint.
+/// Run the sweep query on the paged engine under `budget` pages.
 fn run(
     cat: &Catalog,
-    algo: SkylineAlgo,
     budget: usize,
     disk: &Arc<MemDisk>,
 ) -> (Result<Table, QueryError>, BufferPool) {
     let pool = BufferPool::new(budget);
     let opts = ExecOptions::default()
-        .with_algo(algo)
         .with_pool(pool.clone())
         .with_sort_pages(8)
-        .with_threads(1)
         .with_disk(Arc::clone(disk) as Arc<dyn Disk>);
     (execute_with(SQL, cat, &opts), pool)
 }
 
 #[test]
-fn every_algorithm_fails_typed_below_peak_and_succeeds_at_peak() {
+fn the_paged_skyline_fails_typed_below_peak_and_succeeds_at_peak() {
     let cat = catalog();
-    for &algo in ALGOS {
-        let disk = MemDisk::shared();
+    let disk = MemDisk::shared();
 
-        // Unlimited run: establishes the oracle rows and measures
-        // the true peak page need for this algorithm.
-        let (unlimited, pool) = run(&cat, algo, 1 << 20, &disk);
-        let oracle = unlimited.unwrap_or_else(|e| panic!("{algo:?}: unlimited run failed: {e}"));
-        assert!(!oracle.rows().is_empty(), "{algo:?}: empty skyline");
-        let peak = pool.peak();
-        assert!(peak > 0, "{algo:?}: no pages ever reserved");
-        assert_eq!(pool.used(), 0, "{algo:?}: unlimited run leaked quota");
-        assert_eq!(disk.allocated_pages(), 0, "{algo:?}: leaked temp pages");
+    // Unlimited run: establishes the oracle rows and measures
+    // the true peak page need of the query.
+    let (unlimited, pool) = run(&cat, 1 << 20, &disk);
+    let oracle = unlimited.unwrap_or_else(|e| panic!("unlimited run failed: {e}"));
+    assert!(!oracle.rows().is_empty(), "empty skyline");
+    let peak = pool.peak();
+    assert!(peak > 0, "no pages ever reserved");
+    assert_eq!(pool.used(), 0, "unlimited run leaked quota");
+    assert_eq!(disk.allocated_pages(), 0, "leaked temp pages");
 
-        // A budget of exactly the measured peak must succeed with
-        // the same rows (deterministic single-threaded runs).
-        let (at_peak, pool) = run(&cat, algo, peak, &disk);
-        let table =
-            at_peak.unwrap_or_else(|e| panic!("{algo:?}: failed at measured peak {peak}: {e}"));
-        assert_eq!(table.rows(), oracle.rows(), "{algo:?}: rows differ at peak");
-        assert_eq!(pool.peak(), peak, "{algo:?}: peak not reproducible");
-        assert_eq!(disk.allocated_pages(), 0);
+    // A budget of exactly the measured peak must succeed with
+    // the same rows (deterministic single-threaded runs).
+    let (at_peak, pool) = run(&cat, peak, &disk);
+    let table = at_peak.unwrap_or_else(|e| panic!("failed at measured peak {peak}: {e}"));
+    assert_eq!(table.rows(), oracle.rows(), "rows differ at peak");
+    assert_eq!(pool.peak(), peak, "peak not reproducible");
+    assert_eq!(disk.allocated_pages(), 0);
 
-        // Every budget below the peak must surface the typed quota
-        // error and leave both ledgers empty.
-        let mut budgets = vec![0, 1, peak / 2, peak - 1];
-        budgets.sort_unstable();
-        budgets.dedup();
-        for budget in budgets.into_iter().filter(|&b| b < peak) {
-            let (starved, pool) = run(&cat, algo, budget, &disk);
-            match starved {
-                Err(QueryError::QuotaExceeded {
-                    requested,
-                    available,
-                }) => {
-                    assert!(
-                        available < requested,
-                        "{algo:?} @{budget}: error books are wrong \
-                             (requested {requested}, available {available})"
-                    );
-                }
-                other => panic!(
-                    "{algo:?} @{budget} (peak {peak}): expected QuotaExceeded, \
-                         got {other:?}"
-                ),
+    // Every budget below the peak must surface the typed quota
+    // error and leave both ledgers empty.
+    let mut budgets = vec![0, 1, peak / 2, peak - 1];
+    budgets.sort_unstable();
+    budgets.dedup();
+    for budget in budgets.into_iter().filter(|&b| b < peak) {
+        let (starved, pool) = run(&cat, budget, &disk);
+        match starved {
+            Err(QueryError::QuotaExceeded {
+                requested,
+                available,
+            }) => {
+                assert!(
+                    available < requested,
+                    "@{budget}: error books are wrong \
+                         (requested {requested}, available {available})"
+                );
             }
-            assert_eq!(
-                pool.used(),
-                0,
-                "{algo:?} @{budget}: quota pages not returned after error"
-            );
-            assert_eq!(
-                disk.allocated_pages(),
-                0,
-                "{algo:?} @{budget}: temp pages leaked after error"
-            );
+            other => panic!(
+                "@{budget} (peak {peak}): expected QuotaExceeded, \
+                     got {other:?}"
+            ),
         }
+        assert_eq!(
+            pool.used(),
+            0,
+            "@{budget}: quota pages not returned after error"
+        );
+        assert_eq!(
+            disk.allocated_pages(),
+            0,
+            "@{budget}: temp pages leaked after error"
+        );
     }
 }
 
-/// The in-memory route (`DivideAndConquer`) and the paged one (every
-/// other hint) agree row-for-row under a shared generous budget — the
-/// quota machinery must not perturb results.
+/// The paged route under a generous quota returns the `EXCEPT`
+/// rewrite's rows — the quota machinery must not perturb results.
 #[test]
-fn routes_agree_under_quota() {
+fn the_paged_route_matches_the_except_rewrite_under_quota() {
     let cat = catalog();
     let disk = MemDisk::shared();
-    let (baseline, _) = run(&cat, SkylineAlgo::DivideAndConquer, 1 << 20, &disk);
-    let want = baseline.unwrap();
-    for &algo in ALGOS {
-        let (res, _) = run(&cat, algo, 1 << 20, &disk);
-        let got = res.unwrap();
-        let mut got_rows = got.rows().to_vec();
-        let mut want_rows = want.rows().to_vec();
-        got_rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        want_rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        assert_eq!(got_rows, want_rows, "{algo:?}");
-    }
+    let want = eval_except_semantics(&parse(SQL).unwrap(), &cat).unwrap();
+    let (res, _) = run(&cat, 1 << 20, &disk);
+    let got = res.unwrap();
+    let mut got_rows = got.rows().to_vec();
+    let mut want_rows = want.rows().to_vec();
+    got_rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    want_rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    assert_eq!(got_rows, want_rows);
     assert_eq!(disk.allocated_pages(), 0);
 }
 
@@ -188,26 +167,18 @@ fn window_growth_returns_the_oracle_rows_at_every_quota() {
     let sort_pages = 4;
     let mut peaks = Vec::new();
     for quota in [4usize, 5, 6, 8, 12, 16, 64] {
-        for algo in [SkylineAlgo::Auto, SkylineAlgo::Sfs, SkylineAlgo::Strata] {
-            let disk = MemDisk::shared();
-            let pool = BufferPool::new(quota);
-            let opts = ExecOptions::default()
-                .with_algo(algo)
-                .with_pool(pool.clone())
-                .with_sort_pages(sort_pages)
-                .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
-            let got =
-                execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?} @{quota}: {e}"));
-            assert_eq!(got.rows(), want.rows(), "{algo:?} @{quota}");
-            assert!(pool.peak() <= pool.total(), "{algo:?} @{quota}");
-            assert_eq!(pool.used(), 0, "{algo:?} @{quota}: quota pages leaked");
-            assert_eq!(
-                disk.allocated_pages(),
-                0,
-                "{algo:?} @{quota}: heap pages leaked"
-            );
-            peaks.push(pool.peak());
-        }
+        let disk = MemDisk::shared();
+        let pool = BufferPool::new(quota);
+        let opts = ExecOptions::default()
+            .with_pool(pool.clone())
+            .with_sort_pages(sort_pages)
+            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("@{quota}: {e}"));
+        assert_eq!(got.rows(), want.rows(), "@{quota}");
+        assert!(pool.peak() <= pool.total(), "@{quota}");
+        assert_eq!(pool.used(), 0, "@{quota}: quota pages leaked");
+        assert_eq!(disk.allocated_pages(), 0, "@{quota}: heap pages leaked");
+        peaks.push(pool.peak());
     }
     // the window used the room it was given, until it needed no more
     assert_eq!(peaks.first(), Some(&sort_pages));

@@ -3,7 +3,7 @@
 
 use skyline::query::catalog::Catalog;
 use skyline::query::rewrite::eval_except_semantics;
-use skyline::query::{execute, execute_with, parse, ExecOptions, SkylineAlgo};
+use skyline::query::{execute, execute_with, parse, ExecOptions};
 use skyline::relation::csv::{read_csv, write_csv};
 use skyline::relation::samples::{good_eats, GOOD_EATS_SKYLINE};
 use skyline::relation::{tuple, ColumnType, Schema, Table};
@@ -254,14 +254,6 @@ fn anti_correlated_rows(n: i64) -> Vec<(i64, i64, i64)> {
     (0..n).map(|i| (i, n - i + (i * 7) % 5, i % 3)).collect()
 }
 
-const PAGED_ALGOS: [SkylineAlgo; 5] = [
-    SkylineAlgo::Auto,
-    SkylineAlgo::Sfs,
-    SkylineAlgo::Bnl,
-    SkylineAlgo::Parallel,
-    SkylineAlgo::Strata,
-];
-
 /// Product path (a): an anti-correlated table whose skyline overflows
 /// the estimator-sized window several times over, under a quota pool of
 /// exactly the larger of the two arenas — the multipass spill runs
@@ -283,21 +275,17 @@ fn paged_multipass_under_a_tight_quota_matches_the_oracle_and_leaks_nothing() {
         "fixture must need at least three filter passes: skyline {} vs window {capacity}",
         want.len()
     );
-    for algo in PAGED_ALGOS {
-        let disk = MemDisk::shared();
-        let pool = BufferPool::new(sort_pages.max(window_pages));
-        let opts = ExecOptions::default()
-            .with_algo(algo)
-            .with_threads(1)
-            .with_sort_pages(sort_pages)
-            .with_pool(pool.clone())
-            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
-        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
-        assert_eq!(got.rows(), want.rows(), "{algo:?}");
-        assert!(disk.stats().writes() > 0, "{algo:?}: nothing spilled");
-        assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
-        assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
-    }
+    let disk = MemDisk::shared();
+    let pool = BufferPool::new(sort_pages.max(window_pages));
+    let opts = ExecOptions::default()
+        .with_sort_pages(sort_pages)
+        .with_pool(pool.clone())
+        .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+    let got = execute_with(sql, &cat, &opts).unwrap();
+    assert_eq!(got.rows(), want.rows());
+    assert!(disk.stats().writes() > 0, "nothing spilled");
+    assert_eq!(pool.used(), 0, "quota pages leaked");
+    assert_eq!(disk.allocated_pages(), 0, "temp pages leaked");
 }
 
 /// The §6 estimate is where the window starts, not what the query must
@@ -305,8 +293,8 @@ fn paged_multipass_under_a_tight_quota_matches_the_oracle_and_leaks_nothing() {
 /// 739 and 1 646 pages at d = 8, 9, 10 and 12, and reserving that in full
 /// used to fail the last two with `page quota exceeded: requested 739
 /// pages, 512 available` under the server's default quota — on a
-/// correlated table whose skyline is one row. Every presorted hint now
-/// starts from what the quota has and answers like the oracle, on that
+/// correlated table whose skyline is one row. The window now starts
+/// from what the quota has and answers like the oracle, on that
 /// table and on independent two-valued columns (a skyline of exact
 /// duplicates), with every page given back.
 #[test]
@@ -363,76 +351,61 @@ fn a_wide_clause_runs_under_the_default_quota() {
             cat.register("t", table.clone());
             let clause: Vec<String> = (0..d).map(|c| format!("c{c} MAX")).collect();
             let sql = format!("SELECT * FROM t SKYLINE OF {}", clause.join(", "));
-            for algo in [
-                SkylineAlgo::Auto,
-                SkylineAlgo::Sfs,
-                SkylineAlgo::Parallel,
-                SkylineAlgo::Strata,
-            ] {
-                let label = format!("{name} d={d} {algo:?}");
-                let disk = MemDisk::shared();
-                let pool = BufferPool::new(defaults.quota_pages);
-                let opts = ExecOptions::default()
-                    .with_algo(algo)
-                    .with_threads(defaults.threads)
-                    .with_sort_pages(defaults.sort_pages)
-                    .with_pool(pool.clone())
-                    .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
-                let got =
-                    execute_with(&sql, &cat, &opts).unwrap_or_else(|e| panic!("{label}: {e}"));
-                let ids: Vec<i64> = got
-                    .rows()
-                    .iter()
-                    .map(|r| r.get(0).as_i64().unwrap())
-                    .collect();
-                assert_eq!(ids, want, "{label}");
-                assert!(disk.stats().writes() > 0, "{label}: did not page");
-                assert!(pool.peak() <= pool.total(), "{label}");
-                assert_eq!(pool.used(), 0, "{label}: quota pages leaked");
-                assert_eq!(disk.allocated_pages(), 0, "{label}: temp pages leaked");
-            }
+            let label = format!("{name} d={d}");
+            let disk = MemDisk::shared();
+            let pool = BufferPool::new(defaults.quota_pages);
+            let opts = ExecOptions::default()
+                .with_sort_pages(defaults.sort_pages)
+                .with_pool(pool.clone())
+                .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+            let got = execute_with(&sql, &cat, &opts).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let ids: Vec<i64> = got
+                .rows()
+                .iter()
+                .map(|r| r.get(0).as_i64().unwrap())
+                .collect();
+            assert_eq!(ids, want, "{label}");
+            assert!(disk.stats().writes() > 0, "{label}: did not page");
+            assert!(pool.peak() <= pool.total(), "{label}");
+            assert_eq!(pool.used(), 0, "{label}: quota pages leaked");
+            assert_eq!(disk.allocated_pages(), 0, "{label}: temp pages leaked");
         }
     }
 }
 
-/// Product path (b): a `DIFF` query runs paged under every algorithm
-/// hint — the disk sees the presort's page writes and the quota peak
-/// stays below what divide-and-conquer's key matrix would charge — and
-/// equals the oracle.
+/// Product path (b): a `DIFF` query runs paged — the disk sees the
+/// presort's page writes and the quota peak stays below what an
+/// in-memory key matrix would occupy — and equals the oracle.
 #[test]
-fn diff_over_the_threshold_runs_paged_for_every_hint() {
+fn diff_queries_run_paged_and_match_the_except_rewrite() {
     let n = 2_000;
     let mut cat = Catalog::new();
     cat.register("t", random_table(&anti_correlated_rows(n)));
     let sql = "SELECT * FROM t SKYLINE OF x MAX, y MIN, g DIFF";
     let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
-    // what plan::apply_skyline charges for divide-and-conquer's matrix
-    let matrix_pages = (n as usize * 2 * 8).div_ceil(skyline::storage::PAGE_SIZE);
-    for algo in PAGED_ALGOS {
-        let disk = MemDisk::shared();
-        let pool = BufferPool::new(1 << 16);
-        let opts = ExecOptions::default()
-            .with_algo(algo)
-            .with_threads(2)
-            .with_sort_pages(4)
-            .with_pool(pool.clone())
-            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
-        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
-        assert_eq!(got.rows(), want.rows(), "{algo:?}");
-        assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
-        assert!(
-            pool.peak() < matrix_pages,
-            "{algo:?}: peak {} is not below the in-memory charge {matrix_pages}",
-            pool.peak()
-        );
-        assert_eq!(pool.used(), 0, "{algo:?}");
-        assert_eq!(disk.allocated_pages(), 0, "{algo:?}");
-    }
+    // the pages an n × 2 matrix of 8-byte keys occupies
+    let key_pages = (n as usize * 2 * 8).div_ceil(skyline::storage::PAGE_SIZE);
+    let disk = MemDisk::shared();
+    let pool = BufferPool::new(1 << 16);
+    let opts = ExecOptions::default()
+        .with_sort_pages(4)
+        .with_pool(pool.clone())
+        .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+    let got = execute_with(sql, &cat, &opts).unwrap();
+    assert_eq!(got.rows(), want.rows());
+    assert!(disk.stats().writes() > 0, "did not page");
+    assert!(
+        pool.peak() < key_pages,
+        "peak {} is not below the in-memory key matrix's {key_pages}",
+        pool.peak()
+    );
+    assert_eq!(pool.used(), 0);
+    assert_eq!(disk.allocated_pages(), 0);
 }
 
 /// Product path (c): a table with fractional criteria pages like any
 /// other, under a pool its in-memory key matrix would not fit — it
-/// answers like the oracle for every hint and gives every page back.
+/// answers like the oracle and gives every page back.
 #[test]
 fn fractional_tables_page_and_answer_correctly() {
     let schema = Schema::of(&[
@@ -450,29 +423,22 @@ fn fractional_tables_page_and_answer_correctly() {
     cat.register("t", t);
     let sql = "SELECT * FROM t SKYLINE OF x MAX, y MIN";
     let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
-    // what plan::apply_skyline would charge for divide-and-conquer's matrix
-    let matrix_pages = (n as usize * 2 * 8).div_ceil(skyline::storage::PAGE_SIZE);
-    for algo in PAGED_ALGOS {
-        let disk = MemDisk::shared();
-        let pool = BufferPool::new(matrix_pages - 1);
-        let opts = ExecOptions::default()
-            .with_algo(algo)
-            .with_threads(1)
-            .with_sort_pages(4)
-            .with_pool(pool.clone())
-            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
-        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
-        assert_eq!(got.rows(), want.rows(), "{algo:?}");
-        // success under this pool already rules an in-memory matrix out;
-        // the presorted hints also leave their runs in the I/O stats (BNL
-        // writes only when its window overflows)
-        assert!(pool.peak() < matrix_pages, "{algo:?}");
-        if algo != SkylineAlgo::Bnl {
-            assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
-        }
-        assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
-        assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
-    }
+    // the pages an n × 2 matrix of 8-byte keys occupies
+    let key_pages = (n as usize * 2 * 8).div_ceil(skyline::storage::PAGE_SIZE);
+    let disk = MemDisk::shared();
+    let pool = BufferPool::new(key_pages - 1);
+    let opts = ExecOptions::default()
+        .with_sort_pages(4)
+        .with_pool(pool.clone())
+        .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+    let got = execute_with(sql, &cat, &opts).unwrap();
+    assert_eq!(got.rows(), want.rows());
+    // success under this pool already rules an in-memory matrix out; the
+    // presort also leaves its runs in the I/O stats
+    assert!(pool.peak() < key_pages);
+    assert!(disk.stats().writes() > 0, "did not page");
+    assert_eq!(pool.used(), 0, "quota pages leaked");
+    assert_eq!(disk.allocated_pages(), 0, "temp pages leaked");
 }
 
 /// `n` rows of `d` [`skyline_testkit::hostile_key`] values, each passed
@@ -535,20 +501,18 @@ fn hostile_query(rows: &[Vec<f64>], is_min: &[bool]) -> (String, Vec<usize>) {
     (sql, want)
 }
 
-/// Run `sql` under `algo` with threads 2 and a four-page sort, and
-/// return the `id`s; no quota or temp page may be left behind.
-fn ids_under(cat: &Catalog, sql: &str, algo: SkylineAlgo) -> (Vec<usize>, Arc<MemDisk>) {
+/// Run `sql` with a four-page sort and return the `id`s; no quota or
+/// temp page may be left behind.
+fn paged_ids(cat: &Catalog, sql: &str) -> (Vec<usize>, Arc<MemDisk>) {
     let disk = MemDisk::shared();
     let pool = BufferPool::new(1 << 16);
     let opts = ExecOptions::default()
-        .with_algo(algo)
-        .with_threads(2)
         .with_sort_pages(4)
         .with_pool(pool.clone())
         .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
-    let got = execute_with(sql, cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
-    assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
-    assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
+    let got = execute_with(sql, cat, &opts).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    assert_eq!(pool.used(), 0, "quota pages leaked");
+    assert_eq!(disk.allocated_pages(), 0, "temp pages leaked");
     let ids = got
         .rows()
         .iter()
@@ -560,9 +524,8 @@ fn ids_under(cat: &Catalog, sql: &str, algo: SkylineAlgo) -> (Vec<usize>, Arc<Me
 /// of finite `hostile_key` rows (constant, two-valued and heavily tied
 /// columns, the `i32` extremes, ±1e300 or ±1.5e308, fractions), with whole keys
 /// repeated and sizes straddling the filter's one-page capacity, under
-/// random MIN/MAX mixes: every presorted hint (filtered) equals the naive
-/// oracle, and so do its filter-free twins — the `Bnl` hint, paged, and
-/// `DivideAndConquer`, in memory — with no page left behind.
+/// random MIN/MAX mixes: the filtered, presorted route equals the naive
+/// oracle, with no page left behind.
 #[test]
 fn elimination_filter_changes_no_answer_on_hostile_tables() {
     skyline_testkit::cases(60, 0xE1F1, |rng| {
@@ -587,19 +550,10 @@ fn elimination_filter_changes_no_answer_on_hostile_tables() {
         let mut cat = Catalog::new();
         cat.register("t", float_table(&rows));
 
-        let mut algos = PAGED_ALGOS.to_vec();
-        algos.push(SkylineAlgo::DivideAndConquer);
-        for algo in algos {
-            let (got, disk) = ids_under(&cat, &sql, algo);
-            assert_eq!(got, want, "{algo:?} d={d} n={n} {sql}");
-            // the presort always writes its runs; BNL writes only when
-            // its window overflows, so it proves nothing either way
-            match algo {
-                SkylineAlgo::DivideAndConquer => assert_eq!(disk.stats().writes(), 0, "paged"),
-                SkylineAlgo::Bnl => {}
-                _ => assert!(disk.stats().writes() > 0, "{algo:?}: did not page"),
-            }
-        }
+        let (got, disk) = paged_ids(&cat, &sql);
+        assert_eq!(got, want, "d={d} n={n} {sql}");
+        // the presort always writes its runs
+        assert!(disk.stats().writes() > 0, "did not page");
     });
 }
 
@@ -608,10 +562,10 @@ fn elimination_filter_changes_no_answer_on_hostile_tables() {
 /// NaN is no criterion value), or of lanes drawn from {−∞, −1, 0, 1, +∞}
 /// — where a key holding both +∞ and −∞, whose sum is NaN, often
 /// dominates another — with whole keys repeated, sizes straddling one
-/// page and random MIN/MAX mixes: every paged hint, `Parallel` included,
-/// equals the naive oracle with no page left behind.
+/// page and random MIN/MAX mixes: the paged route equals the naive
+/// oracle with no page left behind.
 #[test]
-fn infinite_criteria_match_the_oracle_under_every_hint() {
+fn infinite_criteria_page_and_match_the_oracle() {
     const LANES: [f64; 5] = [f64::NEG_INFINITY, -1.0, 0.0, 1.0, f64::INFINITY];
     skyline_testkit::cases(60, 0x1F1F, |rng| {
         let dense = rng.bool();
@@ -632,23 +586,19 @@ fn infinite_criteria_match_the_oracle_under_every_hint() {
         let (sql, want) = hostile_query(&rows, &is_min);
         let mut cat = Catalog::new();
         cat.register("t", float_table(&rows));
-        for algo in PAGED_ALGOS {
-            let (got, disk) = ids_under(&cat, &sql, algo);
-            assert_eq!(got, want, "{algo:?} d={d} n={n} {sql}");
-            if algo != SkylineAlgo::Bnl {
-                assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
-            }
-        }
+        let (got, disk) = paged_ids(&cat, &sql);
+        assert_eq!(got, want, "d={d} n={n} {sql}");
+        assert!(disk.stats().writes() > 0, "did not page");
     });
 }
 
 /// A `DIFF` key may be any value. Random tables whose `DIFF` columns hold
 /// text (`NULL` and `'NULL'` among it), floats (`0.0` and `-0.0`, `NULL`)
 /// and integers beyond `i32`, under random MIN/MAX mixes and `DIFF`
-/// subsets: every hint, paged or not, returns the `EXCEPT` rewrite's
-/// rows with no page left behind.
+/// subsets: the paged route returns the `EXCEPT` rewrite's rows with no
+/// page left behind.
 #[test]
-fn diff_keys_of_any_type_match_the_except_rewrite_under_every_hint() {
+fn diff_keys_of_any_type_match_the_except_rewrite() {
     use skyline::relation::{Tuple, Value};
     let s = [Value::Null, "NULL".into(), "a".into(), "b".into()];
     let f = [
@@ -659,8 +609,6 @@ fn diff_keys_of_any_type_match_the_except_rewrite_under_every_hint() {
     ];
     let wide = i64::from(i32::MAX) + 1;
     let w = [wide, -wide, i64::MIN, 1 << 40].map(Value::Int);
-    let mut algos = PAGED_ALGOS.to_vec();
-    algos.push(SkylineAlgo::DivideAndConquer);
     skyline_testkit::cases(24, 0xD1FF, |rng| {
         let mut table = Table::empty(Schema::of(&[
             ("id", ColumnType::Int),
@@ -700,17 +648,15 @@ fn diff_keys_of_any_type_match_the_except_rewrite_under_every_hint() {
             .iter()
             .map(|r| r.get(0).as_i64().unwrap() as usize)
             .collect();
-        for &algo in &algos {
-            let (got, _) = ids_under(&cat, &sql, algo);
-            assert_eq!(got, want, "{algo:?} {sql}");
-        }
+        let (got, _) = paged_ids(&cat, &sql);
+        assert_eq!(got, want, "{sql}");
     });
 }
 
 /// A NaN put in through the `Table` API (CSV and DDL refuse it) is no
 /// criterion value: the query fails with the typed non-numeric error
-/// naming its row and column, under every hint, on the cold query and on
-/// the warm one, and a query that does not read that column still runs.
+/// naming its row and column, on the cold query and on the warm one,
+/// and a query that does not read that column still runs.
 #[test]
 fn a_nan_criterion_is_a_typed_error_cold_and_warm() {
     use skyline::relation::{Tuple, Value};
@@ -726,21 +672,16 @@ fn a_nan_criterion_is_a_typed_error_cold_and_warm() {
     }
     let mut cat = Catalog::new();
     cat.register("t", t);
-    let mut algos = PAGED_ALGOS.to_vec();
-    algos.push(SkylineAlgo::DivideAndConquer);
     for _cold_then_warm in 0..2 {
-        for &algo in &algos {
-            let opts = ExecOptions::default().with_algo(algo).with_threads(2);
-            let err = execute_with("SELECT id FROM t SKYLINE OF y MIN, x MAX", &cat, &opts)
-                .unwrap_err()
-                .to_string();
-            assert!(
-                err.contains("row 17: skyline column x is not numeric"),
-                "{algo:?}: {err}"
-            );
-            let ok = execute_with("SELECT id FROM t SKYLINE OF y MAX", &cat, &opts).unwrap();
-            assert_eq!(ok.len(), 1, "{algo:?}");
-        }
+        let err = execute("SELECT id FROM t SKYLINE OF y MIN, x MAX", &cat)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("row 17: skyline column x is not numeric"),
+            "{err}"
+        );
+        let ok = execute("SELECT id FROM t SKYLINE OF y MAX", &cat).unwrap();
+        assert_eq!(ok.len(), 1);
     }
 }
 
@@ -754,7 +695,7 @@ fn resident(table: &Table, column: usize) -> Option<Arc<skyline::relation::KeyCo
 
 /// Resident key columns change no answer and are built once per table
 /// version. Finite `hostile_key` tables and ones with ±∞ lanes (both
-/// page): queried under every hint and two MIN/MAX assignments,
+/// page): queried under two MIN/MAX assignments,
 /// `INSERT`ed into through DDL,
 /// queried again — every answer is the naive oracle's over the rows of
 /// the moment, no page is left behind, the second query on an unchanged
@@ -780,27 +721,17 @@ fn resident_columns_survive_queries_and_not_an_insert() {
             let assignments: [Vec<bool>; 2] = [0, 1].map(|_| (0..d).map(|_| rng.bool()).collect());
             let mut cat = Catalog::new();
             cat.register("t", float_table(&rows));
-            let mut algos = PAGED_ALGOS.to_vec();
-            algos.push(SkylineAlgo::DivideAndConquer);
-            let check_every_hint = |cat: &Catalog, rows: &[Vec<f64>]| {
+            let check = |cat: &Catalog, rows: &[Vec<f64>]| {
                 for is_min in &assignments {
                     let (sql, want) = hostile_query(rows, is_min);
-                    for &algo in &algos {
-                        let (got, disk) = ids_under(cat, &sql, algo);
-                        assert_eq!(got, want, "{algo:?} finite={finite} d={d} n={n} {sql}");
-                        let presorted = algo != SkylineAlgo::Bnl;
-                        let in_memory = algo == SkylineAlgo::DivideAndConquer;
-                        if in_memory {
-                            assert_eq!(disk.stats().writes(), 0, "{algo:?}: paged");
-                        } else if presorted {
-                            assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
-                        }
-                    }
+                    let (got, disk) = paged_ids(cat, &sql);
+                    assert_eq!(got, want, "finite={finite} d={d} n={n} {sql}");
+                    assert!(disk.stats().writes() > 0, "did not page");
                 }
             };
 
             assert!(resident(cat.get("t").unwrap(), 1).is_none(), "cold");
-            check_every_hint(&cat, &rows);
+            check(&cat, &rows);
             let first: Vec<_> = (1..=d)
                 .map(|c| resident(cat.get("t").unwrap(), c).expect("the first query built it"))
                 .collect();
@@ -808,7 +739,7 @@ fn resident_columns_survive_queries_and_not_an_insert() {
                 resident(cat.get("t").unwrap(), 0).is_none(),
                 "id is no criterion"
             );
-            check_every_hint(&cat, &rows);
+            check(&cat, &rows);
             for (c, column) in first.iter().enumerate() {
                 let again = resident(cat.get("t").unwrap(), c + 1).unwrap();
                 assert!(Arc::ptr_eq(column, &again), "column c{c} was rebuilt");
@@ -832,7 +763,7 @@ fn resident_columns_survive_queries_and_not_an_insert() {
                 resident(cat.get("t").unwrap(), 1).is_none(),
                 "INSERT starts cold"
             );
-            check_every_hint(&cat, &rows);
+            check(&cat, &rows);
             let rebuilt = resident(cat.get("t").unwrap(), 1).expect("built again");
             assert!(!Arc::ptr_eq(&first[0], &rebuilt));
             assert_eq!(rebuilt.values().len(), rows.len());
@@ -982,7 +913,7 @@ fn a_cancelled_first_query_caches_nothing() {
             "column {c} is resident"
         );
     }
-    let (got, _) = ids_under(&cat, &sql, SkylineAlgo::Auto);
+    let (got, _) = paged_ids(&cat, &sql);
     assert_eq!(got, want);
     assert!(resident(cat.get("t").unwrap(), 1).is_some());
 }
@@ -1027,9 +958,8 @@ fn quantizer_stress_catalog(n: i64) -> (Catalog, &'static str) {
     )
 }
 
-/// The quantizer-stress table through SQL on the paged path, for every
-/// algorithm hint: the naive oracle's rows, duplicates included, and no
-/// page left behind.
+/// The quantizer-stress table through SQL on the paged path: the naive
+/// oracle's rows, duplicates included, and no page left behind.
 #[test]
 fn quantizer_stress_table_on_the_paged_path_matches_the_oracle() {
     let (cat, sql) = quantizer_stress_catalog(2_400);
@@ -1038,39 +968,42 @@ fn quantizer_stress_table_on_the_paged_path_matches_the_oracle() {
         want.len() > 8 * 16,
         "fixture must fill several window blocks"
     );
-    for algo in PAGED_ALGOS {
-        let disk = MemDisk::shared();
-        let pool = BufferPool::new(1 << 16);
-        let opts = ExecOptions::default()
-            .with_algo(algo)
-            .with_sort_pages(4)
-            .with_pool(pool.clone())
-            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
-        let got = execute_with(sql, &cat, &opts).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
-        assert_eq!(got.rows(), want.rows(), "{algo:?}");
-        assert!(disk.stats().writes() > 0, "{algo:?}: did not page");
-        assert_eq!(pool.used(), 0, "{algo:?}: quota pages leaked");
-        assert_eq!(disk.allocated_pages(), 0, "{algo:?}: temp pages leaked");
-    }
-}
-
-/// The same table in memory, under the one hint that stays there
-/// (`DivideAndConquer`): same oracle, and not one page written.
-#[test]
-fn quantizer_stress_table_in_memory_matches_the_oracle() {
-    let (cat, sql) = quantizer_stress_catalog(2_400);
-    let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
     let disk = MemDisk::shared();
     let pool = BufferPool::new(1 << 16);
     let opts = ExecOptions::default()
-        .with_algo(SkylineAlgo::DivideAndConquer)
+        .with_sort_pages(4)
         .with_pool(pool.clone())
         .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
     let got = execute_with(sql, &cat, &opts).unwrap();
     assert_eq!(got.rows(), want.rows());
-    assert_eq!(disk.stats().writes(), 0, "paged");
+    assert!(disk.stats().writes() > 0, "did not page");
     assert_eq!(pool.used(), 0, "quota pages leaked");
     assert_eq!(disk.allocated_pages(), 0, "temp pages leaked");
+}
+
+/// The same table in memory, through the library's in-memory SFS, whose
+/// block window quantizes its keys the same way: same oracle rows.
+#[test]
+fn quantizer_stress_table_in_memory_matches_the_oracle() {
+    use skyline::core::{MemAlgorithm, SkylineBuilder};
+    use skyline::relation::Tuple;
+    let (cat, sql) = quantizer_stress_catalog(2_400);
+    let want = eval_except_semantics(&parse(sql).unwrap(), &cat).unwrap();
+    let rows = cat.get("t").unwrap().rows();
+    let column = |c: usize| move |r: &Tuple| r.get(c).as_f64().unwrap();
+    let keep = SkylineBuilder::new()
+        .max(column(1))
+        .min(column(2))
+        .max(column(3))
+        .min(column(4))
+        .max(column(5))
+        .algorithm(MemAlgorithm::Sfs)
+        .compute_indices(rows);
+    let id = |r: &Tuple| r.get(0).as_i64().unwrap();
+    let mut want: Vec<i64> = want.rows().iter().map(id).collect();
+    want.sort_unstable();
+    let got: Vec<i64> = keep.iter().map(|&i| id(&rows[i])).collect();
+    assert_eq!(got, want);
 }
 
 #[test]

@@ -2,11 +2,12 @@
 //! deadline, and cancellation pressure.
 //!
 //! Each storm drives hundreds of mixed queries (skyline direction
-//! mixes, projections, WHERE, ORDER BY + LIMIT top-N, every algorithm
-//! including strata) through a [`SkylineServer`] whose disk injects
-//! deterministic seed-driven faults, while the driver randomly starves
-//! quotas, sets zero deadlines, cancels in flight, and abandons
-//! handles. The contract under all of that:
+//! mixes, projections, WHERE, ORDER BY + LIMIT top-N), each under one of
+//! six per-query contracts (quota, deadline, a late cancel), through a
+//! [`SkylineServer`] whose disk injects deterministic seed-driven
+//! faults, while the driver randomly starves quotas, sets zero
+//! deadlines, cancels in flight, and abandons handles. The contract
+//! under all of that:
 //!
 //! - every query ends in exactly one of {rows == oracle, typed error};
 //! - after shutdown the disk reports zero allocated pages and the
@@ -18,7 +19,7 @@
 //! fault-injection suite's idiom.
 
 use skyline::query::catalog::Catalog;
-use skyline::query::{execute_with, ExecOptions, SkylineAlgo};
+use skyline::query::{execute_with, ExecOptions};
 use skyline::relation::rng::Rng;
 use skyline::relation::samples::good_eats;
 use skyline::relation::{tuple, ColumnType, Schema, Table, Tuple};
@@ -40,14 +41,28 @@ const QUERIES: &[&str] = &[
     "SELECT restaurant FROM GoodEats SKYLINE OF S MAX, F MAX, D MAX, price MIN",
 ];
 
-const ALGOS: &[SkylineAlgo] = &[
-    SkylineAlgo::Auto,
-    SkylineAlgo::Sfs,
-    SkylineAlgo::Bnl,
-    SkylineAlgo::DivideAndConquer,
-    SkylineAlgo::Parallel,
-    SkylineAlgo::Strata,
-];
+/// Per-query contracts, drawn like the query shape, and each one every
+/// query here completes under when nothing else interferes: the
+/// defaults, a quota below the default that still fits every query's
+/// sort arena and window, one above it, a deadline that never trips,
+/// both, and a cancel that arrives only after the rows have all been
+/// read.
+const CONTRACTS: usize = 6;
+/// The contract whose handle the driver cancels once it is drained.
+const LATE_CANCEL: usize = 5;
+
+/// The submission options of contract `slot`.
+fn contract(slot: usize) -> QueryOptions {
+    let q = QueryOptions::default();
+    let never = Duration::from_secs(60);
+    match slot {
+        1 => q.with_quota_pages(32),
+        2 => q.with_quota_pages(256),
+        3 => q.with_deadline(never),
+        4 => q.with_quota_pages(32).with_deadline(never),
+        _ => q,
+    }
+}
 
 fn catalog() -> Catalog {
     let schema = Schema::of(&[
@@ -73,28 +88,22 @@ fn catalog() -> Catalog {
     cat
 }
 
-/// Order-insensitive row fingerprint: the parallel pipelines do not
-/// promise an output order, only a set.
+/// Order-insensitive row fingerprint: a skyline promises a set, not an
+/// output order.
 fn multiset(rows: &[Tuple]) -> Vec<String> {
     let mut keys: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
     keys.sort_unstable();
     keys
 }
 
-/// Fault-free oracle per (query, algorithm), executed under the same
-/// algorithm hint the server gets, so completed storm queries must match
-/// it exactly.
-fn oracles(cat: &Catalog) -> HashMap<(usize, usize), Vec<String>> {
+/// Fault-free oracle per query, executed directly, so completed storm
+/// queries must match it exactly whatever their contract.
+fn oracles(cat: &Catalog) -> HashMap<usize, Vec<String>> {
     let mut map = HashMap::new();
     for (qi, sql) in QUERIES.iter().enumerate() {
-        for (ai, &algo) in ALGOS.iter().enumerate() {
-            let opts = ExecOptions::default()
-                .with_algo(algo)
-                .with_disk(MemDisk::shared() as Arc<dyn Disk>);
-            let table = execute_with(sql, cat, &opts)
-                .unwrap_or_else(|e| panic!("oracle {sql} / {algo:?}: {e}"));
-            map.insert((qi, ai), multiset(table.rows()));
-        }
+        let opts = ExecOptions::default().with_disk(MemDisk::shared() as Arc<dyn Disk>);
+        let table = execute_with(sql, cat, &opts).unwrap_or_else(|e| panic!("oracle {sql}: {e}"));
+        map.insert(qi, multiset(table.rows()));
     }
     map
 }
@@ -152,7 +161,7 @@ fn storm(seed: u64) {
     let mut outstanding: Vec<(usize, usize, Action, skyline::server::QueryHandle)> = Vec::new();
     let mut completed = 0u64;
     let mut typed_errors = 0u64;
-    let resolve = |(qi, ai, action, mut handle): (usize, usize, Action, _),
+    let resolve = |(qi, ci, action, mut handle): (usize, usize, Action, _),
                    completed: &mut u64,
                    typed_errors: &mut u64| {
         let handle: &mut skyline::server::QueryHandle = &mut handle;
@@ -181,9 +190,13 @@ fn storm(seed: u64) {
                     Ok(()) => {
                         assert_eq!(
                             multiset(&rows),
-                            want[&(qi, ai)],
-                            "query {qi} algo {ai}: completed with WRONG rows (seed {seed})"
+                            want[&qi],
+                            "query {qi} contract {ci}: completed with WRONG rows (seed {seed})"
                         );
+                        if ci == LATE_CANCEL {
+                            handle.cancel();
+                            assert!(handle.next_batch().is_none(), "a settled query reopened");
+                        }
                         *completed += 1;
                     }
                     Err(e) => {
@@ -197,9 +210,9 @@ fn storm(seed: u64) {
 
     for i in 0..STORM_QUERIES {
         let qi = rng.usize_below(QUERIES.len());
-        let ai = rng.usize_below(ALGOS.len());
+        let ci = rng.usize_below(CONTRACTS);
         let session = &sessions[i % sessions.len()];
-        let mut q = QueryOptions::default().with_algo(ALGOS[ai]);
+        let mut q = contract(ci);
         // quota starvation: a fifth of the storm gets a budget far
         // below any external pass's need
         if rng.usize_below(5) == 0 {
@@ -218,7 +231,7 @@ fn storm(seed: u64) {
             _ => Action::Collect,
         };
         match session.submit_with(QUERIES[qi], &q) {
-            Ok(handle) => outstanding.push((qi, ai, action, handle)),
+            Ok(handle) => outstanding.push((qi, ci, action, handle)),
             Err(e) => {
                 assert!(
                     matches!(e, ServerError::Overloaded { .. }),
@@ -297,13 +310,19 @@ fn storm_without_faults_is_mostly_sunny() {
     let mut rng = Rng::seed_from_u64(0xFA1F);
     for _ in 0..60 {
         let qi = rng.usize_below(QUERIES.len());
-        let ai = rng.usize_below(ALGOS.len());
-        let rows = session
-            .submit_with(QUERIES[qi], &QueryOptions::default().with_algo(ALGOS[ai]))
-            .expect("no watermark pressure in the sunny storm")
-            .collect()
-            .expect("no faults, quota, or deadline: must complete");
-        assert_eq!(multiset(&rows), want[&(qi, ai)], "query {qi} algo {ai}");
+        let ci = rng.usize_below(CONTRACTS);
+        let mut handle = session
+            .submit_with(QUERIES[qi], &contract(ci))
+            .expect("no watermark pressure in the sunny storm");
+        let mut rows = Vec::new();
+        while let Some(batch) = handle.next_batch() {
+            rows.append(&mut batch.expect("no faults, starved quota, or deadline: must complete"));
+        }
+        if ci == LATE_CANCEL {
+            handle.cancel();
+            assert!(handle.next_batch().is_none(), "a settled query reopened");
+        }
+        assert_eq!(multiset(&rows), want[&qi], "query {qi} contract {ci}");
     }
     server.shutdown();
     let snap = server.snapshot();
