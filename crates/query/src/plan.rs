@@ -11,6 +11,14 @@
 //! Execution pushes rows up this chain into a sink
 //! ([`execute_query_into`]); [`execute_query_with`] is that sink
 //! collecting a table.
+//!
+//! Between the scan and the output the operators read one *relation*: a
+//! view of the catalog table's rows — all of them, or the ones a `WHERE`
+//! kept — or of the groups a `GROUP BY` made. The catalog's rows are
+//! borrowed all the way up: a skyline builds its key columns through the
+//! view (the table's resident ones when it is all of it), `ORDER BY`
+//! sorts row numbers, and the one place a row is cloned is the output,
+//! for a row that leaves. Every row loop polls the cancel token.
 
 use crate::ast::{AggFunc, Directive, Expr, Query, SelectItem};
 use crate::catalog::Catalog;
@@ -20,8 +28,9 @@ use crate::options::ExecOptions;
 use crate::parser::parse;
 use crate::pushdown::{external_skyline_with, SkylineColumns};
 use skyline_core::cardinality::expected_skyline_size;
+use skyline_exec::cancel::{poll, poll_now, CANCEL_CHECK_INTERVAL};
 use skyline_relation::{KeyColumn, Schema, Table, Tuple, Value};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -90,8 +99,10 @@ pub fn execute_query_with(
 /// Each row comes with its *rank*: its place in the order the plan
 /// defines — the `ORDER BY` position, else the row's number in the
 /// relation the top operator read (the table, the filtered rows, the
-/// groups, the skyline's input). Rows arrive in rank order except from
-/// a streamed skyline.
+/// groups, the skyline's input). A `WHERE` numbers its matches from 0,
+/// so a query answers with the ranks and rows the same query without
+/// the `WHERE` gives over the pre-filtered table. Rows arrive in rank
+/// order except from a streamed skyline.
 ///
 /// How far rows stream depends on what sits above them:
 /// - with nothing but `WHERE` under the output, the scan streams, and
@@ -99,7 +110,8 @@ pub fn execute_query_with(
 /// - a skyline with no `ORDER BY` over it streams in *emission order* —
 ///   presort order (see [`crate::pushdown::external_skyline_with`]) —
 ///   and `LIMIT n` stops the filter after its `n`-th survivor;
-/// - `ORDER BY` and grouping collect first, then emit.
+/// - `ORDER BY` and grouping collect first — row numbers, or the
+///   groups — then emit.
 ///
 /// `sink` returning [`ControlFlow::Break`] ends the pipeline as `LIMIT`
 /// does; the call still returns the schema.
@@ -123,11 +135,7 @@ pub fn execute_query_into(
     if let Some(pred) = &query.where_clause {
         expr::validate(pred, &schema)?;
     }
-    let has_agg = query
-        .select
-        .iter()
-        .any(|i| matches!(i, SelectItem::Aggregate { .. }));
-    let grouped = !query.group_by.is_empty() || has_agg;
+    let grouped = grouped(query);
     if query.having.is_some() && !grouped {
         return Err(QueryError::Semantic(
             "HAVING requires GROUP BY or aggregates".into(),
@@ -135,42 +143,45 @@ pub fn execute_query_into(
     }
 
     // Scan → Filter → Limit → Project, one row at a time.
+    let pred = query.where_clause.as_ref();
     if !grouped && query.skyline.is_none() && query.order_by.is_empty() {
         let mut out = Output::new(query, &schema, false, sink)?;
-        let pred = query.where_clause.as_ref();
-        out.drain(
-            table
-                .rows()
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| pred.is_none_or(|p| expr::eval(p, &schema, r)))
-                .map(|(rank, r)| (rank, Cow::Borrowed(r))),
-        );
+        let mut rank = 0;
+        scan(table, pred, opts, |row| {
+            rank += 1;
+            out.emit(rank - 1, Cow::Borrowed(row))
+        })?;
         return Ok(out.schema);
     }
 
-    // Filter. Without a WHERE the table is borrowed: a skyline over a
-    // whole table clones its survivors and nothing else.
-    let mut rows: Cow<'_, [Tuple]> = match &query.where_clause {
-        Some(pred) => table
-            .rows()
-            .iter()
-            .filter(|r| expr::eval(pred, &schema, r))
-            .cloned()
-            .collect(),
-        None => Cow::Borrowed(table.rows()),
+    // Filter. The relation borrows the table's rows: a WHERE keeps
+    // references to its matches, and nothing below the output clones a
+    // row. A GROUP BY's rows are owned here, declared first so that the
+    // relation can borrow them too.
+    let groups: Vec<Tuple>;
+    let mut rel = match pred {
+        Some(pred) => {
+            let mut kept = Vec::new();
+            scan(table, Some(pred), opts, |row| {
+                kept.push(row);
+                ControlFlow::Continue(())
+            })?;
+            Relation::Rows(kept)
+        }
+        None => Relation::Table(table),
     };
 
     // Group by / aggregate (the paper's Fig. 8 pre-pass shape). The
     // grouped output becomes the relation the skyline operates on —
     // matching the clause order of the paper's Fig. 3.
     if grouped {
-        let (out_schema, out_rows) = apply_group_by(&schema, &rows, query)?;
-        (schema, rows) = (out_schema, Cow::Owned(out_rows));
-    }
-    if let Some(having) = &query.having {
-        expr::validate(having, &schema)?;
-        rows.to_mut().retain(|r| expr::eval(having, &schema, r));
+        let (out_schema, mut made) = apply_group_by(&schema, &rel, query)?;
+        if let Some(having) = &query.having {
+            expr::validate(having, &out_schema)?;
+            made.retain(|r| expr::eval(having, &out_schema, r));
+        }
+        groups = made;
+        (schema, rel) = (out_schema, Relation::Rows(groups.iter().collect()));
     }
 
     // Everything above the skyline is resolved before it runs, so its
@@ -179,25 +190,37 @@ pub fn execute_query_into(
     let mut out = Output::new(query, &schema, grouped, sink)?;
 
     // Skyline (over the possibly-grouped relation): straight to the
-    // output unless an ORDER BY has to see all of it first.
-    if let Some(clause) = &query.skyline {
-        let resident = matches!(rows, Cow::Borrowed(_)).then_some(table);
-        if order.is_empty() {
-            apply_skyline(&rows, resident, &schema, clause, opts, |i| {
-                out.emit(i, Cow::Borrowed(&rows[i]))
+    // output unless an ORDER BY has to see all of it first, in which
+    // case it collects the survivors' row numbers.
+    let mut picked = match &query.skyline {
+        Some(clause) if order.is_empty() => {
+            apply_skyline(&rel, &schema, clause, opts, |i| {
+                out.emit(i, Cow::Borrowed(rel.row(i)))
             })?;
             return Ok(out.schema);
         }
-        let mut kept = Vec::new();
-        apply_skyline(&rows, resident, &schema, clause, opts, |i| {
-            kept.push(rows[i].clone());
-            ControlFlow::Continue(())
-        })?;
-        rows = Cow::Owned(kept);
-    }
+        Some(clause) => {
+            let mut kept = Vec::new();
+            apply_skyline(&rel, &schema, clause, opts, |i| {
+                kept.push(i);
+                ControlFlow::Continue(())
+            })?;
+            kept
+        }
+        None => {
+            let mut all = Vec::with_capacity(rel.len());
+            for start in (0..rel.len()).step_by(BLOCK) {
+                poll_row(opts, start)?;
+                all.extend(start..rel.len().min(start + BLOCK));
+            }
+            all
+        }
+    };
 
+    // Sort the row numbers; stable, so ties keep their emission order.
     if !order.is_empty() {
-        rows.to_mut().sort_by(|a, b| {
+        picked.sort_by(|&a, &b| {
+            let (a, b) = (rel.row(a), rel.row(b));
             for &(idx, desc) in &order {
                 let ord = a.get(idx).sql_cmp(b.get(idx)).unwrap_or(Ordering::Equal);
                 let ord = if desc { ord.reverse() } else { ord };
@@ -208,11 +231,107 @@ pub fn execute_query_into(
             Ordering::Equal
         });
     }
-    match rows {
-        Cow::Borrowed(all) => out.drain(all.iter().map(Cow::Borrowed).enumerate()),
-        Cow::Owned(all) => out.drain(all.into_iter().map(Cow::Owned).enumerate()),
+    for (rank, i) in picked.into_iter().enumerate() {
+        poll_row(opts, rank)?;
+        if out.emit(rank, Cow::Borrowed(rel.row(i))).is_break() {
+            break;
+        }
     }
     Ok(out.schema)
+}
+
+/// Scan → Filter: hand each row of `table` that `pred` keeps to `f`, in
+/// table order, until `f` breaks.
+fn scan<'t>(
+    table: &'t Table,
+    pred: Option<&Expr>,
+    opts: &ExecOptions,
+    mut f: impl FnMut(&'t Tuple) -> ControlFlow<()>,
+) -> Result<(), QueryError> {
+    let schema = table.schema();
+    // a block between polls keeps the check out of the per-row loop
+    for (block_no, block) in table.rows().chunks(BLOCK).enumerate() {
+        poll_row(opts, block_no * BLOCK)?;
+        for row in block {
+            if pred.is_none_or(|p| expr::eval(p, schema, row)) && f(row).is_break() {
+                return Ok(());
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Rows between two polls of the cancel token in a row loop of the
+/// executor.
+const BLOCK: usize = CANCEL_CHECK_INTERVAL as usize;
+
+/// The cancel check of a row loop of the executor at its row `rowno`:
+/// it polls the token at every multiple of [`BLOCK`].
+fn poll_row(opts: &ExecOptions, rowno: usize) -> Result<(), QueryError> {
+    poll(opts.cancel.as_ref(), rowno as u64).map_err(QueryError::from_exec)
+}
+
+/// The relation between the FROM table and the output: what every
+/// operator above the scan reads, row `i` being [`Relation::row`]. Its
+/// rows are borrowed, never copied; a row is cloned only when it leaves
+/// through [`Output::emit`].
+enum Relation<'r> {
+    /// The whole FROM table, whose resident key columns a skyline shares.
+    Table(&'r Table),
+    /// Rows in order: the table's rows a `WHERE` kept, or the groups a
+    /// `GROUP BY` made and its `HAVING` kept.
+    Rows(Vec<&'r Tuple>),
+}
+
+impl Relation<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Relation::Table(t) => t.len(),
+            Relation::Rows(rows) => rows.len(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &Tuple {
+        match self {
+            Relation::Table(t) => &t.rows()[i],
+            Relation::Rows(rows) => rows[i],
+        }
+    }
+
+    /// The key columns at positions `columns`: the table's resident ones
+    /// for a whole table, else built for this query (same type, same
+    /// builder).
+    fn key_columns(
+        &self,
+        columns: &[usize],
+        poll: impl FnMut(u64) -> Result<(), QueryError>,
+    ) -> Result<Vec<Arc<KeyColumn>>, QueryError> {
+        match self {
+            Relation::Table(t) => t.key_columns(columns, poll),
+            Relation::Rows(rows) => Ok(KeyColumn::build_all(rows, columns, poll)?
+                .into_iter()
+                .map(Arc::new)
+                .collect()),
+        }
+    }
+
+    /// [`group_ids`] of the relation's rows.
+    fn group_ids(&self, columns: &[usize]) -> Vec<usize> {
+        match self {
+            Relation::Table(t) => group_ids(t.rows(), columns),
+            Relation::Rows(rows) => group_ids(rows, columns),
+        }
+    }
+}
+
+/// Whether `query` groups: a `GROUP BY`, or an aggregate over the whole
+/// input as one group.
+fn grouped(query: &Query) -> bool {
+    !query.group_by.is_empty()
+        || query
+            .select
+            .iter()
+            .any(|i| matches!(i, SelectItem::Aggregate { .. }))
 }
 
 /// The `ORDER BY` columns of `query` in `schema`, each with whether it
@@ -296,15 +415,6 @@ impl<F: FnMut(usize, Tuple) -> ControlFlow<()>> Output<F> {
             ControlFlow::Continue(())
         }
     }
-
-    /// Emit ranked `rows` in order until one breaks.
-    fn drain<'r>(&mut self, rows: impl Iterator<Item = (usize, Cow<'r, Tuple>)>) {
-        for (rank, row) in rows {
-            if self.emit(rank, row).is_break() {
-                break;
-            }
-        }
-    }
 }
 
 /// Evaluate GROUP BY + aggregates: returns the grouped schema and rows in
@@ -313,7 +423,7 @@ impl<F: FnMut(usize, Tuple) -> ControlFlow<()>> Output<F> {
 /// group.
 fn apply_group_by(
     schema: &skyline_relation::Schema,
-    rows: &[Tuple],
+    rel: &Relation<'_>,
     query: &Query,
 ) -> Result<(skyline_relation::Schema, Vec<Tuple>), QueryError> {
     use skyline_relation::{Column, ColumnType, Schema};
@@ -365,9 +475,9 @@ fn apply_group_by(
             }
         }
     }
-    let groups = group_members(&group_ids(rows, &group_idx));
+    let groups = group_members(&rel.group_ids(&group_idx));
     let agg_value = |func: AggFunc, idx: usize, members: &[usize]| -> Result<Value, QueryError> {
-        let cells = || members.iter().map(|&i| rows[i].get(idx));
+        let cells = || members.iter().map(|&i| rel.row(i).get(idx));
         if func == AggFunc::Count {
             return Ok(Value::Int(cells().filter(|v| !v.is_null()).count() as i64));
         }
@@ -409,7 +519,7 @@ fn apply_group_by(
         let mut vals = Vec::with_capacity(outs.len());
         for out in &outs {
             match out {
-                Out::Group(idx) => vals.push(rows[members[0]].get(*idx).clone()),
+                Out::Group(idx) => vals.push(rel.row(members[0]).get(*idx).clone()),
                 Out::Agg(func, idx) => vals.push(agg_value(*func, *idx, members)?),
             }
         }
@@ -448,11 +558,11 @@ impl<'a> Cell<'a> {
 /// first appearance: two rows share a group when every column compares
 /// equal under [`Value::sql_cmp`] — `DIFF`'s equality in the `EXCEPT`
 /// rewrite — so a row holding a NaN is a group of its own.
-pub(crate) fn group_ids(rows: &[Tuple], columns: &[usize]) -> Vec<usize> {
+pub(crate) fn group_ids<R: Borrow<Tuple>>(rows: &[R], columns: &[usize]) -> Vec<usize> {
     let k = columns.len();
     let cells: Vec<Option<Cell<'_>>> = rows
         .iter()
-        .flat_map(|r| columns.iter().map(|&c| Cell::of(r.get(c))))
+        .flat_map(|r| columns.iter().map(|&c| Cell::of(r.borrow().get(c))))
         .collect();
     let mut index: HashMap<&[Option<Cell<'_>>], usize> = HashMap::new();
     let mut groups = 0;
@@ -482,13 +592,10 @@ fn group_members(ids: &[usize]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The skyline of `rows`, each survivor's index handed to `emit` in the
-/// paged engine's emission order; `Break` stops it. `resident` is the catalog
-/// table when `rows` is all of it, so its key columns can be shared
-/// across queries.
+/// The skyline of `rel`, each survivor's row number handed to `emit` in
+/// the paged engine's emission order; `Break` stops it.
 fn apply_skyline(
-    rows: &[Tuple],
-    resident: Option<&Table>,
+    rel: &Relation<'_>,
     schema: &skyline_relation::Schema,
     clause: &crate::ast::SkylineClause,
     opts: &ExecOptions,
@@ -513,20 +620,9 @@ fn apply_skyline(
             "SKYLINE OF needs at least one MIN/MAX criterion".into(),
         ));
     }
-    // The clause's criterion columns: the table's resident ones when the
-    // relation is a whole catalog table, built for this query (same
-    // type, same builder) when it was filtered or grouped.
-    let poll_row = |rowno| match &opts.cancel {
-        Some(token) => token.check(rowno).map_err(QueryError::from_exec),
-        None => Ok(()),
-    };
-    let columns: Vec<Arc<KeyColumn>> = match resident {
-        Some(table) => table.key_columns(&crit, poll_row)?,
-        None => KeyColumn::build_all(rows, &crit, poll_row)?
-            .into_iter()
-            .map(Arc::new)
-            .collect(),
-    };
+    let columns = rel.key_columns(&crit, |rowno| {
+        poll_now(opts.cancel.as_ref(), rowno).map_err(QueryError::from_exec)
+    })?;
     // the lowest offending row, the first criterion in clause order on a
     // tie — the value a row-at-a-time scan would have met first
     let offender = columns
@@ -540,7 +636,7 @@ fn apply_skyline(
             schema.column(idx).name
         )));
     }
-    let groups = (!diff.is_empty()).then(|| group_ids(rows, &diff));
+    let groups = (!diff.is_empty()).then(|| rel.group_ids(&diff));
     external_skyline_with(SkylineColumns::new(columns, &min, groups), opts, emit)
 }
 
@@ -592,10 +688,30 @@ pub fn explain(sql: &str, catalog: &Catalog) -> Result<String, QueryError> {
             .iter()
             .filter(|i| i.directive != Directive::Diff)
             .count();
-        let est = if d > 0 {
-            expected_skyline_size(n, d)
+        // A DIFF answer is one skyline per group: Σ_g E(n_g, d) over the
+        // groups of the table's rows. A grouped relation is not built
+        // here, so its DIFF columns are not looked up.
+        let diff: Vec<usize> = if grouped(&q) {
+            Vec::new()
         } else {
-            0.0
+            sky.items
+                .iter()
+                .filter(|i| i.directive == Directive::Diff)
+                .map(|i| {
+                    table
+                        .schema()
+                        .index_of(&i.column)
+                        .ok_or_else(|| QueryError::NoSuchColumn(i.column.clone()))
+                })
+                .collect::<Result<_, _>>()?
+        };
+        let est = match d {
+            0 => 0.0,
+            _ if diff.is_empty() => expected_skyline_size(n, d),
+            _ => group_members(&group_ids(table.rows(), &diff))
+                .iter()
+                .map(|members| expected_skyline_size(members.len(), d))
+                .sum(),
         };
         lines.push(format!(
             "Skyline[SFS, presort=entropy, est≈{est:.0} rows]({})",
@@ -775,6 +891,40 @@ mod tests {
         assert!(plan.contains("Scan(GoodEats, 6 rows)"));
         // the skyline node is annotated with a cardinality estimate
         assert!(plan.contains("est≈"));
+    }
+
+    #[test]
+    fn explain_estimates_a_diff_clause_per_group() {
+        use skyline_relation::{tuple, ColumnType, Schema};
+        // eight groups of 1 000 rows: 8 · E(1 000, 2) = 8 · H_1000 ≈ 60,
+        // where one skyline of all 8 000 would be H_8000 ≈ 10
+        let rows = (0..8_000i64)
+            .map(|i| tuple![i % 8, (i * 37) % 1_009, (i * 53) % 997])
+            .collect();
+        let schema = Schema::of(&[
+            ("g", ColumnType::Int),
+            ("x", ColumnType::Int),
+            ("y", ColumnType::Int),
+        ]);
+        let mut c = Catalog::new();
+        c.register("t", Table::new(schema, rows).unwrap());
+        let est = |sql: &str| {
+            let plan = explain(sql, &c).unwrap();
+            let at = plan.find("est≈").unwrap() + "est≈".len();
+            plan[at..].split(' ').next().unwrap().to_string()
+        };
+        assert_eq!(est("SELECT * FROM t SKYLINE OF x MAX, y MIN"), "10");
+        assert_eq!(est("SELECT * FROM t SKYLINE OF x MAX, g DIFF, y MIN"), "60");
+        assert_eq!(
+            explain("SELECT * FROM t SKYLINE OF x MAX, h DIFF", &c).unwrap_err(),
+            QueryError::NoSuchColumn("h".into())
+        );
+        // a grouped relation's DIFF columns are its own, not the table's
+        assert!(explain(
+            "SELECT g, MAX(x) AS m FROM t GROUP BY g SKYLINE OF m MAX, g DIFF",
+            &c
+        )
+        .is_ok());
     }
 
     #[test]

@@ -3,11 +3,12 @@
 
 use skyline::query::catalog::Catalog;
 use skyline::query::rewrite::eval_except_semantics;
-use skyline::query::{execute, execute_with, parse, ExecOptions};
+use skyline::query::{execute, execute_query_into, execute_with, parse, ExecOptions};
 use skyline::relation::csv::{read_csv, write_csv};
 use skyline::relation::samples::{good_eats, GOOD_EATS_SKYLINE};
 use skyline::relation::{tuple, ColumnType, Schema, Table};
 use skyline::storage::{BufferPool, Disk, MemDisk};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 fn random_table(rows: &[(i64, i64, i64)]) -> Table {
@@ -1014,4 +1015,210 @@ fn error_paths_are_reported() {
     let mut catalog = Catalog::new();
     catalog.register("g", good_eats());
     assert!(execute("SELECT * FROM g SKYLINE OF restaurant MAX", &catalog).is_err());
+}
+
+/// What `execute_query_into` pushes for `sql` — every `(rank, row)` in
+/// push order — and how it ends: the output schema or the error text.
+type Pushed = (
+    Vec<(usize, skyline::relation::Tuple)>,
+    Result<Schema, String>,
+);
+
+fn pushed(sql: &str, catalog: &Catalog, opts: &ExecOptions) -> Pushed {
+    let mut rows = Vec::new();
+    let end = execute_query_into(&parse(sql).unwrap(), catalog, opts, |rank, row| {
+        rows.push((rank, row));
+        ControlFlow::Continue(())
+    });
+    (rows, end.map_err(|e| e.to_string()))
+}
+
+/// A random predicate over [`view_table`]'s columns: comparisons that
+/// meet NULL, `'NULL'`, ±0.0 and repeated values, under AND/OR/NOT.
+fn random_where(rng: &mut skyline::relation::rng::Rng, depth: u32) -> String {
+    if depth > 0 && rng.usize_below(3) == 0 {
+        let (a, b) = (random_where(rng, depth - 1), random_where(rng, depth - 1));
+        return match rng.usize_below(3) {
+            0 => format!("({a} AND {b})"),
+            1 => format!("({a} OR {b})"),
+            _ => format!("NOT {a}"),
+        };
+    }
+    let k = rng.i64_inclusive(-1, 5);
+    match rng.usize_below(9) {
+        0 => format!("x < {k}"),
+        1 => format!("y >= {k}"),
+        2 => format!("id > {}", k * 8),
+        3 => format!("g = {k}"),
+        4 => ["f = 0.0", "f = -0.0", "f > -1.0", "f <> 1.5"][rng.usize_below(4)].into(),
+        5 => ["s = 'NULL'", "s <> 'a'", "s < 'b'", "s = NULL"][rng.usize_below(4)].into(),
+        6 => "x = y".into(),
+        7 => format!("x <> {k}"),
+        _ => format!("{k} <= y"),
+    }
+}
+
+/// Up to 80 rows over few values each: `x` with an occasional NULL when
+/// the table has holes, `f` holding NULL and both zeros, `s` holding
+/// NULL and the string `'NULL'`.
+fn view_table(rng: &mut skyline::relation::rng::Rng) -> Table {
+    use skyline::relation::{Tuple, Value};
+    let f = [
+        Value::Null,
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(1.5),
+        Value::Float(-1.0),
+    ];
+    let s = [Value::Null, "NULL".into(), "a".into(), "b".into()];
+    let holes = rng.bool();
+    let mut table = Table::empty(Schema::of(&[
+        ("id", ColumnType::Int),
+        ("x", ColumnType::Int),
+        ("y", ColumnType::Int),
+        ("f", ColumnType::Float),
+        ("s", ColumnType::Str),
+        ("g", ColumnType::Int),
+    ]));
+    for i in 0..rng.usize_below(80) {
+        let x = if holes && rng.usize_below(16) == 0 {
+            Value::Null
+        } else {
+            Value::Int(rng.i64_inclusive(0, 5))
+        };
+        table
+            .push(Tuple::new(vec![
+                Value::Int(i as i64),
+                x,
+                Value::Int(rng.i64_inclusive(0, 3)),
+                f[rng.usize_below(f.len())].clone(),
+                s[rng.usize_below(s.len())].clone(),
+                Value::Int(rng.i64_inclusive(0, 2)),
+            ]))
+            .unwrap();
+    }
+    table
+}
+
+/// A `WHERE` reads the table through a view of its matches. Whatever
+/// sits above it, the query pushes the ranks, rows, schema and error
+/// text — `row N` counted within the matches — that the same query
+/// without the `WHERE` pushes over a catalog holding only the matches.
+#[test]
+fn a_where_answers_as_the_pre_filtered_table() {
+    use skyline::query::expr;
+    let shapes = [
+        "SELECT * FROM t{w} SKYLINE OF x MIN, y MAX",
+        "SELECT id, x FROM t{w} SKYLINE OF x MAX, y MIN ORDER BY y DESC, s LIMIT 3",
+        "SELECT * FROM t{w} SKYLINE OF x MIN, y MIN, s DIFF, f DIFF",
+        "SELECT g, s, MAX(x) AS m, COUNT(y) AS c FROM t{w} GROUP BY g, s \
+         HAVING c > 1 SKYLINE OF m MAX, c MIN",
+        "SELECT * FROM t{w} ORDER BY s, f DESC",
+        "SELECT id, s FROM t{w} LIMIT 5",
+    ];
+    let opts = ExecOptions::default();
+    skyline_testkit::cases(96, 0x5E1E, |rng| {
+        let table = view_table(rng);
+        let pred = random_where(rng, 2);
+        let Some(filter) = parse(&format!("SELECT * FROM t WHERE {pred}"))
+            .unwrap()
+            .where_clause
+        else {
+            unreachable!("the query has a WHERE");
+        };
+        let matches = table
+            .rows()
+            .iter()
+            .filter(|r| expr::eval(&filter, table.schema(), r))
+            .cloned()
+            .collect();
+        let pre_filtered = Table::new(table.schema().clone(), matches).unwrap();
+        let (mut whole, mut only) = (Catalog::new(), Catalog::new());
+        whole.register("t", table);
+        only.register("t", pre_filtered);
+        for shape in shapes {
+            let with_where = shape.replace("{w}", &format!(" WHERE {pred}"));
+            let without = shape.replace("{w}", "");
+            assert_eq!(
+                pushed(&with_where, &whole, &opts),
+                pushed(&without, &only, &opts),
+                "{with_where}"
+            );
+        }
+    });
+}
+
+/// Every row loop of the executor polls the cancel token: a tripped
+/// token ends each query shape with a typed `Cancelled` — the streaming
+/// scan, the `WHERE` pass, `ORDER BY`'s collection, grouping and the
+/// skyline — and a live one changes no answer.
+#[test]
+fn a_tripped_token_cancels_every_row_loop() {
+    use skyline::exec::CancelToken;
+    use skyline::query::QueryError;
+    let rows = (0..100_000i64).map(|i| tuple![i, i % 1_000 - 500, (i * 7_919) % 100_003]);
+    let mut cat = Catalog::new();
+    cat.register(
+        "t",
+        Table::new(
+            Schema::of(&[
+                ("id", ColumnType::Int),
+                ("a", ColumnType::Int),
+                ("b", ColumnType::Int),
+            ]),
+            rows.collect(),
+        )
+        .unwrap(),
+    );
+    let tripped = CancelToken::new();
+    tripped.cancel();
+    let tripped = ExecOptions::default().with_cancel(tripped);
+    for sql in [
+        "SELECT * FROM t",
+        "SELECT * FROM t WHERE a > 0",
+        "SELECT * FROM t WHERE a > 0 ORDER BY b LIMIT 3",
+        "SELECT * FROM t ORDER BY b LIMIT 3",
+        "SELECT a, MAX(b) AS b FROM t WHERE a > 0 GROUP BY a ORDER BY b LIMIT 3",
+        "SELECT * FROM t WHERE a > 0 SKYLINE OF a MAX, b MIN",
+        "SELECT * FROM t SKYLINE OF a MAX, b MIN ORDER BY b LIMIT 3",
+    ] {
+        let (_, end) = pushed(sql, &cat, &tripped);
+        assert_eq!(
+            end.unwrap_err(),
+            QueryError::Cancelled {
+                records_processed: 0
+            }
+            .to_string(),
+            "{sql}"
+        );
+        let live = ExecOptions::default().with_cancel(CancelToken::new());
+        assert_eq!(
+            pushed(sql, &cat, &live),
+            pushed(sql, &cat, &ExecOptions::default()),
+            "{sql}"
+        );
+    }
+    // a token tripped at the first match stops the scan at its next
+    // poll: rows 0..=499 match, so the rows before it all went out
+    let token = CancelToken::new();
+    let opts = ExecOptions::default().with_cancel(token.clone());
+    let mut seen = 0;
+    let end = execute_query_into(
+        &parse("SELECT * FROM t WHERE a < 0").unwrap(),
+        &cat,
+        &opts,
+        |_, _| {
+            seen += 1;
+            token.cancel();
+            ControlFlow::Continue(())
+        },
+    );
+    let interval = skyline::exec::cancel::CANCEL_CHECK_INTERVAL;
+    assert_eq!(
+        end.unwrap_err(),
+        QueryError::Cancelled {
+            records_processed: interval
+        }
+    );
+    assert_eq!(seen, interval);
 }
