@@ -42,37 +42,131 @@ fn operand_value<'a>(expr: &'a Expr, schema: &Schema, row: &'a Tuple) -> &'a Val
     }
 }
 
+/// Does `l op r` hold? A comparison involving NULL, or between values
+/// that do not compare, is false.
+fn holds(l: &Value, op: CmpOp, r: &Value) -> bool {
+    if l.is_null() || r.is_null() {
+        return false; // SQL UNKNOWN → filtered out
+    }
+    match l.sql_cmp(r) {
+        None => false,
+        Some(ord) => match op {
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::Ne => ord != Ordering::Equal,
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::Le => ord != Ordering::Greater,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::Ge => ord != Ordering::Less,
+        },
+    }
+}
+
 /// Evaluate a (validated) predicate against one row.
+///
+/// Each column is looked up by name in `schema` on every call; a query
+/// evaluating one predicate over many rows [`bind`]s it once instead.
 ///
 /// # Panics
 /// On an expression that [`validate`] would reject: an unresolved
 /// column reference, or a bare operand used as a predicate.
 pub fn eval(expr: &Expr, schema: &Schema, row: &Tuple) -> bool {
     match expr {
-        Expr::Cmp { left, op, right } => {
-            let l = operand_value(left, schema, row);
-            let r = operand_value(right, schema, row);
-            if l.is_null() || r.is_null() {
-                return false; // SQL UNKNOWN → filtered out
-            }
-            match l.sql_cmp(r) {
-                None => false,
-                Some(ord) => match op {
-                    CmpOp::Eq => ord == Ordering::Equal,
-                    CmpOp::Ne => ord != Ordering::Equal,
-                    CmpOp::Lt => ord == Ordering::Less,
-                    CmpOp::Le => ord != Ordering::Greater,
-                    CmpOp::Gt => ord == Ordering::Greater,
-                    CmpOp::Ge => ord != Ordering::Less,
-                },
-            }
-        }
+        Expr::Cmp { left, op, right } => holds(
+            operand_value(left, schema, row),
+            *op,
+            operand_value(right, schema, row),
+        ),
         Expr::And(a, b) => eval(a, schema, row) && eval(b, schema, row),
         Expr::Or(a, b) => eval(a, schema, row) || eval(b, schema, row),
         Expr::Not(e) => !eval(e, schema, row),
         Expr::Column(_) | Expr::Literal(_) => {
             unreachable!("bare operands are not predicates")
         }
+    }
+}
+
+/// A predicate whose column references are resolved to positions in one
+/// schema, once: [`Bound::eval`] answers as [`eval`] does, with no name
+/// lookup per row.
+#[derive(Debug)]
+pub struct Bound<'e>(Node<'e>);
+
+#[derive(Debug)]
+enum Node<'e> {
+    Cmp(Operand<'e>, CmpOp, Operand<'e>),
+    And(Box<Node<'e>>, Box<Node<'e>>),
+    Or(Box<Node<'e>>, Box<Node<'e>>),
+    Not(Box<Node<'e>>),
+}
+
+#[derive(Debug)]
+enum Operand<'e> {
+    Column(usize),
+    Literal(&'e Value),
+}
+
+/// Resolve `expr`'s column references against `schema`.
+///
+/// # Errors
+/// [`QueryError::NoSuchColumn`] for a reference not in `schema`, as
+/// [`validate`]; [`QueryError::Semantic`] for a bare operand where a
+/// predicate belongs, or a comparison operand that is not a column or a
+/// literal — trees the parser never builds.
+pub fn bind<'e>(expr: &'e Expr, schema: &Schema) -> Result<Bound<'e>, QueryError> {
+    fn operand<'e>(expr: &'e Expr, schema: &Schema) -> Result<Operand<'e>, QueryError> {
+        match expr {
+            Expr::Column(name) => schema
+                .index_of(name)
+                .map(Operand::Column)
+                .ok_or_else(|| QueryError::NoSuchColumn(name.clone())),
+            Expr::Literal(v) => Ok(Operand::Literal(v)),
+            _ => Err(QueryError::Semantic(
+                "a comparison operand must be a column or a literal".into(),
+            )),
+        }
+    }
+    fn node<'e>(expr: &'e Expr, schema: &Schema) -> Result<Node<'e>, QueryError> {
+        let boxed = |e: &'e Expr| node(e, schema).map(Box::new);
+        Ok(match expr {
+            Expr::Cmp { left, op, right } => {
+                Node::Cmp(operand(left, schema)?, *op, operand(right, schema)?)
+            }
+            Expr::And(a, b) => Node::And(boxed(a)?, boxed(b)?),
+            Expr::Or(a, b) => Node::Or(boxed(a)?, boxed(b)?),
+            Expr::Not(e) => Node::Not(boxed(e)?),
+            Expr::Column(_) | Expr::Literal(_) => {
+                return Err(QueryError::Semantic(
+                    "a bare column or literal is not a predicate".into(),
+                ))
+            }
+        })
+    }
+    node(expr, schema).map(Bound)
+}
+
+impl Bound<'_> {
+    /// Evaluate the predicate against one row of the schema it was bound
+    /// to.
+    ///
+    /// # Panics
+    /// On a row narrower than that schema.
+    #[must_use]
+    pub fn eval(&self, row: &Tuple) -> bool {
+        fn value<'a>(operand: &Operand<'a>, row: &'a Tuple) -> &'a Value {
+            match operand {
+                Operand::Column(idx) => row.get(*idx),
+                Operand::Literal(v) => v,
+            }
+        }
+        fn node(n: &Node<'_>, row: &Tuple) -> bool {
+            match n {
+                Node::Cmp(l, op, r) => holds(value(l, row), *op, value(r, row)),
+                Node::And(a, b) => node(a, row) && node(b, row),
+                Node::Or(a, b) => node(a, row) || node(b, row),
+                Node::Not(e) => !node(e, row),
+            }
+        }
+        node(&self.0, row)
     }
 }
 

@@ -20,13 +20,15 @@
 //! sorts row numbers, and the one place a row is cloned is the output,
 //! for a row that leaves. Every row loop polls the cancel token.
 
-use crate::ast::{AggFunc, Directive, Expr, Query, SelectItem};
+use crate::ast::{AggFunc, Directive, Expr, Query, SelectItem, SkylineClause};
 use crate::catalog::Catalog;
 use crate::error::QueryError;
 use crate::expr;
 use crate::options::ExecOptions;
 use crate::parser::parse;
-use crate::pushdown::{external_skyline_with, SkylineColumns};
+use crate::pushdown::{
+    external_skyline_with, ranked_heap_fits, ranked_skyline_with, Ranked, SkylineColumns,
+};
 use skyline_core::cardinality::expected_skyline_size;
 use skyline_exec::cancel::{poll, poll_now, CANCEL_CHECK_INTERVAL};
 use skyline_relation::{KeyColumn, Schema, Table, Tuple, Value};
@@ -111,7 +113,10 @@ pub fn execute_query_with(
 ///   presort order (see [`crate::pushdown::external_skyline_with`]) —
 ///   and `LIMIT n` stops the filter after its `n`-th survivor;
 /// - `ORDER BY` and grouping collect first — row numbers, or the
-///   groups — then emit.
+///   groups — then emit, rows equal on every `ORDER BY` key by row
+///   number; a skyline under `ORDER BY <criterion> … LIMIT k` may
+///   collect from the ranked source, which stops after the `k`-th
+///   answer's lead (see [`crate::pushdown::ranked_skyline_with`]).
 ///
 /// `sink` returning [`ControlFlow::Break`] ends the pipeline as `LIMIT`
 /// does; the call still returns the schema.
@@ -132,9 +137,12 @@ pub fn execute_query_into(
         .get(&query.from)
         .ok_or_else(|| QueryError::NoSuchTable(query.from.clone()))?;
     let mut schema = table.schema().clone();
-    if let Some(pred) = &query.where_clause {
-        expr::validate(pred, &schema)?;
-    }
+    // the predicate's columns are resolved once, not per row
+    let pred = query
+        .where_clause
+        .as_ref()
+        .map(|p| expr::bind(p, &schema))
+        .transpose()?;
     let grouped = grouped(query);
     if query.having.is_some() && !grouped {
         return Err(QueryError::Semantic(
@@ -143,7 +151,7 @@ pub fn execute_query_into(
     }
 
     // Scan → Filter → Limit → Project, one row at a time.
-    let pred = query.where_clause.as_ref();
+    let pred = pred.as_ref();
     if !grouped && query.skyline.is_none() && query.order_by.is_empty() {
         let mut out = Output::new(query, &schema, false, sink)?;
         let mut rank = 0;
@@ -177,8 +185,8 @@ pub fn execute_query_into(
     if grouped {
         let (out_schema, mut made) = apply_group_by(&schema, &rel, query)?;
         if let Some(having) = &query.having {
-            expr::validate(having, &out_schema)?;
-            made.retain(|r| expr::eval(having, &out_schema, r));
+            let having = expr::bind(having, &out_schema)?;
+            made.retain(|r| having.eval(r));
         }
         groups = made;
         (schema, rel) = (out_schema, Relation::Rows(groups.iter().collect()));
@@ -191,17 +199,19 @@ pub fn execute_query_into(
 
     // Skyline (over the possibly-grouped relation): straight to the
     // output unless an ORDER BY has to see all of it first, in which
-    // case it collects the survivors' row numbers.
+    // case it collects the survivors' row numbers — from the ranked
+    // source when the ORDER BY ranks by a criterion under a LIMIT.
     let mut picked = match &query.skyline {
         Some(clause) if order.is_empty() => {
-            apply_skyline(&rel, &schema, clause, opts, |i| {
+            apply_skyline(&rel, &schema, clause, None, opts, |i| {
                 out.emit(i, Cow::Borrowed(rel.row(i)))
             })?;
             return Ok(out.schema);
         }
         Some(clause) => {
+            let ranked = ranked(query, clause, rel.len(), opts);
             let mut kept = Vec::new();
-            apply_skyline(&rel, &schema, clause, opts, |i| {
+            apply_skyline(&rel, &schema, clause, ranked, opts, |i| {
                 kept.push(i);
                 ControlFlow::Continue(())
             })?;
@@ -217,10 +227,11 @@ pub fn execute_query_into(
         }
     };
 
-    // Sort the row numbers; stable, so ties keep their emission order.
+    // Sort the row numbers; rows equal on every ORDER BY key leave by
+    // row number, whichever source the skyline ran on.
     if !order.is_empty() {
-        picked.sort_by(|&a, &b| {
-            let (a, b) = (rel.row(a), rel.row(b));
+        picked.sort_unstable_by(|&i, &j| {
+            let (a, b) = (rel.row(i), rel.row(j));
             for &(idx, desc) in &order {
                 let ord = a.get(idx).sql_cmp(b.get(idx)).unwrap_or(Ordering::Equal);
                 let ord = if desc { ord.reverse() } else { ord };
@@ -228,7 +239,7 @@ pub fn execute_query_into(
                     return ord;
                 }
             }
-            Ordering::Equal
+            i.cmp(&j)
         });
     }
     for (rank, i) in picked.into_iter().enumerate() {
@@ -244,16 +255,15 @@ pub fn execute_query_into(
 /// table order, until `f` breaks.
 fn scan<'t>(
     table: &'t Table,
-    pred: Option<&Expr>,
+    pred: Option<&expr::Bound<'_>>,
     opts: &ExecOptions,
     mut f: impl FnMut(&'t Tuple) -> ControlFlow<()>,
 ) -> Result<(), QueryError> {
-    let schema = table.schema();
     // a block between polls keeps the check out of the per-row loop
     for (block_no, block) in table.rows().chunks(BLOCK).enumerate() {
         poll_row(opts, block_no * BLOCK)?;
         for row in block {
-            if pred.is_none_or(|p| expr::eval(p, schema, row)) && f(row).is_break() {
+            if pred.is_none_or(|p| p.eval(row)) && f(row).is_break() {
                 return Ok(());
             }
         }
@@ -592,12 +602,50 @@ fn group_members(ids: &[usize]) -> Vec<Vec<usize>> {
     groups
 }
 
+/// The ranked source serves `LIMIT k` only while `RANKED_MARGIN · k` is
+/// at most the §6 estimate of the skyline's size: a `k` near the whole
+/// skyline feeds SFS most of the relation in lead order, which the
+/// entropy presort and its filter beat (EXPERIMENTS.md "Ranked top-k",
+/// crossover table).
+const RANKED_MARGIN: f64 = 4.0;
+
+/// Whether the skyline `clause` under `query`'s `ORDER BY … LIMIT k`, over
+/// a relation of `rows` rows, runs on the ranked source (DESIGN §16.4):
+/// no `DIFF`; the `ORDER BY` starts with one of the clause's criteria in
+/// its preferred direction (`MIN` ascending, `MAX` descending);
+/// `k ≥ 1` and `RANKED_MARGIN · k` within the §6 estimate; and the heap
+/// fits `opts` ([`ranked_heap_fits`]). Anything else takes the filter
+/// and presort — as does a ranked query whose source finds too many
+/// rows tied at the `k`-th best lead ([`ranked_skyline_with`]).
+fn ranked(
+    query: &Query,
+    clause: &SkylineClause,
+    rows: usize,
+    opts: &ExecOptions,
+) -> Option<Ranked> {
+    let k = usize::try_from(query.limit?).ok().filter(|&k| k >= 1)?;
+    let first = query.order_by.first()?;
+    let items = &clause.items;
+    if items.is_empty() || items.iter().any(|i| i.directive == Directive::Diff) {
+        return None;
+    }
+    let lead = items.iter().position(|i| {
+        i.column.eq_ignore_ascii_case(&first.column)
+            && (i.directive == Directive::Max) == first.desc
+    })?;
+    let fits = RANKED_MARGIN * k as f64 <= expected_skyline_size(rows, items.len())
+        && ranked_heap_fits(rows, opts);
+    fits.then_some(Ranked { lead, k })
+}
+
 /// The skyline of `rel`, each survivor's row number handed to `emit` in
-/// the paged engine's emission order; `Break` stops it.
+/// the paged engine's emission order — lead order from the ranked source
+/// when `ranked` is set; `Break` stops it.
 fn apply_skyline(
     rel: &Relation<'_>,
     schema: &skyline_relation::Schema,
-    clause: &crate::ast::SkylineClause,
+    clause: &SkylineClause,
+    ranked: Option<Ranked>,
     opts: &ExecOptions,
     emit: impl FnMut(usize) -> ControlFlow<()>,
 ) -> Result<(), QueryError> {
@@ -637,7 +685,11 @@ fn apply_skyline(
         )));
     }
     let groups = (!diff.is_empty()).then(|| rel.group_ids(&diff));
-    external_skyline_with(SkylineColumns::new(columns, &min, groups), opts, emit)
+    let cols = SkylineColumns::new(columns, &min, groups);
+    match ranked {
+        Some(ranked) => ranked_skyline_with(cols, ranked, opts, emit),
+        None => external_skyline_with(cols, opts, emit),
+    }
 }
 
 /// Render the logical plan for `sql`, annotated with the skyline
@@ -713,10 +765,26 @@ pub fn explain(sql: &str, catalog: &Catalog) -> Result<String, QueryError> {
                 .map(|members| expected_skyline_size(members.len(), d))
                 .sum(),
         };
-        lines.push(format!(
-            "Skyline[SFS, presort=entropy, est≈{est:.0} rows]({})",
-            items.join(", ")
-        ));
+        // The source the executor would pick, decided here on the
+        // scanned table's rows under the default options. The tie rule
+        // runs inside the ranked source, after its front test, so a
+        // query it sends back to the presort still reads "ranked" here.
+        let source = match ranked(&q, sky, n, &ExecOptions::default()) {
+            Some(r) => {
+                let lead = &q.order_by[0];
+                let dir = if lead.desc { "DESC" } else { "ASC" };
+                format!(
+                    "ranked by {} {dir}, LIMIT {}: front test → heap → SFS, \
+                     est≈{est:.0} rows ≥ {RANKED_MARGIN}·{}",
+                    lead.column, r.k, r.k
+                )
+            }
+            None if sky.items.iter().any(|i| i.directive == Directive::Diff) => {
+                format!("presort=entropy: presort → SFS, est≈{est:.0} rows")
+            }
+            None => format!("presort=entropy: filter → presort → SFS, est≈{est:.0} rows"),
+        };
+        lines.push(format!("Skyline[SFS, {source}]({})", items.join(", ")));
     }
     if let Some(h) = &q.having {
         lines.push(format!("Having({})", render_expr(h)));
@@ -925,6 +993,52 @@ mod tests {
             &c
         )
         .is_ok());
+    }
+
+    #[test]
+    fn explain_names_the_skyline_source_and_the_estimate_that_decided() {
+        use skyline_relation::{tuple, ColumnType, Schema};
+        // 8 000 rows, two criteria: E(8 000, 2) = H_8000 ≈ 9.6, so a
+        // LIMIT of 2 is ranked (4·2 ≤ 9.6) and one of 3 is not
+        let rows = (0..8_000i64)
+            .map(|i| tuple![i % 8, (i * 37) % 8_009, (i * 53) % 997])
+            .collect();
+        let schema = Schema::of(&[
+            ("g", ColumnType::Int),
+            ("x", ColumnType::Int),
+            ("y", ColumnType::Int),
+        ]);
+        let mut c = Catalog::new();
+        c.register("t", Table::new(schema, rows).unwrap());
+        let skyline_line = |sql: &str| {
+            let plan = explain(sql, &c).unwrap();
+            let line = plan.lines().find(|l| l.contains("Skyline[")).unwrap();
+            line.trim_start_matches(['└', '─', ' ']).to_string()
+        };
+        let sky = "SELECT * FROM t SKYLINE OF x MAX, y MIN";
+        assert_eq!(
+            skyline_line(&format!("{sky} ORDER BY x DESC, y LIMIT 2")),
+            "Skyline[SFS, ranked by x DESC, LIMIT 2: front test → heap → SFS, \
+             est≈10 rows ≥ 4·2](x MAX, y MIN)"
+        );
+        assert!(skyline_line(&format!("{sky} ORDER BY y ASC LIMIT 1")).contains("ranked by y ASC"));
+        let presorted =
+            "Skyline[SFS, presort=entropy: filter → presort → SFS, est≈10 rows](x MAX, y MIN)";
+        for tail in [
+            "",
+            " LIMIT 2",
+            " ORDER BY x DESC",
+            " ORDER BY x DESC LIMIT 3",
+            " ORDER BY x ASC LIMIT 2",
+            " ORDER BY g, x DESC LIMIT 1",
+            " ORDER BY x DESC LIMIT 0",
+        ] {
+            assert_eq!(skyline_line(&format!("{sky}{tail}")), presorted, "{tail}");
+        }
+        assert_eq!(
+            skyline_line("SELECT * FROM t SKYLINE OF x MAX, g DIFF, y MIN ORDER BY x DESC LIMIT 1"),
+            "Skyline[SFS, presort=entropy: presort → SFS, est≈60 rows](x MAX, g DIFF, y MIN)"
+        );
     }
 
     #[test]

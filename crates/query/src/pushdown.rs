@@ -1,8 +1,23 @@
 //! `SKYLINE OF` on the paged external engine.
 //!
 //! Every SQL skyline runs here, whatever the relation's size, as one
-//! straight path: column entries → elimination filter → entropy presort
-//! → SFS → drain. The planner holds the clause's key columns
+//! drain fed by one of two sources (DESIGN §16.4):
+//!
+//! - *filter and presort* ([`external_skyline_with`]): column entries →
+//!   elimination filter → entropy presort → SFS → drain, for every
+//!   clause but the one below;
+//! - *ranked* ([`ranked_skyline_with`]): under `ORDER BY <criterion> …
+//!   LIMIT k` the planner may pick a source that screens the columns
+//!   against one front row and heaps the rest by that criterion — a
+//!   nested order with the lead first, itself a valid presort — popping
+//!   them lazily into the same SFS window, and ending the stream at the
+//!   first row whose lead is worse than the `k`-th emitted row's. No
+//!   elimination filter, no sort, no heap file. A lead tied at the
+//!   `k`-th best on more than `4·k` of its rows sends the query back to
+//!   the first source.
+//!
+//! The rest of this page describes the first source. The planner holds
+//! the clause's key columns
 //! ([`SkylineColumns`] — for a whole catalog table the table's own
 //! resident columns, shared across queries); they are read a chunk of
 //! rows at a time, the sign of a `MIN` criterion applied as a value is
@@ -65,13 +80,18 @@
 use crate::error::QueryError;
 use crate::options::ExecOptions;
 use skyline_core::cardinality::recommend_window_pages;
-use skyline_core::external::{sort_narrow, BatchConfig, BatchSfs, EliminationFilter};
-use skyline_core::{EntropyScore, MonotoneScore, SkylineMetrics};
+use skyline_core::external::{sort_narrow, BatchConfig, BatchSfs, EliminationFilter, FrontScreen};
+use skyline_core::{dominates, EntropyScore, MetricsSnapshot, MonotoneScore, SkylineMetrics};
 use skyline_exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
-use skyline_exec::{CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
+use skyline_exec::sort::f64_ascending_bits;
+use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
 use skyline_relation::{KeyColumn, TableStats};
 use skyline_storage::{BufferLease, BufferPool, Disk, MemDisk, PAGE_SIZE};
+use std::cell::Cell;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::ControlFlow;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// The columns one `SKYLINE OF` clause reads, as the relation holds
@@ -254,6 +274,295 @@ impl Operator for ColumnEntries {
     }
 }
 
+/// A skyline whose `ORDER BY` ranks by one of its criteria under a
+/// `LIMIT`: the planner's verdict that the ranked source may feed SFS
+/// (DESIGN §16.4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ranked {
+    /// The `ORDER BY`'s lead criterion: its position among the clause's
+    /// `MIN`/`MAX` criteria, in clause order.
+    pub lead: usize,
+    /// The `LIMIT`, at least 1.
+    pub k: usize,
+}
+
+/// Bytes of one entry of the ranked source's heap: the lead's bits and
+/// the row number.
+const HEAP_ENTRY_BYTES: usize = 16;
+
+/// Pages the ranked source's heap is charged for over `rows` rows: one
+/// entry per row, whatever the front test later keeps out.
+fn ranked_heap_pages(rows: usize) -> usize {
+    (rows * HEAP_ENTRY_BYTES).div_ceil(PAGE_SIZE)
+}
+
+/// Whether the ranked source's heap over `rows` rows fits `opts`: within
+/// `sort_pages`, as the presort's arena is, and under a quota pool with
+/// a one-page window still free beside it.
+pub(crate) fn ranked_heap_fits(rows: usize, opts: &ExecOptions) -> bool {
+    let heap = ranked_heap_pages(rows);
+    heap <= opts.sort_pages && opts.pool.as_ref().is_none_or(|p| p.available() > heap)
+}
+
+/// The ranked source serves `LIMIT k` only while at most `TIE_MARGIN · k`
+/// of its heap entries have a lead at least as good as the `k`-th best:
+/// it feeds SFS every row of an equal-lead group before it can stop, so
+/// a lead with few distinct values (a rating, a small-domain code) would
+/// feed it a large share of the relation, which the elimination filter
+/// and presort drop far more cheaply (EXPERIMENTS.md "Ranked top-k",
+/// tied leads).
+const TIE_MARGIN: usize = 4;
+
+/// Whether at most `TIE_MARGIN · k` of `items` have a `lead` (heap key)
+/// at least as good as the `k`-th best: always so for `k = 0` and for
+/// that few items. Reorders `items`.
+fn ties_fit<T>(items: &mut [T], k: usize, lead: impl Fn(&T) -> u64) -> bool {
+    if k == 0 || items.len() <= TIE_MARGIN * k {
+        return true;
+    }
+    let (_, kth, _) = items.select_nth_unstable_by_key(k - 1, |i| Reverse(lead(i)));
+    let kth = lead(kth);
+    let mut at_least = items.iter().filter(|i| lead(i) >= kth);
+    at_least.nth(TIE_MARGIN * k).is_none()
+}
+
+/// The ranked source looks at its ties early, once `1 / TIE_PROBE` of the
+/// rows are heaped, against `k` scaled to that share: a lead of few
+/// values shows there already, and giving up then saves most of the
+/// build.
+const TIE_PROBE: usize = 8;
+
+/// The heap key of an oriented lead: ascending with the value, `−0.0`
+/// and `+0.0` one key — they are equal to dominance, so neither may be
+/// ranked ahead of a row that dominates it on the other criteria.
+fn lead_bits(lead: f64) -> u64 {
+    // adding +0.0 turns -0.0 into 0.0 and leaves the rest alone
+    f64_ascending_bits(lead + 0.0)
+}
+
+/// Rows `a` and `b` nested-descending over the oriented key, lane by
+/// lane — [`skyline_core::external::NarrowCmp`]'s tie rule.
+fn nested_desc(crit: &[(Arc<KeyColumn>, f64)], a: usize, b: usize) -> Ordering {
+    crit.iter()
+        .map(|(c, sign)| (sign * c.values()[b]).partial_cmp(&(sign * c.values()[a])))
+        .find(|o| *o != Some(Ordering::Equal))
+        .flatten()
+        .unwrap_or(Ordering::Equal)
+}
+
+/// The ranked source: the relation's rows as narrow entries (key lanes
+/// and row id), best oriented lead first, an equal-lead group
+/// nested-descending over the key and then by row. A row that dominates
+/// another has a lead at least as good, and on a tie is ahead in the
+/// nested order, so this is a topological sort of dominance — a valid
+/// SFS presort (Theorems 6/7).
+///
+/// Built in one pass over the columns, a chunk at a time: the front test
+/// ([`FrontScreen`]) against the row of largest oriented key sum seen so
+/// far keeps every row that row strictly dominates out of the heap. Any
+/// front is exact — a dropped row is not skyline, and every row it
+/// dominates is dominated by a skyline row that stays — and the largest
+/// sum dominates the most. The heap holds `(lead bits, row)` of the rest
+/// and is popped lazily, one equal-lead group at a time.
+///
+/// Once the drain has emitted the `k`-th row it sets `stop` to that row's
+/// lead, and the source ends at the first group whose lead is strictly
+/// worse: every skyline row at least that good has been fed, which is
+/// all an `ORDER BY` with that lead first can pick the first `k` from.
+struct RankedEntries {
+    cols: SkylineColumns,
+    narrow: NarrowLayout,
+    /// The lead criterion's position in `cols.crit`.
+    lead: usize,
+    /// `(lead bits, row)` of every row the front does not dominate.
+    heap: BinaryHeap<(u64, u64)>,
+    /// The equal-lead group in hand, in emission order, and how many of
+    /// it have gone.
+    group: Vec<u64>,
+    taken: usize,
+    /// The lead bits of the group in hand: never above the last one's.
+    group_bits: u64,
+    /// Set by the drain to the `k`-th emitted row's lead bits.
+    stop: Rc<Cell<Option<u64>>>,
+    cancel: Option<CancelToken>,
+    /// Rows popped off the heap — the cancellation progress count.
+    popped: u64,
+    lanes: Vec<f64>,
+    entry: Vec<u8>,
+}
+
+impl RankedEntries {
+    /// Screen `cols` against its front and heap the rest by criterion
+    /// `lead`, charging the screen's comparisons and drops to `metrics`
+    /// — or, when the rows tied at the `k`-th best lead break the tie
+    /// rule ([`TIE_MARGIN`]), hand the columns back, charging nothing.
+    ///
+    /// # Errors
+    /// [`ExecError::Cancelled`] when `cancel` trips, polled once per
+    /// chunk of rows.
+    fn new(
+        cols: SkylineColumns,
+        Ranked { lead, k }: Ranked,
+        cancel: Option<CancelToken>,
+        metrics: &SkylineMetrics,
+    ) -> Result<Result<Self, SkylineColumns>, ExecError> {
+        let n = cols.rows();
+        // Each chunk is screened against the front, then the front moves
+        // to a survivor of larger oriented key sum: a row the front
+        // strictly dominates has a smaller one, so only survivors are
+        // summed. A NaN sum (∞ − ∞) never wins.
+        let (mut front, mut best) = (Vec::new(), f64::NEG_INFINITY);
+        let (lead_column, lead_sign) = (cols.crit[lead].0.values(), cols.crit[lead].1);
+        let (mut screen, mut survivors) = (FrontScreen::default(), Vec::new());
+        let (mut sums, mut entries, mut screened) = (Vec::new(), Vec::new(), 0);
+        // Rows below `stale` met a weaker front than the last one.
+        let mut stale = 0;
+        for lo in (0..n).step_by(CHUNK_ROWS) {
+            poll(cancel.as_ref(), lo as u64)?;
+            let hi = n.min(lo + CHUNK_ROWS);
+            let crit = &cols.crit;
+            if front.is_empty() {
+                survivors.clear();
+                survivors.extend(0..(hi - lo) as u32);
+            } else {
+                let column = |k: usize| (&crit[k].0.values()[lo..hi], crit[k].1);
+                screen.run(&front, hi - lo, column, &mut survivors);
+                screened += hi - lo;
+            }
+            sums.clear();
+            sums.resize(survivors.len(), 0.0);
+            for (c, sign) in crit {
+                let values = &c.values()[lo..hi];
+                for (s, &offset) in sums.iter_mut().zip(&survivors) {
+                    *s += sign * values[offset as usize];
+                }
+            }
+            let top = (0..sums.len())
+                .filter(|&i| !sums[i].is_nan())
+                .reduce(|t, i| if sums[i] > sums[t] { i } else { t });
+            if let Some(i) = top.filter(|&i| sums[i] > best || front.is_empty()) {
+                (best, stale) = (sums[i], hi);
+                front.clear();
+                cols.key_into(lo + survivors[i] as usize, &mut front);
+            }
+            entries.extend(survivors.iter().map(|&offset| {
+                let row = lo + offset as usize;
+                (lead_bits(lead_sign * lead_column[row]), row as u64)
+            }));
+            // The early look, once, past the first chunk: the rows so far
+            // against the front so far, the k best scaled to their share.
+            let probe = n / TIE_PROBE;
+            if lo > 0 && lo < probe && probe <= hi {
+                screened += rescreen(&mut entries, stale, &front, &cols, cancel.as_ref())?;
+                stale = 0;
+                let mut leads: Vec<u64> = entries.iter().map(|e| e.0).collect();
+                if !ties_fit(&mut leads, (k * hi).div_ceil(n), |&b| b) {
+                    return Ok(Err(cols));
+                }
+            }
+        }
+        screened += rescreen(&mut entries, stale, &front, &cols, cancel.as_ref())?;
+        if !ties_fit(&mut entries, k, |e| e.0) {
+            return Ok(Err(cols));
+        }
+        metrics.absorb(&MetricsSnapshot {
+            comparisons: screened as u64,
+            eliminated: (n - entries.len()) as u64,
+            ..MetricsSnapshot::default()
+        });
+        Ok(Ok(RankedEntries {
+            narrow: NarrowLayout::new(cols.crit.len()),
+            cols,
+            lead,
+            heap: BinaryHeap::from(entries),
+            group: Vec::new(),
+            taken: 0,
+            group_bits: u64::MAX,
+            stop: Rc::new(Cell::new(None)),
+            cancel,
+            popped: 0,
+            lanes: Vec::new(),
+            entry: Vec::new(),
+        }))
+    }
+}
+
+/// Screen the `entries` (ascending rows) below row `stale`, which met an
+/// earlier front or none, once more against `front`, dropping what it
+/// strictly dominates: the first chunk meets no front, and on a
+/// duplicate-heavy table a thousand rows pass the early fronts that only
+/// the best one drops. Returns how many were screened.
+fn rescreen(
+    entries: &mut Vec<(u64, u64)>,
+    stale: usize,
+    front: &[f64],
+    cols: &SkylineColumns,
+    cancel: Option<&CancelToken>,
+) -> Result<usize, ExecError> {
+    let stale = entries.partition_point(|&(_, row)| (row as usize) < stale);
+    let (mut key, mut kept) = (Vec::with_capacity(front.len()), 0);
+    for i in 0..stale {
+        poll(cancel, i as u64)?;
+        key.clear();
+        cols.key_into(entries[i].1 as usize, &mut key);
+        if !dominates(front, &key) {
+            entries[kept] = entries[i];
+            kept += 1;
+        }
+    }
+    entries.drain(kept..stale);
+    Ok(stale)
+}
+
+impl Operator for RankedEntries {
+    fn open(&mut self) -> Result<(), ExecError> {
+        Ok(())
+    }
+
+    fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
+        if self.taken == self.group.len() {
+            let Some(&(bits, _)) = self.heap.peek() else {
+                return Ok(None);
+            };
+            // strictly worse than the k-th emitted row: no later row can
+            // be among the first k of the ORDER BY
+            if self.stop.get().is_some_and(|stop| bits < stop) {
+                return Ok(None);
+            }
+            debug_assert!(bits <= self.group_bits, "the heap popped out of order");
+            (self.group_bits, self.taken) = (bits, 0);
+            self.group.clear();
+            while let Some(top) = self.heap.peek_mut() {
+                if top.0 != bits {
+                    break;
+                }
+                poll(self.cancel.as_ref(), self.popped)?;
+                self.popped += 1;
+                self.group.push(PeekMut::pop(top).1);
+            }
+            if self.group.len() > 1 {
+                let crit = &self.cols.crit;
+                self.group.sort_unstable_by(|&a, &b| {
+                    nested_desc(crit, a as usize, b as usize).then(a.cmp(&b))
+                });
+            }
+        }
+        let row = self.group[self.taken];
+        self.taken += 1;
+        self.lanes.clear();
+        self.cols.key_into(row as usize, &mut self.lanes);
+        debug_assert_eq!(lead_bits(self.lanes[self.lead]), self.group_bits);
+        self.narrow.encode_into(&self.lanes, row, &mut self.entry);
+        Ok(Some(&self.entry))
+    }
+
+    fn close(&mut self) {}
+
+    fn record_size(&self) -> usize {
+        self.narrow.entry_size()
+    }
+}
+
 /// Fewest `sort_pages` the contract accepts: the external sort's three
 /// (two inputs and an output) plus the elimination filter's one.
 const MIN_SORT_PAGES: usize = 4;
@@ -291,15 +600,49 @@ pub fn external_skyline_with(
     opts: &ExecOptions,
     emit: impl FnMut(usize) -> ControlFlow<()>,
 ) -> Result<(), QueryError> {
-    paged_skyline(cols, opts, SkylineMetrics::shared(), emit)
+    paged_skyline(cols, None, opts, SkylineMetrics::shared(), emit)
 }
 
-/// [`external_skyline_with`], counting into `metrics`.
+/// [`external_skyline_with`] fed by the ranked source instead of the
+/// filter and presort: for a clause without `DIFF` whose `ORDER BY`
+/// starts with criterion `ranked.lead` in its preferred direction under
+/// `LIMIT ranked.k`. `emit` sees, in lead order, every skyline row whose
+/// lead is at least as good as that of the `k`-th row emitted — a
+/// superset of the first `k` rows of any such `ORDER BY` — and possibly
+/// a few more; the caller sorts and cuts.
+///
+/// When more than `4·k` of the rows past the front test tie at or above
+/// the `k`-th best lead, the source gives up and the filter and presort
+/// run instead, emitting the whole skyline in presort order — which the
+/// caller's sort and cut answer from alike.
+///
+/// The heap, 16 bytes a row, is charged to the quota pool before
+/// it is built and held until the drain ends; the window is charged at
+/// open beside it, as much of the §6 estimate as is still free.
+///
+/// # Errors
+/// As [`external_skyline_with`]; the heap's reservation is a
+/// [`QueryError::QuotaExceeded`] when the pool cannot grant it.
+///
+/// # Panics
+/// When `ranked.lead` is not a position of `cols.crit`.
+pub fn ranked_skyline_with(
+    cols: SkylineColumns,
+    ranked: Ranked,
+    opts: &ExecOptions,
+    emit: impl FnMut(usize) -> ControlFlow<()>,
+) -> Result<(), QueryError> {
+    paged_skyline(cols, Some(ranked), opts, SkylineMetrics::shared(), emit)
+}
+
+/// [`external_skyline_with`], or [`ranked_skyline_with`] given `ranked`,
+/// counting into `metrics`.
 fn paged_skyline(
     cols: SkylineColumns,
+    ranked: Option<Ranked>,
     opts: &ExecOptions,
     metrics: Arc<SkylineMetrics>,
-    mut emit: impl FnMut(usize) -> ControlFlow<()>,
+    emit: impl FnMut(usize) -> ControlFlow<()>,
 ) -> Result<(), QueryError> {
     if opts.sort_pages < MIN_SORT_PAGES {
         return Err(QueryError::from_exec(ExecError::Config(format!(
@@ -307,7 +650,7 @@ fn paged_skyline(
             opts.sort_pages
         ))));
     }
-    let (d, grouped) = (cols.crit.len(), cols.groups.is_some());
+    let d = cols.crit.len();
     let disk: Arc<dyn Disk> = match &opts.disk {
         Some(d) => Arc::clone(d),
         None => MemDisk::shared(),
@@ -315,6 +658,60 @@ fn paged_skyline(
     // Capacity in entries is what the estimator sizes; a narrow window
     // entry is the key alone, 8·d bytes.
     let window_pages = recommend_window_pages(cols.rows(), d, 8 * d);
+    // The ranked source's heap is the presort's allocation: charged
+    // before it is built, held until the drain has closed the window —
+    // or given back at once when the tie rule sends the query to the
+    // presort, before its arena is charged.
+    let mut heap_lease = None;
+    let ranked = match ranked {
+        Some(ranked) => {
+            heap_lease = reserve(opts, ranked_heap_pages(cols.rows()))?;
+            RankedEntries::new(cols, ranked, opts.cancel.clone(), &metrics)
+                .map_err(QueryError::from_exec)?
+                .map(|entries| (entries, ranked))
+        }
+        None => Err(cols),
+    };
+    let (source, narrow, stop): (BoxedOperator, _, _) = match ranked {
+        Ok((entries, Ranked { lead, k })) => {
+            let stop = Stop {
+                k: k as u64,
+                lead,
+                at: Rc::clone(&entries.stop),
+            };
+            let narrow = entries.narrow;
+            (Box::new(entries), narrow, Some(stop))
+        }
+        Err(cols) => {
+            heap_lease = None;
+            let (narrow, sorted) = presort(cols, opts, &disk, &metrics)?;
+            (Box::new(HeapScan::new(Arc::new(sorted))), narrow, None)
+        }
+    };
+    let drained = drain(
+        source,
+        narrow,
+        window_pages,
+        disk,
+        metrics,
+        stop,
+        opts,
+        emit,
+    );
+    drop(heap_lease);
+    drained
+}
+
+/// Filter and presort: the elimination filter screens the columns ahead
+/// of an entropy-presorted external sort (DIFF groups outermost), whose
+/// arena is charged only while it sorts. The sorted heap and its layout.
+fn presort(
+    cols: SkylineColumns,
+    opts: &ExecOptions,
+    disk: &Arc<dyn Disk>,
+    metrics: &Arc<SkylineMetrics>,
+) -> Result<(NarrowLayout, skyline_storage::HeapFile), QueryError> {
+    let (d, grouped) = (cols.crit.len(), cols.groups.is_some());
     let score = Arc::new(cols.entropy_score());
     // Every entry carries its score, so the sort reads it back.
     let narrow = NarrowLayout::new(d)
@@ -323,8 +720,8 @@ fn paged_skyline(
     // The elimination filter rides every stream whose entries are all
     // mutually comparable — the `diff_dims() == 0` test
     // `NarrowCmp::prefix_key` makes.
-    let elimination = (!grouped)
-        .then(|| EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(&metrics)));
+    let elimination =
+        (!grouped).then(|| EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(metrics)));
     // The filter's page is the sort's: what it holds, the arena gives up.
     let sort_pages = sort_pages_for(opts, cols.rows(), narrow.entry_size());
     let arena_pages = sort_pages - usize::from(elimination.is_some());
@@ -339,18 +736,43 @@ fn paged_skyline(
         score,
         arena_pages,
         1, // sort thread
-        Arc::clone(&disk),
+        Arc::clone(disk),
     )
     .map_err(QueryError::from_exec)?;
     drop(sort_lease);
+    Ok((narrow, sorted))
+}
+
+/// Where the ranked source stops: once the drain has emitted `k` rows,
+/// `at` holds the last one's lead bits (criterion `lead`).
+struct Stop {
+    k: u64,
+    lead: usize,
+    at: Rc<Cell<Option<u64>>>,
+}
+
+/// The one SFS drain, whichever source feeds it: a window over the
+/// presorted `source`'s entries of `narrow`, starting at the §6 estimate
+/// of `window_pages`, each survivor's row id to `emit` until it breaks.
+/// `stop`, for the ranked source, learns the `k`-th emitted row's lead.
+fn drain(
+    source: BoxedOperator,
+    narrow: NarrowLayout,
+    window_pages: usize,
+    disk: Arc<dyn Disk>,
+    metrics: Arc<SkylineMetrics>,
+    stop: Option<Stop>,
+    opts: &ExecOptions,
+    mut emit: impl FnMut(usize) -> ControlFlow<()>,
+) -> Result<(), QueryError> {
     // The estimate is where the window starts, never more than the quota
     // has free: SFS grows from there or spills, and a wide clause whose
     // estimate exceeds the whole quota (739 pages at 100 000 × 10) still
     // runs.
     let free = opts.pool.as_ref().map_or(usize::MAX, BufferPool::available);
     let cfg = BatchConfig::new(window_pages.min(free).max(1));
-    let scan = Box::new(HeapScan::new(Arc::new(sorted)));
-    let mut sfs = BatchSfs::new(scan, narrow, cfg, disk, metrics).map_err(QueryError::from_exec)?;
+    let mut sfs =
+        BatchSfs::new(source, narrow, cfg, disk, metrics).map_err(QueryError::from_exec)?;
     if let Some(token) = &opts.cancel {
         sfs = sfs.with_cancel(token.clone());
     }
@@ -365,6 +787,10 @@ fn paged_skyline(
     while let Some(entry) = sfs.next().map_err(QueryError::from_exec)? {
         poll(opts.cancel.as_ref(), emitted).map_err(QueryError::from_exec)?;
         emitted += 1;
+        if let Some(stop) = stop.as_ref().filter(|s| s.k == emitted) {
+            stop.at
+                .set(Some(lead_bits(narrow.key_dim(entry, stop.lead))));
+        }
         if emit(narrow.row_id(entry) as usize).is_break() {
             break;
         }
@@ -573,6 +999,266 @@ mod tests {
         assert_eq!(pool.peak(), MIN_SORT_PAGES);
     }
 
+    /// The ranked source over `rows`: the row ids it emits, in order.
+    fn ranked(
+        rows: &[Tuple],
+        crit: &[(usize, bool)],
+        ranked: Ranked,
+        opts: &ExecOptions,
+    ) -> Result<Vec<usize>, QueryError> {
+        let mut ids = Vec::new();
+        ranked_skyline_with(columns(rows, crit, &[]), ranked, opts, |id| {
+            ids.push(id);
+            ControlFlow::Continue(())
+        })?;
+        Ok(ids)
+    }
+
+    /// The first `k` skyline rows by the oriented lead criterion, best
+    /// first, ties by row: what an `ORDER BY` on the lead picks.
+    fn top_k(rows: &[Tuple], crit: &[(usize, bool)], lead: usize, k: usize) -> Vec<usize> {
+        let key = oriented(rows, crit);
+        let mut sky = in_memory(rows, crit, &[]);
+        let lead_of = |i: usize| key[i * crit.len() + lead];
+        sky.sort_by(|&a, &b| lead_of(b).total_cmp(&lead_of(a)).then(a.cmp(&b)));
+        sky.truncate(k);
+        sky
+    }
+
+    /// What the ranked source emitted, cut as the `ORDER BY` cuts it.
+    fn cut(
+        rows: &[Tuple],
+        crit: &[(usize, bool)],
+        lead: usize,
+        k: usize,
+        mut ids: Vec<usize>,
+    ) -> Vec<usize> {
+        let key = oriented(rows, crit);
+        let lead_of = |i: usize| key[i * crit.len() + lead];
+        ids.sort_by(|&a, &b| lead_of(b).total_cmp(&lead_of(a)).then(a.cmp(&b)));
+        ids.truncate(k);
+        ids
+    }
+
+    /// `n` rows on the anti-diagonal: under `MAX` on both of the first
+    /// two columns every row is skyline and none dominates another, so
+    /// the front test keeps them all.
+    fn anti_diagonal(n: i64) -> Vec<Tuple> {
+        (0..n).map(|i| tuple![i, n - i, i % 3]).collect()
+    }
+
+    #[test]
+    fn heap_then_window_are_the_only_charges_of_the_ranked_source() {
+        // The heap is charged before it is built and held through the
+        // drain; the window is charged at open beside it, sized on what
+        // the heap left free. Both come back. The lead takes 2 000
+        // distinct values, so the tie rule keeps the source.
+        let crit = vec![(0usize, false), (1usize, true)];
+        let rows: Vec<Tuple> = (0..2_000i64)
+            .map(|i| tuple![(i * 37) % 2_003, (i * 53) % 97])
+            .collect();
+        let heap = ranked_heap_pages(rows.len());
+        assert_eq!(heap, 8, "2 000 entries of 16 bytes");
+        let window = recommend_window_pages(rows.len(), 2, 16);
+        for k in [1, 3, 50] {
+            let rank = Ranked { lead: 0, k };
+            let pool = BufferPool::new(1 << 16);
+            let opts = ExecOptions::default().with_pool(pool.clone());
+            let ids = ranked(&rows, &crit, rank, &opts).unwrap();
+            assert_eq!(
+                cut(&rows, &crit, 0, k, ids),
+                top_k(&rows, &crit, 0, k),
+                "{k}"
+            );
+            assert_eq!(pool.peak(), heap + window, "{k}");
+            assert_eq!(pool.used(), 0);
+        }
+        // With one page beside the heap the window starts at that page:
+        // every row of an anti-diagonal is skyline, so it spills, pass
+        // after pass, and the answer holds.
+        let (rows, crit) = (anti_diagonal(2_000), [(0usize, false), (1usize, false)]);
+        let (heap, disk) = (ranked_heap_pages(rows.len()), MemDisk::shared());
+        for (lead, k) in [(0, 1), (1, 7), (0, 300)] {
+            let pool = BufferPool::new(heap + 1);
+            let opts = ExecOptions::default()
+                .with_pool(pool.clone())
+                .with_disk(Arc::clone(&disk) as _);
+            assert!(ranked_heap_fits(rows.len(), &opts));
+            let metrics = SkylineMetrics::shared();
+            let mut ids = Vec::new();
+            let rank = Ranked { lead, k };
+            paged_skyline(
+                columns(&rows, &crit, &[]),
+                Some(rank),
+                &opts,
+                Arc::clone(&metrics),
+                |id| {
+                    ids.push(id);
+                    ControlFlow::Continue(())
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                cut(&rows, &crit, lead, k, ids),
+                top_k(&rows, &crit, lead, k)
+            );
+            // a one-page window holds 256 keys: past them it spills
+            assert_eq!(metrics.snapshot().passes > 1, k > 256, "{lead} {k}");
+            assert_eq!((pool.peak(), pool.used()), (heap + 1, 0));
+            assert_eq!(disk.allocated_pages(), 0);
+        }
+        // a pool with no page beside the heap does not take this source
+        let opts = ExecOptions::default().with_pool(BufferPool::new(heap));
+        assert!(!ranked_heap_fits(rows.len(), &opts));
+    }
+
+    #[test]
+    fn a_cancel_while_the_heap_builds_or_the_drain_runs_leaves_nothing_behind() {
+        let crit = vec![(0usize, false), (1usize, false)];
+        let rows = anti_diagonal(2_000);
+        let rank = Ranked { lead: 0, k: 1_000 };
+        let (pool, disk) = (BufferPool::new(1 << 12), MemDisk::shared());
+        // tripped before the heap is built: the heap's lease is held
+        // when the build's first poll sees it
+        let token = CancelToken::new();
+        token.cancel();
+        let opts = ExecOptions::default()
+            .with_pool(pool.clone())
+            .with_disk(Arc::clone(&disk) as _)
+            .with_cancel(token);
+        let err = ranked(&rows, &crit, rank, &opts).unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::Cancelled {
+                records_processed: 0
+            }
+        );
+        assert_eq!((pool.used(), disk.allocated_pages()), (0, 0));
+        // tripped at the first row out: SFS sees it at its next poll,
+        // with the heap and the window both held
+        let token = CancelToken::new();
+        let opts = opts.with_cancel(token.clone());
+        let mut seen = 0;
+        let err = ranked_skyline_with(columns(&rows, &crit, &[]), rank, &opts, |_| {
+            seen += 1;
+            token.cancel();
+            ControlFlow::Continue(())
+        })
+        .unwrap_err();
+        assert!(matches!(err, QueryError::Cancelled { .. }), "{err}");
+        assert!(seen < rank.k, "{seen}");
+        assert!(pool.peak() > ranked_heap_pages(rows.len()));
+        assert_eq!((pool.used(), disk.allocated_pages()), (0, 0));
+    }
+
+    #[test]
+    fn the_ranked_source_stops_after_the_kth_rows_lead_and_keys_zeros_as_one() {
+        // Row i is (i/10 + 1, i): under MIN on the first and MAX on the
+        // second, the last row of each run of ten is skyline and leads
+        // tie in runs. -0.0 and +0.0 are one lead: the row (+0.0, 5)
+        // dominates (−0.0, 3) — whose oriented lead, +0.0, has the larger
+        // bits — so it must come first.
+        let mut rows: Vec<Tuple> = (0..1_000i64)
+            .map(|i| Tuple::new(vec![Value::Float((i / 10) as f64 + 1.0), Value::Int(i)]))
+            .collect();
+        rows.push(Tuple::new(vec![Value::Float(0.0), Value::Int(5)]));
+        rows.push(Tuple::new(vec![Value::Float(-0.0), Value::Int(3)]));
+        for (crit, lead, k) in [
+            (vec![(0usize, true), (1usize, false)], 0, 1),
+            (vec![(0, true), (1, false)], 0, 2),
+            (vec![(0, true), (1, false)], 0, 9),
+            (vec![(1, false), (0, true)], 0, 3),
+            (vec![(0, false), (1, true)], 0, 4),
+        ] {
+            let metrics = SkylineMetrics::shared();
+            let mut ids = Vec::new();
+            let rank = Ranked { lead, k };
+            let opts = ExecOptions::default();
+            let cols = columns(&rows, &crit, &[]);
+            paged_skyline(cols, Some(rank), &opts, Arc::clone(&metrics), |id| {
+                ids.push(id);
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+            let want = top_k(&rows, &crit, lead, k);
+            assert_eq!(cut(&rows, &crit, lead, k, ids), want, "{crit:?} {k}");
+            // SFS read fewer rows than the front test let into the heap
+            let m = metrics.snapshot();
+            let heaped = rows.len() as u64 - m.eliminated;
+            assert!(m.input_records < heaped, "{crit:?} {k}: {m:?}");
+        }
+        // MIN of the first: (+0.0, 5) is the one skyline row of lead 0
+        let crit = [(0usize, true), (1usize, false)];
+        assert_eq!(top_k(&rows, &crit, 0, 2), [1_000, 9]);
+    }
+
+    #[test]
+    fn the_tie_rule_counts_the_entries_at_least_as_good_as_the_kth_lead() {
+        let entries = |leads: &[u64]| -> Vec<(u64, u64)> {
+            leads.iter().zip(0..).map(|(&b, row)| (b, row)).collect()
+        };
+        let ties_fit = |mut items: Vec<(u64, u64)>, k| ties_fit(&mut items, k, |e| e.0);
+        // distinct leads: the k best are exactly k entries
+        let distinct: Vec<u64> = (0..100).collect();
+        for k in [0, 1, 5, 24, 25, 26, 100] {
+            assert!(ties_fit(entries(&distinct), k), "{k}");
+        }
+        // five leads, twenty entries each: the best lead alone is 20
+        let rated: Vec<u64> = (0..100).map(|i| i % 5).collect();
+        assert!(!ties_fit(entries(&rated), 1));
+        assert!(!ties_fit(entries(&rated), 4));
+        assert!(ties_fit(entries(&rated), 5), "20 entries ≤ 4·5");
+        // the bound is inclusive: 8 entries at the best lead fit 4·2, 9 do not
+        assert!(ties_fit(
+            entries(&[[7; 8].as_slice(), &[1, 2, 3]].concat()),
+            2
+        ));
+        assert!(!ties_fit(
+            entries(&[[7; 9].as_slice(), &[1, 2, 3]].concat()),
+            2
+        ));
+        // -0.0 and +0.0 are one heap key
+        assert_eq!(lead_bits(-0.0), lead_bits(0.0));
+        assert!(lead_bits(-1.0) < lead_bits(-0.0) && lead_bits(0.0) < lead_bits(f64::MIN_POSITIVE));
+    }
+
+    #[test]
+    fn a_lead_of_few_values_takes_the_presort_and_answers_alike() {
+        // A lead of 5 values: a fifth of the rows tie at the best, far
+        // past 4·k, so the ranked source hands the columns back and its
+        // heap lease is returned before the presort's arena is taken. At
+        // 2 000 rows the final look says so; at 4 000 the early one, an
+        // eighth of the way in.
+        let crit = [(0usize, false), (1usize, false), (2usize, true)];
+        for (n, k) in [(2_000i64, 1), (2_000, 3), (4_000, 1), (4_000, 5)] {
+            let rows: Vec<Tuple> = (0..n)
+                .map(|i| tuple![i % 5, (i * 37) % 3_999, (i * 53) % 4_003])
+                .collect();
+            let pool = BufferPool::new(1 << 16);
+            let opts = ExecOptions::default().with_pool(pool.clone());
+            let metrics = SkylineMetrics::shared();
+            let mut ids = Vec::new();
+            let rank = Ranked { lead: 0, k };
+            let cols = columns(&rows, &crit, &[]);
+            paged_skyline(cols, Some(rank), &opts, Arc::clone(&metrics), |id| {
+                ids.push(id);
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+            // the presort emits the whole skyline, the ranked source would
+            // have stopped at the best lead
+            let mut all = ids.clone();
+            all.sort_unstable();
+            assert_eq!(all, in_memory(&rows, &crit, &[]), "{n} {k}");
+            assert_eq!(cut(&rows, &crit, 0, k, ids), top_k(&rows, &crit, 0, k));
+            let arena = sort_pages_for(&opts, rows.len(), 40);
+            let window = recommend_window_pages(rows.len(), 3, 24);
+            let heap = ranked_heap_pages(rows.len());
+            assert_eq!(pool.peak(), arena.max(window).max(heap), "{n} {k}");
+            assert_eq!(pool.used(), 0);
+        }
+    }
+
     #[test]
     fn infinite_criteria_and_any_diff_key_page_and_nan_is_a_typed_error() {
         let row = |id: i64, x: f64, k: Value| Tuple::new(vec![Value::Int(id), Value::Float(x), k]);
@@ -691,6 +1377,7 @@ mod tests {
             let mut left = limit;
             paged_skyline(
                 columns(&rows, &crit, &[]),
+                None,
                 &ExecOptions::default(),
                 Arc::clone(&metrics),
                 |_| {
@@ -816,7 +1503,7 @@ mod tests {
                 let (scored, unscored) = (SkylineMetrics::shared(), SkylineMetrics::shared());
                 let mut got = Vec::new();
                 let cols = columns(&rows, crit, diff);
-                paged_skyline(cols, opts, Arc::clone(&scored), |id| {
+                paged_skyline(cols, None, opts, Arc::clone(&scored), |id| {
                     got.push(id);
                     ControlFlow::Continue(())
                 })

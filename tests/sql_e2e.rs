@@ -1222,3 +1222,214 @@ fn a_tripped_token_cancels_every_row_loop() {
     );
     assert_eq!(seen, interval);
 }
+
+/// Up to 1 500 rows whose criteria hold what the ranked source's heap
+/// key and tie order must get right: `a` mixes ±0.0 and ±∞ — often or
+/// rarely — into few or many values, `b` is fractional with both zeros,
+/// `c` and `e` are integers over small or wide domains, and `h` numbers
+/// 40–300 groups. A lead with few values mostly fails the tie rule; one
+/// with many takes the ranked source.
+fn ranked_table(rng: &mut skyline::relation::rng::Rng) -> Table {
+    use skyline::relation::{Tuple, Value};
+    let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+    let n = 200 + rng.usize_below(1_300);
+    let side =
+        |rng: &mut skyline::relation::rng::Rng| [3, 40, 10_000, 1_000_000][rng.usize_below(4)];
+    let (side_a, side_c, side_e) = (side(rng), side(rng), side(rng));
+    let special_one_in = [8, 64][rng.usize_below(2)];
+    let groups = 40 + rng.usize_below(260);
+    let mut table = Table::empty(Schema::of(&[
+        ("id", ColumnType::Int),
+        ("a", ColumnType::Float),
+        ("b", ColumnType::Float),
+        ("c", ColumnType::Int),
+        ("e", ColumnType::Int),
+        ("h", ColumnType::Int),
+    ]));
+    for i in 0..n {
+        let a = if rng.usize_below(special_one_in) == 0 {
+            specials[rng.usize_below(specials.len())]
+        } else {
+            rng.i64_inclusive(0, side_a) as f64
+        };
+        let b = [0.0, -0.0, 0.5, rng.f64(), rng.f64()][rng.usize_below(5)];
+        table
+            .push(Tuple::new(vec![
+                Value::Int(i as i64),
+                Value::Float(a),
+                Value::Float(b),
+                Value::Int(rng.i64_inclusive(0, side_c)),
+                Value::Int(rng.i64_inclusive(0, side_e)),
+                Value::Int(rng.usize_below(groups) as i64),
+            ]))
+            .unwrap();
+    }
+    table
+}
+
+/// `ORDER BY <criterion> … LIMIT k` over a skyline answers as the same
+/// query without the `LIMIT`, cut to its first `k` rows — the uncut
+/// query takes the filter and presort, the cut one the ranked source
+/// whenever it is eligible. Over random tables (±0.0, ±∞ and long runs
+/// on the lead), `MIN` and `MAX` leads, `LIMIT` 0, 1, at and past the
+/// 4·k bound, with and without later `ORDER BY` keys, over the whole
+/// table, a `WHERE` and a `GROUP BY`, and on a lead whose ties send the
+/// query back to the presort.
+#[test]
+fn a_ranked_top_k_answers_as_the_uncut_order_cut_to_k() {
+    use skyline::core::cardinality::expected_skyline_size;
+    let (mut ranked, mut eligible) = (0, [0usize; 4]);
+    skyline_testkit::cases(40, 0x7A4C, |rng| {
+        let table = ranked_table(rng);
+        let n = table.len();
+        let matches = table
+            .rows()
+            .iter()
+            .filter(|r| r.get(4).as_i64() != Some(1))
+            .count();
+        let mut groups: Vec<i64> = table
+            .rows()
+            .iter()
+            .filter_map(|r| r.get(5).as_i64())
+            .collect();
+        groups.sort_unstable();
+        groups.dedup();
+        let mut cat = Catalog::new();
+        cat.register("t", table);
+        // a clause of 2–4 criteria over a, b, c, e in random order and
+        // directions; the lead is one of them
+        let mut names = ["a", "b", "c", "e"];
+        rng.shuffle(&mut names);
+        let d = 2 + rng.usize_below(3);
+        let crit: Vec<(&str, bool)> = names[..d].iter().map(|&c| (c, rng.bool())).collect();
+        let (lead, lead_min) = crit[rng.usize_below(d)];
+        let clause: Vec<String> = crit
+            .iter()
+            .map(|(c, min)| format!("{c} {}", if *min { "MIN" } else { "MAX" }))
+            .collect();
+        let dir = if lead_min { "ASC" } else { "DESC" };
+        let then = ["", ", id DESC", ", c", ", e DESC, b"][rng.usize_below(4)];
+        let (grouped_crit, grouped_crit_h) = if lead_min {
+            ("a MIN, c MAX", "MIN, c MAX")
+        } else {
+            ("a MAX, c MIN", "MAX, c MIN")
+        };
+        let shapes = [
+            (
+                format!("SELECT * FROM t SKYLINE OF {} ORDER BY {lead} {dir}{then}", clause.join(", ")),
+                n,
+                d,
+            ),
+            (
+                format!(
+                    "SELECT id, {lead} FROM t WHERE e <> 1 SKYLINE OF {} ORDER BY {lead} {dir}{then}",
+                    clause.join(", ")
+                ),
+                matches,
+                d,
+            ),
+            (
+                format!(
+                    "SELECT h, MIN(a) AS a, MAX(c) AS c FROM t GROUP BY h \
+                     SKYLINE OF {grouped_crit} ORDER BY a {dir}"
+                ),
+                groups.len(),
+                2,
+            ),
+            // `h` repeats each value up to 37 times: ties at the k-th
+            // lead often send the query back to the presort
+            (
+                format!("SELECT * FROM t SKYLINE OF h {grouped_crit_h}, b MAX ORDER BY h {dir}, id"),
+                n,
+                3,
+            ),
+        ];
+        let opts = ExecOptions::default();
+        for (s, (uncut, rows, d)) in shapes.iter().enumerate() {
+            let bound = (expected_skyline_size(*rows, *d) / 4.0) as usize;
+            let random = 1 + rng.usize_below(bound + 2);
+            for k in [0, 1, bound, bound + 1, random] {
+                let (mut want, schema) = pushed(uncut, &cat, &opts);
+                want.truncate(k);
+                let cut = format!("{uncut} LIMIT {k}");
+                assert_eq!(pushed(&cut, &cat, &opts), (want, schema), "{cut}");
+                eligible[s] += usize::from(k >= 1 && k <= bound);
+                if s == 0 {
+                    let plan = skyline::query::plan::explain(&cut, &cat).unwrap();
+                    ranked += usize::from(plan.contains("front test → heap → SFS"));
+                }
+            }
+        }
+    });
+    // the ranked source served a fair share of the cases
+    assert!(eligible.iter().all(|&e| e >= 20), "{eligible:?}");
+    assert!(ranked >= 40, "{ranked}");
+}
+
+/// Rows equal on every `ORDER BY` key leave by row number, from the
+/// ranked source and from the filter and presort alike: nine skyline
+/// rows tie on the best `a`, planted in an order the entropy presort
+/// does not keep.
+#[test]
+fn order_by_ties_leave_by_row_number_on_both_sources() {
+    let mut rng = skyline::relation::rng::Rng::seed_from_u64(0x71E5);
+    let mut rows: Vec<(i64, i64, i64)> = (0..2_000)
+        .map(|_| {
+            (
+                rng.i64_inclusive(0, 999),
+                rng.i64_inclusive(0, 8),
+                rng.i64_inclusive(0, 8),
+            )
+        })
+        .collect();
+    // (−5, 9 − j, 1 + j): the best `x` and mutually incomparable, at
+    // rows spread over the table in reverse
+    let planted: Vec<usize> = (0..9).map(|j| 1_900 - 200 * j).collect();
+    for (j, &at) in planted.iter().enumerate() {
+        rows[at] = (-5, 9 - j as i64, 1 + j as i64);
+    }
+    let mut cat = Catalog::new();
+    cat.register("t", random_table(&rows));
+    let by_row: Vec<i64> = {
+        let mut ids: Vec<i64> = planted.iter().map(|&r| r as i64).collect();
+        ids.sort_unstable();
+        ids
+    };
+    let sky = "SELECT id FROM t SKYLINE OF x MIN, y MAX, g MAX ORDER BY x";
+    let ids = |sql: &str| -> Vec<i64> {
+        execute(sql, &cat)
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| r.get(0).as_i64().unwrap())
+            .collect()
+    };
+    let explain = |sql: &str| skyline::query::plan::explain(sql, &cat).unwrap();
+    let ranked = format!("{sky} LIMIT 5");
+    assert!(
+        explain(&ranked).contains("ranked by x ASC, LIMIT 5"),
+        "{}",
+        explain(&ranked)
+    );
+    assert!(
+        explain(sky).contains("filter → presort → SFS"),
+        "{}",
+        explain(sky)
+    );
+    assert_eq!(ids(&ranked), by_row[..5]);
+    assert_eq!(ids(sky)[..9], by_row);
+    // and the presort emits them in another order
+    let mut emitted = Vec::new();
+    let no_order = "SELECT id FROM t SKYLINE OF x MIN, y MAX, g MAX";
+    execute_query_into(
+        &parse(no_order).unwrap(),
+        &cat,
+        &ExecOptions::default(),
+        |_, row| {
+            emitted.extend(row.get(0).as_i64().filter(|id| by_row.contains(id)));
+            ControlFlow::Continue(())
+        },
+    )
+    .unwrap();
+    assert_ne!(emitted, by_row);
+}
