@@ -28,6 +28,7 @@ use crate::options::ExecOptions;
 use crate::parser::parse;
 use crate::pushdown::{
     external_skyline_with, ranked_heap_fits, ranked_skyline_with, Ranked, SkylineColumns,
+    TIE_MARGIN,
 };
 use skyline_core::cardinality::expected_skyline_size;
 use skyline_exec::cancel::{poll, poll_now, CANCEL_CHECK_INTERVAL};
@@ -36,6 +37,7 @@ use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -574,7 +576,8 @@ pub(crate) fn group_ids<R: Borrow<Tuple>>(rows: &[R], columns: &[usize]) -> Vec<
         .iter()
         .flat_map(|r| columns.iter().map(|&c| Cell::of(r.borrow().get(c))))
         .collect();
-    let mut index: HashMap<&[Option<Cell<'_>>], usize> = HashMap::new();
+    let mut index: HashMap<&[Option<Cell<'_>>], usize, BuildHasherDefault<CellHasher>> =
+        HashMap::default();
     let mut groups = 0;
     (0..rows.len())
         .map(|i| {
@@ -588,6 +591,42 @@ pub(crate) fn group_ids<R: Borrow<Tuple>>(rows: &[R], columns: &[usize]) -> Vec<
             g
         })
         .collect()
+}
+
+/// The hash [`group_ids`] keys its index with: FxHash's rotate, xor and
+/// multiply per 8-byte word, then MurmurHash3's finalizer, which carries
+/// the high bits a small number's f64 holds down into the low bits the
+/// table indexes by. The default SipHash took ≈85 ns a row; this takes
+/// a few. It resists no chosen collisions, which a query's own values do
+/// not need.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
+    }
 }
 
 /// The members of each group [`group_ids`] numbered, ascending.
@@ -766,25 +805,45 @@ pub fn explain(sql: &str, catalog: &Catalog) -> Result<String, QueryError> {
                 .sum(),
         };
         // The source the executor would pick, decided here on the
-        // scanned table's rows under the default options. The tie rule
-        // runs inside the ranked source, after its front test, so a
-        // query it sends back to the presort still reads "ranked" here.
-        let source = match ranked(&q, sky, n, &ExecOptions::default()) {
+        // scanned table's rows under the default options. What can
+        // overrule it at run time goes on the lines below the node: the
+        // tie rule, which runs inside the ranked source after its front
+        // test, and a relation other than the scanned table.
+        let (source, tie_rule) = match ranked(&q, sky, n, &ExecOptions::default()) {
             Some(r) => {
                 let lead = &q.order_by[0];
                 let dir = if lead.desc { "DESC" } else { "ASC" };
-                format!(
+                let source = format!(
                     "ranked by {} {dir}, LIMIT {}: front test → heap → SFS, \
                      est≈{est:.0} rows ≥ {RANKED_MARGIN}·{}",
                     lead.column, r.k, r.k
-                )
+                );
+                let tie_rule = format!(
+                    "presort if more than {TIE_MARGIN}·{} rows tie at the {}-best lead",
+                    r.k,
+                    ordinal(r.k)
+                );
+                (source, Some(tie_rule))
             }
-            None if sky.items.iter().any(|i| i.directive == Directive::Diff) => {
-                format!("presort=entropy: presort → SFS, est≈{est:.0} rows")
-            }
-            None => format!("presort=entropy: filter → presort → SFS, est≈{est:.0} rows"),
+            None => (
+                format!("presort=entropy: filter → presort → SFS, est≈{est:.0} rows"),
+                None,
+            ),
         };
-        lines.push(format!("Skyline[SFS, {source}]({})", items.join(", ")));
+        let read = match (q.where_clause.is_some(), grouped(&q)) {
+            (true, true) => Some("the groups of the rows WHERE keeps"),
+            (true, false) => Some("the rows WHERE keeps"),
+            (false, true) => Some("the groups"),
+            (false, false) => None,
+        };
+        let read = read.map(|read| {
+            format!("estimate and source taken on the {n} scanned rows; the run reads {read}")
+        });
+        let mut node = format!("Skyline[SFS, {source}]({})", items.join(", "));
+        for note in tie_rule.into_iter().chain(read) {
+            let _ = write!(node, "\n{note}");
+        }
+        lines.push(node);
     }
     if let Some(h) = &q.having {
         lines.push(format!("Having({})", render_expr(h)));
@@ -797,15 +856,35 @@ pub fn explain(sql: &str, catalog: &Catalog) -> Result<String, QueryError> {
     }
     lines.push(format!("Scan({}, {n} rows)", q.from));
 
+    // a node's own lines after its first are notes, under its children's
+    // indent
     let mut out = String::new();
-    for (depth, line) in lines.iter().enumerate() {
+    for (depth, node) in lines.iter().enumerate() {
+        let mut node = node.lines();
+        let head = node.next().unwrap_or_default();
+        let indent = "   ".repeat(depth);
         if depth == 0 {
-            let _ = writeln!(out, "{line}");
+            let _ = writeln!(out, "{head}");
         } else {
-            let _ = writeln!(out, "{}└─ {line}", "   ".repeat(depth - 1));
+            let _ = writeln!(out, "{}└─ {head}", &indent[3..]);
+        }
+        for note in node {
+            let _ = writeln!(out, "{indent}· {note}");
         }
     }
     Ok(out)
+}
+
+/// `k` as an English ordinal: 1st, 2nd, 3rd, 4th, …, 11th, 21st.
+fn ordinal(k: usize) -> String {
+    let suffix = match (k % 10, k % 100) {
+        (_, 11..=13) => "th",
+        (1, _) => "st",
+        (2, _) => "nd",
+        (3, _) => "rd",
+        _ => "th",
+    };
+    format!("{k}{suffix}")
 }
 
 fn render_expr(e: &Expr) -> String {
@@ -1037,7 +1116,85 @@ mod tests {
         }
         assert_eq!(
             skyline_line("SELECT * FROM t SKYLINE OF x MAX, g DIFF, y MIN ORDER BY x DESC LIMIT 1"),
-            "Skyline[SFS, presort=entropy: presort → SFS, est≈60 rows](x MAX, g DIFF, y MIN)"
+            "Skyline[SFS, presort=entropy: filter → presort → SFS, est≈60 rows](x MAX, g DIFF, y MIN)"
+        );
+    }
+
+    /// The lines under the skyline node name what can overrule it at run
+    /// time: the tie rule under a ranked source, and a relation other
+    /// than the scanned table under `WHERE` or `GROUP BY`. A plain query
+    /// has none, and a `DIFF` clause reads like every other presort.
+    #[test]
+    fn explain_notes_what_can_overrule_the_skyline_source_at_run_time() {
+        use skyline_relation::{tuple, ColumnType, Schema};
+        let rows = (0..8_000i64)
+            .map(|i| tuple![i % 8, (i * 37) % 8_009, (i * 53) % 997])
+            .collect();
+        let schema = Schema::of(&[
+            ("g", ColumnType::Int),
+            ("x", ColumnType::Int),
+            ("y", ColumnType::Int),
+        ]);
+        let mut c = Catalog::new();
+        c.register("t", Table::new(schema, rows).unwrap());
+        // the node's line and the notes below it, without the tree's marks
+        let node = |sql: &str| -> Vec<String> {
+            let plan = explain(sql, &c).unwrap();
+            let mut lines = plan.lines().skip_while(|l| !l.contains("Skyline["));
+            let head = lines.next().unwrap().trim_start_matches(['└', '─', ' ']);
+            let notes = lines.map_while(|l| l.trim_start().strip_prefix("· "));
+            std::iter::once(head)
+                .chain(notes)
+                .map(String::from)
+                .collect()
+        };
+        let sky = "SELECT * FROM t SKYLINE OF x MAX, y MIN";
+        assert_eq!(
+            node(&format!("{sky} ORDER BY x DESC LIMIT 2")),
+            [
+                "Skyline[SFS, ranked by x DESC, LIMIT 2: front test → heap → SFS, \
+                 est≈10 rows ≥ 4·2](x MAX, y MIN)",
+                "presort if more than 4·2 rows tie at the 2nd-best lead",
+            ]
+        );
+        assert_eq!(
+            node(&format!("{sky} ORDER BY y LIMIT 1"))[1],
+            "presort if more than 4·1 rows tie at the 1st-best lead"
+        );
+        let presort =
+            "Skyline[SFS, presort=entropy: filter → presort → SFS, est≈10 rows](x MAX, y MIN)";
+        assert_eq!(node(sky), [presort]);
+        let taken = "estimate and source taken on the 8000 scanned rows; the run reads";
+        assert_eq!(
+            node("SELECT * FROM t WHERE x < 100 SKYLINE OF x MAX, y MIN"),
+            [presort.to_string(), format!("{taken} the rows WHERE keeps")]
+        );
+        let grouped = node("SELECT g, MAX(x) AS m FROM t GROUP BY g SKYLINE OF m MAX");
+        assert_eq!(grouped[1], format!("{taken} the groups"));
+        let both = node("SELECT g, MAX(x) AS m FROM t WHERE y > 3 GROUP BY g SKYLINE OF m MAX");
+        assert_eq!(
+            both[1],
+            format!("{taken} the groups of the rows WHERE keeps")
+        );
+        // ranked under a WHERE: both notes, the tie rule first
+        let ranked =
+            node("SELECT * FROM t WHERE x < 100 SKYLINE OF x MAX, y MIN ORDER BY x DESC LIMIT 2");
+        assert_eq!(ranked.len(), 3, "{ranked:?}");
+        assert!(ranked[1].starts_with("presort if") && ranked[2].starts_with(taken));
+        // DIFF: the filter rides it like any other clause, no note
+        assert_eq!(
+            node("SELECT * FROM t SKYLINE OF x MAX, g DIFF"),
+            ["Skyline[SFS, presort=entropy: filter → presort → SFS, est≈8 rows](x MAX, g DIFF)"]
+        );
+        let ordinals: Vec<String> = [1, 2, 3, 4, 11, 12, 13, 21, 22, 23, 101, 111]
+            .map(ordinal)
+            .into();
+        assert_eq!(
+            ordinals,
+            [
+                "1st", "2nd", "3rd", "4th", "11th", "12th", "13th", "21st", "22nd", "23rd",
+                "101st", "111th"
+            ]
         );
     }
 

@@ -41,21 +41,24 @@
 //!
 //! Each forwarded row is scored once, as the paper's §4.3 has it
 //! ("computed on-the-fly" per tuple). The entry carries the score in its
-//! score lane ([`NarrowLayout::with_score`]): the elimination filter's
-//! `admit` computes it, or the producer does on a DIFF clause, which has
-//! no filter. The sort's run formation, its merge and its comparisons
-//! within a DIFF group read the lane instead of scoring the key again.
+//! score lane ([`NarrowLayout::with_score`]), which the elimination
+//! filter's `admit` computes. The sort's run formation, its merge and
+//! the comparisons its prefix key leaves tied read the lane instead of
+//! scoring the key again; under `DIFF` the prefix key is group-major.
 //!
-//! Ahead of the sort sits a LESS [`EliminationFilter`]: one page of the
-//! best-entropy keys seen so far. Each chunk is screened against its
-//! best-scored entry column at a time, only the survivors are gathered
-//! into keys and probed against the whole page, and only what that
-//! admits is encoded — so a row some earlier row strictly dominates
-//! costs no encode, arena byte, run page, merge step or filter probe. It
-//! is exact (every dropped row is dominated by a forwarded one) and its
-//! page is the sort's own — the rest of the sort's pages go to the
-//! arena — so no lease grows. It stays out only with a DIFF lane, where
-//! incomparable groups interleave in the unsorted stream.
+//! Ahead of the sort sits a LESS elimination filter
+//! ([`GroupedElimination`]): one page of the best-entropy keys seen so
+//! far. Each chunk is screened against its best-scored entry column at a
+//! time, only the survivors are gathered into keys and probed against
+//! the whole page, and only what that admits is encoded — so a row some
+//! earlier row strictly dominates costs no encode, arena byte, run page,
+//! merge step or filter probe. It is exact (every dropped row is
+//! dominated by a forwarded one) and its page is the sort's own — the
+//! rest of the sort's pages go to the arena — so no lease grows. Under
+//! `DIFF` each group is its own skyline: the filter keeps one front per
+//! group and splits the page among them, a row meets only its own
+//! group's keys (by the front test in `admit`, not the chunk screen), and
+//! groups past what the page holds pass unscreened.
 //!
 //! [`external_skyline_with`] honours the [`ExecOptions`] contract: each
 //! pass's arena is charged against the optional quota pool (sort arena
@@ -80,8 +83,8 @@
 use crate::error::QueryError;
 use crate::options::ExecOptions;
 use skyline_core::cardinality::recommend_window_pages;
-use skyline_core::external::{sort_narrow, BatchConfig, BatchSfs, EliminationFilter, FrontScreen};
-use skyline_core::{dominates, EntropyScore, MetricsSnapshot, MonotoneScore, SkylineMetrics};
+use skyline_core::external::{sort_narrow, BatchConfig, BatchSfs, FrontScreen, GroupedElimination};
+use skyline_core::{dominates, EntropyScore, MetricsSnapshot, SkylineMetrics};
 use skyline_exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
 use skyline_exec::sort::f64_ascending_bits;
 use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
@@ -124,6 +127,13 @@ impl SkylineColumns {
         self.crit.first().map_or(0, |(c, _)| c.values().len())
     }
 
+    /// The groups the rows fall in, numbered from 0: one without `DIFF`.
+    fn group_count(&self) -> usize {
+        self.groups
+            .as_ref()
+            .map_or(1, |g| g.iter().max().map_or(0, |&last| last + 1))
+    }
+
     /// The oriented criteria of `row`, appended to `out`.
     fn key_into(&self, row: usize, out: &mut Vec<f64>) {
         out.extend(self.crit.iter().map(|(c, sign)| sign * c.values()[row]));
@@ -163,16 +173,14 @@ const CHUNK_ROWS: usize = CANCEL_CHECK_INTERVAL as usize;
 
 /// The key columns lent to the external operators as narrow entries, row
 /// index as the row id, a chunk of rows at a time. Rows the elimination
-/// filter drops are skipped before they are gathered or encoded.
+/// filter drops are skipped before they are gathered or encoded; each
+/// row meets the filter of its own `DIFF` group. An entry's score lane
+/// ([`NarrowLayout::with_score`]) gets the score the filter computed in
+/// `admit`, which ranks by the presort's own score: once per entry.
 struct ColumnEntries {
     cols: SkylineColumns,
     narrow: NarrowLayout,
-    filter: Option<EliminationFilter>,
-    /// The presort's score, written into the score lane `narrow` carries
-    /// ([`NarrowLayout::with_score`]). The lane gets the score the filter
-    /// computed in `admit` (it ranks by this same score), or, with no
-    /// filter, the one computed here: once per entry either way.
-    score: Arc<EntropyScore>,
+    filter: GroupedElimination,
     cancel: Option<CancelToken>,
     /// First row of the chunk in hand, and of the one after it.
     chunk: usize,
@@ -189,15 +197,13 @@ impl ColumnEntries {
     fn new(
         cols: SkylineColumns,
         narrow: NarrowLayout,
-        filter: Option<EliminationFilter>,
-        score: Arc<EntropyScore>,
+        filter: GroupedElimination,
         cancel: Option<CancelToken>,
     ) -> Self {
         ColumnEntries {
             cols,
             narrow,
             filter,
-            score,
             cancel,
             chunk: 0,
             next_chunk: 0,
@@ -223,16 +229,12 @@ impl Operator for ColumnEntries {
                 let row = self.chunk + offset as usize;
                 self.lanes.clear();
                 self.cols.key_into(row, &mut self.lanes);
-                if self.filter.as_mut().is_some_and(|f| !f.admit(&self.lanes)) {
+                let group = self.cols.groups.as_ref().map(|g| g[row]);
+                if !self.filter.admit(group.unwrap_or(0), &self.lanes) {
                     continue;
                 }
-                let score = match &self.filter {
-                    Some(f) => f.admitted_score(),
-                    None => self.score.score(&self.lanes),
-                };
-                let group = self.cols.groups.as_ref().map(|g| g[row] as f64);
-                self.lanes.extend(group);
-                self.lanes.push(score);
+                self.lanes.extend(group.map(|g| g as f64));
+                self.lanes.push(self.filter.admitted_score());
                 self.narrow
                     .encode_into(&self.lanes, row as u64, &mut self.entry);
                 return Ok(Some(&self.entry));
@@ -240,9 +242,7 @@ impl Operator for ColumnEntries {
             // Chunk boundary: the filter's counters reach the shared
             // metrics, then the token is polled — per row consumed, not
             // per row emitted, since the filter may drop almost everything.
-            if let Some(filter) = &mut self.filter {
-                filter.settle();
-            }
+            self.filter.settle();
             poll(self.cancel.as_ref(), self.next_chunk as u64)?;
             let (lo, hi) = (
                 self.next_chunk,
@@ -253,17 +253,11 @@ impl Operator for ColumnEntries {
             }
             (self.chunk, self.next_chunk, self.taken) = (lo, hi, 0);
             let crit = &self.cols.crit;
-            match &mut self.filter {
-                Some(filter) => filter.screen(
-                    hi - lo,
-                    |k| (&crit[k].0.values()[lo..hi], crit[k].1),
-                    &mut self.survivors,
-                ),
-                None => {
-                    self.survivors.clear();
-                    self.survivors.extend(0..(hi - lo) as u32);
-                }
-            }
+            self.filter.screen(
+                hi - lo,
+                |k| (&crit[k].0.values()[lo..hi], crit[k].1),
+                &mut self.survivors,
+            );
         }
     }
 
@@ -311,7 +305,7 @@ pub(crate) fn ranked_heap_fits(rows: usize, opts: &ExecOptions) -> bool {
 /// feed it a large share of the relation, which the elimination filter
 /// and presort drop far more cheaply (EXPERIMENTS.md "Ranked top-k",
 /// tied leads).
-const TIE_MARGIN: usize = 4;
+pub(crate) const TIE_MARGIN: usize = 4;
 
 /// Whether at most `TIE_MARGIN · k` of `items` have a `lead` (heap key)
 /// at least as good as the `k`-th best: always so for `k = 0` and for
@@ -702,31 +696,27 @@ fn paged_skyline(
     drained
 }
 
-/// Filter and presort: the elimination filter screens the columns ahead
-/// of an entropy-presorted external sort (DIFF groups outermost), whose
-/// arena is charged only while it sorts. The sorted heap and its layout.
+/// Filter and presort: the elimination filter, one front per `DIFF`
+/// group, screens the columns ahead of an entropy-presorted external sort
+/// (DIFF groups outermost), whose arena is charged only while it sorts.
+/// The sorted heap and its layout.
 fn presort(
     cols: SkylineColumns,
     opts: &ExecOptions,
     disk: &Arc<dyn Disk>,
     metrics: &Arc<SkylineMetrics>,
 ) -> Result<(NarrowLayout, skyline_storage::HeapFile), QueryError> {
-    let (d, grouped) = (cols.crit.len(), cols.groups.is_some());
+    let d = cols.crit.len();
     let score = Arc::new(cols.entropy_score());
     // Every entry carries its score, so the sort reads it back.
     let narrow = NarrowLayout::new(d)
-        .with_diff(usize::from(grouped))
+        .with_diff(usize::from(cols.groups.is_some()))
         .with_score();
-    // The elimination filter rides every stream whose entries are all
-    // mutually comparable — the `diff_dims() == 0` test
-    // `NarrowCmp::prefix_key` makes.
-    let elimination =
-        (!grouped).then(|| EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(metrics)));
+    let groups = cols.group_count();
+    let filter = GroupedElimination::new(d, groups, Arc::clone(&score) as _, Arc::clone(metrics));
     // The filter's page is the sort's: what it holds, the arena gives up.
     let sort_pages = sort_pages_for(opts, cols.rows(), narrow.entry_size());
-    let arena_pages = sort_pages - usize::from(elimination.is_some());
-    let cancel = opts.cancel.clone();
-    let entries = ColumnEntries::new(cols, narrow, elimination, Arc::clone(&score), cancel);
+    let entries = ColumnEntries::new(cols, narrow, filter, opts.cancel.clone());
 
     // The sort arena is charged only while sorting.
     let sort_lease = reserve(opts, sort_pages)?;
@@ -734,7 +724,7 @@ fn presort(
         Box::new(entries),
         narrow,
         score,
-        arena_pages,
+        sort_pages - 1,
         1, // sort thread
         Arc::clone(disk),
     )
@@ -954,12 +944,11 @@ mod tests {
         let token = CancelToken::new();
         let metrics = SkylineMetrics::shared();
         let score = Arc::new(cols.entropy_score());
-        let filter = EliminationFilter::new(2, Arc::clone(&score) as _, Arc::clone(&metrics));
+        let filter = GroupedElimination::new(2, 1, score, Arc::clone(&metrics));
         let mut entries = ColumnEntries::new(
             cols,
             NarrowLayout::new(2).with_score(),
-            Some(filter),
-            score,
+            filter,
             Some(token.clone()),
         );
         entries.open().unwrap();
@@ -1439,12 +1428,12 @@ mod tests {
         let disk: Arc<dyn Disk> = MemDisk::shared();
         let window = recommend_window_pages(cols.rows(), d, 8 * d);
         let score = Arc::new(cols.entropy_score());
-        let elimination = (!grouped)
-            .then(|| EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(metrics)));
-        let sort_pages = sort_pages_for(opts, cols.rows(), narrow.entry_size());
-        let arena = sort_pages - usize::from(elimination.is_some());
+        let groups = cols.group_count();
+        let filter =
+            GroupedElimination::new(d, groups, Arc::clone(&score) as _, Arc::clone(metrics));
+        let arena = sort_pages_for(opts, cols.rows(), narrow.entry_size()) - 1;
         let scored = narrow.with_score();
-        let entries = ColumnEntries::new(cols, scored, elimination, Arc::clone(&score), None);
+        let entries = ColumnEntries::new(cols, scored, filter, None);
         let entries = Box::new(Unscored(entries, Vec::new()));
         let sorted = sort_narrow(entries, narrow, score, arena, 1, Arc::clone(&disk));
         let sorted = Arc::new(sorted.unwrap());

@@ -12,7 +12,7 @@
 //! parallel stages like every other counter.
 
 use skyline::core::external::{
-    sharded_skyline, sort_narrow, EliminationFilter, ShardConfig, ShardStrategy,
+    sharded_skyline, sort_narrow, EliminationFilter, GroupedElimination, ShardConfig, ShardStrategy,
 };
 use skyline::core::planner::{bnl_over, entropy_stats_of, load_heap, presort, sfs_filter};
 use skyline::core::{
@@ -372,6 +372,170 @@ fn elimination_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
         assert_eq!(s.eliminated + s.emitted + s.discarded, n as u64, "{label}");
         assert_eq!(s.emitted, out.len() as u64, "{label}");
         assert_eq!(s.passes > 1, multipass, "{label}: {} passes", s.passes);
+        assert_eq!(disk.allocated_pages(), 0, "{label}: pages leaked");
+    }
+}
+
+/// [`FilteredKeys`] under `DIFF`: each row's key and group number as a
+/// narrow entry with one group lane, each row offered to its own
+/// group's filter — the SQL push-down's producer on a `DIFF` clause.
+struct GroupedKeys {
+    columns: Vec<Vec<f64>>,
+    groups: Vec<usize>,
+    narrow: NarrowLayout,
+    filter: GroupedElimination,
+    chunk: usize,
+    next_chunk: usize,
+    survivors: Vec<u32>,
+    taken: usize,
+    lanes: Vec<f64>,
+    entry: Vec<u8>,
+}
+
+impl Operator for GroupedKeys {
+    fn open(&mut self) -> Result<(), ExecError> {
+        Ok(())
+    }
+
+    fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
+        loop {
+            while let Some(&offset) = self.survivors.get(self.taken) {
+                self.taken += 1;
+                let row = self.chunk + offset as usize;
+                self.lanes.clear();
+                self.lanes.extend(self.columns.iter().map(|c| c[row]));
+                if self.filter.admit(self.groups[row], &self.lanes) {
+                    self.lanes.push(self.groups[row] as f64);
+                    self.narrow
+                        .encode_into(&self.lanes, row as u64, &mut self.entry);
+                    return Ok(Some(&self.entry));
+                }
+            }
+            self.filter.settle();
+            let (lo, hi) = (
+                self.next_chunk,
+                self.groups.len().min(self.next_chunk + CHUNK),
+            );
+            if lo == hi {
+                return Ok(None);
+            }
+            (self.chunk, self.next_chunk, self.taken) = (lo, hi, 0);
+            let columns = &self.columns;
+            self.filter
+                .screen(hi - lo, |k| (&columns[k][lo..hi], 1.0), &mut self.survivors);
+        }
+    }
+
+    fn close(&mut self) {}
+
+    fn record_size(&self) -> usize {
+        self.narrow.entry_size()
+    }
+}
+
+/// Under `DIFF` too, a key is settled in exactly one place — dropped by
+/// its group's filter, discarded by SFS, or emitted — and the filter
+/// drops only what its own group dominates: every `DIFF` shape (one
+/// group; 8 groups; more groups than the filter's page holds, the rest
+/// unscreened; one-row groups), single-pass and multipass, keeps
+/// `eliminated + forwarded == rows` and `eliminated + emitted +
+/// discarded == rows`, emits each group's skyline, and settles nothing
+/// twice when the pipeline drops.
+#[test]
+fn grouped_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
+    let (n, d) = (4_000usize, 3usize);
+    let page = skyline::storage::PAGE_SIZE / (8 * d);
+    let mut keys = Vec::with_capacity(n * d);
+    skyline_testkit::replay(0xD1FE, |rng| {
+        for _ in 0..n {
+            let x = rng.usize_below(1_000);
+            // `x + y` nearly constant: skylines of many keys per group
+            let y = 1_000 - x + rng.usize_below(60);
+            keys.extend([x as f64, y as f64, rng.usize_below(100) as f64]);
+        }
+    });
+    for (label, groups, window_pages) in [
+        ("one group", vec![0; n], 8),
+        ("8 groups", (0..n).map(|i| i * 7 % 8).collect(), 8),
+        (
+            "8 groups, multipass",
+            (0..n).map(|i| i * 7 % 8).collect(),
+            1,
+        ),
+        ("past the page", (0..n).map(|i| i % (3 * page)).collect(), 8),
+        ("one-row groups", (0..n).collect(), 8),
+    ] {
+        let g = groups.iter().max().unwrap() + 1;
+        let disk = MemDisk::shared();
+        let metrics = SkylineMetrics::shared();
+        let score = Arc::new(EntropyScore::from_keys(&keys, d));
+        let narrow = NarrowLayout::new(d).with_diff(1);
+        let filter = GroupedElimination::new(d, g, Arc::clone(&score) as _, Arc::clone(&metrics));
+        let entries = GroupedKeys {
+            columns: (0..d)
+                .map(|k| keys.iter().skip(k).step_by(d).copied().collect())
+                .collect(),
+            groups: groups.clone(),
+            narrow,
+            filter,
+            chunk: 0,
+            next_chunk: 0,
+            survivors: Vec::new(),
+            taken: 0,
+            lanes: Vec::new(),
+            entry: Vec::new(),
+        };
+        let sorted = sort_narrow(
+            Box::new(entries),
+            narrow,
+            score,
+            3,
+            1,
+            Arc::clone(&disk) as _,
+        )
+        .unwrap();
+        let forwarded = sorted.len();
+        let mut sfs = BatchSfs::new(
+            Box::new(HeapScan::new(Arc::new(sorted))),
+            narrow,
+            BatchConfig::new(window_pages),
+            Arc::clone(&disk) as _,
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let out = collect(&mut sfs).unwrap();
+        drop(sfs);
+        let s = metrics.snapshot();
+        let rows = n as u64;
+        assert_eq!(s.eliminated + forwarded, rows, "{label}: dropped or sorted");
+        assert_eq!(s.input_records, rows - s.eliminated, "{label}");
+        assert_eq!(s.eliminated + s.emitted + s.discarded, rows, "{label}");
+        assert_eq!(s.emitted, out.len() as u64, "{label}");
+        assert_eq!(
+            s.passes > 1,
+            window_pages == 1,
+            "{label}: {} passes",
+            s.passes
+        );
+        if g <= page {
+            assert!(s.eliminated > 0, "{label}: the filter dropped nothing");
+        }
+        if g == n {
+            assert_eq!(
+                s.eliminated, 0,
+                "{label}: a one-row group has nothing to drop"
+            );
+        }
+        // each group's skyline, and nothing else
+        let key = |i: usize| &keys[i * d..(i + 1) * d];
+        let mut got: Vec<usize> = out.iter().map(|e| narrow.row_id(e) as usize).collect();
+        got.sort_unstable();
+        let want: Vec<usize> = (0..n)
+            .filter(|&i| {
+                !(0..n).any(|j| groups[j] == groups[i] && skyline::core::dominates(key(j), key(i)))
+            })
+            .collect();
+        assert_eq!(got, want, "{label}");
         assert_eq!(disk.allocated_pages(), 0, "{label}: pages leaked");
     }
 }

@@ -654,6 +654,158 @@ fn diff_keys_of_any_type_match_the_except_rewrite() {
     });
 }
 
+/// A `DIFF` clause through the per-group elimination filter answers as
+/// the `EXCEPT` rewrite does, and emits each group in presort order.
+/// Tables of 1–7 finite `hostile_key` criteria (±0.0 among them, whole
+/// keys repeated) with `DIFF` keys of three shapes, under random
+/// MIN/MAX mixes and `DIFF` subsets: text with `NULL` and `'NULL'` in
+/// three duplicate-heavy groups; floats with `NULL`, `0.0` and `-0.0`
+/// (one group); and integers beyond `i32` that are unique (one-row
+/// groups) or drawn from twice the filter's page (more groups than it
+/// screens). The paged route, on a four-page sort that forms several
+/// runs, returns the rewrite's rows; within each group, its emission is
+/// sorted by the entropy score descending, then the key
+/// nested-descending, then row — `NarrowCmp`'s order; nothing is left
+/// behind.
+#[test]
+fn diff_through_the_grouped_filter_answers_as_the_except_rewrite_in_presort_order() {
+    use skyline::core::{EntropyScore, MonotoneScore};
+    use skyline::relation::{Tuple, Value};
+    use std::cmp::Ordering;
+    use std::collections::HashMap;
+    let (mut past_the_page, mut one_row_groups) = (0, 0);
+    skyline_testkit::cases(32, 0xD1F6, |rng| {
+        let d = 1 + rng.usize_below(7);
+        let page = skyline::storage::PAGE_SIZE / (8 * d);
+        let n = [1, 7, page + 1, 300, 600][rng.usize_below(5)];
+        let mut rows = hostile_rows(rng, n, d, |v| if v.is_finite() { v } else { -0.0 });
+        for v in rows.iter_mut().flatten() {
+            if *v == 0.0 && rng.bool() {
+                *v = -*v;
+            }
+        }
+        let unique = rng.bool();
+        let mut table = float_table(&rows);
+        let mut schema: Vec<(String, ColumnType)> = table
+            .schema()
+            .columns()
+            .iter()
+            .map(|c| (c.name.clone(), c.ty))
+            .collect();
+        schema.extend([
+            ("s".to_string(), ColumnType::Str),
+            ("f".to_string(), ColumnType::Float),
+            ("w".to_string(), ColumnType::Int),
+        ]);
+        let named: Vec<(&str, ColumnType)> = schema.iter().map(|(c, t)| (c.as_str(), *t)).collect();
+        let text = [Value::Null, "NULL".into(), "a".into()];
+        let floats = [Value::Null, Value::Float(0.0), Value::Float(-0.0)];
+        let wide = i64::from(i32::MAX) + 1;
+        let mut widened = Table::empty(Schema::of(&named));
+        for (i, row) in table.rows().iter().enumerate() {
+            let mut values = row.values().to_vec();
+            values.push(text[rng.usize_below(3)].clone());
+            values.push(floats[rng.usize_below(3)].clone());
+            let w = if unique { i } else { rng.usize_below(2 * page) };
+            values.push(Value::Int(wide + w as i64));
+            widened.push(Tuple::new(values)).unwrap();
+        }
+        table = widened;
+        let is_min: Vec<bool> = (0..d).map(|_| rng.bool()).collect();
+        let mut diff: Vec<&str> = ["s", "f", "w"].into_iter().filter(|_| rng.bool()).collect();
+        if diff.is_empty() {
+            diff.push(["s", "f", "w"][rng.usize_below(3)]);
+        }
+        let criteria: Vec<String> = is_min
+            .iter()
+            .enumerate()
+            .map(|(c, &min)| format!("c{c} {}", if min { "MIN" } else { "MAX" }))
+            .collect();
+        let diffs: Vec<String> = diff.iter().map(|c| format!("{c} DIFF")).collect();
+        let sql = format!(
+            "SELECT id FROM t SKYLINE OF {}, {}",
+            criteria.join(", "),
+            diffs.join(", ")
+        );
+        // each row's group, by the DIFF columns' values (`-0.0` is `0.0`)
+        let group_of = |row: &Tuple| -> String {
+            diff.iter()
+                .map(|c| match row.get(table.schema().index_of(c).unwrap()) {
+                    Value::Float(x) => format!("{:?}", x + 0.0),
+                    v => format!("{v:?}"),
+                })
+                .collect::<Vec<_>>()
+                .join("|")
+        };
+        let groups: Vec<String> = table.rows().iter().map(group_of).collect();
+        let mut sizes: HashMap<&str, usize> = HashMap::new();
+        for g in &groups {
+            *sizes.entry(g).or_default() += 1;
+        }
+        past_the_page += usize::from(sizes.len() > page);
+        one_row_groups += sizes.values().filter(|&&size| size == 1).count();
+        let mut cat = Catalog::new();
+        cat.register("t", table.clone());
+        let want: Vec<usize> = eval_except_semantics(&parse(&sql).unwrap(), &cat)
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| r.get(0).as_i64().unwrap() as usize)
+            .collect();
+        let (got, _) = paged_ids(&cat, &sql);
+        assert_eq!(got, want, "{sql}");
+
+        // the emission, on the same four-page sort
+        let (pool, disk) = (BufferPool::new(1 << 16), MemDisk::shared());
+        let opts = ExecOptions::default()
+            .with_sort_pages(4)
+            .with_pool(pool.clone())
+            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+        let mut emitted = Vec::new();
+        execute_query_into(&parse(&sql).unwrap(), &cat, &opts, |_, row| {
+            emitted.push(row.get(0).as_i64().unwrap() as usize);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!((pool.used(), disk.allocated_pages()), (0, 0), "{sql}");
+        let oriented: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|row| {
+                let signed = row.iter().zip(&is_min);
+                signed.map(|(&v, &min)| if min { -v } else { v }).collect()
+            })
+            .collect();
+        let score = EntropyScore::from_keys(&oriented.concat(), d);
+        let presort = |a: usize, b: usize| {
+            let nested = (0..d)
+                .map(|k| oriented[b][k].partial_cmp(&oriented[a][k]).unwrap())
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal);
+            let (sa, sb) = (score.score(&oriented[a]), score.score(&oriented[b]));
+            sb.total_cmp(&sa).then(nested).then(a.cmp(&b))
+        };
+        let mut by_group: HashMap<&str, Vec<usize>> = HashMap::new();
+        for &id in &emitted {
+            by_group.entry(&groups[id]).or_default().push(id);
+        }
+        for (group, ids) in &by_group {
+            let mut sorted = ids.clone();
+            sorted.sort_by(|&a, &b| presort(a, b));
+            assert_eq!(
+                *ids, sorted,
+                "{sql}: group {group} left out of presort order"
+            );
+        }
+        emitted.sort_unstable();
+        assert_eq!(emitted, want, "{sql}");
+    });
+    assert!(
+        past_the_page > 0,
+        "no table had more groups than the page holds"
+    );
+    assert!(one_row_groups > 0, "no table had a one-row group");
+}
+
 /// A NaN put in through the `Table` API (CSV and DDL refuse it) is no
 /// criterion value: the query fails with the typed non-numeric error
 /// naming its row and column, on the cold query and on the warm one,
