@@ -31,7 +31,7 @@
 use skyline_bench::crit::{BenchmarkId, Criterion};
 use skyline_bench::{criterion_group, criterion_main};
 use skyline_core::dominance_block::{key_score, BlockVerdict, BlockWindow, ReplaceWindow};
-use skyline_core::external::EliminationFilter;
+use skyline_core::external::{EliminationFilter, FrontScreen};
 use skyline_core::score::nested_desc;
 use skyline_core::{dominates, EntropyScore, MonotoneScore, SkylineMetrics};
 use skyline_relation::gen::{Distribution, WorkloadSpec};
@@ -188,15 +188,15 @@ fn bench_elimination_screen(c: &mut Criterion) {
             .chunks_exact(d)
             .max_by(|a, b| score.score(a).total_cmp(&score.score(b)))
             .expect("rows");
-        let mut filter = EliminationFilter::new(d, score, SkylineMetrics::shared());
-        assert!(filter.admit(front));
+        let mut screen = FrontScreen::default();
         let mut survivors = Vec::with_capacity(CHUNK);
         g.bench_function(BenchmarkId::new("front_test", name), |b| {
             b.iter(|| {
                 let mut kept = 0;
                 for lo in (0..n).step_by(CHUNK) {
                     let hi = n.min(lo + CHUNK);
-                    filter.screen(hi - lo, |k| (&columns[k][lo..hi], signs[k]), &mut survivors);
+                    let column = |k: usize| (&columns[k][lo..hi], signs[k]);
+                    screen.run(front, hi - lo, column, &mut survivors);
                     kept += survivors.len();
                 }
                 black_box(kept)

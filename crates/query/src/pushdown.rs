@@ -48,22 +48,31 @@
 //!
 //! Ahead of the sort sits a LESS elimination filter
 //! ([`GroupedElimination`]): one page of the best-entropy keys seen so
-//! far. Each chunk is screened against its best-scored entry column at a
-//! time, only the survivors are gathered into keys and probed against
+//! far. Ahead of the filter runs one *survey* of the columns
+//! ([`Survey`]), a chunk at a time: each chunk is screened column at a
+//! time against the row of largest oriented key sum so far, the
+//! survivors are summed and marked in a one-bit-per-row set, and the
+//! page's worth of largest sums are kept as *seeds*. The filter is
+//! offered the seeds first, best sum first, then the other marked rows
+//! in row order; only those are gathered into keys and probed against
 //! the whole page, and only what that admits is encoded — so a row some
 //! earlier row strictly dominates costs no encode, arena byte, run page,
-//! merge step or filter probe. It is exact (every dropped row is
-//! dominated by a forwarded one) and its page is the sort's own — the
-//! rest of the sort's pages go to the arena — so no lease grows. Under
-//! `DIFF` each group is its own skyline: the filter keeps one front per
-//! group and splits the page among them, a row meets only its own
-//! group's keys (by the front test in `admit`, not the chunk screen), and
-//! groups past what the page holds pass unscreened.
+//! merge step or filter probe, and the page fills with the rows that
+//! dominate the most (§4.3) before the bulk arrives. It is exact in any
+//! admission order (every dropped row is dominated by a forwarded one)
+//! and its page is the sort's own — the rest of the sort's pages go to
+//! the arena — so no lease grows; the survey's bit set is per-query
+//! bookkeeping, like the group numbers, and uncharged. Under `DIFF` each
+//! group is its own skyline: the survey screens nothing, the filter
+//! keeps one front per group and splits the page among them, a row
+//! (seed or not) meets only its own group's keys, and groups past what
+//! the page holds pass unscreened.
 //!
 //! [`external_skyline_with`] honours the [`ExecOptions`] contract: each
 //! pass's arena is charged against the optional quota pool (sort arena
 //! while sorting, filter window while filtering), the cancel token is
-//! polled while entries stream and inside the operators, and spills go
+//! polled while the survey runs, while entries stream and inside the
+//! operators, and spills go
 //! to the caller's disk when one is given. The sort arena is sized by its
 //! input: it reserves what every entry and the filter's page would fill,
 //! between 4 pages and `sort_pages` — so a six-row table asks for 4, not
@@ -83,9 +92,11 @@
 use crate::error::QueryError;
 use crate::options::ExecOptions;
 use skyline_core::cardinality::recommend_window_pages;
-use skyline_core::external::{sort_narrow, BatchConfig, BatchSfs, FrontScreen, GroupedElimination};
+use skyline_core::external::{
+    sort_narrow, BatchConfig, BatchSfs, GroupedElimination, SumFront, Survey, CHUNK_ROWS,
+};
 use skyline_core::{dominates, EntropyScore, MetricsSnapshot, SkylineMetrics};
-use skyline_exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
+use skyline_exec::cancel::{poll, poll_now};
 use skyline_exec::sort::f64_ascending_bits;
 use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
 use skyline_relation::{KeyColumn, TableStats};
@@ -167,28 +178,31 @@ fn reserve(opts: &ExecOptions, pages: usize) -> Result<Option<BufferLease>, Quer
     }
 }
 
-/// Rows read off the columns between cancellation polls — and the unit
-/// the elimination filter screens column at a time.
-const CHUNK_ROWS: usize = CANCEL_CHECK_INTERVAL as usize;
-
 /// The key columns lent to the external operators as narrow entries, row
-/// index as the row id, a chunk of rows at a time. Rows the elimination
-/// filter drops are skipped before they are gathered or encoded; each
-/// row meets the filter of its own `DIFF` group. An entry's score lane
-/// ([`NarrowLayout::with_score`]) gets the score the filter computed in
-/// `admit`, which ranks by the presort's own score: once per entry.
+/// index as the row id. `open` surveys the columns ([`Survey`]); the
+/// stream then offers the elimination filter the survey's seeds, best
+/// sum first, and after them the other rows the survey kept, in row
+/// order, a chunk at a time. A row the survey or the filter drops is
+/// never encoded, and one the survey drops is never gathered either;
+/// each row meets the filter of its own `DIFF` group. An entry's score
+/// lane ([`NarrowLayout::with_score`]) gets the score the filter computed
+/// in `admit`, which ranks by the presort's own score: once per entry.
 struct ColumnEntries {
     cols: SkylineColumns,
     narrow: NarrowLayout,
     filter: GroupedElimination,
     cancel: Option<CancelToken>,
-    /// First row of the chunk in hand, and of the one after it.
-    chunk: usize,
+    metrics: Arc<SkylineMetrics>,
+    survey: Survey,
+    /// Seeds offered so far, and the first row of the next chunk of kept
+    /// rows.
+    seeded: usize,
     next_chunk: usize,
-    /// Offsets into the chunk of the rows its screen let through, and
-    /// how many of them have been consumed.
-    survivors: Vec<u32>,
+    /// The rows in hand, and how many of them have been offered.
+    rows: Vec<usize>,
     taken: usize,
+    /// Rows offered to the filter so far.
+    offered: u64,
     lanes: Vec<f64>,
     entry: Vec<u8>,
 }
@@ -199,16 +213,20 @@ impl ColumnEntries {
         narrow: NarrowLayout,
         filter: GroupedElimination,
         cancel: Option<CancelToken>,
+        metrics: Arc<SkylineMetrics>,
     ) -> Self {
         ColumnEntries {
             cols,
             narrow,
             filter,
             cancel,
-            chunk: 0,
+            metrics,
+            survey: Survey::default(),
+            seeded: 0,
             next_chunk: 0,
-            survivors: Vec::new(),
+            rows: Vec::new(),
             taken: 0,
+            offered: 0,
             lanes: Vec::new(),
             entry: Vec::new(),
         }
@@ -216,17 +234,28 @@ impl ColumnEntries {
 }
 
 impl Operator for ColumnEntries {
+    /// Survey the columns. Under `DIFF` the survey screens nothing: one
+    /// front for rows of several groups would drop across groups.
     fn open(&mut self) -> Result<(), ExecError> {
-        (self.chunk, self.next_chunk, self.taken) = (0, 0, 0);
-        self.survivors.clear();
+        let crit = &self.cols.crit;
+        self.survey = Survey::run(
+            self.cols.rows(),
+            crit.len(),
+            self.cols.groups.is_none(),
+            |k| (crit[k].0.values(), crit[k].1),
+            self.cancel.as_ref(),
+            &self.metrics,
+        )?;
+        (self.seeded, self.next_chunk, self.taken, self.offered) = (0, 0, 0, 0);
+        self.rows.clear();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
         loop {
-            while let Some(&offset) = self.survivors.get(self.taken) {
+            while let Some(&row) = self.rows.get(self.taken) {
                 self.taken += 1;
-                let row = self.chunk + offset as usize;
+                self.offered += 1;
                 self.lanes.clear();
                 self.cols.key_into(row, &mut self.lanes);
                 let group = self.cols.groups.as_ref().map(|g| g[row]);
@@ -241,23 +270,24 @@ impl Operator for ColumnEntries {
             }
             // Chunk boundary: the filter's counters reach the shared
             // metrics, then the token is polled — per row consumed, not
-            // per row emitted, since the filter may drop almost everything.
+            // per row emitted, since the filter may drop almost
+            // everything — with the rows settled so far.
             self.filter.settle();
-            poll(self.cancel.as_ref(), self.next_chunk as u64)?;
-            let (lo, hi) = (
-                self.next_chunk,
-                self.cols.rows().min(self.next_chunk + CHUNK_ROWS),
-            );
-            if lo == hi {
+            poll_now(self.cancel.as_ref(), self.survey.dropped() + self.offered)?;
+            let (seeds, n) = (self.survey.seeds(), self.cols.rows());
+            self.taken = 0;
+            if self.seeded < seeds.len() {
+                let end = seeds.len().min(self.seeded + CHUNK_ROWS);
+                self.rows.clear();
+                self.rows.extend_from_slice(&seeds[self.seeded..end]);
+                self.seeded = end;
+            } else if self.next_chunk < n {
+                let hi = n.min(self.next_chunk + CHUNK_ROWS);
+                self.survey.kept(self.next_chunk, hi, &mut self.rows);
+                self.next_chunk = hi;
+            } else {
                 return Ok(None);
             }
-            (self.chunk, self.next_chunk, self.taken) = (lo, hi, 0);
-            let crit = &self.cols.crit;
-            self.filter.screen(
-                hi - lo,
-                |k| (&crit[k].0.values()[lo..hi], crit[k].1),
-                &mut self.survivors,
-            );
         }
     }
 
@@ -351,10 +381,10 @@ fn nested_desc(crit: &[(Arc<KeyColumn>, f64)], a: usize, b: usize) -> Ordering {
 /// nested order, so this is a topological sort of dominance — a valid
 /// SFS presort (Theorems 6/7).
 ///
-/// Built in one pass over the columns, a chunk at a time: the front test
-/// ([`FrontScreen`]) against the row of largest oriented key sum seen so
-/// far keeps every row that row strictly dominates out of the heap. Any
-/// front is exact — a dropped row is not skyline, and every row it
+/// Built in one pass over the columns, a chunk at a time, of the step
+/// the filter's survey runs too ([`SumFront`]): the front test against the row of largest oriented key sum seen
+/// so far keeps every row that row strictly dominates out of the heap.
+/// Any front is exact — a dropped row is not skyline, and every row it
 /// dominates is dominated by a skyline row that stays — and the largest
 /// sum dominates the most. The heap holds `(lead bits, row)` of the rest
 /// and is popped lazily, one equal-lead group at a time.
@@ -402,42 +432,22 @@ impl RankedEntries {
     ) -> Result<Result<Self, SkylineColumns>, ExecError> {
         let n = cols.rows();
         // Each chunk is screened against the front, then the front moves
-        // to a survivor of larger oriented key sum: a row the front
-        // strictly dominates has a smaller one, so only survivors are
-        // summed. A NaN sum (∞ − ∞) never wins.
-        let (mut front, mut best) = (Vec::new(), f64::NEG_INFINITY);
+        // to a survivor of larger oriented key sum.
+        let mut step = SumFront::new(cols.crit.len());
         let (lead_column, lead_sign) = (cols.crit[lead].0.values(), cols.crit[lead].1);
-        let (mut screen, mut survivors) = (FrontScreen::default(), Vec::new());
-        let (mut sums, mut entries, mut screened) = (Vec::new(), Vec::new(), 0);
+        let (mut survivors, mut entries, mut screened) = (Vec::new(), Vec::new(), 0);
         // Rows below `stale` met a weaker front than the last one.
         let mut stale = 0;
         for lo in (0..n).step_by(CHUNK_ROWS) {
             poll(cancel.as_ref(), lo as u64)?;
             let hi = n.min(lo + CHUNK_ROWS);
             let crit = &cols.crit;
-            if front.is_empty() {
-                survivors.clear();
-                survivors.extend(0..(hi - lo) as u32);
-            } else {
-                let column = |k: usize| (&crit[k].0.values()[lo..hi], crit[k].1);
-                screen.run(&front, hi - lo, column, &mut survivors);
+            if !step.front().is_empty() {
                 screened += hi - lo;
             }
-            sums.clear();
-            sums.resize(survivors.len(), 0.0);
-            for (c, sign) in crit {
-                let values = &c.values()[lo..hi];
-                for (s, &offset) in sums.iter_mut().zip(&survivors) {
-                    *s += sign * values[offset as usize];
-                }
-            }
-            let top = (0..sums.len())
-                .filter(|&i| !sums[i].is_nan())
-                .reduce(|t, i| if sums[i] > sums[t] { i } else { t });
-            if let Some(i) = top.filter(|&i| sums[i] > best || front.is_empty()) {
-                (best, stale) = (sums[i], hi);
-                front.clear();
-                cols.key_into(lo + survivors[i] as usize, &mut front);
+            let column = |k: usize| (&crit[k].0.values()[lo..hi], crit[k].1);
+            if step.step(hi - lo, true, column, &mut survivors) {
+                stale = hi;
             }
             entries.extend(survivors.iter().map(|&offset| {
                 let row = lo + offset as usize;
@@ -447,7 +457,7 @@ impl RankedEntries {
             // against the front so far, the k best scaled to their share.
             let probe = n / TIE_PROBE;
             if lo > 0 && lo < probe && probe <= hi {
-                screened += rescreen(&mut entries, stale, &front, &cols, cancel.as_ref())?;
+                screened += rescreen(&mut entries, stale, step.front(), &cols, cancel.as_ref())?;
                 stale = 0;
                 let mut leads: Vec<u64> = entries.iter().map(|e| e.0).collect();
                 if !ties_fit(&mut leads, (k * hi).div_ceil(n), |&b| b) {
@@ -455,7 +465,7 @@ impl RankedEntries {
                 }
             }
         }
-        screened += rescreen(&mut entries, stale, &front, &cols, cancel.as_ref())?;
+        screened += rescreen(&mut entries, stale, step.front(), &cols, cancel.as_ref())?;
         if !ties_fit(&mut entries, k, |e| e.0) {
             return Ok(Err(cols));
         }
@@ -716,7 +726,13 @@ fn presort(
     let filter = GroupedElimination::new(d, groups, Arc::clone(&score) as _, Arc::clone(metrics));
     // The filter's page is the sort's: what it holds, the arena gives up.
     let sort_pages = sort_pages_for(opts, cols.rows(), narrow.entry_size());
-    let entries = ColumnEntries::new(cols, narrow, filter, opts.cancel.clone());
+    let entries = ColumnEntries::new(
+        cols,
+        narrow,
+        filter,
+        opts.cancel.clone(),
+        Arc::clone(metrics),
+    );
 
     // The sort arena is charged only while sorting.
     let sort_lease = reserve(opts, sort_pages)?;
@@ -934,32 +950,112 @@ mod tests {
         assert_eq!(disk.allocated_pages(), 0, "no heap pages may leak");
     }
 
+    /// [`ColumnEntries`] that trips `token` once it has handed out its
+    /// first entry.
+    struct TripAfterFirst(ColumnEntries, CancelToken);
+
+    impl Operator for TripAfterFirst {
+        fn open(&mut self) -> Result<(), ExecError> {
+            self.0.open()
+        }
+
+        fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
+            if self.0.offered > 0 {
+                self.1.cancel();
+            }
+            self.0.next()
+        }
+
+        fn close(&mut self) {}
+
+        fn record_size(&self) -> usize {
+            self.0.record_size()
+        }
+    }
+
     #[test]
     fn cancel_is_seen_within_one_poll_interval_while_the_filter_drops_everything() {
-        // The first row dominates every other, so after it the stream
-        // emits nothing: the token has to be polled per row consumed.
+        // The first row dominates every other: the survey keeps the first
+        // chunk, which meets no front, and drops every row after it, and
+        // of what it kept — all seeds — the filter forwards row 0 alone.
+        // So the token has to be polled per row consumed, in the survey
+        // and in the admits, and the books balance at either stop.
         let n = 100_000i64;
         let rows: Vec<Tuple> = (0..n).map(|i| tuple![n - i, n - i]).collect();
-        let cols = columns(&rows, &[(0, false), (1, false)], &[]);
-        let token = CancelToken::new();
-        let metrics = SkylineMetrics::shared();
-        let score = Arc::new(cols.entropy_score());
-        let filter = GroupedElimination::new(2, 1, score, Arc::clone(&metrics));
-        let mut entries = ColumnEntries::new(
-            cols,
-            NarrowLayout::new(2).with_score(),
-            filter,
-            Some(token.clone()),
-        );
-        entries.open().unwrap();
-        assert!(entries.next().unwrap().is_some());
+        let interval = skyline_exec::cancel::CANCEL_CHECK_INTERVAL;
+        let entries = |token: &CancelToken, metrics: &Arc<SkylineMetrics>| {
+            let cols = columns(&rows, &[(0, false), (1, false)], &[]);
+            let score = Arc::new(cols.entropy_score());
+            let filter = GroupedElimination::new(2, 1, score, Arc::clone(metrics));
+            let narrow = NarrowLayout::new(2).with_score();
+            ColumnEntries::new(
+                cols,
+                narrow,
+                filter,
+                Some(token.clone()),
+                Arc::clone(metrics),
+            )
+        };
+        // tripped before the survey: its first poll sees it, nothing done
+        let (token, metrics) = (CancelToken::new(), SkylineMetrics::shared());
         token.cancel();
-        let err = entries.next().unwrap_err();
+        let err = entries(&token, &metrics).open().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExecError::Cancelled {
+                    records_processed: 0
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(metrics.snapshot(), MetricsSnapshot::default());
+        // tripped at the first row out of the admits: seen at the end of
+        // the chunk of seeds, every row consumed settled
+        let (token, metrics) = (CancelToken::new(), SkylineMetrics::shared());
+        let mut e = entries(&token, &metrics);
+        let narrow = e.narrow;
+        e.open().unwrap();
+        let surveyed = metrics.snapshot();
+        assert_eq!(surveyed.eliminated, n as u64 - interval);
+        assert_eq!(surveyed.comparisons, n as u64 - interval);
+        assert_eq!(narrow.row_id(e.next().unwrap().unwrap()), 0);
+        token.cancel();
+        let err = e.next().unwrap_err();
         let ExecError::Cancelled { records_processed } = err else {
             panic!("{err}");
         };
-        assert!(records_processed <= skyline_exec::cancel::CANCEL_CHECK_INTERVAL);
+        assert!(records_processed <= surveyed.eliminated + interval);
         assert_eq!(metrics.snapshot().eliminated + 1, records_processed);
+        // through the sort, from either phase: no page left on the disk
+        // or in the pool
+        let (token, metrics, disk) = (
+            CancelToken::new(),
+            SkylineMetrics::shared(),
+            MemDisk::shared(),
+        );
+        let tripping = TripAfterFirst(entries(&token, &metrics), token.clone());
+        let score = Arc::new(columns(&rows[..1], &[(0, false), (1, false)], &[]).entropy_score());
+        let sorted = sort_narrow(
+            Box::new(tripping),
+            narrow,
+            score,
+            3,
+            1,
+            Arc::clone(&disk) as _,
+        );
+        assert!(matches!(sorted, Err(ExecError::Cancelled { .. })));
+        assert_eq!(disk.allocated_pages(), 0);
+        let token = CancelToken::new();
+        token.cancel();
+        let (pool, disk) = (BufferPool::new(1 << 12), MemDisk::shared());
+        let opts = ExecOptions::default()
+            .with_cancel(token)
+            .with_pool(pool.clone())
+            .with_disk(Arc::clone(&disk) as _);
+        let err = paged(&rows, &[(0, false), (1, false)], &[], &opts).unwrap_err();
+        assert!(matches!(err, QueryError::Cancelled { .. }), "{err}");
+        assert_eq!((pool.used(), disk.allocated_pages()), (0, 0));
     }
 
     #[test]
@@ -1433,7 +1529,7 @@ mod tests {
             GroupedElimination::new(d, groups, Arc::clone(&score) as _, Arc::clone(metrics));
         let arena = sort_pages_for(opts, cols.rows(), narrow.entry_size()) - 1;
         let scored = narrow.with_score();
-        let entries = ColumnEntries::new(cols, scored, filter, None);
+        let entries = ColumnEntries::new(cols, scored, filter, None, Arc::clone(metrics));
         let entries = Box::new(Unscored(entries, Vec::new()));
         let sorted = sort_narrow(entries, narrow, score, arena, 1, Arc::clone(&disk));
         let sorted = Arc::new(sorted.unwrap());

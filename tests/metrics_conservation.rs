@@ -12,7 +12,8 @@
 //! parallel stages like every other counter.
 
 use skyline::core::external::{
-    sharded_skyline, sort_narrow, EliminationFilter, GroupedElimination, ShardConfig, ShardStrategy,
+    sharded_skyline, sort_narrow, GroupedElimination, ShardConfig, ShardStrategy, Survey,
+    CHUNK_ROWS,
 };
 use skyline::core::planner::{bnl_over, entropy_stats_of, load_heap, presort, sfs_filter};
 use skyline::core::{
@@ -20,7 +21,7 @@ use skyline::core::{
     KeySumScore, MetricsSnapshot, SfsConfig, SkylineMetrics, SkylineSpec, SortOrder,
 };
 use skyline::exchange::FRAME_HEADER_BYTES;
-use skyline::exec::cancel::{poll, CANCEL_CHECK_INTERVAL};
+use skyline::exec::cancel::poll_now;
 use skyline::exec::{
     collect, BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator,
 };
@@ -226,75 +227,111 @@ fn parallel_filter_aggregate_is_the_exact_sum_of_its_stages() {
     }
 }
 
-/// Key columns as narrow entries, minus what an elimination filter
-/// drops: the SQL push-down's producer, rebuilt from its public parts —
-/// a chunk of rows is screened against the filter's front column at a
-/// time, the survivors are gathered and admitted, and the filter's
-/// counters are settled where the token is polled.
-struct FilteredKeys {
+/// Key columns as narrow entries, minus what the survey and the
+/// elimination filter drop: the SQL push-down's producer, rebuilt from
+/// its public parts. `open` surveys the columns (screening nothing under
+/// `DIFF`); then the survey's seeds, best sum first, and after them its
+/// other kept rows, a chunk at a time in row order, are gathered and
+/// offered to their own group's filter, whose counters are settled where
+/// the token is polled.
+struct SurveyedKeys {
     columns: Vec<Vec<f64>>,
+    /// Each row's `DIFF` group; `None` without `DIFF`.
+    groups: Option<Vec<usize>>,
     narrow: NarrowLayout,
-    filter: EliminationFilter,
+    filter: GroupedElimination,
+    metrics: Arc<SkylineMetrics>,
     cancel: Option<CancelToken>,
-    chunk: usize,
+    survey: Survey,
+    seeded: usize,
     next_chunk: usize,
-    survivors: Vec<u32>,
+    rows: Vec<usize>,
     taken: usize,
-    key: Vec<f64>,
+    /// Rows offered to the filter so far.
+    offered: u64,
+    lanes: Vec<f64>,
     entry: Vec<u8>,
 }
 
-impl FilteredKeys {
-    /// Over the row-major `keys`, `d` wide.
-    fn new(keys: &[f64], d: usize, filter: EliminationFilter) -> Self {
-        FilteredKeys {
+impl SurveyedKeys {
+    /// Over the row-major `keys`, `d` wide, in `groups` if given, ranked
+    /// by `score` and charging `metrics`.
+    fn new(
+        keys: &[f64],
+        d: usize,
+        groups: Option<Vec<usize>>,
+        score: Arc<EntropyScore>,
+        metrics: &Arc<SkylineMetrics>,
+    ) -> Self {
+        let g = groups
+            .as_ref()
+            .map_or(1, |g| g.iter().max().map_or(0, |m| m + 1));
+        SurveyedKeys {
             columns: (0..d)
                 .map(|k| keys.iter().skip(k).step_by(d).copied().collect())
                 .collect(),
-            narrow: NarrowLayout::new(d),
-            filter,
+            narrow: NarrowLayout::new(d).with_diff(usize::from(groups.is_some())),
+            groups,
+            filter: GroupedElimination::new(d, g, score, Arc::clone(metrics)),
+            metrics: Arc::clone(metrics),
             cancel: None,
-            chunk: 0,
+            survey: Survey::default(),
+            seeded: 0,
             next_chunk: 0,
-            survivors: Vec::new(),
+            rows: Vec::new(),
             taken: 0,
-            key: Vec::new(),
+            offered: 0,
+            lanes: Vec::new(),
             entry: Vec::new(),
         }
     }
 }
 
-impl Operator for FilteredKeys {
+impl Operator for SurveyedKeys {
     fn open(&mut self) -> Result<(), ExecError> {
+        let columns = &self.columns;
+        self.survey = Survey::run(
+            columns[0].len(),
+            columns.len(),
+            self.groups.is_none(),
+            |k| (&columns[k][..], 1.0),
+            self.cancel.as_ref(),
+            &self.metrics,
+        )?;
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
         loop {
-            while let Some(&offset) = self.survivors.get(self.taken) {
+            while let Some(&row) = self.rows.get(self.taken) {
                 self.taken += 1;
-                let row = self.chunk + offset as usize;
-                self.key.clear();
-                self.key.extend(self.columns.iter().map(|c| c[row]));
-                if self.filter.admit(&self.key) {
+                self.offered += 1;
+                self.lanes.clear();
+                self.lanes.extend(self.columns.iter().map(|c| c[row]));
+                let group = self.groups.as_ref().map(|g| g[row]);
+                if self.filter.admit(group.unwrap_or(0), &self.lanes) {
+                    self.lanes.extend(group.map(|g| g as f64));
                     self.narrow
-                        .encode_into(&self.key, row as u64, &mut self.entry);
+                        .encode_into(&self.lanes, row as u64, &mut self.entry);
                     return Ok(Some(&self.entry));
                 }
             }
             self.filter.settle();
-            poll(self.cancel.as_ref(), self.next_chunk as u64)?;
-            let (lo, hi) = (
-                self.next_chunk,
-                self.columns[0].len().min(self.next_chunk + CHUNK),
-            );
-            if lo == hi {
+            poll_now(self.cancel.as_ref(), self.survey.dropped() + self.offered)?;
+            let (seeds, n) = (self.survey.seeds(), self.columns[0].len());
+            self.taken = 0;
+            if self.seeded < seeds.len() {
+                let end = seeds.len().min(self.seeded + CHUNK_ROWS);
+                self.rows.clear();
+                self.rows.extend_from_slice(&seeds[self.seeded..end]);
+                self.seeded = end;
+            } else if self.next_chunk < n {
+                let hi = n.min(self.next_chunk + CHUNK_ROWS);
+                self.survey.kept(self.next_chunk, hi, &mut self.rows);
+                self.next_chunk = hi;
+            } else {
                 return Ok(None);
             }
-            (self.chunk, self.next_chunk, self.taken) = (lo, hi, 0);
-            let columns = &self.columns;
-            self.filter
-                .screen(hi - lo, |k| (&columns[k][lo..hi], 1.0), &mut self.survivors);
         }
     }
 
@@ -305,42 +342,37 @@ impl Operator for FilteredKeys {
     }
 }
 
-/// Rows between the producer's cancellation polls.
-const CHUNK: usize = CANCEL_CHECK_INTERVAL as usize;
-
-/// With an elimination filter ahead of the sort, a key is settled in
-/// exactly one of three places: dropped by the filter, discarded by SFS,
-/// or emitted. The three stages share one `SkylineMetrics`, as they do
-/// under SQL, and the sort in between neither adds nor loses a record.
+/// With a survey and an elimination filter ahead of the sort, a key is
+/// settled in exactly one of three places: dropped by the survey or the
+/// filter, discarded by SFS, or emitted. The three stages share one
+/// `SkylineMetrics`, as they do under SQL, and the sort in between
+/// neither adds nor loses a record — also on a correlated table, where
+/// the survey drops nearly every row before the filter sees it.
 #[test]
 fn elimination_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
     let (n, d) = (4_000usize, 3usize);
-    for (multipass, window_pages) in [(false, 8), (true, 1)] {
-        let label = if multipass {
-            "multipass"
-        } else {
-            "single-pass"
-        };
+    for (label, window_pages) in [("single-pass", 8), ("multipass", 1), ("correlated", 8)] {
+        let multipass = label == "multipass";
         let mut keys = Vec::with_capacity(n * d);
         skyline_testkit::replay(0x1E55, |rng| {
             for _ in 0..n {
                 let x = rng.usize_below(1_000);
                 // multipass: `x + y` nearly constant, so a skyline of
-                // several hundred keys over a bulk the filter can drop
-                let y = if multipass {
-                    1_000 - x + rng.usize_below(40)
-                } else {
-                    rng.usize_below(1_000)
+                // several hundred keys over a bulk the filter can drop;
+                // correlated: every criterion within 20 of `x`
+                let (y, z) = match label {
+                    "multipass" => (1_000 - x + rng.usize_below(40), rng.usize_below(100)),
+                    "correlated" => (x + rng.usize_below(20), x + rng.usize_below(20)),
+                    _ => (rng.usize_below(1_000), rng.usize_below(100)),
                 };
-                keys.extend([x as f64, y as f64, rng.usize_below(100) as f64]);
+                keys.extend([x as f64, y as f64, z as f64]);
             }
         });
         let disk = MemDisk::shared();
         let metrics = SkylineMetrics::shared();
         let score = Arc::new(EntropyScore::from_keys(&keys, d));
         let narrow = NarrowLayout::new(d);
-        let filter = EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(&metrics));
-        let entries = FilteredKeys::new(&keys, d, filter);
+        let entries = SurveyedKeys::new(&keys, d, None, Arc::clone(&score), &metrics);
         let sorted = sort_narrow(
             Box::new(entries),
             narrow,
@@ -372,64 +404,10 @@ fn elimination_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
         assert_eq!(s.eliminated + s.emitted + s.discarded, n as u64, "{label}");
         assert_eq!(s.emitted, out.len() as u64, "{label}");
         assert_eq!(s.passes > 1, multipass, "{label}: {} passes", s.passes);
-        assert_eq!(disk.allocated_pages(), 0, "{label}: pages leaked");
-    }
-}
-
-/// [`FilteredKeys`] under `DIFF`: each row's key and group number as a
-/// narrow entry with one group lane, each row offered to its own
-/// group's filter — the SQL push-down's producer on a `DIFF` clause.
-struct GroupedKeys {
-    columns: Vec<Vec<f64>>,
-    groups: Vec<usize>,
-    narrow: NarrowLayout,
-    filter: GroupedElimination,
-    chunk: usize,
-    next_chunk: usize,
-    survivors: Vec<u32>,
-    taken: usize,
-    lanes: Vec<f64>,
-    entry: Vec<u8>,
-}
-
-impl Operator for GroupedKeys {
-    fn open(&mut self) -> Result<(), ExecError> {
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
-        loop {
-            while let Some(&offset) = self.survivors.get(self.taken) {
-                self.taken += 1;
-                let row = self.chunk + offset as usize;
-                self.lanes.clear();
-                self.lanes.extend(self.columns.iter().map(|c| c[row]));
-                if self.filter.admit(self.groups[row], &self.lanes) {
-                    self.lanes.push(self.groups[row] as f64);
-                    self.narrow
-                        .encode_into(&self.lanes, row as u64, &mut self.entry);
-                    return Ok(Some(&self.entry));
-                }
-            }
-            self.filter.settle();
-            let (lo, hi) = (
-                self.next_chunk,
-                self.groups.len().min(self.next_chunk + CHUNK),
-            );
-            if lo == hi {
-                return Ok(None);
-            }
-            (self.chunk, self.next_chunk, self.taken) = (lo, hi, 0);
-            let columns = &self.columns;
-            self.filter
-                .screen(hi - lo, |k| (&columns[k][lo..hi], 1.0), &mut self.survivors);
+        if label == "correlated" {
+            assert!(s.input_records < n as u64 / 100, "{label}: {s:?}");
         }
-    }
-
-    fn close(&mut self) {}
-
-    fn record_size(&self) -> usize {
-        self.narrow.entry_size()
+        assert_eq!(disk.allocated_pages(), 0, "{label}: pages leaked");
     }
 }
 
@@ -437,7 +415,8 @@ impl Operator for GroupedKeys {
 /// its group's filter, discarded by SFS, or emitted — and the filter
 /// drops only what its own group dominates: every `DIFF` shape (one
 /// group; 8 groups; more groups than the filter's page holds, the rest
-/// unscreened; one-row groups), single-pass and multipass, keeps
+/// unscreened; one-row groups; 8 groups of a correlated table, whose
+/// seeds drop nearly everything), single-pass and multipass, keeps
 /// `eliminated + forwarded == rows` and `eliminated + emitted +
 /// discarded == rows`, emits each group's skyline, and settles nothing
 /// twice when the pipeline drops.
@@ -445,13 +424,15 @@ impl Operator for GroupedKeys {
 fn grouped_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
     let (n, d) = (4_000usize, 3usize);
     let page = skyline::storage::PAGE_SIZE / (8 * d);
-    let mut keys = Vec::with_capacity(n * d);
+    let (mut anti, mut correlated) = (Vec::with_capacity(n * d), Vec::with_capacity(n * d));
     skyline_testkit::replay(0xD1FE, |rng| {
         for _ in 0..n {
             let x = rng.usize_below(1_000);
             // `x + y` nearly constant: skylines of many keys per group
             let y = 1_000 - x + rng.usize_below(60);
-            keys.extend([x as f64, y as f64, rng.usize_below(100) as f64]);
+            anti.extend([x as f64, y as f64, rng.usize_below(100) as f64]);
+            let (y, z) = (x + rng.usize_below(20), x + rng.usize_below(20));
+            correlated.extend([x as f64, y as f64, z as f64]);
         }
     });
     for (label, groups, window_pages) in [
@@ -464,27 +445,21 @@ fn grouped_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
         ),
         ("past the page", (0..n).map(|i| i % (3 * page)).collect(), 8),
         ("one-row groups", (0..n).collect(), 8),
+        (
+            "8 groups, correlated",
+            (0..n).map(|i| i * 7 % 8).collect(),
+            8,
+        ),
     ] {
+        let is_correlated = label.ends_with("correlated");
+        let keys = if is_correlated { &correlated } else { &anti };
         let g = groups.iter().max().unwrap() + 1;
         let disk = MemDisk::shared();
         let metrics = SkylineMetrics::shared();
-        let score = Arc::new(EntropyScore::from_keys(&keys, d));
+        let score = Arc::new(EntropyScore::from_keys(keys, d));
         let narrow = NarrowLayout::new(d).with_diff(1);
-        let filter = GroupedElimination::new(d, g, Arc::clone(&score) as _, Arc::clone(&metrics));
-        let entries = GroupedKeys {
-            columns: (0..d)
-                .map(|k| keys.iter().skip(k).step_by(d).copied().collect())
-                .collect(),
-            groups: groups.clone(),
-            narrow,
-            filter,
-            chunk: 0,
-            next_chunk: 0,
-            survivors: Vec::new(),
-            taken: 0,
-            lanes: Vec::new(),
-            entry: Vec::new(),
-        };
+        let groups_of = Some(groups.clone());
+        let entries = SurveyedKeys::new(keys, d, groups_of, Arc::clone(&score), &metrics);
         let sorted = sort_narrow(
             Box::new(entries),
             narrow,
@@ -526,6 +501,9 @@ fn grouped_filter_then_sort_then_sfs_settle_every_key_exactly_once() {
                 "{label}: a one-row group has nothing to drop"
             );
         }
+        if is_correlated {
+            assert!(s.input_records < rows / 20, "{label}: {s:?}");
+        }
         // each group's skyline, and nothing else
         let key = |i: usize| &keys[i * d..(i + 1) * d];
         let mut got: Vec<usize> = out.iter().map(|e| narrow.row_id(e) as usize).collect();
@@ -556,8 +534,7 @@ fn growth_fixture(
     let metrics = SkylineMetrics::shared();
     let score = Arc::new(EntropyScore::from_keys(keys, d));
     let narrow = NarrowLayout::new(d);
-    let filter = EliminationFilter::new(d, Arc::clone(&score) as _, Arc::clone(&metrics));
-    let entries = FilteredKeys::new(keys, d, filter);
+    let entries = SurveyedKeys::new(keys, d, None, Arc::clone(&score), &metrics);
     let sorted = sort_narrow(
         Box::new(entries),
         narrow,
@@ -791,11 +768,13 @@ fn a_pass_that_has_spilled_never_grows_and_the_next_one_does() {
 
 /// A producer cancelled mid-stream has settled, by the time the error
 /// surfaces, exactly the rows it consumed: what it forwarded plus what
-/// the filter — front test and window probe — dropped. Nothing waits in
-/// the filter's plain counters for a drop that might never come.
+/// the survey and the filter — front test and window probe — dropped,
+/// and the error's progress count says so. Nothing waits in the filter's
+/// plain counters for a drop that might never come, and the token is
+/// seen within one chunk of rows offered.
 #[test]
 fn a_cancelled_producer_has_settled_every_row_it_consumed() {
-    let (n, d) = (10 * CHUNK + 17, 3usize);
+    let (n, d) = (10 * CHUNK_ROWS + 17, 3usize);
     let mut keys = Vec::with_capacity(n * d);
     skyline_testkit::replay(0xCA7C, |rng| {
         for _ in 0..n {
@@ -804,19 +783,17 @@ fn a_cancelled_producer_has_settled_every_row_it_consumed() {
     });
     let metrics = SkylineMetrics::shared();
     let score = Arc::new(EntropyScore::from_keys(&keys, d));
-    let filter = EliminationFilter::new(d, score, Arc::clone(&metrics));
     let token = CancelToken::new();
-    let mut entries = FilteredKeys::new(&keys, d, filter);
+    let mut entries = SurveyedKeys::new(&keys, d, None, score, &metrics);
     entries.cancel = Some(token.clone());
-    let narrow = entries.narrow;
     entries.open().unwrap();
+    let dropped = entries.survey.dropped();
     let mut forwarded = 0u64;
-    let mut last_row = 0;
-    while last_row < 3 * CHUNK as u64 {
-        let entry = entries.next().unwrap().expect("cancelled before the end");
-        last_row = narrow.row_id(entry);
+    while entries.offered <= CHUNK_ROWS as u64 {
+        entries.next().unwrap().expect("cancelled before the end");
         forwarded += 1;
     }
+    let offered = entries.offered;
     token.cancel();
     let consumed = loop {
         match entries.next() {
@@ -826,10 +803,13 @@ fn a_cancelled_producer_has_settled_every_row_it_consumed() {
             Err(e) => panic!("{e}"),
         }
     };
-    assert!(consumed < n as u64 && consumed.is_multiple_of(CHUNK as u64));
-    assert!(consumed <= last_row + 1 + CHUNK as u64, "one poll interval");
+    assert!(consumed < n as u64);
+    assert!(
+        consumed <= dropped + offered + CHUNK_ROWS as u64,
+        "one poll interval"
+    );
     let s = metrics.snapshot();
-    assert!(s.eliminated > 0, "the filter dropped nothing");
+    assert!(s.eliminated > dropped, "the filter dropped nothing");
     assert_eq!(s.eliminated + forwarded, consumed);
     // and the drop that follows adds nothing twice
     drop(entries);

@@ -1585,3 +1585,146 @@ fn order_by_ties_leave_by_row_number_on_both_sources() {
     .unwrap();
     assert_ne!(emitted, by_row);
 }
+
+/// The paged route's emitted row-id *sequence* against an independent
+/// oracle: the naive skyline, ordered by `DIFF` group (groups numbered by
+/// first appearance, ordered by the bytes of the number's entry lane),
+/// then the entropy score descending, then the key nested-descending,
+/// then row. Hostile tables — tied and repeated keys,
+/// ±0.0, ±∞, the `i32` extremes, random MIN/MAX mixes; sizes straddling
+/// the filter's page; anti-correlated ones whose skyline outgrows the
+/// quota's window; `DIFF` on few groups or more than the page holds —
+/// run under a four-page quota, so the window spills wherever the
+/// skyline does not fit it. Whichever rows the survey seeds the filter
+/// with, the answer, its order and a `LIMIT` without `ORDER BY` are the
+/// oracle's.
+#[test]
+fn the_paged_emission_is_the_presort_order_of_the_skyline() {
+    use skyline::core::{dominates, EntropyScore, MonotoneScore};
+    use skyline::relation::{Tuple, Value};
+    use std::cmp::Ordering;
+    let (mut spilled, mut past_the_page) = (0, 0);
+    skyline_testkit::cases(40, 0x5EED, |rng| {
+        let d = [1, 2, 3, 4, 7][rng.usize_below(5)];
+        let page = skyline::storage::PAGE_SIZE / (8 * d);
+        let anti = d > 1 && rng.usize_below(3) == 0;
+        let n = if anti {
+            (5 * page).max(1_100)
+        } else {
+            [page - 1, page, page + 1, 3 * page][rng.usize_below(4)]
+        };
+        let mut rows = if anti {
+            // every row near the plane Σ = 1 000: a skyline of hundreds
+            (0..n)
+                .map(|_| {
+                    let mut key: Vec<f64> = (1..d).map(|_| rng.usize_below(1_000) as f64).collect();
+                    let rest = 1_000.0 * (d - 1) as f64 - key.iter().sum::<f64>();
+                    key.push(rest + rng.usize_below(30) as f64);
+                    key
+                })
+                .collect()
+        } else {
+            hostile_rows(rng, n, d, |v| if v.is_nan() { f64::INFINITY } else { v })
+        };
+        for v in rows.iter_mut().flatten() {
+            if *v == 0.0 && rng.bool() {
+                *v = -*v;
+            }
+        }
+        let groups = [0, 1, 3, 2 * page][rng.usize_below(4)];
+        let group_of: Vec<i64> = (0..n)
+            .map(|_| rng.usize_below(groups.max(1)) as i64)
+            .collect();
+        let names: Vec<String> = (0..d).map(|c| format!("c{c}")).collect();
+        let mut named = vec![("id", ColumnType::Int), ("g", ColumnType::Int)];
+        named.extend(names.iter().map(|c| (c.as_str(), ColumnType::Float)));
+        let mut table = Table::empty(Schema::of(&named));
+        for (i, row) in rows.iter().enumerate() {
+            let mut values = vec![Value::Int(i as i64), Value::Int(group_of[i])];
+            values.extend(row.iter().copied().map(Value::Float));
+            table.push(Tuple::new(values)).unwrap();
+        }
+        let is_min: Vec<bool> = (0..d).map(|_| rng.bool()).collect();
+        let criteria: Vec<String> = is_min
+            .iter()
+            .enumerate()
+            .map(|(c, &min)| format!("c{c} {}", if min { "MIN" } else { "MAX" }))
+            .collect();
+        let diff = if groups > 0 { ", g DIFF" } else { "" };
+        let sql = format!("SELECT id FROM t SKYLINE OF {}{diff}", criteria.join(", "));
+
+        // the oracle
+        let oriented: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|row| {
+                let signed = row.iter().zip(&is_min);
+                signed.map(|(&v, &min)| if min { -v } else { v }).collect()
+            })
+            .collect();
+        // groups numbered by first appearance, as the planner numbers them
+        let mut first: Vec<i64> = Vec::new();
+        let group: Vec<usize> = group_of
+            .iter()
+            .map(|g| {
+                first.iter().position(|f| f == g).unwrap_or_else(|| {
+                    first.push(*g);
+                    first.len() - 1
+                })
+            })
+            .collect();
+        // the sort orders groups by their entry lane: the number's f64
+        // bytes as stored (little-endian), compared as bytes
+        let lane = |g: usize| (g as f64).to_le_bytes();
+        let score = EntropyScore::from_keys(&oriented.concat(), d);
+        let mut want: Vec<usize> = (0..n)
+            .filter(|&i| {
+                !(0..n).any(|j| group[j] == group[i] && dominates(&oriented[j], &oriented[i]))
+            })
+            .collect();
+        want.sort_by(|&a, &b| {
+            let nested = (0..d)
+                .map(|k| oriented[b][k].partial_cmp(&oriented[a][k]).unwrap())
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal);
+            let (sa, sb) = (score.score(&oriented[a]), score.score(&oriented[b]));
+            lane(group[a])
+                .cmp(&lane(group[b]))
+                .then(sb.total_cmp(&sa))
+                .then(nested)
+                .then(a.cmp(&b))
+        });
+        let window = 4 * page;
+        spilled += usize::from(want.len() > window);
+        past_the_page += usize::from(group.iter().max().is_some_and(|&g| g >= page));
+
+        let mut cat = Catalog::new();
+        cat.register("t", table);
+        let (pool, disk) = (BufferPool::new(4), MemDisk::shared());
+        let opts = ExecOptions::default()
+            .with_sort_pages(4)
+            .with_pool(pool.clone())
+            .with_disk(Arc::clone(&disk) as Arc<dyn Disk>);
+        let emitted = |sql: &str| {
+            let mut ids = Vec::new();
+            execute_query_into(&parse(sql).unwrap(), &cat, &opts, |_, row| {
+                ids.push(row.get(0).as_i64().unwrap() as usize);
+                ControlFlow::Continue(())
+            })
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert_eq!((pool.used(), disk.allocated_pages()), (0, 0), "{sql}");
+            ids
+        };
+        assert_eq!(emitted(&sql), want, "d {d} n {n} {sql}");
+        let k = 1 + rng.usize_below(want.len());
+        assert_eq!(
+            emitted(&format!("{sql} LIMIT {k}")),
+            want[..k],
+            "{sql} LIMIT {k}"
+        );
+    });
+    assert!(spilled > 0, "no skyline outgrew the window");
+    assert!(
+        past_the_page > 0,
+        "no table had more groups than the page holds"
+    );
+}
