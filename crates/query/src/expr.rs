@@ -1,11 +1,29 @@
 //! Predicate evaluation over tuples (three-valued SQL logic collapsed to
 //! two: comparisons involving NULL or incomparable types are simply
 //! false).
+//!
+//! A `WHERE` runs as a *selection*: [`Bound::over`] sets the predicate
+//! on one table, and [`Selector::select`] answers a range of its rows
+//! with the row numbers it keeps, on one of two paths, by a rule:
+//! - *a column at a time* when the predicate is one comparison of a
+//!   column with a number, `column op number`, and the table holds a
+//!   resident key column of that column with values (no `NULL`, string
+//!   or NaN) — a skyline built it; a `WHERE` builds none. It compares
+//!   the `f64`s: [`Value::sql_cmp`] compares every numeric pair through
+//!   [`Value::as_f64`], which is what a key column stores, so this is
+//!   the same comparison, ±0.0 and 2⁵³ + 1 included;
+//! - *row by row*, through [`Bound::eval`], for any other predicate.
+//!
+//! The first path serves the one shape measured traffic runs, a range
+//! predicate on a skyline criterion; a literal on the left, two columns
+//! or `AND`/`OR`/`NOT` would join it with a workload that runs them.
 
 use crate::ast::{CmpOp, Expr};
 use crate::error::QueryError;
-use skyline_relation::{Schema, Tuple, Value};
+use skyline_relation::{KeyColumn, Schema, Table, Tuple, Value};
 use std::cmp::Ordering;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Resolve all column references in `expr` to indices; fails fast on
 /// unknown columns so execution can't panic later.
@@ -144,7 +162,7 @@ pub fn bind<'e>(expr: &'e Expr, schema: &Schema) -> Result<Bound<'e>, QueryError
     node(expr, schema).map(Bound)
 }
 
-impl Bound<'_> {
+impl<'e> Bound<'e> {
     /// Evaluate the predicate against one row of the schema it was bound
     /// to.
     ///
@@ -167,6 +185,78 @@ impl Bound<'_> {
             }
         }
         node(&self.0, row)
+    }
+
+    /// Set the predicate on `table` for [`Selector::select`], picking its
+    /// path (module documentation). It reads the resident key columns
+    /// the table holds and builds none.
+    ///
+    /// # Panics
+    /// On a table narrower than the schema the predicate was bound to.
+    #[must_use]
+    pub fn over<'t>(&self, table: &'t Table) -> Selector<'_, 'e, 't> {
+        let column = match &self.0 {
+            // a NULL, string or NaN literal compares row by row
+            Node::Cmp(Operand::Column(c), op, Operand::Literal(v)) => v
+                .as_f64()
+                .filter(|x| !x.is_nan())
+                .zip(table.resident_key_column(*c))
+                .filter(|(_, key)| key.first_non_numeric().is_none())
+                .map(|(x, key)| (key, *op, x)),
+            _ => None,
+        };
+        Selector {
+            bound: self,
+            rows: table.rows(),
+            column,
+        }
+    }
+}
+
+/// A [`Bound`] predicate set on one table ([`Bound::over`]): it answers
+/// which rows of a range the predicate holds for.
+#[derive(Debug)]
+pub struct Selector<'b, 'e, 't> {
+    bound: &'b Bound<'e>,
+    rows: &'t [Tuple],
+    /// `column op number` over the column's resident key column, when
+    /// the predicate is read a column at a time.
+    column: Option<(Arc<KeyColumn>, CmpOp, f64)>,
+}
+
+impl Selector<'_, '_, '_> {
+    /// Append to `kept` the row numbers in `range` of the rows where
+    /// [`Bound::eval`] holds, ascending.
+    ///
+    /// # Panics
+    /// When `range` reaches past the table.
+    pub fn select(&self, range: Range<usize>, kept: &mut Vec<usize>) {
+        // one loop per operator, so each compiles to straight-line
+        // compares; branch-free: write every row number, keep the ones
+        // that hold
+        fn keep(values: &[f64], start: usize, kept: &mut Vec<usize>, test: impl Fn(f64) -> bool) {
+            let mut len = kept.len();
+            kept.resize(len + values.len(), 0);
+            for (i, &v) in values.iter().enumerate() {
+                kept[len] = start + i;
+                len += usize::from(test(v));
+            }
+            kept.truncate(len);
+        }
+        let Some((column, op, x)) = &self.column else {
+            kept.extend(range.filter(|&i| self.bound.eval(&self.rows[i])));
+            return;
+        };
+        let (start, x) = (range.start, *x);
+        let values = &column.values()[range];
+        match op {
+            CmpOp::Eq => keep(values, start, kept, |v| v == x),
+            CmpOp::Ne => keep(values, start, kept, |v| v != x),
+            CmpOp::Lt => keep(values, start, kept, |v| v < x),
+            CmpOp::Le => keep(values, start, kept, |v| v <= x),
+            CmpOp::Gt => keep(values, start, kept, |v| v > x),
+            CmpOp::Ge => keep(values, start, kept, |v| v >= x),
+        }
     }
 }
 
@@ -243,5 +333,35 @@ mod tests {
         let e = pred("restaurant < 5");
         validate(&e, t.schema()).unwrap();
         assert!(!t.rows().iter().any(|r| eval(&e, t.schema(), r)));
+    }
+
+    /// A NaN literal, which no SQL text spells, compares to nothing: the
+    /// column-at-a-time path must not take it, or `<>` would hold.
+    #[test]
+    fn a_nan_literal_selects_no_row_off_a_resident_column() {
+        use crate::ast::CmpOp;
+        let t = good_eats();
+        let price = t.schema().index_of("price").unwrap();
+        t.key_columns(&[price], |_| Ok::<(), ()>(())).unwrap();
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            let e = Expr::Cmp {
+                left: Box::new(Expr::Column("price".into())),
+                op,
+                right: Box::new(Expr::Literal(Value::Float(f64::NAN))),
+            };
+            let mut kept = Vec::new();
+            bind(&e, t.schema())
+                .unwrap()
+                .over(&t)
+                .select(0..t.len(), &mut kept);
+            assert!(kept.is_empty(), "{op:?}");
+        }
     }
 }

@@ -13,12 +13,17 @@
 //! collecting a table.
 //!
 //! Between the scan and the output the operators read one *relation*: a
-//! view of the catalog table's rows — all of them, or the ones a `WHERE`
-//! kept — or of the groups a `GROUP BY` made. The catalog's rows are
-//! borrowed all the way up: a skyline builds its key columns through the
-//! view (the table's resident ones when it is all of it), `ORDER BY`
+//! view of the catalog table's rows — all of them, or the *selection* a
+//! `WHERE` made, the ascending row numbers of its matches — or of the
+//! groups a `GROUP BY` made. The selection is computed a block of
+//! [`CHUNK_ROWS`] rows at a time by [`expr::Selector`], which reads a
+//! `column op number` predicate off the column's resident key column
+//! when a skyline has built one. The catalog's rows are borrowed all the
+//! way up: a skyline takes the table's resident key columns when it
+//! reads all of it and gathers them through a selection, `ORDER BY`
 //! sorts row numbers, and the one place a row is cloned is the output,
-//! for a row that leaves. Every row loop polls the cancel token.
+//! for a row that leaves. Every row loop polls the cancel token at the
+//! head of each block.
 
 use crate::ast::{AggFunc, Directive, Expr, Query, SelectItem, SkylineClause};
 use crate::catalog::Catalog;
@@ -31,7 +36,8 @@ use crate::pushdown::{
     TIE_MARGIN,
 };
 use skyline_core::cardinality::expected_skyline_size;
-use skyline_exec::cancel::{poll, poll_now, CANCEL_CHECK_INTERVAL};
+use skyline_core::external::CHUNK_ROWS;
+use skyline_exec::cancel::{poll, poll_now};
 use skyline_relation::{KeyColumn, Schema, Table, Tuple, Value};
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
@@ -135,6 +141,19 @@ pub fn execute_query_into(
     opts: &ExecOptions,
     sink: impl FnMut(usize, Tuple) -> ControlFlow<()>,
 ) -> Result<Schema, QueryError> {
+    run(query, catalog, opts, &|rowno| poll_row(opts, rowno), sink)
+}
+
+/// [`execute_query_into`], with `poll_scan` as the scan's cancel check
+/// at the head of each block — [`poll_row`] but in tests, which trip the
+/// token between two polls.
+fn run(
+    query: &Query,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    poll_scan: &dyn Fn(usize) -> Result<(), QueryError>,
+    sink: impl FnMut(usize, Tuple) -> ControlFlow<()>,
+) -> Result<Schema, QueryError> {
     let table = catalog
         .get(&query.from)
         .ok_or_else(|| QueryError::NoSuchTable(query.from.clone()))?;
@@ -152,31 +171,32 @@ pub fn execute_query_into(
         ));
     }
 
-    // Scan → Filter → Limit → Project, one row at a time.
-    let pred = pred.as_ref();
+    // Scan → Filter → Limit → Project, a block at a time. The WHERE
+    // reads the resident key columns a skyline built.
+    let filter = pred.as_ref().map(|p| p.over(table));
     if !grouped && query.skyline.is_none() && query.order_by.is_empty() {
         let mut out = Output::new(query, &schema, false, sink)?;
         let mut rank = 0;
-        scan(table, pred, opts, |row| {
+        scan(table, filter.as_ref(), poll_scan, |i| {
             rank += 1;
-            out.emit(rank - 1, Cow::Borrowed(row))
+            out.emit(rank - 1, Cow::Borrowed(&table.rows()[i]))
         })?;
         return Ok(out.schema);
     }
 
-    // Filter. The relation borrows the table's rows: a WHERE keeps
-    // references to its matches, and nothing below the output clones a
+    // Filter. The relation borrows the table's rows: a WHERE keeps the
+    // row numbers of its matches, and nothing below the output clones a
     // row. A GROUP BY's rows are owned here, declared first so that the
     // relation can borrow them too.
     let groups: Vec<Tuple>;
-    let mut rel = match pred {
-        Some(pred) => {
-            let mut kept = Vec::new();
-            scan(table, Some(pred), opts, |row| {
-                kept.push(row);
-                ControlFlow::Continue(())
-            })?;
-            Relation::Rows(kept)
+    let mut rel = match &filter {
+        Some(filter) => {
+            let mut selection = Vec::new();
+            for start in (0..table.len()).step_by(CHUNK_ROWS) {
+                poll_scan(start)?;
+                filter.select(start..table.len().min(start + CHUNK_ROWS), &mut selection);
+            }
+            Relation::Selection(table, selection)
         }
         None => Relation::Table(table),
     };
@@ -191,7 +211,7 @@ pub fn execute_query_into(
             made.retain(|r| having.eval(r));
         }
         groups = made;
-        (schema, rel) = (out_schema, Relation::Rows(groups.iter().collect()));
+        (schema, rel) = (out_schema, Relation::Rows(&groups));
     }
 
     // Everything above the skyline is resolved before it runs, so its
@@ -221,9 +241,9 @@ pub fn execute_query_into(
         }
         None => {
             let mut all = Vec::with_capacity(rel.len());
-            for start in (0..rel.len()).step_by(BLOCK) {
+            for start in (0..rel.len()).step_by(CHUNK_ROWS) {
                 poll_row(opts, start)?;
-                all.extend(start..rel.len().min(start + BLOCK));
+                all.extend(start..rel.len().min(start + CHUNK_ROWS));
             }
             all
         }
@@ -253,32 +273,37 @@ pub fn execute_query_into(
     Ok(out.schema)
 }
 
-/// Scan → Filter: hand each row of `table` that `pred` keeps to `f`, in
-/// table order, until `f` breaks.
-fn scan<'t>(
-    table: &'t Table,
-    pred: Option<&expr::Bound<'_>>,
-    opts: &ExecOptions,
-    mut f: impl FnMut(&'t Tuple) -> ControlFlow<()>,
+/// Scan → Filter: hand `f` the number of each row of `table` that
+/// `filter` keeps — every row without one — in table order, until `f`
+/// breaks. The rows are read a block of [`CHUNK_ROWS`] at a time; `poll`
+/// is the cancel check, called with the row number at the head of each.
+fn scan(
+    table: &Table,
+    filter: Option<&expr::Selector<'_, '_, '_>>,
+    poll: &dyn Fn(usize) -> Result<(), QueryError>,
+    mut f: impl FnMut(usize) -> ControlFlow<()>,
 ) -> Result<(), QueryError> {
-    // a block between polls keeps the check out of the per-row loop
-    for (block_no, block) in table.rows().chunks(BLOCK).enumerate() {
-        poll_row(opts, block_no * BLOCK)?;
-        for row in block {
-            if pred.is_none_or(|p| p.eval(row)) && f(row).is_break() {
-                return Ok(());
+    let mut kept = Vec::new();
+    for start in (0..table.len()).step_by(CHUNK_ROWS) {
+        poll(start)?;
+        let block = start..table.len().min(start + CHUNK_ROWS);
+        let flow = match filter {
+            Some(filter) => {
+                kept.clear();
+                filter.select(block, &mut kept);
+                kept.iter().try_for_each(|&i| f(i))
             }
+            None => block.into_iter().try_for_each(&mut f),
+        };
+        if flow.is_break() {
+            break;
         }
     }
     Ok(())
 }
 
-/// Rows between two polls of the cancel token in a row loop of the
-/// executor.
-const BLOCK: usize = CANCEL_CHECK_INTERVAL as usize;
-
 /// The cancel check of a row loop of the executor at its row `rowno`:
-/// it polls the token at every multiple of [`BLOCK`].
+/// it polls the token at every multiple of [`CHUNK_ROWS`].
 fn poll_row(opts: &ExecOptions, rowno: usize) -> Result<(), QueryError> {
     poll(opts.cancel.as_ref(), rowno as u64).map_err(QueryError::from_exec)
 }
@@ -290,15 +315,18 @@ fn poll_row(opts: &ExecOptions, rowno: usize) -> Result<(), QueryError> {
 enum Relation<'r> {
     /// The whole FROM table, whose resident key columns a skyline shares.
     Table(&'r Table),
-    /// Rows in order: the table's rows a `WHERE` kept, or the groups a
-    /// `GROUP BY` made and its `HAVING` kept.
-    Rows(Vec<&'r Tuple>),
+    /// The FROM table's rows a `WHERE` kept: their row numbers,
+    /// ascending.
+    Selection(&'r Table, Vec<usize>),
+    /// The groups a `GROUP BY` made and its `HAVING` kept.
+    Rows(&'r [Tuple]),
 }
 
 impl Relation<'_> {
     fn len(&self) -> usize {
         match self {
             Relation::Table(t) => t.len(),
+            Relation::Selection(_, selection) => selection.len(),
             Relation::Rows(rows) => rows.len(),
         }
     }
@@ -306,17 +334,21 @@ impl Relation<'_> {
     fn row(&self, i: usize) -> &Tuple {
         match self {
             Relation::Table(t) => &t.rows()[i],
-            Relation::Rows(rows) => rows[i],
+            Relation::Selection(t, selection) => &t.rows()[selection[i]],
+            Relation::Rows(rows) => &rows[i],
         }
     }
 
     /// The key columns at positions `columns`: the table's resident ones
-    /// for a whole table, else built for this query (same type, same
-    /// builder).
+    /// for a whole table; gathered from them through a selection; built
+    /// for this query (same type, same builder) for the groups, and for
+    /// a selection where a resident column holds no values — the `WHERE`
+    /// may have dropped the row that stopped it, and a row that did not
+    /// go is named by its number among the matches.
     fn key_columns(
         &self,
         columns: &[usize],
-        poll: impl FnMut(u64) -> Result<(), QueryError>,
+        mut poll: impl FnMut(u64) -> Result<(), QueryError>,
     ) -> Result<Vec<Arc<KeyColumn>>, QueryError> {
         match self {
             Relation::Table(t) => t.key_columns(columns, poll),
@@ -324,13 +356,37 @@ impl Relation<'_> {
                 .into_iter()
                 .map(Arc::new)
                 .collect()),
+            Relation::Selection(t, selection) => {
+                let mut out = t.key_columns(columns, &mut poll)?;
+                let mut holed = Vec::new();
+                for (k, column) in out.iter_mut().enumerate() {
+                    match column.gather(selection) {
+                        Some(gathered) => *column = Arc::new(gathered),
+                        None => holed.push(k),
+                    }
+                }
+                if !holed.is_empty() {
+                    let at: Vec<usize> = holed.iter().map(|&k| columns[k]).collect();
+                    let built = KeyColumn::build_all(&self.rows(), &at, poll)?;
+                    for (k, column) in holed.into_iter().zip(built) {
+                        out[k] = Arc::new(column);
+                    }
+                }
+                Ok(out)
+            }
         }
+    }
+
+    /// The rows, in order, as references.
+    fn rows(&self) -> Vec<&Tuple> {
+        (0..self.len()).map(|i| self.row(i)).collect()
     }
 
     /// [`group_ids`] of the relation's rows.
     fn group_ids(&self, columns: &[usize]) -> Vec<usize> {
         match self {
             Relation::Table(t) => group_ids(t.rows(), columns),
+            Relation::Selection(..) => group_ids(&self.rows(), columns),
             Relation::Rows(rows) => group_ids(rows, columns),
         }
     }
@@ -1418,6 +1474,84 @@ mod tests {
         // and through SQL the answer is those rows
         let out = execute("SELECT * FROM big LIMIT 3", &c).unwrap();
         assert_eq!(out.rows(), all[..3].to_vec());
+    }
+
+    /// A token tripped while a `WHERE` selects under a skyline over
+    /// 100 000 rows is seen at the next block's poll, a column at a time
+    /// or row by row: the query ends `Cancelled` with that block's head
+    /// as its progress, the skyline never runs, and nothing stays charged
+    /// to the quota pool. A live token changes no answer.
+    #[test]
+    fn a_token_tripped_mid_selection_is_seen_within_one_block() {
+        use skyline_exec::CancelToken;
+        use skyline_relation::{tuple, ColumnType, Schema};
+        use skyline_storage::BufferPool;
+        let rows = (0..100_000i64)
+            .map(|i| tuple![i, i % 1_000 - 500, (i * 7_919) % 100_003])
+            .collect();
+        let schema = Schema::of(&[
+            ("id", ColumnType::Int),
+            ("a", ColumnType::Int),
+            ("b", ColumnType::Int),
+        ]);
+        let mut c = Catalog::new();
+        c.register("t", Table::new(schema, rows).unwrap());
+        let pool = BufferPool::new(2_048);
+        let with = |token: &CancelToken| {
+            ExecOptions::default()
+                .with_pool(pool.clone())
+                .with_cancel(token.clone())
+        };
+        for pred in ["a > 0", "a > 0 AND b <> 7"] {
+            let sql = format!("SELECT * FROM t WHERE {pred} SKYLINE OF a MAX, b MIN");
+            let query = parse(&sql).unwrap();
+            // the live run makes `a` resident, so `a > 0` is read off it
+            let want = execute_query(&query, &c).unwrap();
+            assert_eq!(
+                execute_query_with(&query, &c, &with(&CancelToken::new())).unwrap(),
+                want
+            );
+            assert_eq!(pool.used(), 0);
+            for trip in [
+                0,
+                CHUNK_ROWS,
+                150 * CHUNK_ROWS,
+                100_000 / CHUNK_ROWS * CHUNK_ROWS,
+            ] {
+                let token = CancelToken::new();
+                let opts = with(&token);
+                // tripped after the poll at `trip`, while its block is
+                // selected
+                let poll_scan = |rowno: usize| {
+                    let polled = poll_row(&opts, rowno);
+                    if rowno == trip {
+                        token.cancel();
+                    }
+                    polled
+                };
+                let mut emitted = 0;
+                let end = run(&query, &c, &opts, &poll_scan, |_, _| {
+                    emitted += 1;
+                    ControlFlow::Continue(())
+                });
+                let seen = trip + CHUNK_ROWS;
+                if seen < 100_000 {
+                    assert_eq!(
+                        end.unwrap_err(),
+                        QueryError::Cancelled {
+                            records_processed: seen as u64
+                        },
+                        "{pred}: tripped at {trip}"
+                    );
+                    assert_eq!(emitted, 0, "the skyline ran");
+                } else {
+                    // the last block has no poll after it: the skyline's
+                    // own polls see the trip
+                    assert!(matches!(end, Err(QueryError::Cancelled { .. })), "{end:?}");
+                }
+                assert_eq!(pool.used(), 0, "{pred}: tripped at {trip}");
+            }
+        }
     }
 
     #[test]

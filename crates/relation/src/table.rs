@@ -100,6 +100,27 @@ impl KeyColumn {
         }
     }
 
+    /// The column of the rows at positions `rows`, in that order: the
+    /// values read through the selection, the statistics read off them —
+    /// what [`Self::build_all`] gives over those rows. `None` when this
+    /// column holds no values: one of the rows left out may be the
+    /// offender, so the caller builds from the selected rows instead.
+    ///
+    /// # Panics
+    /// When a position is outside the column.
+    #[must_use]
+    pub fn gather(&self, rows: &[usize]) -> Option<KeyColumn> {
+        if self.first_non_numeric.is_some() {
+            return None;
+        }
+        let values: Vec<f64> = rows.iter().map(|&r| self.values[r]).collect();
+        Some(KeyColumn {
+            stats: ColumnStats::of(&values),
+            values,
+            first_non_numeric: None,
+        })
+    }
+
     /// The values, one per row — empty when [`Self::first_non_numeric`]
     /// is set.
     pub fn values(&self) -> &[f64] {
@@ -122,7 +143,8 @@ impl KeyColumn {
 ///
 /// A table also keeps *resident key columns*: the [`KeyColumn`] of every
 /// attribute a skyline query has referenced so far, built on first use
-/// ([`Table::key_columns`]) and shared by every later query. They are
+/// ([`Table::key_columns`]) and shared by every later query — a `WHERE`
+/// reads the ones there are ([`Table::resident_key_column`]). They are
 /// derived data — [`Table::push`] drops them, and `Clone`, `PartialEq`
 /// and `Debug` look at schema and rows only (a clone starts cold).
 pub struct Table {
@@ -244,6 +266,16 @@ impl Table {
             .iter()
             .map(|&c| Arc::clone(slots[c].as_ref().expect("present or just built")))
             .collect())
+    }
+
+    /// The resident key column at position `column`, if a query has
+    /// built it since the last [`Table::push`]; never builds one.
+    ///
+    /// # Panics
+    /// When the position is outside the schema.
+    pub fn resident_key_column(&self, column: usize) -> Option<Arc<KeyColumn>> {
+        let slots = self.resident.lock().unwrap_or_else(PoisonError::into_inner);
+        slots[column].clone()
     }
 
     /// Consume into rows.
@@ -527,6 +559,15 @@ mod tests {
         assert_eq!(cols[0].values(), [-3.0, 9.0]);
         assert_eq!(cols[1].first_non_numeric(), Some(1));
         assert_eq!(cols[2].first_non_numeric(), Some(0));
+        // a gather through a selection is the build over the selected rows
+        let full = KeyColumn::build_all(&rows, &[0, 1, 2], never).unwrap();
+        assert_eq!(full[0].gather(&[1, 2]).as_ref(), Some(&cols[0]));
+        let picked: Vec<&Tuple> = [0, 2].map(|i| &rows[i]).into();
+        let built = KeyColumn::build_all(&picked, &[1], never).unwrap();
+        assert_eq!(full[1].gather(&[0, 2]).as_ref(), Some(&built[0]));
+        assert_eq!(full[1].gather(&[]).unwrap().stats(), &ColumnStats::empty());
+        // a column with no values has nothing to gather from
+        assert_eq!(full[2].gather(&[0, 1]), None);
     }
 
     #[test]
@@ -537,10 +578,16 @@ mod tests {
             polled += 1;
             Ok::<(), ()>(())
         };
+        assert!(
+            t.resident_key_column(1).is_none(),
+            "a lookup builds nothing"
+        );
         let first = t.key_columns(&[2, 1, 2], &mut count).unwrap();
         assert_eq!(first[0].values(), [2.0, 4.0]);
         assert_eq!(first[1].values(), [1.0, 3.0]);
         assert!(Arc::ptr_eq(&first[0], &first[2]));
+        assert!(Arc::ptr_eq(&t.resident_key_column(1).unwrap(), &first[1]));
+        assert!(t.resident_key_column(0).is_none());
         // one pass built both; a second call builds nothing, and a call
         // that adds a column passes once more for that column alone
         let again = t.key_columns(&[1, 2], &mut count).unwrap();
@@ -561,6 +608,7 @@ mod tests {
             "the original stays warm"
         );
         t.push(tuple!["c", 5, 6.0]).unwrap();
+        assert!(t.resident_key_column(1).is_none());
         assert_ne!(clone, t);
         assert_eq!(t.key_columns(&[1], refuse).unwrap_err(), "cold");
         let rebuilt = t.key_columns(&[1], never).unwrap();

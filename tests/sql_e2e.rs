@@ -1300,6 +1300,295 @@ fn a_where_answers_as_the_pre_filtered_table() {
     });
 }
 
+/// `n` rows whose columns hold what a `WHERE`'s column-at-a-time path
+/// must compare as [`skyline::relation::Value::sql_cmp`] does: `i` the
+/// integers 2⁵³ and 2⁵³ + 1 among small ones, `f` ±0.0 and ±∞, `fi` a
+/// FLOAT column holding INTs, `d` dates, `h` small integers with a NULL
+/// in the last row only, `s` strings, `'NULL'` among them.
+fn selection_table(rng: &mut skyline::relation::rng::Rng, n: usize) -> Table {
+    use skyline::relation::{Tuple, Value};
+    let big = 1i64 << 53;
+    let ints = [big, big + 1, -(big + 1), 0, 1, -1, 7];
+    let floats = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.5, 7.0];
+    let strings = ["NULL", "a", "b", "7"];
+    let mut table = Table::empty(Schema::of(&[
+        ("id", ColumnType::Int),
+        ("i", ColumnType::Int),
+        ("f", ColumnType::Float),
+        ("fi", ColumnType::Float),
+        ("d", ColumnType::Date),
+        ("h", ColumnType::Int),
+        ("s", ColumnType::Str),
+    ]));
+    for row in 0..n {
+        let h = if row + 1 == n {
+            Value::Null
+        } else {
+            Value::Int(rng.i64_inclusive(0, 5))
+        };
+        table
+            .push(Tuple::new(vec![
+                Value::Int(row as i64),
+                Value::Int(ints[rng.usize_below(ints.len())]),
+                Value::Float(floats[rng.usize_below(floats.len())]),
+                Value::Int(ints[rng.usize_below(ints.len())]),
+                Value::Date(rng.i64_inclusive(-3, 7)),
+                h,
+                strings[rng.usize_below(strings.len())].into(),
+            ]))
+            .unwrap();
+    }
+    table
+}
+
+/// A random predicate over [`selection_table`]'s columns: every
+/// operator, a literal on either side or a second column, the literal
+/// `NULL`, string literals against numeric columns and numbers against
+/// the string column, under nested AND/OR/NOT.
+fn selection_predicate(rng: &mut skyline::relation::rng::Rng, depth: u32) -> String {
+    if depth > 0 && rng.usize_below(3) == 0 {
+        let (a, b) = (
+            selection_predicate(rng, depth - 1),
+            selection_predicate(rng, depth - 1),
+        );
+        return match rng.usize_below(3) {
+            0 => format!("({a} AND {b})"),
+            1 => format!("({a} OR {b})"),
+            _ => format!("NOT {a}"),
+        };
+    }
+    let columns = ["id", "i", "f", "fi", "d", "h", "s"];
+    let literals = [
+        "0",
+        "-0.0",
+        "1.5",
+        "-1",
+        "7",
+        "300",
+        "9007199254740992",
+        "9007199254740993",
+        "-9007199254740993",
+        "NULL",
+        "'NULL'",
+        "'a'",
+    ];
+    let ops = ["=", "<>", "<", "<=", ">", ">="];
+    let column = columns[rng.usize_below(columns.len())];
+    let other = match rng.usize_below(2) {
+        0 => columns[rng.usize_below(columns.len())],
+        _ => literals[rng.usize_below(literals.len())],
+    };
+    let (l, r) = if rng.bool() {
+        (column, other)
+    } else {
+        (other, column)
+    };
+    format!("{l} {} {r}", ops[rng.usize_below(ops.len())])
+}
+
+/// A `WHERE`'s selection is, row for row and in order, the rows where
+/// the bound predicate holds — over tables of 0, 1, 255, 256, 257 and
+/// 769 rows, so that block edges are crossed, whether the selector runs
+/// over the whole table or in two uneven pieces, and through the
+/// streaming scan; cold, where every predicate is read row by row and
+/// builds no column, and with every column resident, where `column op
+/// number` is read a column at a time. An `INSERT` between two queries
+/// drops the resident columns, and the next selection keeps the new row.
+#[test]
+fn a_selection_keeps_the_rows_where_the_predicate_holds() {
+    use skyline::query::ddl::run_statement;
+    use skyline::query::expr;
+    // `column op number` over every column and operator, then leaves
+    // that are always read row by row
+    let fixed = [
+        "i > 0",
+        "i >= 9007199254740993",
+        "i = 9007199254740992",
+        "f <> -0.0",
+        "f <= 1.5",
+        "fi > -1",
+        "fi < 9007199254740993",
+        "d < 300",
+        "id >= 0",
+        "h < 3",
+        "h <> 1",
+        "0 <= f",
+        "fi = i",
+        "d >= i",
+        "s = 'NULL'",
+        "s > 1",
+        "f = NULL",
+        "i < 'a'",
+    ];
+    let columns: Vec<usize> = (0..7).collect();
+    skyline_testkit::cases(2, 0x5E1C, |rng| {
+        for n in [0, 1, 255, 256, 257, 769] {
+            let mut cat = Catalog::new();
+            cat.register("t", selection_table(rng, n));
+            let t = cat.get("t").unwrap();
+            let random: Vec<String> = (0..40).map(|_| selection_predicate(rng, 3)).collect();
+            for warm in [false, true] {
+                if warm {
+                    t.key_columns(&columns, |_| Ok::<(), ()>(())).unwrap();
+                }
+                for pred in fixed.iter().map(|p| p.to_string()).chain(random.clone()) {
+                    let sql = format!("SELECT id FROM t WHERE {pred}");
+                    let filter = parse(&sql).unwrap().where_clause.unwrap();
+                    let bound = expr::bind(&filter, t.schema()).unwrap();
+                    let want: Vec<usize> = (0..n).filter(|&i| bound.eval(&t.rows()[i])).collect();
+                    let selector = bound.over(t);
+                    let mut whole = Vec::new();
+                    selector.select(0..n, &mut whole);
+                    assert_eq!(whole, want, "n={n} warm={warm} {pred}");
+                    let cut = rng.usize_below(n + 1);
+                    let mut pieces = Vec::new();
+                    selector.select(0..cut, &mut pieces);
+                    selector.select(cut..n, &mut pieces);
+                    assert_eq!(pieces, want, "n={n} warm={warm} cut at {cut}: {pred}");
+                    let ids: Vec<usize> = execute(&sql, &cat)
+                        .unwrap()
+                        .rows()
+                        .iter()
+                        .map(|r| r.get(0).as_i64().unwrap() as usize)
+                        .collect();
+                    assert_eq!(ids, want, "n={n} warm={warm} {sql}");
+                }
+                if !warm {
+                    assert!(
+                        columns.iter().all(|&c| t.resident_key_column(c).is_none()),
+                        "a WHERE builds no column"
+                    );
+                }
+            }
+        }
+    });
+
+    let mut cat = Catalog::new();
+    cat.register(
+        "t",
+        Table::empty(Schema::of(&[
+            ("id", ColumnType::Int),
+            ("x", ColumnType::Int),
+        ])),
+    );
+    let rows: Vec<String> = (0..300).map(|i| format!("({i}, {})", i % 7)).collect();
+    run_statement(
+        &format!("INSERT INTO t VALUES {}", rows.join(", ")),
+        &mut cat,
+    )
+    .unwrap();
+    let ids = |cat: &Catalog| -> Vec<i64> {
+        let out = execute("SELECT id FROM t WHERE x > 5", cat).unwrap();
+        out.rows()
+            .iter()
+            .map(|r| r.get(0).as_i64().unwrap())
+            .collect()
+    };
+    let warm_up = |cat: &Catalog| execute("SELECT id FROM t SKYLINE OF x MAX", cat).unwrap();
+    let x = |cat: &Catalog| cat.get("t").unwrap().resident_key_column(1);
+    let before = ids(&cat);
+    assert_eq!(before, (0..300).filter(|i| i % 7 == 6).collect::<Vec<_>>());
+    assert!(x(&cat).is_none(), "a WHERE builds no column");
+    warm_up(&cat);
+    assert_eq!(ids(&cat), before, "x is read a column at a time");
+    run_statement("INSERT INTO t VALUES (300, 6)", &mut cat).unwrap();
+    assert!(x(&cat).is_none(), "INSERT starts cold");
+    let after = ids(&cat);
+    assert_eq!(after, [before, vec![300]].concat());
+    warm_up(&cat);
+    assert_eq!(x(&cat).unwrap().values().len(), 301);
+    assert_eq!(ids(&cat), after);
+}
+
+/// A criterion holding a `NULL` or a string past the first block: its
+/// resident column holds no values, so the skyline under a `WHERE`
+/// builds it from the matches. A `WHERE` that drops that row answers as
+/// the pre-filtered table on the presort and on the ranked source; one
+/// that keeps it names the same `row N`, counted within the matches —
+/// cold and warm.
+#[test]
+fn a_holed_criterion_under_a_where_answers_as_the_pre_filtered_table() {
+    use skyline::query::expr;
+    use skyline::relation::{Tuple, Value};
+    let (n, at) = (700i64, 400i64);
+    let shapes = [
+        "SELECT * FROM t{w} SKYLINE OF a MIN, b MAX, c MIN",
+        "SELECT id, a FROM t{w} SKYLINE OF a MIN, b MAX, c MIN ORDER BY a LIMIT 2",
+    ];
+    let opts = ExecOptions::default();
+    for hole in [Value::Null, Value::Str("x".into())] {
+        let mut table = Table::empty(Schema::of(&[
+            ("id", ColumnType::Int),
+            ("a", ColumnType::Float),
+            ("b", ColumnType::Int),
+            ("c", ColumnType::Int),
+        ]));
+        for i in 0..n {
+            let c = if i == at {
+                hole.clone()
+            } else {
+                Value::Int((i * 53) % 997)
+            };
+            let a = Value::Float(((i * 389) % 701) as f64 + 0.5);
+            let row = Tuple::new(vec![Value::Int(i), a, Value::Int((i * 7_919) % 1_009), c]);
+            table.push(row).unwrap();
+        }
+        let mut whole = Catalog::new();
+        whole.register("t", table.clone());
+        let ranked = shapes[1].replace("{w}", &format!(" WHERE id <> {at}"));
+        let plan = skyline::query::plan::explain(&ranked, &whole).unwrap();
+        assert!(plan.contains("front test → heap → SFS"), "{plan}");
+        for cold_then_warm in 0..2 {
+            for pred in [
+                format!("id <> {at}"),
+                format!("id < {at} OR id > {at}"),
+                format!("b >= 0 AND NOT id = {at}"),
+                "id > 100".to_string(),
+            ] {
+                let filter = parse(&format!("SELECT * FROM t WHERE {pred}"))
+                    .unwrap()
+                    .where_clause
+                    .unwrap();
+                let matches = table
+                    .rows()
+                    .iter()
+                    .filter(|r| expr::eval(&filter, table.schema(), r))
+                    .cloned()
+                    .collect();
+                let mut only = Catalog::new();
+                only.register("t", Table::new(table.schema().clone(), matches).unwrap());
+                for shape in shapes {
+                    let with_where = shape.replace("{w}", &format!(" WHERE {pred}"));
+                    let got = pushed(&with_where, &whole, &opts);
+                    let without = shape.replace("{w}", "");
+                    assert_eq!(got, pushed(&without, &only, &opts), "{with_where}");
+                    match &got.1 {
+                        Err(m) => assert!(
+                            pred == "id > 100"
+                                && m.contains("row 299: skyline column c is not numeric"),
+                            "{with_where}: {m}"
+                        ),
+                        Ok(_) => assert!(!got.0.is_empty() && pred != "id > 100"),
+                    }
+                }
+            }
+            let c = resident(whole.get("t").unwrap(), 3).expect("c is resident");
+            assert_eq!(
+                c.first_non_numeric(),
+                Some(at as usize),
+                "pass {cold_then_warm}"
+            );
+        }
+        let m = execute(&shapes[0].replace("{w}", ""), &whole)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            m.contains("row 400: skyline column c is not numeric"),
+            "{m}"
+        );
+    }
+}
+
 /// Every row loop of the executor polls the cancel token: a tripped
 /// token ends each query shape with a typed `Cancelled` — the streaming
 /// scan, the `WHERE` pass, `ORDER BY`'s collection, grouping and the
