@@ -20,10 +20,11 @@
 //! `column op number` predicate off the column's resident key column
 //! when a skyline has built one. The catalog's rows are borrowed all the
 //! way up: a skyline takes the table's resident key columns when it
-//! reads all of it and gathers them through a selection, `ORDER BY`
-//! sorts row numbers, and the one place a row is cloned is the output,
-//! for a row that leaves. Every row loop polls the cancel token at the
-//! head of each block.
+//! reads all of it and gathers them through a selection — the ranked
+//! source's walk reads them through the selection without a gather —
+//! `ORDER BY` sorts row numbers, and the one place a row is cloned is
+//! the output, for a row that leaves. Every row loop polls the cancel
+//! token at the head of each block.
 
 use crate::ast::{AggFunc, Directive, Expr, Query, SelectItem, SkylineClause};
 use crate::catalog::Catalog;
@@ -32,8 +33,7 @@ use crate::expr;
 use crate::options::ExecOptions;
 use crate::parser::parse;
 use crate::pushdown::{
-    external_skyline_with, ranked_heap_fits, ranked_skyline_with, Ranked, SkylineColumns,
-    TIE_MARGIN,
+    external_skyline_with, group_cap, ranked_skyline_with, Ranked, SkylineColumns, RANKED_MARGIN,
 };
 use skyline_core::cardinality::expected_skyline_size;
 use skyline_core::external::CHUNK_ROWS;
@@ -123,8 +123,9 @@ pub fn execute_query_with(
 /// - `ORDER BY` and grouping collect first — row numbers, or the
 ///   groups — then emit, rows equal on every `ORDER BY` key by row
 ///   number; a skyline under `ORDER BY <criterion> … LIMIT k` may
-///   collect from the ranked source, which stops after the `k`-th
-///   answer's lead (see [`crate::pushdown::ranked_skyline_with`]).
+///   collect from the ranked source, a walk of the criterion's sorted
+///   order that stops after the `k`-th answer's lead (see
+///   [`crate::pushdown::ranked_skyline_with`]).
 ///
 /// `sink` returning [`ControlFlow::Break`] ends the pipeline as `LIMIT`
 /// does; the call still returns the schema.
@@ -177,7 +178,8 @@ fn run(
     if !grouped && query.skyline.is_none() && query.order_by.is_empty() {
         let mut out = Output::new(query, &schema, false, sink)?;
         let mut rank = 0;
-        scan(table, filter.as_ref(), poll_scan, |i| {
+        let first = usize::try_from(query.limit.unwrap_or(u64::MAX)).unwrap_or(usize::MAX);
+        scan(table, filter.as_ref(), first, poll_scan, |i| {
             rank += 1;
             out.emit(rank - 1, Cow::Borrowed(&table.rows()[i]))
         })?;
@@ -196,7 +198,7 @@ fn run(
                 poll_scan(start)?;
                 filter.select(start..table.len().min(start + CHUNK_ROWS), &mut selection);
             }
-            Relation::Selection(table, selection)
+            Relation::Selection(table, Arc::new(selection))
         }
         None => Relation::Table(table),
     };
@@ -231,7 +233,7 @@ fn run(
             return Ok(out.schema);
         }
         Some(clause) => {
-            let ranked = ranked(query, clause, rel.len(), opts);
+            let ranked = ranked(query, clause, rel.len());
             let mut kept = Vec::new();
             apply_skyline(&rel, &schema, clause, ranked, opts, |i| {
                 kept.push(i);
@@ -275,18 +277,26 @@ fn run(
 
 /// Scan → Filter: hand `f` the number of each row of `table` that
 /// `filter` keeps — every row without one — in table order, until `f`
-/// breaks. The rows are read a block of [`CHUNK_ROWS`] at a time; `poll`
-/// is the cancel check, called with the row number at the head of each.
+/// breaks. The rows are read a block at a time: the first of `first`
+/// rows — a query's `LIMIT`, so `LIMIT 3` tests three rows before its
+/// first one leaves — each next one twice as long, up to [`CHUNK_ROWS`],
+/// and none across a multiple of [`CHUNK_ROWS`]. `poll` is the cancel
+/// check, called with the row number at the head of each block.
 fn scan(
     table: &Table,
     filter: Option<&expr::Selector<'_, '_, '_>>,
+    first: usize,
     poll: &dyn Fn(usize) -> Result<(), QueryError>,
     mut f: impl FnMut(usize) -> ControlFlow<()>,
 ) -> Result<(), QueryError> {
     let mut kept = Vec::new();
-    for start in (0..table.len()).step_by(CHUNK_ROWS) {
+    let (mut start, mut len) = (0, first.clamp(1, CHUNK_ROWS));
+    while start < table.len() {
         poll(start)?;
-        let block = start..table.len().min(start + CHUNK_ROWS);
+        // no block crosses a multiple of CHUNK_ROWS, where polls check
+        let aligned = (start / CHUNK_ROWS + 1) * CHUNK_ROWS;
+        let block = start..table.len().min(start + len).min(aligned);
+        (start, len) = (block.end, (2 * len).min(CHUNK_ROWS));
         let flow = match filter {
             Some(filter) => {
                 kept.clear();
@@ -316,8 +326,8 @@ enum Relation<'r> {
     /// The whole FROM table, whose resident key columns a skyline shares.
     Table(&'r Table),
     /// The FROM table's rows a `WHERE` kept: their row numbers,
-    /// ascending.
-    Selection(&'r Table, Vec<usize>),
+    /// ascending, shared with the ranked source's walk.
+    Selection(&'r Table, Arc<Vec<usize>>),
     /// The groups a `GROUP BY` made and its `HAVING` kept.
     Rows(&'r [Tuple]),
 }
@@ -697,27 +707,14 @@ fn group_members(ids: &[usize]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The ranked source serves `LIMIT k` only while `RANKED_MARGIN · k` is
-/// at most the §6 estimate of the skyline's size: a `k` near the whole
-/// skyline feeds SFS most of the relation in lead order, which the
-/// entropy presort and its filter beat (EXPERIMENTS.md "Ranked top-k",
-/// crossover table).
-const RANKED_MARGIN: f64 = 4.0;
-
 /// Whether the skyline `clause` under `query`'s `ORDER BY … LIMIT k`, over
 /// a relation of `rows` rows, runs on the ranked source (DESIGN §16.4):
 /// no `DIFF`; the `ORDER BY` starts with one of the clause's criteria in
 /// its preferred direction (`MIN` ascending, `MAX` descending);
-/// `k ≥ 1` and `RANKED_MARGIN · k` within the §6 estimate; and the heap
-/// fits `opts` ([`ranked_heap_fits`]). Anything else takes the filter
-/// and presort — as does a ranked query whose source finds too many
-/// rows tied at the `k`-th best lead ([`ranked_skyline_with`]).
-fn ranked(
-    query: &Query,
-    clause: &SkylineClause,
-    rows: usize,
-    opts: &ExecOptions,
-) -> Option<Ranked> {
+/// and `k ≥ 1` with `RANKED_MARGIN · k` within the §6 estimate. Anything
+/// else takes the filter and presort — as does a ranked query whose walk
+/// gives up ([`ranked_skyline_with`]).
+fn ranked(query: &Query, clause: &SkylineClause, rows: usize) -> Option<Ranked> {
     let k = usize::try_from(query.limit?).ok().filter(|&k| k >= 1)?;
     let first = query.order_by.first()?;
     let items = &clause.items;
@@ -728,8 +725,7 @@ fn ranked(
         i.column.eq_ignore_ascii_case(&first.column)
             && (i.directive == Directive::Max) == first.desc
     })?;
-    let fits = RANKED_MARGIN * k as f64 <= expected_skyline_size(rows, items.len())
-        && ranked_heap_fits(rows, opts);
+    let fits = RANKED_MARGIN * k as f64 <= expected_skyline_size(rows, items.len());
     fits.then_some(Ranked { lead, k })
 }
 
@@ -763,9 +759,22 @@ fn apply_skyline(
             "SKYLINE OF needs at least one MIN/MAX criterion".into(),
         ));
     }
-    let columns = rel.key_columns(&crit, |rowno| {
-        poll_now(opts.cancel.as_ref(), rowno).map_err(QueryError::from_exec)
-    })?;
+    let poll = |rowno| poll_now(opts.cancel.as_ref(), rowno).map_err(QueryError::from_exec);
+    // The walk reads a selection through the table's resident columns
+    // when every one holds values: no gather.
+    let mut selection = None;
+    let columns = match (ranked, rel) {
+        (Some(_), Relation::Selection(t, rows)) => {
+            let resident = t.key_columns(&crit, poll)?;
+            if resident.iter().all(|c| c.first_non_numeric().is_none()) {
+                selection = Some(Arc::clone(rows));
+                resident
+            } else {
+                rel.key_columns(&crit, poll)?
+            }
+        }
+        _ => rel.key_columns(&crit, poll)?,
+    };
     // the lowest offending row, the first criterion in clause order on a
     // tie — the value a row-at-a-time scan would have met first
     let offender = columns
@@ -782,7 +791,7 @@ fn apply_skyline(
     let groups = (!diff.is_empty()).then(|| rel.group_ids(&diff));
     let cols = SkylineColumns::new(columns, &min, groups);
     match ranked {
-        Some(ranked) => ranked_skyline_with(cols, ranked, opts, emit),
+        Some(ranked) => ranked_skyline_with(cols, selection, ranked, opts, emit),
         None => external_skyline_with(cols, opts, emit),
     }
 }
@@ -861,25 +870,28 @@ pub fn explain(sql: &str, catalog: &Catalog) -> Result<String, QueryError> {
                 .sum(),
         };
         // The source the executor would pick, decided here on the
-        // scanned table's rows under the default options. What can
-        // overrule it at run time goes on the lines below the node: the
-        // tie rule, which runs inside the ranked source after its front
-        // test, and a relation other than the scanned table.
-        let (source, tie_rule) = match ranked(&q, sky, n, &ExecOptions::default()) {
+        // scanned table's rows. What can overrule it at run time goes on
+        // the lines below the node: the walk's give-up rule, and a
+        // relation other than the scanned table.
+        let (source, give_up) = match ranked(&q, sky, n) {
             Some(r) => {
                 let lead = &q.order_by[0];
                 let dir = if lead.desc { "DESC" } else { "ASC" };
                 let source = format!(
-                    "ranked by {} {dir}, LIMIT {}: front test → heap → SFS, \
+                    "ranked by {} {dir}, LIMIT {}: walk → SFS, \
                      est≈{est:.0} rows ≥ {RANKED_MARGIN}·{}",
                     lead.column, r.k, r.k
                 );
-                let tie_rule = format!(
-                    "presort if more than {TIE_MARGIN}·{} rows tie at the {}-best lead",
-                    r.k,
-                    ordinal(r.k)
+                let mut give_up = format!(
+                    "presort if E(rows fed, {d}) passes {RANKED_MARGIN}·(answers + 1) before \
+                     the {} answer, or a lead value holds over {} rows",
+                    ordinal(r.k),
+                    group_cap(n)
                 );
-                (source, Some(tie_rule))
+                if q.where_clause.is_some() {
+                    give_up.push_str(", or the walk passes as many rows as WHERE keeps");
+                }
+                (source, Some(give_up))
             }
             None => (
                 format!("presort=entropy: filter → presort → SFS, est≈{est:.0} rows"),
@@ -896,7 +908,7 @@ pub fn explain(sql: &str, catalog: &Catalog) -> Result<String, QueryError> {
             format!("estimate and source taken on the {n} scanned rows; the run reads {read}")
         });
         let mut node = format!("Skyline[SFS, {source}]({})", items.join(", "));
-        for note in tie_rule.into_iter().chain(read) {
+        for note in give_up.into_iter().chain(read) {
             let _ = write!(node, "\n{note}");
         }
         lines.push(node);
@@ -1153,7 +1165,7 @@ mod tests {
         let sky = "SELECT * FROM t SKYLINE OF x MAX, y MIN";
         assert_eq!(
             skyline_line(&format!("{sky} ORDER BY x DESC, y LIMIT 2")),
-            "Skyline[SFS, ranked by x DESC, LIMIT 2: front test → heap → SFS, \
+            "Skyline[SFS, ranked by x DESC, LIMIT 2: walk → SFS, \
              est≈10 rows ≥ 4·2](x MAX, y MIN)"
         );
         assert!(skyline_line(&format!("{sky} ORDER BY y ASC LIMIT 1")).contains("ranked by y ASC"));
@@ -1177,7 +1189,7 @@ mod tests {
     }
 
     /// The lines under the skyline node name what can overrule it at run
-    /// time: the tie rule under a ranked source, and a relation other
+    /// time: the give-up rule under a ranked source, and a relation other
     /// than the scanned table under `WHERE` or `GROUP BY`. A plain query
     /// has none, and a `DIFF` clause reads like every other presort.
     #[test]
@@ -1208,14 +1220,16 @@ mod tests {
         assert_eq!(
             node(&format!("{sky} ORDER BY x DESC LIMIT 2")),
             [
-                "Skyline[SFS, ranked by x DESC, LIMIT 2: front test → heap → SFS, \
+                "Skyline[SFS, ranked by x DESC, LIMIT 2: walk → SFS, \
                  est≈10 rows ≥ 4·2](x MAX, y MIN)",
-                "presort if more than 4·2 rows tie at the 2nd-best lead",
+                "presort if E(rows fed, 2) passes 4·(answers + 1) before the 2nd answer, \
+                 or a lead value holds over 64 rows",
             ]
         );
         assert_eq!(
             node(&format!("{sky} ORDER BY y LIMIT 1"))[1],
-            "presort if more than 4·1 rows tie at the 1st-best lead"
+            "presort if E(rows fed, 2) passes 4·(answers + 1) before the 1st answer, \
+             or a lead value holds over 64 rows"
         );
         let presort =
             "Skyline[SFS, presort=entropy: filter → presort → SFS, est≈10 rows](x MAX, y MIN)";
@@ -1232,7 +1246,7 @@ mod tests {
             both[1],
             format!("{taken} the groups of the rows WHERE keeps")
         );
-        // ranked under a WHERE: both notes, the tie rule first
+        // ranked under a WHERE: both notes, the give-up rule first
         let ranked =
             node("SELECT * FROM t WHERE x < 100 SKYLINE OF x MAX, y MIN ORDER BY x DESC LIMIT 2");
         assert_eq!(ranked.len(), 3, "{ranked:?}");
@@ -1474,6 +1488,51 @@ mod tests {
         // and through SQL the answer is those rows
         let out = execute("SELECT * FROM big LIMIT 3", &c).unwrap();
         assert_eq!(out.rows(), all[..3].to_vec());
+    }
+
+    /// A streaming scan under `LIMIT n` tests `n` rows before its first
+    /// row can leave, then blocks twice as long each time, up to
+    /// [`CHUNK_ROWS`]: polled at the head of each and at every multiple
+    /// of [`CHUNK_ROWS`].
+    #[test]
+    fn a_limited_scan_cuts_its_first_block_to_the_limit() {
+        use skyline_relation::{tuple, ColumnType, Schema};
+        use std::cell::RefCell;
+        let rows: Vec<Tuple> = (0..1_000i64).map(|i| tuple![i]).collect();
+        let mut c = Catalog::new();
+        let schema = Schema::of(&[("x", ColumnType::Int)]);
+        c.register("t", Table::new(schema, rows).unwrap());
+        let heads = |sql: &str| {
+            let polled = RefCell::new(Vec::new());
+            let poll_scan = |rowno: usize| {
+                polled.borrow_mut().push(rowno);
+                Ok(())
+            };
+            let mut out = Vec::new();
+            let opts = ExecOptions::default();
+            run(&parse(sql).unwrap(), &c, &opts, &poll_scan, |_, row| {
+                out.push(row.get(0).as_i64().unwrap());
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+            (out, polled.into_inner())
+        };
+        // rows 0..3 hold one match; the next block, 3..9, the other two
+        assert_eq!(
+            heads("SELECT * FROM t WHERE x > 1 LIMIT 3"),
+            (vec![2, 3, 4], vec![0, 3])
+        );
+        assert_eq!(heads("SELECT * FROM t LIMIT 3"), (vec![0, 1, 2], vec![0]));
+        let (out, polled) = heads("SELECT * FROM t WHERE x > 990 LIMIT 300");
+        assert_eq!(out, (991..1_000).collect::<Vec<_>>());
+        assert_eq!(polled, [0, 256, 512, 768]);
+        let (out, polled) = heads("SELECT * FROM t WHERE x > 600 LIMIT 5");
+        assert_eq!(out, (601..606).collect::<Vec<_>>());
+        assert_eq!(polled, [0, 5, 15, 35, 75, 155, 256, 512]);
+        assert_eq!(
+            heads("SELECT * FROM t WHERE x > 7 LIMIT 0").0,
+            Vec::<i64>::new()
+        );
     }
 
     /// A token tripped while a `WHERE` selects under a skyline over

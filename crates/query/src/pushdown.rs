@@ -7,14 +7,14 @@
 //!   elimination filter → entropy presort → SFS → drain, for every
 //!   clause but the one below;
 //! - *ranked* ([`ranked_skyline_with`]): under `ORDER BY <criterion> …
-//!   LIMIT k` the planner may pick a source that screens the columns
-//!   against one front row and heaps the rest by that criterion — a
-//!   nested order with the lead first, itself a valid presort — popping
-//!   them lazily into the same SFS window, and ending the stream at the
-//!   first row whose lead is worse than the `k`-th emitted row's. No
-//!   elimination filter, no sort, no heap file. A lead tied at the
-//!   `k`-th best on more than `4·k` of its rows sends the query back to
-//!   the first source.
+//!   LIMIT k` the planner may pick a *walk* of that criterion's sorted
+//!   order ([`KeyColumn::order`]) from its best end, one equal-lead group
+//!   at a time — a nested order with the lead first, itself a valid
+//!   presort — straight into the same SFS window, ending at the first
+//!   group whose lead is worse than the `k`-th answer's. Its work follows
+//!   the rows it feeds: no elimination filter, no sort, no heap, and
+//!   over a `WHERE` no gathered column. A walk that feeds SFS many rows
+//!   per answer gives up, and the first source answers.
 //!
 //! The rest of this page describes the first source. The planner holds
 //! the clause's key columns
@@ -93,17 +93,16 @@ use crate::error::QueryError;
 use crate::options::ExecOptions;
 use skyline_core::cardinality::recommend_window_pages;
 use skyline_core::external::{
-    sort_narrow, BatchConfig, BatchSfs, GroupedElimination, SumFront, Survey, CHUNK_ROWS,
+    sort_narrow, BatchConfig, BatchSfs, GroupedElimination, Survey, CHUNK_ROWS,
 };
-use skyline_core::{dominates, EntropyScore, MetricsSnapshot, SkylineMetrics};
+use skyline_core::{EntropyScore, SkylineMetrics};
 use skyline_exec::cancel::{poll, poll_now};
 use skyline_exec::sort::f64_ascending_bits;
 use skyline_exec::{BoxedOperator, CancelToken, ExecError, HeapScan, NarrowLayout, Operator};
 use skyline_relation::{KeyColumn, TableStats};
 use skyline_storage::{BufferLease, BufferPool, Disk, MemDisk, PAGE_SIZE};
 use std::cell::Cell;
-use std::cmp::{Ordering, Reverse};
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::cmp::Ordering;
 use std::ops::ControlFlow;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -111,6 +110,7 @@ use std::sync::Arc;
 /// The columns one `SKYLINE OF` clause reads, as the relation holds
 /// them: criterion `k` of row `i`, in the all-max orientation, is
 /// `crit[k].1 * crit[k].0.values()[i]`.
+#[derive(Clone)]
 pub struct SkylineColumns {
     /// The `MIN`/`MAX` columns in clause order (at least one, every row
     /// numeric), each with its sign: −1 for `MIN`.
@@ -143,6 +143,22 @@ impl SkylineColumns {
         self.groups
             .as_ref()
             .map_or(1, |g| g.iter().max().map_or(0, |&last| last + 1))
+    }
+
+    /// The columns of the rows at positions `rows`, in that order
+    /// ([`KeyColumn::gather`]), with no `DIFF` groups.
+    ///
+    /// # Panics
+    /// When a column holds no values.
+    fn gather(&self, rows: &[usize]) -> SkylineColumns {
+        let gather = |(c, sign): &(Arc<KeyColumn>, f64)| {
+            let gathered = c.gather(rows).expect("the columns hold values");
+            (Arc::new(gathered), *sign)
+        };
+        SkylineColumns {
+            crit: self.crit.iter().map(gather).collect(),
+            groups: None,
+        }
     }
 
     /// The oriented criteria of `row`, appended to `out`.
@@ -310,53 +326,31 @@ pub struct Ranked {
     pub k: usize,
 }
 
-/// Bytes of one entry of the ranked source's heap: the lead's bits and
-/// the row number.
-const HEAP_ENTRY_BYTES: usize = 16;
+/// The ranked source serves `LIMIT k` only while `RANKED_MARGIN · k` is
+/// at most the §6 estimate of the skyline's size (the planner's rule),
+/// and the walk goes on only while the §6 estimate of the rows it has
+/// fed is at most `RANKED_MARGIN · (answers + 1)` (the give-up rule): a
+/// walk that feeds SFS many rows per answer is cheaper as the filter
+/// and presort (EXPERIMENTS.md "Ranked top-k", crossover tables).
+pub(crate) const RANKED_MARGIN: f64 = 4.0;
 
-/// Pages the ranked source's heap is charged for over `rows` rows: one
-/// entry per row, whatever the front test later keeps out.
-fn ranked_heap_pages(rows: usize) -> usize {
-    (rows * HEAP_ENTRY_BYTES).div_ceil(PAGE_SIZE)
+/// The walk gives up on an equal-lead group of more than
+/// `1 / GROUP_SHARE` of the relation's rows, and at least
+/// [`GROUP_FLOOR`]: it feeds SFS every row of a group before it can
+/// stop, so a lead of few values would feed most of the relation, which
+/// the elimination filter drops far more cheaply.
+const GROUP_SHARE: usize = 256;
+
+/// The fewest rows of an equal-lead group that make the walk give up.
+const GROUP_FLOOR: usize = 64;
+
+/// The most rows an equal-lead group of a relation of `rows` rows may
+/// hold before the walk gives up.
+pub(crate) fn group_cap(rows: usize) -> usize {
+    (rows / GROUP_SHARE).max(GROUP_FLOOR)
 }
 
-/// Whether the ranked source's heap over `rows` rows fits `opts`: within
-/// `sort_pages`, as the presort's arena is, and under a quota pool with
-/// a one-page window still free beside it.
-pub(crate) fn ranked_heap_fits(rows: usize, opts: &ExecOptions) -> bool {
-    let heap = ranked_heap_pages(rows);
-    heap <= opts.sort_pages && opts.pool.as_ref().is_none_or(|p| p.available() > heap)
-}
-
-/// The ranked source serves `LIMIT k` only while at most `TIE_MARGIN · k`
-/// of its heap entries have a lead at least as good as the `k`-th best:
-/// it feeds SFS every row of an equal-lead group before it can stop, so
-/// a lead with few distinct values (a rating, a small-domain code) would
-/// feed it a large share of the relation, which the elimination filter
-/// and presort drop far more cheaply (EXPERIMENTS.md "Ranked top-k",
-/// tied leads).
-pub(crate) const TIE_MARGIN: usize = 4;
-
-/// Whether at most `TIE_MARGIN · k` of `items` have a `lead` (heap key)
-/// at least as good as the `k`-th best: always so for `k = 0` and for
-/// that few items. Reorders `items`.
-fn ties_fit<T>(items: &mut [T], k: usize, lead: impl Fn(&T) -> u64) -> bool {
-    if k == 0 || items.len() <= TIE_MARGIN * k {
-        return true;
-    }
-    let (_, kth, _) = items.select_nth_unstable_by_key(k - 1, |i| Reverse(lead(i)));
-    let kth = lead(kth);
-    let mut at_least = items.iter().filter(|i| lead(i) >= kth);
-    at_least.nth(TIE_MARGIN * k).is_none()
-}
-
-/// The ranked source looks at its ties early, once `1 / TIE_PROBE` of the
-/// rows are heaped, against `k` scaled to that share: a lead of few
-/// values shows there already, and giving up then saves most of the
-/// build.
-const TIE_PROBE: usize = 8;
-
-/// The heap key of an oriented lead: ascending with the value, `−0.0`
+/// The order key of an oriented lead: ascending with the value, `−0.0`
 /// and `+0.0` one key — they are equal to dominance, so neither may be
 /// ranked ahead of a row that dominates it on the other criteria.
 fn lead_bits(lead: f64) -> u64 {
@@ -374,189 +368,172 @@ fn nested_desc(crit: &[(Arc<KeyColumn>, f64)], a: usize, b: usize) -> Ordering {
         .unwrap_or(Ordering::Equal)
 }
 
-/// The ranked source: the relation's rows as narrow entries (key lanes
-/// and row id), best oriented lead first, an equal-lead group
+/// What the drain and the walk tell each other: how many rows have left
+/// SFS, the `k`-th one's lead once it has, and whether the walk gave up.
+struct Progress {
+    k: u64,
+    /// The lead criterion's position in the clause.
+    lead: usize,
+    answers: Cell<u64>,
+    kth_lead: Cell<Option<u64>>,
+    gave_up: Cell<bool>,
+}
+
+/// The ranked source, a *walk*: the relation's rows as narrow entries
+/// (key lanes and row id), read off the lead criterion's sorted order
+/// ([`KeyColumn::order`]) from its best end — forward for a `MIN` lead,
+/// backward for a `MAX` — one equal-lead group at a time, each group
 /// nested-descending over the key and then by row. A row that dominates
 /// another has a lead at least as good, and on a tie is ahead in the
 /// nested order, so this is a topological sort of dominance — a valid
 /// SFS presort (Theorems 6/7).
 ///
-/// Built in one pass over the columns, a chunk at a time, of the step
-/// the filter's survey runs too ([`SumFront`]): the front test against the row of largest oriented key sum seen
-/// so far keeps every row that row strictly dominates out of the heap.
-/// Any front is exact — a dropped row is not skyline, and every row it
-/// dominates is dominated by a skyline row that stays — and the largest
-/// sum dominates the most. The heap holds `(lead bits, row)` of the rest
-/// and is popped lazily, one equal-lead group at a time.
-///
-/// Once the drain has emitted the `k`-th row it sets `stop` to that row's
-/// lead, and the source ends at the first group whose lead is strictly
-/// worse: every skyline row at least that good has been fed, which is
-/// all an `ORDER BY` with that lead first can pick the first `k` from.
-struct RankedEntries {
+/// Once the drain has emitted the `k`-th row the walk ends at the first
+/// group whose lead is strictly worse: every skyline row at least that
+/// good has been fed, which is all an `ORDER BY` with that lead first
+/// can pick the first `k` from. Its work follows the rows it feeds, not
+/// the relation. It gives up ([`Progress::gave_up`]) at a group boundary
+/// once E(r, d), the §6 estimate of the skyline rows among the `r` rows
+/// fed, passes [`RANKED_MARGIN`] · (answers + 1); on a group past
+/// [`group_cap`]; and, over a selection, once it has walked more table
+/// rows than the selection holds.
+struct Walk {
+    /// The columns the walk reads: the relation's, or those of the table
+    /// `selection` picks the relation's rows from.
     cols: SkylineColumns,
+    /// The relation's rows among the columns' rows, ascending: a
+    /// `WHERE`'s matches. A binary search in it tells a member and its
+    /// row number in the relation.
+    selection: Option<Arc<Vec<usize>>>,
     narrow: NarrowLayout,
-    /// The lead criterion's position in `cols.crit`.
-    lead: usize,
-    /// `(lead bits, row)` of every row the front does not dominate.
-    heap: BinaryHeap<(u64, u64)>,
-    /// The equal-lead group in hand, in emission order, and how many of
-    /// it have gone.
-    group: Vec<u64>,
+    /// Rows of the lead's order walked so far, from its best end.
+    walked: usize,
+    /// The equal-lead group in hand — each member's row in the columns
+    /// and in the relation — in feed order, and how many have gone.
+    group: Vec<(usize, usize)>,
     taken: usize,
-    /// The lead bits of the group in hand: never above the last one's.
-    group_bits: u64,
-    /// Set by the drain to the `k`-th emitted row's lead bits.
-    stop: Rc<Cell<Option<u64>>>,
+    /// `expected[j]` is m(r, j + 1) of the §6 recurrence over the `r`
+    /// rows fed so far, so the last lane is E(r, d).
+    expected: Vec<f64>,
+    fed: usize,
+    progress: Rc<Progress>,
     cancel: Option<CancelToken>,
-    /// Rows popped off the heap — the cancellation progress count.
-    popped: u64,
     lanes: Vec<f64>,
     entry: Vec<u8>,
 }
 
-impl RankedEntries {
-    /// Screen `cols` against its front and heap the rest by criterion
-    /// `lead`, charging the screen's comparisons and drops to `metrics`
-    /// — or, when the rows tied at the `k`-th best lead break the tie
-    /// rule ([`TIE_MARGIN`]), hand the columns back, charging nothing.
-    ///
-    /// # Errors
-    /// [`ExecError::Cancelled`] when `cancel` trips, polled once per
-    /// chunk of rows.
+impl Walk {
+    /// A walk of `cols` — through `selection`, when given — by criterion
+    /// `ranked.lead`. Sorts the lead column on its first walk.
     fn new(
         cols: SkylineColumns,
+        selection: Option<Arc<Vec<usize>>>,
         Ranked { lead, k }: Ranked,
         cancel: Option<CancelToken>,
-        metrics: &SkylineMetrics,
-    ) -> Result<Result<Self, SkylineColumns>, ExecError> {
-        let n = cols.rows();
-        // Each chunk is screened against the front, then the front moves
-        // to a survivor of larger oriented key sum.
-        let mut step = SumFront::new(cols.crit.len());
-        let (lead_column, lead_sign) = (cols.crit[lead].0.values(), cols.crit[lead].1);
-        let (mut survivors, mut entries, mut screened) = (Vec::new(), Vec::new(), 0);
-        // Rows below `stale` met a weaker front than the last one.
-        let mut stale = 0;
-        for lo in (0..n).step_by(CHUNK_ROWS) {
-            poll(cancel.as_ref(), lo as u64)?;
-            let hi = n.min(lo + CHUNK_ROWS);
-            let crit = &cols.crit;
-            if !step.front().is_empty() {
-                screened += hi - lo;
+    ) -> Self {
+        let d = cols.crit.len();
+        cols.crit[lead].0.order();
+        Walk {
+            narrow: NarrowLayout::new(d),
+            cols,
+            selection,
+            walked: 0,
+            group: Vec::new(),
+            taken: 0,
+            expected: vec![0.0; d],
+            fed: 0,
+            progress: Rc::new(Progress {
+                k: k as u64,
+                lead,
+                answers: Cell::new(0),
+                kth_lead: Cell::new(None),
+                gave_up: Cell::new(false),
+            }),
+            cancel,
+            lanes: Vec::new(),
+            entry: Vec::new(),
+        }
+    }
+
+    /// Collect the next equal-lead group that holds a row of the
+    /// relation, in feed order: `false` when the walk ends instead —
+    /// past the `k`-th answer's lead, at the end of the order, or giving
+    /// up.
+    fn next_group(&mut self) -> Result<bool, ExecError> {
+        let (column, sign) = &self.cols.crit[self.progress.lead];
+        let (values, order, sign) = (column.values(), column.order(), *sign);
+        let n = order.len();
+        let m = self.selection.as_ref().map_or(n, |s| s.len());
+        let at = |walked: usize| order[if sign < 0.0 { walked } else { n - 1 - walked }] as usize;
+        let lead = |row: usize| lead_bits(sign * values[row]);
+        let progress = &self.progress;
+        let give_up = || -> Result<bool, ExecError> {
+            progress.gave_up.set(true);
+            Ok(false)
+        };
+        self.group.clear();
+        self.taken = 0;
+        while self.group.is_empty() {
+            if self.walked == n {
+                return Ok(false);
             }
-            let column = |k: usize| (&crit[k].0.values()[lo..hi], crit[k].1);
-            if step.step(hi - lo, true, column, &mut survivors) {
-                stale = hi;
+            let bits = lead(at(self.walked));
+            // strictly worse than the k-th answer: no later row can be
+            // among the first k of the ORDER BY
+            if progress.kth_lead.get().is_some_and(|kth| bits < kth) {
+                return Ok(false);
             }
-            entries.extend(survivors.iter().map(|&offset| {
-                let row = lo + offset as usize;
-                (lead_bits(lead_sign * lead_column[row]), row as u64)
-            }));
-            // The early look, once, past the first chunk: the rows so far
-            // against the front so far, the k best scaled to their share.
-            let probe = n / TIE_PROBE;
-            if lo > 0 && lo < probe && probe <= hi {
-                screened += rescreen(&mut entries, stale, step.front(), &cols, cancel.as_ref())?;
-                stale = 0;
-                let mut leads: Vec<u64> = entries.iter().map(|e| e.0).collect();
-                if !ties_fit(&mut leads, (k * hi).div_ceil(n), |&b| b) {
-                    return Ok(Err(cols));
+            let answers = progress.answers.get() as f64;
+            if self.expected[self.expected.len() - 1] > RANKED_MARGIN * (answers + 1.0) {
+                return give_up();
+            }
+            while self.walked < n && lead(at(self.walked)) == bits {
+                poll(self.cancel.as_ref(), self.walked as u64)?;
+                let row = at(self.walked);
+                self.walked += 1;
+                let member = match &self.selection {
+                    Some(selection) => selection.binary_search(&row).ok(),
+                    None => Some(row),
+                };
+                self.group.extend(member.map(|i| (row, i)));
+                if self.group.len() > group_cap(m) || (self.selection.is_some() && self.walked > m)
+                {
+                    return give_up();
                 }
             }
         }
-        screened += rescreen(&mut entries, stale, step.front(), &cols, cancel.as_ref())?;
-        if !ties_fit(&mut entries, k, |e| e.0) {
-            return Ok(Err(cols));
+        if self.group.len() > 1 {
+            let crit = &self.cols.crit;
+            self.group
+                .sort_unstable_by(|a, b| nested_desc(crit, a.0, b.0).then(a.1.cmp(&b.1)));
         }
-        metrics.absorb(&MetricsSnapshot {
-            comparisons: screened as u64,
-            eliminated: (n - entries.len()) as u64,
-            ..MetricsSnapshot::default()
-        });
-        Ok(Ok(RankedEntries {
-            narrow: NarrowLayout::new(cols.crit.len()),
-            cols,
-            lead,
-            heap: BinaryHeap::from(entries),
-            group: Vec::new(),
-            taken: 0,
-            group_bits: u64::MAX,
-            stop: Rc::new(Cell::new(None)),
-            cancel,
-            popped: 0,
-            lanes: Vec::new(),
-            entry: Vec::new(),
-        }))
+        Ok(true)
     }
 }
 
-/// Screen the `entries` (ascending rows) below row `stale`, which met an
-/// earlier front or none, once more against `front`, dropping what it
-/// strictly dominates: the first chunk meets no front, and on a
-/// duplicate-heavy table a thousand rows pass the early fronts that only
-/// the best one drops. Returns how many were screened.
-fn rescreen(
-    entries: &mut Vec<(u64, u64)>,
-    stale: usize,
-    front: &[f64],
-    cols: &SkylineColumns,
-    cancel: Option<&CancelToken>,
-) -> Result<usize, ExecError> {
-    let stale = entries.partition_point(|&(_, row)| (row as usize) < stale);
-    let (mut key, mut kept) = (Vec::with_capacity(front.len()), 0);
-    for i in 0..stale {
-        poll(cancel, i as u64)?;
-        key.clear();
-        cols.key_into(entries[i].1 as usize, &mut key);
-        if !dominates(front, &key) {
-            entries[kept] = entries[i];
-            kept += 1;
-        }
-    }
-    entries.drain(kept..stale);
-    Ok(stale)
-}
-
-impl Operator for RankedEntries {
+impl Operator for Walk {
     fn open(&mut self) -> Result<(), ExecError> {
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
-        if self.taken == self.group.len() {
-            let Some(&(bits, _)) = self.heap.peek() else {
-                return Ok(None);
-            };
-            // strictly worse than the k-th emitted row: no later row can
-            // be among the first k of the ORDER BY
-            if self.stop.get().is_some_and(|stop| bits < stop) {
-                return Ok(None);
-            }
-            debug_assert!(bits <= self.group_bits, "the heap popped out of order");
-            (self.group_bits, self.taken) = (bits, 0);
-            self.group.clear();
-            while let Some(top) = self.heap.peek_mut() {
-                if top.0 != bits {
-                    break;
-                }
-                poll(self.cancel.as_ref(), self.popped)?;
-                self.popped += 1;
-                self.group.push(PeekMut::pop(top).1);
-            }
-            if self.group.len() > 1 {
-                let crit = &self.cols.crit;
-                self.group.sort_unstable_by(|&a, &b| {
-                    nested_desc(crit, a as usize, b as usize).then(a.cmp(&b))
-                });
-            }
+        if self.taken == self.group.len() && !self.next_group()? {
+            return Ok(None);
         }
-        let row = self.group[self.taken];
+        let (row, id) = self.group[self.taken];
         self.taken += 1;
+        // the §6 recurrence one row on: m(r, 1) = 1, then
+        // m(r, j) += m(r, j − 1) / r, lane by lane
+        self.fed += 1;
+        let r = self.fed as f64;
+        self.expected[0] = 1.0;
+        for j in 1..self.expected.len() {
+            self.expected[j] += self.expected[j - 1] / r;
+        }
         self.lanes.clear();
-        self.cols.key_into(row as usize, &mut self.lanes);
-        debug_assert_eq!(lead_bits(self.lanes[self.lead]), self.group_bits);
-        self.narrow.encode_into(&self.lanes, row, &mut self.entry);
+        self.cols.key_into(row, &mut self.lanes);
+        self.narrow
+            .encode_into(&self.lanes, id as u64, &mut self.entry);
         Ok(Some(&self.entry))
     }
 
@@ -604,46 +581,56 @@ pub fn external_skyline_with(
     opts: &ExecOptions,
     emit: impl FnMut(usize) -> ControlFlow<()>,
 ) -> Result<(), QueryError> {
-    paged_skyline(cols, None, opts, SkylineMetrics::shared(), emit)
+    paged_skyline(Source::Presort(cols), opts, SkylineMetrics::shared(), emit)
 }
 
 /// [`external_skyline_with`] fed by the ranked source instead of the
 /// filter and presort: for a clause without `DIFF` whose `ORDER BY`
 /// starts with criterion `ranked.lead` in its preferred direction under
-/// `LIMIT ranked.k`. `emit` sees, in lead order, every skyline row whose
-/// lead is at least as good as that of the `k`-th row emitted — a
-/// superset of the first `k` rows of any such `ORDER BY` — and possibly
-/// a few more; the caller sorts and cuts.
+/// `LIMIT ranked.k`. `emit` sees every skyline row whose lead is at
+/// least as good as that of the `k`-th row out of SFS — a superset of
+/// the first `k` rows of any such `ORDER BY` — and possibly a few more;
+/// the caller sorts and cuts.
 ///
-/// When more than `4·k` of the rows past the front test tie at or above
-/// the `k`-th best lead, the source gives up and the filter and presort
-/// run instead, emitting the whole skyline in presort order — which the
-/// caller's sort and cut answer from alike.
+/// With `selection`, the relation is those rows of `cols`, ascending (a
+/// `WHERE`'s matches of the table whose resident columns `cols` holds),
+/// and `emit` sees row numbers among them; every column of `cols` must
+/// then hold values.
 ///
-/// The heap, 16 bytes a row, is charged to the quota pool before
-/// it is built and held until the drain ends; the window is charged at
-/// open beside it, as much of the §6 estimate as is still free.
+/// The walk's rows are held until it ends, then handed to `emit`. When
+/// it gives up, they are dropped, the window is closed, and the filter
+/// and presort run instead, emitting the whole skyline in presort order
+/// — which the caller's sort and cut answer from alike. The window is
+/// the walk's only charge to the quota pool.
 ///
 /// # Errors
-/// As [`external_skyline_with`]; the heap's reservation is a
-/// [`QueryError::QuotaExceeded`] when the pool cannot grant it.
+/// As [`external_skyline_with`].
 ///
 /// # Panics
-/// When `ranked.lead` is not a position of `cols.crit`.
+/// When `ranked.lead` is not a position of `cols.crit`, and when a
+/// column holds no values under a `selection`.
 pub fn ranked_skyline_with(
     cols: SkylineColumns,
+    selection: Option<Arc<Vec<usize>>>,
     ranked: Ranked,
     opts: &ExecOptions,
     emit: impl FnMut(usize) -> ControlFlow<()>,
 ) -> Result<(), QueryError> {
-    paged_skyline(cols, Some(ranked), opts, SkylineMetrics::shared(), emit)
+    let walk = Walk::new(cols, selection, ranked, opts.cancel.clone());
+    paged_skyline(Source::Walk(walk), opts, SkylineMetrics::shared(), emit)
 }
 
-/// [`external_skyline_with`], or [`ranked_skyline_with`] given `ranked`,
+/// What feeds the drain: the filter and presort over these columns, or
+/// the walk.
+enum Source {
+    Presort(SkylineColumns),
+    Walk(Walk),
+}
+
+/// [`external_skyline_with`], or [`ranked_skyline_with`] given a walk,
 /// counting into `metrics`.
 fn paged_skyline(
-    cols: SkylineColumns,
-    ranked: Option<Ranked>,
+    source: Source,
     opts: &ExecOptions,
     metrics: Arc<SkylineMetrics>,
     emit: impl FnMut(usize) -> ControlFlow<()>,
@@ -654,56 +641,51 @@ fn paged_skyline(
             opts.sort_pages
         ))));
     }
-    let d = cols.crit.len();
     let disk: Arc<dyn Disk> = match &opts.disk {
         Some(d) => Arc::clone(d),
         None => MemDisk::shared(),
     };
-    // Capacity in entries is what the estimator sizes; a narrow window
-    // entry is the key alone, 8·d bytes.
-    let window_pages = recommend_window_pages(cols.rows(), d, 8 * d);
-    // The ranked source's heap is the presort's allocation: charged
-    // before it is built, held until the drain has closed the window —
-    // or given back at once when the tie rule sends the query to the
-    // presort, before its arena is charged.
-    let mut heap_lease = None;
-    let ranked = match ranked {
-        Some(ranked) => {
-            heap_lease = reserve(opts, ranked_heap_pages(cols.rows()))?;
-            RankedEntries::new(cols, ranked, opts.cancel.clone(), &metrics)
-                .map_err(QueryError::from_exec)?
-                .map(|entries| (entries, ranked))
-        }
-        None => Err(cols),
-    };
-    let (source, narrow, stop): (BoxedOperator, _, _) = match ranked {
-        Ok((entries, Ranked { lead, k })) => {
-            let stop = Stop {
-                k: k as u64,
-                lead,
-                at: Rc::clone(&entries.stop),
-            };
-            let narrow = entries.narrow;
-            (Box::new(entries), narrow, Some(stop))
-        }
-        Err(cols) => {
-            heap_lease = None;
-            let (narrow, sorted) = presort(cols, opts, &disk, &metrics)?;
-            (Box::new(HeapScan::new(Arc::new(sorted))), narrow, None)
+    let cols = match source {
+        Source::Presort(cols) => cols,
+        Source::Walk(walk) => {
+            // the columns back for the presort, should the walk give up
+            let (cols, selection) = (walk.cols.clone(), walk.selection.clone());
+            let rows = selection.as_ref().map_or(cols.rows(), |s| s.len());
+            let (progress, narrow) = (Rc::clone(&walk.progress), walk.narrow);
+            let mut held = Vec::new();
+            drain(
+                Box::new(walk),
+                narrow,
+                window_pages(rows, cols.crit.len()),
+                Arc::clone(&disk),
+                Arc::clone(&metrics),
+                Some(&progress),
+                opts,
+                |row| {
+                    held.push(row);
+                    ControlFlow::Continue(())
+                },
+            )?;
+            if !progress.gave_up.get() {
+                let _ = held.into_iter().try_for_each(emit);
+                return Ok(());
+            }
+            match selection {
+                Some(rows) => cols.gather(&rows),
+                None => cols,
+            }
         }
     };
-    let drained = drain(
-        source,
-        narrow,
-        window_pages,
-        disk,
-        metrics,
-        stop,
-        opts,
-        emit,
-    );
-    drop(heap_lease);
-    drained
+    let window = window_pages(cols.rows(), cols.crit.len());
+    let (narrow, sorted) = presort(cols, opts, &disk, &metrics)?;
+    let scan = Box::new(HeapScan::new(Arc::new(sorted)));
+    drain(scan, narrow, window, disk, metrics, None, opts, emit)
+}
+
+/// The §6 estimate for `rows` rows of `d` criteria, in window pages: a
+/// narrow window entry is the key alone, 8·d bytes.
+fn window_pages(rows: usize, d: usize) -> usize {
+    recommend_window_pages(rows, d, 8 * d)
 }
 
 /// Filter and presort: the elimination filter, one front per `DIFF`
@@ -749,25 +731,18 @@ fn presort(
     Ok((narrow, sorted))
 }
 
-/// Where the ranked source stops: once the drain has emitted `k` rows,
-/// `at` holds the last one's lead bits (criterion `lead`).
-struct Stop {
-    k: u64,
-    lead: usize,
-    at: Rc<Cell<Option<u64>>>,
-}
-
 /// The one SFS drain, whichever source feeds it: a window over the
 /// presorted `source`'s entries of `narrow`, starting at the §6 estimate
 /// of `window_pages`, each survivor's row id to `emit` until it breaks.
-/// `stop`, for the ranked source, learns the `k`-th emitted row's lead.
+/// `progress`, for the walk, learns each answer and the `k`-th one's
+/// lead; the drain ends once the walk has given up.
 fn drain(
     source: BoxedOperator,
     narrow: NarrowLayout,
     window_pages: usize,
     disk: Arc<dyn Disk>,
     metrics: Arc<SkylineMetrics>,
-    stop: Option<Stop>,
+    progress: Option<&Progress>,
     opts: &ExecOptions,
     mut emit: impl FnMut(usize) -> ControlFlow<()>,
 ) -> Result<(), QueryError> {
@@ -793,9 +768,15 @@ fn drain(
     while let Some(entry) = sfs.next().map_err(QueryError::from_exec)? {
         poll(opts.cancel.as_ref(), emitted).map_err(QueryError::from_exec)?;
         emitted += 1;
-        if let Some(stop) = stop.as_ref().filter(|s| s.k == emitted) {
-            stop.at
-                .set(Some(lead_bits(narrow.key_dim(entry, stop.lead))));
+        if let Some(progress) = progress {
+            if progress.gave_up.get() {
+                break;
+            }
+            progress.answers.set(emitted);
+            if emitted == progress.k {
+                let lead = narrow.key_dim(entry, progress.lead);
+                progress.kth_lead.set(Some(lead_bits(lead)));
+            }
         }
         if emit(narrow.row_id(entry) as usize).is_break() {
             break;
@@ -808,6 +789,8 @@ fn drain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skyline_core::cardinality::expected_skyline_size;
+    use skyline_core::MetricsSnapshot;
     use skyline_relation::{tuple, Tuple, Value};
 
     fn random_table(n: usize) -> Vec<Tuple> {
@@ -1092,11 +1075,42 @@ mod tests {
         opts: &ExecOptions,
     ) -> Result<Vec<usize>, QueryError> {
         let mut ids = Vec::new();
-        ranked_skyline_with(columns(rows, crit, &[]), ranked, opts, |id| {
+        ranked_skyline_with(columns(rows, crit, &[]), None, ranked, opts, |id| {
             ids.push(id);
             ControlFlow::Continue(())
         })?;
         Ok(ids)
+    }
+
+    /// The walk alone through the drain, with no presort to give up to:
+    /// the row ids SFS emitted, in order, whether the walk gave up, and
+    /// how many rows it fed.
+    fn walk_only(
+        cols: SkylineColumns,
+        selection: Option<Arc<Vec<usize>>>,
+        rank: Ranked,
+        opts: &ExecOptions,
+    ) -> Result<(Vec<usize>, bool, u64), QueryError> {
+        let rows = selection.as_ref().map_or(cols.rows(), |s| s.len());
+        let pages = window_pages(rows, cols.crit.len());
+        let walk = Walk::new(cols, selection, rank, opts.cancel.clone());
+        let (progress, narrow) = (Rc::clone(&walk.progress), walk.narrow);
+        let (metrics, mut ids) = (SkylineMetrics::shared(), Vec::new());
+        drain(
+            Box::new(walk),
+            narrow,
+            pages,
+            MemDisk::shared(),
+            Arc::clone(&metrics),
+            Some(&progress),
+            opts,
+            |id| {
+                ids.push(id);
+                ControlFlow::Continue(())
+            },
+        )?;
+        let fed = metrics.snapshot().input_records;
+        Ok((ids, progress.gave_up.get(), fed))
     }
 
     /// The first `k` skyline rows by the oriented lead criterion, best
@@ -1126,25 +1140,20 @@ mod tests {
     }
 
     /// `n` rows on the anti-diagonal: under `MAX` on both of the first
-    /// two columns every row is skyline and none dominates another, so
-    /// the front test keeps them all.
+    /// two columns every row is skyline and none dominates another.
     fn anti_diagonal(n: i64) -> Vec<Tuple> {
         (0..n).map(|i| tuple![i, n - i, i % 3]).collect()
     }
 
     #[test]
-    fn heap_then_window_are_the_only_charges_of_the_ranked_source() {
-        // The heap is charged before it is built and held through the
-        // drain; the window is charged at open beside it, sized on what
-        // the heap left free. Both come back. The lead takes 2 000
-        // distinct values, so the tie rule keeps the source.
+    fn the_window_is_the_only_charge_of_the_ranked_source() {
+        // The walk holds no lease of its own: the window is charged at
+        // open, the §6 estimate's worth, and comes back at close.
         let crit = vec![(0usize, false), (1usize, true)];
         let rows: Vec<Tuple> = (0..2_000i64)
             .map(|i| tuple![(i * 37) % 2_003, (i * 53) % 97])
             .collect();
-        let heap = ranked_heap_pages(rows.len());
-        assert_eq!(heap, 8, "2 000 entries of 16 bytes");
-        let window = recommend_window_pages(rows.len(), 2, 16);
+        let window = window_pages(rows.len(), 2);
         for k in [1, 3, 50] {
             let rank = Ranked { lead: 0, k };
             let pool = BufferPool::new(1 << 16);
@@ -1155,33 +1164,26 @@ mod tests {
                 top_k(&rows, &crit, 0, k),
                 "{k}"
             );
-            assert_eq!(pool.peak(), heap + window, "{k}");
-            assert_eq!(pool.used(), 0);
+            assert_eq!((pool.peak(), pool.used()), (window, 0), "{k}");
         }
-        // With one page beside the heap the window starts at that page:
-        // every row of an anti-diagonal is skyline, so it spills, pass
-        // after pass, and the answer holds.
+        // A one-page pool: the window starts at that page. Every row of
+        // an anti-diagonal is skyline, so past 256 answers it spills,
+        // pass after pass, and the answer holds; a presort would not
+        // have fitted the pool.
         let (rows, crit) = (anti_diagonal(2_000), [(0usize, false), (1usize, false)]);
-        let (heap, disk) = (ranked_heap_pages(rows.len()), MemDisk::shared());
+        let disk = MemDisk::shared();
         for (lead, k) in [(0, 1), (1, 7), (0, 300)] {
-            let pool = BufferPool::new(heap + 1);
+            let pool = BufferPool::new(1);
             let opts = ExecOptions::default()
                 .with_pool(pool.clone())
                 .with_disk(Arc::clone(&disk) as _);
-            assert!(ranked_heap_fits(rows.len(), &opts));
             let metrics = SkylineMetrics::shared();
             let mut ids = Vec::new();
-            let rank = Ranked { lead, k };
-            paged_skyline(
-                columns(&rows, &crit, &[]),
-                Some(rank),
-                &opts,
-                Arc::clone(&metrics),
-                |id| {
-                    ids.push(id);
-                    ControlFlow::Continue(())
-                },
-            )
+            let walk = Walk::new(columns(&rows, &crit, &[]), None, Ranked { lead, k }, None);
+            paged_skyline(Source::Walk(walk), &opts, Arc::clone(&metrics), |id| {
+                ids.push(id);
+                ControlFlow::Continue(())
+            })
             .unwrap();
             assert_eq!(
                 cut(&rows, &crit, lead, k, ids),
@@ -1189,22 +1191,40 @@ mod tests {
             );
             // a one-page window holds 256 keys: past them it spills
             assert_eq!(metrics.snapshot().passes > 1, k > 256, "{lead} {k}");
-            assert_eq!((pool.peak(), pool.used()), (heap + 1, 0));
+            assert_eq!((pool.peak(), pool.used()), (1, 0));
             assert_eq!(disk.allocated_pages(), 0);
         }
-        // a pool with no page beside the heap does not take this source
-        let opts = ExecOptions::default().with_pool(BufferPool::new(heap));
-        assert!(!ranked_heap_fits(rows.len(), &opts));
+    }
+
+    /// The walk, tripping `token` once it has walked `at` rows.
+    struct TripWhileWalking(Walk, CancelToken, usize);
+
+    impl Operator for TripWhileWalking {
+        fn open(&mut self) -> Result<(), ExecError> {
+            self.0.open()
+        }
+
+        fn next(&mut self) -> Result<Option<&[u8]>, ExecError> {
+            if self.0.walked >= self.2 {
+                self.1.cancel();
+            }
+            self.0.next()
+        }
+
+        fn close(&mut self) {}
+
+        fn record_size(&self) -> usize {
+            self.0.record_size()
+        }
     }
 
     #[test]
-    fn a_cancel_while_the_heap_builds_or_the_drain_runs_leaves_nothing_behind() {
+    fn a_cancel_while_walking_ends_within_one_block_and_leaves_nothing_behind() {
         let crit = vec![(0usize, false), (1usize, false)];
         let rows = anti_diagonal(2_000);
         let rank = Ranked { lead: 0, k: 1_000 };
         let (pool, disk) = (BufferPool::new(1 << 12), MemDisk::shared());
-        // tripped before the heap is built: the heap's lease is held
-        // when the build's first poll sees it
+        // tripped before the walk: its first poll sees it
         let token = CancelToken::new();
         token.cancel();
         let opts = ExecOptions::default()
@@ -1219,21 +1239,37 @@ mod tests {
             }
         );
         assert_eq!((pool.used(), disk.allocated_pages()), (0, 0));
-        // tripped at the first row out: SFS sees it at its next poll,
-        // with the heap and the window both held
-        let token = CancelToken::new();
-        let opts = opts.with_cancel(token.clone());
-        let mut seen = 0;
-        let err = ranked_skyline_with(columns(&rows, &crit, &[]), rank, &opts, |_| {
-            seen += 1;
-            token.cancel();
-            ControlFlow::Continue(())
-        })
-        .unwrap_err();
-        assert!(matches!(err, QueryError::Cancelled { .. }), "{err}");
-        assert!(seen < rank.k, "{seen}");
-        assert!(pool.peak() > ranked_heap_pages(rows.len()));
-        assert_eq!((pool.used(), disk.allocated_pages()), (0, 0));
+        // tripped mid-walk: seen at the next 256-row poll, the window
+        // back in the pool and no row emitted
+        for trip in [1, 255, 256, 300, 900] {
+            let token = CancelToken::new();
+            let opts = opts.clone().with_cancel(token.clone());
+            let walk = Walk::new(columns(&rows, &crit, &[]), None, rank, Some(token.clone()));
+            let (progress, narrow) = (Rc::clone(&walk.progress), walk.narrow);
+            let mut emitted = 0;
+            let err = drain(
+                Box::new(TripWhileWalking(walk, token, trip)),
+                narrow,
+                window_pages(rows.len(), 2),
+                Arc::clone(&disk) as _,
+                SkylineMetrics::shared(),
+                Some(&progress),
+                &opts,
+                |_| {
+                    emitted += 1;
+                    ControlFlow::Continue(())
+                },
+            )
+            .unwrap_err();
+            let QueryError::Cancelled { records_processed } = err else {
+                panic!("{err}");
+            };
+            let seen = records_processed as usize;
+            assert!(trip <= seen && seen <= trip + 256, "{trip}: {seen}");
+            assert!(pool.peak() > 0);
+            assert_eq!((pool.used(), disk.allocated_pages()), (0, 0), "{trip}");
+            assert!(emitted <= seen, "{trip}");
+        }
     }
 
     #[test]
@@ -1242,7 +1278,8 @@ mod tests {
         // second, the last row of each run of ten is skyline and leads
         // tie in runs. -0.0 and +0.0 are one lead: the row (+0.0, 5)
         // dominates (−0.0, 3) — whose oriented lead, +0.0, has the larger
-        // bits — so it must come first.
+        // bits, and which the column's order puts ahead of it for MIN —
+        // so it must be fed first.
         let mut rows: Vec<Tuple> = (0..1_000i64)
             .map(|i| Tuple::new(vec![Value::Float((i / 10) as f64 + 1.0), Value::Int(i)]))
             .collect();
@@ -1255,65 +1292,128 @@ mod tests {
             (vec![(1, false), (0, true)], 0, 3),
             (vec![(0, false), (1, true)], 0, 4),
         ] {
-            let metrics = SkylineMetrics::shared();
-            let mut ids = Vec::new();
             let rank = Ranked { lead, k };
             let opts = ExecOptions::default();
-            let cols = columns(&rows, &crit, &[]);
-            paged_skyline(cols, Some(rank), &opts, Arc::clone(&metrics), |id| {
-                ids.push(id);
-                ControlFlow::Continue(())
-            })
-            .unwrap();
             let want = top_k(&rows, &crit, lead, k);
+            let ids = ranked(&rows, &crit, rank, &opts).unwrap();
             assert_eq!(cut(&rows, &crit, lead, k, ids), want, "{crit:?} {k}");
-            // SFS read fewer rows than the front test let into the heap
-            let m = metrics.snapshot();
-            let heaped = rows.len() as u64 - m.eliminated;
-            assert!(m.input_records < heaped, "{crit:?} {k}: {m:?}");
+            // the walk alone answers, having fed SFS a prefix of the
+            // relation: k runs of ten at most, and the zeros
+            let cols = columns(&rows, &crit, &[]);
+            let (ids, gave_up, fed) = walk_only(cols, None, rank, &opts).unwrap();
+            assert!(!gave_up, "{crit:?} {k}");
+            assert_eq!(cut(&rows, &crit, lead, k, ids), want, "{crit:?} {k}");
+            assert!(fed <= 10 * k as u64 + 2, "{crit:?} {k}: fed {fed}");
         }
         // MIN of the first: (+0.0, 5) is the one skyline row of lead 0
         let crit = [(0usize, true), (1usize, false)];
         assert_eq!(top_k(&rows, &crit, 0, 2), [1_000, 9]);
-    }
-
-    #[test]
-    fn the_tie_rule_counts_the_entries_at_least_as_good_as_the_kth_lead() {
-        let entries = |leads: &[u64]| -> Vec<(u64, u64)> {
-            leads.iter().zip(0..).map(|(&b, row)| (b, row)).collect()
-        };
-        let ties_fit = |mut items: Vec<(u64, u64)>, k| ties_fit(&mut items, k, |e| e.0);
-        // distinct leads: the k best are exactly k entries
-        let distinct: Vec<u64> = (0..100).collect();
-        for k in [0, 1, 5, 24, 25, 26, 100] {
-            assert!(ties_fit(entries(&distinct), k), "{k}");
-        }
-        // five leads, twenty entries each: the best lead alone is 20
-        let rated: Vec<u64> = (0..100).map(|i| i % 5).collect();
-        assert!(!ties_fit(entries(&rated), 1));
-        assert!(!ties_fit(entries(&rated), 4));
-        assert!(ties_fit(entries(&rated), 5), "20 entries ≤ 4·5");
-        // the bound is inclusive: 8 entries at the best lead fit 4·2, 9 do not
-        assert!(ties_fit(
-            entries(&[[7; 8].as_slice(), &[1, 2, 3]].concat()),
-            2
-        ));
-        assert!(!ties_fit(
-            entries(&[[7; 9].as_slice(), &[1, 2, 3]].concat()),
-            2
-        ));
-        // -0.0 and +0.0 are one heap key
+        // -0.0 and +0.0 are one order key
         assert_eq!(lead_bits(-0.0), lead_bits(0.0));
         assert!(lead_bits(-1.0) < lead_bits(-0.0) && lead_bits(0.0) < lead_bits(f64::MIN_POSITIVE));
     }
 
+    /// The fewest rows r with E(r, d) > `RANKED_MARGIN · (answers + 1)`:
+    /// the rows of distinct leads a walk feeds before it gives up, at
+    /// most, on a relation of `answers` skyline rows.
+    fn give_up_bound(answers: usize, d: usize) -> u64 {
+        let limit = RANKED_MARGIN * (answers + 1) as f64;
+        (1..)
+            .find(|&r| expected_skyline_size(r, d) > limit)
+            .unwrap() as u64
+    }
+
+    /// Rows of three mutually incomparable corners under `MAX` on all
+    /// three columns, each strictly dominating a third of the other rows
+    /// and nothing else: no single front drops more than a third, and
+    /// the skyline is the corners. The first column takes ~10⁶ values.
+    fn three_corners(n: usize) -> Vec<Tuple> {
+        let top = 1_000_000i64;
+        let mut rng = skyline_relation::Rng::seed_from_u64(0x3C0);
+        let mut rows = vec![
+            tuple![0, top, top],
+            tuple![top, 0, top],
+            tuple![top, top, 0],
+        ];
+        rows.extend((3..n).map(|i| {
+            let mut v = [1, 2, 3].map(|_| rng.i64_inclusive(1, top - 1));
+            // below its corner's zero: out of reach of the other two
+            v[i % 3] = -v[i % 3];
+            tuple![v[0], v[1], v[2]]
+        }));
+        rows
+    }
+
+    #[test]
+    fn the_give_up_rule_sends_the_walk_to_the_presort_within_its_bound() {
+        let mut rng = skyline_relation::Rng::seed_from_u64(0x61E);
+        // a correlated table: every criterion is the row number plus a
+        // little noise, so the skyline is a few of the last rows
+        let correlated: Vec<Tuple> = (0..20_000i64)
+            .map(|i| {
+                let v = [1, 2, 3, 4].map(|_| i + rng.i64_inclusive(0, 20));
+                tuple![v[0], v[1], v[2], v[3]]
+            })
+            .collect();
+        // a lead of 5 values beside three of 4 000
+        let five: Vec<Tuple> = (0..20_000i64)
+            .map(|i| {
+                let v = [1, 2, 3].map(|_| rng.i64_inclusive(0, 3_999));
+                tuple![i % 5, v[0], v[1], v[2]]
+            })
+            .collect();
+        let all_max = |d: usize| (0..d).map(|c| (c, false)).collect::<Vec<_>>();
+        for (name, rows, crit) in [
+            ("correlated", correlated, all_max(4)),
+            ("three corners", three_corners(30_000), all_max(3)),
+            ("five values", five, all_max(4)),
+        ] {
+            let d = crit.len();
+            // the largest eligible LIMIT
+            let k = (expected_skyline_size(rows.len(), d) / RANKED_MARGIN) as usize;
+            let opts = ExecOptions::default();
+            // the presort's emission: the whole skyline, in its order
+            let mut sky = Vec::new();
+            external_skyline_with(columns(&rows, &crit, &[]), &opts, |id| {
+                sky.push(id);
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+            let cols = columns(&rows, &crit, &[]);
+            let (_, gave_up, fed) = walk_only(cols, None, Ranked { lead: 0, k }, &opts).unwrap();
+            assert!(gave_up, "{name}");
+            if name == "five values" {
+                // the first group passes its cap before a row is fed
+                assert!(rows.len() / 5 > group_cap(rows.len()));
+                assert_eq!(fed, 0, "{name}");
+            } else {
+                // distinct leads but for ties of a few rows
+                assert!(sky.len() < k, "{name}: {} of {k}", sky.len());
+                let ties = 21;
+                let bound = give_up_bound(sky.len(), d) + ties;
+                assert!(fed <= bound, "{name}: fed {fed} of {bound}");
+            }
+            // and the presort answers
+            let ids = ranked(&rows, &crit, Ranked { lead: 0, k }, &opts).unwrap();
+            assert_eq!(ids, sky, "{name}");
+        }
+        // E(r, d) is the §6 recurrence, one fed row at a time
+        let rows = anti_diagonal(300);
+        let rank = Ranked { lead: 1, k: 300 };
+        let mut walk = Walk::new(columns(&rows, &all_max(3), &[]), None, rank, None);
+        // as if every row fed had left SFS
+        walk.progress.answers.set(300);
+        for r in 1..=300 {
+            walk.next().unwrap().unwrap();
+            assert_eq!(walk.expected[2], expected_skyline_size(r, 3), "{r}");
+        }
+    }
+
     #[test]
     fn a_lead_of_few_values_takes_the_presort_and_answers_alike() {
-        // A lead of 5 values: a fifth of the rows tie at the best, far
-        // past 4·k, so the ranked source hands the columns back and its
-        // heap lease is returned before the presort's arena is taken. At
-        // 2 000 rows the final look says so; at 4 000 the early one, an
-        // eighth of the way in.
+        // A lead of 5 values: a fifth of the rows tie at the best, past
+        // the group cap, so the walk gives up before it feeds a row and
+        // its window is closed before the presort's arena is taken.
         let crit = [(0usize, false), (1usize, false), (2usize, true)];
         for (n, k) in [(2_000i64, 1), (2_000, 3), (4_000, 1), (4_000, 5)] {
             let rows: Vec<Tuple> = (0..n)
@@ -1321,27 +1421,64 @@ mod tests {
                 .collect();
             let pool = BufferPool::new(1 << 16);
             let opts = ExecOptions::default().with_pool(pool.clone());
-            let metrics = SkylineMetrics::shared();
-            let mut ids = Vec::new();
-            let rank = Ranked { lead: 0, k };
-            let cols = columns(&rows, &crit, &[]);
-            paged_skyline(cols, Some(rank), &opts, Arc::clone(&metrics), |id| {
-                ids.push(id);
-                ControlFlow::Continue(())
-            })
-            .unwrap();
-            // the presort emits the whole skyline, the ranked source would
-            // have stopped at the best lead
+            let ids = ranked(&rows, &crit, Ranked { lead: 0, k }, &opts).unwrap();
+            // the presort emits the whole skyline, the walk would have
+            // stopped at the best lead
             let mut all = ids.clone();
             all.sort_unstable();
             assert_eq!(all, in_memory(&rows, &crit, &[]), "{n} {k}");
             assert_eq!(cut(&rows, &crit, 0, k, ids), top_k(&rows, &crit, 0, k));
             let arena = sort_pages_for(&opts, rows.len(), 40);
-            let window = recommend_window_pages(rows.len(), 3, 24);
-            let heap = ranked_heap_pages(rows.len());
-            assert_eq!(pool.peak(), arena.max(window).max(heap), "{n} {k}");
+            let window = window_pages(rows.len(), 3);
+            assert_eq!(pool.peak(), arena.max(window), "{n} {k}");
             assert_eq!(pool.used(), 0);
         }
+    }
+
+    #[test]
+    fn a_light_shaped_query_walks_to_its_answer_without_giving_up() {
+        // `SELECT * FROM small WHERE a < 2500 SKYLINE OF a MIN, b MIN,
+        // c MAX, d MAX ORDER BY a LIMIT 20` over 10 000 rows of four
+        // columns in 0..=9 999: the walk reads the whole table's order of
+        // `a` through the selection and feeds SFS only the rows up to the
+        // 20th answer's lead.
+        let mut rng = skyline_relation::Rng::seed_from_u64(2003);
+        let rows: Vec<Tuple> = (0..10_000)
+            .map(|_| {
+                let v = [1, 2, 3, 4].map(|_| rng.i64_inclusive(0, 9_999));
+                tuple![v[0], v[1], v[2], v[3]]
+            })
+            .collect();
+        let crit = [(0usize, true), (1, true), (2, false), (3, false)];
+        let selection: Vec<usize> = (0..rows.len())
+            .filter(|&i| rows[i].get(0).as_i64().unwrap() < 2_500)
+            .collect();
+        let matches: Vec<Tuple> = selection.iter().map(|&i| rows[i].clone()).collect();
+        let k = 20;
+        let want = top_k(&matches, &crit, 0, k);
+        let cols = columns(&rows, &crit, &[]);
+        let rank = Ranked { lead: 0, k };
+        let opts = ExecOptions::default();
+        let (ids, gave_up, fed) =
+            walk_only(cols.clone(), Some(Arc::new(selection.clone())), rank, &opts).unwrap();
+        assert!(!gave_up);
+        assert_eq!(cut(&matches, &crit, 0, k, ids), want);
+        // fed: the matches whose `a` is at most the 20th answer's
+        let last = matches[want[k - 1]].get(0).as_i64().unwrap();
+        let ahead = matches
+            .iter()
+            .filter(|r| r.get(0).as_i64().unwrap() <= last)
+            .count();
+        assert_eq!(fed, ahead as u64);
+        assert!(fed < selection.len() as u64 / 10, "fed {fed}");
+        // through the source: the same answer
+        let mut ids = Vec::new();
+        ranked_skyline_with(cols, Some(Arc::new(selection)), rank, &opts, |id| {
+            ids.push(id);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!(cut(&matches, &crit, 0, k, ids), want);
     }
 
     #[test]
@@ -1461,8 +1598,7 @@ mod tests {
             let metrics = SkylineMetrics::shared();
             let mut left = limit;
             paged_skyline(
-                columns(&rows, &crit, &[]),
-                None,
+                Source::Presort(columns(&rows, &crit, &[])),
                 &ExecOptions::default(),
                 Arc::clone(&metrics),
                 |_| {
@@ -1552,7 +1688,6 @@ mod tests {
     /// sort form many runs.
     #[test]
     fn the_score_lane_changes_no_emission_and_no_counter_but_bytes_moved() {
-        use skyline_core::MetricsSnapshot;
         let mut rng = skyline_relation::Rng::seed_from_u64(0x5C0E);
         let n = 4_000i64;
         // anti-correlated pairs plus two noise columns, and a small-domain
@@ -1588,7 +1723,7 @@ mod tests {
                 let (scored, unscored) = (SkylineMetrics::shared(), SkylineMetrics::shared());
                 let mut got = Vec::new();
                 let cols = columns(&rows, crit, diff);
-                paged_skyline(cols, None, opts, Arc::clone(&scored), |id| {
+                paged_skyline(Source::Presort(cols), opts, Arc::clone(&scored), |id| {
                     got.push(id);
                     ControlFlow::Continue(())
                 })

@@ -7,19 +7,23 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::borrow::Borrow;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// One attribute of a relation as `f64`s, with the facts the skyline
-/// planner asks of it: statistics for the entropy presort, and the first
-/// row that is no criterion value at all (`NULL`, a string or NaN).
+/// planner asks of it: statistics for the entropy presort, the first
+/// row that is no criterion value at all (`NULL`, a string or NaN), and
+/// the rows in value order, sorted on first ask ([`Self::order`]).
 ///
 /// Values are stored as the table has them; a `MIN` criterion is a sign
 /// flip at read time ([`ColumnStats::negated`] for the statistics).
-#[derive(Debug, Clone, PartialEq)]
+/// `PartialEq` and `Debug` leave the order out: it is derived from the
+/// values.
+#[derive(Clone)]
 pub struct KeyColumn {
     values: Vec<f64>,
     stats: ColumnStats,
     first_non_numeric: Option<usize>,
+    order: OnceLock<Vec<u32>>,
 }
 
 /// Rows [`KeyColumn::build_all`] copies between two calls of its `poll`.
@@ -31,6 +35,7 @@ impl KeyColumn {
             values: Vec::with_capacity(rows),
             stats: ColumnStats::empty(),
             first_non_numeric: None,
+            order: OnceLock::new(),
         }
     }
 
@@ -118,6 +123,7 @@ impl KeyColumn {
             stats: ColumnStats::of(&values),
             values,
             first_non_numeric: None,
+            order: OnceLock::new(),
         })
     }
 
@@ -136,6 +142,54 @@ impl KeyColumn {
     pub fn first_non_numeric(&self) -> Option<usize> {
         self.first_non_numeric
     }
+
+    /// The row numbers ascending by value under [`f64::total_cmp`] —
+    /// −0.0 just before +0.0, −∞ first and +∞ last — equal values by
+    /// row. Sorted on the first ask, one sort of 4 B a row, and kept in
+    /// the column: a resident column sorts once for every query that
+    /// reads its order, and callers racing the first ask sort once.
+    /// Empty when the column holds no values.
+    ///
+    /// # Panics
+    /// When the column has more than `u32::MAX` rows.
+    pub fn order(&self) -> &[u32] {
+        self.order.get_or_init(|| {
+            assert!(
+                u32::try_from(self.values.len()).is_ok(),
+                "{} rows do not fit a u32 row number",
+                self.values.len()
+            );
+            // total_cmp's key as an unsigned integer, the row below it
+            let mut keyed: Vec<u128> = (0u32..)
+                .zip(&self.values)
+                .map(|(row, v)| {
+                    let bits = v.to_bits();
+                    let key = bits ^ (((bits as i64 >> 63) as u64) >> 1) ^ (1 << 63);
+                    (u128::from(key) << 32) | u128::from(row)
+                })
+                .collect();
+            keyed.sort_unstable();
+            keyed.into_iter().map(|k| k as u32).collect()
+        })
+    }
+}
+
+impl PartialEq for KeyColumn {
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values
+            && self.stats == other.stats
+            && self.first_non_numeric == other.first_non_numeric
+    }
+}
+
+impl fmt::Debug for KeyColumn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyColumn")
+            .field("values", &self.values)
+            .field("stats", &self.stats)
+            .field("first_non_numeric", &self.first_non_numeric)
+            .finish()
+    }
 }
 
 /// A schema plus rows. The friendly relation used by the query layer,
@@ -143,10 +197,12 @@ impl KeyColumn {
 ///
 /// A table also keeps *resident key columns*: the [`KeyColumn`] of every
 /// attribute a skyline query has referenced so far, built on first use
-/// ([`Table::key_columns`]) and shared by every later query — a `WHERE`
-/// reads the ones there are ([`Table::resident_key_column`]). They are
-/// derived data — [`Table::push`] drops them, and `Clone`, `PartialEq`
-/// and `Debug` look at schema and rows only (a clone starts cold).
+/// ([`Table::key_columns`]) and shared by every later query, each with
+/// its sorted order once a query has asked for it ([`KeyColumn::order`])
+/// — a `WHERE` reads the ones there are ([`Table::resident_key_column`]).
+/// They are derived data — [`Table::push`] drops them, orders and all,
+/// and `Clone`, `PartialEq` and `Debug` look at schema and rows only (a
+/// clone starts cold).
 pub struct Table {
     schema: Schema,
     rows: Vec<Tuple>,
@@ -619,6 +675,58 @@ mod tests {
             &t.key_columns(&[1], refuse).unwrap()[0],
             &rebuilt[0]
         ));
+    }
+
+    #[test]
+    fn a_key_columns_order_is_sorted_once_kept_and_dropped_by_push() {
+        let schema = Schema::of(&[("x", ColumnType::Float), ("y", ColumnType::Int)]);
+        let xs = [
+            3.0,
+            0.0,
+            f64::INFINITY,
+            -0.0,
+            -2.5,
+            3.0,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            3.0,
+        ];
+        let rows = xs
+            .iter()
+            .zip(0..)
+            .map(|(&x, y)| Tuple::new(vec![Value::Float(x), Value::Int(y % 3)]))
+            .collect();
+        let mut t = Table::new(schema, rows).unwrap();
+        let first = t.key_columns(&[0, 1], never).unwrap();
+        // −∞ first, −0.0 just before +0.0, +∞ last, equal values by row
+        assert_eq!(first[0].order(), [6, 4, 3, 8, 1, 7, 0, 5, 9, 2]);
+        assert_eq!(first[1].order(), [0, 3, 6, 9, 1, 4, 7, 2, 5, 8]);
+        // equality and Debug ignore it: a fresh build, never sorted, is
+        // equal, and prints the same
+        let fresh = &KeyColumn::build_all(t.rows(), &[0], never).unwrap()[0];
+        assert_eq!(fresh, &*first[0]);
+        assert_eq!(format!("{fresh:?}"), format!("{:?}", first[0]));
+        assert!(!format!("{fresh:?}").contains("order"));
+        // a second query finds the same allocation
+        let again = t.key_columns(&[0], never).unwrap();
+        assert!(std::ptr::eq(first[0].order(), again[0].order()));
+        // a push drops the column, and its order with it
+        t.push(Tuple::new(vec![Value::Float(-1.0), Value::Int(7)]))
+            .unwrap();
+        let pushed = t.key_columns(&[0], never).unwrap();
+        assert!(!Arc::ptr_eq(&pushed[0], &first[0]));
+        assert_eq!(pushed[0].order(), [6, 4, 10, 3, 8, 1, 7, 0, 5, 9, 2]);
+        // the old order lives on with the query that holds it
+        assert_eq!(first[0].order().len(), 10);
+        // a column with no values orders nothing; one without rows too
+        let holed = KeyColumn::build_all(&[tuple!["a"]], &[0], never).unwrap();
+        assert!(holed[0].order().is_empty());
+        assert!(
+            KeyColumn::build_all::<Tuple, ()>(&[], &[0], never).unwrap()[0]
+                .order()
+                .is_empty()
+        );
     }
 
     #[test]

@@ -1537,7 +1537,7 @@ fn a_holed_criterion_under_a_where_answers_as_the_pre_filtered_table() {
         whole.register("t", table.clone());
         let ranked = shapes[1].replace("{w}", &format!(" WHERE id <> {at}"));
         let plan = skyline::query::plan::explain(&ranked, &whole).unwrap();
-        assert!(plan.contains("front test → heap → SFS"), "{plan}");
+        assert!(plan.contains("walk → SFS"), "{plan}");
         for cold_then_warm in 0..2 {
             for pred in [
                 format!("id <> {at}"),
@@ -1668,7 +1668,7 @@ fn a_tripped_token_cancels_every_row_loop() {
 /// key and tie order must get right: `a` mixes ±0.0 and ±∞ — often or
 /// rarely — into few or many values, `b` is fractional with both zeros,
 /// `c` and `e` are integers over small or wide domains, and `h` numbers
-/// 40–300 groups. A lead with few values mostly fails the tie rule; one
+/// 40–300 groups. A lead with few values mostly makes the walk give up; one
 /// with many takes the ranked source.
 fn ranked_table(rng: &mut skyline::relation::rng::Rng) -> Table {
     use skyline::relation::{Tuple, Value};
@@ -1797,7 +1797,7 @@ fn a_ranked_top_k_answers_as_the_uncut_order_cut_to_k() {
                 eligible[s] += usize::from(k >= 1 && k <= bound);
                 if s == 0 {
                     let plan = skyline::query::plan::explain(&cut, &cat).unwrap();
-                    ranked += usize::from(plan.contains("front test → heap → SFS"));
+                    ranked += usize::from(plan.contains("walk → SFS"));
                 }
             }
         }
@@ -1805,6 +1805,93 @@ fn a_ranked_top_k_answers_as_the_uncut_order_cut_to_k() {
     // the ranked source served a fair share of the cases
     assert!(eligible.iter().all(|&e| e >= 20), "{eligible:?}");
     assert!(ranked >= 40, "{ranked}");
+}
+
+/// A table `(id, a, b, c, g)` of `n` rows for the large ranked top-k
+/// differential: `shape` 0 independent, 1 correlated (every criterion
+/// the row number plus a little noise, ties on the lead), 2 three
+/// corners (three mutually incomparable rows each dominating a third of
+/// the rest under `MAX` on all three). `g` is never a criterion.
+fn large_ranked_table(shape: usize, n: usize, seed: u64) -> Table {
+    let mut rng = skyline::relation::rng::Rng::seed_from_u64(seed);
+    let top = 1_000_000i64;
+    let rows = (0..n)
+        .map(|i| {
+            let abc = match (shape, i) {
+                (0, _) => [0; 3].map(|_| rng.i64_inclusive(0, top)),
+                (1, _) => [0; 3].map(|_| i as i64 + rng.i64_inclusive(0, 40)),
+                (_, 0..=2) => {
+                    let mut corner = [top; 3];
+                    corner[i] = 0;
+                    corner
+                }
+                _ => {
+                    let mut v = [0; 3].map(|_| rng.i64_inclusive(1, top - 1));
+                    v[i % 3] = -v[i % 3];
+                    v
+                }
+            };
+            tuple![i as i64, abc[0], abc[1], abc[2], (i % 7) as i64]
+        })
+        .collect();
+    let schema = Schema::of(&[
+        ("id", ColumnType::Int),
+        ("a", ColumnType::Int),
+        ("b", ColumnType::Int),
+        ("c", ColumnType::Int),
+        ("g", ColumnType::Int),
+    ]);
+    Table::new(schema, rows).unwrap()
+}
+
+/// `ORDER BY <criterion> … LIMIT k` over tables past the size the ranked
+/// source once held in a heap — 20 000 to 60 000 rows under `sort_pages`
+/// 64, a server's default — answers as the same query without the
+/// `LIMIT` cut to its first `k` rows: on independent, correlated and
+/// three-corner data; over the whole table, a `WHERE` on the lead (read
+/// off its resident column) and one tested row by row; under a `MIN` and
+/// a `MAX` lead; at k ∈ {1, E/16, E/4, E/4 + 1}.
+#[test]
+fn a_ranked_top_k_over_a_large_table_answers_as_the_uncut_order_cut_to_k() {
+    use skyline::core::cardinality::expected_skyline_size;
+    let opts = ExecOptions::default().with_sort_pages(64);
+    let mut walked = 0;
+    for (shape, n) in [(0, 20_000), (1, 40_000), (2, 60_000)] {
+        let table = large_ranked_table(shape, n, 0x1A7 + shape as u64);
+        let mut leads: Vec<i64> = table
+            .rows()
+            .iter()
+            .map(|r| r.get(1).as_i64().unwrap())
+            .collect();
+        leads.sort_unstable();
+        let (low, high) = (leads[n * 3 / 5], leads[n * 2 / 5]);
+        let mut cat = Catalog::new();
+        cat.register("t", table);
+        for (clause, order, lead_where) in [
+            ("a MAX, b MAX, c MAX", "a DESC, id", format!("a >= {high}")),
+            ("a MIN, b MAX, c MAX", "a, id", format!("a <= {low}")),
+        ] {
+            for filter in ["", &format!(" WHERE {lead_where}"), " WHERE g <> 3"] {
+                let uncut =
+                    format!("SELECT id, a FROM t{filter} SKYLINE OF {clause} ORDER BY {order}");
+                let (want, schema) = pushed(&uncut, &cat, &opts);
+                let count = format!("SELECT id FROM t{filter}");
+                let rows = execute(&count, &cat).unwrap().len();
+                let e = expected_skyline_size(rows, 3);
+                let quarter = (e / 4.0) as usize;
+                for k in [1, (e / 16.0) as usize, quarter, quarter + 1] {
+                    let cut = format!("{uncut} LIMIT {k}");
+                    let mut want = want.clone();
+                    want.truncate(k);
+                    assert_eq!(pushed(&cut, &cat, &opts), (want, schema.clone()), "{cut}");
+                    let plan = skyline::query::plan::explain(&cut, &cat).unwrap();
+                    walked += usize::from(filter.is_empty() && plan.contains("walk → SFS"));
+                }
+            }
+        }
+    }
+    // the whole-table cases at k ≤ E/4: three of four, two leads, three tables
+    assert_eq!(walked, 18);
 }
 
 /// Rows equal on every `ORDER BY` key leave by row number, from the
